@@ -24,7 +24,7 @@ from .lattice import (
     compute_max_clearing_flood,
     solve_range_clearing,
 )
-from .linalg import LinearProgram, Constraint, simplex_solve, solve_linear_system, unit_left_nullspace
+from .linalg import solve_linear_system, unit_left_nullspace
 from .minimal import (
     AdjustedNetwork,
     FloodStep,

@@ -19,7 +19,9 @@ from .model import FinancialNetwork
 from .rationals import parse_exact
 
 
-def _require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
+def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
+    """Reject networks with default cost from ``operation``, which is only
+    defined without it."""
     if net.has_default_cost():
         raise errors.DefaultCostUnsupportedError(
             f"{operation} is defined for networks without default cost"
@@ -37,7 +39,7 @@ def apply_flood_sequence(
     containing the bank is flooded by ``fraction`` of its maximal feasible
     scale. Every intermediate state is again a clearing state, exactly.
     """
-    _require_no_default_cost(net, "apply_flood_sequence")
+    require_no_default_cost(net, "apply_flood_sequence")
     check = is_clearing_state(net, start)
     if not check.ok:
         raise errors.NotAClearingStateError(
@@ -67,7 +69,7 @@ def apply_flood_sequence(
 
 def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     """Maximal clearing state by greedy saturation of floodable components."""
-    _require_no_default_cost(net, "compute_max_clearing_flood")
+    require_no_default_cost(net, "compute_max_clearing_flood")
     assets = compute_min_clearing(net).as_dict()
     while True:
         g = active_graph(net, assets)
@@ -132,7 +134,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
     same holds when raising one target is only possible by pushing another
     above its interval.
     """
-    _require_no_default_cost(net, "solve_range_clearing")
+    require_no_default_cost(net, "solve_range_clearing")
     if not isinstance(spec, RangeSpec):
         spec = RangeSpec.build(net, spec)
     assets = compute_min_clearing(net).as_dict()

@@ -1,56 +1,109 @@
-"""Exact rational linear algebra: Gaussian elimination, one-dimensional
-nullspace extraction, and a small two-phase simplex with Bland's rule.
+"""Exact rational linear algebra: a sparse solver for the response systems
+and one-dimensional nullspace extraction.
 
-Matrices are dense lists of ``Fraction`` rows; sizes here are at most a few
-hundred, where exactness matters more than sparsity.
+Every response system of the engine has the shape ``I - M`` (or its
+transpose) for a slope matrix ``M`` over the reachable part of the active
+graph: one unit diagonal per bank plus one entry per active edge, so a few
+nonzeros per row. ``solve_linear_system`` takes exactly those nonzeros as
+sparse rows and eliminates in a Markowitz-style pivot order (Markowitz 1957)
+to keep fill-in, and so the number of ``Fraction`` operations, small.
+Exact arithmetic fixes the solution of a nonsingular system, so the pivot
+order changes the cost, never the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import DegenerateMatrixError
 from .rationals import ONE, ZERO
 
-RationalMatrix = list[list[Fraction]]
+SparseRow = Sequence[tuple[int, Fraction]]
 
 
-def solve_linear_system(matrix, rhs) -> list[Fraction] | None:
-    """Solve ``A x = b`` exactly; None when A is singular.
+def solve_linear_system(
+    rows: Sequence[SparseRow], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Solve ``A x = b`` exactly; None exactly when A is singular.
 
-    Pivoting swaps in the first row with an exactly nonzero pivot entry —
-    there is no numerical benefit to magnitude-based pivoting here.
+    ``rows[i]`` lists the nonzero entries of row ``i`` of the square matrix
+    ``A`` as ``(column, value)`` pairs; repeated columns are summed. Each
+    step pivots on the live column with the fewest live entries and, within
+    it, on the row with the fewest nonzeros (ties go to the lowest index).
     """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("need a square matrix and a matching right-hand side")
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
+    n = len(rows)
+    if n == 0 or len(rhs) != n:
+        raise ValueError("need a square system and a matching right-hand side")
+    work: list[dict[int, Fraction]] = []
+    col_rows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        entries: dict[int, Fraction] = {}
+        for col, value in row:
+            if not 0 <= col < n:
+                raise ValueError(f"column {col} outside a {n}x{n} system")
+            entries[col] = entries[col] + value if col in entries else value
+        entries = {col: value for col, value in entries.items() if value}
+        for col in entries:
+            col_rows[col].add(i)
+        work.append(entries)
+    b = list(rhs)
+
+    # Heap of (live entries, column); an entry is stale once its column is
+    # eliminated or its count has changed, and a fresh one is pushed then.
+    heap = [(len(rows_of), c) for c, rows_of in enumerate(col_rows)]
+    heapify(heap)
+    eliminated = [False] * n
+    pivots: list[tuple[int, int]] = []
+    for _ in range(n):
+        while True:
+            count, col = heappop(heap)
+            if not eliminated[col] and count == len(col_rows[col]):
+                break
+        if not count:
             return None
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        base = rows[col]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            factor /= pivot
-            row = rows[r]
-            for c in range(col, n + 1):
-                if base[c]:
-                    row[c] -= factor * base[c]
+        candidates = col_rows[col]
+        if count == 1:
+            (prow,) = candidates
+        else:
+            prow = min(candidates, key=lambda r: (len(work[r]), r))
+        eliminated[col] = True
+        base = work[prow]
+        for c in base:
+            col_rows[c].discard(prow)
+        pivot = base[col]
+        others = [(c, value) for c, value in base.items() if c != col]
+        b_pivot = b[prow]
+        for r in candidates:
+            row = work[r]
+            factor = -row.pop(col) / pivot
+            for c, value in others:
+                if c not in row:
+                    row[c] = factor * value  # fill-in, nonzero
+                    col_rows[c].add(r)
+                    continue
+                new = row[c] + factor * value
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+                    col_rows[c].discard(r)
+            if b_pivot:
+                b[r] += factor * b_pivot
+        candidates.clear()
+        for c, _ in others:
+            heappush(heap, (len(col_rows[c]), c))
+        pivots.append((prow, col))
+
     solution = [ZERO] * n
-    for r in range(n - 1, -1, -1):
-        acc = rows[r][n]
-        row = rows[r]
-        for c in range(r + 1, n):
-            if row[c] and solution[c]:
-                acc -= row[c] * solution[c]
-        solution[r] = acc / row[r]
+    for prow, col in reversed(pivots):
+        base = work[prow]
+        acc = b[prow]
+        for c, value in base.items():
+            if c != col and solution[c]:
+                acc -= value * solution[c]
+        solution[col] = acc / base[col]
     return solution
 
 
@@ -109,191 +162,3 @@ def unit_left_nullspace(matrix) -> list[Fraction]:
     if top == 0:
         raise DegenerateMatrixError("nullspace vector is zero")
     return [x / top for x in vector]
-
-
-# --- linear programming ------------------------------------------------------
-
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-
-NON_NEGATIVE = "nonneg"
-FREE = "free"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...]
-    maximize: bool = False
-    bounds: tuple[str, ...] | None = None  # per-variable; default all non-negative
-
-    def n_vars(self) -> int:
-        return len(self.objective)
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: Fraction | None
-    solution: list[Fraction] | None
-
-
-def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Exact two-phase simplex with Bland's anti-cycling rule."""
-    n = lp.n_vars()
-    bounds = lp.bounds or (NON_NEGATIVE,) * n
-    if len(bounds) != n:
-        raise ValueError("one bound marker per variable required")
-
-    # Map each variable to standard-form columns (free vars split as x+ - x-).
-    col_of: list[tuple[int, int | None]] = []
-    cols = 0
-    for marker in bounds:
-        if marker == NON_NEGATIVE:
-            col_of.append((cols, None))
-            cols += 1
-        elif marker == FREE:
-            col_of.append((cols, cols + 1))
-            cols += 2
-        else:
-            raise ValueError(f"unknown bound marker {marker!r}")
-
-    def expand(coeffs) -> list[Fraction]:
-        row = [ZERO] * cols
-        for value, (pos, neg) in zip(coeffs, col_of):
-            if value == 0:
-                continue
-            row[pos] += value
-            if neg is not None:
-                row[neg] -= value
-        return row
-
-    objective = expand(lp.objective)
-    if lp.maximize:
-        objective = [-c for c in objective]
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_cols: list[int | None] = []
-    n_slacks = sum(1 for c in lp.constraints if c.relation != EQUAL)
-    slack_base = cols
-    slack_seen = 0
-    for constraint in lp.constraints:
-        if len(constraint.coeffs) != n:
-            raise ValueError("constraint arity mismatch")
-        row = expand(constraint.coeffs)
-        row.extend([ZERO] * n_slacks)
-        if constraint.relation == LESS_EQUAL:
-            row[slack_base + slack_seen] = ONE
-            slack_cols.append(slack_base + slack_seen)
-            slack_seen += 1
-        elif constraint.relation == GREATER_EQUAL:
-            row[slack_base + slack_seen] = -ONE
-            slack_cols.append(slack_base + slack_seen)
-            slack_seen += 1
-        elif constraint.relation == EQUAL:
-            slack_cols.append(None)
-        else:
-            raise ValueError(f"unknown relation {constraint.relation!r}")
-        rows.append(row)
-        rhs.append(constraint.rhs)
-    total_cols = cols + n_slacks
-    objective.extend([ZERO] * n_slacks)
-
-    # Ensure rhs >= 0, then add one artificial per row for a trivial basis.
-    for i, row in enumerate(rows):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in row]
-            rhs[i] = -rhs[i]
-    m = len(rows)
-    for i, row in enumerate(rows):
-        row.extend(ONE if j == i else ZERO for j in range(m))
-    art_base = total_cols
-    basis = [art_base + i for i in range(m)]
-    width = total_cols + m
-
-    tableau = [rows[i] + [rhs[i]] for i in range(m)]
-
-    def pivot(row_idx: int, col_idx: int) -> None:
-        pivot_value = tableau[row_idx][col_idx]
-        tableau[row_idx] = [x / pivot_value for x in tableau[row_idx]]
-        base = tableau[row_idx]
-        for i in range(m):
-            if i != row_idx and tableau[i][col_idx] != 0:
-                factor = tableau[i][col_idx]
-                tableau[i] = [a - factor * b for a, b in zip(tableau[i], base)]
-        basis[row_idx] = col_idx
-
-    def run_phase(costs: list[Fraction], allowed: int) -> str:
-        """Bland's rule on reduced costs; returns 'optimal' or 'unbounded'."""
-        while True:
-            duals = [costs[basis[i]] for i in range(m)]
-            entering = None
-            for j in range(allowed):
-                if j in basis:
-                    continue
-                reduced = costs[j] - sum(
-                    duals[i] * tableau[i][j] for i in range(m) if tableau[i][j]
-                )
-                if reduced < 0:
-                    entering = j
-                    break
-            if entering is None:
-                return "optimal"
-            leaving = None
-            best = None
-            for i in range(m):
-                coeff = tableau[i][entering]
-                if coeff > 0:
-                    ratio = tableau[i][width] / coeff
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return "unbounded"
-            pivot(leaving, entering)
-
-    # Phase 1: minimize the artificial sum.
-    phase1 = [ZERO] * width
-    for j in range(art_base, width):
-        phase1[j] = ONE
-    run_phase(phase1, width)
-    infeasibility = sum(
-        tableau[i][width] for i in range(m) if basis[i] >= art_base
-    )
-    if infeasibility != 0:
-        return SimplexResult("infeasible", None, None)
-    # Drive remaining artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= art_base:
-            entering = next(
-                (j for j in range(total_cols) if tableau[i][j] != 0), None
-            )
-            if entering is not None:
-                pivot(i, entering)
-
-    phase2 = objective + [ZERO] * m
-    status = run_phase(phase2, total_cols)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None)
-
-    values = [ZERO] * width
-    for i in range(m):
-        values[basis[i]] = tableau[i][width]
-    solution = []
-    for pos, neg in col_of:
-        solution.append(values[pos] - (values[neg] if neg is not None else ZERO))
-    objective_value = sum(
-        (c * x for c, x in zip(lp.objective, solution)), ZERO
-    )
-    return SimplexResult("optimal", objective_value, solution)

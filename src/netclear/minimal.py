@@ -21,7 +21,13 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .graphs import active_graph, condense, find_flood_component, reachable_from
+from .graphs import (
+    ActiveGraph,
+    active_graph,
+    condense,
+    find_flood_component,
+    reachable_from,
+)
 from .linalg import solve_linear_system, unit_left_nullspace
 from .model import (
     Bank,
@@ -294,29 +300,35 @@ def solve_flood_step(
 
 
 def solve_increase_step(
-    net: FinancialNetwork, state, v: str, budget: Fraction
+    net: FinancialNetwork,
+    state,
+    v: str,
+    budget: Fraction,
+    graph: ActiveGraph | None = None,
 ) -> IncreaseStep:
     """Linear response of the minimal clearing state to an injection at ``v``,
     valid while no reachable flooded region exists. The step size is capped by
     the budget and by the nearest payment-function border along the response
-    slopes."""
+    slopes. ``graph`` is the active graph of ``net`` at ``state`` when the
+    caller already holds it; it is built here otherwise."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    g = active_graph(net, state)
+    g = active_graph(net, state) if graph is None else graph
     reach = sorted(reachable_from(g, v))
     index = {u: i for i, u in enumerate(reach)}
-    n = len(reach)
     # Rows encode s_x = e_v[x] + sum over active in-edges (z, x) of m * s_z,
     # i.e. the column form (I - M^T) s = e_v of the row-vector system.
-    matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows = [[(i, ONE)] for i in range(len(reach))]
     for u in reach:
         assets = state[u]
         for claim in g.active_out(u):
             if claim.creditor in index:
-                matrix[index[claim.creditor]][index[u]] -= claim.payment.slope_at(assets)
-    rhs = [ZERO] * n
+                rows[index[claim.creditor]].append(
+                    (index[u], -claim.payment.slope_at(assets))
+                )
+    rhs = [ZERO] * len(reach)
     rhs[index[v]] = ONE
-    solution = solve_linear_system(matrix, rhs)
+    solution = solve_linear_system(rows, rhs)
     if solution is None:
         raise errors.InternalInvariantError(
             "singular response system despite no reachable flood"
@@ -355,7 +367,8 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
 
     With ``check_invariant`` the working state is verified to be an exact
     fixed point of the asset map (w.r.t. the injected externals) after every
-    step; test suites enable this.
+    step, and the active graph reused by each increase step is compared with
+    a fresh build; test suites enable this.
     """
     adj = adjust_default_cost(net)
     assets: dict[str, Fraction] = {v: ZERO for v in adj.network.bank_ids()}
@@ -371,6 +384,15 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if not check.ok:
             raise errors.InternalInvariantError(
                 f"working state lost the fixed-point invariant: {check.violations}"
+            )
+
+    def check_graph(g: ActiveGraph) -> None:
+        if not check_invariant:
+            return
+        fresh = active_graph(adj.network, assets)
+        if g.edges != fresh.edges or g.intervals != fresh.intervals:
+            raise errors.InternalInvariantError(
+                "stale active graph handed to the increase step"
             )
 
     def settle_defaulters() -> None:
@@ -417,7 +439,10 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         budget = adj.targets[source] - adj.injected[source]
         if budget <= 0:
             continue  # a rewire settled this bank's deficit meanwhile
-        step = solve_increase_step(adj.network, assets, source, budget)
+        # The flood check above left ``g`` built for the current network and
+        # assets; the increase step reuses it.
+        check_graph(g)
+        step = solve_increase_step(adj.network, assets, source, budget, g)
         increases.append(step)
         adj.injected[source] += step.delta
         for u, s_u in step.slopes.items():

@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .linalg import (
-    GREATER_EQUAL,
-    Constraint,
-    LinearProgram,
-    solve_linear_system,
-    unit_left_nullspace,
-)
+from .linalg import solve_linear_system, unit_left_nullspace
 from .model import (
     IDENTITY,
     Bank,
@@ -266,6 +260,27 @@ def _blocks_in_order(system: _CounterSystem) -> list[list[str]]:
     return [sorted(block) for block in reversed(blocks)]
 
 
+def _flow_rows(system, members, t):
+    """Sparse rows and right-hand side of the flow equalities
+    ``(I - W_BB) t_B = c_B + W_B,rest t_rest`` on the block ``members``, with
+    the inputs outside the block taken from ``t``."""
+    idx = {v: i for i, v in enumerate(members)}
+    rows = []
+    rhs = []
+    for i, v in enumerate(members):
+        row = [(i, ONE)]
+        acc = system.c[v]
+        for u, coeff in system.w[v].items():
+            if u in idx:
+                if coeff:
+                    row.append((idx[u], -coeff))
+            else:
+                acc += coeff * t[u]
+        rows.append(row)
+        rhs.append(acc)
+    return rows, rhs
+
+
 def _solve_block_least(system, block, t):
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced."""
@@ -286,19 +301,7 @@ def _solve_block_least(system, block, t):
             return
         flow.update(promote)
         f = sorted(flow)
-        idx = {v: i for i, v in enumerate(f)}
-        n = len(f)
-        matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rhs = []
-        for i, v in enumerate(f):
-            acc = system.c[v]
-            for u, coeff in system.w[v].items():
-                if u in idx:
-                    matrix[i][idx[u]] -= coeff
-                else:
-                    acc += coeff * t[u]
-            rhs.append(acc)
-        solution = solve_linear_system(matrix, rhs)
+        solution = solve_linear_system(*_flow_rows(system, f, t))
         if solution is not None:
             for i, v in enumerate(f):
                 t[v] = solution[i]
@@ -326,41 +329,27 @@ def _solve_block_least(system, block, t):
 def _solve_singular_line(system, members, t):
     """Particular solution and positive null direction of
     (I - W_BB) x = g on a closed block; (None, None) when inconsistent."""
-    idx = {v: i for i, v in enumerate(members)}
+    rows, g = _flow_rows(system, members, t)
     n = len(members)
-    a = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    g = []
-    for i, v in enumerate(members):
-        acc = system.c[v]
-        for u, coeff in system.w[v].items():
-            if u in idx:
-                a[i][idx[u]] -= coeff
-            else:
-                acc += coeff * t[u]
-        g.append(acc)
-    # Null direction of (I - W)^T ... we need the right nullspace of (I - W),
-    # i.e. d with (I - W) d = 0  <=>  d = W d: reuse the left-nullspace helper
-    # on the transpose.
-    transpose = [[a[j][i] for j in range(n)] for i in range(n)]
+    # The null direction d of (I - W_BB), d = W_BB d, is the left Perron
+    # vector of W_BB^T.
+    w_transpose = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, value in row:
+            if j != i:
+                w_transpose[j][i] = -value
     try:
-        direction = unit_left_nullspace(
-            [[(ONE if i == j else ZERO) - transpose[i][j] for j in range(n)] for i in range(n)]
-        )
+        direction = unit_left_nullspace(w_transpose)
     except errors.DegenerateMatrixError:
         raise errors.InternalInvariantError("closed block without Perron direction")
-    # Particular solution via least squares on the consistent system: append
-    # one normalization row (pin the first coordinate to its floor) and test
-    # consistency by substitution.
-    pinned = [row[:] for row in a]
-    rhs = list(g)
-    pinned[0] = [ONE if j == 0 else ZERO for j in range(n)]
-    rhs[0] = system.floor[members[0]]
-    solution = solve_linear_system(pinned, rhs)
+    # Particular solution: pin the first coordinate to its floor in place of
+    # the first equation, then test the dropped equation by substitution.
+    pinned = [[(0, ONE)]] + rows[1:]
+    solution = solve_linear_system(pinned, [system.floor[members[0]]] + g[1:])
     if solution is None:
         return None, None
-    for i in range(n):
-        acc = sum((a[i][j] * solution[j] for j in range(n)), ZERO)
-        if acc != g[i]:
+    for row, g_i in zip(rows, g):
+        if sum((value * solution[j] for j, value in row), ZERO) != g_i:
             return None, None
     return solution, direction
 
@@ -369,19 +358,7 @@ def _solve_block_greatest(system, block, t):
     """Exact flow equalities on a block, taking the largest point under the
     caps when the block carries a free circulation."""
     members = sorted(block)
-    idx = {v: i for i, v in enumerate(members)}
-    n = len(members)
-    matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    rhs = []
-    for i, v in enumerate(members):
-        acc = system.c[v]
-        for u, coeff in system.w[v].items():
-            if u in idx:
-                matrix[i][idx[u]] -= coeff
-            else:
-                acc += coeff * t[u]
-        rhs.append(acc)
-    solution = solve_linear_system(matrix, rhs)
+    solution = solve_linear_system(*_flow_rows(system, members, t))
     if solution is not None:
         for i, v in enumerate(members):
             t[v] = solution[i]
@@ -465,35 +442,3 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
                 )
             counters[v] -= 1
     raise errors.InternalInvariantError("counter descent failed to terminate")
-
-
-def build_counter_lp(
-    net: FinancialNetwork, structure: dict[str, BankClasses], counters: dict[str, int]
-) -> tuple[LinearProgram, tuple[str, ...]]:
-    """Literal LP form of the feasibility test at fixed counters, used to
-    cross-check the block solver: variables are t_v = a_v + d_v, the
-    objective is the total offset sum."""
-    system = _counter_system(net, structure, counters)
-    order = system.order
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    constraints = []
-    objective = [ZERO] * n
-    for v in order:
-        row = [ZERO] * n
-        row[idx[v]] = ONE
-        for u, coeff in system.w[v].items():
-            row[idx[u]] -= coeff
-        # d_v = t_v - a_v = t_v - (W t)_v - c_v >= 0
-        constraints.append(Constraint(tuple(row), GREATER_EQUAL, system.c[v]))
-        for j, coeff in enumerate(row):
-            objective[j] += coeff
-        floor_row = [ZERO] * n
-        floor_row[idx[v]] = ONE
-        constraints.append(Constraint(tuple(floor_row), GREATER_EQUAL, system.floor[v]))
-    return (
-        LinearProgram(
-            objective=tuple(objective), constraints=tuple(constraints), maximize=False
-        ),
-        order,
-    )

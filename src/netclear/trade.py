@@ -15,12 +15,21 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .graphs import active_graph, condense, find_flood_component, reachable_from
-from .lattice import compute_max_clearing_flood
+from .graphs import (
+    ActiveGraph,
+    active_graph,
+    condense,
+    find_flood_component,
+    reachable_from,
+)
+from .lattice import compute_max_clearing_flood, require_no_default_cost
 from .linalg import solve_linear_system
 from .minimal import compute_min_clearing, solve_flood_step
 from .model import Bank, Claim, FinancialNetwork, assemble
 from .rationals import ONE, ZERO
+
+
+TRADING = "claims trading"
 
 
 @dataclass(frozen=True)
@@ -38,13 +47,6 @@ class TradeResult:
     interval: tuple[Fraction, Fraction]  # the half-open interval (rho_min, rho_star]
 
 
-def _require_no_default_cost(net: FinancialNetwork) -> None:
-    if net.has_default_cost():
-        raise errors.DefaultCostUnsupportedError(
-            "claims trading is defined for networks without default cost"
-        )
-
-
 def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:
     debtor, creditor = claim_pair
     claim = net.claim(debtor, creditor)
@@ -60,7 +62,7 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
     """Re-target the claim to the buyer and move the return between the
     external assets of buyer and seller; the debtor-side payment function is
     untouched."""
-    _require_no_default_cost(net)
+    require_no_default_cost(net, TRADING)
     claim = _check_trade_shape(net, spec.claim, spec.buyer)
     debtor, creditor = spec.claim
     if spec.rho < 0:
@@ -86,53 +88,55 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
 
 def nonunique_banks(net: FinancialNetwork) -> frozenset[str]:
     """Banks whose minimal and maximal clearing assets differ."""
-    _require_no_default_cost(net)
+    require_no_default_cost(net, TRADING)
     low = compute_min_clearing(net)
     high = compute_max_clearing_flood(net)
     return frozenset(v for v in net.bank_ids() if low[v] != high[v])
 
 
-def _flood_closure(net: FinancialNetwork, assets: dict, v: str) -> dict:
-    """Fully flood every non-singleton sink SCC reachable from ``v``."""
+def _flood_closure(net: FinancialNetwork, assets: dict, v: str):
+    """Fully flood every non-singleton sink SCC reachable from ``v``; returns
+    the flooded assets with their active graph."""
     assets = dict(assets)
     while True:
         g = active_graph(net, assets)
         cond = condense(g)
         component = find_flood_component(g, cond, v)
         if component is None:
-            return assets
+            return assets, g
         step = solve_flood_step(net, assets, component)
         for member, d in step.direction.items():
             assets[member] += step.scale * d
 
 
-def _trade_slopes(net: FinancialNetwork, assets: dict, v: str, w: str) -> dict:
+def _trade_slopes(
+    net: FinancialNetwork, assets: dict, g: ActiveGraph, v: str, w: str
+) -> dict:
     """Response of the minimal clearing state to moving one unit of external
-    assets from the buyer ``w`` to the seller ``v``.
+    assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
+    graph at ``assets``.
 
     The buyer's outgoing payments are held fixed (at the creditor-positive
     boundary its assets do not move), which makes the system block-triangular:
     solve the injection response on the set reachable from ``v``, then read
     off the buyer's hypothetical drift and use its sign as the stop signal.
     """
-    g = active_graph(net, assets)
     reach = sorted(reachable_from(g, v))
     index = {u: i for i, u in enumerate(reach)}
-    n = len(reach)
-    matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows = [[(i, ONE)] for i in range(len(reach))]
     for u in reach:
         if u == w:
             continue  # buyer out-edges frozen
         for claim in g.active_out(u):
             if claim.creditor in index:
-                matrix[index[claim.creditor]][index[u]] -= claim.payment.slope_at(
-                    assets[u]
+                rows[index[claim.creditor]].append(
+                    (index[u], -claim.payment.slope_at(assets[u]))
                 )
-    rhs = [ZERO] * n
+    rhs = [ZERO] * len(reach)
     rhs[index[v]] += ONE
     if w in index:
         rhs[index[w]] -= ONE
-    solution = solve_linear_system(matrix, rhs)
+    solution = solve_linear_system(rows, rhs)
     if solution is None:
         raise errors.InternalInvariantError(
             "singular trade response system after flood closure"
@@ -159,7 +163,7 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     creditor-positive return exists ``rho_star == rho_min`` and ``post_state``
     is the state at ``rho_min``.
     """
-    _require_no_default_cost(net)
+    require_no_default_cost(net, TRADING)
     claim = _check_trade_shape(net, claim_pair, buyer)
     debtor, v = claim_pair
     w = buyer
@@ -173,13 +177,12 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
     state = compute_min_clearing(traded).as_dict()
     while True:
-        flooded = _flood_closure(traded, state, v)
-        slopes = _trade_slopes(traded, flooded, v, w)
+        flooded, g = _flood_closure(traded, state, v)
+        slopes = _trade_slopes(traded, flooded, g, v, w)
         if not (slopes[v] > 0 and slopes[w] == 0):
             break
         state = flooded
         advance = cap - rho
-        g = active_graph(traded, state)
         for u in sorted(net.bank_ids()):
             s_u = slopes[u]
             if s_u <= 0 or u == w:
@@ -207,7 +210,7 @@ def exists_creditor_positive(
     """Decide whether some return strictly improves the seller while keeping
     the buyer whole; the diagnostic explains the failure."""
     claim = _check_trade_shape(net, claim_pair, buyer)
-    _require_no_default_cost(net)
+    require_no_default_cost(net, TRADING)
     base = compute_min_clearing(net)
     rho_min = claim.payment.value_at(base[claim_pair[0]])
     cap = min(net.bank(buyer).external_assets, claim.liability)
@@ -217,8 +220,8 @@ def exists_creditor_positive(
         )
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho_min))
     state = compute_min_clearing(traded).as_dict()
-    flooded = _flood_closure(traded, state, claim_pair[1])
-    slopes = _trade_slopes(traded, flooded, claim_pair[1], buyer)
+    flooded, g = _flood_closure(traded, state, claim_pair[1])
+    slopes = _trade_slopes(traded, flooded, g, claim_pair[1], buyer)
     if slopes[buyer] < 0:
         return False, "the buyer cannot recover any part of a higher return"
     if slopes[claim_pair[1]] <= 0:

@@ -134,7 +134,10 @@ class TestMaxClearingFlood:
         net = build_network(
             banks=[("a", 1, "1/2", 1), ("b", 0)], claims=[("a", "b", 1)]
         )
-        with pytest.raises(DefaultCostUnsupportedError):
+        with pytest.raises(
+            DefaultCostUnsupportedError,
+            match="^compute_max_clearing_flood is defined for networks without default cost$",
+        ):
             compute_max_clearing_flood(net)
 
     def test_matches_top_iterate_limit(self):

@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination, nullspace extraction, and simplex."""
+"""Exact sparse elimination, nullspace extraction, and the simplex oracle."""
 
 import random
 from fractions import Fraction as F
@@ -7,15 +7,17 @@ from itertools import combinations
 import pytest
 
 from netclear.errors import DegenerateMatrixError
-from netclear.linalg import (
+from netclear.linalg import solve_linear_system, unit_left_nullspace
+
+from oracles import (
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
     Constraint,
     LinearProgram,
+    dense_solve_linear_system,
     simplex_solve,
-    solve_linear_system,
-    unit_left_nullspace,
+    sparse_rows,
 )
 
 
@@ -26,7 +28,7 @@ def mat_vec(matrix, x):
 class TestSolveLinearSystem:
     def test_identity(self):
         eye = [[F(1), F(0)], [F(0), F(1)]]
-        assert solve_linear_system(eye, [F(3), F(-2)]) == [F(3), F(-2)]
+        assert solve_linear_system(sparse_rows(eye), [F(3), F(-2)]) == [F(3), F(-2)]
 
     def test_path_slopes(self):
         # response system of a slope-1 path u -> v -> w: (I - M^T) s = e_u
@@ -35,11 +37,11 @@ class TestSolveLinearSystem:
             [F(-1), F(1), F(0)],
             [F(0), F(-1), F(1)],
         ]
-        assert solve_linear_system(a, [F(1), F(0), F(0)]) == [F(1), F(1), F(1)]
+        assert solve_linear_system(sparse_rows(a), [F(1), F(0), F(0)]) == [F(1), F(1), F(1)]
 
     def test_singular(self):
         ones = [[F(1), F(1)], [F(1), F(1)]]
-        assert solve_linear_system(ones, [F(1), F(0)]) is None
+        assert solve_linear_system(sparse_rows(ones), [F(1), F(0)]) is None
 
     def test_resubstitution_on_random_systems(self):
         rng = random.Random(4242)
@@ -51,12 +53,114 @@ class TestSolveLinearSystem:
                 for _ in range(n)
             ]
             rhs = [F(rng.randint(-10, 10)) for _ in range(n)]
-            x = solve_linear_system(matrix, rhs)
+            x = solve_linear_system(sparse_rows(matrix), rhs)
             if x is None:
                 continue
             assert mat_vec(matrix, x) == rhs
             solved += 1
         assert solved > 150
+
+
+def random_substochastic(rng, n, density=0.4):
+    """Sparse non-negative matrix whose row sums stay at or below 1."""
+    matrix = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        targets = [j for j in range(n) if j != i and rng.random() < density]
+        if not targets:
+            continue
+        weights = {j: F(rng.randint(1, 5)) for j in targets}
+        mass = F(rng.randint(1, 4), 4)  # 1/4 .. 1 of the row paid on
+        total = sum(weights.values())
+        for j, weight in weights.items():
+            matrix[i][j] = mass * weight / total
+    return matrix
+
+
+class TestSparseAgainstDenseOracle:
+    """The sparse Markowitz solver agrees exactly with dense elimination."""
+
+    @staticmethod
+    def agree(matrix, rhs):
+        expected = dense_solve_linear_system(matrix, rhs)
+        assert solve_linear_system(sparse_rows(matrix), rhs) == expected
+        return expected
+
+    def test_random_square_systems_with_singular_ones(self):
+        rng = random.Random(90210)
+        singular = solved = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            matrix = [
+                [
+                    F(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+                    if rng.random() < 0.5
+                    else F(0)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            if n > 1 and rng.random() < 0.3:
+                # force singularity: one row becomes a combination of two others
+                a, b, c = (rng.randrange(n) for _ in range(3))
+                k = F(rng.randint(-3, 3), 2)
+                matrix[a] = [x + k * y for x, y in zip(matrix[b], matrix[c])]
+                if a in (b, c):
+                    matrix[a] = [F(0)] * n
+            rhs = [F(rng.randint(-9, 9)) for _ in range(n)]
+            if self.agree(matrix, rhs) is None:
+                singular += 1
+            else:
+                solved += 1
+        assert singular > 40 and solved > 100
+
+    def test_zero_leading_pivots(self):
+        rng = random.Random(31337)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            perm = list(range(n))
+            while perm[0] == 0:
+                rng.shuffle(perm)
+            # a permuted triangular matrix: the natural first pivot is zero
+            matrix = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j or rng.random() < 0.5:
+                        matrix[perm[i]][j] = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            rhs = [F(rng.randint(-5, 5)) for _ in range(n)]
+            assert matrix[0][0] == 0
+            assert self.agree(matrix, rhs) is not None
+
+    def test_response_systems_of_substochastic_matrices(self):
+        rng = random.Random(1957)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            m = random_substochastic(rng, n)
+            # (I - M^T) s = e_v, the response system of an increase step
+            system = [
+                [(F(1) if i == j else F(0)) - m[j][i] for j in range(n)]
+                for i in range(n)
+            ]
+            rhs = [F(0)] * n
+            rhs[rng.randrange(n)] = F(1)
+            expected = self.agree(system, rhs)
+            strictly_sub = all(sum(row) < 1 for row in m)
+            if strictly_sub:
+                assert expected is not None
+                assert all(x >= 0 for x in expected)
+
+    def test_repeated_columns_are_summed(self):
+        rows = [[(0, F(1)), (1, F(2)), (0, F(1))], [(1, F(1))]]
+        assert solve_linear_system(rows, [F(4), F(1)]) == [F(1), F(1)]
+        cancelled = [[(0, F(1)), (0, F(-1))], [(1, F(1))]]
+        assert solve_linear_system(cancelled, [F(0), F(1)]) is None
+
+    def test_malformed_systems_rejected(self):
+        with pytest.raises(ValueError):
+            solve_linear_system([], [])
+        with pytest.raises(ValueError):
+            solve_linear_system([[(0, F(1))]], [F(1), F(2)])
+        with pytest.raises(ValueError):
+            solve_linear_system([[(1, F(1))]], [F(1)])
 
 
 def random_irreducible_stochastic(rng, n):
@@ -136,7 +240,7 @@ def brute_force_lp(lp):
     for active in combinations(range(len(rows)), n):
         matrix = [rows[i] for i in active]
         target = [rhs[i] for i in active]
-        x = solve_linear_system(matrix, target)
+        x = solve_linear_system(sparse_rows(matrix), target)
         if x is None or not feasible(x):
             continue
         found_feasible = True

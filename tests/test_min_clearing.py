@@ -21,6 +21,7 @@ from netclear import (
 from netclear.errors import NotSolventError
 
 from corpus import random_network
+from oracles import dense_solve_linear_system
 
 
 def example1():
@@ -339,6 +340,49 @@ class TestMinClearingProperties:
             assert run.step_count <= 2 * n + borders + m
 
 
+class TestActiveGraphReuse:
+    def test_one_build_per_step(self, monkeypatch):
+        from netclear import minimal
+
+        calls = {"active_graph": 0, "rewire_solvent_bank": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(minimal, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(minimal, name, counted)
+        # a corpus network with floods, increases and rewires of defaulters
+        net = random_network(random.Random(184), max_banks=8, default_cost=True)
+        run = run_min_clearing(net)
+        floods, increases = len(run.flood_steps), len(run.increase_steps)
+        rewires = calls["rewire_solvent_bank"]
+        assert floods and increases and rewires
+        assert calls["active_graph"] <= increases + floods + rewires + 1
+        assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
+
+    def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
+        from netclear import graphs, minimal
+        from netclear.errors import InternalInvariantError
+
+        builds = []
+
+        def first_build_stale(net, state):
+            g = graphs.active_graph(net, state)
+            builds.append(g)
+            if len(builds) > 1:
+                return g
+            # drop every active edge: no flood is found, so the increase
+            # step would run on this stale graph
+            return graphs.ActiveGraph(
+                nodes=g.nodes, edges={v: () for v in g.nodes}, intervals={}
+            )
+
+        monkeypatch.setattr(minimal, "active_graph", first_build_stale)
+        with pytest.raises(InternalInvariantError, match="stale active graph"):
+            run_min_clearing(example3(), check_invariant=True)
+
+
 def _enumerate_fixed_points(net):
     """All clearing states of a tiny network, by exact phase enumeration.
 
@@ -350,7 +394,7 @@ def _enumerate_fixed_points(net):
     """
     from itertools import product
 
-    from netclear.linalg import solve_linear_system, unit_left_nullspace
+    from netclear.linalg import unit_left_nullspace
 
     ids = net.bank_ids()
     n = len(ids)
@@ -384,7 +428,7 @@ def _enumerate_fixed_points(net):
                     matrix[i][j] -= scale * slope
                     constant[i] += scale * (value - slope * anchor)
 
-            solution = solve_linear_system(matrix, constant)
+            solution = dense_solve_linear_system(matrix, constant)
             candidates = []
             if solution is not None:
                 candidates.append(solution)
@@ -400,7 +444,7 @@ def _enumerate_fixed_points(net):
                     rhs = list(constant)
                     pinned[0] = [F(1) if j == 0 else F(0) for j in range(n)]
                     rhs[0] = grids[0][segments[0]]
-                    particular = solve_linear_system(pinned, rhs)
+                    particular = dense_solve_linear_system(pinned, rhs)
                     if particular is not None:
                         ratios = [
                             (grids[i][segments[i]] - particular[i]) / direction[i]

@@ -12,10 +12,10 @@ from netclear import (
     priority_structure,
     to_priority_proportional,
 )
-from netclear.linalg import simplex_solve
-from netclear.priority import _counter_system, _solve_counters, build_counter_lp
+from netclear.priority import _counter_system, _solve_counters
 
 from corpus import random_network
+from oracles import build_counter_lp, simplex_solve
 
 
 def figure1_ranked():

@@ -77,7 +77,10 @@ class TestApplyTrade:
             banks=[("u", 1, "1/2", 1), ("v", 0), ("w", 1)],
             claims=[("u", "v", 2)],
         )
-        with pytest.raises(DefaultCostUnsupportedError):
+        with pytest.raises(
+            DefaultCostUnsupportedError,
+            match="^claims trading is defined for networks without default cost$",
+        ):
             apply_trade(net, TradeSpec(("u", "v"), "w", F(0)))
 
 
