@@ -6,6 +6,8 @@ and decides/optimizes creditor-positive claims trades. All core arithmetic is
 exact rational; decimal output is a display projection.
 """
 
+__version__ = "0.1.0"
+
 from .clearing import (
     ClearingState,
     bottom_iterate,
@@ -43,12 +45,9 @@ from .model import (
     FinancialNetwork,
     PaymentFunction,
     build_network,
-    eval_payment,
     make_edge_ranking,
     make_priority_proportional,
     make_proportional,
-    next_border_delta,
-    slope_at,
     validate_network,
 )
 from .priority import (
@@ -65,5 +64,3 @@ from .trade import (
     nonunique_banks,
     optimal_creditor_positive_return,
 )
-
-__version__ = "0.1.0"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .model import Claim, FinancialNetwork
+from .model import FinancialNetwork
 from .rationals import ZERO
 
 
@@ -37,10 +37,6 @@ class ClearingState(Mapping):
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self._assets)
-
-
-def payment(net: FinancialNetwork, state: Mapping, claim: Claim) -> Fraction:
-    return claim.payment.value_at(state[claim.debtor])
 
 
 def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fraction]:
@@ -74,8 +70,7 @@ def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
         for claim in net.in_claims(v):
             inflow += claim.payment.value_at(state[claim.debtor])
         unreduced = ext + inflow
-        total_out = net.total_out(v)
-        if total_out is not None and unreduced >= total_out:
+        if unreduced >= net.total_out(v):
             result[v] = unreduced
         else:
             result[v] = bank.alpha * ext + bank.beta * inflow
@@ -142,10 +137,7 @@ def top_iterate(
         )
     top: dict[str, Fraction] = {}
     for v in net.bank_ids():
-        total_in = net.total_in(v)
-        if total_in is None:
-            raise ValueError("top iteration needs finite in-liabilities")
-        top[v] = net.bank(v).external_assets + total_in
+        top[v] = net.bank(v).external_assets + net.total_in(v)
     current = ClearingState(top)
     for step in range(1, max_steps + 1):
         nxt = phi(net, current)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on a domain-negative result (infeasible range,
 no creditor-positive trade, oracle non-convergence), 2 on input or usage
-errors. Results are JSON ResultDocuments on stdout; diagnostics go to stderr.
+errors, 3 on an internal error (a violated engine invariant, reported in one
+line without a traceback). Results are JSON ResultDocuments on stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from . import io as netio
 from . import errors
 from .clearing import bottom_iterate, top_iterate
 from .lattice import compute_max_clearing_flood, solve_range_clearing
-from .minimal import run_min_clearing
+from .minimal import compute_min_clearing, run_min_clearing
 from .priority import compute_max_clearing_pp
 from .rationals import exact_str, parse_exact
 from .trade import TradeSpec, apply_trade, optimal_creditor_positive_return
-from .minimal import compute_min_clearing
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,6 +225,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except errors.NetclearError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import errors
 from .model import Claim, FinancialNetwork
@@ -56,54 +57,66 @@ class Condensation:
     is_singleton: tuple[bool, ...]
 
 
-def condense(g: ActiveGraph) -> Condensation:
-    """Tarjan SCC condensation of the active graph (iterative)."""
+def strongly_connected(
+    nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> list[list[str]]:
+    """Strongly connected components by Tarjan's algorithm (Tarjan 1972),
+    iterative. ``successors(v)`` yields the node ids that ``v`` points to.
+    Components come out in Tarjan order: each one after every component it
+    reaches, so sinks first."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    sccs: list[list[str]] = []
+    components: list[list[str]] = []
     counter = 0
 
-    for root in g.nodes:
+    for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(g.edges[root]))]
+        work = [(root, iter(successors(root)))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
             node, neighbours = work[-1]
-            advanced = False
-            for claim in neighbours:
-                succ = claim.creditor
+            for succ in neighbours:
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(g.edges[succ])))
-                    advanced = True
+                    work.append((succ, iter(successors(succ))))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
+                if succ in on_stack and index[succ] < lowlink[node]:
+                    lowlink[node] = index[succ]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.remove(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
+
+_creditor = attrgetter("creditor")
+
+
+def condense(g: ActiveGraph) -> Condensation:
+    """SCC condensation of the active graph."""
+    edges = g.edges
+    sccs = strongly_connected(g.nodes, lambda v: map(_creditor, edges[v]))
     ordered = sorted((frozenset(c) for c in sccs), key=min)
     component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
     dag: list[set[int]] = [set() for _ in ordered]
@@ -136,25 +149,29 @@ def reachable_from(g: ActiveGraph, v: str) -> frozenset[str]:
 
 
 def find_flood_component(
-    g: ActiveGraph, cond: Condensation, v: str
+    g: ActiveGraph, cond: Condensation, v: str | None = None
 ) -> frozenset[str] | None:
-    """The non-singleton sink SCC reachable from ``v`` with the smallest
-    minimum bank id, or None when every reachable sink is a singleton."""
-    if v not in g.edges:
-        raise errors.UnknownBankError(v)
-    start = cond.component_of[v]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        comp = frontier.pop()
-        for succ in cond.dag[comp]:
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
+    """The non-singleton sink SCC reachable from ``v`` (from anywhere when
+    ``v`` is None) with the smallest minimum bank id, or None when every such
+    sink is a singleton."""
+    if v is None:
+        seen = range(len(cond.components))
+    else:
+        if v not in g.edges:
+            raise errors.UnknownBankError(v)
+        start = cond.component_of[v]
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            comp = frontier.pop()
+            for succ in cond.dag[comp]:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
     candidates = [
         i for i in seen if cond.is_sink[i] and not cond.is_singleton[i]
     ]
     if not candidates:
         return None
-    best = min(candidates, key=lambda i: min(cond.components[i]))
-    return cond.components[best]
+    # Components are numbered in order of their smallest member id.
+    return cond.components[min(candidates)]

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import IO
 
-from . import model
+from . import __version__, model
 from .clearing import ClearingState, payments
 from .errors import ParseError
 from .lattice import RangeSpec
@@ -19,7 +19,7 @@ from .model import FinancialNetwork
 from .rationals import decimal_str, exact_str, parse_exact
 
 FORMAT_VERSION = "1"
-SOLVER_VERSION = "0.1.0"
+SOLVER_VERSION = __version__
 
 _BANK_FIELDS = {"id", "external_assets", "alpha", "beta"}
 _CLAIM_FIELDS = {"debtor", "creditor", "liability"}
@@ -39,16 +39,27 @@ def _reject_float(text: str):
     )
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(source) -> dict:
     """Load a document from a path, an open file, or a literal JSON string
-    (strings starting with ``{`` are treated as content, not paths)."""
+    (strings starting with ``{`` are treated as content, not paths). Float
+    literals and repeated keys in one object are rejected."""
+    options = {"parse_float": _reject_float, "object_pairs_hook": _unique_keys}
     try:
         if isinstance(source, str) and source.lstrip().startswith("{"):
-            return json.loads(source, parse_float=_reject_float)
+            return json.loads(source, **options)
         if hasattr(source, "read"):
-            return json.load(source, parse_float=_reject_float)
+            return json.load(source, **options)
         with open(source, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=_reject_float)
+            return json.load(handle, **options)
     except ParseError:
         raise
     except json.JSONDecodeError as exc:
@@ -170,8 +181,6 @@ def serialize_network(net: FinancialNetwork) -> dict:
     claims = []
     schemes: dict[str, dict] = {}
     for claim in net.claims:
-        if claim.liability is None:
-            raise ValueError("internal networks with unbounded claims do not serialize")
         claims.append(
             {
                 "debtor": claim.debtor,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import active_graph, condense
-from .minimal import compute_min_clearing, solve_flood_step
+from .minimal import compute_min_clearing, flood_once, solve_flood_step
 from .model import FinancialNetwork
 from .rationals import parse_exact
 
@@ -61,9 +61,10 @@ def apply_flood_sequence(
             )
         if fraction == 0:
             continue
-        step = solve_flood_step(net, assets, cond.components[idx])
+        step = solve_flood_step(net, assets, cond.components[idx], g)
+        gamma = fraction * step.scale
         for member, d in step.direction.items():
-            assets[member] += fraction * step.scale * d
+            assets[member] += gamma * d
     return ClearingState(assets)
 
 
@@ -71,20 +72,9 @@ def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     """Maximal clearing state by greedy saturation of floodable components."""
     require_no_default_cost(net, "compute_max_clearing_flood")
     assets = compute_min_clearing(net).as_dict()
-    while True:
-        g = active_graph(net, assets)
-        cond = condense(g)
-        candidates = [
-            i
-            for i in range(len(cond.components))
-            if cond.is_sink[i] and not cond.is_singleton[i]
-        ]
-        if not candidates:
-            return ClearingState(assets)
-        idx = min(candidates, key=lambda i: min(cond.components[i]))
-        step = solve_flood_step(net, assets, cond.components[idx])
-        for member, d in step.direction.items():
-            assets[member] += step.scale * d
+    while flood_once(net, assets)[1] is not None:
+        pass
+    return ClearingState(assets)
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
         if cond.is_singleton[idx] or not cond.is_sink[idx]:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
         component = cond.components[idx]
-        step = solve_flood_step(net, assets, component)
+        step = solve_flood_step(net, assets, component, g)
         gamma_border = step.scale
         gamma_target = (lo_v - assets[v]) / step.direction[v]
         gamma = min(gamma_border, gamma_target)

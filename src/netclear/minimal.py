@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
-from .clearing import ClearingState
+from .clearing import ClearingState, incoming_assets
 from .graphs import (
     ActiveGraph,
     active_graph,
@@ -94,7 +94,7 @@ def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
         v
         for v, bank in net.banks.items()
         if (bank.alpha != 1 or bank.beta != 1)
-        and (net.total_out(v) is None or net.total_out(v) > 0)
+        and net.total_out(v) > 0
     )
     if not effective_d:
         targets = {v: net.bank(v).external_assets for v in net.bank_ids()}
@@ -253,50 +253,76 @@ def rewire_solvent_bank(
 
     adj.rewired.add(u)
     adj.network = assemble(banks.values(), claims)
-    inflow = ZERO
-    for claim in adj.network.in_claims(u):
-        inflow += claim.payment.value_at(assets[claim.debtor])
-    assets[u] = adj.injected[u] + inflow
+    assets[u] = incoming_assets(adj.network, assets, u, adj.injected)
     return assets
 
 
+def border_scale(
+    g: ActiveGraph, state, rates, limit: Fraction | None = None
+) -> Fraction | None:
+    """Largest ``t <= limit`` for which moving every bank ``u`` by
+    ``t * rates[u]`` crosses no payment-function border: the least
+    ``next_border_delta / rate`` over the active out-edges of banks with a
+    positive rate. None when there is neither such an edge nor a limit."""
+    scale = limit
+    for u, rate in rates.items():
+        if rate <= 0:
+            continue
+        assets = state[u]
+        # An active edge has a positive slope, so a border lies above ``assets``.
+        for claim in g.edges[u]:
+            ratio = claim.payment.next_border_delta(assets) / rate
+            if scale is None or ratio < scale:
+                scale = ratio
+    return scale
+
+
 def solve_flood_step(
-    net: FinancialNetwork, state, component: frozenset[str]
+    net: FinancialNetwork,
+    state,
+    component: frozenset[str],
+    graph: ActiveGraph | None = None,
 ) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
-    non-singleton sink SCC of the active graph."""
+    non-singleton sink SCC of the active graph. ``graph`` is the active graph
+    of ``net`` at ``state`` when the caller already holds it; it is built
+    here otherwise."""
+    g = active_graph(net, state) if graph is None else graph
     members = sorted(component)
     index = {v: i for i, v in enumerate(members)}
     n = len(members)
     matrix = [[ZERO] * n for _ in range(n)]
     for v in members:
         assets = state[v]
-        for claim in net.out_claims(v):
+        for claim in g.edges[v]:
             if claim.creditor in index:
                 matrix[index[v]][index[claim.creditor]] = claim.payment.slope_at(assets)
     direction_vec = unit_left_nullspace(matrix)
     direction = {v: direction_vec[index[v]] for v in members}
-
-    scale: Fraction | None = None
-    for v in members:
-        d_v = direction[v]
-        if d_v <= 0:
-            continue
-        assets = state[v]
-        for claim in net.out_claims(v):
-            if claim.payment.slope_at(assets) <= 0:
-                continue
-            delta = claim.payment.next_border_delta(assets)
-            if delta is None:
-                continue
-            ratio = delta / d_v
-            if scale is None or ratio < scale:
-                scale = ratio
+    scale = border_scale(g, state, direction)
     if scale is None:
         raise errors.InternalInvariantError(
             "flood component has no border ahead; component was not floodable"
         )
     return FloodStep(component=component, direction=direction, scale=scale)
+
+
+def flood_once(
+    net: FinancialNetwork, assets: dict, source: str | None = None
+) -> tuple[ActiveGraph, FloodStep | None]:
+    """Saturate the non-singleton sink SCC of the active graph that
+    ``find_flood_component`` picks for ``source``, updating ``assets`` in
+    place. Returns the active graph the step was chosen on and the step, or
+    None (and then the graph describes ``assets``) when there is nothing to
+    flood."""
+    g = active_graph(net, assets)
+    component = find_flood_component(g, condense(g), source)
+    if component is None:
+        return g, None
+    step = solve_flood_step(net, assets, component, g)
+    for member, d in step.direction.items():
+        assets[member] += step.scale * d
+    return g, step
 
 
 def solve_increase_step(
@@ -334,20 +360,7 @@ def solve_increase_step(
             "singular response system despite no reachable flood"
         )
     slopes = {u: solution[index[u]] for u in reach}
-
-    delta = budget
-    for u in reach:
-        s_u = slopes[u]
-        if s_u <= 0:
-            continue
-        assets = state[u]
-        for claim in g.active_out(u):
-            border = claim.payment.next_border_delta(assets)
-            if border is None:
-                continue
-            ratio = border / s_u
-            if ratio < delta:
-                delta = ratio
+    delta = border_scale(g, state, slopes, limit=budget)
     return IncreaseStep(source=v, slopes=slopes, delta=delta)
 
 
@@ -422,15 +435,10 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         # A rewiring cascade can retire the selected bank itself (when it is
         # a splitter whose owner turns solvent); re-pick the source then.
         while source in adj.targets:
-            g = active_graph(adj.network, assets)
-            cond = condense(g)
-            component = find_flood_component(g, cond, source)
-            if component is None:
+            g, step = flood_once(adj.network, assets, source)
+            if step is None:
                 break
-            step = solve_flood_step(adj.network, assets, component)
             floods.append(step)
-            for member, d in step.direction.items():
-                assets[member] += step.scale * d
             settle_defaulters()
             verify()
 

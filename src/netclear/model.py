@@ -29,15 +29,13 @@ class Bank:
 class PaymentFunction:
     """Monotone piecewise-linear payment function.
 
-    ``slopes[i]`` applies on ``[borders[i], borders[i+1])`` and ``tail`` on
-    ``[borders[-1], oo)``. For a regular claim the borders end at the debtor's
-    total out-liability and the tail slope is 0; the tail is 1 only on the
-    identity pass-through edges created internally for relay banks.
+    ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
+    constant at and beyond the last border, which is the debtor's total
+    out-liability.
     """
 
     borders: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
-    tail: Fraction = ZERO
     _values: tuple[Fraction, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -55,7 +53,7 @@ class PaymentFunction:
             return ZERO
         idx = bisect_right(self.borders, a) - 1
         if idx == len(self.borders) - 1:
-            return self._values[-1] + self.tail * (a - self.borders[-1])
+            return self._values[-1]
         return self._values[idx] + self.slopes[idx] * (a - self.borders[idx])
 
     def slope_at(self, a: Fraction) -> Fraction:
@@ -63,7 +61,7 @@ class PaymentFunction:
         if idx < 0:
             idx = 0
         if idx >= len(self.slopes):
-            return self.tail
+            return ZERO
         return self.slopes[idx]
 
     def next_border_delta(self, a: Fraction) -> Fraction | None:
@@ -74,7 +72,7 @@ class PaymentFunction:
         return self.borders[pos] - a
 
     def segment_index(self, a: Fraction) -> int:
-        """Index of the half-open interval containing ``a`` (len(slopes) = tail)."""
+        """Index of the interval containing ``a``; len(slopes) past the last border."""
         idx = bisect_right(self.borders, a) - 1
         return max(idx, 0)
 
@@ -83,34 +81,18 @@ class PaymentFunction:
         return self._values[-1]
 
 
-IDENTITY = PaymentFunction(borders=(ZERO,), slopes=(), tail=ONE)
-
-
 @dataclass(frozen=True)
 class Claim:
-    """A debt from ``debtor`` to ``creditor``. ``liability`` is None only on
-    the unbounded pass-through edges of internally generated relay banks."""
+    """A debt of ``liability`` from ``debtor`` to ``creditor``."""
 
     debtor: str
     creditor: str
-    liability: Fraction | None
+    liability: Fraction
     payment: PaymentFunction
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.debtor, self.creditor)
-
-
-def eval_payment(claim: Claim, a: Fraction) -> Fraction:
-    return claim.payment.value_at(a)
-
-
-def slope_at(claim: Claim, a: Fraction) -> Fraction:
-    return claim.payment.slope_at(a)
-
-
-def next_border_delta(claim: Claim, a: Fraction) -> Fraction | None:
-    return claim.payment.next_border_delta(a)
 
 
 # --- payment scheme constructors -------------------------------------------
@@ -195,11 +177,8 @@ class FinancialNetwork:
             self._claim_map[claim.pair] = claim
             self._out[claim.debtor].append(claim)
             self._in[claim.creditor].append(claim)
-        self._total_out: dict[str, Fraction | None] = {}
-        self._total_in: dict[str, Fraction | None] = {}
-        for v in banks:
-            self._total_out[v] = _sum_liabilities(self._out[v])
-            self._total_in[v] = _sum_liabilities(self._in[v])
+        self._total_out = {v: _sum_liabilities(self._out[v]) for v in banks}
+        self._total_in = {v: _sum_liabilities(self._in[v]) for v in banks}
 
     def bank_ids(self) -> tuple[str, ...]:
         return tuple(self.banks)
@@ -229,30 +208,24 @@ class FinancialNetwork:
     def has_claim(self, debtor: str, creditor: str) -> bool:
         return (debtor, creditor) in self._claim_map
 
-    def total_out(self, v: str) -> Fraction | None:
-        """Total out-liability L+(v); None if any out-claim is unbounded."""
+    def total_out(self, v: str) -> Fraction:
+        """Total out-liability L+(v)."""
         return self._total_out[v]
 
-    def total_in(self, v: str) -> Fraction | None:
+    def total_in(self, v: str) -> Fraction:
         return self._total_in[v]
 
     def has_default_cost(self) -> bool:
         """True iff some bank can actually incur a default haircut."""
         for v, bank in self.banks.items():
-            total = self._total_out[v]
-            if total is None or total > 0:
+            if self._total_out[v] > 0:
                 if bank.alpha != 1 or bank.beta != 1:
                     return True
         return False
 
 
-def _sum_liabilities(claims) -> Fraction | None:
-    total = ZERO
-    for claim in claims:
-        if claim.liability is None:
-            return None
-        total += claim.liability
-    return total
+def _sum_liabilities(claims) -> Fraction:
+    return sum((claim.liability for claim in claims), ZERO)
 
 
 def assemble(banks, claims, schemes=None) -> FinancialNetwork:
@@ -337,7 +310,7 @@ def validate_network(raw: dict) -> FinancialNetwork:
             violations.append(
                 Violation(
                     errors.UNBOUNDED_LIABILITY,
-                    "unbounded liabilities are reserved for internal edges",
+                    "liabilities must be finite numbers, not 'unbounded'",
                     claim=pair,
                 )
             )
@@ -479,16 +452,7 @@ def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) ->
                     )
                 )
                 continue
-            if fn.tail != 0:
-                violations.append(
-                    Violation(
-                        errors.BORDER_MISMATCH,
-                        "payment functions must be constant beyond the last border",
-                        bank=v,
-                        claim=claim.pair,
-                    )
-                )
-            if claim.liability is not None and fn.final_value != claim.liability:
+            if fn.final_value != claim.liability:
                 violations.append(
                     Violation(
                         errors.LIABILITY_MISMATCH,

@@ -20,15 +20,9 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
+from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
-from .model import (
-    IDENTITY,
-    Bank,
-    Claim,
-    FinancialNetwork,
-    PaymentFunction,
-    assemble,
-)
+from .model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
 from .rationals import ONE, ZERO
 
 
@@ -53,10 +47,7 @@ def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
     structure: dict[str, BankClasses] = {}
     for v in net.bank_ids():
         out = net.out_claims(v)
-        total = net.total_out(v)
-        if total is None:
-            raise ValueError("priority structure needs finite liabilities")
-        if not out or total == 0:
+        if not out or net.total_out(v) == 0:
             structure[v] = BankClasses(grid=(ZERO,), pieces=())
             continue
         grid = sorted({x for claim in out for x in claim.payment.borders})
@@ -75,7 +66,6 @@ def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
 
 @dataclass(frozen=True)
 class TransformCertificate:
-    bank_map: dict[str, str]  # original id -> id in the transformed network
     relays: dict[str, tuple[str, str, int]]  # relay id -> (debtor, creditor, class)
     piece_edges: dict[tuple[str, str], tuple[str, ...]]  # claim -> relays per class
 
@@ -87,8 +77,10 @@ def to_priority_proportional(
 
     Each original claim is split into per-class pieces whose liabilities sum
     to the original liability. A piece travels through a fresh relay bank with
-    a single unbounded pass-through edge, so no parallel edges arise. Pieces
-    with zero liability are dropped.
+    a single pass-through edge of the piece's liability and slope 1, so no
+    parallel edges arise. The relay reaches that liability exactly when its
+    debtor reaches the piece's class border, so payments are unchanged.
+    Pieces with zero liability are dropped.
     """
     structure = priority_structure(net)
     taken = set(net.bank_ids())
@@ -116,11 +108,11 @@ def to_priority_proportional(
                 claims.append(
                     Claim(v, relay_id, liability, PaymentFunction(grid, tuple(slopes)))
                 )
-                claims.append(Claim(relay_id, creditor, None, IDENTITY))
+                passthrough = PaymentFunction((ZERO, liability), (ONE,))
+                claims.append(Claim(relay_id, creditor, liability, passthrough))
                 banks.append(Bank(relay_id, ZERO, ONE, ONE))
 
     certificate = TransformCertificate(
-        bank_map={v: v for v in net.bank_ids()},
         relays=relays,
         piece_edges={
             pair: tuple(by_class[j] for j in sorted(by_class))
@@ -212,49 +204,7 @@ def _blocks_in_order(system: _CounterSystem) -> list[list[str]]:
         for u in row:
             out[u].append(v)
 
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    blocks: list[list[str]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(out[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(out[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                block = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    block.append(member)
-                    if member == node:
-                        break
-                blocks.append(block)
+    blocks = strongly_connected(nodes, out.__getitem__)
     # Tarjan emits blocks in reverse topological order of the dependency
     # graph, i.e. dependents before their inputs; reverse it.
     return [sorted(block) for block in reversed(blocks)]

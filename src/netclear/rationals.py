@@ -10,8 +10,6 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

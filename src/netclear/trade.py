@@ -15,16 +15,10 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .graphs import (
-    ActiveGraph,
-    active_graph,
-    condense,
-    find_flood_component,
-    reachable_from,
-)
+from .graphs import ActiveGraph, reachable_from
 from .lattice import compute_max_clearing_flood, require_no_default_cost
 from .linalg import solve_linear_system
-from .minimal import compute_min_clearing, solve_flood_step
+from .minimal import border_scale, compute_min_clearing, flood_once
 from .model import Bank, Claim, FinancialNetwork, assemble
 from .rationals import ONE, ZERO
 
@@ -99,14 +93,9 @@ def _flood_closure(net: FinancialNetwork, assets: dict, v: str):
     the flooded assets with their active graph."""
     assets = dict(assets)
     while True:
-        g = active_graph(net, assets)
-        cond = condense(g)
-        component = find_flood_component(g, cond, v)
-        if component is None:
+        g, step = flood_once(net, assets, v)
+        if step is None:
             return assets, g
-        step = solve_flood_step(net, assets, component)
-        for member, d in step.direction.items():
-            assets[member] += step.scale * d
 
 
 def _trade_slopes(
@@ -120,6 +109,8 @@ def _trade_slopes(
     boundary its assets do not move), which makes the system block-triangular:
     solve the injection response on the set reachable from ``v``, then read
     off the buyer's hypothetical drift and use its sign as the stop signal.
+    A buyer outside that set gets no active in-edge from it, so it only loses
+    the unit.
     """
     reach = sorted(reachable_from(g, v))
     index = {u: i for i, u in enumerate(reach)}
@@ -145,23 +136,17 @@ def _trade_slopes(
     for u in reach:
         slopes[u] = solution[index[u]]
     if w not in index:
-        drift = -ONE
-        for claim in net.in_claims(w):
-            debtor = claim.debtor
-            if debtor in index and claim.payment.slope_at(assets[debtor]) > 0:
-                slopes_u = slopes[debtor]
-                if slopes_u:
-                    drift += claim.payment.slope_at(assets[debtor]) * slopes_u
-        slopes[w] = drift
+        slopes[w] = -ONE
     return slopes
 
 
 def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
-    """Shared walk used by the existence test and the optimizer.
+    """Walk the return up from the claim's current payment.
 
-    Returns ``(rho_min, rho_star, post_state, base_state)``; when no
-    creditor-positive return exists ``rho_star == rho_min`` and ``post_state``
-    is the state at ``rho_min``.
+    Returns ``(rho_min, rho_star, post_state, base_state, reason)``. When no
+    creditor-positive return exists, ``rho_star == rho_min``, ``post_state``
+    is the state at ``rho_min`` and ``reason`` says why; otherwise ``reason``
+    is None.
     """
     require_no_default_cost(net, TRADING)
     claim = _check_trade_shape(net, claim_pair, buyer)
@@ -171,29 +156,29 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     rho_min = claim.payment.value_at(base[debtor])
     cap = min(net.bank(w).external_assets, claim.liability)
     if cap <= rho_min:
-        return rho_min, rho_min, base, base
+        reason = f"the return cap {cap} does not exceed the current payment {rho_min}"
+        return rho_min, rho_min, base, base, reason
 
     rho = rho_min
+    reason = None
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
     state = compute_min_clearing(traded).as_dict()
     while True:
         flooded, g = _flood_closure(traded, state, v)
         slopes = _trade_slopes(traded, flooded, g, v, w)
-        if not (slopes[v] > 0 and slopes[w] == 0):
+        # The buyer's drift is never positive: its out-edges are frozen, so
+        # it absorbs at most the unit injected at the seller.
+        if slopes[w] < 0 or slopes[v] <= 0:
+            if rho == rho_min:
+                reason = (
+                    "the buyer cannot recover any part of a higher return"
+                    if slopes[w] < 0
+                    else "a higher return does not raise the seller's assets"
+                )
             break
         state = flooded
-        advance = cap - rho
-        for u in sorted(net.bank_ids()):
-            s_u = slopes[u]
-            if s_u <= 0 or u == w:
-                continue
-            for active in g.active_out(u):
-                border = active.payment.next_border_delta(state[u])
-                if border is None:
-                    continue
-                ratio = border / s_u
-                if ratio < advance:
-                    advance = ratio
+        # slopes[w] == 0 here, so the scan leaves the buyer out.
+        advance = border_scale(g, state, slopes, limit=cap - rho)
         for u, s_u in slopes.items():
             if s_u:
                 state[u] += advance * s_u
@@ -201,7 +186,7 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
         traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
         if rho == cap:
             break
-    return rho_min, rho, ClearingState(state), base
+    return rho_min, rho, ClearingState(state), base, reason
 
 
 def exists_creditor_positive(
@@ -209,23 +194,9 @@ def exists_creditor_positive(
 ) -> tuple[bool, str]:
     """Decide whether some return strictly improves the seller while keeping
     the buyer whole; the diagnostic explains the failure."""
-    claim = _check_trade_shape(net, claim_pair, buyer)
-    require_no_default_cost(net, TRADING)
-    base = compute_min_clearing(net)
-    rho_min = claim.payment.value_at(base[claim_pair[0]])
-    cap = min(net.bank(buyer).external_assets, claim.liability)
-    if cap <= rho_min:
-        return False, (
-            f"the return cap {cap} does not exceed the current payment {rho_min}"
-        )
-    traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho_min))
-    state = compute_min_clearing(traded).as_dict()
-    flooded, g = _flood_closure(traded, state, claim_pair[1])
-    slopes = _trade_slopes(traded, flooded, g, claim_pair[1], buyer)
-    if slopes[buyer] < 0:
-        return False, "the buyer cannot recover any part of a higher return"
-    if slopes[claim_pair[1]] <= 0:
-        return False, "a higher return does not raise the seller's assets"
+    *_, reason = _trade_walk(net, claim_pair, buyer)
+    if reason is not None:
+        return False, reason
     return True, "a higher return raises the seller and leaves the buyer whole"
 
 
@@ -233,7 +204,7 @@ def optimal_creditor_positive_return(
     net: FinancialNetwork, claim_pair, buyer
 ) -> TradeResult:
     """Largest creditor-positive return with its post-trade minimal state."""
-    rho_min, rho_star, post, base = _trade_walk(net, claim_pair, buyer)
+    rho_min, rho_star, post, base, _ = _trade_walk(net, claim_pair, buyer)
     if rho_star == rho_min:
         raise errors.NoCreditorPositiveTradeError(
             "no return above the current payment improves the seller "

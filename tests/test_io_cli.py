@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from netclear import ClearingState, build_network, is_clearing_state
+from netclear import cli
 from netclear.cli import main
-from netclear.errors import ParseError
+from netclear.errors import InternalInvariantError, ParseError
 from netclear.io import (
     dump_document,
     parse_network,
@@ -91,6 +92,20 @@ class TestParseNetwork:
         doc["banks"] = [{"id": "a", "extra": 1}]
         with pytest.raises(ParseError):
             parse_network(json.dumps(doc))
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        doc = (
+            '{"format_version": "1", "banks": '
+            '[{"id":"a","external_assets":1,"external_assets":5}], "claims": []}'
+        )
+        with pytest.raises(ParseError, match="duplicate key 'external_assets'"):
+            parse_network(doc)
+        path = tmp_path / "dup.json"
+        path.write_text(doc)
+        assert main(["min-clear", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate key 'external_assets'" in captured.err
 
     def test_wrong_version_rejected(self):
         doc = dict(TWO_CYCLE)
@@ -291,6 +306,16 @@ class TestCli:
         assert "self_loop" in capsys.readouterr().err
         assert main(["bogus-command"]) == 2
 
+    def test_internal_error_exit_3(self, example3_file, monkeypatch, capsys):
+        def broken(net):
+            raise InternalInvariantError("stale active graph")
+
+        monkeypatch.setattr(cli, "run_min_clearing", broken)
+        assert main(["min-clear", example3_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: stale active graph\n"
+
     def test_dump_document_stable(self):
         doc = {"b": 1, "a": {"z": 2, "y": 3}}
         assert dump_document(doc) == dump_document(doc)
@@ -312,4 +337,11 @@ class TestParseTargets:
         path = tmp_path / "targets.json"
         path.write_text(json.dumps({"targets": [{"bank": "a", "lo": 0, "hi": 1, "x": 2}]}))
         with pytest.raises(ParseError):
+            parse_targets(str(path), net)
+
+    def test_duplicate_key(self, two_cycle_file, tmp_path):
+        net = parse_network(two_cycle_file)
+        path = tmp_path / "targets.json"
+        path.write_text('{"targets": [{"bank": "a", "lo": 0, "lo": 1, "hi": 1}]}')
+        with pytest.raises(ParseError, match="duplicate key 'lo'"):
             parse_targets(str(path), net)

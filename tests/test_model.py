@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from netclear import (
     build_network,
-    eval_payment,
     make_edge_ranking,
     make_priority_proportional,
     make_proportional,
-    next_border_delta,
-    slope_at,
     validate_network,
 )
 from netclear.errors import (
@@ -23,6 +20,7 @@ from netclear.errors import (
     NEGATIVE_VALUE,
     SELF_LOOP,
     SLOPE_SUM_VIOLATION,
+    UNBOUNDED_LIABILITY,
     UNKNOWN_BANK_ID,
     NetworkValidationError,
 )
@@ -50,40 +48,40 @@ def figure1_proportional():
 class TestEvalPayment:
     def test_ranked_values(self):
         net = figure1_ranked()
-        assert eval_payment(net.claim("v", "u"), F(60)) == 40
-        assert eval_payment(net.claim("v", "w"), F(60)) == 20
+        assert net.claim("v", "u").payment.value_at(F(60)) == 40
+        assert net.claim("v", "w").payment.value_at(F(60)) == 20
 
     def test_proportional_values(self):
         net = figure1_proportional()
-        assert eval_payment(net.claim("v", "u"), F(50)) == 40
-        assert eval_payment(net.claim("v", "w"), F(50)) == 10
+        assert net.claim("v", "u").payment.value_at(F(50)) == 40
+        assert net.claim("v", "w").payment.value_at(F(50)) == 10
 
     def test_zero_assets_pay_nothing(self):
         for net in (figure1_ranked(), figure1_proportional()):
             for claim in net.claims:
-                assert eval_payment(claim, F(0)) == 0
+                assert claim.payment.value_at(F(0)) == 0
 
     def test_full_payment_beyond_total_liability(self):
         net = figure1_proportional()
         for claim in net.claims:
-            assert eval_payment(claim, F(100)) == claim.liability
-            assert eval_payment(claim, F(250)) == claim.liability
+            assert claim.payment.value_at(F(100)) == claim.liability
+            assert claim.payment.value_at(F(250)) == claim.liability
 
 
 class TestSlopeAt:
     def test_ranked_slopes(self):
         net = figure1_ranked()
-        assert slope_at(net.claim("v", "w"), F(10)) == 1
-        assert slope_at(net.claim("v", "u"), F(10)) == 0
+        assert net.claim("v", "w").payment.slope_at(F(10)) == 1
+        assert net.claim("v", "u").payment.slope_at(F(10)) == 0
 
     def test_proportional_slope(self):
         net = figure1_proportional()
-        assert slope_at(net.claim("v", "u"), F(50)) == F(4, 5)
+        assert net.claim("v", "u").payment.slope_at(F(50)) == F(4, 5)
 
     def test_terminal_slope_is_zero(self):
         net = figure1_ranked()
         for claim in net.claims:
-            assert slope_at(claim, F(100)) == 0
+            assert claim.payment.slope_at(F(100)) == 0
 
 
 class TestNextBorderDelta:
@@ -93,17 +91,17 @@ class TestNextBorderDelta:
             claims=[("v", "w", 2), ("v", "y", 2)],
             schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
         )
-        assert next_border_delta(net.claim("v", "w"), F(1)) == 1
+        assert net.claim("v", "w").payment.next_border_delta(F(1)) == 1
 
     def test_past_last_border(self):
         net = figure1_proportional()
         claim = net.claim("v", "u")
-        assert next_border_delta(claim, F(100)) is None
-        assert next_border_delta(claim, F(101)) is None
+        assert claim.payment.next_border_delta(F(100)) is None
+        assert claim.payment.next_border_delta(F(101)) is None
 
     def test_proportional_single_border(self):
         net = figure1_proportional()
-        assert next_border_delta(net.claim("v", "u"), F(30)) == 70
+        assert net.claim("v", "u").payment.next_border_delta(F(30)) == 70
 
 
 class TestSchemeConstructors:
@@ -174,6 +172,7 @@ class TestValidateNetwork:
             ([("a", "b", 1), ("a", "b", 2)], DUPLICATE_EDGE),
             ([("a", "zzz", 1)], UNKNOWN_BANK_ID),
             ([("a", "b", -3)], NEGATIVE_VALUE),
+            ([("a", "b", "unbounded")], UNBOUNDED_LIABILITY),
         ],
     )
     def test_structural_violations(self, claims, kind):
@@ -225,7 +224,7 @@ class TestPaymentAxioms:
                     continue
                 total = net.total_out(v)
                 for a in _random_rationals(rng, 25, total + 1):
-                    paid = sum(eval_payment(c, a) for c in out)
+                    paid = sum(c.payment.value_at(a) for c in out)
                     assert paid == min(a, total)
                     checked += 1
         assert checked >= 1000
@@ -239,7 +238,7 @@ class TestPaymentAxioms:
                 a = next(_random_rationals(rng, 1, total + 1))
                 b = next(_random_rationals(rng, 1, total + 1))
                 lo, hi = min(a, b), max(a, b)
-                assert eval_payment(claim, lo) <= eval_payment(claim, hi)
+                assert claim.payment.value_at(lo) <= claim.payment.value_at(hi)
 
     def test_continuity_at_borders(self):
         rng = random.Random(1984)
@@ -266,8 +265,8 @@ class TestPaymentAxioms:
                 h = step / 2
                 if h == 0:
                     continue
-                quotient = (eval_payment(claim, a + h) - eval_payment(claim, a)) / h
-                assert quotient == slope_at(claim, a)
+                quotient = (claim.payment.value_at(a + h) - claim.payment.value_at(a)) / h
+                assert quotient == claim.payment.slope_at(a)
 
 
 @st.composite
@@ -302,8 +301,6 @@ class TestPaymentFunctionProperties:
             segment_end = min(a, border)
             total += fn.slope_at(previous) * (segment_end - previous)
             previous = border
-        if a > fn.borders[-1]:
-            total += fn.tail * (a - fn.borders[-1])
         assert fn.value_at(a) == total
 
     @given(piecewise_functions())

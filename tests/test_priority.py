@@ -66,8 +66,9 @@ class TestTransform:
         for relay, (debtor, creditor, class_index) in certificate.relays.items():
             piece = transformed.claim(debtor, relay)
             passthrough = transformed.claim(relay, creditor)
-            assert passthrough.liability is None
-            assert passthrough.payment.value_at(F(7)) == 7
+            assert passthrough.liability == piece.liability
+            assert passthrough.payment.borders == (0, piece.liability)
+            assert passthrough.payment.value_at(piece.liability / 2) == piece.liability / 2
             assert transformed.bank(relay).external_assets == 0
         assert sorted(certificate.piece_edges[("v", "u")]) == ["v~u~2"]
         assert sorted(certificate.piece_edges[("v", "w")]) == ["v~w~1"]

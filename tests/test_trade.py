@@ -151,6 +151,27 @@ class TestExistence:
         with pytest.raises(NoCreditorPositiveTradeError):
             optimal_creditor_positive_return(net, ("u", "v"), "w")
 
+    def test_agrees_with_optimizer_on_corpus(self):
+        # Every valid (claim, buyer) pair of 300 small random networks.
+        rng = random.Random(4242)
+        pairs = positive = 0
+        for _ in range(300):
+            net = random_network(rng, max_banks=5)
+            for claim in net.claims:
+                for buyer in net.bank_ids():
+                    if buyer in claim.pair or net.has_claim(claim.debtor, buyer):
+                        continue
+                    ok, diagnostic = exists_creditor_positive(net, claim.pair, buyer)
+                    try:
+                        optimal_creditor_positive_return(net, claim.pair, buyer)
+                        optimal = True
+                    except NoCreditorPositiveTradeError:
+                        optimal = False
+                    assert ok == optimal, (claim.pair, buyer, diagnostic)
+                    pairs += 1
+                    positive += ok
+        assert (pairs, positive) == (1214, 16)
+
 
 class TestOptimalReturn:
     def test_fixture_interval(self):
