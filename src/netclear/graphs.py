@@ -19,11 +19,6 @@ class ActiveGraph:
     edges: dict[str, tuple[Claim, ...]]  # debtor -> active out-claims
     intervals: dict[tuple[str, str], int]
 
-    def active_out(self, v: str) -> tuple[Claim, ...]:
-        if v not in self.edges:
-            raise errors.UnknownBankError(v)
-        return self.edges[v]
-
     def edge_pairs(self) -> set[tuple[str, str]]:
         return set(self.intervals)
 

@@ -16,7 +16,7 @@ from .clearing import ClearingState, payments
 from .errors import ParseError
 from .lattice import RangeSpec
 from .model import FinancialNetwork
-from .rationals import decimal_str, exact_str, parse_exact
+from .rationals import ONE, ZERO, decimal_str, exact_str, parse_exact
 
 FORMAT_VERSION = "1"
 SOLVER_VERSION = __version__
@@ -62,7 +62,7 @@ def _load_json(source) -> dict:
             return json.load(handle, **options)
     except ParseError:
         raise
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal Python refuses
         raise ParseError(f"invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {source!r}: {exc}") from exc
@@ -76,7 +76,7 @@ def _check_fields(obj: dict, allowed: set, context: str) -> None:
         raise ParseError(f"unknown fields {sorted(unknown)}", context)
 
 
-def _number(obj, field: str, context: str, default=None) -> Fraction | int | str:
+def _number(obj, field: str, context: str, default=None) -> Fraction:
     if field not in obj:
         if default is None:
             raise ParseError(f"missing field {field!r}", context)
@@ -85,10 +85,9 @@ def _number(obj, field: str, context: str, default=None) -> Fraction | int | str
     if not isinstance(value, (int, str)):
         raise ParseError(f"{field!r} must be an integer or exact string", context)
     try:
-        parse_exact(value)
+        return parse_exact(value)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), f"{context}.{field}") from exc
-    return value
 
 
 def parse_network(source) -> FinancialNetwork:
@@ -112,9 +111,9 @@ def parse_network(source) -> FinancialNetwork:
         raw_banks.append(
             {
                 "id": entry["id"],
-                "external_assets": _number(entry, "external_assets", context, default=0),
-                "alpha": _number(entry, "alpha", context, default="1"),
-                "beta": _number(entry, "beta", context, default="1"),
+                "external_assets": _number(entry, "external_assets", context, default=ZERO),
+                "alpha": _number(entry, "alpha", context, default=ONE),
+                "beta": _number(entry, "beta", context, default=ONE),
             }
         )
 

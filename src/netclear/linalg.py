@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: a sparse solver for the response systems
-and one-dimensional nullspace extraction.
+"""Exact rational linear algebra: one sparse solver for every exact system
+of the engine, and the Perron direction of a circulation built on it.
 
 Every response system of the engine has the shape ``I - M`` (or its
 transpose) for a slope matrix ``M`` over the reachable part of the active
@@ -8,7 +8,8 @@ nonzeros per row. ``solve_linear_system`` takes exactly those nonzeros as
 sparse rows and eliminates in a Markowitz-style pivot order (Markowitz 1957)
 to keep fill-in, and so the number of ``Fraction`` operations, small.
 Exact arithmetic fixes the solution of a nonsingular system, so the pivot
-order changes the cost, never the result.
+order changes the cost, never the result. ``unit_left_nullspace`` pins one
+coordinate of the Perron vector and hands the rest to the same solver.
 """
 
 from __future__ import annotations
@@ -107,58 +108,32 @@ def solve_linear_system(
     return solution
 
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
-
-
-def unit_left_nullspace(matrix) -> list[Fraction]:
+def unit_left_nullspace(rows: Sequence[SparseRow]) -> list[Fraction]:
     """The unique (up to scale) non-negative ``d`` with ``d = d M``, scaled so
-    its largest entry is 1. The caller guarantees M is the slope matrix of a
-    non-singleton sink component: row-stochastic and irreducible, so the
-    nullspace of ``(M^T - I)`` is one-dimensional by Perron-Frobenius.
+    its largest entry is 1, for the square ``M`` given as sparse rows like
+    ``solve_linear_system``'s. The caller guarantees M is the slope matrix of
+    a non-singleton sink component: row-stochastic and irreducible, so by
+    Perron-Frobenius the solutions form one positive line, and ``d_0 = 1``
+    pins a point on it. Any other M raises ``DegenerateMatrixError``.
     """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
+    n = len(rows)
+    if n == 0:
         raise ValueError("need a square matrix")
-    # rows of (M^T - I)
-    a = [[matrix[j][i] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-    pivots = _rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise DegenerateMatrixError(
-            f"left nullspace has dimension {len(free)}, expected 1"
-        )
-    free_col = free[0]
-    vector = [ZERO] * n
-    vector[free_col] = ONE
-    for row, col in zip(a, pivots):
-        vector[col] = -row[free_col]
-    if any(x < 0 for x in vector):
-        if all(x <= 0 for x in vector):
-            vector = [-x for x in vector]
-        else:
-            raise DegenerateMatrixError("nullspace vector changes sign")
+    # Column equations d_j - sum_i M_ij d_i = 0, with d_0 = 1 in place of
+    # equation 0; the dropped equation and the sign are checked afterwards.
+    equations = [[(j, ONE)] for j in range(n)]
+    for i, row in enumerate(rows):
+        for j, value in row:
+            if not 0 <= j < n:
+                raise ValueError(f"column {j} outside a {n}x{n} matrix")
+            equations[j].append((i, -value))
+    dropped, equations[0] = equations[0], [(0, ONE)]
+    vector = solve_linear_system(equations, [ONE] + [ZERO] * (n - 1))
+    if (
+        vector is None
+        or sum((x * vector[i] for i, x in dropped), ZERO)
+        or any(x < 0 for x in vector)
+    ):
+        raise DegenerateMatrixError("d = d M has no single non-negative line")
     top = max(vector)
-    if top == 0:
-        raise DegenerateMatrixError("nullspace vector is zero")
     return [x / top for x in vector]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
-from .clearing import ClearingState, incoming_assets
+from .clearing import ClearingState, incoming_assets, is_clearing_state
 from .graphs import (
     ActiveGraph,
     active_graph,
@@ -284,20 +284,21 @@ def solve_flood_step(
     graph: ActiveGraph | None = None,
 ) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
-    non-singleton sink SCC of the active graph. ``graph`` is the active graph
+    non-singleton sink SCC of the active graph. The direction is the Perron
+    vector of the component's slope matrix, given to ``unit_left_nullspace``
+    as sparse rows, one entry per active edge. ``graph`` is the active graph
     of ``net`` at ``state`` when the caller already holds it; it is built
     here otherwise."""
     g = active_graph(net, state) if graph is None else graph
     members = sorted(component)
     index = {v: i for i, v in enumerate(members)}
-    n = len(members)
-    matrix = [[ZERO] * n for _ in range(n)]
+    rows = [[] for _ in members]
     for v in members:
         assets = state[v]
         for claim in g.edges[v]:
             if claim.creditor in index:
-                matrix[index[v]][index[claim.creditor]] = claim.payment.slope_at(assets)
-    direction_vec = unit_left_nullspace(matrix)
+                rows[index[v]].append((index[claim.creditor], claim.payment.slope_at(assets)))
+    direction_vec = unit_left_nullspace(rows)
     direction = {v: direction_vec[index[v]] for v in members}
     scale = border_scale(g, state, direction)
     if scale is None:
@@ -325,6 +326,29 @@ def flood_once(
     return g, step
 
 
+def response(
+    g: ActiveGraph, state, v: str, injection: dict, frozen: str | None = None
+) -> dict[str, Fraction] | None:
+    """Asset response of the banks reachable from ``v`` to ``injection`` (an
+    amount per bank; banks outside that set are skipped), with the out-edges
+    of ``frozen`` held fixed: the solution of ``(I - M^T) s = injection``,
+    or None when that system is singular."""
+    reach = sorted(reachable_from(g, v))
+    index = {u: i for i, u in enumerate(reach)}
+    rows = [[(i, ONE)] for i in range(len(reach))]
+    for u in reach:
+        if u == frozen:
+            continue
+        assets = state[u]
+        for claim in g.edges[u]:
+            if claim.creditor in index:
+                rows[index[claim.creditor]].append(
+                    (index[u], -claim.payment.slope_at(assets))
+                )
+    solution = solve_linear_system(rows, [injection.get(u, ZERO) for u in reach])
+    return None if solution is None else dict(zip(reach, solution))
+
+
 def solve_increase_step(
     net: FinancialNetwork,
     state,
@@ -340,26 +364,11 @@ def solve_increase_step(
     if budget <= 0:
         raise ValueError("budget must be positive")
     g = active_graph(net, state) if graph is None else graph
-    reach = sorted(reachable_from(g, v))
-    index = {u: i for i, u in enumerate(reach)}
-    # Rows encode s_x = e_v[x] + sum over active in-edges (z, x) of m * s_z,
-    # i.e. the column form (I - M^T) s = e_v of the row-vector system.
-    rows = [[(i, ONE)] for i in range(len(reach))]
-    for u in reach:
-        assets = state[u]
-        for claim in g.active_out(u):
-            if claim.creditor in index:
-                rows[index[claim.creditor]].append(
-                    (index[u], -claim.payment.slope_at(assets))
-                )
-    rhs = [ZERO] * len(reach)
-    rhs[index[v]] = ONE
-    solution = solve_linear_system(rows, rhs)
-    if solution is None:
+    slopes = response(g, state, v, {v: ONE})
+    if slopes is None:
         raise errors.InternalInvariantError(
             "singular response system despite no reachable flood"
         )
-    slopes = {u: solution[index[u]] for u in reach}
     delta = border_scale(g, state, slopes, limit=budget)
     return IncreaseStep(source=v, slopes=slopes, delta=delta)
 
@@ -391,8 +400,6 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
     def verify() -> None:
         if not check_invariant:
             return
-        from .clearing import is_clearing_state
-
         check = is_clearing_state(adj.network, assets, externals=adj.injected)
         if not check.ok:
             raise errors.InternalInvariantError(

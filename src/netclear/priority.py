@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .clearing import ClearingState
+from .clearing import ClearingState, is_clearing_state
 from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
 from .model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
@@ -231,6 +231,14 @@ def _flow_rows(system, members, t):
     return rows, rhs
 
 
+def _assets(system: _CounterSystem, t, v: str) -> Fraction:
+    """The affine asset map ``a_v = c_v + sum_u w_vu t_u``."""
+    acc = system.c[v]
+    for u, coeff in system.w[v].items():
+        acc += coeff * t[u]
+    return acc
+
+
 def _solve_block_least(system, block, t):
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced."""
@@ -239,14 +247,10 @@ def _solve_block_least(system, block, t):
     for v in members:
         t[v] = system.floor[v]
 
-    def flow_value(v: str) -> Fraction:
-        acc = system.c[v]
-        for u, coeff in system.w[v].items():
-            acc += coeff * t[u]
-        return acc
-
     while True:
-        promote = [v for v in members if v not in flow and flow_value(v) > t[v]]
+        promote = [
+            v for v in members if v not in flow and _assets(system, t, v) > t[v]
+        ]
         if not promote:
             return
         flow.update(promote)
@@ -280,14 +284,13 @@ def _solve_singular_line(system, members, t):
     """Particular solution and positive null direction of
     (I - W_BB) x = g on a closed block; (None, None) when inconsistent."""
     rows, g = _flow_rows(system, members, t)
-    n = len(members)
     # The null direction d of (I - W_BB), d = W_BB d, is the left Perron
-    # vector of W_BB^T.
-    w_transpose = [[ZERO] * n for _ in range(n)]
+    # vector of W_BB^T, whose sparse rows are the columns of W_BB.
+    w_transpose = [[] for _ in members]
     for i, row in enumerate(rows):
         for j, value in row:
             if j != i:
-                w_transpose[j][i] = -value
+                w_transpose[j].append((i, -value))
     try:
         direction = unit_left_nullspace(w_transpose)
     except errors.DegenerateMatrixError:
@@ -296,11 +299,8 @@ def _solve_singular_line(system, members, t):
     # the first equation, then test the dropped equation by substitution.
     pinned = [[(0, ONE)]] + rows[1:]
     solution = solve_linear_system(pinned, [system.floor[members[0]]] + g[1:])
-    if solution is None:
+    if solution is None or sum((x * solution[j] for j, x in rows[0]), ZERO) != g[0]:
         return None, None
-    for row, g_i in zip(rows, g):
-        if sum((value * solution[j] for j, value in row), ZERO) != g_i:
-            return None, None
     return solution, direction
 
 
@@ -318,16 +318,14 @@ def _solve_block_greatest(system, block, t):
         raise errors.InternalInvariantError(
             "inconsistent circulation block at the final counters"
         )
-    gamma = None
-    for i, v in enumerate(members):
-        cap = system.cap[v]
-        if cap is None:
-            continue
-        room = (cap - particular[i]) / direction[i]
-        if gamma is None or room < gamma:
-            gamma = room
-    if gamma is None:
+    rooms = [
+        (system.cap[v] - particular[i]) / direction[i]
+        for i, v in enumerate(members)
+        if system.cap[v] is not None
+    ]
+    if not rooms:
         raise errors.InternalInvariantError("closed block without any cap")
+    gamma = min(rooms)
     for i, v in enumerate(members):
         t[v] = particular[i] + gamma * direction[i]
 
@@ -346,12 +344,7 @@ def _solve_counters(net, structure, counters, mode):
             _solve_block_least(system, block, t)
         else:
             _solve_block_greatest(system, block, t)
-    a: dict[str, Fraction] = {}
-    for v in system.order:
-        acc = system.c[v]
-        for u, coeff in system.w[v].items():
-            acc += coeff * t[u]
-        a[v] = acc
+    a = {v: _assets(system, t, v) for v in system.order}
     d = {v: t[v] - a[v] for v in system.order}
     return t, a, d
 
@@ -378,8 +371,6 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
         if not offenders:
             _, a, _ = _solve_counters(net, structure, counters, "greatest")
             state = ClearingState(a)
-            from .clearing import is_clearing_state
-
             if not is_clearing_state(net, state).ok:
                 raise errors.InternalInvariantError(
                     "counter descent settled on a non-clearing state"

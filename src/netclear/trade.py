@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .graphs import ActiveGraph, reachable_from
+from .graphs import ActiveGraph
 from .lattice import compute_max_clearing_flood, require_no_default_cost
-from .linalg import solve_linear_system
-from .minimal import border_scale, compute_min_clearing, flood_once
+from .minimal import border_scale, compute_min_clearing, flood_once, response
 from .model import Bank, Claim, FinancialNetwork, assemble
 from .rationals import ONE, ZERO
 
@@ -103,40 +102,19 @@ def _trade_slopes(
 ) -> dict:
     """Response of the minimal clearing state to moving one unit of external
     assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
-    graph at ``assets``.
-
-    The buyer's outgoing payments are held fixed (at the creditor-positive
-    boundary its assets do not move), which makes the system block-triangular:
-    solve the injection response on the set reachable from ``v``, then read
-    off the buyer's hypothetical drift and use its sign as the stop signal.
-    A buyer outside that set gets no active in-edge from it, so it only loses
-    the unit.
+    graph at ``assets``. The buyer's outgoing payments are held fixed (at the
+    creditor-positive boundary its assets do not move), and the sign of its
+    drift is the stop signal. A buyer outside the seller's reach gets no
+    active in-edge from it, so it only loses the unit.
     """
-    reach = sorted(reachable_from(g, v))
-    index = {u: i for i, u in enumerate(reach)}
-    rows = [[(i, ONE)] for i in range(len(reach))]
-    for u in reach:
-        if u == w:
-            continue  # buyer out-edges frozen
-        for claim in g.active_out(u):
-            if claim.creditor in index:
-                rows[index[claim.creditor]].append(
-                    (index[u], -claim.payment.slope_at(assets[u]))
-                )
-    rhs = [ZERO] * len(reach)
-    rhs[index[v]] += ONE
-    if w in index:
-        rhs[index[w]] -= ONE
-    solution = solve_linear_system(rows, rhs)
-    if solution is None:
+    solved = response(g, assets, v, {v: ONE, w: -ONE}, frozen=w)
+    if solved is None:
         raise errors.InternalInvariantError(
             "singular trade response system after flood closure"
         )
-    slopes = {u: ZERO for u in net.bank_ids()}
-    for u in reach:
-        slopes[u] = solution[index[u]]
-    if w not in index:
-        slopes[w] = -ONE
+    slopes = dict.fromkeys(net.bank_ids(), ZERO)
+    slopes[w] = -ONE
+    slopes.update(solved)
     return slopes
 
 
@@ -161,6 +139,8 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
 
     rho = rho_min
     reason = None
+    # The walk reads only the claims of the traded network, which do not
+    # depend on the return, so it is built once at rho_min.
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
     state = compute_min_clearing(traded).as_dict()
     while True:
@@ -183,7 +163,6 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
             if s_u:
                 state[u] += advance * s_u
         rho += advance
-        traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
         if rho == cap:
             break
     return rho_min, rho, ClearingState(state), base, reason

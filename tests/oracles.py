@@ -5,6 +5,8 @@ None of this runs in the product:
 - ``dense_solve_linear_system``: plain dense Gaussian elimination, the oracle
   for the sparse ``netclear.linalg.solve_linear_system``;
 - ``sparse_rows``: converts a dense matrix to the solver's sparse rows;
+- ``dense_unit_left_nullspace``: the Perron direction by dense reduced row
+  echelon form, the oracle for the sparse ``unit_left_nullspace``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
   feasibility test that the block solver is cross-checked against.
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from netclear.errors import DegenerateMatrixError
 from netclear.model import FinancialNetwork
 from netclear.priority import BankClasses, _counter_system
 from netclear.rationals import ONE, ZERO
@@ -64,6 +67,61 @@ def dense_solve_linear_system(matrix, rhs) -> list[Fraction] | None:
         solution[r] = acc / row[r]
     return solution
 
+
+def _rref(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column list."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def dense_unit_left_nullspace(matrix) -> list[Fraction]:
+    """The non-negative ``d`` with ``d = d M`` for a dense ``M`` whose left
+    nullspace of ``M - I`` is one-dimensional, largest entry 1, by reduced
+    row echelon form. Unlike the engine's sparse version it accepts a
+    nullspace vector with zero entries."""
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise ValueError("need a square matrix")
+    # rows of (M^T - I)
+    a = [[matrix[j][i] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
+    pivots = _rref(a)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise DegenerateMatrixError(
+            f"left nullspace has dimension {len(free)}, expected 1"
+        )
+    free_col = free[0]
+    vector = [ZERO] * n
+    vector[free_col] = ONE
+    for row, col in zip(a, pivots):
+        vector[col] = -row[free_col]
+    if any(x < 0 for x in vector):
+        if all(x <= 0 for x in vector):
+            vector = [-x for x in vector]
+        else:
+            raise DegenerateMatrixError("nullspace vector changes sign")
+    top = max(vector)
+    if top == 0:
+        raise DegenerateMatrixError("nullspace vector is zero")
+    return [x / top for x in vector]
 
 
 # --- linear programming ------------------------------------------------------

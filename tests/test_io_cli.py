@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from netclear.io import (
     result_document,
     serialize_network,
 )
+from netclear.rationals import MAX_DIGITS, parse_exact
 
 from corpus import random_network
 
@@ -106,6 +108,29 @@ class TestParseNetwork:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "duplicate key 'external_assets'" in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "min-clear"])
+    def test_magnitude_limit(self, command, tmp_path, capsys):
+        # "1e5000" builds a 5001-digit integer that Python refuses to print;
+        # the bound must stop it, and a huge exponent, before any work.
+        for text in ("1e5000", "1/1" + "0" * 1000, "1e100000000", "1e-1_000_000_000"):
+            doc = json.loads(json.dumps(TWO_CYCLE))
+            doc["banks"][0]["external_assets"] = text
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(doc))
+            start = time.perf_counter()
+            assert main([command, str(path)]) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{MAX_DIGITS} digits" in captured.err
+
+    def test_magnitude_limit_boundary(self):
+        assert parse_exact("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+        assert parse_exact(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+        for value in ("1" + "0" * MAX_DIGITS, f"1e{MAX_DIGITS}", 10**MAX_DIGITS):
+            with pytest.raises(ValueError, match=f"{MAX_DIGITS} digits"):
+                parse_exact(value)
 
     def test_wrong_version_rejected(self):
         doc = dict(TWO_CYCLE)

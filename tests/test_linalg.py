@@ -16,6 +16,7 @@ from oracles import (
     Constraint,
     LinearProgram,
     dense_solve_linear_system,
+    dense_unit_left_nullspace,
     simplex_solve,
     sparse_rows,
 )
@@ -180,7 +181,7 @@ def random_irreducible_stochastic(rng, n):
 class TestUnitLeftNullspace:
     def test_two_cycle(self):
         m = [[F(0), F(1)], [F(1), F(0)]]
-        assert unit_left_nullspace(m) == [F(1), F(1)]
+        assert unit_left_nullspace(sparse_rows(m)) == [F(1), F(1)]
 
     def test_three_cycle(self):
         m = [
@@ -188,14 +189,14 @@ class TestUnitLeftNullspace:
             [F(0), F(0), F(1)],
             [F(1), F(0), F(0)],
         ]
-        assert unit_left_nullspace(m) == [F(1), F(1), F(1)]
+        assert unit_left_nullspace(sparse_rows(m)) == [F(1), F(1), F(1)]
 
     def test_random_stochastic_matrices(self):
         rng = random.Random(271828)
         for _ in range(150):
             n = rng.randint(2, 6)
             m = random_irreducible_stochastic(rng, n)
-            d = unit_left_nullspace(m)
+            d = unit_left_nullspace(sparse_rows(m))
             assert max(d) == 1
             assert all(x > 0 for x in d)
             # d = d M exactly
@@ -205,7 +206,36 @@ class TestUnitLeftNullspace:
     def test_degenerate_rejected(self):
         eye = [[F(1), F(0)], [F(0), F(1)]]
         with pytest.raises(DegenerateMatrixError):
-            unit_left_nullspace(eye)  # nullspace of (I^T - I) is 2-dimensional
+            unit_left_nullspace(sparse_rows(eye))  # nullspace of (I^T - I) is 2-dimensional
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(314159)
+        for _ in range(150):
+            m = random_irreducible_stochastic(rng, rng.randint(1, 9))
+            assert unit_left_nullspace(sparse_rows(m)) == dense_unit_left_nullspace(m)
+
+    def test_substochastic_rejected(self):
+        # Irreducible but with a row summing below 1: d = d M only for d = 0.
+        # The pinned solve succeeds with d >= 0, so only the check of the
+        # dropped equation can reject it.
+        rng = random.Random(161803)
+        cases = [[[F(0), F(1, 2)], [F(1), F(0)]]]
+        for _ in range(40):
+            m = random_irreducible_stochastic(rng, rng.randint(2, 7))
+            row = rng.randrange(len(m))
+            m[row] = [x * F(rng.randint(1, 9), 10) for x in m[row]]
+            cases.append(m)
+        for m in cases:
+            with pytest.raises(DegenerateMatrixError):
+                dense_unit_left_nullspace(m)
+            with pytest.raises(DegenerateMatrixError):
+                unit_left_nullspace(sparse_rows(m))
+
+    def test_malformed_rejected(self):
+        with pytest.raises(ValueError):
+            unit_left_nullspace([])
+        with pytest.raises(ValueError):
+            unit_left_nullspace([[(1, F(1))], [(2, F(1))]])
 
 
 def brute_force_lp(lp):

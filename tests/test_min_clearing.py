@@ -21,7 +21,7 @@ from netclear import (
 from netclear.errors import NotSolventError
 
 from corpus import random_network
-from oracles import dense_solve_linear_system
+from oracles import dense_solve_linear_system, dense_unit_left_nullspace
 
 
 def example1():
@@ -394,8 +394,6 @@ def _enumerate_fixed_points(net):
     """
     from itertools import product
 
-    from netclear.linalg import unit_left_nullspace
-
     ids = net.bank_ids()
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
@@ -434,7 +432,7 @@ def _enumerate_fixed_points(net):
                 candidates.append(solution)
             else:
                 try:
-                    direction = unit_left_nullspace(
+                    direction = dense_unit_left_nullspace(
                         [[(F(1) if a == b else F(0)) - matrix[b][a] for b in range(n)] for a in range(n)]
                     )
                 except Exception:

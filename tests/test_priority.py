@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from netclear import (
     build_network,
     compute_max_clearing_flood,
@@ -12,7 +14,16 @@ from netclear import (
     priority_structure,
     to_priority_proportional,
 )
-from netclear.priority import _counter_system, _solve_counters
+from netclear.priority import (
+    _blocks_in_order,
+    _counter_system,
+    _CounterSystem,
+    _Insatiable,
+    _solve_block_greatest,
+    _solve_block_least,
+    _solve_counters,
+    _solve_singular_line,
+)
 
 from corpus import random_network
 from oracles import build_counter_lp, simplex_solve
@@ -144,6 +155,50 @@ class TestCounterDescent:
             minimal = compute_min_clearing(net)
             for v in net.bank_ids():
                 assert minimal[v] <= state[v]
+
+
+def closed_block(c=F(0)):
+    """One closed circulation block: t = W t has the Perron line
+    (1, 2, 3) * s, and the injection ``c`` enters at b0."""
+    return _CounterSystem(
+        order=("b0", "b1", "b2"),
+        w={
+            "b0": {"b1": F(1, 2)},
+            "b1": {"b2": F(1, 3), "b0": F(1)},
+            "b2": {"b0": F(1), "b1": F(1)},
+        },
+        c={"b0": c, "b1": F(0), "b2": F(0)},
+        floor={"b0": F(1), "b1": F(5), "b2": F(2)},
+        cap={"b0": F(7), "b1": None, "b2": F(30)},
+    )
+
+
+class TestClosedBlock:
+    """The consistent singular branch, which the corpora reach only with an
+    inconsistent (insatiable) block."""
+
+    def test_one_block(self):
+        assert _blocks_in_order(closed_block()) == [["b0", "b1", "b2"]]
+
+    def test_singular_line(self):
+        system = closed_block()
+        particular, direction = _solve_singular_line(system, ["b0", "b1", "b2"], {})
+        assert particular == [F(1), F(2), F(3)]  # pinned at the floor of b0
+        assert direction == [F(1, 3), F(2, 3), F(1)]
+
+    def test_least_and_greatest_points(self):
+        t = {}
+        _solve_block_least(closed_block(), {"b0", "b1", "b2"}, t)
+        assert t == {"b0": F(5, 2), "b1": F(5), "b2": F(15, 2)}
+        t = {}
+        _solve_block_greatest(closed_block(), {"b0", "b1", "b2"}, t)
+        assert t == {"b0": F(7), "b1": F(14), "b2": F(21)}
+
+    def test_injection_is_insatiable(self):
+        system = closed_block(c=F(1))
+        assert _solve_singular_line(system, ["b0", "b1", "b2"], {}) == (None, None)
+        with pytest.raises(_Insatiable):
+            _solve_block_least(system, {"b0", "b1", "b2"}, {})
 
 
 class TestAgainstSimplex:
