@@ -18,7 +18,7 @@ from .clearing import (
     reduced_assets,
     top_iterate,
 )
-from .graphs import active_graph, condense, find_flood_component, phase_key, reachable_from
+from .graphs import active_graph, condense, find_flood_component, reachable_from
 from .lattice import (
     RangeResult,
     RangeSpec,

@@ -43,21 +43,23 @@ def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fra
     return {c.pair: c.payment.value_at(state[c.debtor]) for c in net.claims}
 
 
-def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:
-    ext = net.bank(v).external_assets if externals is None else externals[v]
-    total = ext
+def _inflow(net: FinancialNetwork, state: Mapping, v: str) -> Fraction:
+    """Payments ``v`` receives at ``state``."""
+    total = ZERO
     for claim in net.in_claims(v):
         total += claim.payment.value_at(state[claim.debtor])
     return total
 
 
+def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:
+    ext = net.bank(v).external_assets if externals is None else externals[v]
+    return ext + _inflow(net, state, v)
+
+
 def reduced_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:
     bank = net.bank(v)
     ext = bank.external_assets if externals is None else externals[v]
-    inflow = ZERO
-    for claim in net.in_claims(v):
-        inflow += claim.payment.value_at(state[claim.debtor])
-    return bank.alpha * ext + bank.beta * inflow
+    return bank.alpha * ext + bank.beta * _inflow(net, state, v)
 
 
 def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
@@ -66,9 +68,7 @@ def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
     result: dict[str, Fraction] = {}
     for v, bank in net.banks.items():
         ext = bank.external_assets if externals is None else externals[v]
-        inflow = ZERO
-        for claim in net.in_claims(v):
-            inflow += claim.payment.value_at(state[claim.debtor])
+        inflow = _inflow(net, state, v)
         unreduced = ext + inflow
         if unreduced >= net.total_out(v):
             result[v] = unreduced
@@ -101,6 +101,20 @@ class IterationResult:
     steps: int
 
 
+def _iterate(net: FinancialNetwork, start: dict, max_steps: int) -> IterationResult:
+    """Apply the asset map from ``start`` until it repeats a state exactly,
+    for at most ``max_steps`` steps."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    current = ClearingState(start)
+    for step in range(1, max_steps + 1):
+        nxt = phi(net, current)
+        if nxt.as_dict() == current.as_dict():
+            return IterationResult(current, True, step - 1)
+        current = nxt
+    return IterationResult(current, False, max_steps)
+
+
 def bottom_iterate(net: FinancialNetwork, max_steps: int) -> IterationResult:
     """Iterate the asset map from the all-zero vector.
 
@@ -109,39 +123,19 @@ def bottom_iterate(net: FinancialNetwork, max_steps: int) -> IterationResult:
     typically converge only in the limit and are reported honestly as
     non-converged.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    current = ClearingState({v: ZERO for v in net.bank_ids()})
-    for step in range(1, max_steps + 1):
-        nxt = phi(net, current)
-        if nxt.as_dict() == current.as_dict():
-            return IterationResult(current, True, step - 1)
-        current = nxt
-    return IterationResult(current, False, max_steps)
+    return _iterate(net, {v: ZERO for v in net.bank_ids()}, max_steps)
 
 
-def top_iterate(
-    net: FinancialNetwork, max_steps: int, allow_default_cost: bool = False
-) -> IterationResult:
+def top_iterate(net: FinancialNetwork, max_steps: int) -> IterationResult:
     """Iterate the asset map from the lattice top, as a verification oracle.
 
     Restricted to networks without default cost: the solvency case split makes
     the map discontinuous from above otherwise, so top iteration is unreliable
-    there (pass ``allow_default_cost=True`` to override for experiments).
+    there.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if net.has_default_cost() and not allow_default_cost:
+    if net.has_default_cost():
         raise errors.DefaultCostUnsupportedError(
             "top iteration is a no-default-cost oracle"
         )
-    top: dict[str, Fraction] = {}
-    for v in net.bank_ids():
-        top[v] = net.bank(v).external_assets + net.total_in(v)
-    current = ClearingState(top)
-    for step in range(1, max_steps + 1):
-        nxt = phi(net, current)
-        if nxt.as_dict() == current.as_dict():
-            return IterationResult(current, True, step - 1)
-        current = nxt
-    return IterationResult(current, False, max_steps)
+    top = {v: net.bank(v).external_assets + net.total_in(v) for v in net.bank_ids()}
+    return _iterate(net, top, max_steps)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import attrgetter
 
 from . import errors
@@ -13,34 +14,25 @@ from .model import Claim, FinancialNetwork
 @dataclass(frozen=True)
 class ActiveGraph:
     """Subgraph of claims whose payment slope is strictly positive at the
-    current debtor assets, with the active interval index per edge."""
+    current debtor assets, with that slope per edge."""
 
     nodes: tuple[str, ...]
     edges: dict[str, tuple[Claim, ...]]  # debtor -> active out-claims
-    intervals: dict[tuple[str, str], int]
-
-    def edge_pairs(self) -> set[tuple[str, str]]:
-        return set(self.intervals)
+    slopes: dict[tuple[str, str], Fraction]  # claim pair -> positive slope
 
 
 def active_graph(net: FinancialNetwork, state: Mapping) -> ActiveGraph:
     edges: dict[str, tuple[Claim, ...]] = {}
-    intervals: dict[tuple[str, str], int] = {}
+    slopes: dict[tuple[str, str], Fraction] = {}
     for v in net.bank_ids():
         assets = state[v]
-        active = tuple(
-            claim for claim in net.out_claims(v) if claim.payment.slope_at(assets) > 0
-        )
-        edges[v] = active
-        for claim in active:
-            intervals[claim.pair] = claim.payment.segment_index(assets)
-    return ActiveGraph(nodes=net.bank_ids(), edges=edges, intervals=intervals)
-
-
-def phase_key(net: FinancialNetwork, state: Mapping) -> tuple:
-    """Sortable key identifying the phase: active edges plus their intervals."""
-    g = active_graph(net, state)
-    return tuple(sorted(g.intervals.items()))
+        active = []
+        for claim in net.out_claims(v):
+            if (slope := claim.payment.slope_at(assets)) > 0:
+                active.append(claim)
+                slopes[claim.pair] = slope
+        edges[v] = tuple(active)
+    return ActiveGraph(nodes=net.bank_ids(), edges=edges, slopes=slopes)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,18 @@ def _check_fields(obj: dict, allowed: set, context: str) -> None:
         raise ParseError(f"unknown fields {sorted(unknown)}", context)
 
 
+def _list(obj: dict, field: str, context: str) -> list:
+    """``obj[field]``, empty when absent, which must be a list."""
+    value = obj.get(field, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{field!r} must be a list", context)
+    return value
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _number(obj, field: str, context: str, default=None) -> Fraction:
     if field not in obj:
         if default is None:
@@ -118,7 +130,7 @@ def parse_network(source) -> FinancialNetwork:
         )
 
     raw_claims = []
-    for i, entry in enumerate(doc.get("claims", [])):
+    for i, entry in enumerate(_list(doc, "claims", "document")):
         context = f"claims[{i}]"
         _check_fields(entry, _CLAIM_FIELDS, context)
         for field in ("debtor", "creditor"):
@@ -141,14 +153,22 @@ def parse_network(source) -> FinancialNetwork:
         if not isinstance(scheme, dict) or "type" not in scheme:
             raise ParseError("scheme must be an object with a 'type'", context)
         kind = scheme["type"]
-        allowed = _SCHEME_FIELDS.get(kind)
+        allowed = _SCHEME_FIELDS.get(kind) if isinstance(kind, str) else None
         if allowed is None:
             raise ParseError(f"unknown scheme type {kind!r}", context)
         _check_fields(scheme, allowed, context)
+        if kind == model.EDGE_RANKING and not _strings(_list(scheme, "order", context)):
+            raise ParseError("'order' must be a list of bank id strings", context)
+        if kind == model.PRIORITY_PROPORTIONAL and not all(
+            map(_strings, _list(scheme, "classes", context))
+        ):
+            raise ParseError("'classes' must be lists of bank id strings", context)
         if kind == model.PIECEWISE:
-            for j, edge in enumerate(scheme.get("edges", [])):
+            for j, edge in enumerate(_list(scheme, "edges", context)):
                 edge_context = f"{context}.edges[{j}]"
                 _check_fields(edge, _PIECEWISE_EDGE_FIELDS, edge_context)
+                if not isinstance(edge.get("creditor"), str):
+                    raise ParseError("'creditor' must be a bank id string", edge_context)
                 for field in ("borders", "slopes"):
                     values = edge.get(field)
                     if not isinstance(values, list):
@@ -220,7 +240,7 @@ def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
     doc = _load_json(source)
     _check_fields(doc, {"targets"}, "targets document")
     targets = {}
-    for i, entry in enumerate(doc.get("targets", [])):
+    for i, entry in enumerate(_list(doc, "targets", "targets document")):
         context = f"targets[{i}]"
         _check_fields(entry, _TARGET_FIELDS, context)
         if not isinstance(entry.get("bank"), str):

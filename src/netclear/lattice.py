@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import active_graph, condense
-from .minimal import compute_min_clearing, flood_once, solve_flood_step
+from .minimal import FloodStep, compute_min_clearing, flood_once, solve_flood_step
 from .model import FinancialNetwork
 from .rationals import parse_exact
 
@@ -26,6 +26,19 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
         raise errors.DefaultCostUnsupportedError(
             f"{operation} is defined for networks without default cost"
         )
+
+
+def _own_sink_flood(net: FinancialNetwork, assets, v: str) -> FloodStep | None:
+    """The flood step of the component of ``v`` in the active graph at
+    ``assets``, or None when that component is not a non-singleton sink."""
+    g = active_graph(net, assets)
+    cond = condense(g)
+    if v not in cond.component_of:
+        raise errors.UnknownBankError(v)
+    idx = cond.component_of[v]
+    if cond.is_singleton[idx] or not cond.is_sink[idx]:
+        return None
+    return solve_flood_step(net, assets, cond.components[idx], g)
 
 
 def apply_flood_sequence(
@@ -50,18 +63,11 @@ def apply_flood_sequence(
         fraction = parse_exact(fraction)
         if not (0 <= fraction <= 1):
             raise ValueError("flood fractions must lie in [0, 1]")
-        g = active_graph(net, assets)
-        cond = condense(g)
-        if bank_id not in cond.component_of:
-            raise errors.UnknownBankError(bank_id)
-        idx = cond.component_of[bank_id]
-        if cond.is_singleton[idx] or not cond.is_sink[idx]:
+        step = _own_sink_flood(net, assets, bank_id)
+        if step is None:
             raise errors.NotASinkComponentError(
                 f"component of {bank_id!r} is not a non-singleton sink SCC"
             )
-        if fraction == 0:
-            continue
-        step = solve_flood_step(net, assets, cond.components[idx], g)
         gamma = fraction * step.scale
         for member, d in step.direction.items():
             assets[member] += gamma * d
@@ -142,13 +148,9 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             return RangeResult(True, ClearingState(assets))
         v = below[0]
         lo_v = spec.targets[v][0]
-        g = active_graph(net, assets)
-        cond = condense(g)
-        idx = cond.component_of[v]
-        if cond.is_singleton[idx] or not cond.is_sink[idx]:
+        step = _own_sink_flood(net, assets, v)
+        if step is None:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
-        component = cond.components[idx]
-        step = solve_flood_step(net, assets, component, g)
         gamma_border = step.scale
         gamma_target = (lo_v - assets[v]) / step.direction[v]
         gamma = min(gamma_border, gamma_target)
@@ -156,7 +158,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
         # upper bound; if that cap prevents v from reaching its interval the
         # two targets are in conflict.
         cap_bank = None
-        for w in sorted(component):
+        for w in sorted(step.component):
             if w == v or w not in spec.targets:
                 continue
             hi_w = spec.targets[w][1]

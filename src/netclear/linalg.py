@@ -1,15 +1,16 @@
 """Exact rational linear algebra: one sparse solver for every exact system
 of the engine, and the Perron direction of a circulation built on it.
 
-Every response system of the engine has the shape ``I - M`` (or its
-transpose) for a slope matrix ``M`` over the reachable part of the active
-graph: one unit diagonal per bank plus one entry per active edge, so a few
-nonzeros per row. ``solve_linear_system`` takes exactly those nonzeros as
-sparse rows and eliminates in a Markowitz-style pivot order (Markowitz 1957)
-to keep fill-in, and so the number of ``Fraction`` operations, small.
-Exact arithmetic fixes the solution of a nonsingular system, so the pivot
-order changes the cost, never the result. ``unit_left_nullspace`` pins one
-coordinate of the Perron vector and hands the rest to the same solver.
+Every response system of the engine has the shape ``I - M^T`` for a slope
+matrix ``M`` over the reachable part of the active graph: one unit diagonal
+per bank plus one entry per active edge, so a few nonzeros per row.
+``solve_linear_system`` takes exactly those nonzeros as sparse rows and
+eliminates in a Markowitz-style pivot order (Markowitz 1957) to keep
+fill-in, and so the number of ``Fraction`` operations, small. Exact
+arithmetic fixes the solution of a nonsingular system, so the pivot order
+changes the cost, never the result. ``unit_left_nullspace`` reads the same
+rows as the columns of ``I - M`` and pins one coordinate of the Perron
+vector before handing them to the same solver.
 """
 
 from __future__ import annotations
@@ -108,30 +109,25 @@ def solve_linear_system(
     return solution
 
 
-def unit_left_nullspace(rows: Sequence[SparseRow]) -> list[Fraction]:
-    """The unique (up to scale) non-negative ``d`` with ``d = d M``, scaled so
-    its largest entry is 1, for the square ``M`` given as sparse rows like
-    ``solve_linear_system``'s. The caller guarantees M is the slope matrix of
-    a non-singleton sink component: row-stochastic and irreducible, so by
-    Perron-Frobenius the solutions form one positive line, and ``d_0 = 1``
-    pins a point on it. Any other M raises ``DegenerateMatrixError``.
+def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:
+    """The non-negative ``d`` with ``d A = 0``, largest entry 1, for
+    ``A = I - M`` given by its sparse columns as ``(row, value)`` pairs (the
+    sparse rows of ``I - M^T``). The caller guarantees M is the slope matrix
+    of a non-singleton sink component: row-stochastic and irreducible, so by
+    Perron-Frobenius ``d = d M`` has one positive line of solutions, and
+    ``d_0 = 1`` pins a point on it. Any other M raises ``DegenerateMatrixError``.
     """
-    n = len(rows)
+    n = len(columns)
     if n == 0:
         raise ValueError("need a square matrix")
-    # Column equations d_j - sum_i M_ij d_i = 0, with d_0 = 1 in place of
-    # equation 0; the dropped equation and the sign are checked afterwards.
-    equations = [[(j, ONE)] for j in range(n)]
-    for i, row in enumerate(rows):
-        for j, value in row:
-            if not 0 <= j < n:
-                raise ValueError(f"column {j} outside a {n}x{n} matrix")
-            equations[j].append((i, -value))
-    dropped, equations[0] = equations[0], [(0, ONE)]
-    vector = solve_linear_system(equations, [ONE] + [ZERO] * (n - 1))
+    if any(not 0 <= i < n for i, _ in columns[0]):
+        raise ValueError(f"column 0 has a row outside a {n}x{n} matrix")
+    # Column equations sum_i d_i A_ij = 0, with d_0 = 1 in place of equation
+    # 0; the dropped equation and the sign are checked afterwards.
+    vector = solve_linear_system([[(0, ONE)], *columns[1:]], [ONE] + [ZERO] * (n - 1))
     if (
         vector is None
-        or sum((x * vector[i] for i, x in dropped), ZERO)
+        or sum((x * vector[i] for i, x in columns[0]), ZERO)
         or any(x < 0 for x in vector)
     ):
         raise DegenerateMatrixError("d = d M has no single non-negative line")

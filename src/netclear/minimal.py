@@ -285,21 +285,13 @@ def solve_flood_step(
 ) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
     non-singleton sink SCC of the active graph. The direction is the Perron
-    vector of the component's slope matrix, given to ``unit_left_nullspace``
-    as sparse rows, one entry per active edge. ``graph`` is the active graph
+    vector ``d = d M`` of the component's slope matrix, read off its
+    ``response_rows`` (the columns of ``I - M``). ``graph`` is the active graph
     of ``net`` at ``state`` when the caller already holds it; it is built
     here otherwise."""
     g = active_graph(net, state) if graph is None else graph
     members = sorted(component)
-    index = {v: i for i, v in enumerate(members)}
-    rows = [[] for _ in members]
-    for v in members:
-        assets = state[v]
-        for claim in g.edges[v]:
-            if claim.creditor in index:
-                rows[index[v]].append((index[claim.creditor], claim.payment.slope_at(assets)))
-    direction_vec = unit_left_nullspace(rows)
-    direction = {v: direction_vec[index[v]] for v in members}
+    direction = dict(zip(members, unit_left_nullspace(response_rows(g, members))))
     scale = border_scale(g, state, direction)
     if scale is None:
         raise errors.InternalInvariantError(
@@ -326,26 +318,32 @@ def flood_once(
     return g, step
 
 
+def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
+    """Sparse rows of ``I - M^T`` over ``members``, where ``M`` holds the
+    slopes of the active edges between members and the out-edges of
+    ``frozen`` are left out. Row ``j`` is also column ``j`` of ``I - M``."""
+    index = {u: i for i, u in enumerate(members)}
+    rows = [[(i, ONE)] for i in range(len(members))]
+    for i, u in enumerate(members):
+        if u == frozen:
+            continue
+        for claim in g.edges[u]:
+            j = index.get(claim.creditor)
+            if j is not None:
+                rows[j].append((i, -g.slopes[claim.pair]))
+    return rows
+
+
 def response(
-    g: ActiveGraph, state, v: str, injection: dict, frozen: str | None = None
+    g: ActiveGraph, v: str, injection: dict, frozen: str | None = None
 ) -> dict[str, Fraction] | None:
     """Asset response of the banks reachable from ``v`` to ``injection`` (an
     amount per bank; banks outside that set are skipped), with the out-edges
     of ``frozen`` held fixed: the solution of ``(I - M^T) s = injection``,
     or None when that system is singular."""
     reach = sorted(reachable_from(g, v))
-    index = {u: i for i, u in enumerate(reach)}
-    rows = [[(i, ONE)] for i in range(len(reach))]
-    for u in reach:
-        if u == frozen:
-            continue
-        assets = state[u]
-        for claim in g.edges[u]:
-            if claim.creditor in index:
-                rows[index[claim.creditor]].append(
-                    (index[u], -claim.payment.slope_at(assets))
-                )
-    solution = solve_linear_system(rows, [injection.get(u, ZERO) for u in reach])
+    rhs = [injection.get(u, ZERO) for u in reach]
+    solution = solve_linear_system(response_rows(g, reach, frozen), rhs)
     return None if solution is None else dict(zip(reach, solution))
 
 
@@ -364,7 +362,7 @@ def solve_increase_step(
     if budget <= 0:
         raise ValueError("budget must be positive")
     g = active_graph(net, state) if graph is None else graph
-    slopes = response(g, state, v, {v: ONE})
+    slopes = response(g, v, {v: ONE})
     if slopes is None:
         raise errors.InternalInvariantError(
             "singular response system despite no reachable flood"
@@ -410,7 +408,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if not check_invariant:
             return
         fresh = active_graph(adj.network, assets)
-        if g.edges != fresh.edges or g.intervals != fresh.intervals:
+        if g.edges != fresh.edges or g.slopes != fresh.slopes:
             raise errors.InternalInvariantError(
                 "stale active graph handed to the increase step"
             )

@@ -71,11 +71,6 @@ class PaymentFunction:
             return None
         return self.borders[pos] - a
 
-    def segment_index(self, a: Fraction) -> int:
-        """Index of the interval containing ``a``; len(slopes) past the last border."""
-        idx = bisect_right(self.borders, a) - 1
-        return max(idx, 0)
-
     @property
     def final_value(self) -> Fraction:
         return self._values[-1]

@@ -284,15 +284,10 @@ def _solve_singular_line(system, members, t):
     """Particular solution and positive null direction of
     (I - W_BB) x = g on a closed block; (None, None) when inconsistent."""
     rows, g = _flow_rows(system, members, t)
-    # The null direction d of (I - W_BB), d = W_BB d, is the left Perron
-    # vector of W_BB^T, whose sparse rows are the columns of W_BB.
-    w_transpose = [[] for _ in members]
-    for i, row in enumerate(rows):
-        for j, value in row:
-            if j != i:
-                w_transpose[j].append((i, -value))
+    # The null direction d = W_BB d is the left Perron vector of W_BB^T, and
+    # the rows of I - W_BB are the columns of I - W_BB^T.
     try:
-        direction = unit_left_nullspace(w_transpose)
+        direction = unit_left_nullspace(rows)
     except errors.DegenerateMatrixError:
         raise errors.InternalInvariantError("closed block without Perron direction")
     # Particular solution: pin the first coordinate to its floor in place of

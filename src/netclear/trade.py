@@ -97,17 +97,15 @@ def _flood_closure(net: FinancialNetwork, assets: dict, v: str):
             return assets, g
 
 
-def _trade_slopes(
-    net: FinancialNetwork, assets: dict, g: ActiveGraph, v: str, w: str
-) -> dict:
+def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> dict:
     """Response of the minimal clearing state to moving one unit of external
     assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
-    graph at ``assets``. The buyer's outgoing payments are held fixed (at the
-    creditor-positive boundary its assets do not move), and the sign of its
-    drift is the stop signal. A buyer outside the seller's reach gets no
+    graph at the current state. The buyer's outgoing payments are held fixed
+    (at the creditor-positive boundary its assets do not move), and the sign
+    of its drift is the stop signal. A buyer outside the seller's reach gets no
     active in-edge from it, so it only loses the unit.
     """
-    solved = response(g, assets, v, {v: ONE, w: -ONE}, frozen=w)
+    solved = response(g, v, {v: ONE, w: -ONE}, frozen=w)
     if solved is None:
         raise errors.InternalInvariantError(
             "singular trade response system after flood closure"
@@ -145,7 +143,7 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     state = compute_min_clearing(traded).as_dict()
     while True:
         flooded, g = _flood_closure(traded, state, v)
-        slopes = _trade_slopes(traded, flooded, g, v, w)
+        slopes = _trade_slopes(traded, g, v, w)
         # The buyer's drift is never positive: its out-edges are frozen, so
         # it absorbs at most the unit injected at the seller.
         if slopes[w] < 0 or slopes[v] <= 0:

@@ -5,6 +5,8 @@ None of this runs in the product:
 - ``dense_solve_linear_system``: plain dense Gaussian elimination, the oracle
   for the sparse ``netclear.linalg.solve_linear_system``;
 - ``sparse_rows``: converts a dense matrix to the solver's sparse rows;
+- ``identity_minus_columns``: converts a dense ``M`` to the sparse columns of
+  ``I - M`` that ``unit_left_nullspace`` takes;
 - ``dense_unit_left_nullspace``: the Perron direction by dense reduced row
   echelon form, the oracle for the sparse ``unit_left_nullspace``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
@@ -27,6 +29,15 @@ def sparse_rows(matrix) -> list[list[tuple[int, Fraction]]]:
     """The nonzero entries of each row of a dense matrix, as ``(column,
     value)`` pairs."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+
+
+def identity_minus_columns(matrix) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero entries of each column of ``I - M`` for a dense square
+    ``M``, as ``(row, value)`` pairs: the input of ``unit_left_nullspace``."""
+    n = len(matrix)
+    return sparse_rows(
+        [[(ONE if i == j else ZERO) - matrix[i][j] for i in range(n)] for j in range(n)]
+    )
 
 
 def dense_solve_linear_system(matrix, rhs) -> list[Fraction] | None:

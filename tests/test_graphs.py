@@ -11,7 +11,6 @@ from netclear import (
     build_network,
     condense,
     find_flood_component,
-    phase_key,
     reachable_from,
 )
 from netclear.errors import UnknownBankError
@@ -35,24 +34,19 @@ class TestActiveGraph:
     def test_example3_initial_edges(self):
         net = example3()
         g = active_graph(net, zero_state(net))
-        assert g.edge_pairs() == {("u", "v"), ("v", "w"), ("y", "v")}
+        assert set(g.slopes) == {("u", "v"), ("v", "w"), ("y", "v")}
 
     def test_solvent_banks_have_no_active_edges(self):
         net = build_network(banks=[("a", 5), ("b", 0)], claims=[("a", "b", 2)])
         g = active_graph(net, ClearingState({"a": F(5), "b": F(2)}))
-        assert g.edge_pairs() == set()
+        assert set(g.slopes) == set()
 
     def test_example3_phase_change_at_two(self):
         net = example3()
         state = ClearingState({"u": F(1), "v": F(2), "w": F(2), "y": F(0)})
         g = active_graph(net, state)
-        assert ("v", "w") not in g.edge_pairs()
-        assert ("v", "y") in g.edge_pairs()
-
-    def test_phase_key_orders_deterministically(self):
-        net = example3()
-        key = phase_key(net, zero_state(net))
-        assert key == tuple(sorted(key))
+        assert ("v", "w") not in set(g.slopes)
+        assert ("v", "y") in set(g.slopes)
 
 
 def brute_force_sccs(nodes, edges):
@@ -100,7 +94,7 @@ class TestCondense:
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
             cond = condense(g)
-            expected = brute_force_sccs(g.nodes, g.edge_pairs())
+            expected = brute_force_sccs(g.nodes, set(g.slopes))
             assert set(cond.components) == expected
             # dag must be acyclic: component indices of edges always differ
             for i, succs in enumerate(cond.dag):

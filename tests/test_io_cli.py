@@ -132,6 +132,71 @@ class TestParseNetwork:
             with pytest.raises(ValueError, match=f"{MAX_DIGITS} digits"):
                 parse_exact(value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("claims", 5),
+            ("claims", {}),
+            ("targets", 5),
+            ("edges", 5),
+            ("order", 5),
+            ("order", "bc"),
+            ("order", ["b", 5]),
+            ("classes", [5]),
+            ("classes", "bc"),
+            ("classes", [["b"], [5]]),
+        ],
+    )
+    def test_container_shapes_rejected(self, field, value, tmp_path, capsys):
+        # Each of these once raised TypeError (exit 1) or was read character
+        # by character (exit 0).
+        scheme_types = {
+            "edges": "piecewise",
+            "order": "edge_ranking",
+            "classes": "priority_proportional",
+        }
+        doc = json.loads(json.dumps(TWO_CYCLE))
+        doc["banks"].append({"id": "c"})
+        doc["claims"].append({"debtor": "b", "creditor": "c", "liability": 1})
+        targets = {"targets": [{"bank": "a", "lo": 0, "hi": 1}]}
+        if field == "claims":
+            doc["claims"] = value
+        elif field == "targets":
+            targets["targets"] = value
+        else:
+            doc["payment_schemes"]["b"] = {"type": scheme_types[field], field: value}
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(doc))
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps(targets))
+        argv = ["validate", str(net_path)]
+        if field == "targets":
+            argv = ["range", str(net_path), "--targets", str(targets_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field!r} must be" in captured.err
+
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            ({"type": ["proportional"]}, "unknown scheme type"),
+            (
+                {"type": "piecewise", "edges": [{"creditor": ["a"], "borders": [0, 1]}]},
+                "'creditor' must be",
+            ),
+            ({"type": "piecewise", "edges": [{"borders": [0, 1]}]}, "'creditor' must be"),
+        ],
+    )
+    def test_scheme_scalar_shapes_rejected(self, scheme, message, tmp_path, capsys):
+        # Each of these once escaped as TypeError or KeyError with a traceback.
+        doc = json.loads(json.dumps(TWO_CYCLE))
+        doc["payment_schemes"]["b"] = scheme
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_wrong_version_rejected(self):
         doc = dict(TWO_CYCLE)
         doc["format_version"] = "2"

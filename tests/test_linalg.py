@@ -17,6 +17,7 @@ from oracles import (
     LinearProgram,
     dense_solve_linear_system,
     dense_unit_left_nullspace,
+    identity_minus_columns,
     simplex_solve,
     sparse_rows,
 )
@@ -181,7 +182,7 @@ def random_irreducible_stochastic(rng, n):
 class TestUnitLeftNullspace:
     def test_two_cycle(self):
         m = [[F(0), F(1)], [F(1), F(0)]]
-        assert unit_left_nullspace(sparse_rows(m)) == [F(1), F(1)]
+        assert unit_left_nullspace(identity_minus_columns(m)) == [F(1), F(1)]
 
     def test_three_cycle(self):
         m = [
@@ -189,14 +190,14 @@ class TestUnitLeftNullspace:
             [F(0), F(0), F(1)],
             [F(1), F(0), F(0)],
         ]
-        assert unit_left_nullspace(sparse_rows(m)) == [F(1), F(1), F(1)]
+        assert unit_left_nullspace(identity_minus_columns(m)) == [F(1), F(1), F(1)]
 
     def test_random_stochastic_matrices(self):
         rng = random.Random(271828)
         for _ in range(150):
             n = rng.randint(2, 6)
             m = random_irreducible_stochastic(rng, n)
-            d = unit_left_nullspace(sparse_rows(m))
+            d = unit_left_nullspace(identity_minus_columns(m))
             assert max(d) == 1
             assert all(x > 0 for x in d)
             # d = d M exactly
@@ -206,13 +207,15 @@ class TestUnitLeftNullspace:
     def test_degenerate_rejected(self):
         eye = [[F(1), F(0)], [F(0), F(1)]]
         with pytest.raises(DegenerateMatrixError):
-            unit_left_nullspace(sparse_rows(eye))  # nullspace of (I^T - I) is 2-dimensional
+            # nullspace of (I^T - I) is 2-dimensional
+            unit_left_nullspace(identity_minus_columns(eye))
 
     def test_matches_dense_oracle(self):
         rng = random.Random(314159)
         for _ in range(150):
             m = random_irreducible_stochastic(rng, rng.randint(1, 9))
-            assert unit_left_nullspace(sparse_rows(m)) == dense_unit_left_nullspace(m)
+            expected = dense_unit_left_nullspace(m)
+            assert unit_left_nullspace(identity_minus_columns(m)) == expected
 
     def test_substochastic_rejected(self):
         # Irreducible but with a row summing below 1: d = d M only for d = 0.
@@ -229,13 +232,21 @@ class TestUnitLeftNullspace:
             with pytest.raises(DegenerateMatrixError):
                 dense_unit_left_nullspace(m)
             with pytest.raises(DegenerateMatrixError):
-                unit_left_nullspace(sparse_rows(m))
+                unit_left_nullspace(identity_minus_columns(m))
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             unit_left_nullspace([])
         with pytest.raises(ValueError):
             unit_left_nullspace([[(1, F(1))], [(2, F(1))]])
+
+    def test_dropped_column_indices_checked(self):
+        # Column 0 never reaches the solver's own bounds check; a negative
+        # row there would otherwise wrap around silently.
+        two_cycle = identity_minus_columns([[F(0), F(1)], [F(1), F(0)]])
+        for bad in ((2, F(-1)), (-1, F(-1))):
+            with pytest.raises(ValueError):
+                unit_left_nullspace([[(0, F(1)), bad], two_cycle[1]])
 
 
 def brute_force_lp(lp):

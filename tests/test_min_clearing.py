@@ -375,10 +375,31 @@ class TestActiveGraphReuse:
             # drop every active edge: no flood is found, so the increase
             # step would run on this stale graph
             return graphs.ActiveGraph(
-                nodes=g.nodes, edges={v: () for v in g.nodes}, intervals={}
+                nodes=g.nodes, edges={v: () for v in g.nodes}, slopes={}
             )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
+        with pytest.raises(InternalInvariantError, match="stale active graph"):
+            run_min_clearing(example3(), check_invariant=True)
+
+    def test_stale_slope_rejected_under_invariant_check(self, monkeypatch):
+        from netclear import graphs, minimal
+        from netclear.errors import InternalInvariantError
+
+        builds = []
+
+        def first_build_wrong_slope(net, state):
+            g = graphs.active_graph(net, state)
+            builds.append(g)
+            if len(builds) > 1:
+                return g
+            # the right edges, but one slope halved: only a comparison of the
+            # slopes tells this graph from a fresh one
+            pair = min(g.slopes)
+            slopes = {**g.slopes, pair: g.slopes[pair] / 2}
+            return graphs.ActiveGraph(nodes=g.nodes, edges=g.edges, slopes=slopes)
+
+        monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
             run_min_clearing(example3(), check_invariant=True)
 
