@@ -14,25 +14,48 @@ from .model import Claim, FinancialNetwork
 @dataclass(frozen=True)
 class ActiveGraph:
     """Subgraph of claims whose payment slope is strictly positive at the
-    current debtor assets, with that slope per edge."""
+    current debtor assets, with that slope per edge and, per bank with an
+    active out-claim, the lowest border strictly above its assets over those
+    claims: up to that border no slope of the bank changes. The maps are
+    updated in place by ``refresh_banks``."""
 
     nodes: tuple[str, ...]
     edges: dict[str, tuple[Claim, ...]]  # debtor -> active out-claims
     slopes: dict[tuple[str, str], Fraction]  # claim pair -> positive slope
+    borders: dict[str, Fraction]  # debtor -> next border of its active claims
+
+
+def refresh_banks(
+    g: ActiveGraph, net: FinancialNetwork, state: Mapping, banks: Iterable[str]
+) -> None:
+    """Recompute, in place, the active out-claims, their slopes and the next
+    border of each of ``banks`` at ``state``; other banks are left as they
+    are."""
+    edges, slopes, borders = g.edges, g.slopes, g.borders
+    for v in banks:
+        for claim in edges.get(v, ()):
+            del slopes[claim.pair]
+        borders.pop(v, None)
+        assets = state[v]
+        active = []
+        nearest = None
+        for claim in net.out_claims(v):
+            segment = claim.payment.active_segment(assets)
+            if segment is not None:
+                slope, border = segment
+                active.append(claim)
+                slopes[claim.pair] = slope
+                if nearest is None or border < nearest:
+                    nearest = border
+        edges[v] = tuple(active)
+        if nearest is not None:
+            borders[v] = nearest
 
 
 def active_graph(net: FinancialNetwork, state: Mapping) -> ActiveGraph:
-    edges: dict[str, tuple[Claim, ...]] = {}
-    slopes: dict[tuple[str, str], Fraction] = {}
-    for v in net.bank_ids():
-        assets = state[v]
-        active = []
-        for claim in net.out_claims(v):
-            if (slope := claim.payment.slope_at(assets)) > 0:
-                active.append(claim)
-                slopes[claim.pair] = slope
-        edges[v] = tuple(active)
-    return ActiveGraph(nodes=net.bank_ids(), edges=edges, slopes=slopes)
+    g = ActiveGraph(nodes=net.bank_ids(), edges={}, slopes={}, borders={})
+    refresh_banks(g, net, state, g.nodes)
+    return g
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """Minimal clearing state computation.
 
-The driver injects external assets one bank at a time. While a chosen bank can
-still reach a flooded region (a non-singleton sink SCC of the active graph),
-payments inside that region are raised along the component's circulation
-eigenvector until a payment-function border binds. Once no flooded region is
-reachable, the response of the whole reachable set to a small injection is
-linear; the slopes come from one exact linear solve and the injection advances
-to the next border or the bank's remaining budget, whichever is closer.
+External assets are injected one bank at a time. The response of the
+banks reachable from the chosen bank to a small injection is linear; its
+slopes come from one exact linear solve, and the injection advances to the
+next payment-function border or the bank's remaining budget, whichever is
+closer. That solve is singular exactly when the bank can reach a flooded
+region (a non-singleton sink SCC of the active graph). Only then is the
+graph condensed, and payments inside the region are raised along the
+component's circulation eigenvector until a border binds.
+
+One active graph serves the whole run while the working network stays the
+same. A step changes the active segment only of the banks it moves onto
+their next border, so only those are refreshed; a rewire builds the graph
+afresh.
 
 Default costs are removed up front by network surgery: each defaulting bank
 gets a splitter that diverts the haircut share of its incoming payments to a
@@ -27,6 +33,7 @@ from .graphs import (
     condense,
     find_flood_component,
     reachable_from,
+    refresh_banks,
 )
 from .linalg import solve_linear_system, unit_left_nullspace
 from .model import (
@@ -262,16 +269,16 @@ def border_scale(
 ) -> Fraction | None:
     """Largest ``t <= limit`` for which moving every bank ``u`` by
     ``t * rates[u]`` crosses no payment-function border: the least
-    ``next_border_delta / rate`` over the active out-edges of banks with a
-    positive rate. None when there is neither such an edge nor a limit."""
+    ``(g.borders[u] - state[u]) / rate`` over the banks with a positive rate
+    and an active out-claim. None when there is neither such a bank nor a
+    limit. ``g`` is the active graph at ``state``. The scale never
+    overshoots, so after the move a bank that binds sits exactly on its
+    border."""
     scale = limit
+    borders = g.borders
     for u, rate in rates.items():
-        if rate <= 0:
-            continue
-        assets = state[u]
-        # An active edge has a positive slope, so a border lies above ``assets``.
-        for claim in g.edges[u]:
-            ratio = claim.payment.next_border_delta(assets) / rate
+        if rate > 0 and u in borders:
+            ratio = (borders[u] - state[u]) / rate
             if scale is None or ratio < scale:
                 scale = ratio
     return scale
@@ -353,20 +360,23 @@ def solve_increase_step(
     v: str,
     budget: Fraction,
     graph: ActiveGraph | None = None,
-) -> IncreaseStep:
-    """Linear response of the minimal clearing state to an injection at ``v``,
-    valid while no reachable flooded region exists. The step size is capped by
-    the budget and by the nearest payment-function border along the response
-    slopes. ``graph`` is the active graph of ``net`` at ``state`` when the
-    caller already holds it; it is built here otherwise."""
+) -> IncreaseStep | None:
+    """Linear response of the minimal clearing state to an injection at ``v``.
+    The step size is capped by the budget and by the nearest payment-function
+    border along the response slopes. ``graph`` is the active graph of ``net``
+    at ``state`` when the caller already holds it; it is built here otherwise.
+
+    Returns None when the response system is singular. Every row of the
+    active slope matrix sums to 1 or 0 and no bank pays itself, so over the
+    banks reachable from ``v`` that happens exactly when a non-singleton sink
+    SCC (a flooded region) is reachable from ``v``: it must be flooded
+    first."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     g = active_graph(net, state) if graph is None else graph
     slopes = response(g, v, {v: ONE})
     if slopes is None:
-        raise errors.InternalInvariantError(
-            "singular response system despite no reachable flood"
-        )
+        return None
     delta = border_scale(g, state, slopes, limit=budget)
     return IncreaseStep(source=v, slopes=slopes, delta=delta)
 
@@ -385,15 +395,22 @@ class MinClearingRun:
 def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> MinClearingRun:
     """Full driver; returns the minimal clearing state plus the step trace.
 
+    One active graph serves every step while the working network stays the
+    same object: after each step only the banks that reached their next
+    border are refreshed, and a rewire builds the graph afresh. A flood is
+    looked for only when the source's response system is singular.
+
     With ``check_invariant`` the working state is verified to be an exact
     fixed point of the asset map (w.r.t. the injected externals) after every
-    step, and the active graph reused by each increase step is compared with
-    a fresh build; test suites enable this.
+    step; before every response the graph is compared with a fresh build, and
+    the response's singularity with the flood check; test suites enable this.
     """
     adj = adjust_default_cost(net)
     assets: dict[str, Fraction] = {v: ZERO for v in adj.network.bank_ids()}
     floods: list[FloodStep] = []
     increases: list[IncreaseStep] = []
+    g: ActiveGraph | None = None
+    g_network: FinancialNetwork | None = None
 
     def verify() -> None:
         if not check_invariant:
@@ -404,14 +421,30 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 f"working state lost the fixed-point invariant: {check.violations}"
             )
 
-    def check_graph(g: ActiveGraph) -> None:
+    def check_graph() -> None:
         if not check_invariant:
             return
         fresh = active_graph(adj.network, assets)
-        if g.edges != fresh.edges or g.slopes != fresh.slopes:
+        if (g.edges, g.slopes, g.borders) != (fresh.edges, fresh.slopes, fresh.borders):
             raise errors.InternalInvariantError(
                 "stale active graph handed to the increase step"
             )
+
+    def move(rates: dict[str, Fraction], scale: Fraction) -> None:
+        """Move every bank by ``scale`` times its rate, a scale that
+        ``border_scale`` allowed on ``g``; then refresh the banks that landed
+        on their next border, which are the only ones whose active segment
+        can have changed."""
+        for u, rate in rates.items():
+            if rate:
+                assets[u] += scale * rate
+        borders = g.borders
+        refresh_banks(
+            g,
+            adj.network,
+            assets,
+            [u for u, rate in rates.items() if rate > 0 and assets[u] == borders.get(u)],
+        )
 
     def settle_defaulters() -> None:
         nonlocal assets
@@ -437,30 +470,43 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if source is None:
             break
 
-        # A rewiring cascade can retire the selected bank itself (when it is
-        # a splitter whose owner turns solvent); re-pick the source then.
+        # Flood from the source while its response is singular. A rewiring
+        # cascade can retire the selected bank itself (when it is a splitter
+        # whose owner turns solvent); re-pick the source then. One that a
+        # rewire paid off meanwhile floods what it reaches, then yields.
+        step = None
         while source in adj.targets:
-            g, step = flood_once(adj.network, assets, source)
-            if step is None:
-                break
-            floods.append(step)
+            if g_network is not adj.network:
+                g, g_network = active_graph(adj.network, assets), adj.network
+            budget = adj.targets[source] - adj.injected[source]
+            if budget > 0:
+                check_graph()
+                step = solve_increase_step(adj.network, assets, source, budget, g)
+                if step is None or check_invariant:
+                    component = find_flood_component(g, condense(g), source)
+                    if (step is None) == (component is None):
+                        raise errors.InternalInvariantError(
+                            "singular response without a reachable flood"
+                            if step is None
+                            else "regular response despite a reachable flood"
+                        )
+                if step is not None:
+                    break
+            else:
+                component = find_flood_component(g, condense(g), source)
+                if component is None:
+                    break
+            flood = solve_flood_step(adj.network, assets, component, g)
+            floods.append(flood)
+            move(flood.direction, flood.scale)
             settle_defaulters()
             verify()
 
-        if source not in adj.targets:
+        if step is None:
             continue
-        budget = adj.targets[source] - adj.injected[source]
-        if budget <= 0:
-            continue  # a rewire settled this bank's deficit meanwhile
-        # The flood check above left ``g`` built for the current network and
-        # assets; the increase step reuses it.
-        check_graph(g)
-        step = solve_increase_step(adj.network, assets, source, budget, g)
         increases.append(step)
         adj.injected[source] += step.delta
-        for u, s_u in step.slopes.items():
-            if s_u:
-                assets[u] += step.delta * s_u
+        move(step.slopes, step.delta)
         settle_defaulters()
         verify()
 

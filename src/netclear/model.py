@@ -64,6 +64,15 @@ class PaymentFunction:
             return ZERO
         return self.slopes[idx]
 
+    def active_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
+        """``(slope_at(a), next border strictly above a)`` when that slope is
+        positive, else None; one bisection for both."""
+        pos = bisect_right(self.borders, a)
+        idx = max(pos - 1, 0)
+        if idx >= len(self.slopes) or self.slopes[idx] <= 0:
+            return None
+        return self.slopes[idx], self.borders[pos]
+
     def next_border_delta(self, a: Fraction) -> Fraction | None:
         """Distance to the next border strictly above ``a``; None past the last."""
         pos = bisect_right(self.borders, a)

@@ -14,6 +14,7 @@ from netclear import (
     reachable_from,
 )
 from netclear.errors import UnknownBankError
+from netclear.graphs import refresh_banks
 
 from corpus import random_network, random_state_in_box
 
@@ -47,6 +48,35 @@ class TestActiveGraph:
         g = active_graph(net, state)
         assert ("v", "w") not in set(g.slopes)
         assert ("v", "y") in set(g.slopes)
+
+    def test_example3_next_borders(self):
+        # the lowest border strictly above the assets over active out-claims;
+        # w owes nothing and gets no entry
+        net = example3()
+        assert active_graph(net, zero_state(net)).borders == {"u": 2, "v": 2, "y": 2}
+        state = ClearingState({"u": F(1), "v": F(2), "w": F(2), "y": F(0)})
+        assert active_graph(net, state).borders == {"u": 2, "v": 4, "y": 2}
+
+    def test_solvent_banks_have_no_next_border(self):
+        net = build_network(banks=[("a", 5), ("b", 0)], claims=[("a", "b", 2)])
+        g = active_graph(net, ClearingState({"a": F(2), "b": F(2)}))
+        assert g.borders == {}
+
+
+class TestRefreshBanks:
+    def test_partial_refresh_equals_fresh_build(self):
+        # move a random subset of banks and refresh only those; the states
+        # lie on a quarter grid, so banks often land exactly on a border
+        rng = random.Random(8128)
+        for _ in range(300):
+            net = random_network(rng, max_banks=6)
+            state = random_state_in_box(rng, net)
+            g = active_graph(net, state)
+            moved = [v for v in net.bank_ids() if rng.random() < 0.5]
+            state.update((v, x) for v, x in random_state_in_box(rng, net).items() if v in moved)
+            refresh_banks(g, net, state, moved)
+            fresh = active_graph(net, state)
+            assert (g.edges, g.slopes, g.borders) == (fresh.edges, fresh.slopes, fresh.borders)
 
 
 def brute_force_sccs(nodes, edges):

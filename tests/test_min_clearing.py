@@ -206,6 +206,15 @@ class TestIncreaseStep:
         assert step.slopes == {"v": F(1)}
         assert step.delta == 1
 
+    def test_singular_response_when_a_ring_is_reachable(self):
+        # past v's border at 2 the ring {v, y} is a non-singleton sink SCC
+        # reachable from u and from v, but not from w
+        net = example3()
+        state = {"u": F(1), "v": F(2), "w": F(2), "y": F(0)}
+        assert solve_increase_step(net, state, "u", F(1)) is None
+        assert solve_increase_step(net, state, "v", F(1)) is None
+        assert solve_increase_step(net, state, "w", F(1)).slopes == {"w": F(1)}
+
 
 class TestRewiring:
     def test_not_solvent_rejected(self):
@@ -344,7 +353,7 @@ class TestActiveGraphReuse:
     def test_one_build_per_step(self, monkeypatch):
         from netclear import minimal
 
-        calls = {"active_graph": 0, "rewire_solvent_bank": 0}
+        calls = {"active_graph": 0, "condense": 0, "rewire_solvent_bank": 0}
         for name in calls:
 
             def counted(*args, _name=name, _original=getattr(minimal, name)):
@@ -358,7 +367,10 @@ class TestActiveGraphReuse:
         floods, increases = len(run.flood_steps), len(run.increase_steps)
         rewires = calls["rewire_solvent_bank"]
         assert floods and increases and rewires
-        assert calls["active_graph"] <= increases + floods + rewires + 1
+        # one build per working network, refreshed in place between steps,
+        # and a condensation only where a flood is looked for
+        assert calls["active_graph"] <= rewires + 1
+        assert calls["condense"] <= floods + rewires + 1
         assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
 
     def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
@@ -375,7 +387,7 @@ class TestActiveGraphReuse:
             # drop every active edge: no flood is found, so the increase
             # step would run on this stale graph
             return graphs.ActiveGraph(
-                nodes=g.nodes, edges={v: () for v in g.nodes}, slopes={}
+                nodes=g.nodes, edges={v: () for v in g.nodes}, slopes={}, borders={}
             )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
@@ -397,10 +409,70 @@ class TestActiveGraphReuse:
             # slopes tells this graph from a fresh one
             pair = min(g.slopes)
             slopes = {**g.slopes, pair: g.slopes[pair] / 2}
-            return graphs.ActiveGraph(nodes=g.nodes, edges=g.edges, slopes=slopes)
+            return graphs.ActiveGraph(
+                nodes=g.nodes, edges=g.edges, slopes=slopes, borders=g.borders
+            )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
+            run_min_clearing(example3(), check_invariant=True)
+
+    def test_stale_border_rejected_under_invariant_check(self, monkeypatch):
+        from netclear import graphs, minimal
+        from netclear.errors import InternalInvariantError
+
+        builds = []
+
+        def first_build_wrong_border(net, state):
+            g = graphs.active_graph(net, state)
+            builds.append(g)
+            if len(builds) > 1:
+                return g
+            # the right edges and slopes, but one next border halved: the
+            # step would stop short of the true border, and only a comparison
+            # of the borders tells this graph from a fresh one
+            bank = min(g.borders)
+            borders = {**g.borders, bank: g.borders[bank] / 2}
+            return graphs.ActiveGraph(
+                nodes=g.nodes, edges=g.edges, slopes=g.slopes, borders=borders
+            )
+
+        monkeypatch.setattr(minimal, "active_graph", first_build_wrong_border)
+        with pytest.raises(InternalInvariantError, match="stale active graph"):
+            run_min_clearing(example3(), check_invariant=True)
+
+    def test_banks_tied_at_a_border_are_all_refreshed(self):
+        # a pays b and c in proportion and each passes its share on: the
+        # first step from a moves a, b and c onto their borders at once, and
+        # the second step reads all three refreshed
+        net = build_network(
+            banks=[("a", 3), ("b", 0), ("c", 0), ("d", 0), ("e", 0)],
+            claims=[("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "e", 1)],
+        )
+        run = run_min_clearing(net, check_invariant=True)
+        first, second = run.increase_steps
+        assert first.delta == 2
+        assert first.slopes == {"a": 1, "b": F(1, 2), "c": F(1, 2), "d": F(1, 2), "e": F(1, 2)}
+        assert second.slopes == {"a": 1} and second.delta == 1
+        assert run.state.as_dict() == {"a": 3, "b": 1, "c": 1, "d": 1, "e": 1}
+
+    def test_singular_response_without_flood_raises(self, monkeypatch):
+        from netclear import minimal
+        from netclear.errors import InternalInvariantError
+
+        monkeypatch.setattr(minimal, "find_flood_component", lambda g, cond, v=None: None)
+        with pytest.raises(InternalInvariantError, match="singular response"):
+            run_min_clearing(example3())
+
+    def test_flood_beside_regular_response_rejected_under_invariant_check(
+        self, monkeypatch
+    ):
+        from netclear import minimal
+        from netclear.errors import InternalInvariantError
+
+        ring = frozenset({"v", "y"})
+        monkeypatch.setattr(minimal, "find_flood_component", lambda g, cond, v=None: ring)
+        with pytest.raises(InternalInvariantError, match="regular response"):
             run_min_clearing(example3(), check_invariant=True)
 
 
