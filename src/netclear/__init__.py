@@ -15,7 +15,6 @@ from .clearing import (
     is_clearing_state,
     payments,
     phi,
-    reduced_assets,
     top_iterate,
 )
 from .graphs import active_graph, condense, find_flood_component, reachable_from
@@ -50,17 +49,11 @@ from .model import (
     make_proportional,
     validate_network,
 )
-from .priority import (
-    TransformCertificate,
-    compute_max_clearing_pp,
-    priority_structure,
-    to_priority_proportional,
-)
+from .priority import compute_max_clearing_pp, priority_structure
 from .trade import (
     TradeResult,
     TradeSpec,
     apply_trade,
     exists_creditor_positive,
-    nonunique_banks,
     optimal_creditor_positive_return,
 )

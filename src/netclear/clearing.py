@@ -56,12 +56,6 @@ def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=Non
     return ext + _inflow(net, state, v)
 
 
-def reduced_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:
-    bank = net.bank(v)
-    ext = bank.external_assets if externals is None else externals[v]
-    return bank.alpha * ext + bank.beta * _inflow(net, state, v)
-
-
 def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
     """One application of the asset-axiom map: a bank keeps its full incoming
     assets when they cover its liabilities, and the haircut assets otherwise."""

@@ -4,6 +4,8 @@ Every clearing state of a network without default cost is reachable from the
 minimal one by repeatedly flooding non-singleton sink SCCs of the active
 graph, partially or fully. Flooding to saturation yields the maximal state;
 flooding selectively answers range queries.
+Each walk holds one active graph, built at its start state, and steps
+through ``minimal.advance`` and ``minimal.flood_closure``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState, is_clearing_state
-from .graphs import active_graph, condense
-from .minimal import FloodStep, compute_min_clearing, flood_once, solve_flood_step
+from .graphs import ActiveGraph, active_graph, condense
+from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork
 from .rationals import parse_exact
 
@@ -28,10 +30,9 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
         )
 
 
-def _own_sink_flood(net: FinancialNetwork, assets, v: str) -> FloodStep | None:
-    """The flood step of the component of ``v`` in the active graph at
+def _own_sink_flood(g: ActiveGraph, net: FinancialNetwork, assets, v: str) -> FloodStep | None:
+    """The flood step of the component of ``v`` in ``g``, the active graph at
     ``assets``, or None when that component is not a non-singleton sink."""
-    g = active_graph(net, assets)
     cond = condense(g)
     if v not in cond.component_of:
         raise errors.UnknownBankError(v)
@@ -59,18 +60,17 @@ def apply_flood_sequence(
             f"start state is not a clearing state: {check.violations}"
         )
     assets = dict(start)
+    g = active_graph(net, assets)
     for bank_id, fraction in steps:
         fraction = parse_exact(fraction)
         if not (0 <= fraction <= 1):
             raise ValueError("flood fractions must lie in [0, 1]")
-        step = _own_sink_flood(net, assets, bank_id)
+        step = _own_sink_flood(g, net, assets, bank_id)
         if step is None:
             raise errors.NotASinkComponentError(
                 f"component of {bank_id!r} is not a non-singleton sink SCC"
             )
-        gamma = fraction * step.scale
-        for member, d in step.direction.items():
-            assets[member] += gamma * d
+        advance(g, net, assets, step.direction, fraction * step.scale)
     return ClearingState(assets)
 
 
@@ -78,8 +78,7 @@ def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     """Maximal clearing state by greedy saturation of floodable components."""
     require_no_default_cost(net, "compute_max_clearing_flood")
     assets = compute_min_clearing(net).as_dict()
-    while flood_once(net, assets)[1] is not None:
-        pass
+    flood_closure(active_graph(net, assets), net, assets)
     return ClearingState(assets)
 
 
@@ -140,6 +139,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
                 False, None, witness=bank_id, reason=INFEASIBLE_EXCEEDS
             )
 
+    g = active_graph(net, assets)
     while True:
         below = sorted(
             v for v, (lo, hi) in spec.targets.items() if assets[v] < lo
@@ -148,7 +148,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             return RangeResult(True, ClearingState(assets))
         v = below[0]
         lo_v = spec.targets[v][0]
-        step = _own_sink_flood(net, assets, v)
+        step = _own_sink_flood(g, net, assets, v)
         if step is None:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
         gamma_border = step.scale
@@ -166,8 +166,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             if room < gamma:
                 gamma = room
                 cap_bank = w
-        for member, d in step.direction.items():
-            assets[member] += gamma * d
+        advance(g, net, assets, step.direction, gamma)
         if cap_bank is not None and assets[v] < lo_v:
             return RangeResult(
                 False,

@@ -281,6 +281,8 @@ def border_scale(
             ratio = (borders[u] - state[u]) / rate
             if scale is None or ratio < scale:
                 scale = ratio
+    if scale is not None and scale <= 0:  # a fresh border lies strictly above its bank
+        raise errors.InternalInvariantError("no room before a border: stale active graph")
     return scale
 
 
@@ -307,22 +309,29 @@ def solve_flood_step(
     return FloodStep(component=component, direction=direction, scale=scale)
 
 
-def flood_once(
-    net: FinancialNetwork, assets: dict, source: str | None = None
-) -> tuple[ActiveGraph, FloodStep | None]:
-    """Saturate the non-singleton sink SCC of the active graph that
-    ``find_flood_component`` picks for ``source``, updating ``assets`` in
-    place. Returns the active graph the step was chosen on and the step, or
-    None (and then the graph describes ``assets``) when there is nothing to
-    flood."""
-    g = active_graph(net, assets)
-    component = find_flood_component(g, condense(g), source)
-    if component is None:
-        return g, None
-    step = solve_flood_step(net, assets, component, g)
-    for member, d in step.direction.items():
-        assets[member] += step.scale * d
-    return g, step
+def advance(g: ActiveGraph, net: FinancialNetwork, assets: dict, rates, scale: Fraction) -> None:
+    """Move each bank ``u`` by ``scale * rates[u]`` in place, a scale that
+    ``border_scale`` allowed on ``g``, the active graph of ``net`` at
+    ``assets``; then refresh the banks with a positive rate that landed on
+    their next border, the only ones whose active segment can change."""
+    for u, rate in rates.items():
+        if rate:
+            assets[u] += scale * rate
+    borders = g.borders
+    landed = [u for u, r in rates.items() if r > 0 and u in borders and assets[u] == borders[u]]
+    refresh_banks(g, net, assets, landed)
+
+
+def flood_closure(g: ActiveGraph, net: FinancialNetwork, assets: dict, source=None) -> None:
+    """Fully flood, in place, every non-singleton sink SCC of ``g`` (the active
+    graph of ``net`` at ``assets``, kept so) reachable from ``source``, or
+    every one when ``source`` is None, until none is left."""
+    while True:
+        component = find_flood_component(g, condense(g), source)
+        if component is None:
+            return
+        step = solve_flood_step(net, assets, component, g)
+        advance(g, net, assets, step.direction, step.scale)
 
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
@@ -430,22 +439,6 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 "stale active graph handed to the increase step"
             )
 
-    def move(rates: dict[str, Fraction], scale: Fraction) -> None:
-        """Move every bank by ``scale`` times its rate, a scale that
-        ``border_scale`` allowed on ``g``; then refresh the banks that landed
-        on their next border, which are the only ones whose active segment
-        can have changed."""
-        for u, rate in rates.items():
-            if rate:
-                assets[u] += scale * rate
-        borders = g.borders
-        refresh_banks(
-            g,
-            adj.network,
-            assets,
-            [u for u, rate in rates.items() if rate > 0 and assets[u] == borders.get(u)],
-        )
-
     def settle_defaulters() -> None:
         nonlocal assets
         changed = True
@@ -498,7 +491,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                     break
             flood = solve_flood_step(adj.network, assets, component, g)
             floods.append(flood)
-            move(flood.direction, flood.scale)
+            advance(g, adj.network, assets, flood.direction, flood.scale)
             settle_defaulters()
             verify()
 
@@ -506,7 +499,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
             continue
         increases.append(step)
         adj.injected[source] += step.delta
-        move(step.slopes, step.delta)
+        advance(g, adj.network, assets, step.slopes, step.delta)
         settle_defaulters()
         verify()
 

@@ -423,10 +423,40 @@ def _parse_piecewise(v, out, scheme, violations):
     return functions
 
 
+def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+    """The merged border grid of one bank's out-claims, with each claim's slope
+    on every grid segment ``[grid[j], grid[j + 1])``, in the order of
+    ``claims``. A claim whose borders are the grid, as under every class
+    scheme, keeps its slope tuple; any other claim is walked in step with the
+    grid. As in ``PaymentFunction.slope_at``, a claim's first slope applies
+    before its first border and zero past its last."""
+    first = claims[0].payment.borders
+    if all(claim.payment.borders is first for claim in claims) and all(
+        a < b for a, b in zip(first, first[1:])
+    ):
+        return first, [claim.payment.slopes for claim in claims]
+    grid = tuple(sorted({x for claim in claims for x in claim.payment.borders}))
+    rows = []
+    for claim in claims:
+        fn = claim.payment
+        if fn.borders == grid:
+            rows.append(fn.slopes)
+            continue
+        borders, own = fn.borders, fn.slopes
+        row = []
+        i = 0
+        for x in grid[:-1]:
+            while i < len(own) and borders[i + 1] <= x:
+                i += 1
+            row.append(own[i] if i < len(own) else ZERO)
+        rows.append(tuple(row))
+    return grid, rows
+
+
 def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> None:
     """Per-bank checks of the payment axioms: border lists anchored at 0 and
     L+(v), accumulated value equal to the liability, and slope sums equal to 1
-    below L+(v) (checked at every midpoint of the merged border grid)."""
+    on every segment of the merged border grid below L+(v)."""
     for v in net.bank_ids():
         out = net.out_claims(v)
         if not out:
@@ -468,15 +498,14 @@ def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) ->
 
         if total == 0:
             continue
-        grid = sorted({x for claim in out for x in claim.payment.borders})
-        for lo, hi in zip(grid, grid[1:]):
-            mid = (lo + hi) / 2
-            slope_sum = sum((c.payment.slope_at(mid) for c in out), ZERO)
+        grid, slopes = merged_slopes(out)
+        for j in range(len(grid) - 1):
+            slope_sum = sum((claim_slopes[j] for claim_slopes in slopes), ZERO)
             if slope_sum != 1:
                 violations.append(
                     Violation(
                         errors.SLOPE_SUM_VIOLATION,
-                        f"slopes sum to {slope_sum} on [{lo}, {hi})",
+                        f"slopes sum to {slope_sum} on [{grid[j]}, {grid[j + 1]})",
                         bank=v,
                     )
                 )

@@ -2,8 +2,10 @@
 
 Any network with piecewise-linear payments is equivalent to one with
 priority-proportional payments: merge each bank's out-edge borders into one
-grid, split every claim into one piece per grid class, and route each piece
-through a zero-asset relay bank so the result stays a simple graph.
+grid and split every claim into one piece per grid class. The route works on
+that class structure (``priority_structure``) directly; the explicit
+transformed network, with each piece routed through a zero-asset relay bank,
+is built only by the test suite's oracle.
 
 The maximal clearing state is then found by a counter descent: assume every
 bank pays all of its classes, test whether a consistent state exists, and
@@ -22,7 +24,7 @@ from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
-from .model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
+from .model import FinancialNetwork, merged_slopes
 from .rationals import ONE, ZERO
 
 
@@ -50,76 +52,17 @@ def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
         if not out or net.total_out(v) == 0:
             structure[v] = BankClasses(grid=(ZERO,), pieces=())
             continue
-        grid = sorted({x for claim in out for x in claim.payment.borders})
+        grid, slopes = merged_slopes(out)
         pieces: list[tuple[tuple[str, Fraction], ...]] = []
         for j in range(len(grid) - 1):
             width = grid[j + 1] - grid[j]
             entries = []
-            for claim in out:
-                slope = claim.payment.slope_at(grid[j])
-                if slope > 0:
-                    entries.append((claim.creditor, slope * width))
+            for claim, row in zip(out, slopes):
+                if row[j] > 0:
+                    entries.append((claim.creditor, row[j] * width))
             pieces.append(tuple(entries))
-        structure[v] = BankClasses(grid=tuple(grid), pieces=tuple(pieces))
+        structure[v] = BankClasses(grid=grid, pieces=tuple(pieces))
     return structure
-
-
-@dataclass(frozen=True)
-class TransformCertificate:
-    relays: dict[str, tuple[str, str, int]]  # relay id -> (debtor, creditor, class)
-    piece_edges: dict[tuple[str, str], tuple[str, ...]]  # claim -> relays per class
-
-
-def to_priority_proportional(
-    net: FinancialNetwork,
-) -> tuple[FinancialNetwork, TransformCertificate]:
-    """Equivalent network in which every bank pays by priority classes.
-
-    Each original claim is split into per-class pieces whose liabilities sum
-    to the original liability. A piece travels through a fresh relay bank with
-    a single pass-through edge of the piece's liability and slope 1, so no
-    parallel edges arise. The relay reaches that liability exactly when its
-    debtor reaches the piece's class border, so payments are unchanged.
-    Pieces with zero liability are dropped.
-    """
-    structure = priority_structure(net)
-    taken = set(net.bank_ids())
-    banks: list[Bank] = [net.bank(v) for v in net.bank_ids()]
-    claims: list[Claim] = []
-    relays: dict[str, tuple[str, str, int]] = {}
-    piece_edges: dict[tuple[str, str], dict[int, str]] = {
-        claim.pair: {} for claim in net.claims
-    }
-
-    for v in net.bank_ids():
-        classes = structure[v]
-        grid = classes.grid
-        k = classes.class_count
-        for j in range(k):
-            for creditor, liability in classes.pieces[j]:
-                relay_id = f"{v}~{creditor}~{j + 1}"
-                while relay_id in taken:
-                    relay_id += "_"
-                taken.add(relay_id)
-                relays[relay_id] = (v, creditor, j + 1)
-                piece_edges[(v, creditor)][j + 1] = relay_id
-                slopes = [ZERO] * k
-                slopes[j] = liability / classes.class_total(j)
-                claims.append(
-                    Claim(v, relay_id, liability, PaymentFunction(grid, tuple(slopes)))
-                )
-                passthrough = PaymentFunction((ZERO, liability), (ONE,))
-                claims.append(Claim(relay_id, creditor, liability, passthrough))
-                banks.append(Bank(relay_id, ZERO, ONE, ONE))
-
-    certificate = TransformCertificate(
-        relays=relays,
-        piece_edges={
-            pair: tuple(by_class[j] for j in sorted(by_class))
-            for pair, by_class in piece_edges.items()
-        },
-    )
-    return assemble(banks, claims), certificate
 
 
 # --- counter descent ---------------------------------------------------------

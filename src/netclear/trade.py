@@ -6,6 +6,8 @@ buyer whole form an interval just above the claim's current payment; its
 right end is found by walking the return upward along the exact linear
 response of the minimal clearing state, flooding newly formed sink components
 and re-solving at every payment-function border.
+The walk holds one active graph of the traded network, built at its minimal
+state, and steps through ``minimal.flood_closure`` and ``minimal.advance``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from fractions import Fraction
 
 from . import errors
 from .clearing import ClearingState
-from .graphs import ActiveGraph
-from .lattice import compute_max_clearing_flood, require_no_default_cost
-from .minimal import border_scale, compute_min_clearing, flood_once, response
+from .graphs import ActiveGraph, active_graph
+from .lattice import require_no_default_cost
+from .minimal import advance, border_scale, compute_min_clearing, flood_closure, response
 from .model import Bank, Claim, FinancialNetwork, assemble
 from .rationals import ONE, ZERO
 
@@ -79,24 +81,6 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
     return assemble(banks, claims, dict(net.schemes))
 
 
-def nonunique_banks(net: FinancialNetwork) -> frozenset[str]:
-    """Banks whose minimal and maximal clearing assets differ."""
-    require_no_default_cost(net, TRADING)
-    low = compute_min_clearing(net)
-    high = compute_max_clearing_flood(net)
-    return frozenset(v for v in net.bank_ids() if low[v] != high[v])
-
-
-def _flood_closure(net: FinancialNetwork, assets: dict, v: str):
-    """Fully flood every non-singleton sink SCC reachable from ``v``; returns
-    the flooded assets with their active graph."""
-    assets = dict(assets)
-    while True:
-        g, step = flood_once(net, assets, v)
-        if step is None:
-            return assets, g
-
-
 def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> dict:
     """Response of the minimal clearing state to moving one unit of external
     assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
@@ -141,8 +125,11 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     # depend on the return, so it is built once at rho_min.
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
     state = compute_min_clearing(traded).as_dict()
+    g = active_graph(traded, state)
     while True:
-        flooded, g = _flood_closure(traded, state, v)
+        # The stop path drops the flooded copy and ``g``, which describes it.
+        flooded = dict(state)
+        flood_closure(g, traded, flooded, v)
         slopes = _trade_slopes(traded, g, v, w)
         # The buyer's drift is never positive: its out-edges are frozen, so
         # it absorbs at most the unit injected at the seller.
@@ -156,11 +143,9 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
             break
         state = flooded
         # slopes[w] == 0 here, so the scan leaves the buyer out.
-        advance = border_scale(g, state, slopes, limit=cap - rho)
-        for u, s_u in slopes.items():
-            if s_u:
-                state[u] += advance * s_u
-        rho += advance
+        delta = border_scale(g, state, slopes, limit=cap - rho)
+        advance(g, traded, state, slopes, delta)
+        rho += delta
         if rho == cap:
             break
     return rho_min, rho, ClearingState(state), base, reason

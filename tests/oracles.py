@@ -11,7 +11,12 @@ None of this runs in the product:
   echelon form, the oracle for the sparse ``unit_left_nullspace``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
-  feasibility test that the block solver is cross-checked against.
+  feasibility test that the block solver is cross-checked against;
+- ``to_priority_proportional``: the explicit priority-proportional network
+  behind the pp route, the oracle of the paper's equivalence;
+- ``nonunique_banks``: the banks whose minimal and maximal clearing assets
+  differ;
+- ``reduced_assets``: the haircut branch of the asset axiom for one bank.
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from netclear.clearing import _inflow
 from netclear.errors import DegenerateMatrixError
-from netclear.model import FinancialNetwork
-from netclear.priority import BankClasses, _counter_system
+from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
+from netclear.minimal import compute_min_clearing
+from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
+from netclear.priority import BankClasses, _counter_system, priority_structure
 from netclear.rationals import ONE, ZERO
 
 
@@ -353,3 +361,77 @@ def build_counter_lp(
         ),
         order,
     )
+
+
+@dataclass(frozen=True)
+class TransformCertificate:
+    relays: dict[str, tuple[str, str, int]]  # relay id -> (debtor, creditor, class)
+    piece_edges: dict[tuple[str, str], tuple[str, ...]]  # claim -> relays per class
+
+
+def to_priority_proportional(
+    net: FinancialNetwork,
+) -> tuple[FinancialNetwork, TransformCertificate]:
+    """Equivalent network in which every bank pays by priority classes.
+
+    Each original claim is split into per-class pieces whose liabilities sum
+    to the original liability. A piece travels through a fresh relay bank with
+    a single pass-through edge of the piece's liability and slope 1, so no
+    parallel edges arise. The relay reaches that liability exactly when its
+    debtor reaches the piece's class border, so payments are unchanged.
+    Pieces with zero liability are dropped.
+    """
+    structure = priority_structure(net)
+    taken = set(net.bank_ids())
+    banks: list[Bank] = [net.bank(v) for v in net.bank_ids()]
+    claims: list[Claim] = []
+    relays: dict[str, tuple[str, str, int]] = {}
+    piece_edges: dict[tuple[str, str], dict[int, str]] = {
+        claim.pair: {} for claim in net.claims
+    }
+
+    for v in net.bank_ids():
+        classes = structure[v]
+        grid = classes.grid
+        k = classes.class_count
+        for j in range(k):
+            for creditor, liability in classes.pieces[j]:
+                relay_id = f"{v}~{creditor}~{j + 1}"
+                while relay_id in taken:
+                    relay_id += "_"
+                taken.add(relay_id)
+                relays[relay_id] = (v, creditor, j + 1)
+                piece_edges[(v, creditor)][j + 1] = relay_id
+                slopes = [ZERO] * k
+                slopes[j] = liability / classes.class_total(j)
+                claims.append(
+                    Claim(v, relay_id, liability, PaymentFunction(grid, tuple(slopes)))
+                )
+                passthrough = PaymentFunction((ZERO, liability), (ONE,))
+                claims.append(Claim(relay_id, creditor, liability, passthrough))
+                banks.append(Bank(relay_id, ZERO, ONE, ONE))
+
+    certificate = TransformCertificate(
+        relays=relays,
+        piece_edges={
+            pair: tuple(by_class[j] for j in sorted(by_class))
+            for pair, by_class in piece_edges.items()
+        },
+    )
+    return assemble(banks, claims), certificate
+
+
+def nonunique_banks(net: FinancialNetwork) -> frozenset[str]:
+    """Banks whose minimal and maximal clearing assets differ."""
+    require_no_default_cost(net, "claims trading")
+    low = compute_min_clearing(net)
+    high = compute_max_clearing_flood(net)
+    return frozenset(v for v in net.bank_ids() if low[v] != high[v])
+
+
+def reduced_assets(net: FinancialNetwork, state, v: str, externals=None) -> Fraction:
+    """Assets of ``v`` under its default haircuts: ``alpha`` times its external
+    assets plus ``beta`` times its incoming payments at ``state``."""
+    bank = net.bank(v)
+    ext = bank.external_assets if externals is None else externals[v]
+    return bank.alpha * ext + bank.beta * _inflow(net, state, v)

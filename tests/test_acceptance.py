@@ -18,19 +18,18 @@ from netclear import (
     compute_max_clearing_pp,
     compute_min_clearing,
     is_clearing_state,
-    nonunique_banks,
     optimal_creditor_positive_return,
     payments,
     phi,
     run_min_clearing,
     solve_range_clearing,
-    to_priority_proportional,
     top_iterate,
     RangeSpec,
 )
 from netclear.errors import NoCreditorPositiveTradeError
 
 from corpus import random_network, random_trade_instance
+from oracles import nonunique_banks, to_priority_proportional
 
 GAP_TOLERANCE = F(1, 10**6)
 ORACLE_STEPS = 10**4

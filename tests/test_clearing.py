@@ -14,12 +14,12 @@ from netclear import (
     is_clearing_state,
     payments,
     phi,
-    reduced_assets,
     top_iterate,
 )
 from netclear.errors import DefaultCostUnsupportedError, UnknownBankError
 
 from corpus import random_network, random_state_in_box
+from oracles import reduced_assets
 
 
 def example1():

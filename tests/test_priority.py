@@ -12,7 +12,6 @@ from netclear import (
     compute_min_clearing,
     is_clearing_state,
     priority_structure,
-    to_priority_proportional,
 )
 from netclear.priority import (
     _blocks_in_order,
@@ -26,7 +25,7 @@ from netclear.priority import (
 )
 
 from corpus import random_network
-from oracles import build_counter_lp, simplex_solve
+from oracles import build_counter_lp, simplex_solve, to_priority_proportional
 
 
 def figure1_ranked():

@@ -1,9 +1,9 @@
-"""Byte guard: min-clear results stay identical to the recorded benchmark
-reference.
+"""Byte guard: results stay identical to the recorded benchmark reference.
 
 The ops come from the benchmark's own workload code at its default seed: every
-``min-clear`` op of ``sweep-small`` and the first 24 ``lattice-rings`` ops
-(flood max, range and trade, which run min-clear inside). Each runs through
+``min-clear`` op of ``sweep-small``, all 72 ``lattice-rings`` ops (flood max,
+range and trade, which run min-clear and the walks above it) and the first 20
+``max-pp`` ops (counter descent on mixed class schemes). Each runs through
 ``netclear.cli.main`` with stdout captured, and its exit code and the
 sha256 of its stdout must equal ``bench/reference.json``. The input
 documents are written to a temporary directory; nothing under ``bench/`` is
@@ -30,9 +30,11 @@ def bench_run(tmp_path_factory):
     return module
 
 
+# workload -> (ops picked from the full list, how many that must be)
 PICKS = {
-    "sweep-small": lambda ops: [op for op in ops if op.kind == "min-clear"],
-    "lattice-rings": lambda ops: ops[:24],
+    "sweep-small": (lambda ops: [op for op in ops if op.kind == "min-clear"], 200),
+    "lattice-rings": (lambda ops: ops, 72),
+    "max-pp": (lambda ops: ops[:20], 20),
 }
 
 
@@ -42,8 +44,9 @@ def test_outputs_match_reference_digests(bench_run, workload):
         reference = json.load(handle)
     seed = bench_run.workloads.DEFAULT_SEED
     assert reference["seed"] == seed
-    ops = PICKS[workload](bench_run.build_ops(workload, seed))
-    assert len(ops) >= 24
+    pick, count = PICKS[workload]
+    ops = pick(bench_run.build_ops(workload, seed))
+    assert len(ops) == count
     expected = reference["workloads"][workload]
     mismatched = []
     for op in ops:

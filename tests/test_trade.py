@@ -11,7 +11,6 @@ from netclear import (
     build_network,
     compute_min_clearing,
     exists_creditor_positive,
-    nonunique_banks,
     optimal_creditor_positive_return,
 )
 from netclear.errors import (
@@ -22,6 +21,7 @@ from netclear.errors import (
 )
 
 from corpus import random_network
+from oracles import nonunique_banks
 
 
 def trade_fixture():
