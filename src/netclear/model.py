@@ -456,12 +456,15 @@ def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ..
 def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> None:
     """Per-bank checks of the payment axioms: border lists anchored at 0 and
     L+(v), accumulated value equal to the liability, and slope sums equal to 1
-    on every segment of the merged border grid below L+(v)."""
+    on every segment of the merged border grid below L+(v). A bank with a
+    border list that does not strictly increase from 0 gets no slope-sum
+    check: its slopes on the merged grid are not defined."""
     for v in net.bank_ids():
         out = net.out_claims(v)
         if not out:
             continue
         total = net.total_out(v)
+        unordered = False
         for claim in out:
             fn = claim.payment
             if fn.borders[0] != 0 or any(
@@ -475,6 +478,7 @@ def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) ->
                         claim=claim.pair,
                     )
                 )
+                unordered = True
                 continue
             if fn.borders[-1] != total:
                 violations.append(
@@ -496,7 +500,7 @@ def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) ->
                     )
                 )
 
-        if total == 0:
+        if total == 0 or unordered:
             continue
         grid, slopes = merged_slopes(out)
         for j in range(len(grid) - 1):

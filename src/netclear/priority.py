@@ -10,14 +10,19 @@ is built only by the test suite's oracle.
 The maximal clearing state is then found by a counter descent: assume every
 bank pays all of its classes, test whether a consistent state exists, and
 lower the counters of the banks whose class floor is unreachable until the
-test passes. The feasibility test and the final maximization are solved
-exactly on the class structure (relays eliminated by substitution); both are
-cross-checked against the explicit LP formulation in the test suite.
+test passes. One counter system serves the whole descent: a lowering
+refreshes only the rows it touches (the lowered banks' own, and those of the
+creditors in the classes they leave and enter), a round takes a block of two
+or more banks from the last round when its rows and inputs are unchanged,
+and a one-bank block is solved by substitution. The feasibility test and the
+final maximization are solved exactly on the class structure (relays
+eliminated by substitution); both are cross-checked against the explicit LP
+formulation in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
@@ -74,7 +79,8 @@ class _CounterSystem:
     With counters r, anything a bank pays on classes up to r is a constant and
     class r+1 is paid proportionally to the headroom t_v - x_{v,r}. Incoming
     payments are therefore affine in t, so assets satisfy a = W t + c with
-    W >= 0 and every cycle product <= 1.
+    W >= 0 and every cycle product <= 1. The row maps are updated in place by
+    ``_refresh_rows``, so one system serves a whole descent.
     """
 
     order: tuple[str, ...]
@@ -82,51 +88,84 @@ class _CounterSystem:
     c: dict[str, Fraction]
     floor: dict[str, Fraction]  # x_{v, r_v}
     cap: dict[str, Fraction | None]  # x_{v, r_v + 1}; None when r_v = k_v
+    # sources[v][u]: (class index, piece liability) of v's pieces among the
+    # classes of its debtor u, in class order; debtors in bank order
+    sources: dict[str, dict[str, list[tuple[int, Fraction]]]] = field(
+        default_factory=dict
+    )
+
+
+def _refresh_rows(
+    system: _CounterSystem,
+    net: FinancialNetwork,
+    structure: dict[str, BankClasses],
+    counters: dict[str, int],
+    banks,
+) -> None:
+    """Recompute, in place, the rows of ``banks`` at ``counters``; other rows
+    are left as they are. A bank's row is its floor and cap, and what its
+    debtors pay into it, each linearised on its own counter segment, scaled
+    by the bank's haircuts (alpha on external assets, beta on payments)
+    unless its counter is at the top."""
+    for v in banks:
+        bank = net.bank(v)
+        classes = structure[v]
+        r = counters[v]
+        solvent = r == classes.class_count
+        system.floor[v] = classes.grid[r]
+        system.cap[v] = None if solvent else classes.grid[r + 1]
+        row: dict[str, Fraction] = {}
+        paid = ZERO  # constant part of the unscaled inflow
+        for u, pieces in system.sources[v].items():
+            ru = counters[u]
+            for j, liability in pieces:
+                if j < ru:
+                    paid += liability
+                    continue
+                if j == ru:
+                    debtor = structure[u]
+                    share = liability / debtor.class_total(ru)
+                    row[u] = share
+                    paid -= share * debtor.grid[ru]
+                break
+        if solvent:
+            system.w[v] = row
+            system.c[v] = bank.external_assets + paid
+        else:
+            beta = bank.beta
+            system.w[v] = {u: beta * share for u, share in row.items()}
+            system.c[v] = bank.alpha * bank.external_assets + beta * paid
 
 
 def _counter_system(
     net: FinancialNetwork, structure: dict[str, BankClasses], counters: dict[str, int]
 ) -> _CounterSystem:
-    w: dict[str, dict[str, Fraction]] = {v: {} for v in net.bank_ids()}
-    c: dict[str, Fraction] = {}
-    floor: dict[str, Fraction] = {}
-    cap: dict[str, Fraction | None] = {}
-    for v in net.bank_ids():
-        bank = net.bank(v)
-        classes = structure[v]
-        r = counters[v]
-        floor[v] = classes.grid[r]
-        cap[v] = classes.grid[r + 1] if r < classes.class_count else None
-        solvent_row = r == classes.class_count
-        scale_ext = ONE if solvent_row else bank.alpha
-        c[v] = scale_ext * bank.external_assets
+    """The system at ``counters``: a refresh of every row."""
+    order = net.bank_ids()
+    sources: dict[str, dict[str, list[tuple[int, Fraction]]]] = {v: {} for v in order}
+    for u in order:
+        for j, pieces in enumerate(structure[u].pieces):
+            for creditor, liability in pieces:
+                sources[creditor].setdefault(u, []).append((j, liability))
+    system = _CounterSystem(order=order, w={}, c={}, floor={}, cap={}, sources=sources)
+    _refresh_rows(system, net, structure, counters, order)
+    return system
 
-    for u in net.bank_ids():
-        classes = structure[u]
-        r = counters[u]
-        fixed: dict[str, Fraction] = {}
-        for j in range(r):
-            for creditor, liability in classes.pieces[j]:
-                fixed[creditor] = fixed.get(creditor, ZERO) + liability
-        for creditor, amount in fixed.items():
-            bank = net.bank(creditor)
-            scale = ONE if counters[creditor] == structure[creditor].class_count else bank.beta
-            c[creditor] += scale * amount
-        if r < classes.class_count:
-            class_total = classes.class_total(r)
-            for creditor, liability in classes.pieces[r]:
-                bank = net.bank(creditor)
-                scale = (
-                    ONE
-                    if counters[creditor] == structure[creditor].class_count
-                    else bank.beta
-                )
-                coeff = scale * liability / class_total
-                w[creditor][u] = w[creditor].get(u, ZERO) + coeff
-                c[creditor] -= coeff * classes.grid[r]
-    return _CounterSystem(
-        order=net.bank_ids(), w=w, c=c, floor=floor, cap=cap
-    )
+
+def _lower(system, net, structure, counters, banks) -> set[str]:
+    """Lower the counter of each of ``banks`` by one and refresh the rows that
+    this touches: the lowered banks' own, and those of the creditors in the
+    class each one leaves (no longer paid) and the class it enters (now paid
+    in proportion). Returns the refreshed banks."""
+    touched = set(banks)
+    for v in banks:
+        pieces = structure[v].pieces
+        r = counters[v] - 1
+        counters[v] = r
+        for j in range(r, min(r + 2, len(pieces))):
+            touched.update(creditor for creditor, _ in pieces[j])
+    _refresh_rows(system, net, structure, counters, touched)
+    return touched
 
 
 class _Insatiable(Exception):
@@ -182,20 +221,28 @@ def _assets(system: _CounterSystem, t, v: str) -> Fraction:
     return acc
 
 
-def _solve_block_least(system, block, t):
+def _solve_block_least(system, block, t) -> dict[str, Fraction]:
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
-    inputs, by promoting coordinates from their floors as forced."""
+    inputs, by promoting coordinates from their floors as forced. Returns
+    the members' assets."""
     members = sorted(block)
+    if len(members) == 1:
+        # No bank has a claim on itself, so a_v does not read t_v.
+        v = members[0]
+        assets = _assets(system, t, v)
+        t[v] = max(system.floor[v], assets)
+        return {v: assets}
     flow: set[str] = set()
     for v in members:
         t[v] = system.floor[v]
 
     while True:
-        promote = [
-            v for v in members if v not in flow and _assets(system, t, v) > t[v]
-        ]
+        assets = {v: _assets(system, t, v) for v in members if v not in flow}
+        promote = [v for v, a in assets.items() if a > t[v]]
         if not promote:
-            return
+            # the flow equalities hold on the promoted members: a = t there
+            assets.update((v, t[v]) for v in flow)
+            return assets
         flow.update(promote)
         f = sorted(flow)
         solution = solve_linear_system(*_flow_rows(system, f, t))
@@ -220,7 +267,7 @@ def _solve_block_least(system, block, t):
         )
         for i, v in enumerate(f):
             t[v] = particular[i] + gamma * direction[i]
-        return
+        return {v: t[v] for v in members}
 
 
 def _solve_singular_line(system, members, t):
@@ -246,6 +293,10 @@ def _solve_block_greatest(system, block, t):
     """Exact flow equalities on a block, taking the largest point under the
     caps when the block carries a free circulation."""
     members = sorted(block)
+    if len(members) == 1:
+        v = members[0]
+        t[v] = _assets(system, t, v)
+        return
     solution = solve_linear_system(*_flow_rows(system, members, t))
     if solution is not None:
         for i, v in enumerate(members):
@@ -268,56 +319,100 @@ def _solve_block_greatest(system, block, t):
         t[v] = particular[i] + gamma * direction[i]
 
 
-def _solve_counters(net, structure, counters, mode):
-    """Solve the feasibility system at fixed counters.
+@dataclass(frozen=True)
+class _Solved:
+    """A block's least solve: the values it read from outside the block, and
+    its members' t and assets."""
 
-    ``mode='least'`` returns the normalized minimum-offset solution
-    ``(t, a, d)``; ``mode='greatest'`` returns the asset-maximal exact state.
-    Raises ``_Insatiable`` when a closed block cannot absorb its injection.
+    members: list[str]
+    inputs: dict[str, Fraction]
+    t: dict[str, Fraction]
+    a: dict[str, Fraction]
+
+
+def _forget(solved: dict[str, _Solved], banks) -> None:
+    """Drop every record that has one of ``banks`` as a member."""
+    for v in banks:
+        record = solved.pop(v, None)
+        if record is not None:
+            for u in record.members:
+                solved.pop(u, None)
+
+
+def _reusable(system, block, t, solved) -> _Solved | None:
+    """The record of ``block``'s last least solve, if a new solve would give
+    the same: the same members, none of their rows refreshed since (a
+    refresh forgets them), and the same values of every input."""
+    record = solved.get(block[0])
+    if record is None or record.members != block:
+        return None
+    for u, value in record.inputs.items():
+        if t[u] != value:
+            return None
+    return record
+
+
+def _solve_counters(system: _CounterSystem, mode: str, solved=None):
+    """Solve the feasibility system block by block, inputs first.
+
+    ``mode='least'`` returns ``(t, a)``, the least solution of
+    t = max(floor, W t + c) and its assets. With ``solved``, a block of two
+    or more banks that ``_reusable`` finds there is taken from it, and every
+    such block solved is recorded in it; a one-bank block costs one asset
+    evaluation, no more than checking its inputs. ``mode='greatest'``
+    returns the asset-maximal exact state, where the flow equalities make
+    ``a = t``. Raises ``_Insatiable`` when a closed block cannot absorb its
+    injection.
     """
-    system = _counter_system(net, structure, counters)
     t: dict[str, Fraction] = {}
+    a: dict[str, Fraction] = {}
     for block in _blocks_in_order(system):
-        if mode == "least":
-            _solve_block_least(system, block, t)
-        else:
+        if mode == "greatest":
             _solve_block_greatest(system, block, t)
-    a = {v: _assets(system, t, v) for v in system.order}
-    d = {v: t[v] - a[v] for v in system.order}
-    return t, a, d
+        elif solved is None or len(block) == 1:
+            a.update(_solve_block_least(system, block, t))
+        else:
+            record = _reusable(system, block, t, solved)
+            if record is None:
+                _forget(solved, block)
+                assets = _solve_block_least(system, block, t)
+                inside = set(block)
+                inputs = {u: t[u] for v in block for u in system.w[v] if u not in inside}
+                record = _Solved(block, inputs, {v: t[v] for v in block}, assets)
+                for v in block:
+                    solved[v] = record
+            t.update(record.t)
+            a.update(record.a)
+    t = {v: t[v] for v in system.order}
+    return t, (t if mode == "greatest" else {v: a[v] for v in system.order})
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
     """Maximal clearing state via counter descent; default costs allowed."""
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
+    system = _counter_system(net, structure, counters)
+    solved: dict[str, _Solved] = {}
     for _ in range(sum(counters.values()) + 1):
         try:
-            t, a, d = _solve_counters(net, structure, counters, "least")
+            t, a = _solve_counters(system, "least", solved)
         except _Insatiable as blocked:
-            lowered = False
-            for v in sorted(blocked.members):
-                if counters[v] > 0:
-                    counters[v] -= 1
-                    lowered = True
+            lowered = [v for v in sorted(blocked.members) if counters[v] > 0]
             if not lowered:
                 raise errors.InternalInvariantError(
                     "insatiable block with all counters at zero"
                 )
-            continue
-        offenders = sorted(v for v, offset in d.items() if offset > 0)
-        if not offenders:
-            _, a, _ = _solve_counters(net, structure, counters, "greatest")
-            state = ClearingState(a)
-            if not is_clearing_state(net, state).ok:
-                raise errors.InternalInvariantError(
-                    "counter descent settled on a non-clearing state"
-                )
-            return state
-        for v in offenders:
-            if counters[v] == 0:
-                raise errors.InternalInvariantError(
-                    "positive offset at counter zero"
-                )
-            counters[v] -= 1
+        else:
+            lowered = sorted(v for v in system.order if a[v] < t[v])
+            if not lowered:
+                # the last least round ran at these counters: same system
+                state = ClearingState(_solve_counters(system, "greatest")[0])
+                if not is_clearing_state(net, state).ok:
+                    raise errors.InternalInvariantError(
+                        "counter descent settled on a non-clearing state"
+                    )
+                return state
+            if any(counters[v] == 0 for v in lowered):
+                raise errors.InternalInvariantError("positive offset at counter zero")
+        _forget(solved, _lower(system, net, structure, counters, lowered))
     raise errors.InternalInvariantError("counter descent failed to terminate")

@@ -202,6 +202,43 @@ class TestValidateNetwork:
             validate_network(raw)
         assert BORDER_MISMATCH in {v.kind for v in err.value.violations}
 
+    def test_unordered_borders_skip_slope_sums(self):
+        """A bank whose border list does not increase gets its border
+        mismatch and no slope-sum lines; the other banks keep theirs."""
+        raw = {
+            "banks": [{"id": "v"}, {"id": "w"}, {"id": "a"}, {"id": "b"}],
+            "claims": [
+                {"debtor": "v", "creditor": "a", "liability": 6},
+                {"debtor": "v", "creditor": "b", "liability": 4},
+                {"debtor": "w", "creditor": "a", "liability": 6},
+                {"debtor": "w", "creditor": "b", "liability": 4},
+            ],
+            "payment_schemes": {
+                "v": {
+                    "type": "piecewise",
+                    "edges": [
+                        {"creditor": "a", "borders": [0, 8, 3, 10], "slopes": [1, 0, "1/2"]},
+                        {"creditor": "b", "borders": [0, 4, 10], "slopes": [0, "2/3"]},
+                    ],
+                },
+                "w": {
+                    "type": "piecewise",
+                    "edges": [
+                        {"creditor": "a", "borders": [0, 5, 10], "slopes": [1, "1/5"]},
+                        {"creditor": "b", "borders": [0, 5, 10], "slopes": ["1/5", "3/5"]},
+                    ],
+                },
+            },
+        }
+        with pytest.raises(NetworkValidationError) as err:
+            validate_network(raw)
+        found = [(v.kind, v.bank, v.claim) for v in err.value.violations]
+        assert found == [
+            (BORDER_MISMATCH, "v", ("v", "a")),
+            (SLOPE_SUM_VIOLATION, "w", None),
+            (SLOPE_SUM_VIOLATION, "w", None),
+        ]
+
 
 def _random_rationals(rng, count, top):
     for _ in range(count):

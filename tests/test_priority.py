@@ -13,6 +13,7 @@ from netclear import (
     is_clearing_state,
     priority_structure,
 )
+from netclear import priority
 from netclear.priority import (
     _blocks_in_order,
     _counter_system,
@@ -25,6 +26,7 @@ from netclear.priority import (
 )
 
 from corpus import random_network
+from counter_checks import check_counter_freshness
 from oracles import build_counter_lp, simplex_solve, to_priority_proportional
 
 
@@ -199,6 +201,80 @@ class TestClosedBlock:
         with pytest.raises(_Insatiable):
             _solve_block_least(system, {"b0", "b1", "b2"}, {})
 
+    def test_singleton_block_by_substitution(self, monkeypatch):
+        """A one-bank block reads only inputs (there are no self-loops), so
+        t = max(floor, a) in the least mode and t = a in the greatest, with
+        no linear solve."""
+
+        def no_solve(*args):
+            raise AssertionError("linear solve on a one-bank block")
+
+        monkeypatch.setattr(priority, "solve_linear_system", no_solve)
+        system = _CounterSystem(
+            order=("s", "x"),
+            w={"s": {"x": F(1, 2)}, "x": {}},
+            c={"s": F(1), "x": F(4)},
+            floor={"s": F(2), "x": F(0)},
+            cap={"s": F(5), "x": None},
+        )
+        for x, least, greatest in ((F(4), F(3), F(3)), (F(1), F(2), F(3, 2))):
+            t = {"x": x}
+            assert _solve_block_least(system, {"s"}, t) == {"s": F(1) + x / 2}
+            assert t["s"] == least
+            t = {"x": x}
+            _solve_block_greatest(system, {"s"}, t)
+            assert t["s"] == greatest
+
+
+def walk_counters(net, rng):
+    """Drive the held counter system down to zero counters by random
+    lowerings, and by the members of every insatiable block, as the descent
+    does."""
+    structure = priority_structure(net)
+    counters = {v: structure[v].class_count for v in net.bank_ids()}
+    system = _counter_system(net, structure, counters)
+    solved = {}
+    while any(counters.values()):
+        try:
+            priority._solve_counters(system, "least", solved)
+            lowered = [v for v in sorted(counters) if counters[v] and rng.random() < 0.3]
+        except _Insatiable as blocked:
+            lowered = [v for v in sorted(blocked.members) if counters[v]]
+            if not lowered:
+                break
+        if lowered:
+            priority._forget(solved, priority._lower(system, net, structure, counters, lowered))
+
+
+class TestHeldSystem:
+    """One counter system serves the descent: after every lowering it must
+    equal a fresh build, and every block taken over from an earlier round
+    must equal a new solve."""
+
+    def test_descent_with_default_costs(self, monkeypatch):
+        counts = check_counter_freshness(monkeypatch)
+        rng = random.Random(4711)
+        for _ in range(60):
+            net = random_network(
+                rng, max_banks=10, min_banks=5, max_external=3, edge_prob=0.4, default_cost=True
+            )
+            assert is_clearing_state(net, compute_max_clearing_pp(net)).ok
+        assert counts["lowerings"] >= 200 and counts["reused"] >= 10
+
+    def test_driven_walk_through_insatiable_blocks(self, monkeypatch):
+        """The descent itself met no insatiable block on thousands of corpus
+        networks, so this walk lowers counters at random: rounds then stop at
+        insatiable blocks after solving the blocks before them."""
+        counts = check_counter_freshness(monkeypatch)
+        rng = random.Random(3)
+        for _ in range(150):
+            net = random_network(
+                rng, max_external=2, edge_prob=0.7, default_cost=True, alphas=(F(1, 2), F(1))
+            )
+            walk_counters(net, rng)
+        assert counts["insatiable"] >= 10
+        assert counts["lowerings"] >= 500 and counts["reused"] >= 200
+
 
 class TestAgainstSimplex:
     def test_block_solver_matches_lp_optimum(self):
@@ -213,14 +289,15 @@ class TestAgainstSimplex:
             for v in counters:
                 if counters[v] and rng.random() < 0.5:
                     counters[v] -= rng.randint(0, counters[v])
+            system = _counter_system(net, structure, counters)
             try:
-                t, a, d = _solve_counters(net, structure, counters, "least")
+                t, a = _solve_counters(system, "least")
             except Exception:
                 continue  # insatiable interior states are exercised elsewhere
+            d = {v: t[v] - a[v] for v in t}
             lp, order = build_counter_lp(net, structure, counters)
             result = simplex_solve(lp)
             assert result.status == "optimal"
-            system = _counter_system(net, structure, counters)
             constant = sum((system.c[v] for v in order), F(0))
             my_offset_total = sum((d[v] for v in order), F(0))
             # the LP minimizes sum((I - W) t) = sum(d) + sum(c)

@@ -1,9 +1,10 @@
 """Byte guard: results stay identical to the recorded benchmark reference.
 
 The ops come from the benchmark's own workload code at its default seed: every
-``min-clear`` op of ``sweep-small``, all 72 ``lattice-rings`` ops (flood max,
-range and trade, which run min-clear and the walks above it) and the first 20
-``max-pp`` ops (counter descent on mixed class schemes). Each runs through
+``min-clear`` and every ``max-clear-pp`` op of ``sweep-small``, all 72
+``lattice-rings`` ops (flood max, range and trade, which run min-clear and the
+walks above it) and the first 20 ``max-pp`` ops (counter descent on mixed
+class schemes); the slow tier checks all 200 ``max-pp`` ops. Each runs through
 ``netclear.cli.main`` with stdout captured, and its exit code and the
 sha256 of its stdout must equal ``bench/reference.json``. The input
 documents are written to a temporary directory; nothing under ``bench/`` is
@@ -30,21 +31,30 @@ def bench_run(tmp_path_factory):
     return module
 
 
-# workload -> (ops picked from the full list, how many that must be)
+def of_kind(kind):
+    return lambda ops: [op for op in ops if op.kind == kind]
+
+
+# case -> (workload, ops picked from its full list, how many that must be)
 PICKS = {
-    "sweep-small": (lambda ops: [op for op in ops if op.kind == "min-clear"], 200),
-    "lattice-rings": (lambda ops: ops, 72),
-    "max-pp": (lambda ops: ops[:20], 20),
+    "sweep-small": ("sweep-small", of_kind("min-clear"), 200),
+    "sweep-small-pp": ("sweep-small", of_kind("max-clear-pp"), 200),
+    "lattice-rings": ("lattice-rings", lambda ops: ops, 72),
+    "max-pp": ("max-pp", lambda ops: ops[:20], 20),
+    "max-pp-all": ("max-pp", lambda ops: ops, 200),
 }
+SLOW = {"max-pp-all"}
 
 
-@pytest.mark.parametrize("workload", sorted(PICKS))
-def test_outputs_match_reference_digests(bench_run, workload):
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, marks=pytest.mark.slow) if c in SLOW else c for c in sorted(PICKS)]
+)
+def test_outputs_match_reference_digests(bench_run, case):
     with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as handle:
         reference = json.load(handle)
     seed = bench_run.workloads.DEFAULT_SEED
     assert reference["seed"] == seed
-    pick, count = PICKS[workload]
+    workload, pick, count = PICKS[case]
     ops = pick(bench_run.build_ops(workload, seed))
     assert len(ops) == count
     expected = reference["workloads"][workload]
