@@ -12,17 +12,16 @@ bank pays all of its classes, test whether a consistent state exists, and
 lower the counters of the banks whose class floor is unreachable until the
 test passes. One counter system serves the whole descent: a lowering
 refreshes only the rows it touches (the lowered banks' own, and those of the
-creditors in the classes they leave and enter), a round takes a block of two
-or more banks from the last round when its rows and inputs are unchanged,
-and a one-bank block is solved by substitution. The feasibility test and the
-final maximization are solved exactly on the class structure (relays
-eliminated by substitution); both are cross-checked against the explicit LP
-formulation in the test suite.
+creditors in the classes they leave and enter), and a one-bank block is
+solved by substitution. The feasibility test and the final maximization are
+solved exactly on the class structure (relays eliminated by substitution);
+both are cross-checked against the explicit LP formulation in the test
+suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -90,9 +89,7 @@ class _CounterSystem:
     cap: dict[str, Fraction | None]  # x_{v, r_v + 1}; None when r_v = k_v
     # sources[v][u]: (class index, piece liability) of v's pieces among the
     # classes of its debtor u, in class order; debtors in bank order
-    sources: dict[str, dict[str, list[tuple[int, Fraction]]]] = field(
-        default_factory=dict
-    )
+    sources: dict[str, dict[str, list[tuple[int, Fraction]]]]
 
 
 def _refresh_rows(
@@ -152,11 +149,11 @@ def _counter_system(
     return system
 
 
-def _lower(system, net, structure, counters, banks) -> set[str]:
+def _lower(system, net, structure, counters, banks) -> None:
     """Lower the counter of each of ``banks`` by one and refresh the rows that
     this touches: the lowered banks' own, and those of the creditors in the
     class each one leaves (no longer paid) and the class it enters (now paid
-    in proportion). Returns the refreshed banks."""
+    in proportion)."""
     touched = set(banks)
     for v in banks:
         pieces = structure[v].pieces
@@ -165,7 +162,6 @@ def _lower(system, net, structure, counters, banks) -> set[str]:
         for j in range(r, min(r + 2, len(pieces))):
             touched.update(creditor for creditor, _ in pieces[j])
     _refresh_rows(system, net, structure, counters, touched)
-    return touched
 
 
 class _Insatiable(Exception):
@@ -319,72 +315,16 @@ def _solve_block_greatest(system, block, t):
         t[v] = particular[i] + gamma * direction[i]
 
 
-@dataclass(frozen=True)
-class _Solved:
-    """A block's least solve: the values it read from outside the block, and
-    its members' t and assets."""
-
-    members: list[str]
-    inputs: dict[str, Fraction]
-    t: dict[str, Fraction]
-    a: dict[str, Fraction]
-
-
-def _forget(solved: dict[str, _Solved], banks) -> None:
-    """Drop every record that has one of ``banks`` as a member."""
-    for v in banks:
-        record = solved.pop(v, None)
-        if record is not None:
-            for u in record.members:
-                solved.pop(u, None)
-
-
-def _reusable(system, block, t, solved) -> _Solved | None:
-    """The record of ``block``'s last least solve, if a new solve would give
-    the same: the same members, none of their rows refreshed since (a
-    refresh forgets them), and the same values of every input."""
-    record = solved.get(block[0])
-    if record is None or record.members != block:
-        return None
-    for u, value in record.inputs.items():
-        if t[u] != value:
-            return None
-    return record
-
-
-def _solve_counters(system: _CounterSystem, mode: str, solved=None):
-    """Solve the feasibility system block by block, inputs first.
-
-    ``mode='least'`` returns ``(t, a)``, the least solution of
-    t = max(floor, W t + c) and its assets. With ``solved``, a block of two
-    or more banks that ``_reusable`` finds there is taken from it, and every
-    such block solved is recorded in it; a one-bank block costs one asset
-    evaluation, no more than checking its inputs. ``mode='greatest'``
-    returns the asset-maximal exact state, where the flow equalities make
-    ``a = t``. Raises ``_Insatiable`` when a closed block cannot absorb its
-    injection.
+def _solve_counters(system: _CounterSystem):
+    """Least solution ``(t, a)`` of t = max(floor, W t + c) and its assets,
+    solved block by block, inputs first. Raises ``_Insatiable`` when a closed
+    block cannot absorb its injection.
     """
     t: dict[str, Fraction] = {}
     a: dict[str, Fraction] = {}
     for block in _blocks_in_order(system):
-        if mode == "greatest":
-            _solve_block_greatest(system, block, t)
-        elif solved is None or len(block) == 1:
-            a.update(_solve_block_least(system, block, t))
-        else:
-            record = _reusable(system, block, t, solved)
-            if record is None:
-                _forget(solved, block)
-                assets = _solve_block_least(system, block, t)
-                inside = set(block)
-                inputs = {u: t[u] for v in block for u in system.w[v] if u not in inside}
-                record = _Solved(block, inputs, {v: t[v] for v in block}, assets)
-                for v in block:
-                    solved[v] = record
-            t.update(record.t)
-            a.update(record.a)
-    t = {v: t[v] for v in system.order}
-    return t, (t if mode == "greatest" else {v: a[v] for v in system.order})
+        a.update(_solve_block_least(system, block, t))
+    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
@@ -392,10 +332,9 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
     system = _counter_system(net, structure, counters)
-    solved: dict[str, _Solved] = {}
     for _ in range(sum(counters.values()) + 1):
         try:
-            t, a = _solve_counters(system, "least", solved)
+            t, a = _solve_counters(system)
         except _Insatiable as blocked:
             lowered = [v for v in sorted(blocked.members) if counters[v] > 0]
             if not lowered:
@@ -405,8 +344,12 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
         else:
             lowered = sorted(v for v in system.order if a[v] < t[v])
             if not lowered:
-                # the last least round ran at these counters: same system
-                state = ClearingState(_solve_counters(system, "greatest")[0])
+                # the asset-maximal exact state at the last round's counters,
+                # where the flow equalities make a = t
+                t = {}
+                for block in _blocks_in_order(system):
+                    _solve_block_greatest(system, block, t)
+                state = ClearingState({v: t[v] for v in system.order})
                 if not is_clearing_state(net, state).ok:
                     raise errors.InternalInvariantError(
                         "counter descent settled on a non-clearing state"
@@ -414,5 +357,5 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
                 return state
             if any(counters[v] == 0 for v in lowered):
                 raise errors.InternalInvariantError("positive offset at counter zero")
-        _forget(solved, _lower(system, net, structure, counters, lowered))
+        _lower(system, net, structure, counters, lowered)
     raise errors.InternalInvariantError("counter descent failed to terminate")

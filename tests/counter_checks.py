@@ -1,13 +1,11 @@
 """Checks on the counter system that the maximal-state descent holds between
 rounds.
 
-``check_counter_freshness`` wraps ``priority._lower``, ``priority._reusable``
-and ``priority._solve_counters``:
+``check_counter_freshness`` wraps ``priority._lower`` and
+``priority._solve_counters``:
 
 - after each lowering the held system must equal a fresh ``_counter_system``
   build at the new counters, in ``w``, ``c``, ``floor`` and ``cap``;
-- every block taken over from an earlier round must equal a new solve of it
-  at the current inputs, in ``t`` and in assets;
 - rounds that end in an insatiable block are counted.
 """
 
@@ -25,35 +23,22 @@ def assert_fresh(system, net, structure, counters) -> None:
 
 
 def check_counter_freshness(monkeypatch) -> dict:
-    """Running counts: ``lowerings`` checked, ``reused`` blocks checked, and
-    ``insatiable`` rounds."""
-    lower, reusable, solve = priority._lower, priority._reusable, priority._solve_counters
-    counts = {"lowerings": 0, "reused": 0, "insatiable": 0}
+    """Running counts: ``lowerings`` checked and ``insatiable`` rounds."""
+    lower, solve = priority._lower, priority._solve_counters
+    counts = {"lowerings": 0, "insatiable": 0}
 
     def checked_lower(system, net, structure, counters, banks):
-        touched = lower(system, net, structure, counters, banks)
+        lower(system, net, structure, counters, banks)
         assert_fresh(system, net, structure, counters)
         counts["lowerings"] += 1
-        return touched
 
-    def checked_reusable(system, block, t, solved):
-        record = reusable(system, block, t, solved)
-        if record is not None:
-            again = dict(t)
-            assets = priority._solve_block_least(system, block, again)
-            assert record.t == {v: again[v] for v in block}, "stale block t"
-            assert record.a == assets, "stale block assets"
-            counts["reused"] += 1
-        return record
-
-    def counted_solve(system, mode, solved=None):
+    def counted_solve(system):
         try:
-            return solve(system, mode, solved)
+            return solve(system)
         except priority._Insatiable:
             counts["insatiable"] += 1
             raise
 
     monkeypatch.setattr(priority, "_lower", checked_lower)
-    monkeypatch.setattr(priority, "_reusable", checked_reusable)
     monkeypatch.setattr(priority, "_solve_counters", counted_solve)
     return counts
