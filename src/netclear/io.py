@@ -186,55 +186,6 @@ def parse_network(source) -> FinancialNetwork:
     )
 
 
-def serialize_network(net: FinancialNetwork) -> dict:
-    """Document form of a network; parse(serialize(net)) round-trips."""
-    banks = []
-    for v in net.bank_ids():
-        bank = net.bank(v)
-        entry = {"id": v, "external_assets": exact_str(bank.external_assets)}
-        if bank.alpha != 1:
-            entry["alpha"] = exact_str(bank.alpha)
-        if bank.beta != 1:
-            entry["beta"] = exact_str(bank.beta)
-        banks.append(entry)
-    claims = []
-    schemes: dict[str, dict] = {}
-    for claim in net.claims:
-        claims.append(
-            {
-                "debtor": claim.debtor,
-                "creditor": claim.creditor,
-                "liability": exact_str(claim.liability),
-            }
-        )
-    for v, descriptor in net.schemes.items():
-        kind = descriptor[0]
-        if kind == model.PROPORTIONAL:
-            schemes[v] = {"type": kind}
-        elif kind == model.EDGE_RANKING:
-            schemes[v] = {"type": kind, "order": list(descriptor[1])}
-        elif kind == model.PRIORITY_PROPORTIONAL:
-            schemes[v] = {"type": kind, "classes": [list(c) for c in descriptor[1]]}
-        else:
-            schemes[v] = {
-                "type": model.PIECEWISE,
-                "edges": [
-                    {
-                        "creditor": claim.creditor,
-                        "borders": [exact_str(x) for x in claim.payment.borders],
-                        "slopes": [exact_str(m) for m in claim.payment.slopes],
-                    }
-                    for claim in net.out_claims(v)
-                ],
-            }
-    return {
-        "format_version": FORMAT_VERSION,
-        "banks": banks,
-        "payment_schemes": schemes,
-        "claims": claims,
-    }
-
-
 def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
     """Parse a range-targets document: ``{"targets": [{bank, lo, hi}]}``."""
     doc = _load_json(source)

@@ -30,7 +30,7 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
         )
 
 
-def _own_sink_flood(g: ActiveGraph, net: FinancialNetwork, assets, v: str) -> FloodStep | None:
+def _own_sink_flood(g: ActiveGraph, assets, v: str) -> FloodStep | None:
     """The flood step of the component of ``v`` in ``g``, the active graph at
     ``assets``, or None when that component is not a non-singleton sink."""
     cond = condense(g)
@@ -39,7 +39,7 @@ def _own_sink_flood(g: ActiveGraph, net: FinancialNetwork, assets, v: str) -> Fl
     idx = cond.component_of[v]
     if cond.is_singleton[idx] or not cond.is_sink[idx]:
         return None
-    return solve_flood_step(net, assets, cond.components[idx], g)
+    return solve_flood_step(g, assets, cond.components[idx])
 
 
 def apply_flood_sequence(
@@ -65,7 +65,7 @@ def apply_flood_sequence(
         fraction = parse_exact(fraction)
         if not (0 <= fraction <= 1):
             raise ValueError("flood fractions must lie in [0, 1]")
-        step = _own_sink_flood(g, net, assets, bank_id)
+        step = _own_sink_flood(g, assets, bank_id)
         if step is None:
             raise errors.NotASinkComponentError(
                 f"component of {bank_id!r} is not a non-singleton sink SCC"
@@ -148,7 +148,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             return RangeResult(True, ClearingState(assets))
         v = below[0]
         lo_v = spec.targets[v][0]
-        step = _own_sink_flood(g, net, assets, v)
+        step = _own_sink_flood(g, assets, v)
         if step is None:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
         gamma_border = step.scale

@@ -14,10 +14,12 @@ same. A step changes the active segment only of the banks it moves onto
 their next border, so only those are refreshed; a rewire builds the graph
 afresh.
 
-Default costs are removed up front by network surgery: each defaulting bank
-gets a splitter that diverts the haircut share of its incoming payments to a
-sink. When such a bank turns solvent the gadget is retired and its outgoing
-claims are replaced by external-asset injections at the former creditors.
+Default costs are removed up front by network surgery: every defaulting
+bank, alpha = beta = 0 included, gets one splitter/sink gadget that diverts
+the haircut share of its incoming payments to the sink. When such a bank
+turns solvent the gadget is retired and its outgoing claims are replaced by
+external-asset injections at the former creditors. Once every target is
+injected, the working assets of the original banks are the minimal state.
 """
 
 from __future__ import annotations
@@ -67,17 +69,10 @@ class AdjustedNetwork:
 
     network: FinancialNetwork
     original: FinancialNetwork
-    auxiliary_map: dict[str, tuple[str, str]]  # original id -> (splitter, sink)
-    original_d: frozenset[str]
+    auxiliary_map: dict[str, tuple[str, str]]  # defaulting id -> (splitter, sink)
     targets: dict[str, Fraction]  # external assets to inject, per working bank
     injected: dict[str, Fraction]  # externals injected so far
     rewired: set[str] = field(default_factory=set)
-    setup_removed: dict[str, tuple[Claim, ...]] = field(default_factory=dict)
-
-    def collector(self, original_id: str) -> str:
-        """Working bank that receives the original in-claims of a bank."""
-        pair = self.auxiliary_map.get(original_id)
-        return pair[0] if pair is not None and pair[0] in self.network.banks else original_id
 
 
 def _fresh_id(base: str, taken) -> str:
@@ -90,62 +85,42 @@ def _fresh_id(base: str, taken) -> str:
 def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
     """Lemma-style surgery replacing default costs with splitter gadgets.
 
-    Banks that can actually default (haircut rates below 1 and positive
-    out-liabilities) get their external assets scaled by alpha and their
-    incoming claims routed through a proportional splitter that sends the
-    (1 - beta) share to a sink. Banks with both rates zero pay nothing while
-    insolvent, so their out-claims are simply dropped. Networks without
-    effective default cost are returned unchanged.
+    Every bank that can actually default (a haircut rate below 1 and positive
+    out-liabilities), alpha = beta = 0 included, gets one gadget: its external
+    assets are scaled by alpha and its incoming claims are routed through a
+    proportional splitter that passes the beta share on to it and sends the
+    (1 - beta) share to a sink. Networks without effective default cost are
+    returned unchanged.
     """
-    effective_d = frozenset(
-        v
-        for v, bank in net.banks.items()
-        if (bank.alpha != 1 or bank.beta != 1)
-        and net.total_out(v) > 0
-    )
-    if not effective_d:
+    taken = set(net.bank_ids())
+    aux_map: dict[str, tuple[str, str]] = {}
+    for v, bank in net.banks.items():
+        if (bank.alpha != 1 or bank.beta != 1) and net.total_out(v) > 0:
+            splitter = _fresh_id(f"{v}__s", taken)
+            taken.add(splitter)
+            sink = _fresh_id(f"{v}__t", taken)
+            taken.add(sink)
+            aux_map[v] = (splitter, sink)
+    if not aux_map:
         targets = {v: net.bank(v).external_assets for v in net.bank_ids()}
         return AdjustedNetwork(
             network=net,
             original=net,
             auxiliary_map={},
-            original_d=effective_d,
             targets=targets,
             injected={v: ZERO for v in net.bank_ids()},
         )
 
-    taken = set(net.bank_ids())
-    aux_map: dict[str, tuple[str, str]] = {}
-    redirect: dict[str, str] = {}
     banks: list[Bank] = []
-    setup_removed: dict[str, tuple[Claim, ...]] = {}
     targets: dict[str, Fraction] = {}
-
     for v, bank in net.banks.items():
-        if v in effective_d:
-            if bank.alpha == 0 and bank.beta == 0:
-                setup_removed[v] = tuple(net.out_claims(v))
-                target = ZERO
-            else:
-                splitter = _fresh_id(f"{v}__s", taken)
-                taken.add(splitter)
-                sink = _fresh_id(f"{v}__t", taken)
-                taken.add(sink)
-                aux_map[v] = (splitter, sink)
-                redirect[v] = splitter
-                target = bank.alpha * bank.external_assets
-            banks.append(Bank(v, target, ONE, ONE))
-        else:
-            target = bank.external_assets
-            banks.append(Bank(v, target, ONE, ONE))
+        target = bank.alpha * bank.external_assets if v in aux_map else bank.external_assets
+        banks.append(Bank(v, target, ONE, ONE))
         targets[v] = target
 
     claims: list[Claim] = []
-    dropped = {claim.pair for removed in setup_removed.values() for claim in removed}
     for claim in net.claims:
-        if claim.pair in dropped:
-            continue
-        creditor = redirect.get(claim.creditor, claim.creditor)
+        creditor = aux_map[claim.creditor][0] if claim.creditor in aux_map else claim.creditor
         claims.append(Claim(claim.debtor, creditor, claim.liability, claim.payment))
 
     for v, (splitter, sink) in aux_map.items():
@@ -169,34 +144,22 @@ def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
         network=work,
         original=net,
         auxiliary_map=aux_map,
-        original_d=effective_d,
         targets=targets,
         injected={b.id: ZERO for b in banks},
-        setup_removed=setup_removed,
     )
 
 
-def original_inflow(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) -> Fraction:
-    """Incoming payments of ``u`` in the original network, valued at the
-    current working state: rewired debtors pay their full liability, debtors
-    silenced at setup pay nothing until rewired, everyone else pays their
-    current payment-function value."""
-    total = ZERO
-    for claim in adj.original.in_claims(u):
-        debtor = claim.debtor
-        if debtor in adj.rewired:
-            total += claim.liability
-        elif debtor in adj.setup_removed:
-            continue
-        else:
-            total += claim.payment.value_at(assets[debtor])
-    return total
-
-
 def original_solvent(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) -> bool:
-    total_out = adj.original.total_out(u)
-    ext = adj.original.bank(u).external_assets
-    return ext + original_inflow(adj, assets, u) >= total_out
+    """Whether ``u`` covers its original liabilities, with its incoming
+    payments valued at the current working state: rewired debtors pay their
+    full liability, everyone else their current payment-function value."""
+    inflow = ZERO
+    for claim in adj.original.in_claims(u):
+        if claim.debtor in adj.rewired:
+            inflow += claim.liability
+        else:
+            inflow += claim.payment.value_at(assets[claim.debtor])
+    return adj.original.bank(u).external_assets + inflow >= adj.original.total_out(u)
 
 
 def rewire_solvent_bank(
@@ -205,61 +168,36 @@ def rewire_solvent_bank(
     """Replace the out-claims of a solvent defaulting bank by external-asset
     injections at its creditors and retire its splitter gadget. Mutates
     ``adj`` and returns the consistent new working state."""
-    if u not in adj.original_d or u in adj.rewired:
+    if u not in adj.auxiliary_map or u in adj.rewired:
         raise errors.NotSolventError(f"{u!r} is not an unrewired defaulting bank")
     if not original_solvent(adj, assets, u):
         raise errors.NotSolventError(f"{u!r} is not solvent in the original network")
 
     work = adj.network
     assets = dict(assets)
-    removed_pairs: set[tuple[str, str]] = set()
+    for claim in work.out_claims(u):
+        adj.targets[claim.creditor] += claim.liability
+        adj.injected[claim.creditor] += claim.payment.value_at(assets[u])
 
-    if u in adj.setup_removed:
-        # Out-claims were dropped at setup and paid nothing so far: credit the
-        # full liability as a target; nothing was injected yet.
-        for claim in adj.setup_removed[u]:
-            creditor = adj.collector(claim.creditor)
-            adj.targets[creditor] += claim.liability
-    else:
-        for claim in work.out_claims(u):
-            paid = claim.payment.value_at(assets[u])
-            adj.targets[claim.creditor] += claim.liability
-            adj.injected[claim.creditor] += paid
-            removed_pairs.add(claim.pair)
-
-    banks = {v: b for v, b in work.banks.items()}
-    claims = [c for c in work.claims if c.pair not in removed_pairs]
-
-    pair = adj.auxiliary_map.get(u)
-    if pair is not None:
-        splitter, sink = pair
-        ext = adj.original.bank(u).external_assets
-        adj.targets[u] = ext + adj.targets.pop(splitter)
-        adj.injected[u] = ext + adj.injected.pop(splitter)
-        adj.targets.pop(sink, None)
-        adj.injected.pop(sink, None)
-        rerouted = []
-        for claim in claims:
-            if claim.debtor in (splitter, sink):
-                continue
-            if claim.creditor == splitter:
-                rerouted.append(Claim(claim.debtor, u, claim.liability, claim.payment))
-            else:
-                rerouted.append(claim)
-        claims = rerouted
-        del banks[splitter]
-        del banks[sink]
-        assets.pop(splitter, None)
-        assets.pop(sink, None)
-    else:
-        # alpha = beta = 0 bank: it was inert so far; from now on it simply
-        # accumulates its full unreduced assets.
-        ext = adj.original.bank(u).external_assets
-        adj.targets[u] += ext
-        adj.injected[u] += ext
+    splitter, sink = adj.auxiliary_map[u]
+    ext = adj.original.bank(u).external_assets
+    adj.targets[u] = ext + adj.targets.pop(splitter)
+    adj.injected[u] = ext + adj.injected.pop(splitter)
+    adj.targets.pop(sink)
+    adj.injected.pop(sink)
+    claims = []
+    for claim in work.claims:
+        if claim.debtor in (u, splitter, sink):
+            continue
+        if claim.creditor == splitter:
+            claim = Claim(claim.debtor, u, claim.liability, claim.payment)
+        claims.append(claim)
+    banks = [b for v, b in work.banks.items() if v not in (splitter, sink)]
+    assets.pop(splitter, None)
+    assets.pop(sink, None)
 
     adj.rewired.add(u)
-    adj.network = assemble(banks.values(), claims)
+    adj.network = assemble(banks, claims)
     assets[u] = incoming_assets(adj.network, assets, u, adj.injected)
     return assets
 
@@ -286,19 +224,11 @@ def border_scale(
     return scale
 
 
-def solve_flood_step(
-    net: FinancialNetwork,
-    state,
-    component: frozenset[str],
-    graph: ActiveGraph | None = None,
-) -> FloodStep:
+def solve_flood_step(g: ActiveGraph, state, component: frozenset[str]) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
-    non-singleton sink SCC of the active graph. The direction is the Perron
-    vector ``d = d M`` of the component's slope matrix, read off its
-    ``response_rows`` (the columns of ``I - M``). ``graph`` is the active graph
-    of ``net`` at ``state`` when the caller already holds it; it is built
-    here otherwise."""
-    g = active_graph(net, state) if graph is None else graph
+    non-singleton sink SCC of ``g``, the active graph at ``state``. The
+    direction is the Perron vector ``d = d M`` of the component's slope
+    matrix, read off its ``response_rows`` (the columns of ``I - M``)."""
     members = sorted(component)
     direction = dict(zip(members, unit_left_nullspace(response_rows(g, members))))
     scale = border_scale(g, state, direction)
@@ -330,7 +260,7 @@ def flood_closure(g: ActiveGraph, net: FinancialNetwork, assets: dict, source=No
         component = find_flood_component(g, condense(g), source)
         if component is None:
             return
-        step = solve_flood_step(net, assets, component, g)
+        step = solve_flood_step(g, assets, component)
         advance(g, net, assets, step.direction, step.scale)
 
 
@@ -363,17 +293,11 @@ def response(
     return None if solution is None else dict(zip(reach, solution))
 
 
-def solve_increase_step(
-    net: FinancialNetwork,
-    state,
-    v: str,
-    budget: Fraction,
-    graph: ActiveGraph | None = None,
-) -> IncreaseStep | None:
-    """Linear response of the minimal clearing state to an injection at ``v``.
-    The step size is capped by the budget and by the nearest payment-function
-    border along the response slopes. ``graph`` is the active graph of ``net``
-    at ``state`` when the caller already holds it; it is built here otherwise.
+def solve_increase_step(g: ActiveGraph, state, v: str, budget: Fraction) -> IncreaseStep | None:
+    """Linear response of the minimal clearing state to an injection at ``v``,
+    read on ``g``, the active graph at ``state``. The step size is capped by
+    the budget and by the nearest payment-function border along the response
+    slopes.
 
     Returns None when the response system is singular. Every row of the
     active slope matrix sums to 1 or 0 and no bank pays itself, so over the
@@ -382,7 +306,6 @@ def solve_increase_step(
     first."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    g = active_graph(net, state) if graph is None else graph
     slopes = response(g, v, {v: ONE})
     if slopes is None:
         return None
@@ -444,7 +367,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         changed = True
         while changed:
             changed = False
-            for u in sorted(adj.original_d - adj.rewired):
+            for u in sorted(adj.auxiliary_map.keys() - adj.rewired):
                 if original_solvent(adj, assets, u):
                     assets = rewire_solvent_bank(adj, assets, u)
                     changed = True
@@ -474,7 +397,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
             budget = adj.targets[source] - adj.injected[source]
             if budget > 0:
                 check_graph()
-                step = solve_increase_step(adj.network, assets, source, budget, g)
+                step = solve_increase_step(g, assets, source, budget)
                 if step is None or check_invariant:
                     component = find_flood_component(g, condense(g), source)
                     if (step is None) == (component is None):
@@ -489,7 +412,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 component = find_flood_component(g, condense(g), source)
                 if component is None:
                     break
-            flood = solve_flood_step(adj.network, assets, component, g)
+            flood = solve_flood_step(g, assets, component)
             floods.append(flood)
             advance(g, adj.network, assets, flood.direction, flood.scale)
             settle_defaulters()
@@ -503,19 +426,9 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         settle_defaulters()
         verify()
 
-    # Project back to the original banks through the asset axioms.
-    final: dict[str, Fraction] = {}
-    for u in net.bank_ids():
-        bank = net.bank(u)
-        if u in adj.original_d:
-            inflow = original_inflow(adj, assets, u)
-            unreduced = bank.external_assets + inflow
-            if unreduced >= net.total_out(u):
-                final[u] = unreduced
-            else:
-                final[u] = bank.alpha * bank.external_assets + bank.beta * inflow
-        else:
-            final[u] = assets[u]
+    # Every target is injected now, so each splitter holds its owner's
+    # original inflow: the working assets are the original ones.
+    final = {u: assets[u] for u in net.bank_ids()}
     return MinClearingRun(
         state=ClearingState(final),
         flood_steps=tuple(floods),

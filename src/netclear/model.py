@@ -235,8 +235,8 @@ def _sum_liabilities(claims) -> Fraction:
 def assemble(banks, claims, schemes=None) -> FinancialNetwork:
     """Build a network from trusted parts without running validation.
 
-    Used internally for surgically derived networks (default-cost gadgets,
-    priority transforms) whose invariants hold by construction.
+    Used internally for surgically derived networks (default-cost gadgets)
+    whose invariants hold by construction.
     """
     bank_map = {b.id: b for b in banks}
     return FinancialNetwork(bank_map, tuple(claims), schemes or {})

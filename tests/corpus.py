@@ -1,13 +1,17 @@
-"""Seeded random-network generator shared by the test suites."""
+"""Seeded random networks shared by the test suites, and their document form."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from netclear import FinancialNetwork, build_network
+from netclear import FinancialNetwork, build_network, model
+from netclear.io import FORMAT_VERSION
+from netclear.rationals import exact_str
 
 SCHEME_KINDS = ("proportional", "edge_ranking", "priority_proportional")
+# haircut rates that include 0, so that some banks have alpha = beta = 0
+ZERO_RATE_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 def random_network(
@@ -113,3 +117,63 @@ def random_trade_instance(rng: random.Random):
         else:
             pair, buyer = rng.choice(combos)
         return net, pair, buyer
+
+
+def rewired_zero_rate_banks(net: FinancialNetwork, minimal) -> int:
+    """Banks with alpha = beta = 0 and liabilities that are solvent in the
+    minimal state ``minimal``. While insolvent such a bank holds nothing, so
+    ``run_min_clearing`` rewired each of them."""
+    return sum(
+        1
+        for v, bank in net.banks.items()
+        if bank.alpha == bank.beta == 0 and 0 < net.total_out(v) <= minimal[v]
+    )
+
+
+def serialize_network(net: FinancialNetwork) -> dict:
+    """Document form of a network; parse(serialize(net)) round-trips."""
+    banks = []
+    for v in net.bank_ids():
+        bank = net.bank(v)
+        entry = {"id": v, "external_assets": exact_str(bank.external_assets)}
+        if bank.alpha != 1:
+            entry["alpha"] = exact_str(bank.alpha)
+        if bank.beta != 1:
+            entry["beta"] = exact_str(bank.beta)
+        banks.append(entry)
+    claims = []
+    schemes: dict[str, dict] = {}
+    for claim in net.claims:
+        claims.append(
+            {
+                "debtor": claim.debtor,
+                "creditor": claim.creditor,
+                "liability": exact_str(claim.liability),
+            }
+        )
+    for v, descriptor in net.schemes.items():
+        kind = descriptor[0]
+        if kind == model.PROPORTIONAL:
+            schemes[v] = {"type": kind}
+        elif kind == model.EDGE_RANKING:
+            schemes[v] = {"type": kind, "order": list(descriptor[1])}
+        elif kind == model.PRIORITY_PROPORTIONAL:
+            schemes[v] = {"type": kind, "classes": [list(c) for c in descriptor[1]]}
+        else:
+            schemes[v] = {
+                "type": model.PIECEWISE,
+                "edges": [
+                    {
+                        "creditor": claim.creditor,
+                        "borders": [exact_str(x) for x in claim.payment.borders],
+                        "slopes": [exact_str(m) for m in claim.payment.slopes],
+                    }
+                    for claim in net.out_claims(v)
+                ],
+            }
+    return {
+        "format_version": FORMAT_VERSION,
+        "banks": banks,
+        "payment_schemes": schemes,
+        "claims": claims,
+    }

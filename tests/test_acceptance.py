@@ -363,7 +363,8 @@ def _sampled_clearing_state(rng, net, minimal):
 
     assets = minimal.as_dict()
     for _ in range(rng.randint(0, 3)):
-        cond = condense(active_graph(net, assets))
+        g = active_graph(net, assets)
+        cond = condense(g)
         floodable = [
             i
             for i in range(len(cond.components))
@@ -372,7 +373,7 @@ def _sampled_clearing_state(rng, net, minimal):
         if not floodable:
             break
         idx = rng.choice(floodable)
-        step = solve_flood_step(net, assets, cond.components[idx])
+        step = solve_flood_step(g, assets, cond.components[idx])
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

@@ -16,11 +16,10 @@ from netclear.io import (
     parse_network,
     parse_targets,
     result_document,
-    serialize_network,
 )
 from netclear.rationals import MAX_DIGITS, parse_exact
 
-from corpus import random_network
+from corpus import random_network, serialize_network
 
 EXAMPLE3 = {
     "format_version": "1",

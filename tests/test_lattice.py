@@ -168,7 +168,8 @@ class TestMaxClearingFlood:
 
             assets = minimal.as_dict()
             while True:
-                cond = condense(active_graph(net, assets))
+                g = active_graph(net, assets)
+                cond = condense(g)
                 choices = [
                     i
                     for i in range(len(cond.components))
@@ -177,7 +178,7 @@ class TestMaxClearingFlood:
                 if not choices:
                     break
                 idx = max(choices, key=lambda i: min(cond.components[i]))
-                step = solve_flood_step(net, assets, cond.components[idx])
+                step = solve_flood_step(g, assets, cond.components[idx])
                 for member, d in step.direction.items():
                     assets[member] += step.scale * d
             assert assets == forward.as_dict()
@@ -260,7 +261,8 @@ def _random_reachable_state(rng, net):
 
     assets = compute_min_clearing(net).as_dict()
     for _ in range(rng.randint(0, 3)):
-        cond = condense(active_graph(net, assets))
+        g = active_graph(net, assets)
+        cond = condense(g)
         choices = [
             i
             for i in range(len(cond.components))
@@ -269,7 +271,7 @@ def _random_reachable_state(rng, net):
         if not choices:
             break
         idx = rng.choice(choices)
-        step = solve_flood_step(net, assets, cond.components[idx])
+        step = solve_flood_step(g, assets, cond.components[idx])
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from netclear import (
+    active_graph,
     adjust_default_cost,
     bottom_iterate,
     build_network,
@@ -80,12 +81,12 @@ class TestAdjustDefaultCost:
         net = example1()
         adj = adjust_default_cost(net)
         assert adj.network is net
-        assert not adj.original_d
+        assert not adj.auxiliary_map
 
     def test_example2_gadgets(self):
         net = example2()
         adj = adjust_default_cost(net)
-        assert adj.original_d == {"v", "w"}
+        assert adj.auxiliary_map.keys() == {"v", "w"}
         splitter, sink = adj.auxiliary_map["v"]
         assert adj.network.bank(splitter).external_assets == 0
         assert adj.network.claim(splitter, sink).liability == 1
@@ -97,22 +98,43 @@ class TestAdjustDefaultCost:
         for bank in adj.network.banks.values():
             assert bank.alpha == 1 and bank.beta == 1
 
-    def test_zero_rate_bank_loses_out_claims(self):
+    def test_zero_rate_bank_gets_a_sink_gadget(self, monkeypatch):
+        # a (alpha = beta = 0) turns solvent once c pays it; until then its
+        # splitter sends everything to the sink and a pays nothing
+        from netclear import minimal
+
         net = build_network(
-            banks=[("a", 5, 0, 0), ("b", 0), ("c", 0)],
-            claims=[("a", "b", 2), ("a", "c", 1), ("b", "c", 1)],
+            banks=[("a", 1, 0, 0), ("b", 0), ("c", 3)],
+            claims=[("a", "b", 2), ("c", "a", 1), ("c", "b", 2)],
         )
         adj = adjust_default_cost(net)
-        assert not adj.network.out_claims("a")
-        assert adj.network.has_claim("b", "c")
-        assert {c.pair for c in adj.setup_removed["a"]} == {("a", "b"), ("a", "c")}
+        splitter, sink = adj.auxiliary_map["a"]
+        assert [c.pair for c in adj.network.out_claims(splitter)] == [(splitter, sink)]
+        assert adj.network.claim(splitter, sink).liability == 2
+        assert [c.pair for c in adj.network.out_claims("a")] == [("a", "b")]
+        assert adj.network.has_claim("c", splitter) and adj.targets["a"] == 0
+
+        # a keeps its out-claims in the working network until it is rewired
+        paid_unrewired = []
+        original_advance = minimal.advance
+
+        def watched(g, work, assets, rates, scale):
+            original_advance(g, work, assets, rates, scale)
+            paid_unrewired.extend(c.payment.value_at(assets["a"]) for c in work.out_claims("a"))
+
+        monkeypatch.setattr(minimal, "advance", watched)
+        run = run_min_clearing(net, check_invariant=True)
+        assert paid_unrewired and not any(paid_unrewired)
+        assert run.state.as_dict() == {"a": F(2), "b": F(4), "c": F(3)}  # a solvent: rewired
+        others = _enumerate_fixed_points(net)
+        assert run.state.as_dict() == {v: min(o[v] for o in others) for v in net.bank_ids()}
 
 
 class TestFloodStep:
     def test_example3_flood(self):
         net = example3()
         state = {"u": F(1), "v": F(2), "w": F(2), "y": F(0)}
-        step = solve_flood_step(net, state, frozenset({"v", "y"}))
+        step = solve_flood_step(active_graph(net, state), state, frozenset({"v", "y"}))
         assert step.direction == {"v": F(1), "y": F(1)}
         assert step.scale == 2
 
@@ -122,7 +144,7 @@ class TestFloodStep:
             claims=[("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
         )
         state = {v: F(0) for v in "abc"}
-        step = solve_flood_step(net, state, frozenset("abc"))
+        step = solve_flood_step(active_graph(net, state), state, frozenset("abc"))
         assert step.scale == 1
         assert all(d == 1 for d in step.direction.values())
 
@@ -135,7 +157,7 @@ class TestFloodStep:
             schemes={"b": {"type": "edge_ranking", "order": ["a", "z"]}},
         )
         state = {v: F(0) for v in ("a", "b", "z")}
-        step = solve_flood_step(net, state, frozenset({"a", "b"}))
+        step = solve_flood_step(active_graph(net, state), state, frozenset({"a", "b"}))
         assert step.direction == {"a": F(1), "b": F(1)}
         assert step.scale == 1
         assert step.scale == _line_search_scale(net, state, step)
@@ -148,13 +170,14 @@ class TestFloodStep:
         for _ in range(200):
             net = random_network(rng, max_banks=5, max_external=1, edge_prob=0.7)
             state = compute_min_clearing(net).as_dict()
-            from netclear import active_graph, condense
+            from netclear import condense
 
-            cond = condense(active_graph(net, state))
+            g = active_graph(net, state)
+            cond = condense(g)
             for i, comp in enumerate(cond.components):
                 if not cond.is_sink[i] or cond.is_singleton[i]:
                     continue
-                step = solve_flood_step(net, state, comp)
+                step = solve_flood_step(g, state, comp)
                 assert step.scale == _line_search_scale(net, state, step)
                 compared += 1
         assert compared >= 5
@@ -167,7 +190,7 @@ class TestFloodStep:
         for _ in range(300):
             net = random_network(rng, max_banks=5, max_external=1, edge_prob=0.7)
             state = compute_min_clearing(net)
-            from netclear import active_graph, condense, find_flood_component
+            from netclear import condense, find_flood_component
 
             g = active_graph(net, state)
             cond = condense(g)
@@ -175,7 +198,7 @@ class TestFloodStep:
                 comp = find_flood_component(g, cond, v)
                 if comp is None:
                     continue
-                step = solve_flood_step(net, state, comp)
+                step = solve_flood_step(g, state, comp)
                 after = dict(state)
                 for member, d in step.direction.items():
                     after[member] += step.scale * d
@@ -189,20 +212,20 @@ class TestIncreaseStep:
     def test_example3_insert_at_u(self):
         net = example3()
         state = {v: F(0) for v in net.bank_ids()}
-        step = solve_increase_step(net, state, "u", F(1))
+        step = solve_increase_step(active_graph(net, state), state, "u", F(1))
         assert step.slopes == {"u": F(1), "v": F(1), "w": F(1)}
         assert step.delta == 1
 
     def test_example3_insert_at_v_hits_breakpoint(self):
         net = example3()
         state = {"u": F(1), "v": F(1), "w": F(1), "y": F(0)}
-        step = solve_increase_step(net, state, "v", F(2))
+        step = solve_increase_step(active_graph(net, state), state, "v", F(2))
         assert step.delta == 1  # border of (v, w) at assets 2
 
     def test_no_active_out_edges(self):
         net = example3()
         state = {"u": F(1), "v": F(4), "w": F(2), "y": F(2)}
-        step = solve_increase_step(net, state, "v", F(1))
+        step = solve_increase_step(active_graph(net, state), state, "v", F(1))
         assert step.slopes == {"v": F(1)}
         assert step.delta == 1
 
@@ -211,9 +234,10 @@ class TestIncreaseStep:
         # reachable from u and from v, but not from w
         net = example3()
         state = {"u": F(1), "v": F(2), "w": F(2), "y": F(0)}
-        assert solve_increase_step(net, state, "u", F(1)) is None
-        assert solve_increase_step(net, state, "v", F(1)) is None
-        assert solve_increase_step(net, state, "w", F(1)).slopes == {"w": F(1)}
+        g = active_graph(net, state)
+        assert solve_increase_step(g, state, "u", F(1)) is None
+        assert solve_increase_step(g, state, "v", F(1)) is None
+        assert solve_increase_step(g, state, "w", F(1)).slopes == {"w": F(1)}
 
 
 class TestRewiring:

@@ -12,6 +12,7 @@ from netclear import (
     compute_min_clearing,
     is_clearing_state,
     priority_structure,
+    run_min_clearing,
 )
 from netclear import priority
 from netclear.priority import (
@@ -25,7 +26,7 @@ from netclear.priority import (
     _solve_singular_line,
 )
 
-from corpus import random_network
+from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
 from counter_checks import check_counter_freshness
 from oracles import build_counter_lp, simplex_solve, to_priority_proportional
 
@@ -156,6 +157,24 @@ class TestCounterDescent:
             minimal = compute_min_clearing(net)
             for v in net.bank_ids():
                 assert minimal[v] <= state[v]
+
+    def test_zero_rate_banks_below_the_maximum(self):
+        # haircut rates of 0 as well: banks with alpha = beta = 0 hold
+        # nothing until they turn solvent
+        rng = random.Random(2620)
+        rewired = 0
+        for _ in range(40):
+            net = random_network(
+                rng, min_banks=6, max_banks=12, default_cost=True, alphas=ZERO_RATE_ALPHAS
+            )
+            state = compute_max_clearing_pp(net)
+            assert is_clearing_state(net, state).ok
+            minimal = run_min_clearing(net, check_invariant=True).state
+            assert is_clearing_state(net, minimal).ok
+            for v in net.bank_ids():
+                assert minimal[v] <= state[v]
+            rewired += rewired_zero_rate_banks(net, minimal)
+        assert rewired >= 5
 
 
 def closed_block(c=F(0)):

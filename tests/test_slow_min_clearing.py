@@ -2,11 +2,12 @@
 sizes the tier-1 corpora do not reach. Run it with ``python -m pytest -m slow``;
 the default run leaves it out.
 
-Two corpora: the 24 ``lattice-rings`` benchmark networks at the hold-out seed
-(a 30-bank core feeding closed rings, so floods and long increase runs), and
+Three corpora: the 24 ``lattice-rings`` benchmark networks at the hold-out
+seed (a 30-bank core feeding closed rings, so floods and long increase runs);
 40 mixed-scheme networks with n = 30-40, default costs and liabilities of 1
 or 2 only, so that many banks share border values and reach them in the same
-step.
+step; and 40 networks with n = 30-40 and haircut rates of 0, 1/2 and 1, so
+that some banks have alpha = beta = 0 and are rewired on the way.
 """
 
 import importlib.util
@@ -19,7 +20,7 @@ import pytest
 from netclear import is_clearing_state, run_min_clearing
 from netclear.io import parse_network
 
-from corpus import random_network
+from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
 
 pytestmark = pytest.mark.slow
 
@@ -66,3 +67,14 @@ def test_mixed_default_cost_networks_with_tied_borders():
         floods += len(run.flood_steps)
         increases += len(run.increase_steps)
     assert floods > 0 and increases > 0
+
+
+def test_zero_rate_default_cost_networks():
+    rng = random.Random("slow/zero-rates")
+    rewired = 0
+    for _ in range(40):
+        net = random_network(
+            rng, min_banks=30, max_banks=40, default_cost=True, alphas=ZERO_RATE_ALPHAS
+        )
+        rewired += rewired_zero_rate_banks(net, _check(net).state)
+    assert rewired >= 30
