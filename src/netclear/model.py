@@ -48,6 +48,16 @@ class PaymentFunction:
             values.append(values[-1] + slope * (self.borders[i + 1] - self.borders[i]))
         object.__setattr__(self, "_values", tuple(values))
 
+    @classmethod
+    def _with_values(cls, borders, slopes, values) -> "PaymentFunction":
+        """A function whose values at the borders the caller already knows, as
+        a class scheme does; skips ``__post_init__``'s running sum."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "borders", borders)
+        object.__setattr__(fn, "slopes", slopes)
+        object.__setattr__(fn, "_values", values)
+        return fn
+
     def value_at(self, a: Fraction) -> Fraction:
         if a <= self.borders[0]:
             return ZERO
@@ -105,35 +115,40 @@ def _class_functions(
     liabilities: dict[str, Fraction], classes: list[list[str]]
 ) -> dict[str, PaymentFunction]:
     """Shared builder for ranked-class schemes: each class is paid
-    proportionally and in full before the next class starts."""
+    proportionally and in full before the next class starts.
+
+    Every function of a debtor shares one borders tuple, the class grid
+    (classes with zero total get no segment). A creditor in the class on
+    segment ``j`` has slope ``liability / class total`` there and zero
+    elsewhere, so its values are known in closed form: zero through the
+    class's lower border, its liability from the upper border on."""
     total = sum(liabilities.values(), ZERO)
     if total == 0:
         flat = PaymentFunction(borders=(ZERO,), slopes=())
         return {creditor: flat for creditor in liabilities}
 
     grid = [ZERO]
-    class_ranges: list[tuple[Fraction, Fraction, list[str]]] = []
+    nonzero: list[tuple[Fraction, list[str]]] = []
     for members in classes:
-        class_total = sum(liabilities[c] for c in members)
+        class_total = sum((liabilities[c] for c in members), ZERO)
         if class_total == 0:
             continue
-        lo = grid[-1]
-        grid.append(lo + class_total)
-        class_ranges.append((lo, grid[-1], members))
+        grid.append(grid[-1] + class_total)
+        nonzero.append((class_total, members))
 
     borders = tuple(grid)
-    functions = {}
-    for j, (lo, hi, members) in enumerate(class_ranges):
-        class_total = hi - lo
-        for creditor in members:
-            slopes = [ZERO] * (len(borders) - 1)
-            slopes[j] = liabilities[creditor] / class_total
-            functions[creditor] = PaymentFunction(borders=borders, slopes=tuple(slopes))
+    k = len(nonzero)
+    zeros = (ZERO,) * (k + 1)
     # creditors whose whole class had zero liability pay nothing
-    for creditor in liabilities:
-        if creditor not in functions:
-            functions[creditor] = PaymentFunction(
-                borders=borders, slopes=(ZERO,) * (len(borders) - 1)
+    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros)
+    functions = dict.fromkeys(liabilities, unpaid)
+    for j, (class_total, members) in enumerate(nonzero):
+        for creditor in members:
+            liability = liabilities[creditor]
+            functions[creditor] = PaymentFunction._with_values(
+                borders,
+                zeros[:j] + (liability / class_total,) + zeros[j + 1 : k],
+                zeros[: j + 1] + (liability,) * (k - j),
             )
     return functions
 

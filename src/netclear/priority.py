@@ -10,17 +10,23 @@ is built only by the test suite's oracle.
 The maximal clearing state is then found by a counter descent: assume every
 bank pays all of its classes, test whether a consistent state exists, and
 lower the counters of the banks whose class floor is unreachable until the
-test passes. One counter system serves the whole descent: a lowering
-refreshes only the rows it touches (the lowered banks' own, and those of the
-creditors in the classes they leave and enter), and a one-bank block is
-solved by substitution. The feasibility test and the final maximization are
-solved exactly on the class structure (relays eliminated by substitution);
-both are cross-checked against the explicit LP formulation in the test
-suite.
+test passes. A bank whose assets fall short of its floor jumps straight to
+the class those assets reach: in the maximal state such a bank holds at most
+those assets (see ``_lower``), so the jump never passes the maximal state's
+class, and lowering by one is the special case. One counter system
+serves the whole descent: a lowering refreshes only the rows it touches (the
+lowered banks' own, and those of the creditors in the classes between the
+old and new counters), and a one-bank block is solved by substitution. The
+last round's least solution is the final state wherever its block has one
+solution; only a block that may have more is maximized under its caps. The
+feasibility test and the final maximization are solved exactly on the class
+structure (relays eliminated by substitution); both are cross-checked against
+the explicit LP formulation in the test suite.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,18 +155,32 @@ def _counter_system(
     return system
 
 
-def _lower(system, net, structure, counters, banks) -> None:
-    """Lower the counter of each of ``banks`` by one and refresh the rows that
-    this touches: the lowered banks' own, and those of the creditors in the
-    class each one leaves (no longer paid) and the class it enters (now paid
-    in proportion)."""
+def _lower(system, net, structure, counters, banks, assets=None) -> None:
+    """Lower the counter of each of ``banks`` and refresh the rows that this
+    touches: the lowered banks' own, and those of the creditors in every class
+    from the new counter up to the old one (classes no longer paid, or now
+    paid in proportion).
+
+    With ``assets`` each bank jumps straight to the class its assets reach,
+    ``bisect_right(grid, a_v) - 1``; without, it drops by one. The jump keeps
+    the counters at or above the classes ``r*`` of the maximal state ``x*``.
+    Let ``r >= r*``, let ``t`` solve the round's system and ``D = {t < x*}``.
+    Then ``d = x* - t`` satisfies ``d_D <= W_DD d_D``. Every column of ``W``
+    sums to at most 1 (column ``u`` adds up the shares of ``u``'s current
+    class, each scaled by a haircut of at most 1), so summing over ``D``
+    makes every one of these inequalities tight: ``D`` keeps all of its
+    marginal flow inside itself, and each of its banks has ``a = t``. A lowered bank has
+    ``a_v < t_v``, so it lies outside ``D``: ``x*_v <= a_v``, hence
+    ``r*_v <= class(a_v)`` and ``r >= r*`` holds after the jump. The
+    insatiable rounds lower by one."""
     touched = set(banks)
     for v in banks:
-        pieces = structure[v].pieces
-        r = counters[v] - 1
-        counters[v] = r
-        for j in range(r, min(r + 2, len(pieces))):
-            touched.update(creditor for creditor, _ in pieces[j])
+        classes = structure[v]
+        old = counters[v]
+        new = old - 1 if assets is None else bisect_right(classes.grid, assets[v]) - 1
+        counters[v] = new
+        for pieces in classes.pieces[new : old + 1]:
+            touched.update(creditor for creditor, _ in pieces)
     _refresh_rows(system, net, structure, counters, touched)
 
 
@@ -217,17 +237,20 @@ def _assets(system: _CounterSystem, t, v: str) -> Fraction:
     return acc
 
 
-def _solve_block_least(system, block, t) -> dict[str, Fraction]:
+def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced. Returns
-    the members' assets."""
+    the members' assets, and whether the block's flow equalities have just
+    this solution: true for one bank and for a nonsingular solve of all the
+    members, false when some member was never promoted or the block is a
+    closed circulation."""
     members = sorted(block)
     if len(members) == 1:
         # No bank has a claim on itself, so a_v does not read t_v.
         v = members[0]
         assets = _assets(system, t, v)
         t[v] = max(system.floor[v], assets)
-        return {v: assets}
+        return {v: assets}, True
     flow: set[str] = set()
     for v in members:
         t[v] = system.floor[v]
@@ -238,7 +261,7 @@ def _solve_block_least(system, block, t) -> dict[str, Fraction]:
         if not promote:
             # the flow equalities hold on the promoted members: a = t there
             assets.update((v, t[v]) for v in flow)
-            return assets
+            return assets, len(flow) == len(members)
         flow.update(promote)
         f = sorted(flow)
         solution = solve_linear_system(*_flow_rows(system, f, t))
@@ -263,7 +286,7 @@ def _solve_block_least(system, block, t) -> dict[str, Fraction]:
         )
         for i, v in enumerate(f):
             t[v] = particular[i] + gamma * direction[i]
-        return {v: t[v] for v in members}
+        return {v: t[v] for v in members}, False
 
 
 def _solve_singular_line(system, members, t):
@@ -317,39 +340,56 @@ def _solve_block_greatest(system, block, t):
 
 def _solve_counters(system: _CounterSystem):
     """Least solution ``(t, a)`` of t = max(floor, W t + c) and its assets,
-    solved block by block, inputs first. Raises ``_Insatiable`` when a closed
-    block cannot absorb its injection.
+    solved block by block, inputs first, with the blocks from the first one
+    whose flow equalities may have other solutions onward (empty when none
+    may). Raises ``_Insatiable`` when a closed block cannot absorb its
+    injection.
     """
     t: dict[str, Fraction] = {}
     a: dict[str, Fraction] = {}
+    open_blocks = []
     for block in _blocks_in_order(system):
-        a.update(_solve_block_least(system, block, t))
-    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}
+        assets, unique = _solve_block_least(system, block, t)
+        a.update(assets)
+        if open_blocks or not unique:
+            open_blocks.append(block)
+    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}, open_blocks
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
-    """Maximal clearing state via counter descent; default costs allowed."""
+    """Maximal clearing state via counter descent; default costs allowed.
+
+    Each round solves the least state ``t`` at the current counters. A bank
+    with assets ``a_v < t_v`` jumps to ``class(a_v)``: every column of the
+    round's coefficient matrix sums to at most 1, so the banks where ``t``
+    falls short of the maximal state ``x*`` have ``a = t``, and a lowered
+    bank has ``x*_v <= a_v`` (proof in ``_lower``). A block that cannot
+    absorb its injection lowers its members by one. The descent ends when
+    ``a = t``; ``t`` is then the state, re-solved for the largest point under
+    the caps only from the first block whose flow equalities may have more
+    than one solution."""
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
     system = _counter_system(net, structure, counters)
     for _ in range(sum(counters.values()) + 1):
         try:
-            t, a = _solve_counters(system)
+            t, a, open_blocks = _solve_counters(system)
         except _Insatiable as blocked:
             lowered = [v for v in sorted(blocked.members) if counters[v] > 0]
             if not lowered:
                 raise errors.InternalInvariantError(
                     "insatiable block with all counters at zero"
                 )
+            a = None  # an insatiable round lowers by one
         else:
             lowered = sorted(v for v in system.order if a[v] < t[v])
             if not lowered:
-                # the asset-maximal exact state at the last round's counters,
-                # where the flow equalities make a = t
-                t = {}
-                for block in _blocks_in_order(system):
+                # a = t everywhere, so t solves every block's flow equalities;
+                # the asset-maximal solution differs only where they may have
+                # more than one, so re-solve from the first such block on
+                for block in open_blocks:
                     _solve_block_greatest(system, block, t)
-                state = ClearingState({v: t[v] for v in system.order})
+                state = ClearingState(t)
                 if not is_clearing_state(net, state).ok:
                     raise errors.InternalInvariantError(
                         "counter descent settled on a non-clearing state"
@@ -357,5 +397,5 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
                 return state
             if any(counters[v] == 0 for v in lowered):
                 raise errors.InternalInvariantError("positive offset at counter zero")
-        _lower(system, net, structure, counters, lowered)
+        _lower(system, net, structure, counters, lowered, a)
     raise errors.InternalInvariantError("counter descent failed to terminate")

@@ -7,9 +7,15 @@ rounds.
 - after each lowering the held system must equal a fresh ``_counter_system``
   build at the new counters, in ``w``, ``c``, ``floor`` and ``cap``;
 - rounds that end in an insatiable block are counted.
+
+``record_rounds`` wraps ``priority._lower`` to keep every regular round's
+lowering (the insatiable rounds lower by one and pass no assets), and
+``assert_jumps_sound`` checks those rounds against the maximal state.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from netclear import priority
 
@@ -27,8 +33,8 @@ def check_counter_freshness(monkeypatch) -> dict:
     lower, solve = priority._lower, priority._solve_counters
     counts = {"lowerings": 0, "insatiable": 0}
 
-    def checked_lower(system, net, structure, counters, banks):
-        lower(system, net, structure, counters, banks)
+    def checked_lower(system, net, structure, counters, banks, *rest):
+        lower(system, net, structure, counters, banks, *rest)
         assert_fresh(system, net, structure, counters)
         counts["lowerings"] += 1
 
@@ -42,3 +48,47 @@ def check_counter_freshness(monkeypatch) -> dict:
     monkeypatch.setattr(priority, "_lower", checked_lower)
     monkeypatch.setattr(priority, "_solve_counters", counted_solve)
     return counts
+
+
+def record_rounds(monkeypatch) -> list:
+    """A list that collects one entry per regular round: the banks lowered,
+    their assets, and the counters before and after the lowering. Clear it
+    between networks."""
+    lower = priority._lower
+    rounds: list = []
+
+    def recorded_lower(system, net, structure, counters, banks, *rest):
+        before = dict(counters)
+        lower(system, net, structure, counters, banks, *rest)
+        assets = rest[0] if rest else None
+        if assets is not None:
+            rounds.append(
+                {
+                    "structure": structure,
+                    "lowered": list(banks),
+                    "assets": dict(assets),
+                    "before": before,
+                    "after": dict(counters),
+                }
+            )
+
+    monkeypatch.setattr(priority, "_lower", recorded_lower)
+    return rounds
+
+
+def assert_jumps_sound(rounds, state) -> int:
+    """Every bank a round lowered has ``x*_v <= a_v`` for the maximal state
+    ``state``, and every counter stays at or above ``class(x*_v)``. Returns
+    the number of lowerings by two or more classes."""
+    jumps = 0
+    for entry in rounds:
+        structure = entry["structure"]
+        for v in entry["lowered"]:
+            assert state[v] <= entry["assets"][v], f"lowered {v} below the maximal state"
+            if entry["before"][v] - entry["after"][v] >= 2:
+                jumps += 1
+        for v, r in entry["after"].items():
+            assert r >= bisect_right(structure[v].grid, state[v]) - 1, (
+                f"counter of {v} below the class of the maximal state"
+            )
+    return jumps

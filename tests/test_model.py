@@ -129,6 +129,86 @@ class TestSchemeConstructors:
             make_edge_ranking({"a": F(1)}, ["a", "a"])
 
 
+def running_sum_functions(liabilities, classes):
+    """Class-scheme functions built one slope tuple at a time, each summed by
+    ``PaymentFunction.__post_init__``: the reference for the closed form."""
+    grid = [F(0)]
+    spans = []
+    for members in classes:
+        class_total = sum((liabilities[c] for c in members), F(0))
+        if class_total:
+            grid.append(grid[-1] + class_total)
+            spans.append((class_total, members))
+    if len(grid) == 1:
+        return {c: PaymentFunction(borders=(F(0),), slopes=()) for c in liabilities}
+    functions = {}
+    for creditor in liabilities:
+        slopes = [F(0)] * len(spans)
+        for j, (class_total, members) in enumerate(spans):
+            if creditor in members:
+                slopes[j] = liabilities[creditor] / class_total
+        functions[creditor] = PaymentFunction(borders=tuple(grid), slopes=tuple(slopes))
+    return functions
+
+
+class TestClosedFormClassFunctions:
+    """Class schemes get their values in closed form (zero through the
+    class's lower border, the liability from its upper border on); they must
+    equal the running sum in every field and at every border and midpoint."""
+
+    def assert_same(self, built, liabilities, classes):
+        expected = running_sum_functions(liabilities, classes)
+        assert built.keys() == expected.keys()
+        for creditor, fn in built.items():
+            ref = expected[creditor]
+            assert fn.borders == ref.borders
+            assert fn.slopes == ref.slopes
+            assert fn._values == ref._values
+            borders = fn.borders
+            points = list(borders) + [(x + y) / 2 for x, y in zip(borders, borders[1:])]
+            points += [borders[-1] + 1]
+            for a in points:
+                assert fn.value_at(a) == ref.value_at(a)
+                assert fn.slope_at(a) == ref.slope_at(a)
+                assert fn.active_segment(a) == ref.active_segment(a)
+
+    def test_hand_cases(self):
+        liabilities = {"a": F(3), "z": F(0), "b": F(5, 2), "c": F(1)}
+        self.assert_same(make_proportional(liabilities), liabilities, [list(liabilities)])
+        order = ["b", "z", "a", "c"]  # z is a zero-total class
+        self.assert_same(make_edge_ranking(liabilities, order), liabilities, [[c] for c in order])
+        classes = [[], ["z"], ["a", "z2"], ["b", "c"]]  # empty entry, zero class, zero creditor
+        with_zero = dict(liabilities, z2=F(0))
+        self.assert_same(
+            make_priority_proportional(with_zero, classes), with_zero, classes
+        )
+        zeros = {"a": F(0), "b": F(0)}  # an all-zero debtor
+        self.assert_same(make_proportional(zeros), zeros, [list(zeros)])
+        self.assert_same(make_edge_ranking(zeros, ["b", "a"]), zeros, [["b"], ["a"]])
+
+    def test_random_schemes(self):
+        rng = random.Random(1313)
+        for _ in range(300):
+            creditors = [f"c{i}" for i in range(rng.randint(1, 6))]
+            liabilities = {
+                c: F(rng.choice((0, rng.randint(1, 9))), rng.choice((1, 2, 3))) for c in creditors
+            }
+            self.assert_same(make_proportional(liabilities), liabilities, [creditors])
+            order = creditors[:]
+            rng.shuffle(order)
+            self.assert_same(
+                make_edge_ranking(liabilities, order), liabilities, [[c] for c in order]
+            )
+            classes = [[]]
+            for c in order:
+                if rng.random() < 0.5:
+                    classes.append([])
+                classes[-1].append(c)
+            self.assert_same(
+                make_priority_proportional(liabilities, classes), liabilities, classes
+            )
+
+
 class TestValidateNetwork:
     def test_example3_network_is_valid(self):
         net = build_network(

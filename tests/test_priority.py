@@ -27,7 +27,7 @@ from netclear.priority import (
 )
 
 from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
-from counter_checks import check_counter_freshness
+from counter_checks import assert_jumps_sound, check_counter_freshness, record_rounds
 from oracles import build_counter_lp, simplex_solve, to_priority_proportional
 
 
@@ -240,7 +240,7 @@ class TestClosedBlock:
         )
         for x, least, greatest in ((F(4), F(3), F(3)), (F(1), F(2), F(3, 2))):
             t = {"x": x}
-            assert _solve_block_least(system, {"s"}, t) == {"s": F(1) + x / 2}
+            assert _solve_block_least(system, {"s"}, t) == ({"s": F(1) + x / 2}, True)
             assert t["s"] == least
             t = {"x": x}
             _solve_block_greatest(system, {"s"}, t)
@@ -266,17 +266,22 @@ def walk_counters(net, rng):
             priority._lower(system, net, structure, counters, lowered)
 
 
+def held_system_networks():
+    """The 60 default-cost networks of the held-system and jump checks."""
+    rng = random.Random(4711)
+    for _ in range(60):
+        yield random_network(
+            rng, max_banks=10, min_banks=5, max_external=3, edge_prob=0.4, default_cost=True
+        )
+
+
 class TestHeldSystem:
     """One counter system serves the descent: after every lowering it must
     equal a fresh build."""
 
     def test_descent_with_default_costs(self, monkeypatch):
         counts = check_counter_freshness(monkeypatch)
-        rng = random.Random(4711)
-        for _ in range(60):
-            net = random_network(
-                rng, max_banks=10, min_banks=5, max_external=3, edge_prob=0.4, default_cost=True
-            )
+        for net in held_system_networks():
             assert is_clearing_state(net, compute_max_clearing_pp(net)).ok
         assert counts["lowerings"] >= 200
 
@@ -295,6 +300,115 @@ class TestHeldSystem:
         assert counts["lowerings"] >= 500
 
 
+class TestJump:
+    """A regular round lowers each short bank straight to the class its
+    assets reach. No bank it lowers may hold more in the maximal state than
+    its assets, and no counter may fall below the class of the maximal
+    state."""
+
+    def test_lowered_banks_stay_above_the_maximal_state(self, monkeypatch):
+        check_counter_freshness(monkeypatch)
+        rounds = record_rounds(monkeypatch)
+        jumps = checked = 0
+        for net in held_system_networks():
+            rounds.clear()
+            state = compute_max_clearing_pp(net)
+            jumps += assert_jumps_sound(rounds, state)
+            checked += len(rounds)
+        rng = random.Random(1913)
+        for _ in range(200):
+            net = random_network(rng, max_banks=10, min_banks=4, max_external=3, edge_prob=0.4)
+            rounds.clear()
+            state = compute_max_clearing_pp(net)
+            assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+            jumps += assert_jumps_sound(rounds, state)
+            checked += len(rounds)
+        assert checked >= 200
+        assert jumps >= 50
+
+    def test_ranked_debtor_falls_three_classes_at_once(self, monkeypatch):
+        """d owes four creditors one each, ranked; its 3/2 reach class 1, so
+        round 1 lowers it from 4 to 1 and round 2 finds it consistent."""
+        net = build_network(
+            banks=[("d", "3/2"), ("c1", 0), ("c2", 0), ("c3", 0), ("c4", 0)],
+            claims=[("d", c, 1) for c in ("c1", "c2", "c3", "c4")],
+            schemes={"d": {"type": "edge_ranking", "order": ["c1", "c2", "c3", "c4"]}},
+        )
+        counts = check_counter_freshness(monkeypatch)
+        rounds = record_rounds(monkeypatch)
+        solve = priority._solve_counters
+        solves = []
+        monkeypatch.setattr(
+            priority, "_solve_counters", lambda system: solves.append(1) or solve(system)
+        )
+        state = compute_max_clearing_pp(net)
+        assert state.as_dict() == {"d": F(3, 2), "c1": F(1), "c2": F(1, 2), "c3": F(0), "c4": F(0)}
+        assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+        assert len(solves) == 2
+        assert counts["lowerings"] == 1
+        steps = [(r["lowered"], r["before"]["d"], r["after"]["d"]) for r in rounds]
+        assert steps == [(["d"], 4, 1)]
+
+    def test_closed_block_beside_a_jumping_bank(self, monkeypatch):
+        """Started at counters where a and b pay their second classes to
+        each other, {a, b} is a closed circulation block with no net
+        injection: its least point is (2, 2), and only the final maximization
+        along its Perron line reaches the maximal state (4, 4). Next to it
+        x, paid 1 by a, jumps from class 4 to class 1 in round 1.
+
+        A descent from the top counters never ends on such a block: the
+        maximization puts a bank at its cap, so its class in the maximal
+        state is one above its counter, and counters never fall below those
+        classes. So this descent starts at the block's counters."""
+        net = build_network(
+            banks=[("a", 2), ("b", 1), ("x", "1/2"), ("y", 0)]
+            + [(c, 0) for c in ("c1", "c2", "c3", "c4")],
+            claims=[("a", "x", 1), ("a", "b", 3), ("b", "y", 2), ("b", "a", 3)]
+            + [("x", c, 1) for c in ("c1", "c2", "c3", "c4")],
+            schemes={
+                "a": {"type": "edge_ranking", "order": ["x", "b"]},
+                "b": {"type": "edge_ranking", "order": ["y", "a"]},
+                "x": {"type": "edge_ranking", "order": ["c1", "c2", "c3", "c4"]},
+            },
+        )
+        structure = priority_structure(net)
+        start = {v: structure[v].class_count for v in net.bank_ids()}
+        start.update(a=1, b=1)
+        build = priority._counter_system
+
+        def start_there(net, structure, counters):
+            monkeypatch.setattr(priority, "_counter_system", build)
+            counters.update(start)
+            return build(net, structure, counters)
+
+        system = build(net, structure, start)
+        t, a, open_blocks = _solve_counters(system)
+        assert (t["a"], t["b"]) == (F(2), F(2)) == (a["a"], a["b"])
+        assert ["a", "b"] in open_blocks
+        lp, order = build_counter_lp(net, structure, start)
+        result = simplex_solve(lp)
+        assert result.status == "optimal"
+        assert result.objective == sum((t[v] - a[v] + system.c[v] for v in order), F(0))
+
+        monkeypatch.setattr(priority, "_counter_system", start_there)
+        check_counter_freshness(monkeypatch)
+        rounds = record_rounds(monkeypatch)
+        line = priority._solve_singular_line
+        lines = []
+        monkeypatch.setattr(
+            priority, "_solve_singular_line", lambda *args: lines.append(args[1]) or line(*args)
+        )
+        state = compute_max_clearing_pp(net)
+        steps = [(r["lowered"], r["before"]["x"], r["after"]["x"]) for r in rounds]
+        assert steps == [(["x"], 4, 1)]
+        assert lines == [["a", "b"]]
+        assert state.as_dict() == {
+            "a": F(4), "b": F(4), "x": F(3, 2), "y": F(2),
+            "c1": F(1), "c2": F(1, 2), "c3": F(0), "c4": F(0),
+        }
+        assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+
+
 class TestAgainstSimplex:
     def test_block_solver_matches_lp_optimum(self):
         """The descent's least-offset solve must agree with the literal LP."""
@@ -310,7 +424,7 @@ class TestAgainstSimplex:
                     counters[v] -= rng.randint(0, counters[v])
             system = _counter_system(net, structure, counters)
             try:
-                t, a = _solve_counters(system)
+                t, a, _ = _solve_counters(system)
             except Exception:
                 continue  # insatiable interior states are exercised elsewhere
             d = {v: t[v] - a[v] for v in t}

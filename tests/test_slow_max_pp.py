@@ -1,6 +1,7 @@
 """Slow tier: the counter descent on the first 40 ``max-pp`` benchmark
 networks at the hold-out seed, with the held counter system compared with a
-fresh build after every lowering. Run it with ``python -m pytest -m slow``;
+fresh build after every lowering, and every jump of a regular round checked
+against the maximal state. Run it with ``python -m pytest -m slow``;
 the default run leaves it out.
 
 Every ``max-pp`` network has haircuts on about half of its banks. Each one
@@ -18,7 +19,7 @@ import pytest
 from netclear import compute_max_clearing_flood, compute_max_clearing_pp, is_clearing_state
 from netclear.model import validate_network
 
-from counter_checks import check_counter_freshness
+from counter_checks import assert_jumps_sound, check_counter_freshness, record_rounds
 
 pytestmark = pytest.mark.slow
 
@@ -50,15 +51,22 @@ def test_descent_on_max_pp_holdout_networks(tmp_path, monkeypatch):
     documents = holdout_documents(tmp_path, 40)
     assert len(documents) == 40
     counts = check_counter_freshness(monkeypatch)
+    rounds = record_rounds(monkeypatch)
+    jumps = 0
     for doc in documents:
         net = validate_network(doc)
         assert net.has_default_cost()
+        rounds.clear()
         state = compute_max_clearing_pp(net)
         assert is_clearing_state(net, state).ok
+        jumps += assert_jumps_sound(rounds, state)
 
         plain = validate_network(without_haircuts(doc))
         assert not plain.has_default_cost()
+        rounds.clear()
         state = compute_max_clearing_pp(plain)
         assert is_clearing_state(plain, state).ok
         assert dict(state) == dict(compute_max_clearing_flood(plain))
+        jumps += assert_jumps_sound(rounds, state)
     assert counts["lowerings"] > 0
+    assert jumps > 0
