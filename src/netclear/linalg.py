@@ -6,11 +6,25 @@ matrix ``M`` over the reachable part of the active graph: one unit diagonal
 per bank plus one entry per active edge, so a few nonzeros per row.
 ``solve_linear_system`` takes exactly those nonzeros as sparse rows and
 eliminates in a Markowitz-style pivot order (Markowitz 1957) to keep
-fill-in, and so the number of ``Fraction`` operations, small. Exact
-arithmetic fixes the solution of a nonsingular system, so the pivot order
-changes the cost, never the result. ``unit_left_nullspace`` reads the same
-rows as the columns of ``I - M`` and pins one coordinate of the Perron
-vector before handing them to the same solver.
+fill-in small. Exact arithmetic fixes the solution of a nonsingular system,
+so the pivot order changes the cost, never the result.
+
+The elimination runs on Python integers, fraction-free in the manner of
+Bareiss (1968). Each row, with its right-hand side, is scaled by the lcm of
+its denominators. Eliminating pivot ``P`` of row ``p`` from row ``r``, whose
+entry is ``a``, sets ``row_r <- (P/g) row_r - (a/g) row_p`` for
+``g = gcd(P, a)``, and a row scaled by ``P/g != 1`` is divided by the gcd
+of its entries and right-hand side (its content), which keeps the integers
+short. Every row is thus always a nonzero integer multiple of the row a
+rational elimination ``row_r - (a/P) row_p`` would hold, so the two have
+the same zero pattern at every step: the same Markowitz counts, the same
+pivots and the same answer to "is it singular". Back-substitution runs over
+one common denominator, and the ``Fraction`` results are built once, at the
+end, so no ``gcd`` is paid per arithmetic step.
+
+``unit_left_nullspace`` reads the same rows as the columns of ``I - M`` and
+pins one coordinate of the Perron vector before handing them to the same
+solver.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .errors import DegenerateMatrixError
 from .rationals import ONE, ZERO
@@ -31,33 +46,52 @@ def solve_linear_system(
     """Solve ``A x = b`` exactly; None exactly when A is singular.
 
     ``rows[i]`` lists the nonzero entries of row ``i`` of the square matrix
-    ``A`` as ``(column, value)`` pairs; repeated columns are summed. Each
-    step pivots on the live column with the fewest live entries and, within
-    it, on the row with the fewest nonzeros (ties go to the lowest index).
+    ``A`` as ``(column, value)`` pairs; repeated columns are summed. Values
+    and ``rhs`` are ``Fraction`` or ``int``; the solution is a list of
+    normalized ``Fraction``. Each step pivots on the live column with the
+    fewest live entries and, within it, on the row with the fewest nonzeros
+    (ties go to the lowest index).
     """
     n = len(rows)
     if n == 0 or len(rhs) != n:
         raise ValueError("need a square system and a matching right-hand side")
-    work: list[dict[int, Fraction]] = []
+    work: list[dict[int, int]] = []
+    b: list[int] = []
     col_rows: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
-        entries: dict[int, Fraction] = {}
+        # One pass per row: den stays the lcm of the denominators seen so
+        # far, and the entries already scaled are raised when it grows.
+        b_num, den = rhs[i].as_integer_ratio()
+        ints: dict[int, int] = {}
         for col, value in row:
-            if not 0 <= col < n:
-                raise ValueError(f"column {col} outside a {n}x{n} system")
-            entries[col] = entries[col] + value if col in entries else value
-        entries = {col: value for col, value in entries.items() if value}
-        for col in entries:
+            num, d = value.as_integer_ratio()
+            if den % d:
+                factor = d // gcd(den, d)
+                den *= factor
+                b_num *= factor
+                for c in ints:
+                    ints[c] *= factor
+            num *= den // d
+            if col in ints:
+                ints[col] += num
+            else:
+                ints[col] = num
+        if ints and (min(ints) < 0 or max(ints) >= n):
+            col = next(c for c in ints if not 0 <= c < n)
+            raise ValueError(f"column {col} outside a {n}x{n} system")
+        if 0 in ints.values():
+            ints = {c: value for c, value in ints.items() if value}
+        for col in ints:
             col_rows[col].add(i)
-        work.append(entries)
-    b = list(rhs)
+        work.append(ints)
+        b.append(b_num)
 
     # Heap of (live entries, column); an entry is stale once its column is
     # eliminated or its count has changed, and a fresh one is pushed then.
     heap = [(len(rows_of), c) for c, rows_of in enumerate(col_rows)]
     heapify(heap)
     eliminated = [False] * n
-    pivots: list[tuple[int, int]] = []
+    pivots: list[tuple[int, int, list[tuple[int, int]], int]] = []
     for _ in range(n):
         while True:
             count, col = heappop(heap)
@@ -79,34 +113,55 @@ def solve_linear_system(
         b_pivot = b[prow]
         for r in candidates:
             row = work[r]
-            factor = -row.pop(col) / pivot
+            a = row.pop(col)
+            g = gcd(pivot, a)
+            keep, take = pivot // g, a // g
+            if keep != 1:
+                for c in row:
+                    row[c] *= keep
             for c, value in others:
                 if c not in row:
-                    row[c] = factor * value  # fill-in, nonzero
+                    row[c] = -take * value  # fill-in, nonzero
                     col_rows[c].add(r)
                     continue
-                new = row[c] + factor * value
+                new = row[c] - take * value
                 if new:
                     row[c] = new
                 else:
                     del row[c]
                     col_rows[c].discard(r)
-            if b_pivot:
-                b[r] += factor * b_pivot
+            b_r = keep * b[r] - take * b_pivot
+            if keep != 1:
+                content = gcd(b_r, *row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
+                    b_r //= content
+            b[r] = b_r
         candidates.clear()
         for c, _ in others:
             heappush(heap, (len(col_rows[c]), c))
-        pivots.append((prow, col))
+        pivots.append((col, pivot, others, b_pivot))
 
-    solution = [ZERO] * n
-    for prow, col in reversed(pivots):
-        base = work[prow]
-        acc = b[prow]
-        for c, value in base.items():
-            if c != col and solution[c]:
-                acc -= value * solution[c]
-        solution[col] = acc / base[col]
-    return solution
+    # The coordinates solved so far are numerators / den, for one den;
+    # Fraction normalizes the sign and the common factors at the end.
+    numerators = [0] * n
+    den = 1
+    solved: list[int] = []
+    for col, pivot, others, b_pivot in reversed(pivots):
+        acc = b_pivot * den
+        for c, value in others:
+            acc -= value * numerators[c]
+        g = gcd(acc, pivot)
+        scale, acc = pivot // g, acc // g
+        if scale != 1:
+            den *= scale
+            for c in solved:
+                numerators[c] *= scale
+        numerators[col] = acc
+        if acc:
+            solved.append(col)
+    return [Fraction(x, den) for x in numerators]
 
 
 def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:

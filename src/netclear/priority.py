@@ -242,8 +242,9 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
     inputs, by promoting coordinates from their floors as forced. Returns
     the members' assets, and whether the block's flow equalities have just
     this solution: true for one bank and for a nonsingular solve of all the
-    members, false when some member was never promoted or the block is a
-    closed circulation."""
+    members, false when some member was never promoted. Raises
+    ``_Insatiable`` when the flow equalities of all the members are
+    singular."""
     members = sorted(block)
     if len(members) == 1:
         # No bank has a claim on itself, so a_v does not read t_v.
@@ -269,24 +270,19 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
             for i, v in enumerate(f):
                 t[v] = solution[i]
             continue
-        # Closed circulation block: the flow equations are singular. Solve
-        # the consistent line t = particular + gamma * h and take the least
-        # point at or above the floors; inconsistency means the injection
-        # cannot circulate at these counters.
+        # Singular on all the members. Every column of W_BB sums to at most
+        # 1, so the block holds a closed circulation C (every column of
+        # W_CC sums to 1, so t_C feeds nothing outside C), and every flow
+        # set holding all of C is singular: this promotion took a member of
+        # C at a > t. The promoted members have a = t, so the sum of a - t
+        # over C, which does not read t_C, is positive; the other inputs of
+        # C only rise in a solve, while the summed C-equations ask for that
+        # sum to be 0. So the block cannot absorb its injection here.
         if len(f) != len(members):
             raise errors.InternalInvariantError(
                 "singular flow system on a strict sub-block"
             )
-        particular, direction = _solve_singular_line(system, f, t)
-        if particular is None:
-            raise _Insatiable(members)
-        gamma = max(
-            (system.floor[v] - particular[i]) / direction[i]
-            for i, v in enumerate(f)
-        )
-        for i, v in enumerate(f):
-            t[v] = particular[i] + gamma * direction[i]
-        return {v: t[v] for v in members}, False
+        raise _Insatiable(members)
 
 
 def _solve_singular_line(system, members, t):

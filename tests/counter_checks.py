@@ -11,6 +11,12 @@ rounds.
 ``record_rounds`` wraps ``priority._lower`` to keep every regular round's
 lowering (the insatiable rounds lower by one and pass no assets), and
 ``assert_jumps_sound`` checks those rounds against the maximal state.
+
+``record_least_exits`` wraps ``priority._solve_block_least`` and counts how
+each least solve of a block of two or more banks leaves: with one solution,
+with a member never promoted, or through the singular path. Every singular
+exit is checked to be inconsistent, so that no least solve needed the
+consistent line of a closed block.
 """
 
 from __future__ import annotations
@@ -92,3 +98,28 @@ def assert_jumps_sound(rounds, state) -> int:
                 f"counter of {v} below the class of the maximal state"
             )
     return jumps
+
+
+def record_least_exits(monkeypatch) -> dict:
+    """Running counts of least block solves of two or more banks by exit:
+    ``unique``, ``open`` (a member never promoted) and ``singular`` (raised
+    ``_Insatiable``). On a singular exit the flow equalities at the final
+    ``t`` must have no solution on the pinned line."""
+    least = priority._solve_block_least
+    counts = {"unique": 0, "open": 0, "singular": 0}
+
+    def recorded_least(system, block, t):
+        if len(block) == 1:
+            return least(system, block, t)
+        try:
+            assets, unique = least(system, block, t)
+        except priority._Insatiable:
+            counts["singular"] += 1
+            line = priority._solve_singular_line(system, sorted(block), t)
+            assert line == (None, None), "consistent singular least solve"
+            raise
+        counts["unique" if unique else "open"] += 1
+        return assets, unique
+
+    monkeypatch.setattr(priority, "_solve_block_least", recorded_least)
+    return counts

@@ -82,9 +82,15 @@ class TestSparseAgainstDenseOracle:
     """The sparse Markowitz solver agrees exactly with dense elimination."""
 
     @staticmethod
-    def agree(matrix, rhs):
+    def agree(matrix, rhs, rows=None):
+        """The solver's answer on ``rows`` (default: the sparse rows of
+        ``matrix``) equals the dense oracle's on ``matrix``, and every
+        coordinate is a ``Fraction``."""
         expected = dense_solve_linear_system(matrix, rhs)
-        assert solve_linear_system(sparse_rows(matrix), rhs) == expected
+        got = solve_linear_system(sparse_rows(matrix) if rows is None else rows, rhs)
+        assert got == expected
+        if got is not None:
+            assert all(type(x) is F for x in got)
         return expected
 
     def test_random_square_systems_with_singular_ones(self):
@@ -149,6 +155,116 @@ class TestSparseAgainstDenseOracle:
             if strictly_sub:
                 assert expected is not None
                 assert all(x >= 0 for x in expected)
+
+    def test_wide_entries(self):
+        """Numerators and denominators of 100-300 bits."""
+        rng = random.Random(2718)
+
+        def wide():
+            bits = rng.randint(100, 300)
+            return F(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+
+        solved = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            matrix = [[wide() if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(n)]
+            rhs = [wide() for _ in range(n)]
+            solved += self.agree(matrix, rhs) is not None
+        assert solved > 30
+
+    def test_negative_pivots(self):
+        """Every entry negative, and negated response systems: the pivots,
+        and so the back-substitution scales, are negative."""
+        rng = random.Random(1982)
+        solved = 0
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            if rng.random() < 0.5:
+                matrix = [
+                    [F(-rng.randint(1, 9), rng.randint(1, 4)) if rng.random() < 0.5 else F(0)
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+            else:
+                m = random_substochastic(rng, n)
+                matrix = [
+                    [m[j][i] - (F(1) if i == j else F(0)) for j in range(n)] for i in range(n)
+                ]
+            rhs = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+            solved += self.agree(matrix, rhs) is not None
+        assert solved > 100
+
+    def test_entries_cancel_mid_elimination(self):
+        """A row that is a multiple of another on all but one or two
+        columns: eliminating the other row's pivot cancels entries of it."""
+        # the first pivot is row 0's column 0, and row 1 minus twice row 0
+        # loses column 1
+        matrix = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(0), F(1), F(1)]]
+        assert self.agree(matrix, [F(1), F(1), F(1)]) == [F(-2), F(0), F(1)]
+        rng = random.Random(8128)
+        solved = 0
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            matrix = [
+                [F(rng.randint(-5, 5), rng.choice((1, 2, 3))) if rng.random() < 0.6 else F(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            a, b = rng.sample(range(n), 2)
+            k = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+            matrix[a] = [k * x for x in matrix[b]]
+            for j in rng.sample(range(n), rng.randint(1, 2)):
+                matrix[a][j] += F(rng.randint(1, 4), rng.choice((1, 5)))
+            rhs = [F(rng.randint(-9, 9)) for _ in range(n)]
+            solved += self.agree(matrix, rhs) is not None
+        assert solved > 100
+
+    def test_repeated_columns_summing_to_zero(self):
+        """A pair ``(c, v), (c, -v)`` adds nothing: where column ``c`` has no
+        other entry in the row it is dropped, not kept as a zero entry."""
+        rng = random.Random(6174)
+        solved = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            matrix = [
+                [F(rng.randint(-5, 5), rng.choice((1, 2, 7))) if rng.random() < 0.5 else F(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            rows = [list(row) for row in sparse_rows(matrix)]
+            for row in rows:
+                for _ in range(rng.randint(0, 2)):
+                    c, v = rng.randrange(n), F(rng.randint(1, 9), rng.randint(1, 9))
+                    at = rng.randint(0, len(row))
+                    row[at:at] = [(c, v), (c, -v)]
+            rhs = [F(rng.randint(-9, 9)) for _ in range(n)]
+            solved += self.agree(matrix, rhs, rows) is not None
+        assert solved > 60
+
+    def test_plain_int_values(self):
+        rng = random.Random(4096)
+        solved = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            ints = [[rng.randint(-6, 6) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            rhs = [rng.randint(-9, 9) for _ in range(n)]
+            rows = [[(j, x) for j, x in enumerate(row) if x] for row in ints]
+            matrix = [[F(x) for x in row] for row in ints]
+            solved += self.agree(matrix, rhs, rows) is not None
+        assert solved > 60
+
+    def test_denominator_only_in_the_right_hand_side(self):
+        rng = random.Random(1729)
+        solved = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            matrix = [[F(rng.randint(-6, 6)) if rng.random() < 0.5 else F(0) for _ in range(n)]
+                      for _ in range(n)]
+            rhs = [F(rng.randint(-9, 9), rng.choice((1, 7, 11, 2**61 - 1))) for _ in range(n)]
+            solved += self.agree(matrix, rhs) is not None
+        assert solved > 60
+        assert solve_linear_system([[(0, 2)], [(1, F(3))]], [F(1, 7), 5]) == [F(1, 14), F(5, 3)]
 
     def test_repeated_columns_are_summed(self):
         rows = [[(0, F(1)), (1, F(2)), (0, F(1))], [(1, F(1))]]

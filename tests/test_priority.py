@@ -27,7 +27,12 @@ from netclear.priority import (
 )
 
 from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
-from counter_checks import assert_jumps_sound, check_counter_freshness, record_rounds
+from counter_checks import (
+    assert_jumps_sound,
+    check_counter_freshness,
+    record_least_exits,
+    record_rounds,
+)
 from oracles import build_counter_lp, simplex_solve, to_priority_proportional
 
 
@@ -195,8 +200,9 @@ def closed_block(c=F(0)):
 
 
 class TestClosedBlock:
-    """The consistent singular branch, which the corpora reach only with an
-    inconsistent (insatiable) block."""
+    """A closed circulation block: the greatest solve takes its consistent
+    line, and the least solve meets it singular only with a positive
+    injection, which is insatiable."""
 
     def test_one_block(self):
         assert _blocks_in_order(closed_block()) == [["b0", "b1", "b2"]]
@@ -220,6 +226,19 @@ class TestClosedBlock:
         assert _solve_singular_line(system, ["b0", "b1", "b2"], {}) == (None, None)
         with pytest.raises(_Insatiable):
             _solve_block_least(system, {"b0", "b1", "b2"}, {})
+
+    def test_positive_injection_is_insatiable_without_the_line(self, monkeypatch):
+        """The least solve raises at once when the flow equalities of all
+        the members are singular: the injection is then positive, so the
+        line of a closed block is never needed there."""
+
+        def no_line(*args):
+            raise AssertionError("singular line in a least solve")
+
+        monkeypatch.setattr(priority, "_solve_singular_line", no_line)
+        for c in (F(1, 7), F(1), F(40)):
+            with pytest.raises(_Insatiable):
+                _solve_block_least(closed_block(c=c), {"b0", "b1", "b2"}, {})
 
     def test_singleton_block_by_substitution(self, monkeypatch):
         """A one-bank block reads only inputs (there are no self-loops), so
@@ -290,6 +309,7 @@ class TestHeldSystem:
         networks, so this walk lowers counters at random: rounds then stop at
         insatiable blocks after solving the blocks before them."""
         counts = check_counter_freshness(monkeypatch)
+        exits = record_least_exits(monkeypatch)
         rng = random.Random(3)
         for _ in range(150):
             net = random_network(
@@ -297,7 +317,21 @@ class TestHeldSystem:
             )
             walk_counters(net, rng)
         assert counts["insatiable"] >= 10
+        assert exits["singular"] == counts["insatiable"]
         assert counts["lowerings"] >= 500
+
+    def test_driven_walk_with_zero_rates(self, monkeypatch):
+        """Banks with beta = 0 below their top class give rows of zero
+        weight, so a block need not be irreducible; its singular least
+        solves must still be inconsistent."""
+        exits = record_least_exits(monkeypatch)
+        rng = random.Random(11)
+        for _ in range(300):
+            net = random_network(
+                rng, max_external=1, edge_prob=0.9, default_cost=True, alphas=ZERO_RATE_ALPHAS
+            )
+            walk_counters(net, rng)
+        assert exits["singular"] >= 5
 
 
 class TestJump:

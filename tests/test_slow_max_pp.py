@@ -1,7 +1,8 @@
 """Slow tier: the counter descent on the first 40 ``max-pp`` benchmark
 networks at the hold-out seed, with the held counter system compared with a
-fresh build after every lowering, and every jump of a regular round checked
-against the maximal state. Run it with ``python -m pytest -m slow``;
+fresh build after every lowering, every jump of a regular round checked
+against the maximal state, and no least block solve left through the
+singular path. Run it with ``python -m pytest -m slow``;
 the default run leaves it out.
 
 Every ``max-pp`` network has haircuts on about half of its banks. Each one
@@ -19,7 +20,12 @@ import pytest
 from netclear import compute_max_clearing_flood, compute_max_clearing_pp, is_clearing_state
 from netclear.model import validate_network
 
-from counter_checks import assert_jumps_sound, check_counter_freshness, record_rounds
+from counter_checks import (
+    assert_jumps_sound,
+    check_counter_freshness,
+    record_least_exits,
+    record_rounds,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -52,6 +58,7 @@ def test_descent_on_max_pp_holdout_networks(tmp_path, monkeypatch):
     assert len(documents) == 40
     counts = check_counter_freshness(monkeypatch)
     rounds = record_rounds(monkeypatch)
+    exits = record_least_exits(monkeypatch)
     jumps = 0
     for doc in documents:
         net = validate_network(doc)
@@ -70,3 +77,5 @@ def test_descent_on_max_pp_holdout_networks(tmp_path, monkeypatch):
         jumps += assert_jumps_sound(rounds, state)
     assert counts["lowerings"] > 0
     assert jumps > 0
+    # no least solve left through the singular path
+    assert exits["singular"] == 0 and exits["unique"] > 0

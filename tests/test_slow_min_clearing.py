@@ -8,24 +8,41 @@ seed (a 30-bank core feeding closed rings, so floods and long increase runs);
 or 2 only, so that many banks share border values and reach them in the same
 step; and 40 networks with n = 30-40 and haircut rates of 0, 1/2 and 1, so
 that some banks have alpha = beta = 0 and are rewired on the way.
+
+One more check takes every exact system the run solves on one n = 60
+proportional network and compares it with dense Gaussian elimination: its
+solutions reach well over 100 bits, which the tier-1 systems never do.
 """
 
 import importlib.util
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from netclear import is_clearing_state, run_min_clearing
+from netclear import is_clearing_state, linalg, minimal, run_min_clearing
 from netclear.io import parse_network
+from netclear.model import validate_network
 
 from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
+from oracles import dense_solve_linear_system
 
 pytestmark = pytest.mark.slow
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 HOLDOUT_SEED = 7919
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(BENCH, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _check(net):
@@ -36,13 +53,7 @@ def _check(net):
 
 
 def test_lattice_rings_holdout_networks(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(BENCH, "workloads.py")
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    ops = workloads.build("lattice-rings", HOLDOUT_SEED, str(tmp_path))
+    ops = _bench_workloads().build("lattice-rings", HOLDOUT_SEED, str(tmp_path))
     paths = sorted({op.network for op in ops})
     assert len(paths) == 24
     floods = 0
@@ -78,3 +89,36 @@ def test_zero_rate_default_cost_networks():
         )
         rewired += rewired_zero_rate_banks(net, _check(net).state)
     assert rewired >= 30
+
+
+def _bits(x: Fraction) -> int:
+    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
+def test_min_clearing_systems_match_dense_elimination(monkeypatch):
+    """Every system of a min-clear run on an n = 60 proportional network
+    (m = 4n, the ``min-prop`` shape) has the dense oracle's solution."""
+    doc = _bench_workloads()._proportional(random.Random("slow/solver-60"), 60)
+    net = validate_network(doc)
+    solve = linalg.solve_linear_system
+    systems = []
+
+    def recorded(rows, rhs):
+        solution = solve(rows, rhs)
+        systems.append((rows, rhs, solution))
+        return solution
+
+    monkeypatch.setattr(minimal, "solve_linear_system", recorded)
+    monkeypatch.setattr(linalg, "solve_linear_system", recorded)
+    _check(net)
+    assert len(systems) >= 50
+    wide = 0
+    for rows, rhs, solution in systems:
+        n = len(rows)
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, value in row:
+                matrix[i][j] += value
+        assert solution == dense_solve_linear_system(matrix, rhs)
+        wide += solution is not None and max(map(_bits, solution)) >= 100
+    assert wide >= 40
