@@ -15,7 +15,8 @@ its denominators. Eliminating pivot ``P`` of row ``p`` from row ``r``, whose
 entry is ``a``, sets ``row_r <- (P/g) row_r - (a/g) row_p`` for
 ``g = gcd(P, a)``, and a row scaled by ``P/g != 1`` is divided by the gcd
 of its entries and right-hand side (its content), which keeps the integers
-short. Every row is thus always a nonzero integer multiple of the row a
+short; a row that has cancelled to zero, right-hand side included, has
+content 0 and is left as it is. Every row is thus always a nonzero integer multiple of the row a
 rational elimination ``row_r - (a/P) row_p`` would hold, so the two have
 the same zero pattern at every step: the same Markowitz counts, the same
 pivots and the same answer to "is it singular". Back-substitution runs over
@@ -132,8 +133,9 @@ def solve_linear_system(
                     col_rows[c].discard(r)
             b_r = keep * b[r] - take * b_pivot
             if keep != 1:
+                # content is 0 when the row and b_r both cancelled to 0
                 content = gcd(b_r, *row.values())
-                if content != 1:
+                if content > 1:
                     for c in row:
                         row[c] //= content
                     b_r //= content

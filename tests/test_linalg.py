@@ -121,6 +121,41 @@ class TestSparseAgainstDenseOracle:
                 solved += 1
         assert singular > 40 and solved > 100
 
+    def test_consistent_singular_systems(self):
+        """Singular systems that have solutions: a row that cancels
+        completely, right-hand side included, still means None."""
+        for rows in (
+            [[(0, F(2)), (1, F(2))], [(0, F(3)), (1, F(3))]],
+            [[(0, F(-1)), (1, F(-1))], [(0, F(1)), (1, F(1))]],
+            [[(0, F(3, 2)), (1, F(-5, 7))], [(0, F(-9, 4)), (1, F(15, 14))]],
+        ):
+            matrix = [[F(0), F(0)] for _ in rows]
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    matrix[i][j] = x
+            for x in ([F(0), F(0)], [F(1), F(0)], [F(2, 3), F(-5)]):
+                assert self.agree(matrix, mat_vec(matrix, x), rows) is None
+        rng = random.Random(65537)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            matrix = [
+                [F(rng.randint(-4, 4), rng.choice((1, 2, 5))) if rng.random() < 0.6 else F(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            a, b, c = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+            k = F(rng.choice((-6, -3, -2, -1, 2, 3, 5)), rng.choice((1, 2, 3, 7)))
+            if rng.random() < 0.5:
+                matrix[a] = [k * y for y in matrix[b]]  # proportional rows
+            else:
+                matrix[a] = [k * y + z for y, z in zip(matrix[b], matrix[c])]
+            if rng.random() < 0.3:
+                rhs = [F(0)] * n
+            else:
+                x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                rhs = mat_vec(matrix, x)
+            assert self.agree(matrix, rhs) is None
+
     def test_zero_leading_pivots(self):
         rng = random.Random(31337)
         for _ in range(150):

@@ -221,6 +221,26 @@ class TestClosedBlock:
         _solve_block_greatest(closed_block(), {"b0", "b1", "b2"}, t)
         assert t == {"b0": F(7), "b1": F(14), "b2": F(21)}
 
+    def test_greatest_point_when_the_last_step_scales(self):
+        """A closed block whose last elimination step scales its row by a
+        factor other than 1 before the row cancels: the solver still
+        reports it singular, and the greatest solve takes the line."""
+        system = _CounterSystem(
+            order=("b0", "b1", "b2"),
+            w={
+                "b0": {"b1": F(1, 4)},
+                "b1": {"b0": F(4, 3), "b2": F(4, 3)},
+                "b2": {"b0": F(2)},
+            },
+            c={"b0": F(0), "b1": F(0), "b2": F(0)},
+            floor={"b0": F(1), "b1": F(0), "b2": F(0)},
+            cap={"b0": F(7), "b1": None, "b2": None},
+            sources={},
+        )
+        t = {}
+        _solve_block_greatest(system, {"b0", "b1", "b2"}, t)
+        assert t == {"b0": F(7), "b1": F(28), "b2": F(14)}
+
     def test_injection_is_insatiable(self):
         system = closed_block(c=F(1))
         assert _solve_singular_line(system, ["b0", "b1", "b2"], {}) == (None, None)
