@@ -16,16 +16,19 @@ entry is ``a``, sets ``row_r <- (P/g) row_r - (a/g) row_p`` for
 ``g = gcd(P, a)``, and a row scaled by ``P/g != 1`` is divided by the gcd
 of its entries and right-hand side (its content), which keeps the integers
 short; a row that has cancelled to zero, right-hand side included, has
-content 0 and is left as it is. Every row is thus always a nonzero integer multiple of the row a
-rational elimination ``row_r - (a/P) row_p`` would hold, so the two have
-the same zero pattern at every step: the same Markowitz counts, the same
-pivots and the same answer to "is it singular". Back-substitution runs over
-one common denominator, and the ``Fraction`` results are built once, at the
-end, so no ``gcd`` is paid per arithmetic step.
+content 0 and is left as it is. Every row is thus always a nonzero integer
+multiple of the row a rational elimination ``row_r - (a/P) row_p`` would
+hold, so the two have the same zero pattern at every step: the same
+Markowitz counts, the same pivots and the same answer to "is it singular".
+Back-substitution runs over one common denominator, and the solution leaves
+the solver as it was computed: integer numerators over that one positive
+denominator. No ``Fraction`` is built per coordinate; a caller that keeps
+the values builds them, and one that only scales and compares them (the
+minimal-state steps) stays on integers.
 
-``unit_left_nullspace`` reads the same rows as the columns of ``I - M`` and
-pins one coordinate of the Perron vector before handing them to the same
-solver.
+``unit_left_nullspace`` reads the same rows as the columns of ``A = I - M``
+(or of ``M - I``: its answer does not depend on the sign of ``A``) and pins
+one coordinate of the Perron vector before handing them to the same solver.
 """
 
 from __future__ import annotations
@@ -36,22 +39,23 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import DegenerateMatrixError
-from .rationals import ONE, ZERO
 
 SparseRow = Sequence[tuple[int, Fraction]]
 
 
 def solve_linear_system(
     rows: Sequence[SparseRow], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Solve ``A x = b`` exactly; None exactly when A is singular.
 
     ``rows[i]`` lists the nonzero entries of row ``i`` of the square matrix
     ``A`` as ``(column, value)`` pairs; repeated columns are summed. Values
-    and ``rhs`` are ``Fraction`` or ``int``; the solution is a list of
-    normalized ``Fraction``. Each step pivots on the live column with the
-    fewest live entries and, within it, on the row with the fewest nonzeros
-    (ties go to the lowest index).
+    and ``rhs`` are ``Fraction`` or ``int``. The solution is returned as
+    ``(numerators, den)``: ``x[i] == Fraction(numerators[i], den)`` with
+    ``int`` numerators and one ``int`` common denominator ``den > 0``, not
+    necessarily in lowest terms. Each step pivots on the live column with
+    the fewest live entries and, within it, on the row with the fewest
+    nonzeros (ties go to the lowest index).
     """
     n = len(rows)
     if n == 0 or len(rhs) != n:
@@ -145,8 +149,7 @@ def solve_linear_system(
             heappush(heap, (len(col_rows[c]), c))
         pivots.append((col, pivot, others, b_pivot))
 
-    # The coordinates solved so far are numerators / den, for one den;
-    # Fraction normalizes the sign and the common factors at the end.
+    # The coordinates solved so far are numerators / den, for one den.
     numerators = [0] * n
     den = 1
     solved: list[int] = []
@@ -163,16 +166,20 @@ def solve_linear_system(
         numerators[col] = acc
         if acc:
             solved.append(col)
-    return [Fraction(x, den) for x in numerators]
+    if den < 0:
+        return [-x for x in numerators], -den
+    return numerators, den
 
 
 def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:
     """The non-negative ``d`` with ``d A = 0``, largest entry 1, for
     ``A = I - M`` given by its sparse columns as ``(row, value)`` pairs (the
-    sparse rows of ``I - M^T``). The caller guarantees M is the slope matrix
-    of a non-singleton sink component: row-stochastic and irreducible, so by
-    Perron-Frobenius ``d = d M`` has one positive line of solutions, and
-    ``d_0 = 1`` pins a point on it. Any other M raises ``DegenerateMatrixError``.
+    sparse rows of ``I - M^T``). ``d A = 0`` exactly when ``d (-A) = 0``, so
+    the columns of ``M - I`` give the same ``d``. The caller guarantees M is
+    the slope matrix of a non-singleton sink component: row-stochastic and
+    irreducible, so by Perron-Frobenius ``d = d M`` has one positive line of
+    solutions, and ``d_0 = 1`` pins a point on it. Any other M raises
+    ``DegenerateMatrixError``.
     """
     n = len(columns)
     if n == 0:
@@ -181,12 +188,11 @@ def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:
         raise ValueError(f"column 0 has a row outside a {n}x{n} matrix")
     # Column equations sum_i d_i A_ij = 0, with d_0 = 1 in place of equation
     # 0; the dropped equation and the sign are checked afterwards.
-    vector = solve_linear_system([[(0, ONE)], *columns[1:]], [ONE] + [ZERO] * (n - 1))
-    if (
-        vector is None
-        or sum((x * vector[i] for i, x in columns[0]), ZERO)
-        or any(x < 0 for x in vector)
-    ):
+    # The numerators share the solver's positive denominator, so they carry
+    # the signs and the ratios of d.
+    solution = solve_linear_system([[(0, 1)], *columns[1:]], [1] + [0] * (n - 1))
+    vector = None if solution is None else solution[0]
+    if vector is None or sum(x * vector[i] for i, x in columns[0]) or min(vector) < 0:
         raise DegenerateMatrixError("d = d M has no single non-negative line")
     top = max(vector)
-    return [x / top for x in vector]
+    return [Fraction(x, top) for x in vector]

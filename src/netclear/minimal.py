@@ -9,6 +9,16 @@ region (a non-singleton sink SCC of the active graph). Only then is the
 graph condensed, and payments inside the region are raised along the
 component's circulation eigenvector until a border binds.
 
+A step stays on integers. The solve returns the response as integer rates
+``r_u`` over one positive common denominator ``den``, and the step moves
+every bank by ``tau * r_u`` for one scale ``tau = delta / den``.
+``border_scale`` finds ``tau`` by comparing the ratios
+``(border_u - a_u) / r_u`` by cross-multiplication, with the budget entering
+as ``budget / den``, and ``advance`` builds each moved bank's assets with one
+normalization. Both read their rates through ``numerator`` and
+``denominator``, so a flood's ``Fraction`` direction goes through the same
+two functions.
+
 One active graph serves the whole run while the working network stays the
 same. A step changes the active segment only of the banks it moves onto
 their next border, so only those are refreshed; a rewire builds the graph
@@ -57,9 +67,24 @@ class FloodStep:
 
 @dataclass(frozen=True)
 class IncreaseStep:
+    """An injection at ``source`` that moves each bank ``u`` by
+    ``scale * rates[u]``: the response solve's integer numerators over its
+    positive common denominator ``den``, kept as they came. ``slopes`` and
+    ``delta`` read the same step as the exact response per unit of
+    injection and the injected amount."""
+
     source: str
-    slopes: dict[str, Fraction]  # asset response per unit of injection
-    delta: Fraction  # injected amount
+    rates: dict[str, int]  # response numerators over den
+    den: int  # common denominator of the rates, positive
+    scale: Fraction  # injected amount / den
+
+    @property
+    def slopes(self) -> dict[str, Fraction]:
+        return {u: Fraction(rate, self.den) for u, rate in self.rates.items()}
+
+    @property
+    def delta(self) -> Fraction:
+        return self.scale * self.den
 
 
 @dataclass
@@ -209,19 +234,30 @@ def border_scale(
     ``t * rates[u]`` crosses no payment-function border: the least
     ``(g.borders[u] - state[u]) / rate`` over the banks with a positive rate
     and an active out-claim. None when there is neither such a bank nor a
-    limit. ``g`` is the active graph at ``state``. The scale never
+    limit. ``g`` is the active graph at ``state``. Rates, assets and limit
+    may be any rationals, such as a response's integer numerators or a
+    flood's ``Fraction`` direction: each ratio is kept as an integer
+    numerator and positive denominator and compared by cross-multiplication,
+    and one ``Fraction`` is built for the result. The scale never
     overshoots, so after the move a bank that binds sits exactly on its
     border."""
-    scale = limit
+    num = den = None
+    if limit is not None:
+        num, den = limit.numerator, limit.denominator
     borders = g.borders
     for u, rate in rates.items():
         if rate > 0 and u in borders:
-            ratio = (borders[u] - state[u]) / rate
-            if scale is None or ratio < scale:
-                scale = ratio
-    if scale is not None and scale <= 0:  # a fresh border lies strictly above its bank
+            border, assets = borders[u], state[u]
+            bd, ad = border.denominator, assets.denominator
+            n = (border.numerator * ad - assets.numerator * bd) * rate.denominator
+            d = bd * ad * rate.numerator
+            if num is None or n * den < num * d:
+                num, den = n, d
+    if num is None:
+        return None
+    if num <= 0:  # a fresh border lies strictly above its bank
         raise errors.InternalInvariantError("no room before a border: stale active graph")
-    return scale
+    return Fraction(num, den)
 
 
 def solve_flood_step(g: ActiveGraph, state, component: frozenset[str]) -> FloodStep:
@@ -243,12 +279,23 @@ def advance(g: ActiveGraph, net: FinancialNetwork, assets: dict, rates, scale: F
     """Move each bank ``u`` by ``scale * rates[u]`` in place, a scale that
     ``border_scale`` allowed on ``g``, the active graph of ``net`` at
     ``assets``; then refresh the banks with a positive rate that landed on
-    their next border, the only ones whose active segment can change."""
+    their next border, the only ones whose active segment can change. Rates
+    and scale may be any rationals; each moved bank's new assets are summed
+    on integers and normalized once."""
+    sn, sd = scale.numerator, scale.denominator
+    borders = g.borders
+    landed = []
     for u, rate in rates.items():
         if rate:
-            assets[u] += scale * rate
-    borders = g.borders
-    landed = [u for u, r in rates.items() if r > 0 and u in borders and assets[u] == borders[u]]
+            a = assets[u]
+            rd, ad = rate.denominator, a.denominator
+            num = a.numerator * sd * rd + sn * rate.numerator * ad
+            den = ad * sd * rd
+            assets[u] = Fraction(num, den)
+            if rate > 0 and u in borders:
+                border = borders[u]
+                if num * border.denominator == den * border.numerator:
+                    landed.append(u)
     refresh_banks(g, net, assets, landed)
 
 
@@ -265,32 +312,41 @@ def flood_closure(g: ActiveGraph, net: FinancialNetwork, assets: dict, source=No
 
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
-    """Sparse rows of ``I - M^T`` over ``members``, where ``M`` holds the
+    """Sparse rows of ``M^T - I`` over ``members``, where ``M`` holds the
     slopes of the active edges between members and the out-edges of
-    ``frozen`` are left out. Row ``j`` is also column ``j`` of ``I - M``."""
+    ``frozen`` are left out. Row ``j`` is also column ``j`` of ``M - I``.
+    These are the rows of the response system ``(I - M^T) s = b`` negated,
+    so the slopes go in as the graph stores them: a response solve passes
+    ``-b`` as the right-hand side, and ``unit_left_nullspace`` gives the
+    same Perron direction for ``M - I`` as for ``I - M``."""
     index = {u: i for i, u in enumerate(members)}
-    rows = [[(i, ONE)] for i in range(len(members))]
+    rows = [[(i, -1)] for i in range(len(members))]
+    slopes = g.slopes
     for i, u in enumerate(members):
         if u == frozen:
             continue
         for claim in g.edges[u]:
             j = index.get(claim.creditor)
             if j is not None:
-                rows[j].append((i, -g.slopes[claim.pair]))
+                rows[j].append((i, slopes[claim.pair]))
     return rows
 
 
 def response(
     g: ActiveGraph, v: str, injection: dict, frozen: str | None = None
-) -> dict[str, Fraction] | None:
+) -> tuple[dict[str, int], int] | None:
     """Asset response of the banks reachable from ``v`` to ``injection`` (an
     amount per bank; banks outside that set are skipped), with the out-edges
-    of ``frozen`` held fixed: the solution of ``(I - M^T) s = injection``,
-    or None when that system is singular."""
+    of ``frozen`` held fixed: the solution of ``(I - M^T) s = injection`` as
+    ``(rates, den)``, an integer numerator per bank over one positive common
+    denominator, or None when that system is singular."""
     reach = sorted(reachable_from(g, v))
-    rhs = [injection.get(u, ZERO) for u in reach]
+    rhs = [-injection.get(u, 0) for u in reach]
     solution = solve_linear_system(response_rows(g, reach, frozen), rhs)
-    return None if solution is None else dict(zip(reach, solution))
+    if solution is None:
+        return None
+    numerators, den = solution
+    return dict(zip(reach, numerators)), den
 
 
 def solve_increase_step(g: ActiveGraph, state, v: str, budget: Fraction) -> IncreaseStep | None:
@@ -306,11 +362,12 @@ def solve_increase_step(g: ActiveGraph, state, v: str, budget: Fraction) -> Incr
     first."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    slopes = response(g, v, {v: ONE})
-    if slopes is None:
+    solved = response(g, v, {v: 1})
+    if solved is None:
         return None
-    delta = border_scale(g, state, slopes, limit=budget)
-    return IncreaseStep(source=v, slopes=slopes, delta=delta)
+    rates, den = solved
+    scale = border_scale(g, state, rates, limit=budget / den)
+    return IncreaseStep(source=v, rates=rates, den=den, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -362,29 +419,28 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 "stale active graph handed to the increase step"
             )
 
+    def pending_sources() -> set[str]:
+        return {v for v, target in adj.targets.items() if adj.injected[v] < target}
+
     def settle_defaulters() -> None:
-        nonlocal assets
-        changed = True
+        nonlocal assets, pending
+        changed, rewired = True, False
         while changed:
             changed = False
             for u in sorted(adj.auxiliary_map.keys() - adj.rewired):
                 if original_solvent(adj, assets, u):
                     assets = rewire_solvent_bank(adj, assets, u)
-                    changed = True
+                    changed = rewired = True
+        if rewired:
+            pending = pending_sources()
 
+    # The banks with a target not yet injected, kept up to date: a step
+    # removes its source once paid off, and a rewire rebuilds the set.
+    pending = pending_sources()
     settle_defaulters()
     verify()
-    while True:
-        source = next(
-            (
-                v
-                for v in sorted(adj.targets)
-                if adj.injected[v] < adj.targets[v]
-            ),
-            None,
-        )
-        if source is None:
-            break
+    while pending:
+        source = min(pending)
 
         # Flood from the source while its response is singular. A rewiring
         # cascade can retire the selected bank itself (when it is a splitter
@@ -422,7 +478,9 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
             continue
         increases.append(step)
         adj.injected[source] += step.delta
-        advance(g, adj.network, assets, step.slopes, step.delta)
+        if adj.injected[source] >= adj.targets[source]:
+            pending.discard(source)
+        advance(g, adj.network, assets, step.rates, step.scale)
         settle_defaulters()
         verify()
 

@@ -267,8 +267,9 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
         f = sorted(flow)
         solution = solve_linear_system(*_flow_rows(system, f, t))
         if solution is not None:
-            for i, v in enumerate(f):
-                t[v] = solution[i]
+            numerators, den = solution
+            for v, x in zip(f, numerators):
+                t[v] = Fraction(x, den)
             continue
         # Singular on all the members. Every column of W_BB sums to at most
         # 1, so the block holds a closed circulation C (every column of
@@ -299,9 +300,13 @@ def _solve_singular_line(system, members, t):
     # the first equation, then test the dropped equation by substitution.
     pinned = [[(0, ONE)]] + rows[1:]
     solution = solve_linear_system(pinned, [system.floor[members[0]]] + g[1:])
-    if solution is None or sum((x * solution[j] for j, x in rows[0]), ZERO) != g[0]:
+    if solution is None:
         return None, None
-    return solution, direction
+    numerators, den = solution
+    particular = [Fraction(x, den) for x in numerators]
+    if sum((x * particular[j] for j, x in rows[0]), ZERO) != g[0]:
+        return None, None
+    return particular, direction
 
 
 def _solve_block_greatest(system, block, t):
@@ -314,8 +319,9 @@ def _solve_block_greatest(system, block, t):
         return
     solution = solve_linear_system(*_flow_rows(system, members, t))
     if solution is not None:
-        for i, v in enumerate(members):
-            t[v] = solution[i]
+        numerators, den = solution
+        for v, x in zip(members, numerators):
+            t[v] = Fraction(x, den)
         return
     particular, direction = _solve_singular_line(system, members, t)
     if particular is None:

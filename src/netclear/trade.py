@@ -21,7 +21,6 @@ from .graphs import ActiveGraph, active_graph
 from .lattice import require_no_default_cost
 from .minimal import advance, border_scale, compute_min_clearing, flood_closure, response
 from .model import Bank, Claim, FinancialNetwork, assemble
-from .rationals import ONE, ZERO
 
 
 TRADING = "claims trading"
@@ -81,23 +80,26 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
     return assemble(banks, claims, dict(net.schemes))
 
 
-def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> dict:
+def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
     """Response of the minimal clearing state to moving one unit of external
     assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
-    graph at the current state. The buyer's outgoing payments are held fixed
-    (at the creditor-positive boundary its assets do not move), and the sign
-    of its drift is the stop signal. A buyer outside the seller's reach gets no
-    active in-edge from it, so it only loses the unit.
+    graph at the current state. Returned as ``(rates, den)``: an integer
+    numerator for every bank over one positive common denominator. The
+    buyer's outgoing payments are held fixed (at the creditor-positive
+    boundary its assets do not move), and the sign of its drift is the stop
+    signal. A buyer outside the seller's reach gets no active in-edge from
+    it, so it only loses the unit.
     """
-    solved = response(g, v, {v: ONE, w: -ONE}, frozen=w)
+    solved = response(g, v, {v: 1, w: -1}, frozen=w)
     if solved is None:
         raise errors.InternalInvariantError(
             "singular trade response system after flood closure"
         )
-    slopes = dict.fromkeys(net.bank_ids(), ZERO)
-    slopes[w] = -ONE
-    slopes.update(solved)
-    return slopes
+    rates, den = solved
+    slopes = dict.fromkeys(net.bank_ids(), 0)
+    slopes[w] = -den
+    slopes.update(rates)
+    return slopes, den
 
 
 def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
@@ -130,7 +132,7 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
         # The stop path drops the flooded copy and ``g``, which describes it.
         flooded = dict(state)
         flood_closure(g, traded, flooded, v)
-        slopes = _trade_slopes(traded, g, v, w)
+        slopes, den = _trade_slopes(traded, g, v, w)
         # The buyer's drift is never positive: its out-edges are frozen, so
         # it absorbs at most the unit injected at the seller.
         if slopes[w] < 0 or slopes[v] <= 0:
@@ -142,10 +144,11 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
                 )
             break
         state = flooded
-        # slopes[w] == 0 here, so the scan leaves the buyer out.
-        delta = border_scale(g, state, slopes, limit=cap - rho)
-        advance(g, traded, state, slopes, delta)
-        rho += delta
+        # slopes[w] == 0 here, so the scan leaves the buyer out. The return
+        # moves by den times the scale of the integer rates.
+        scale = border_scale(g, state, slopes, limit=(cap - rho) / den)
+        advance(g, traded, state, slopes, scale)
+        rho += scale * den
         if rho == cap:
             break
     return rho_min, rho, ClearingState(state), base, reason

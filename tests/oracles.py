@@ -9,6 +9,9 @@ None of this runs in the product:
   ``I - M`` that ``unit_left_nullspace`` takes;
 - ``dense_unit_left_nullspace``: the Perron direction by dense reduced row
   echelon form, the oracle for the sparse ``unit_left_nullspace``;
+- ``fraction_border_scale`` and ``fraction_advance``: the step's line search
+  and move in plain ``Fraction`` arithmetic, the oracles for the
+  integer-rate ``minimal.border_scale`` and ``minimal.advance``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
   feasibility test that the block solver is cross-checked against;
@@ -151,6 +154,36 @@ GREATER_EQUAL = ">="
 
 NON_NEGATIVE = "nonneg"
 FREE = "free"
+
+
+def fraction_border_scale(g, state, rates, limit=None) -> Fraction | None:
+    """The least ``(g.borders[u] - state[u]) / rates[u]`` over the banks
+    with a positive rate and a next border, and ``limit``; None when there
+    is neither."""
+    ratios = [
+        Fraction(g.borders[u] - state[u]) / rate
+        for u, rate in rates.items()
+        if rate > 0 and u in g.borders
+    ]
+    if limit is not None:
+        ratios.append(Fraction(limit))
+    return min(ratios, default=None)
+
+
+def fraction_advance(g, state, rates, scale) -> tuple[dict[str, Fraction], list[str]]:
+    """The assets after moving each bank ``u`` of ``state`` by
+    ``scale * rates[u]``, and the banks with a positive rate that land on
+    their next border in ``g``, in the order of ``rates``. Neither argument
+    is changed."""
+    moved = dict(state)
+    for u, rate in rates.items():
+        moved[u] = Fraction(moved[u] + scale * rate)
+    landed = [
+        u
+        for u, rate in rates.items()
+        if rate > 0 and u in g.borders and moved[u] == g.borders[u]
+    ]
+    return moved, landed
 
 
 @dataclass(frozen=True)

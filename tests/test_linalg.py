@@ -27,10 +27,24 @@ def mat_vec(matrix, x):
     return [sum((row[j] * x[j] for j in range(len(x))), F(0)) for row in matrix]
 
 
+def solve_fractions(rows, rhs):
+    """The solver's answer as ``Fraction``s, after checking its contract:
+    None, or one ``int`` numerator per row over one positive ``int``
+    denominator."""
+    result = solve_linear_system(rows, rhs)
+    if result is None:
+        return None
+    numerators, den = result
+    assert type(den) is int and den > 0
+    assert len(numerators) == len(rows)
+    assert all(type(x) is int for x in numerators)
+    return [F(x, den) for x in numerators]
+
+
 class TestSolveLinearSystem:
     def test_identity(self):
         eye = [[F(1), F(0)], [F(0), F(1)]]
-        assert solve_linear_system(sparse_rows(eye), [F(3), F(-2)]) == [F(3), F(-2)]
+        assert solve_fractions(sparse_rows(eye), [F(3), F(-2)]) == [F(3), F(-2)]
 
     def test_path_slopes(self):
         # response system of a slope-1 path u -> v -> w: (I - M^T) s = e_u
@@ -39,11 +53,11 @@ class TestSolveLinearSystem:
             [F(-1), F(1), F(0)],
             [F(0), F(-1), F(1)],
         ]
-        assert solve_linear_system(sparse_rows(a), [F(1), F(0), F(0)]) == [F(1), F(1), F(1)]
+        assert solve_fractions(sparse_rows(a), [F(1), F(0), F(0)]) == [F(1), F(1), F(1)]
 
     def test_singular(self):
         ones = [[F(1), F(1)], [F(1), F(1)]]
-        assert solve_linear_system(sparse_rows(ones), [F(1), F(0)]) is None
+        assert solve_fractions(sparse_rows(ones), [F(1), F(0)]) is None
 
     def test_resubstitution_on_random_systems(self):
         rng = random.Random(4242)
@@ -55,7 +69,7 @@ class TestSolveLinearSystem:
                 for _ in range(n)
             ]
             rhs = [F(rng.randint(-10, 10)) for _ in range(n)]
-            x = solve_linear_system(sparse_rows(matrix), rhs)
+            x = solve_fractions(sparse_rows(matrix), rhs)
             if x is None:
                 continue
             assert mat_vec(matrix, x) == rhs
@@ -84,13 +98,10 @@ class TestSparseAgainstDenseOracle:
     @staticmethod
     def agree(matrix, rhs, rows=None):
         """The solver's answer on ``rows`` (default: the sparse rows of
-        ``matrix``) equals the dense oracle's on ``matrix``, and every
-        coordinate is a ``Fraction``."""
+        ``matrix``) keeps its contract and equals the dense oracle's on
+        ``matrix``."""
         expected = dense_solve_linear_system(matrix, rhs)
-        got = solve_linear_system(sparse_rows(matrix) if rows is None else rows, rhs)
-        assert got == expected
-        if got is not None:
-            assert all(type(x) is F for x in got)
+        assert solve_fractions(sparse_rows(matrix) if rows is None else rows, rhs) == expected
         return expected
 
     def test_random_square_systems_with_singular_ones(self):
@@ -299,13 +310,13 @@ class TestSparseAgainstDenseOracle:
             rhs = [F(rng.randint(-9, 9), rng.choice((1, 7, 11, 2**61 - 1))) for _ in range(n)]
             solved += self.agree(matrix, rhs) is not None
         assert solved > 60
-        assert solve_linear_system([[(0, 2)], [(1, F(3))]], [F(1, 7), 5]) == [F(1, 14), F(5, 3)]
+        assert solve_fractions([[(0, 2)], [(1, F(3))]], [F(1, 7), 5]) == [F(1, 14), F(5, 3)]
 
     def test_repeated_columns_are_summed(self):
         rows = [[(0, F(1)), (1, F(2)), (0, F(1))], [(1, F(1))]]
-        assert solve_linear_system(rows, [F(4), F(1)]) == [F(1), F(1)]
+        assert solve_fractions(rows, [F(4), F(1)]) == [F(1), F(1)]
         cancelled = [[(0, F(1)), (0, F(-1))], [(1, F(1))]]
-        assert solve_linear_system(cancelled, [F(0), F(1)]) is None
+        assert solve_fractions(cancelled, [F(0), F(1)]) is None
 
     def test_malformed_systems_rejected(self):
         with pytest.raises(ValueError):
@@ -314,6 +325,35 @@ class TestSparseAgainstDenseOracle:
             solve_linear_system([[(0, F(1))]], [F(1), F(2)])
         with pytest.raises(ValueError):
             solve_linear_system([[(1, F(1))]], [F(1)])
+
+
+class TestSolutionContract:
+    """Integer numerators over one positive common denominator."""
+
+    def test_positive_denominator_after_negative_pivots(self):
+        # The pinned flow rows of a closed block with Perron line (1, 4, 2),
+        # negated as the response rows are: every pivot is negative, and the
+        # last back-substitution step scales the common denominator by -1.
+        rows = [[(0, -1)], [(1, -1), (0, F(4, 3)), (2, F(4, 3))], [(2, -1), (0, 2)]]
+        numerators, den = solve_linear_system(rows, [-1, 0, 0])
+        assert den > 0 and [F(x, den) for x in numerators] == [F(1), F(4), F(2)]
+        numerators, den = solve_linear_system([[(0, F(-1, 2))]], [F(3, 4)])
+        assert den > 0 and F(numerators[0], den) == F(-3, 2)
+        # a negated slope-1 path: (M^T - I) s = -e_0
+        numerators, den = solve_linear_system([[(0, -1)], [(0, 1), (1, -1)]], [-1, 0])
+        assert den > 0 and numerators == [den, den]
+
+    def test_int_input_gives_int_numerators(self):
+        numerators, den = solve_linear_system([[(0, 2), (1, 1)], [(1, 3)]], [5, 3])
+        assert type(den) is int and all(type(x) is int for x in numerators)
+        assert solve_fractions([[(0, 2), (1, 1)], [(1, 3)]], [5, 3]) == [F(2), F(1)]
+        assert solve_fractions([[(0, 2), (1, 1)], [(1, 3)]], [F(5), F(3)]) == [F(2), F(1)]
+
+    def test_zero_solution(self):
+        for rows in ([[(0, -2)], [(1, 3)]], [[(0, 1), (1, -1)], [(0, -1), (1, -1)]]):
+            numerators, den = solve_linear_system(rows, [0, 0])
+            assert numerators == [0, 0] and den > 0
+            assert solve_fractions(rows, [F(0), F(0)]) == [F(0), F(0)]
 
 
 def random_irreducible_stochastic(rng, n):
@@ -432,7 +472,7 @@ def brute_force_lp(lp):
     for active in combinations(range(len(rows)), n):
         matrix = [rows[i] for i in active]
         target = [rhs[i] for i in active]
-        x = solve_linear_system(sparse_rows(matrix), target)
+        x = solve_fractions(sparse_rows(matrix), target)
         if x is None or not feasible(x):
             continue
         found_feasible = True

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -21,8 +22,13 @@ from netclear import (
 )
 from netclear.errors import NotSolventError
 
-from corpus import random_network
-from oracles import dense_solve_linear_system, dense_unit_left_nullspace
+from corpus import random_network, random_state_in_box
+from oracles import (
+    dense_solve_linear_system,
+    dense_unit_left_nullspace,
+    fraction_advance,
+    fraction_border_scale,
+)
 
 
 def example1():
@@ -238,6 +244,96 @@ class TestIncreaseStep:
         assert solve_increase_step(g, state, "u", F(1)) is None
         assert solve_increase_step(g, state, "v", F(1)) is None
         assert solve_increase_step(g, state, "w", F(1)).slopes == {"w": F(1)}
+
+
+class TestStepArithmetic:
+    """``border_scale`` and ``advance`` agree with plain ``Fraction``
+    arithmetic on random states: the same scale, the same assets and the
+    same landed banks, for a response's integer rates over its common
+    denominator, for ``Fraction`` rates and for rates that tie."""
+
+    @staticmethod
+    def random_state(rng, net):
+        state = random_state_in_box(rng, net)
+        for v in state:
+            if rng.random() < 0.5:
+                state[v] += F(rng.randint(0, 5), rng.choice((3, 7, 11)))
+        return state
+
+    @staticmethod
+    def tied_rates(rng, g, state):
+        """Integer rates under which a random set of banks reaches its
+        borders at the same scale, beside zero, negative and slower rates."""
+        banks = sorted(g.borders)
+        tied = rng.sample(banks, rng.randint(1, len(banks)))
+        room = {u: g.borders[u] - state[u] for u in tied}
+        den = lcm(*(x.denominator for x in room.values()))
+        multiple = rng.randint(1, 3)
+        rates = {u: int(x * den) * multiple for u, x in room.items()}
+        for u in state:
+            if u not in rates:
+                rates[u] = rng.choice((0, -1, 1))
+        return rates
+
+    def test_against_fraction_reference(self, monkeypatch):
+        from netclear import minimal
+        from netclear.minimal import advance, border_scale
+
+        refreshed = []
+        refresh = minimal.refresh_banks
+
+        def recorded(g, net, state, banks):
+            refreshed.append(list(banks))
+            refresh(g, net, state, banks)
+
+        monkeypatch.setattr(minimal, "refresh_banks", recorded)
+        rng = random.Random(1313)
+        seen = {"response": 0, "den_above_1": 0, "limit_binds": 0, "ties": 0}
+        for trial in range(600):
+            net = random_network(rng, max_banks=8)
+            state = self.random_state(rng, net)
+            g = active_graph(net, state)
+            if not g.borders:
+                continue
+            kind = trial % 3
+            limit = F(rng.randint(1, 40), rng.randint(1, 9)) if rng.random() < 0.6 else None
+            if kind == 0:
+                v = rng.choice(sorted(state))
+                budget = limit or F(1)
+                step = solve_increase_step(g, state, v, budget)
+                if step is None:
+                    continue
+                seen["response"] += 1
+                seen["den_above_1"] += step.den > 1
+                assert step.den > 0 and all(type(r) is int for r in step.rates.values())
+                slopes = {u: F(r, step.den) for u, r in step.rates.items()}
+                assert step.slopes == slopes
+                assert step.delta == fraction_border_scale(g, state, slopes, budget)
+                assert step.scale == step.delta / step.den
+                rates, scale = step.rates, step.scale
+                expected, landed = fraction_advance(g, state, slopes, step.delta)
+            else:
+                if kind == 1:
+                    rates = {
+                        u: F(rng.randint(-3, 6), rng.randint(1, 5)) for u in state
+                    }
+                else:
+                    rates = self.tied_rates(rng, g, state)
+                scale = border_scale(g, state, rates, limit)
+                assert scale == fraction_border_scale(g, state, rates, limit)
+                if scale is None:
+                    continue
+                assert type(scale) is F
+                expected, landed = fraction_advance(g, state, rates, scale)
+            seen["limit_binds"] += not landed
+            seen["ties"] += len(landed) > 1
+            assets = dict(state)
+            refreshed.clear()
+            advance(g, net, assets, rates, scale)
+            assert assets == expected
+            assert all(type(x) is F for x in assets.values())
+            assert refreshed == [landed]
+        assert all(count >= 50 for count in seen.values()), seen
 
 
 class TestRewiring:

@@ -119,6 +119,10 @@ def test_min_clearing_systems_match_dense_elimination(monkeypatch):
         for i, row in enumerate(rows):
             for j, value in row:
                 matrix[i][j] += value
+        if solution is not None:
+            numerators, den = solution
+            assert den > 0
+            solution = [Fraction(x, den) for x in numerators]
         assert solution == dense_solve_linear_system(matrix, rhs)
         wide += solution is not None and max(map(_bits, solution)) >= 100
     assert wide >= 40
