@@ -1,4 +1,6 @@
-"""Active-graph construction, SCC condensation, and flood detection."""
+"""Active-graph construction, the one SCC routine (which the counter descent
+in ``priority`` also uses), and the flooded regions a bank reaches: the
+non-singleton sink SCCs of the active graph."""
 
 from __future__ import annotations
 
@@ -58,15 +60,6 @@ def active_graph(net: FinancialNetwork, state: Mapping) -> ActiveGraph:
     return g
 
 
-@dataclass(frozen=True)
-class Condensation:
-    components: tuple[frozenset[str], ...]  # ordered by smallest member id
-    component_of: dict[str, int]
-    dag: tuple[frozenset[int], ...]  # out-edges between component indices
-    is_sink: tuple[bool, ...]
-    is_singleton: tuple[bool, ...]
-
-
 def strongly_connected(
     nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
 ) -> list[list[str]]:
@@ -123,25 +116,26 @@ def strongly_connected(
 _creditor = attrgetter("creditor")
 
 
-def condense(g: ActiveGraph) -> Condensation:
-    """SCC condensation of the active graph."""
+def condense(g: ActiveGraph, source: str | None = None) -> tuple[frozenset[str], ...]:
+    """The non-singleton sink SCCs of the active graph reachable from
+    ``source`` (every one when ``source`` is None), ordered by smallest
+    member id. A component is a sink when every active out-edge of its
+    members stays inside it. Tarjan's pass starts at ``source``, so it visits
+    only the banks that ``source`` reaches."""
     edges = g.edges
-    sccs = strongly_connected(g.nodes, lambda v: map(_creditor, edges[v]))
-    ordered = sorted((frozenset(c) for c in sccs), key=min)
-    component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
-    dag: list[set[int]] = [set() for _ in ordered]
-    for v in g.nodes:
-        for claim in g.edges[v]:
-            a, b = component_of[v], component_of[claim.creditor]
-            if a != b:
-                dag[a].add(b)
-    return Condensation(
-        components=tuple(ordered),
-        component_of=component_of,
-        dag=tuple(frozenset(s) for s in dag),
-        is_sink=tuple(not s for s in dag),
-        is_singleton=tuple(len(c) == 1 for c in ordered),
-    )
+    if source is None:
+        roots = g.nodes
+    elif source in edges:
+        roots = (source,)
+    else:
+        raise errors.UnknownBankError(source)
+    sinks = []
+    for members in strongly_connected(roots, lambda v: map(_creditor, edges[v])):
+        if len(members) > 1:
+            component = frozenset(members)
+            if all(claim.creditor in component for v in members for claim in edges[v]):
+                sinks.append(component)
+    return tuple(sorted(sinks, key=min))
 
 
 def reachable_from(g: ActiveGraph, v: str) -> frozenset[str]:
@@ -158,30 +152,9 @@ def reachable_from(g: ActiveGraph, v: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def find_flood_component(
-    g: ActiveGraph, cond: Condensation, v: str | None = None
-) -> frozenset[str] | None:
-    """The non-singleton sink SCC reachable from ``v`` (from anywhere when
-    ``v`` is None) with the smallest minimum bank id, or None when every such
-    sink is a singleton."""
-    if v is None:
-        seen = range(len(cond.components))
-    else:
-        if v not in g.edges:
-            raise errors.UnknownBankError(v)
-        start = cond.component_of[v]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            comp = frontier.pop()
-            for succ in cond.dag[comp]:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-    candidates = [
-        i for i in seen if cond.is_sink[i] and not cond.is_singleton[i]
-    ]
-    if not candidates:
-        return None
-    # Components are numbered in order of their smallest member id.
-    return cond.components[min(candidates)]
+def find_flood_component(g: ActiveGraph, source: str | None = None) -> frozenset[str] | None:
+    """The first of ``condense(g, source)``: the non-singleton sink SCC
+    reachable from ``source`` with the smallest minimum bank id, or None when
+    every sink it reaches is a singleton."""
+    components = condense(g, source)
+    return components[0] if components else None

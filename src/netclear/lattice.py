@@ -32,14 +32,13 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
 
 def _own_sink_flood(g: ActiveGraph, assets, v: str) -> FloodStep | None:
     """The flood step of the component of ``v`` in ``g``, the active graph at
-    ``assets``, or None when that component is not a non-singleton sink."""
-    cond = condense(g)
-    if v not in cond.component_of:
-        raise errors.UnknownBankError(v)
-    idx = cond.component_of[v]
-    if cond.is_singleton[idx] or not cond.is_sink[idx]:
+    ``assets``, or None when that component is not a non-singleton sink. A
+    sink is the only component its members reach, so it comes first in
+    ``condense(g, v)`` exactly when ``v`` is a member."""
+    components = condense(g, v)
+    if not components or v not in components[0]:
         return None
-    return solve_flood_step(g, assets, cond.components[idx])
+    return solve_flood_step(g, assets, components[0])
 
 
 def apply_flood_sequence(

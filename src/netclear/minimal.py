@@ -5,9 +5,10 @@ banks reachable from the chosen bank to a small injection is linear; its
 slopes come from one exact linear solve, and the injection advances to the
 next payment-function border or the bank's remaining budget, whichever is
 closer. That solve is singular exactly when the bank can reach a flooded
-region (a non-singleton sink SCC of the active graph). Only then is the
-graph condensed, and payments inside the region are raised along the
-component's circulation eigenvector until a border binds.
+region (a non-singleton sink SCC of the active graph). Only then is that
+region looked for, by an SCC pass started at the bank, and payments inside
+it are raised along the component's circulation eigenvector until a border
+binds.
 
 A step stays on integers. The solve returns the response as integer rates
 ``r_u`` over one positive common denominator ``den``, and the step moves
@@ -42,7 +43,6 @@ from .clearing import ClearingState, incoming_assets, is_clearing_state
 from .graphs import (
     ActiveGraph,
     active_graph,
-    condense,
     find_flood_component,
     reachable_from,
     refresh_banks,
@@ -304,7 +304,7 @@ def flood_closure(g: ActiveGraph, net: FinancialNetwork, assets: dict, source=No
     graph of ``net`` at ``assets``, kept so) reachable from ``source``, or
     every one when ``source`` is None, until none is left."""
     while True:
-        component = find_flood_component(g, condense(g), source)
+        component = find_flood_component(g, source)
         if component is None:
             return
         step = solve_flood_step(g, assets, component)
@@ -455,7 +455,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 check_graph()
                 step = solve_increase_step(g, assets, source, budget)
                 if step is None or check_invariant:
-                    component = find_flood_component(g, condense(g), source)
+                    component = find_flood_component(g, source)
                     if (step is None) == (component is None):
                         raise errors.InternalInvariantError(
                             "singular response without a reachable flood"
@@ -465,7 +465,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 if step is not None:
                     break
             else:
-                component = find_flood_component(g, condense(g), source)
+                component = find_flood_component(g, source)
                 if component is None:
                     break
             flood = solve_flood_step(g, assets, component)

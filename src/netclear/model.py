@@ -185,10 +185,9 @@ PIECEWISE = "piecewise"
 class FinancialNetwork:
     """Validated network of banks and claims. Treat as immutable."""
 
-    def __init__(self, banks: dict[str, Bank], claims: tuple[Claim, ...], schemes):
+    def __init__(self, banks: dict[str, Bank], claims: tuple[Claim, ...]):
         self.banks = banks
         self.claims = claims
-        self.schemes = schemes  # bank id -> scheme descriptor, for serialization
         self._claim_map: dict[tuple[str, str], Claim] = {}
         self._out: dict[str, list[Claim]] = {v: [] for v in banks}
         self._in: dict[str, list[Claim]] = {v: [] for v in banks}
@@ -247,14 +246,14 @@ def _sum_liabilities(claims) -> Fraction:
     return sum((claim.liability for claim in claims), ZERO)
 
 
-def assemble(banks, claims, schemes=None) -> FinancialNetwork:
+def assemble(banks, claims) -> FinancialNetwork:
     """Build a network from trusted parts without running validation.
 
     Used internally for surgically derived networks (default-cost gadgets)
     whose invariants hold by construction.
     """
     bank_map = {b.id: b for b in banks}
-    return FinancialNetwork(bank_map, tuple(claims), schemes or {})
+    return FinancialNetwork(bank_map, tuple(claims))
 
 
 def validate_network(raw: dict) -> FinancialNetwork:
@@ -353,7 +352,6 @@ def validate_network(raw: dict) -> FinancialNetwork:
         out_by_bank[debtor][creditor] = liability
 
     schemes_in = dict(raw.get("payment_schemes", {}))
-    schemes: dict[str, tuple] = {}
     functions: dict[tuple[str, str], PaymentFunction] = {}
     for v, out in out_by_bank.items():
         scheme = schemes_in.pop(v, {"type": PROPORTIONAL})
@@ -371,18 +369,13 @@ def validate_network(raw: dict) -> FinancialNetwork:
         try:
             if kind == PROPORTIONAL:
                 built = make_proportional(out)
-                schemes[v] = (PROPORTIONAL,)
             elif kind == EDGE_RANKING:
-                order = list(scheme.get("order", []))
-                built = make_edge_ranking(out, order)
-                schemes[v] = (EDGE_RANKING, tuple(order))
+                built = make_edge_ranking(out, list(scheme.get("order", [])))
             elif kind == PRIORITY_PROPORTIONAL:
                 classes = [list(members) for members in scheme.get("classes", [])]
                 built = make_priority_proportional(out, classes)
-                schemes[v] = (PRIORITY_PROPORTIONAL, tuple(map(tuple, classes)))
             elif kind == PIECEWISE:
                 built = _parse_piecewise(v, out, scheme, violations)
-                schemes[v] = (PIECEWISE,)
             else:
                 raise ValueError(f"unknown scheme type {kind!r}")
         except ValueError as exc:
@@ -404,7 +397,7 @@ def validate_network(raw: dict) -> FinancialNetwork:
         Claim(debtor, creditor, liability, functions[(debtor, creditor)])
         for (debtor, creditor), liability in liabilities.items()
     )
-    net = FinancialNetwork(banks, claims, schemes)
+    net = FinancialNetwork(banks, claims)
     _check_payment_axioms(net, violations)
     if violations:
         raise NetworkValidationError(violations)

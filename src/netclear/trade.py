@@ -77,7 +77,7 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
         Claim(debtor, spec.buyer, claim.liability, claim.payment) if c is claim else c
         for c in net.claims
     ]
-    return assemble(banks, claims, dict(net.schemes))
+    return assemble(banks, claims)
 
 
 def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:

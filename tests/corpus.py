@@ -131,7 +131,9 @@ def rewired_zero_rate_banks(net: FinancialNetwork, minimal) -> int:
 
 
 def serialize_network(net: FinancialNetwork) -> dict:
-    """Document form of a network; parse(serialize(net)) round-trips."""
+    """Document form of a network; parse(serialize(net)) round-trips. Every
+    bank's payment functions are written out as a piecewise scheme, which
+    holds any scheme exactly."""
     banks = []
     for v in net.bank_ids():
         bank = net.bank(v)
@@ -141,36 +143,29 @@ def serialize_network(net: FinancialNetwork) -> dict:
         if bank.beta != 1:
             entry["beta"] = exact_str(bank.beta)
         banks.append(entry)
-    claims = []
-    schemes: dict[str, dict] = {}
-    for claim in net.claims:
-        claims.append(
-            {
-                "debtor": claim.debtor,
-                "creditor": claim.creditor,
-                "liability": exact_str(claim.liability),
-            }
-        )
-    for v, descriptor in net.schemes.items():
-        kind = descriptor[0]
-        if kind == model.PROPORTIONAL:
-            schemes[v] = {"type": kind}
-        elif kind == model.EDGE_RANKING:
-            schemes[v] = {"type": kind, "order": list(descriptor[1])}
-        elif kind == model.PRIORITY_PROPORTIONAL:
-            schemes[v] = {"type": kind, "classes": [list(c) for c in descriptor[1]]}
-        else:
-            schemes[v] = {
-                "type": model.PIECEWISE,
-                "edges": [
-                    {
-                        "creditor": claim.creditor,
-                        "borders": [exact_str(x) for x in claim.payment.borders],
-                        "slopes": [exact_str(m) for m in claim.payment.slopes],
-                    }
-                    for claim in net.out_claims(v)
-                ],
-            }
+    claims = [
+        {
+            "debtor": claim.debtor,
+            "creditor": claim.creditor,
+            "liability": exact_str(claim.liability),
+        }
+        for claim in net.claims
+    ]
+    schemes = {
+        v: {
+            "type": model.PIECEWISE,
+            "edges": [
+                {
+                    "creditor": claim.creditor,
+                    "borders": [exact_str(x) for x in claim.payment.borders],
+                    "slopes": [exact_str(m) for m in claim.payment.slopes],
+                }
+                for claim in net.out_claims(v)
+            ],
+        }
+        for v in net.bank_ids()
+        if net.out_claims(v)
+    }
     return {
         "format_version": FORMAT_VERSION,
         "banks": banks,

@@ -364,16 +364,10 @@ def _sampled_clearing_state(rng, net, minimal):
     assets = minimal.as_dict()
     for _ in range(rng.randint(0, 3)):
         g = active_graph(net, assets)
-        cond = condense(g)
-        floodable = [
-            i
-            for i in range(len(cond.components))
-            if cond.is_sink[i] and not cond.is_singleton[i]
-        ]
+        floodable = condense(g)
         if not floodable:
             break
-        idx = rng.choice(floodable)
-        step = solve_flood_step(g, assets, cond.components[idx])
+        step = solve_flood_step(g, assets, rng.choice(floodable))
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

@@ -1,4 +1,5 @@
-"""Active graph, SCC condensation, reachability, and flood detection."""
+"""Active graph, strongly connected components, reachability, and flood
+detection."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from netclear import (
     reachable_from,
 )
 from netclear.errors import UnknownBankError
-from netclear.graphs import refresh_banks
+from netclear.graphs import refresh_banks, strongly_connected
 
 from corpus import random_network, random_state_in_box
 
@@ -79,7 +80,7 @@ class TestRefreshBanks:
             assert (g.edges, g.slopes, g.borders) == (fresh.edges, fresh.slopes, fresh.borders)
 
 
-def brute_force_sccs(nodes, edges):
+def brute_force_reach(nodes, edges):
     reach = {v: {v} for v in nodes}
     changed = True
     while changed:
@@ -89,6 +90,11 @@ def brute_force_sccs(nodes, edges):
             if new:
                 reach[a] |= new
                 changed = True
+    return reach
+
+
+def brute_force_sccs(nodes, edges):
+    reach = brute_force_reach(nodes, edges)
     components = set()
     for v in nodes:
         members = frozenset(u for u in nodes if u in reach[v] and v in reach[u])
@@ -96,47 +102,79 @@ def brute_force_sccs(nodes, edges):
     return components
 
 
+def brute_force_flood_components(nodes, edges, source=None):
+    """The non-singleton sink SCCs reachable from ``source`` (from anywhere
+    when None), sorted by smallest member id."""
+    reach = brute_force_reach(nodes, edges)
+    components = brute_force_sccs(nodes, edges)
+    if source is not None:
+        components = {c for c in components if c <= reach[source]}
+    sinks = [
+        comp
+        for comp in components
+        if len(comp) > 1 and all(b in comp for a, b in edges if a in comp)
+    ]
+    return tuple(sorted(sinks, key=min))
+
+
 class TestCondense:
     def test_example3_initial_all_singletons(self):
         net = example3()
-        cond = condense(active_graph(net, zero_state(net)))
-        assert all(cond.is_singleton)
-        assert len(cond.components) == 4
+        assert condense(active_graph(net, zero_state(net))) == ()
 
     def test_example3_flooded_component(self):
         net = example3()
         state = ClearingState({"u": F(1), "v": F(2), "w": F(2), "y": F(0)})
-        cond = condense(active_graph(net, state))
-        component = cond.components[cond.component_of["v"]]
-        assert component == frozenset({"v", "y"})
-        assert cond.is_sink[cond.component_of["v"]]
+        g = active_graph(net, state)
+        assert condense(g) == (frozenset({"v", "y"}),)
+        # u reaches the ring; w has no active out-edge and reaches nothing
+        assert condense(g, "u") == (frozenset({"v", "y"}),)
+        assert condense(g, "w") == ()
 
     def test_empty_edge_set_gives_singletons(self):
         net = build_network(banks=[("a", 1), ("b", 1)], claims=[])
-        cond = condense(active_graph(net, ClearingState({"a": F(0), "b": F(0)})))
-        assert len(cond.components) == 2
-        assert all(cond.is_singleton)
+        assert condense(active_graph(net, ClearingState({"a": F(0), "b": F(0)}))) == ()
 
     def test_against_brute_force_on_random_graphs(self):
+        # the one SCC routine partitions the nodes into the true SCCs
         rng = random.Random(11235)
         for _ in range(200):
             net = random_network(rng, max_banks=5)
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
-            cond = condense(g)
-            expected = brute_force_sccs(g.nodes, set(g.slopes))
-            assert set(cond.components) == expected
-            # dag must be acyclic: component indices of edges always differ
-            for i, succs in enumerate(cond.dag):
-                assert i not in succs
+            sccs = strongly_connected(
+                g.nodes, lambda v: [claim.creditor for claim in g.edges[v]]
+            )
+            assert sum(map(len, sccs)) == len(g.nodes)
+            assert {frozenset(c) for c in sccs} == brute_force_sccs(g.nodes, set(g.slopes))
+
+    def test_rooted_against_brute_force_on_random_graphs(self):
+        rng = random.Random(8191)
+        found = 0
+        for _ in range(200):
+            net = random_network(rng, max_banks=6, max_external=1, edge_prob=0.6)
+            state = ClearingState(random_state_in_box(rng, net))
+            g = active_graph(net, state)
+            edges = set(g.slopes)
+            for source in (None, *g.nodes):
+                expected = brute_force_flood_components(g.nodes, edges, source)
+                assert condense(g, source) == expected
+                assert find_flood_component(g, source) == (
+                    expected[0] if expected else None
+                )
+                found += bool(expected)
+            with pytest.raises(UnknownBankError):
+                condense(g, "zz")
+            with pytest.raises(UnknownBankError):
+                find_flood_component(g, "zz")
+        assert found >= 100
 
     def test_component_order_by_min_id(self):
         net = build_network(
             banks=[("d", 0), ("c", 0), ("b", 0), ("a", 0)],
             claims=[("d", "c", 1), ("c", "d", 1), ("b", "a", 1), ("a", "b", 1)],
         )
-        cond = condense(active_graph(net, zero_state(net)))
-        assert [min(c) for c in cond.components] == ["a", "c"]
+        assert [min(c) for c in condense(active_graph(net, zero_state(net)))] == ["a", "c"]
 
 
 class TestReachability:
@@ -171,18 +209,17 @@ class TestFindFloodComponent:
         net = example3()
         state = ClearingState({"u": F(1), "v": F(2), "w": F(2), "y": F(0)})
         g = active_graph(net, state)
-        cond = condense(g)
-        assert find_flood_component(g, cond, "v") == frozenset({"v", "y"})
+        assert find_flood_component(g, "v") == frozenset({"v", "y"})
 
     def test_example3_initially_none(self):
         net = example3()
         g = active_graph(net, zero_state(net))
-        assert find_flood_component(g, condense(g), "u") is None
+        assert find_flood_component(g, "u") is None
 
     def test_isolated_solvent_bank(self):
         net = build_network(banks=[("a", 3)], claims=[])
         g = active_graph(net, ClearingState({"a": F(3)}))
-        assert find_flood_component(g, condense(g), "a") is None
+        assert find_flood_component(g, "a") is None
 
     def test_none_iff_all_reachable_sinks_singleton(self):
         rng = random.Random(777)
@@ -190,22 +227,15 @@ class TestFindFloodComponent:
             net = random_network(rng, max_banks=5)
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
-            cond = condense(g)
+            edges = set(g.slopes)
+            sccs = brute_force_sccs(g.nodes, edges)
+            sinks = {c for c in sccs if all(b in c for a, b in edges if a in c)}
             for v in net.bank_ids():
-                found = find_flood_component(g, cond, v)
+                found = find_flood_component(g, v)
                 reach = reachable_from(g, v)
-                reachable_sinks = [
-                    i
-                    for i, comp in enumerate(cond.components)
-                    if cond.is_sink[i] and comp & reach
-                ]
-                nonsingleton = [
-                    i for i in reachable_sinks if not cond.is_singleton[i]
-                ]
+                nonsingleton = [c for c in sinks if c <= reach and len(c) > 1]
                 if found is None:
                     assert not nonsingleton
                 else:
-                    assert found in {cond.components[i] for i in nonsingleton}
-                    assert min(found) == min(
-                        min(cond.components[i]) for i in nonsingleton
-                    )
+                    assert found in nonsingleton
+                    assert min(found) == min(min(c) for c in nonsingleton)

@@ -68,7 +68,9 @@ class TestParseNetwork:
         net = parse_network(example3_file)
         assert len(net.bank_ids()) == 4
         assert len(net.claims) == 4
-        assert net.schemes["v"][0] == "edge_ranking"
+        # the edge ranking pays w in full before y
+        assert net.claim("v", "w").payment.slopes == (1, 0)
+        assert net.claim("v", "y").payment.slopes == (0, 1)
 
     def test_empty_banks_rejected(self):
         with pytest.raises(ParseError):
@@ -213,6 +215,7 @@ class TestParseNetwork:
             for claim in net.claims:
                 twin = reparsed.claim(*claim.pair)
                 assert twin.liability == claim.liability
+                assert twin.payment == claim.payment
                 assert twin.payment == claim.payment
 
 

@@ -37,6 +37,22 @@ def two_cycle():
     )
 
 
+def ring_with_feeders():
+    """Bank u and the cycle {p, q} both feed the ring {x, y}; only the ring is
+    a sink component. Every claim has liability 1 and no bank has assets."""
+    return build_network(
+        banks=[(v, 0) for v in ("u", "x", "y", "p", "q")],
+        claims=[
+            ("u", "x", 1),
+            ("x", "y", 1),
+            ("y", "x", 1),
+            ("p", "q", 1),
+            ("q", "p", 1),
+            ("q", "x", 1),
+        ],
+    )
+
+
 def flood_corpus(rng, **kwargs):
     kwargs.setdefault("max_external", 1)
     kwargs.setdefault("edge_prob", 0.7)
@@ -78,6 +94,16 @@ class TestApplyFloodSequence:
         with pytest.raises(NotASinkComponentError):
             apply_flood_sequence(net, start, [("a", 1)])
 
+    def test_only_the_sink_ring_floods_among_its_feeders(self):
+        # u and the non-sink cycle {p, q} reach the ring but are not in it
+        net = ring_with_feeders()
+        start = compute_min_clearing(net)
+        for v in ("u", "p", "q"):
+            with pytest.raises(NotASinkComponentError):
+                apply_flood_sequence(net, start, [(v, 1)])
+        state = apply_flood_sequence(net, start, [("x", 1)])
+        assert state.as_dict() == {"u": 0, "x": 1, "y": 1, "p": 0, "q": 0}
+
     def test_partial_states_remain_clearing(self):
         rng = random.Random(2024)
         checked = 0
@@ -86,12 +112,7 @@ class TestApplyFloodSequence:
             state = compute_min_clearing(net)
             from netclear import active_graph, condense
 
-            cond = condense(active_graph(net, state))
-            members = [
-                min(c)
-                for i, c in enumerate(cond.components)
-                if cond.is_sink[i] and not cond.is_singleton[i]
-            ]
+            members = [min(c) for c in condense(active_graph(net, state))]
             if not members:
                 continue
             fraction = F(rng.randint(0, 4), 4)
@@ -169,16 +190,10 @@ class TestMaxClearingFlood:
             assets = minimal.as_dict()
             while True:
                 g = active_graph(net, assets)
-                cond = condense(g)
-                choices = [
-                    i
-                    for i in range(len(cond.components))
-                    if cond.is_sink[i] and not cond.is_singleton[i]
-                ]
+                choices = condense(g)
                 if not choices:
                     break
-                idx = max(choices, key=lambda i: min(cond.components[i]))
-                step = solve_flood_step(g, assets, cond.components[idx])
+                step = solve_flood_step(g, assets, choices[-1])
                 for member, d in step.direction.items():
                     assets[member] += step.scale * d
             assert assets == forward.as_dict()
@@ -223,6 +238,11 @@ class TestRangeClearing:
         assert result.witness == "a"
         assert result.conflicting == "b"
 
+    def test_stuck_when_the_target_only_feeds_a_ring(self):
+        result = solve_range_clearing(ring_with_feeders(), {"u": (1, 1)})
+        assert not result.feasible
+        assert result.reason == INFEASIBLE_STUCK and result.witness == "u"
+
     def test_invalid_interval(self):
         net = two_cycle()
         with pytest.raises(InvalidSpecError):
@@ -262,16 +282,10 @@ def _random_reachable_state(rng, net):
     assets = compute_min_clearing(net).as_dict()
     for _ in range(rng.randint(0, 3)):
         g = active_graph(net, assets)
-        cond = condense(g)
-        choices = [
-            i
-            for i in range(len(cond.components))
-            if cond.is_sink[i] and not cond.is_singleton[i]
-        ]
+        choices = condense(g)
         if not choices:
             break
-        idx = rng.choice(choices)
-        step = solve_flood_step(g, assets, cond.components[idx])
+        step = solve_flood_step(g, assets, rng.choice(choices))
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

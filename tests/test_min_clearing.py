@@ -1,6 +1,7 @@
 """The minimal-clearing driver: golden examples, surgery, steps, invariants."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -21,6 +22,7 @@ from netclear import (
     top_iterate,
 )
 from netclear.errors import NotSolventError
+from netclear.model import assemble
 
 from corpus import random_network, random_state_in_box
 from oracles import (
@@ -179,10 +181,7 @@ class TestFloodStep:
             from netclear import condense
 
             g = active_graph(net, state)
-            cond = condense(g)
-            for i, comp in enumerate(cond.components):
-                if not cond.is_sink[i] or cond.is_singleton[i]:
-                    continue
+            for comp in condense(g):
                 step = solve_flood_step(g, state, comp)
                 assert step.scale == _line_search_scale(net, state, step)
                 compared += 1
@@ -196,12 +195,11 @@ class TestFloodStep:
         for _ in range(300):
             net = random_network(rng, max_banks=5, max_external=1, edge_prob=0.7)
             state = compute_min_clearing(net)
-            from netclear import condense, find_flood_component
+            from netclear import find_flood_component
 
             g = active_graph(net, state)
-            cond = condense(g)
             for v in net.bank_ids():
-                comp = find_flood_component(g, cond, v)
+                comp = find_flood_component(g, v)
                 if comp is None:
                     continue
                 step = solve_flood_step(g, state, comp)
@@ -413,19 +411,12 @@ class TestMinClearingProperties:
             base = compute_min_clearing(net)
             bumped_id = rng.choice(net.bank_ids())
             banks = [
-                (
-                    v,
-                    net.bank(v).external_assets + (1 if v == bumped_id else 0),
-                    net.bank(v).alpha,
-                    net.bank(v).beta,
-                )
-                for v in net.bank_ids()
+                replace(bank, external_assets=bank.external_assets + 1)
+                if v == bumped_id
+                else bank
+                for v, bank in net.banks.items()
             ]
-            claims = [(c.debtor, c.creditor, c.liability) for c in net.claims]
-            schemes = {
-                v: _scheme_doc(net.schemes[v]) for v in net.schemes
-            }
-            bumped = build_network(banks, claims, schemes)
+            bumped = assemble(banks, net.claims)
             raised = compute_min_clearing(bumped)
             for v in net.bank_ids():
                 assert raised[v] >= base[v]
@@ -473,7 +464,7 @@ class TestActiveGraphReuse:
     def test_one_build_per_step(self, monkeypatch):
         from netclear import minimal
 
-        calls = {"active_graph": 0, "condense": 0, "rewire_solvent_bank": 0}
+        calls = {"active_graph": 0, "find_flood_component": 0, "rewire_solvent_bank": 0}
         for name in calls:
 
             def counted(*args, _name=name, _original=getattr(minimal, name)):
@@ -488,9 +479,9 @@ class TestActiveGraphReuse:
         rewires = calls["rewire_solvent_bank"]
         assert floods and increases and rewires
         # one build per working network, refreshed in place between steps,
-        # and a condensation only where a flood is looked for
+        # and an SCC pass only where a flood is looked for
         assert calls["active_graph"] <= rewires + 1
-        assert calls["condense"] <= floods + rewires + 1
+        assert calls["find_flood_component"] <= floods + rewires + 1
         assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
 
     def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
@@ -580,7 +571,7 @@ class TestActiveGraphReuse:
         from netclear import minimal
         from netclear.errors import InternalInvariantError
 
-        monkeypatch.setattr(minimal, "find_flood_component", lambda g, cond, v=None: None)
+        monkeypatch.setattr(minimal, "find_flood_component", lambda g, v=None: None)
         with pytest.raises(InternalInvariantError, match="singular response"):
             run_min_clearing(example3())
 
@@ -591,7 +582,7 @@ class TestActiveGraphReuse:
         from netclear.errors import InternalInvariantError
 
         ring = frozenset({"v", "y"})
-        monkeypatch.setattr(minimal, "find_flood_component", lambda g, cond, v=None: ring)
+        monkeypatch.setattr(minimal, "find_flood_component", lambda g, v=None: ring)
         with pytest.raises(InternalInvariantError, match="regular response"):
             run_min_clearing(example3(), check_invariant=True)
 
@@ -701,13 +692,3 @@ def _line_search_scale(net, state, step):
 
     return max(g for g in candidates if feasible(g))
 
-
-def _scheme_doc(descriptor):
-    kind = descriptor[0]
-    if kind == "proportional":
-        return {"type": kind}
-    if kind == "edge_ranking":
-        return {"type": kind, "order": list(descriptor[1])}
-    if kind == "priority_proportional":
-        return {"type": kind, "classes": [list(c) for c in descriptor[1]]}
-    raise AssertionError(kind)
