@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from . import errors
 from .model import FinancialNetwork
-from .rationals import ZERO
+from .rationals import ZERO, exact_sum
 
 
 class ClearingState(Mapping):
@@ -45,10 +45,9 @@ def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fra
 
 def _inflow(net: FinancialNetwork, state: Mapping, v: str) -> Fraction:
     """Payments ``v`` receives at ``state``."""
-    total = ZERO
-    for claim in net.in_claims(v):
-        total += claim.payment.value_at(state[claim.debtor])
-    return total
+    return exact_sum(
+        claim.payment.value_at(state[claim.debtor]) for claim in net.in_claims(v)
+    )
 
 
 def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:

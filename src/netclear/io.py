@@ -71,9 +71,8 @@ def _load_json(source) -> dict:
 def _check_fields(obj: dict, allowed: set, context: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError("expected an object", context)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", context)
+    if not allowed.issuperset(obj):
+        raise ParseError(f"unknown fields {sorted(set(obj) - allowed)}", context)
 
 
 def _list(obj: dict, field: str, context: str) -> list:

@@ -55,7 +55,7 @@ from .model import (
     assemble,
     make_proportional,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, exact_sum
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,12 @@ def original_solvent(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) 
     """Whether ``u`` covers its original liabilities, with its incoming
     payments valued at the current working state: rewired debtors pay their
     full liability, everyone else their current payment-function value."""
-    inflow = ZERO
-    for claim in adj.original.in_claims(u):
-        if claim.debtor in adj.rewired:
-            inflow += claim.liability
-        else:
-            inflow += claim.payment.value_at(assets[claim.debtor])
+    inflow = exact_sum(
+        claim.liability
+        if claim.debtor in adj.rewired
+        else claim.payment.value_at(assets[claim.debtor])
+        for claim in adj.original.in_claims(u)
+    )
     return adj.original.bank(u).external_assets + inflow >= adj.original.total_out(u)
 
 

@@ -4,6 +4,12 @@ A payment function is stored as interval borders plus per-interval slopes;
 values at borders are accumulated from the slopes on demand, which makes
 continuity structural rather than something to check. Intervals are half-open
 ``[x_{i-1}, x_i)``: evaluation exactly at a border uses the next segment.
+
+Sums and evaluations on the per-op path run on Python ints and normalize
+once: liability totals through ``rationals.exact_sum``, class totals over
+one common denominator, and ``value_at`` as one numerator over one
+denominator. The payment-axiom check that validation ends with lives in
+``axioms``.
 """
 
 from __future__ import annotations
@@ -11,10 +17,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import errors
+from .axioms import check_payment_axioms
 from .errors import NetworkValidationError, Violation
-from .rationals import ONE, ZERO, parse_exact
+from .rationals import ONE, ZERO, exact_sum, parse_exact
 
 
 @dataclass(frozen=True)
@@ -59,12 +67,23 @@ class PaymentFunction:
         return fn
 
     def value_at(self, a: Fraction) -> Fraction:
-        if a <= self.borders[0]:
+        borders = self.borders
+        idx = bisect_right(borders, a) - 1
+        if idx < 0:
             return ZERO
-        idx = bisect_right(self.borders, a) - 1
-        if idx == len(self.borders) - 1:
+        if idx == len(self.slopes):
             return self._values[-1]
-        return self._values[idx] + self.slopes[idx] * (a - self.borders[idx])
+        value, slope = self._values[idx], self.slopes[idx]
+        if not slope:
+            return value
+        # value + slope * (a - border) as one numerator over one denominator;
+        # at the first border this is the first value, zero
+        vn, vd = value.as_integer_ratio()
+        sn, sd = slope.as_integer_ratio()
+        an, ad = a.as_integer_ratio()
+        bn, bd = borders[idx].as_integer_ratio()
+        den = sd * ad * bd
+        return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
 
     def slope_at(self, a: Fraction) -> Fraction:
         idx = bisect_right(self.borders, a) - 1
@@ -121,19 +140,26 @@ def _class_functions(
     (classes with zero total get no segment). A creditor in the class on
     segment ``j`` has slope ``liability / class total`` there and zero
     elsewhere, so its values are known in closed form: zero through the
-    class's lower border, its liability from the upper border on."""
-    total = sum(liabilities.values(), ZERO)
-    if total == 0:
+    class's lower border, its liability from the upper border on.
+
+    The liabilities are read once as integer numerators over their common
+    denominator, so class totals are int sums and each border and slope is
+    one normalized ``Fraction``."""
+    den = lcm(*(x.denominator for x in liabilities.values()))
+    scaled = {c: x.numerator * (den // x.denominator) for c, x in liabilities.items()}
+    if sum(scaled.values()) == 0:
         flat = PaymentFunction(borders=(ZERO,), slopes=())
         return {creditor: flat for creditor in liabilities}
 
     grid = [ZERO]
-    nonzero: list[tuple[Fraction, list[str]]] = []
+    upper = 0
+    nonzero: list[tuple[int, list[str]]] = []
     for members in classes:
-        class_total = sum((liabilities[c] for c in members), ZERO)
+        class_total = sum([scaled[c] for c in members])
         if class_total == 0:
             continue
-        grid.append(grid[-1] + class_total)
+        upper += class_total
+        grid.append(Fraction(upper, den))
         nonzero.append((class_total, members))
 
     borders = tuple(grid)
@@ -143,12 +169,12 @@ def _class_functions(
     unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros)
     functions = dict.fromkeys(liabilities, unpaid)
     for j, (class_total, members) in enumerate(nonzero):
+        before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
         for creditor in members:
-            liability = liabilities[creditor]
             functions[creditor] = PaymentFunction._with_values(
                 borders,
-                zeros[:j] + (liability / class_total,) + zeros[j + 1 : k],
-                zeros[: j + 1] + (liability,) * (k - j),
+                before + (Fraction(scaled[creditor], class_total),) + after,
+                paid + (liabilities[creditor],) * (k - j),
             )
     return functions
 
@@ -195,8 +221,9 @@ class FinancialNetwork:
             self._claim_map[claim.pair] = claim
             self._out[claim.debtor].append(claim)
             self._in[claim.creditor].append(claim)
-        self._total_out = {v: _sum_liabilities(self._out[v]) for v in banks}
-        self._total_in = {v: _sum_liabilities(self._in[v]) for v in banks}
+        self._total_out = {
+            v: exact_sum(claim.liability for claim in out) for v, out in self._out.items()
+        }
 
     def bank_ids(self) -> tuple[str, ...]:
         return tuple(self.banks)
@@ -231,7 +258,8 @@ class FinancialNetwork:
         return self._total_out[v]
 
     def total_in(self, v: str) -> Fraction:
-        return self._total_in[v]
+        """Total in-liability, summed on each call."""
+        return exact_sum(claim.liability for claim in self.in_claims(v))
 
     def has_default_cost(self) -> bool:
         """True iff some bank can actually incur a default haircut."""
@@ -240,10 +268,6 @@ class FinancialNetwork:
                 if bank.alpha != 1 or bank.beta != 1:
                     return True
         return False
-
-
-def _sum_liabilities(claims) -> Fraction:
-    return sum((claim.liability for claim in claims), ZERO)
 
 
 def assemble(banks, claims) -> FinancialNetwork:
@@ -262,29 +286,34 @@ def validate_network(raw: dict) -> FinancialNetwork:
     ``raw`` mirrors the document format: ``{"banks": [...], "claims": [...],
     "payment_schemes": {...}}`` with numbers given as int, string, or
     ``Fraction``. Raises ``NetworkValidationError`` with the full list of
-    violations on failure.
+    violations on failure; a missing required key is a ``missing_field``
+    violation. Values that are already ``Fraction``s are not parsed again.
     """
     violations: list[Violation] = []
 
     banks: dict[str, Bank] = {}
-    for entry in raw.get("banks", []):
-        bank_id = entry["id"]
+    for i, entry in enumerate(raw.get("banks", [])):
+        try:
+            bank_id = entry["id"]
+        except KeyError:
+            _report_missing(entry, ("id",), f"banks[{i}]", violations)
+            continue
         if bank_id in banks:
             violations.append(
                 Violation(errors.DUPLICATE_BANK_ID, "bank id repeats", bank=bank_id)
             )
             continue
-        ext = parse_exact(entry.get("external_assets", 0))
-        alpha = parse_exact(entry.get("alpha", 1))
-        beta = parse_exact(entry.get("beta", 1))
-        if ext < 0:
+        ext = _exact(entry.get("external_assets", ZERO))
+        alpha = _exact(entry.get("alpha", ONE))
+        beta = _exact(entry.get("beta", ONE))
+        if ext.numerator < 0:
             violations.append(
                 Violation(
                     errors.NEGATIVE_VALUE, "external assets must be >= 0", bank=bank_id
                 )
             )
         for name, value in (("alpha", alpha), ("beta", beta)):
-            if not (0 <= value <= 1):
+            if not (0 <= value.numerator <= value.denominator):
                 violations.append(
                     Violation(
                         errors.VALUE_OUT_OF_RANGE,
@@ -295,8 +324,12 @@ def validate_network(raw: dict) -> FinancialNetwork:
         banks[bank_id] = Bank(bank_id, ext, alpha, beta)
 
     liabilities: dict[tuple[str, str], Fraction] = {}
-    for entry in raw.get("claims", []):
-        debtor, creditor = entry["debtor"], entry["creditor"]
+    for i, entry in enumerate(raw.get("claims", [])):
+        try:
+            debtor, creditor = entry["debtor"], entry["creditor"]
+        except KeyError:
+            _report_missing(entry, ("debtor", "creditor"), f"claims[{i}]", violations)
+            continue
         pair = (debtor, creditor)
         ok = True
         for endpoint in pair:
@@ -323,7 +356,7 @@ def validate_network(raw: dict) -> FinancialNetwork:
                 )
             )
             ok = False
-        raw_liability = entry.get("liability", 0)
+        raw_liability = entry.get("liability", ZERO)
         if isinstance(raw_liability, str) and raw_liability.strip() == "unbounded":
             violations.append(
                 Violation(
@@ -333,8 +366,8 @@ def validate_network(raw: dict) -> FinancialNetwork:
                 )
             )
             continue
-        liability = parse_exact(raw_liability)
-        if liability < 0:
+        liability = _exact(raw_liability)
+        if liability.numerator < 0:
             violations.append(
                 Violation(
                     errors.NEGATIVE_VALUE, "liability must be >= 0", claim=pair
@@ -398,25 +431,46 @@ def validate_network(raw: dict) -> FinancialNetwork:
         for (debtor, creditor), liability in liabilities.items()
     )
     net = FinancialNetwork(banks, claims)
-    _check_payment_axioms(net, violations)
+    check_payment_axioms(net, violations)
     if violations:
         raise NetworkValidationError(violations)
     return net
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a ``Fraction``, parsed only when it is not one already."""
+    return value if type(value) is Fraction else parse_exact(value)
+
+
+def _report_missing(entry, fields, where, violations, **context) -> None:
+    """One ``missing_field`` violation per field of ``fields`` absent from
+    ``entry``."""
+    for name in fields:
+        if name not in entry:
+            violations.append(
+                Violation(errors.MISSING_FIELD, f"{where} has no {name!r}", **context)
+            )
+
+
 def _parse_piecewise(v, out, scheme, violations):
     functions = {}
     seen = set()
-    for entry in scheme.get("edges", []):
+    for j, entry in enumerate(scheme.get("edges", [])):
+        fields = ("creditor", "borders", "slopes")
+        if any(name not in entry for name in fields):
+            where = f"payment_schemes[{v!r}].edges[{j}]"
+            _report_missing(entry, fields, where, violations, bank=v)
+            seen.add(entry.get("creditor"))
+            continue
         creditor = entry["creditor"]
         if creditor not in out or creditor in seen:
             raise ValueError(f"piecewise edges must match the out-claims of {v!r}")
         seen.add(creditor)
-        borders = tuple(parse_exact(x) for x in entry["borders"])
-        slopes = tuple(parse_exact(m) for m in entry["slopes"])
+        borders = tuple(_exact(x) for x in entry["borders"])
+        slopes = tuple(_exact(m) for m in entry["slopes"])
         if len(slopes) != len(borders) - 1:
             raise ValueError("need len(borders) - 1 slopes")
-        if any(m < 0 for m in slopes):
+        if any(m.numerator < 0 for m in slopes):
             violations.append(
                 Violation(
                     errors.NEGATIVE_VALUE,
@@ -429,98 +483,6 @@ def _parse_piecewise(v, out, scheme, violations):
     if seen != set(out):
         raise ValueError(f"piecewise edges must cover all out-claims of {v!r}")
     return functions
-
-
-def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
-    """The merged border grid of one bank's out-claims, with each claim's slope
-    on every grid segment ``[grid[j], grid[j + 1])``, in the order of
-    ``claims``. A claim whose borders are the grid, as under every class
-    scheme, keeps its slope tuple; any other claim is walked in step with the
-    grid. As in ``PaymentFunction.slope_at``, a claim's first slope applies
-    before its first border and zero past its last."""
-    first = claims[0].payment.borders
-    if all(claim.payment.borders is first for claim in claims) and all(
-        a < b for a, b in zip(first, first[1:])
-    ):
-        return first, [claim.payment.slopes for claim in claims]
-    grid = tuple(sorted({x for claim in claims for x in claim.payment.borders}))
-    rows = []
-    for claim in claims:
-        fn = claim.payment
-        if fn.borders == grid:
-            rows.append(fn.slopes)
-            continue
-        borders, own = fn.borders, fn.slopes
-        row = []
-        i = 0
-        for x in grid[:-1]:
-            while i < len(own) and borders[i + 1] <= x:
-                i += 1
-            row.append(own[i] if i < len(own) else ZERO)
-        rows.append(tuple(row))
-    return grid, rows
-
-
-def _check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> None:
-    """Per-bank checks of the payment axioms: border lists anchored at 0 and
-    L+(v), accumulated value equal to the liability, and slope sums equal to 1
-    on every segment of the merged border grid below L+(v). A bank with a
-    border list that does not strictly increase from 0 gets no slope-sum
-    check: its slopes on the merged grid are not defined."""
-    for v in net.bank_ids():
-        out = net.out_claims(v)
-        if not out:
-            continue
-        total = net.total_out(v)
-        unordered = False
-        for claim in out:
-            fn = claim.payment
-            if fn.borders[0] != 0 or any(
-                fn.borders[i] >= fn.borders[i + 1] for i in range(len(fn.borders) - 1)
-            ):
-                violations.append(
-                    Violation(
-                        errors.BORDER_MISMATCH,
-                        "borders must strictly increase from 0",
-                        bank=v,
-                        claim=claim.pair,
-                    )
-                )
-                unordered = True
-                continue
-            if fn.borders[-1] != total:
-                violations.append(
-                    Violation(
-                        errors.BORDER_MISMATCH,
-                        f"borders must end at the total out-liability {total}",
-                        bank=v,
-                        claim=claim.pair,
-                    )
-                )
-                continue
-            if fn.final_value != claim.liability:
-                violations.append(
-                    Violation(
-                        errors.LIABILITY_MISMATCH,
-                        f"payment at L+ is {fn.final_value}, liability is {claim.liability}",
-                        bank=v,
-                        claim=claim.pair,
-                    )
-                )
-
-        if total == 0 or unordered:
-            continue
-        grid, slopes = merged_slopes(out)
-        for j in range(len(grid) - 1):
-            slope_sum = sum((claim_slopes[j] for claim_slopes in slopes), ZERO)
-            if slope_sum != 1:
-                violations.append(
-                    Violation(
-                        errors.SLOPE_SUM_VIOLATION,
-                        f"slopes sum to {slope_sum} on [{grid[j]}, {grid[j + 1]})",
-                        bank=v,
-                    )
-                )
 
 
 def build_network(banks, claims, schemes=None) -> FinancialNetwork:

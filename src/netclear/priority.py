@@ -34,7 +34,8 @@ from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
-from .model import FinancialNetwork, merged_slopes
+from .axioms import merged_slopes
+from .model import FinancialNetwork
 from .rationals import ONE, ZERO
 
 

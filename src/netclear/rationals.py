@@ -3,12 +3,18 @@
 All quantities in the engine are ``fractions.Fraction`` values, kept in lowest
 terms by the stdlib. Binary floats are rejected on input so no precision is
 lost silently; decimal output is a display-only projection.
+
+Each ``Fraction`` operation normalizes its result with a gcd. ``sum_ratio``
+adds many values on Python ints instead: it keeps the numerators over the
+lcm of the denominators seen so far. ``exact_sum`` normalizes that once, at
+the end; a caller that only compares the sum can skip even that.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,7 +39,9 @@ def parse_exact(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers")
     if isinstance(value, int):
-        return _bounded(Fraction(value))
+        if abs(value) >= _BOUND:
+            raise ValueError(_TOO_LARGE)
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -55,6 +63,30 @@ def parse_exact(value) -> Fraction:
     raise TypeError(f"exact numbers must be int or str, got {type(value).__name__}")
 
 
+def sum_ratio(values) -> tuple[int, int]:
+    """The exact sum of ``Fraction`` or ``int`` values as ``(numerator,
+    denominator)``: the denominator is the lcm of the values' denominators,
+    and the pair is not reduced."""
+    num, den = 0, 1
+    for value in values:
+        n, d = value.as_integer_ratio()
+        if d == den:
+            num += n
+            continue
+        g = gcd(den, d)
+        if g == d:
+            num += n * (den // d)
+        else:
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return num, den
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of ``Fraction`` or ``int`` values, normalized once."""
+    return Fraction(*sum_ratio(values))
+
+
 def exact_str(value: Fraction) -> str:
     """Canonical ``p`` or ``p/q`` rendering."""
     if value.denominator == 1:
@@ -62,9 +94,11 @@ def exact_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Round-half-even decimal projection at ``digits`` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+# One context for every display value; the Inexact and Rounded flags its
+# divisions set are never read.
+_DISPLAY = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
+def decimal_str(value: Fraction) -> str:
+    """Round-half-even decimal projection at 12 significant digits."""
+    return str(_DISPLAY.divide(Decimal(value.numerator), Decimal(value.denominator)))

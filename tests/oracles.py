@@ -12,6 +12,13 @@ None of this runs in the product:
 - ``fraction_border_scale`` and ``fraction_advance``: the step's line search
   and move in plain ``Fraction`` arithmetic, the oracles for the
   integer-rate ``minimal.border_scale`` and ``minimal.advance``;
+- ``fraction_value_at``, ``fraction_inflow`` and
+  ``fraction_check_payment_axioms``: payment evaluation, a bank's inflow and
+  the payment-axiom check in plain ``Fraction`` arithmetic, the oracles for
+  the integer-sum ``PaymentFunction.value_at``, ``clearing._inflow`` and
+  ``axioms.check_payment_axioms``;
+- ``localcontext_decimal_str``: the display decimal computed in a fresh
+  ``decimal.localcontext``, the oracle for ``rationals.decimal_str``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
   feasibility test that the block solver is cross-checked against;
@@ -24,11 +31,14 @@ None of this runs in the product:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
+from netclear import errors
 from netclear.clearing import _inflow
-from netclear.errors import DegenerateMatrixError
+from netclear.errors import DegenerateMatrixError, Violation
 from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
 from netclear.minimal import compute_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
@@ -184,6 +194,117 @@ def fraction_advance(g, state, rates, scale) -> tuple[dict[str, Fraction], list[
         if rate > 0 and u in g.borders and moved[u] == g.borders[u]
     ]
     return moved, landed
+
+
+def fraction_value_at(fn: PaymentFunction, a: Fraction) -> Fraction:
+    """``fn`` at assets ``a``: the value at the segment's lower border plus
+    slope times the distance, one ``Fraction`` operation at a time."""
+    if a <= fn.borders[0]:
+        return ZERO
+    idx = bisect_right(fn.borders, a) - 1
+    if idx == len(fn.borders) - 1:
+        return fn.final_value
+    return fn._values[idx] + fn.slopes[idx] * (a - fn.borders[idx])
+
+
+def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
+    """Payments ``v`` receives at ``state``, accumulated with ``+=``."""
+    total = ZERO
+    for claim in net.in_claims(v):
+        total += fraction_value_at(claim.payment, state[claim.debtor])
+    return total
+
+
+def _fraction_merged_slopes(claims):
+    first = claims[0].payment.borders
+    if all(claim.payment.borders is first for claim in claims) and all(
+        a < b for a, b in zip(first, first[1:])
+    ):
+        return first, [claim.payment.slopes for claim in claims]
+    grid = tuple(sorted({x for claim in claims for x in claim.payment.borders}))
+    rows = []
+    for claim in claims:
+        fn = claim.payment
+        if fn.borders == grid:
+            rows.append(fn.slopes)
+            continue
+        borders, own = fn.borders, fn.slopes
+        row = []
+        i = 0
+        for x in grid[:-1]:
+            while i < len(own) and borders[i + 1] <= x:
+                i += 1
+            row.append(own[i] if i < len(own) else ZERO)
+        rows.append(tuple(row))
+    return grid, rows
+
+
+def fraction_check_payment_axioms(net: FinancialNetwork, violations: list) -> None:
+    """The payment-axiom check with every border list walked per claim and
+    every slope sum accumulated by ``sum(..., ZERO)``; appends the same
+    violations, in the same order, as ``axioms.check_payment_axioms``."""
+    for v in net.bank_ids():
+        out = net.out_claims(v)
+        if not out:
+            continue
+        total = net.total_out(v)
+        unordered = False
+        for claim in out:
+            fn = claim.payment
+            if fn.borders[0] != 0 or any(
+                fn.borders[i] >= fn.borders[i + 1] for i in range(len(fn.borders) - 1)
+            ):
+                violations.append(
+                    Violation(
+                        errors.BORDER_MISMATCH,
+                        "borders must strictly increase from 0",
+                        bank=v,
+                        claim=claim.pair,
+                    )
+                )
+                unordered = True
+                continue
+            if fn.borders[-1] != total:
+                violations.append(
+                    Violation(
+                        errors.BORDER_MISMATCH,
+                        f"borders must end at the total out-liability {total}",
+                        bank=v,
+                        claim=claim.pair,
+                    )
+                )
+                continue
+            if fn.final_value != claim.liability:
+                violations.append(
+                    Violation(
+                        errors.LIABILITY_MISMATCH,
+                        f"payment at L+ is {fn.final_value}, liability is {claim.liability}",
+                        bank=v,
+                        claim=claim.pair,
+                    )
+                )
+        if total == 0 or unordered:
+            continue
+        grid, slopes = _fraction_merged_slopes(out)
+        for j in range(len(grid) - 1):
+            slope_sum = sum((claim_slopes[j] for claim_slopes in slopes), ZERO)
+            if slope_sum != 1:
+                violations.append(
+                    Violation(
+                        errors.SLOPE_SUM_VIOLATION,
+                        f"slopes sum to {slope_sum} on [{grid[j]}, {grid[j + 1]})",
+                        bank=v,
+                    )
+                )
+
+
+def localcontext_decimal_str(value: Fraction, digits: int = 12) -> str:
+    """Round-half-even decimal projection at ``digits`` significant digits,
+    divided in a fresh local decimal context."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
 @dataclass(frozen=True)

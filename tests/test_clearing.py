@@ -18,8 +18,10 @@ from netclear import (
 )
 from netclear.errors import DefaultCostUnsupportedError, UnknownBankError
 
+from netclear.clearing import _inflow
+
 from corpus import random_network, random_state_in_box
-from oracles import reduced_assets
+from oracles import fraction_inflow, fraction_value_at, reduced_assets
 
 
 def example1():
@@ -85,6 +87,35 @@ class TestAssetAccessors:
         state = ClearingState({"u": F(0), "v": F(0), "w": F(0)})
         with pytest.raises(UnknownBankError):
             incoming_assets(net, state, "nope")
+
+
+class TestIntegerSumsAgainstFraction:
+    """Inflows, payments and in-liability totals equal their ``Fraction``
+    references on seeded networks and states."""
+
+    def test_inflow_and_payments(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            net = random_network(rng, max_banks=8, default_cost=rng.random() < 0.5)
+            for _ in range(4):
+                state = random_state_in_box(rng, net)
+                for v in net.bank_ids():
+                    assert _inflow(net, state, v) == fraction_inflow(net, state, v)
+                paid = payments(net, state)
+                for claim in net.claims:
+                    assert paid[claim.pair] == fraction_value_at(
+                        claim.payment, state[claim.debtor]
+                    )
+
+    def test_total_in_on_demand(self):
+        rng = random.Random(4243)
+        for _ in range(40):
+            net = random_network(rng, max_banks=8)
+            for v in net.bank_ids():
+                expected = sum((c.liability for c in net.in_claims(v)), F(0))
+                assert net.total_in(v) == expected
+        with pytest.raises(UnknownBankError):
+            example1().total_in("nope")
 
 
 class TestPhi:

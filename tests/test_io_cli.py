@@ -17,9 +17,10 @@ from netclear.io import (
     parse_targets,
     result_document,
 )
-from netclear.rationals import MAX_DIGITS, parse_exact
+from netclear.rationals import MAX_DIGITS, decimal_str, parse_exact
 
 from corpus import random_network, serialize_network
+from oracles import localcontext_decimal_str
 
 EXAMPLE3 = {
     "format_version": "1",
@@ -228,6 +229,27 @@ class TestResultDocument:
         assert doc["payments"][0]["debtor"] == "a"
         assert doc["metadata"]["operation"] == "min-clear"
         assert doc["metadata"]["solver_version"] == "0.1.0"
+
+    def test_decimal_str_matches_a_fresh_local_context(self):
+        """The module-level display context rounds exactly as a fresh
+        ``localcontext`` at 12 digits: zero, exact ties at the 12th digit,
+        negative values and 1000-digit numerators and denominators."""
+        rng = random.Random(1212)
+        values = [F(0), F(1), F(-1), F(1, 3), F(2, 3), F(10**12 - 1, 10**12)]
+        for _ in range(300):  # ties: 13 significant digits ending in 5
+            digits = rng.randint(10**11, 10**12 - 1) * 10 + 5
+            values.append(F(digits * rng.choice((1, -1)), 10 ** rng.randint(0, 30)))
+            values.append(F(digits, 1) * 10 ** rng.randint(0, 20))
+        for _ in range(300):
+            values.append(F(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9)))
+        for _ in range(100):
+            values.append(
+                F(rng.randint(1, 10**MAX_DIGITS - 1), rng.randint(1, 10**MAX_DIGITS - 1))
+            )
+            values.append(F(rng.randint(1, 10**MAX_DIGITS - 1), rng.randint(1, 99)))
+            values.append(F(rng.randint(1, 99), rng.randint(1, 10**MAX_DIGITS - 1)))
+        for value in values:
+            assert decimal_str(value) == localcontext_decimal_str(value), value
 
     def test_exact_fields_reverify(self, example3_file, capsys):
         assert main(["min-clear", example3_file]) == 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +18,23 @@ from netclear import (
 from netclear.errors import (
     BORDER_MISMATCH,
     DUPLICATE_EDGE,
+    LIABILITY_MISMATCH,
+    MISSING_FIELD,
     NEGATIVE_VALUE,
     SELF_LOOP,
     SLOPE_SUM_VIOLATION,
     UNBOUNDED_LIABILITY,
     UNKNOWN_BANK_ID,
     NetworkValidationError,
+    ParseError,
 )
-from netclear.model import PaymentFunction
+from netclear.axioms import check_payment_axioms
+from netclear.io import parse_network
+from netclear.model import Bank, Claim, PaymentFunction, assemble
+from netclear.rationals import exact_sum, sum_ratio
 
 from corpus import random_network
+from oracles import fraction_check_payment_axioms, fraction_value_at
 
 
 def figure1_ranked():
@@ -66,6 +74,94 @@ class TestEvalPayment:
         for claim in net.claims:
             assert claim.payment.value_at(F(100)) == claim.liability
             assert claim.payment.value_at(F(250)) == claim.liability
+
+
+class TestExactSum:
+    """``exact_sum`` against ``sum(..., ZERO)``; ``sum_ratio`` keeps the
+    unreduced pair over the lcm of the denominators."""
+
+    def check(self, values):
+        expected = sum(values, F(0))
+        got = exact_sum(values)
+        assert type(got) is F and got == expected
+        num, den = sum_ratio(values)
+        assert den > 0 and F(num, den) == expected
+        return num, den
+
+    def test_empty(self):
+        assert self.check([]) == (0, 1)
+        assert exact_sum(iter(())) == 0
+
+    def test_ints_and_negatives(self):
+        assert self.check([3, -7, 0, 11]) == (7, 1)
+        self.check([F(-1, 2), 1, F(-3, 4), F(5, 4)])
+        self.check([F(1, 3), F(-1, 3)])
+
+    def test_many_distinct_denominators(self):
+        rng = random.Random(4411)
+        for _ in range(300):
+            values = [
+                F(rng.randint(-10**6, 10**6), rng.randint(1, 2000))
+                for _ in range(rng.randint(1, 40))
+            ]
+            values += [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(values)
+            _, den = self.check(values)
+            assert den == lcm(*(F(x).denominator for x in values))
+
+
+def _points(fn):
+    """Assets below the first border, at and between every border, and past
+    the last."""
+    borders = fn.borders
+    points = [borders[0] - 1, borders[0] - F(1, 3), *borders, borders[-1] + F(7, 5)]
+    points += [(x + y) / 2 for x, y in zip(borders, borders[1:])]
+    points += [x + (y - x) / 7 for x, y in zip(borders, borders[1:])]
+    return points
+
+
+class TestValueAtAgainstFraction:
+    """The integer ``value_at`` equals the ``Fraction`` evaluation
+    everywhere: below the first border, at every border, past the last
+    border, and on zero-slope segments."""
+
+    def assert_same(self, fn):
+        for a in _points(fn):
+            got = fn.value_at(a)
+            assert type(got) is F
+            assert got == fraction_value_at(fn, a), (fn, a)
+
+    def test_zero_slope_segments(self):
+        fn = PaymentFunction((F(0), F(2), F(5), F(9, 2) * 2), (F(0), F(1, 3), F(0)))
+        self.assert_same(fn)
+        assert fn.value_at(F(1)) == 0
+        assert fn.value_at(F(6)) == 1
+        assert fn.value_at(F(8)) == 1
+
+    def test_class_scheme_functions(self):
+        fns = make_priority_proportional(
+            {"a": F(3, 2), "b": F(0), "c": F(7, 3), "d": F(5)}, [["d"], ["a", "b"], ["c"]]
+        )
+        for fn in fns.values():
+            self.assert_same(fn)
+
+    def test_integer_assets(self):
+        fn = make_proportional({"a": F(3), "b": F(5, 7)})["b"]
+        for a in (-2, 0, 1, 3, 100):
+            assert fn.value_at(a) == fraction_value_at(fn, F(a))
+
+    def test_random_functions(self):
+        rng = random.Random(2718)
+        for _ in range(400):
+            k = rng.randint(1, 6)
+            borders = [F(0)]
+            for _ in range(k):
+                borders.append(borders[-1] + F(rng.randint(1, 40), rng.randint(1, 12)))
+            slopes = [
+                F(0) if rng.random() < 0.3 else F(rng.randint(1, 30), rng.randint(1, 25))
+                for _ in range(k)
+            ]
+            self.assert_same(PaymentFunction(tuple(borders), tuple(slopes)))
 
 
 class TestSlopeAt:
@@ -427,3 +523,175 @@ class TestPaymentFunctionProperties:
         points = [top * F(i, 7) for i in range(8)]
         values = [fn.value_at(p) for p in points]
         assert values == sorted(values)
+
+
+def _fit(slopes, borders):
+    """``slopes`` repeated or cut to one per interval of ``borders``."""
+    return (list(slopes) * len(borders) or [F(1)] * len(borders))[: len(borders) - 1]
+
+
+def _malformed_schedules(rng):
+    """Out-claims of one to three debtors whose payment schedules break the
+    axioms in seeded ways: unordered or non-strict borders, a wrong first or
+    end border, wrong final values, slope sums other than 1, one bad borders
+    tuple shared by several claims, and one tuple shared across debtors with
+    different totals. Some debtors keep a valid class scheme."""
+    creditors = [f"c{i}" for i in range(rng.randint(1, 4))]
+    debtors = [f"d{i}" for i in range(rng.randint(1, 3))]
+    claims = []
+    shared = None
+    for d in debtors:
+        out = rng.sample(creditors, rng.randint(1, len(creditors)))
+        liabilities = {
+            c: F(rng.choice((0, rng.randint(1, 9), rng.randint(1, 9))), rng.choice((1, 2, 3)))
+            for c in out
+        }
+        total = sum(liabilities.values(), F(0))
+        if rng.random() < 0.5:
+            classes = [[]]
+            for c in out:
+                if classes[-1] and rng.random() < 0.5:
+                    classes.append([])
+                classes[-1].append(c)
+            fns = make_priority_proportional(liabilities, classes)
+            schedule = {c: [fns[c].borders, list(fns[c].slopes)] for c in out}
+        else:
+            cuts = sorted({F(rng.randint(1, 23), 4) for _ in range(rng.randint(0, 3))})
+            grid = tuple([F(0)] + [x for x in cuts if x < total] + [total])
+            schedule = {}
+            for c in out:
+                borders = grid if rng.random() < 0.6 else tuple(
+                    sorted({F(0), total, *rng.sample(grid, rng.randint(1, len(grid)))})
+                )
+                share = liabilities[c] / total if total else F(0)
+                slopes = [
+                    share if rng.random() < 0.7 else F(rng.randint(0, 4), rng.randint(1, 4))
+                    for _ in borders[1:]
+                ]
+                schedule[c] = [borders, slopes]
+        for c, entry in schedule.items():
+            borders, slopes = entry
+            roll = rng.random()
+            if roll < 0.1 and len(borders) >= 3:  # unordered
+                i = rng.randrange(1, len(borders) - 1)
+                b = list(borders)
+                b[i], b[i + 1] = b[i + 1], b[i]
+                entry[0] = tuple(b)
+            elif roll < 0.15 and len(borders) >= 2:  # a repeated border
+                entry[0] = (borders[0], *borders[:-1])
+            elif roll < 0.2:  # wrong first border
+                entry[0] = (F(1), *borders[1:]) if len(borders) > 1 else (F(1),)
+            elif roll < 0.3:  # wrong end border
+                entry[0] = (*borders[:-1], borders[-1] + F(rng.randint(1, 3), 2))
+            elif roll < 0.4 and slopes:  # wrong final value, wrong slope sums
+                slopes[rng.randrange(len(slopes))] += F(1, rng.randint(2, 5))
+        if rng.random() < 0.2 and len(schedule) >= 2:
+            # one bad tuple object shared by every claim of the debtor
+            first = next(iter(schedule.values()))[0]
+            bad = (*first[:-1], first[-1] + 1) if rng.random() < 0.5 else tuple(reversed(first))
+            for entry in schedule.values():
+                entry[0] = bad
+                entry[1] = _fit(entry[1], bad)
+        if rng.random() < 0.2:
+            # one tuple object shared across debtors, whose totals may differ
+            if shared is None:
+                shared = next(iter(schedule.values()))[0]
+            else:
+                entry = next(iter(schedule.values()))
+                entry[0] = shared
+                entry[1] = _fit(entry[1], shared)
+        for c, (borders, slopes) in schedule.items():
+            claims.append(Claim(d, c, liabilities[c], PaymentFunction(borders, tuple(slopes))))
+    banks = [Bank(v, F(0)) for v in debtors + creditors]
+    return assemble(banks, claims)
+
+
+class TestPaymentAxiomsAgainstFraction:
+    """``check_payment_axioms`` appends exactly the violations of the
+    ``Fraction`` reference, in the same order, on 3,000 seeded malformed
+    schedules."""
+
+    def test_violation_lists_match(self):
+        rng = random.Random(15015)
+        seen = {BORDER_MISMATCH: 0, LIABILITY_MISMATCH: 0, SLOPE_SUM_VIOLATION: 0}
+        unordered = shared_bad = clean = 0
+        for _ in range(3000):
+            net = _malformed_schedules(rng)
+            got, expected = [], []
+            check_payment_axioms(net, got)
+            fraction_check_payment_axioms(net, expected)
+            assert got == expected, (net.claims, got, expected)
+            clean += not got
+            for violation in got:
+                seen[violation.kind] += 1
+                unordered += violation.message.startswith("borders must strictly")
+            for v in net.bank_ids():
+                out = net.out_claims(v)
+                bad = [c for c in out if any(c.pair == x.claim for x in got)]
+                shared_bad += len(bad) >= 2 and all(
+                    c.payment.borders is bad[0].payment.borders for c in bad
+                )
+        assert min(seen.values()) >= 300, seen
+        assert unordered >= 300 and shared_bad >= 100 and clean >= 300
+
+
+class TestMissingFields:
+    """A missing required key is a ``missing_field`` violation of
+    ``NetworkValidationError``, not a bare ``KeyError``."""
+
+    def violations(self, raw):
+        with pytest.raises(NetworkValidationError) as err:
+            validate_network(raw)
+        return [(v.kind, v.message, v.bank, v.claim) for v in err.value.violations]
+
+    def test_bank_without_id(self):
+        assert self.violations({"banks": [{}]}) == [
+            (MISSING_FIELD, "banks[0] has no 'id'", None, None)
+        ]
+
+    def test_claim_without_endpoints(self):
+        raw = {
+            "banks": [{"id": "a"}, {"id": "b"}],
+            "claims": [
+                {"debtor": "a", "creditor": "b", "liability": 1},
+                {"debtor": "a", "liability": 2},
+                {"liability": 3},
+            ],
+        }
+        assert self.violations(raw) == [
+            (MISSING_FIELD, "claims[1] has no 'creditor'", None, None),
+            (MISSING_FIELD, "claims[2] has no 'debtor'", None, None),
+            (MISSING_FIELD, "claims[2] has no 'creditor'", None, None),
+        ]
+
+    def test_piecewise_edge_without_slopes_or_creditor(self):
+        raw = {
+            "banks": [{"id": "v"}, {"id": "a"}, {"id": "b"}],
+            "claims": [
+                {"debtor": "v", "creditor": "a", "liability": 1},
+                {"debtor": "v", "creditor": "b", "liability": 1},
+            ],
+            "payment_schemes": {
+                "v": {
+                    "type": "piecewise",
+                    "edges": [
+                        {"creditor": "a", "borders": [0, 2]},
+                        {"creditor": "b", "borders": [0, 2], "slopes": ["1/2"]},
+                    ],
+                }
+            },
+        }
+        assert self.violations(raw) == [
+            (MISSING_FIELD, "payment_schemes['v'].edges[0] has no 'slopes'", "v", None)
+        ]
+        edges = raw["payment_schemes"]["v"]["edges"]
+        edges[0] = {"borders": [0, 2], "slopes": ["1/2"]}
+        found = self.violations(raw)
+        assert found[0] == (
+            MISSING_FIELD, "payment_schemes['v'].edges[0] has no 'creditor'", "v", None
+        )
+        assert [kind for kind, *_ in found[1:]] == ["invalid_scheme"]
+
+    def test_parsed_documents_never_reach_it(self):
+        with pytest.raises(ParseError):
+            parse_network('{"format_version": "1", "banks": [{}]}')
