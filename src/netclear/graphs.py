@@ -1,10 +1,13 @@
 """Active-graph construction, the one SCC routine (which the counter descent
 in ``priority`` also uses), and the flooded regions a bank reaches: the
-non-singleton sink SCCs of the active graph."""
+non-singleton sink SCCs of the active graph.
+
+An ``ActiveGraph`` is the state every walk holds: a network, the working
+assets dict it steps in place, and the active claims at those assets."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -15,24 +18,25 @@ from .model import Claim, FinancialNetwork
 
 @dataclass(frozen=True)
 class ActiveGraph:
-    """Subgraph of claims whose payment slope is strictly positive at the
-    current debtor assets, with that slope per edge and, per bank with an
+    """Subgraph of the claims of ``net`` whose payment slope is strictly
+    positive at ``assets``, with that slope per edge and, per bank with an
     active out-claim, the lowest border strictly above its assets over those
-    claims: up to that border no slope of the bank changes. The maps are
-    updated in place by ``refresh_banks``."""
+    claims: up to that border no slope of the bank changes. ``assets`` is the
+    caller's dict itself; whoever moves a bank in it refreshes that bank
+    through ``refresh_banks``, which updates the maps in place."""
 
-    nodes: tuple[str, ...]
+    net: FinancialNetwork
+    assets: dict[str, Fraction]
     edges: dict[str, tuple[Claim, ...]]  # debtor -> active out-claims
     slopes: dict[tuple[str, str], Fraction]  # claim pair -> positive slope
     borders: dict[str, Fraction]  # debtor -> next border of its active claims
 
 
-def refresh_banks(
-    g: ActiveGraph, net: FinancialNetwork, state: Mapping, banks: Iterable[str]
-) -> None:
+def refresh_banks(g: ActiveGraph, banks: Iterable[str]) -> None:
     """Recompute, in place, the active out-claims, their slopes and the next
-    border of each of ``banks`` at ``state``; other banks are left as they
+    border of each of ``banks`` at ``g.assets``; other banks are left as they
     are."""
+    net, state = g.net, g.assets
     edges, slopes, borders = g.edges, g.slopes, g.borders
     for v in banks:
         for claim in edges.get(v, ()):
@@ -54,9 +58,9 @@ def refresh_banks(
             borders[v] = nearest
 
 
-def active_graph(net: FinancialNetwork, state: Mapping) -> ActiveGraph:
-    g = ActiveGraph(nodes=net.bank_ids(), edges={}, slopes={}, borders={})
-    refresh_banks(g, net, state, g.nodes)
+def active_graph(net: FinancialNetwork, assets: dict) -> ActiveGraph:
+    g = ActiveGraph(net=net, assets=assets, edges={}, slopes={}, borders={})
+    refresh_banks(g, net.bank_ids())
     return g
 
 
@@ -124,7 +128,7 @@ def condense(g: ActiveGraph, source: str | None = None) -> tuple[frozenset[str],
     only the banks that ``source`` reaches."""
     edges = g.edges
     if source is None:
-        roots = g.nodes
+        roots = g.net.bank_ids()
     elif source in edges:
         roots = (source,)
     else:

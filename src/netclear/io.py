@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO
 
 from . import __version__, model
 from .clearing import ClearingState, payments
@@ -64,6 +63,8 @@ def _load_json(source) -> dict:
         raise
     except ValueError as exc:  # JSONDecodeError, or an int literal Python refuses
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the scanner recurses
+        raise ParseError("invalid JSON: nested too deeply") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {source!r}: {exc}") from exc
 
@@ -234,8 +235,5 @@ def result_document(
     return {"assets": assets, "payments": payment_rows, "metadata": metadata}
 
 
-def dump_document(doc: dict, stream: IO | None = None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+def dump_document(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

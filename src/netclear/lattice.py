@@ -4,8 +4,8 @@ Every clearing state of a network without default cost is reachable from the
 minimal one by repeatedly flooding non-singleton sink SCCs of the active
 graph, partially or fully. Flooding to saturation yields the maximal state;
 flooding selectively answers range queries.
-Each walk holds one active graph, built at its start state, and steps
-through ``minimal.advance`` and ``minimal.flood_closure``.
+Each walk holds one active graph, built at its start state, and steps its
+assets through ``minimal.advance`` and ``minimal.flood_closure``.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
         )
 
 
-def _own_sink_flood(g: ActiveGraph, assets, v: str) -> FloodStep | None:
-    """The flood step of the component of ``v`` in ``g``, the active graph at
-    ``assets``, or None when that component is not a non-singleton sink. A
-    sink is the only component its members reach, so it comes first in
-    ``condense(g, v)`` exactly when ``v`` is a member."""
+def _own_sink_flood(g: ActiveGraph, v: str) -> FloodStep | None:
+    """The flood step of the component of ``v`` in ``g``, or None when that
+    component is not a non-singleton sink. A sink is the only component its
+    members reach, so it comes first in ``condense(g, v)`` exactly when ``v``
+    is a member."""
     components = condense(g, v)
     if not components or v not in components[0]:
         return None
-    return solve_flood_step(g, assets, components[0])
+    return solve_flood_step(g, components[0])
 
 
 def apply_flood_sequence(
@@ -58,27 +58,26 @@ def apply_flood_sequence(
         raise errors.NotAClearingStateError(
             f"start state is not a clearing state: {check.violations}"
         )
-    assets = dict(start)
-    g = active_graph(net, assets)
+    g = active_graph(net, dict(start))
     for bank_id, fraction in steps:
         fraction = parse_exact(fraction)
         if not (0 <= fraction <= 1):
             raise ValueError("flood fractions must lie in [0, 1]")
-        step = _own_sink_flood(g, assets, bank_id)
+        step = _own_sink_flood(g, bank_id)
         if step is None:
             raise errors.NotASinkComponentError(
                 f"component of {bank_id!r} is not a non-singleton sink SCC"
             )
-        advance(g, net, assets, step.direction, fraction * step.scale)
-    return ClearingState(assets)
+        advance(g, step.direction, fraction * step.scale)
+    return ClearingState(g.assets)
 
 
 def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     """Maximal clearing state by greedy saturation of floodable components."""
     require_no_default_cost(net, "compute_max_clearing_flood")
-    assets = compute_min_clearing(net).as_dict()
-    flood_closure(active_graph(net, assets), net, assets)
-    return ClearingState(assets)
+    g = active_graph(net, compute_min_clearing(net).as_dict())
+    flood_closure(g)
+    return ClearingState(g.assets)
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             return RangeResult(True, ClearingState(assets))
         v = below[0]
         lo_v = spec.targets[v][0]
-        step = _own_sink_flood(g, assets, v)
+        step = _own_sink_flood(g, v)
         if step is None:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
         gamma_border = step.scale
@@ -165,7 +164,7 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
             if room < gamma:
                 gamma = room
                 cap_bank = w
-        advance(g, net, assets, step.direction, gamma)
+        advance(g, step.direction, gamma)
         if cap_bank is not None and assets[v] < lo_v:
             return RangeResult(
                 False,

@@ -20,10 +20,10 @@ normalization. Both read their rates through ``numerator`` and
 ``denominator``, so a flood's ``Fraction`` direction goes through the same
 two functions.
 
-One active graph serves the whole run while the working network stays the
-same. A step changes the active segment only of the banks it moves onto
-their next border, so only those are refreshed; a rewire builds the graph
-afresh.
+The driver holds one active graph, which carries the working network and
+assets, while that network stays the same. A step changes the active
+segment only of the banks it moves onto their next border, so only those
+are refreshed; a rewire drops the graph and the next step builds it afresh.
 
 Default costs are removed up front by network surgery: every defaulting
 bank, alpha = beta = 0 included, gets one splitter/sink gadget that diverts
@@ -69,18 +69,13 @@ class FloodStep:
 class IncreaseStep:
     """An injection at ``source`` that moves each bank ``u`` by
     ``scale * rates[u]``: the response solve's integer numerators over its
-    positive common denominator ``den``, kept as they came. ``slopes`` and
-    ``delta`` read the same step as the exact response per unit of
-    injection and the injected amount."""
+    positive common denominator ``den``, kept as they came. ``delta`` is the
+    injected amount."""
 
     source: str
     rates: dict[str, int]  # response numerators over den
     den: int  # common denominator of the rates, positive
     scale: Fraction  # injected amount / den
-
-    @property
-    def slopes(self) -> dict[str, Fraction]:
-        return {u: Fraction(rate, self.den) for u, rate in self.rates.items()}
 
     @property
     def delta(self) -> Fraction:
@@ -227,24 +222,21 @@ def rewire_solvent_bank(
     return assets
 
 
-def border_scale(
-    g: ActiveGraph, state, rates, limit: Fraction | None = None
-) -> Fraction | None:
+def border_scale(g: ActiveGraph, rates, limit: Fraction | None = None) -> Fraction | None:
     """Largest ``t <= limit`` for which moving every bank ``u`` by
     ``t * rates[u]`` crosses no payment-function border: the least
-    ``(g.borders[u] - state[u]) / rate`` over the banks with a positive rate
-    and an active out-claim. None when there is neither such a bank nor a
-    limit. ``g`` is the active graph at ``state``. Rates, assets and limit
-    may be any rationals, such as a response's integer numerators or a
-    flood's ``Fraction`` direction: each ratio is kept as an integer
-    numerator and positive denominator and compared by cross-multiplication,
-    and one ``Fraction`` is built for the result. The scale never
-    overshoots, so after the move a bank that binds sits exactly on its
-    border."""
+    ``(g.borders[u] - g.assets[u]) / rate`` over the banks with a positive
+    rate and an active out-claim. None when there is neither such a bank nor
+    a limit. Rates, assets and limit may be any rationals, such as a
+    response's integer numerators or a flood's ``Fraction`` direction: each
+    ratio is kept as an integer numerator and positive denominator and
+    compared by cross-multiplication, and one ``Fraction`` is built for the
+    result. The scale never overshoots, so after the move a bank that binds
+    sits exactly on its border."""
     num = den = None
     if limit is not None:
         num, den = limit.numerator, limit.denominator
-    borders = g.borders
+    borders, state = g.borders, g.assets
     for u, rate in rates.items():
         if rate > 0 and u in borders:
             border, assets = borders[u], state[u]
@@ -260,14 +252,14 @@ def border_scale(
     return Fraction(num, den)
 
 
-def solve_flood_step(g: ActiveGraph, state, component: frozenset[str]) -> FloodStep:
+def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
-    non-singleton sink SCC of ``g``, the active graph at ``state``. The
-    direction is the Perron vector ``d = d M`` of the component's slope
-    matrix, read off its ``response_rows`` (the columns of ``I - M``)."""
+    non-singleton sink SCC of ``g``. The direction is the Perron vector
+    ``d = d M`` of the component's slope matrix, read off its
+    ``response_rows`` (the columns of ``I - M``)."""
     members = sorted(component)
     direction = dict(zip(members, unit_left_nullspace(response_rows(g, members))))
-    scale = border_scale(g, state, direction)
+    scale = border_scale(g, direction)
     if scale is None:
         raise errors.InternalInvariantError(
             "flood component has no border ahead; component was not floodable"
@@ -275,15 +267,15 @@ def solve_flood_step(g: ActiveGraph, state, component: frozenset[str]) -> FloodS
     return FloodStep(component=component, direction=direction, scale=scale)
 
 
-def advance(g: ActiveGraph, net: FinancialNetwork, assets: dict, rates, scale: Fraction) -> None:
-    """Move each bank ``u`` by ``scale * rates[u]`` in place, a scale that
-    ``border_scale`` allowed on ``g``, the active graph of ``net`` at
-    ``assets``; then refresh the banks with a positive rate that landed on
-    their next border, the only ones whose active segment can change. Rates
-    and scale may be any rationals; each moved bank's new assets are summed
-    on integers and normalized once."""
+def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
+    """Move each bank ``u`` of ``g.assets`` by ``scale * rates[u]`` in place,
+    a scale that ``border_scale`` allowed on ``g``; then refresh the banks
+    with a positive rate that landed on their next border, the only ones
+    whose active segment can change. Rates and scale may be any rationals;
+    each moved bank's new assets are summed on integers and normalized
+    once."""
     sn, sd = scale.numerator, scale.denominator
-    borders = g.borders
+    borders, assets = g.borders, g.assets
     landed = []
     for u, rate in rates.items():
         if rate:
@@ -296,19 +288,19 @@ def advance(g: ActiveGraph, net: FinancialNetwork, assets: dict, rates, scale: F
                 border = borders[u]
                 if num * border.denominator == den * border.numerator:
                     landed.append(u)
-    refresh_banks(g, net, assets, landed)
+    refresh_banks(g, landed)
 
 
-def flood_closure(g: ActiveGraph, net: FinancialNetwork, assets: dict, source=None) -> None:
-    """Fully flood, in place, every non-singleton sink SCC of ``g`` (the active
-    graph of ``net`` at ``assets``, kept so) reachable from ``source``, or
-    every one when ``source`` is None, until none is left."""
+def flood_closure(g: ActiveGraph, source=None) -> None:
+    """Fully flood, in place, every non-singleton sink SCC of ``g`` reachable
+    from ``source``, or every one when ``source`` is None, until none is
+    left."""
     while True:
         component = find_flood_component(g, source)
         if component is None:
             return
-        step = solve_flood_step(g, assets, component)
-        advance(g, net, assets, step.direction, step.scale)
+        step = solve_flood_step(g, component)
+        advance(g, step.direction, step.scale)
 
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
@@ -349,11 +341,10 @@ def response(
     return dict(zip(reach, numerators)), den
 
 
-def solve_increase_step(g: ActiveGraph, state, v: str, budget: Fraction) -> IncreaseStep | None:
+def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseStep | None:
     """Linear response of the minimal clearing state to an injection at ``v``,
-    read on ``g``, the active graph at ``state``. The step size is capped by
-    the budget and by the nearest payment-function border along the response
-    slopes.
+    read on ``g``. The step size is capped by the budget and by the nearest
+    payment-function border along the response slopes.
 
     Returns None when the response system is singular. Every row of the
     active slope matrix sums to 1 or 0 and no bank pays itself, so over the
@@ -366,7 +357,7 @@ def solve_increase_step(g: ActiveGraph, state, v: str, budget: Fraction) -> Incr
     if solved is None:
         return None
     rates, den = solved
-    scale = border_scale(g, state, rates, limit=budget / den)
+    scale = border_scale(g, rates, limit=budget / den)
     return IncreaseStep(source=v, rates=rates, den=den, scale=scale)
 
 
@@ -385,21 +376,22 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
     """Full driver; returns the minimal clearing state plus the step trace.
 
     One active graph serves every step while the working network stays the
-    same object: after each step only the banks that reached their next
-    border are refreshed, and a rewire builds the graph afresh. A flood is
-    looked for only when the source's response system is singular.
+    same: after each step only the banks that reached their next border are
+    refreshed. A rewire replaces the network and the assets dict, so it drops
+    the graph, and the next step builds it afresh. A flood is looked for only
+    when the source's response system is singular.
 
     With ``check_invariant`` the working state is verified to be an exact
     fixed point of the asset map (w.r.t. the injected externals) after every
-    step; before every response the graph is compared with a fresh build, and
-    the response's singularity with the flood check; test suites enable this.
+    step; before every response the graph is compared with a fresh build of
+    the working network and assets, and the response's singularity with the
+    flood check; test suites enable this.
     """
     adj = adjust_default_cost(net)
     assets: dict[str, Fraction] = {v: ZERO for v in adj.network.bank_ids()}
     floods: list[FloodStep] = []
     increases: list[IncreaseStep] = []
     g: ActiveGraph | None = None
-    g_network: FinancialNetwork | None = None
 
     def verify() -> None:
         if not check_invariant:
@@ -414,7 +406,11 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if not check_invariant:
             return
         fresh = active_graph(adj.network, assets)
-        if (g.edges, g.slopes, g.borders) != (fresh.edges, fresh.slopes, fresh.borders):
+        if (
+            g.net is not adj.network
+            or g.assets is not assets
+            or (g.edges, g.slopes, g.borders) != (fresh.edges, fresh.slopes, fresh.borders)
+        ):
             raise errors.InternalInvariantError(
                 "stale active graph handed to the increase step"
             )
@@ -423,7 +419,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         return {v for v, target in adj.targets.items() if adj.injected[v] < target}
 
     def settle_defaulters() -> None:
-        nonlocal assets, pending
+        nonlocal assets, pending, g
         changed, rewired = True, False
         while changed:
             changed = False
@@ -433,6 +429,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                     changed = rewired = True
         if rewired:
             pending = pending_sources()
+            g = None
 
     # The banks with a target not yet injected, kept up to date: a step
     # removes its source once paid off, and a rewire rebuilds the set.
@@ -448,12 +445,12 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         # rewire paid off meanwhile floods what it reaches, then yields.
         step = None
         while source in adj.targets:
-            if g_network is not adj.network:
-                g, g_network = active_graph(adj.network, assets), adj.network
+            if g is None:
+                g = active_graph(adj.network, assets)
             budget = adj.targets[source] - adj.injected[source]
             if budget > 0:
                 check_graph()
-                step = solve_increase_step(g, assets, source, budget)
+                step = solve_increase_step(g, source, budget)
                 if step is None or check_invariant:
                     component = find_flood_component(g, source)
                     if (step is None) == (component is None):
@@ -468,9 +465,9 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 component = find_flood_component(g, source)
                 if component is None:
                     break
-            flood = solve_flood_step(g, assets, component)
+            flood = solve_flood_step(g, component)
             floods.append(flood)
-            advance(g, adj.network, assets, flood.direction, flood.scale)
+            advance(g, flood.direction, flood.scale)
             settle_defaulters()
             verify()
 
@@ -480,7 +477,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         adj.injected[source] += step.delta
         if adj.injected[source] >= adj.targets[source]:
             pending.discard(source)
-        advance(g, adj.network, assets, step.rates, step.scale)
+        advance(g, step.rates, step.scale)
         settle_defaulters()
         verify()
 

@@ -102,13 +102,6 @@ class PaymentFunction:
             return None
         return self.slopes[idx], self.borders[pos]
 
-    def next_border_delta(self, a: Fraction) -> Fraction | None:
-        """Distance to the next border strictly above ``a``; None past the last."""
-        pos = bisect_right(self.borders, a)
-        if pos >= len(self.borders):
-            return None
-        return self.borders[pos] - a
-
     @property
     def final_value(self) -> Fraction:
         return self._values[-1]

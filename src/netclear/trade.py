@@ -7,7 +7,8 @@ right end is found by walking the return upward along the exact linear
 response of the minimal clearing state, flooding newly formed sink components
 and re-solving at every payment-function border.
 The walk holds one active graph of the traded network, built at its minimal
-state, and steps through ``minimal.flood_closure`` and ``minimal.advance``.
+state, and steps its assets through ``minimal.flood_closure`` and
+``minimal.advance``.
 """
 
 from __future__ import annotations
@@ -80,15 +81,14 @@ def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
     return assemble(banks, claims)
 
 
-def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
-    """Response of the minimal clearing state to moving one unit of external
-    assets from the buyer ``w`` to the seller ``v``; ``g`` is the active
-    graph at the current state. Returned as ``(rates, den)``: an integer
-    numerator for every bank over one positive common denominator. The
-    buyer's outgoing payments are held fixed (at the creditor-positive
-    boundary its assets do not move), and the sign of its drift is the stop
-    signal. A buyer outside the seller's reach gets no active in-edge from
-    it, so it only loses the unit.
+def _trade_slopes(g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
+    """Response of the minimal clearing state at ``g.assets`` to moving one
+    unit of external assets from the buyer ``w`` to the seller ``v``.
+    Returned as ``(rates, den)``: an integer numerator for every bank over
+    one positive common denominator. The buyer's outgoing payments are held
+    fixed (at the creditor-positive boundary its assets do not move), and the
+    sign of its drift is the stop signal. A buyer outside the seller's reach
+    gets no active in-edge from it, so it only loses the unit.
     """
     solved = response(g, v, {v: 1, w: -1}, frozen=w)
     if solved is None:
@@ -96,7 +96,7 @@ def _trade_slopes(net: FinancialNetwork, g: ActiveGraph, v: str, w: str) -> tupl
             "singular trade response system after flood closure"
         )
     rates, den = solved
-    slopes = dict.fromkeys(net.bank_ids(), 0)
+    slopes = dict.fromkeys(g.net.bank_ids(), 0)
     slopes[w] = -den
     slopes.update(rates)
     return slopes, den
@@ -126,13 +126,12 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     # The walk reads only the claims of the traded network, which do not
     # depend on the return, so it is built once at rho_min.
     traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
-    state = compute_min_clearing(traded).as_dict()
-    g = active_graph(traded, state)
+    g = active_graph(traded, compute_min_clearing(traded).as_dict())
     while True:
-        # The stop path drops the flooded copy and ``g``, which describes it.
-        flooded = dict(state)
-        flood_closure(g, traded, flooded, v)
-        slopes, den = _trade_slopes(traded, g, v, w)
+        # The stop path returns the state before this flood, and drops ``g``.
+        state = dict(g.assets)
+        flood_closure(g, v)
+        slopes, den = _trade_slopes(g, v, w)
         # The buyer's drift is never positive: its out-edges are frozen, so
         # it absorbs at most the unit injected at the seller.
         if slopes[w] < 0 or slopes[v] <= 0:
@@ -142,16 +141,14 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
                     if slopes[w] < 0
                     else "a higher return does not raise the seller's assets"
                 )
-            break
-        state = flooded
+            return rho_min, rho, ClearingState(state), base, reason
         # slopes[w] == 0 here, so the scan leaves the buyer out. The return
         # moves by den times the scale of the integer rates.
-        scale = border_scale(g, state, slopes, limit=(cap - rho) / den)
-        advance(g, traded, state, slopes, scale)
+        scale = border_scale(g, slopes, limit=(cap - rho) / den)
+        advance(g, slopes, scale)
         rho += scale * den
         if rho == cap:
-            break
-    return rho_min, rho, ClearingState(state), base, reason
+            return rho_min, rho, ClearingState(g.assets), base, reason
 
 
 def exists_creditor_positive(

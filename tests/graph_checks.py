@@ -2,7 +2,8 @@
 
 - ``check_advance_freshness`` wraps ``minimal.advance`` in every ``netclear``
   namespace that binds it. After each call the held graph must equal a fresh
-  ``active_graph`` build at the moved state, in edges, slopes and borders.
+  ``active_graph`` build of its own network at its moved assets, in edges,
+  slopes and borders.
 - ``count_builds`` counts ``active_graph`` builds in every namespace, and
   how many of them ran inside ``run_min_clearing``.
 """
@@ -34,11 +35,11 @@ def check_advance_freshness(monkeypatch) -> dict:
     original = minimal.advance
     counts = {"calls": 0, "landed": 0}
 
-    def checked(g, net, assets, rates, scale):
+    def checked(g, rates, scale):
         before = dict(g.borders)
-        original(g, net, assets, rates, scale)
-        fresh = graphs.active_graph(net, assets)
-        assert g.nodes == fresh.nodes
+        original(g, rates, scale)
+        assets = g.assets
+        fresh = graphs.active_graph(g.net, assets)
         assert g.edges == fresh.edges, "stale edges after advance"
         assert g.slopes == fresh.slopes, "stale slopes after advance"
         assert g.borders == fresh.borders, "stale borders after advance"

@@ -12,6 +12,8 @@ None of this runs in the product:
 - ``fraction_border_scale`` and ``fraction_advance``: the step's line search
   and move in plain ``Fraction`` arithmetic, the oracles for the
   integer-rate ``minimal.border_scale`` and ``minimal.advance``;
+- ``next_border_delta``: a payment function's distance to its next border,
+  for tests that step between borders;
 - ``fraction_value_at``, ``fraction_inflow`` and
   ``fraction_check_payment_axioms``: payment evaluation, a bank's inflow and
   the payment-axiom check in plain ``Fraction`` arithmetic, the oracles for
@@ -166,12 +168,12 @@ NON_NEGATIVE = "nonneg"
 FREE = "free"
 
 
-def fraction_border_scale(g, state, rates, limit=None) -> Fraction | None:
-    """The least ``(g.borders[u] - state[u]) / rates[u]`` over the banks
+def fraction_border_scale(g, rates, limit=None) -> Fraction | None:
+    """The least ``(g.borders[u] - g.assets[u]) / rates[u]`` over the banks
     with a positive rate and a next border, and ``limit``; None when there
     is neither."""
     ratios = [
-        Fraction(g.borders[u] - state[u]) / rate
+        Fraction(g.borders[u] - g.assets[u]) / rate
         for u, rate in rates.items()
         if rate > 0 and u in g.borders
     ]
@@ -180,12 +182,12 @@ def fraction_border_scale(g, state, rates, limit=None) -> Fraction | None:
     return min(ratios, default=None)
 
 
-def fraction_advance(g, state, rates, scale) -> tuple[dict[str, Fraction], list[str]]:
-    """The assets after moving each bank ``u`` of ``state`` by
+def fraction_advance(g, rates, scale) -> tuple[dict[str, Fraction], list[str]]:
+    """The assets after moving each bank ``u`` of ``g.assets`` by
     ``scale * rates[u]``, and the banks with a positive rate that land on
-    their next border in ``g``, in the order of ``rates``. Neither argument
-    is changed."""
-    moved = dict(state)
+    their next border in ``g``, in the order of ``rates``. ``g`` is not
+    changed."""
+    moved = dict(g.assets)
     for u, rate in rates.items():
         moved[u] = Fraction(moved[u] + scale * rate)
     landed = [
@@ -194,6 +196,15 @@ def fraction_advance(g, state, rates, scale) -> tuple[dict[str, Fraction], list[
         if rate > 0 and u in g.borders and moved[u] == g.borders[u]
     ]
     return moved, landed
+
+
+def next_border_delta(fn: PaymentFunction, a: Fraction) -> Fraction | None:
+    """Distance from ``a`` to the next border of ``fn`` strictly above it;
+    None at or past the last border."""
+    pos = bisect_right(fn.borders, a)
+    if pos >= len(fn.borders):
+        return None
+    return fn.borders[pos] - a
 
 
 def fraction_value_at(fn: PaymentFunction, a: Fraction) -> Fraction:

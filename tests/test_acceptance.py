@@ -367,7 +367,7 @@ def _sampled_clearing_state(rng, net, minimal):
         floodable = condense(g)
         if not floodable:
             break
-        step = solve_flood_step(g, assets, rng.choice(floodable))
+        step = solve_flood_step(g, rng.choice(floodable))
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

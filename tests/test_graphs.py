@@ -75,7 +75,7 @@ class TestRefreshBanks:
             g = active_graph(net, state)
             moved = [v for v in net.bank_ids() if rng.random() < 0.5]
             state.update((v, x) for v, x in random_state_in_box(rng, net).items() if v in moved)
-            refresh_banks(g, net, state, moved)
+            refresh_banks(g, moved)
             fresh = active_graph(net, state)
             assert (g.edges, g.slopes, g.borders) == (fresh.edges, fresh.slopes, fresh.borders)
 
@@ -142,11 +142,10 @@ class TestCondense:
             net = random_network(rng, max_banks=5)
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
-            sccs = strongly_connected(
-                g.nodes, lambda v: [claim.creditor for claim in g.edges[v]]
-            )
-            assert sum(map(len, sccs)) == len(g.nodes)
-            assert {frozenset(c) for c in sccs} == brute_force_sccs(g.nodes, set(g.slopes))
+            nodes = g.net.bank_ids()
+            sccs = strongly_connected(nodes, lambda v: [claim.creditor for claim in g.edges[v]])
+            assert sum(map(len, sccs)) == len(nodes)
+            assert {frozenset(c) for c in sccs} == brute_force_sccs(nodes, set(g.slopes))
 
     def test_rooted_against_brute_force_on_random_graphs(self):
         rng = random.Random(8191)
@@ -156,8 +155,9 @@ class TestCondense:
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
             edges = set(g.slopes)
-            for source in (None, *g.nodes):
-                expected = brute_force_flood_components(g.nodes, edges, source)
+            nodes = g.net.bank_ids()
+            for source in (None, *nodes):
+                expected = brute_force_flood_components(nodes, edges, source)
                 assert condense(g, source) == expected
                 assert find_flood_component(g, source) == (
                     expected[0] if expected else None
@@ -228,7 +228,7 @@ class TestFindFloodComponent:
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
             edges = set(g.slopes)
-            sccs = brute_force_sccs(g.nodes, edges)
+            sccs = brute_force_sccs(g.net.bank_ids(), edges)
             sinks = {c for c in sccs if all(b in c for a, b in edges if a in c)}
             for v in net.bank_ids():
                 found = find_flood_component(g, v)

@@ -179,6 +179,27 @@ class TestParseNetwork:
         assert captured.out == ""
         assert f"{field!r} must be" in captured.err
 
+    @pytest.mark.parametrize("where", ["document", "banks", "targets"])
+    def test_deep_nesting_rejected(self, where, two_cycle_file, tmp_path, capsys):
+        # The JSON scanner recurses once per level, so deep nesting raised
+        # RecursionError with a traceback (exit 1); at 100,000 levels it does
+        # so whatever the caller's stack depth.
+        deep = "[" * 100_000
+        path = tmp_path / "deep.json"
+        if where == "document":
+            path.write_text(deep)
+        elif where == "banks":
+            path.write_text('{"format_version": "1", "banks": ' + deep)
+        else:
+            path.write_text('{"targets": ' + deep)
+        argv = ["validate", str(path)]
+        if where == "targets":
+            argv = ["range", two_cycle_file, "--targets", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid JSON: nested too deeply\n"
+
     @pytest.mark.parametrize(
         "scheme, message",
         [

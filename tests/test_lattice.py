@@ -193,7 +193,7 @@ class TestMaxClearingFlood:
                 choices = condense(g)
                 if not choices:
                     break
-                step = solve_flood_step(g, assets, choices[-1])
+                step = solve_flood_step(g, choices[-1])
                 for member, d in step.direction.items():
                     assets[member] += step.scale * d
             assert assets == forward.as_dict()
@@ -285,7 +285,7 @@ def _random_reachable_state(rng, net):
         choices = condense(g)
         if not choices:
             break
-        step = solve_flood_step(g, assets, rng.choice(choices))
+        step = solve_flood_step(g, rng.choice(choices))
         fraction = F(rng.randint(0, 4), 4)
         for member, d in step.direction.items():
             assets[member] += fraction * step.scale * d

@@ -30,7 +30,13 @@ from oracles import (
     dense_unit_left_nullspace,
     fraction_advance,
     fraction_border_scale,
+    next_border_delta,
 )
+
+
+def step_slopes(step):
+    """An increase step's exact response per unit of injection."""
+    return {u: F(rate, step.den) for u, rate in step.rates.items()}
 
 
 def example1():
@@ -126,9 +132,11 @@ class TestAdjustDefaultCost:
         paid_unrewired = []
         original_advance = minimal.advance
 
-        def watched(g, work, assets, rates, scale):
-            original_advance(g, work, assets, rates, scale)
-            paid_unrewired.extend(c.payment.value_at(assets["a"]) for c in work.out_claims("a"))
+        def watched(g, rates, scale):
+            original_advance(g, rates, scale)
+            paid_unrewired.extend(
+                c.payment.value_at(g.assets["a"]) for c in g.net.out_claims("a")
+            )
 
         monkeypatch.setattr(minimal, "advance", watched)
         run = run_min_clearing(net, check_invariant=True)
@@ -142,7 +150,7 @@ class TestFloodStep:
     def test_example3_flood(self):
         net = example3()
         state = {"u": F(1), "v": F(2), "w": F(2), "y": F(0)}
-        step = solve_flood_step(active_graph(net, state), state, frozenset({"v", "y"}))
+        step = solve_flood_step(active_graph(net, state), frozenset({"v", "y"}))
         assert step.direction == {"v": F(1), "y": F(1)}
         assert step.scale == 2
 
@@ -152,7 +160,7 @@ class TestFloodStep:
             claims=[("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
         )
         state = {v: F(0) for v in "abc"}
-        step = solve_flood_step(active_graph(net, state), state, frozenset("abc"))
+        step = solve_flood_step(active_graph(net, state), frozenset("abc"))
         assert step.scale == 1
         assert all(d == 1 for d in step.direction.values())
 
@@ -165,7 +173,7 @@ class TestFloodStep:
             schemes={"b": {"type": "edge_ranking", "order": ["a", "z"]}},
         )
         state = {v: F(0) for v in ("a", "b", "z")}
-        step = solve_flood_step(active_graph(net, state), state, frozenset({"a", "b"}))
+        step = solve_flood_step(active_graph(net, state), frozenset({"a", "b"}))
         assert step.direction == {"a": F(1), "b": F(1)}
         assert step.scale == 1
         assert step.scale == _line_search_scale(net, state, step)
@@ -182,7 +190,7 @@ class TestFloodStep:
 
             g = active_graph(net, state)
             for comp in condense(g):
-                step = solve_flood_step(g, state, comp)
+                step = solve_flood_step(g, comp)
                 assert step.scale == _line_search_scale(net, state, step)
                 compared += 1
         assert compared >= 5
@@ -202,7 +210,7 @@ class TestFloodStep:
                 comp = find_flood_component(g, v)
                 if comp is None:
                     continue
-                step = solve_flood_step(g, state, comp)
+                step = solve_flood_step(g, comp)
                 after = dict(state)
                 for member, d in step.direction.items():
                     after[member] += step.scale * d
@@ -216,21 +224,21 @@ class TestIncreaseStep:
     def test_example3_insert_at_u(self):
         net = example3()
         state = {v: F(0) for v in net.bank_ids()}
-        step = solve_increase_step(active_graph(net, state), state, "u", F(1))
-        assert step.slopes == {"u": F(1), "v": F(1), "w": F(1)}
+        step = solve_increase_step(active_graph(net, state), "u", F(1))
+        assert step_slopes(step) == {"u": F(1), "v": F(1), "w": F(1)}
         assert step.delta == 1
 
     def test_example3_insert_at_v_hits_breakpoint(self):
         net = example3()
         state = {"u": F(1), "v": F(1), "w": F(1), "y": F(0)}
-        step = solve_increase_step(active_graph(net, state), state, "v", F(2))
+        step = solve_increase_step(active_graph(net, state), "v", F(2))
         assert step.delta == 1  # border of (v, w) at assets 2
 
     def test_no_active_out_edges(self):
         net = example3()
         state = {"u": F(1), "v": F(4), "w": F(2), "y": F(2)}
-        step = solve_increase_step(active_graph(net, state), state, "v", F(1))
-        assert step.slopes == {"v": F(1)}
+        step = solve_increase_step(active_graph(net, state), "v", F(1))
+        assert step_slopes(step) == {"v": F(1)}
         assert step.delta == 1
 
     def test_singular_response_when_a_ring_is_reachable(self):
@@ -239,9 +247,9 @@ class TestIncreaseStep:
         net = example3()
         state = {"u": F(1), "v": F(2), "w": F(2), "y": F(0)}
         g = active_graph(net, state)
-        assert solve_increase_step(g, state, "u", F(1)) is None
-        assert solve_increase_step(g, state, "v", F(1)) is None
-        assert solve_increase_step(g, state, "w", F(1)).slopes == {"w": F(1)}
+        assert solve_increase_step(g, "u", F(1)) is None
+        assert solve_increase_step(g, "v", F(1)) is None
+        assert step_slopes(solve_increase_step(g, "w", F(1))) == {"w": F(1)}
 
 
 class TestStepArithmetic:
@@ -280,9 +288,9 @@ class TestStepArithmetic:
         refreshed = []
         refresh = minimal.refresh_banks
 
-        def recorded(g, net, state, banks):
+        def recorded(g, banks):
             refreshed.append(list(banks))
-            refresh(g, net, state, banks)
+            refresh(g, banks)
 
         monkeypatch.setattr(minimal, "refresh_banks", recorded)
         rng = random.Random(1313)
@@ -298,18 +306,17 @@ class TestStepArithmetic:
             if kind == 0:
                 v = rng.choice(sorted(state))
                 budget = limit or F(1)
-                step = solve_increase_step(g, state, v, budget)
+                step = solve_increase_step(g, v, budget)
                 if step is None:
                     continue
                 seen["response"] += 1
                 seen["den_above_1"] += step.den > 1
                 assert step.den > 0 and all(type(r) is int for r in step.rates.values())
-                slopes = {u: F(r, step.den) for u, r in step.rates.items()}
-                assert step.slopes == slopes
-                assert step.delta == fraction_border_scale(g, state, slopes, budget)
+                slopes = step_slopes(step)
+                assert step.delta == fraction_border_scale(g, slopes, budget)
                 assert step.scale == step.delta / step.den
                 rates, scale = step.rates, step.scale
-                expected, landed = fraction_advance(g, state, slopes, step.delta)
+                expected, landed = fraction_advance(g, slopes, step.delta)
             else:
                 if kind == 1:
                     rates = {
@@ -317,19 +324,18 @@ class TestStepArithmetic:
                     }
                 else:
                     rates = self.tied_rates(rng, g, state)
-                scale = border_scale(g, state, rates, limit)
-                assert scale == fraction_border_scale(g, state, rates, limit)
+                scale = border_scale(g, rates, limit)
+                assert scale == fraction_border_scale(g, rates, limit)
                 if scale is None:
                     continue
                 assert type(scale) is F
-                expected, landed = fraction_advance(g, state, rates, scale)
+                expected, landed = fraction_advance(g, rates, scale)
             seen["limit_binds"] += not landed
             seen["ties"] += len(landed) > 1
-            assets = dict(state)
             refreshed.clear()
-            advance(g, net, assets, rates, scale)
-            assert assets == expected
-            assert all(type(x) is F for x in assets.values())
+            advance(g, rates, scale)
+            assert g.assets is state and state == expected
+            assert all(type(x) is F for x in state.values())
             assert refreshed == [landed]
         assert all(count >= 50 for count in seen.values()), seen
 
@@ -497,9 +503,7 @@ class TestActiveGraphReuse:
                 return g
             # drop every active edge: no flood is found, so the increase
             # step would run on this stale graph
-            return graphs.ActiveGraph(
-                nodes=g.nodes, edges={v: () for v in g.nodes}, slopes={}, borders={}
-            )
+            return replace(g, edges={v: () for v in net.bank_ids()}, slopes={}, borders={})
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
@@ -520,9 +524,7 @@ class TestActiveGraphReuse:
             # slopes tells this graph from a fresh one
             pair = min(g.slopes)
             slopes = {**g.slopes, pair: g.slopes[pair] / 2}
-            return graphs.ActiveGraph(
-                nodes=g.nodes, edges=g.edges, slopes=slopes, borders=g.borders
-            )
+            return replace(g, slopes=slopes)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
@@ -544,11 +546,22 @@ class TestActiveGraphReuse:
             # of the borders tells this graph from a fresh one
             bank = min(g.borders)
             borders = {**g.borders, bank: g.borders[bank] / 2}
-            return graphs.ActiveGraph(
-                nodes=g.nodes, edges=g.edges, slopes=g.slopes, borders=borders
-            )
+            return replace(g, borders=borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_border)
+        with pytest.raises(InternalInvariantError, match="stale active graph"):
+            run_min_clearing(example3(), check_invariant=True)
+
+    def test_graph_over_other_assets_rejected_under_invariant_check(self, monkeypatch):
+        from netclear import graphs, minimal
+        from netclear.errors import InternalInvariantError
+
+        def build_over_a_copy(net, state):
+            # the right maps, but over a copy of the working assets: the
+            # steps would move the copy and leave the driver's state behind
+            return graphs.active_graph(net, dict(state))
+
+        monkeypatch.setattr(minimal, "active_graph", build_over_a_copy)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
             run_min_clearing(example3(), check_invariant=True)
 
@@ -563,8 +576,8 @@ class TestActiveGraphReuse:
         run = run_min_clearing(net, check_invariant=True)
         first, second = run.increase_steps
         assert first.delta == 2
-        assert first.slopes == {"a": 1, "b": F(1, 2), "c": F(1, 2), "d": F(1, 2), "e": F(1, 2)}
-        assert second.slopes == {"a": 1} and second.delta == 1
+        assert step_slopes(first) == {"a": 1, "b": F(1, 2), "c": F(1, 2), "d": F(1, 2), "e": F(1, 2)}
+        assert step_slopes(second) == {"a": 1} and second.delta == 1
         assert run.state.as_dict() == {"a": 3, "b": 1, "c": 1, "d": 1, "e": 1}
 
     def test_singular_response_without_flood_raises(self, monkeypatch):
@@ -685,7 +698,7 @@ def _line_search_scale(net, state, step):
             for claim in net.out_claims(w):
                 if claim.payment.slope_at(state[w]) <= 0:
                     continue
-                delta = claim.payment.next_border_delta(state[w])
+                delta = next_border_delta(claim.payment, state[w])
                 if delta is not None and move > delta:
                     return False
         return True
