@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import lt
-from typing import TYPE_CHECKING
 
 from . import errors
 from .errors import Violation
 from .rationals import ZERO, sum_ratio
-
-if TYPE_CHECKING:
-    from .model import FinancialNetwork
 
 
 def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
 from .model import FinancialNetwork
-from .rationals import ZERO, exact_sum
+from .rationals import ZERO, exact_sum, sum_ratio
 
 
 class ClearingState(Mapping):
@@ -57,23 +56,36 @@ def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=Non
 
 def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
     """One application of the asset-axiom map: a bank keeps its full incoming
-    assets when they cover its liabilities, and the haircut assets otherwise."""
+    assets when they cover its liabilities, and the haircut assets otherwise.
+
+    Per bank the inflow is one integer sum (``rationals.sum_ratio``), the
+    solvency test is a cross-multiplication, and the result is one
+    ``Fraction``."""
     result: dict[str, Fraction] = {}
     for v, bank in net.banks.items():
         ext = bank.external_assets if externals is None else externals[v]
-        inflow = _inflow(net, state, v)
-        unreduced = ext + inflow
-        if unreduced >= net.total_out(v):
-            result[v] = unreduced
+        en, ed = ext.as_integer_ratio()
+        fn, fd = sum_ratio(
+            claim.payment.value_at(state[claim.debtor]) for claim in net.in_claims(v)
+        )
+        # ext + inflow = num / den
+        num, den = en * fd + fn * ed, ed * fd
+        tn, td = net.total_out(v).as_integer_ratio()
+        if num * td >= tn * den:
+            result[v] = Fraction(num, den)
         else:
-            result[v] = bank.alpha * ext + bank.beta * inflow
+            an, ad = bank.alpha.as_integer_ratio()
+            bn, bd = bank.beta.as_integer_ratio()
+            result[v] = Fraction(an * en * bd * fd + bn * fn * ad * ed, ad * ed * bd * fd)
     return ClearingState(result)
 
 
-@dataclass(frozen=True)
 class ClearingCheck:
-    ok: bool
-    violations: tuple[tuple[str, Fraction, Fraction], ...]  # (bank, phi value, state value)
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[tuple[str, Fraction, Fraction], ...]):
+        self.ok = ok
+        self.violations = violations  # (bank, phi value, state value)
 
     def __bool__(self):
         return self.ok
@@ -87,11 +99,13 @@ def is_clearing_state(net: FinancialNetwork, state: Mapping, externals=None) -> 
     return ClearingCheck(ok=not bad, violations=bad)
 
 
-@dataclass(frozen=True)
 class IterationResult:
-    state: ClearingState
-    converged: bool
-    steps: int
+    __slots__ = ("state", "converged", "steps")
+
+    def __init__(self, state: ClearingState, converged: bool, steps: int):
+        self.state = state
+        self.converged = converged
+        self.steps = steps
 
 
 def _iterate(net: FinancialNetwork, start: dict, max_steps: int) -> IterationResult:

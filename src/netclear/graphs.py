@@ -8,7 +8,6 @@ assets dict it steps in place, and the active claims at those assets."""
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -16,7 +15,6 @@ from . import errors
 from .model import Claim, FinancialNetwork
 
 
-@dataclass(frozen=True)
 class ActiveGraph:
     """Subgraph of the claims of ``net`` whose payment slope is strictly
     positive at ``assets``, with that slope per edge and, per bank with an
@@ -25,11 +23,21 @@ class ActiveGraph:
     caller's dict itself; whoever moves a bank in it refreshes that bank
     through ``refresh_banks``, which updates the maps in place."""
 
-    net: FinancialNetwork
-    assets: dict[str, Fraction]
-    edges: dict[str, tuple[Claim, ...]]  # debtor -> active out-claims
-    slopes: dict[tuple[str, str], Fraction]  # claim pair -> positive slope
-    borders: dict[str, Fraction]  # debtor -> next border of its active claims
+    __slots__ = ("net", "assets", "edges", "slopes", "borders")
+
+    def __init__(
+        self,
+        net: FinancialNetwork,
+        assets: dict[str, Fraction],
+        edges: dict[str, tuple[Claim, ...]],
+        slopes: dict[tuple[str, str], Fraction],
+        borders: dict[str, Fraction],
+    ):
+        self.net = net
+        self.assets = assets
+        self.edges = edges  # debtor -> active out-claims
+        self.slopes = slopes  # claim pair -> positive slope
+        self.borders = borders  # debtor -> next border of its active claims
 
 
 def refresh_banks(g: ActiveGraph, banks: Iterable[str]) -> None:

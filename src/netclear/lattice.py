@@ -10,7 +10,6 @@ assets through ``minimal.advance`` and ``minimal.flood_closure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -80,11 +79,13 @@ def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     return ClearingState(g.assets)
 
 
-@dataclass(frozen=True)
 class RangeSpec:
     """Closed target intervals for a subset of banks."""
 
-    targets: dict[str, tuple[Fraction, Fraction]]
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: dict[str, tuple[Fraction, Fraction]]):
+        self.targets = targets
 
     @staticmethod
     def build(net: FinancialNetwork, targets) -> "RangeSpec":
@@ -108,13 +109,22 @@ INFEASIBLE_STUCK = "sink_stuck"
 INFEASIBLE_CONFLICT = "conflict"
 
 
-@dataclass(frozen=True)
 class RangeResult:
-    feasible: bool
-    state: ClearingState | None
-    witness: str | None = None
-    reason: str | None = None
-    conflicting: str | None = None
+    __slots__ = ("feasible", "state", "witness", "reason", "conflicting")
+
+    def __init__(
+        self,
+        feasible: bool,
+        state: ClearingState | None,
+        witness: str | None = None,
+        reason: str | None = None,
+        conflicting: str | None = None,
+    ):
+        self.feasible = feasible
+        self.state = state
+        self.witness = witness
+        self.reason = reason
+        self.conflicting = conflicting
 
 
 def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:

@@ -35,7 +35,6 @@ injected, the working assets of the original banks are the minimal state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
@@ -58,41 +57,56 @@ from .model import (
 from .rationals import ONE, ZERO, exact_sum
 
 
-@dataclass(frozen=True)
 class FloodStep:
-    component: frozenset[str]
-    direction: dict[str, Fraction]  # circulation eigenvector, max entry 1
-    scale: Fraction  # largest multiple before a border binds
+    __slots__ = ("component", "direction", "scale")
+
+    def __init__(
+        self, component: frozenset[str], direction: dict[str, Fraction], scale: Fraction
+    ):
+        self.component = component
+        self.direction = direction  # circulation eigenvector, max entry 1
+        self.scale = scale  # largest multiple before a border binds
 
 
-@dataclass(frozen=True)
 class IncreaseStep:
     """An injection at ``source`` that moves each bank ``u`` by
     ``scale * rates[u]``: the response solve's integer numerators over its
     positive common denominator ``den``, kept as they came. ``delta`` is the
     injected amount."""
 
-    source: str
-    rates: dict[str, int]  # response numerators over den
-    den: int  # common denominator of the rates, positive
-    scale: Fraction  # injected amount / den
+    __slots__ = ("source", "rates", "den", "scale")
+
+    def __init__(self, source: str, rates: dict[str, int], den: int, scale: Fraction):
+        self.source = source
+        self.rates = rates  # response numerators over den
+        self.den = den  # common denominator of the rates, positive
+        self.scale = scale  # injected amount / den
 
     @property
     def delta(self) -> Fraction:
         return self.scale * self.den
 
 
-@dataclass
 class AdjustedNetwork:
     """Working bundle for the driver: the surgically adjusted network plus the
     bookkeeping that ties it back to the original."""
 
-    network: FinancialNetwork
-    original: FinancialNetwork
-    auxiliary_map: dict[str, tuple[str, str]]  # defaulting id -> (splitter, sink)
-    targets: dict[str, Fraction]  # external assets to inject, per working bank
-    injected: dict[str, Fraction]  # externals injected so far
-    rewired: set[str] = field(default_factory=set)
+    __slots__ = ("network", "original", "auxiliary_map", "targets", "injected", "rewired")
+
+    def __init__(
+        self,
+        network: FinancialNetwork,
+        original: FinancialNetwork,
+        auxiliary_map: dict[str, tuple[str, str]],
+        targets: dict[str, Fraction],
+        injected: dict[str, Fraction],
+    ):
+        self.network = network
+        self.original = original
+        self.auxiliary_map = auxiliary_map  # defaulting id -> (splitter, sink)
+        self.targets = targets  # external assets to inject, per working bank
+        self.injected = injected  # externals injected so far
+        self.rewired: set[str] = set()  # defaulting ids turned solvent and rewired
 
 
 def _fresh_id(base: str, taken) -> str:
@@ -361,11 +375,18 @@ def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseSte
     return IncreaseStep(source=v, rates=rates, den=den, scale=scale)
 
 
-@dataclass(frozen=True)
 class MinClearingRun:
-    state: ClearingState
-    flood_steps: tuple[FloodStep, ...]
-    increase_steps: tuple[IncreaseStep, ...]
+    __slots__ = ("state", "flood_steps", "increase_steps")
+
+    def __init__(
+        self,
+        state: ClearingState,
+        flood_steps: tuple[FloodStep, ...],
+        increase_steps: tuple[IncreaseStep, ...],
+    ):
+        self.state = state
+        self.flood_steps = flood_steps
+        self.increase_steps = increase_steps
 
     @property
     def step_count(self) -> int:

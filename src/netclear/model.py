@@ -15,7 +15,6 @@ denominator. The payment-axiom check that validation ends with lives in
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -25,45 +24,85 @@ from .errors import NetworkValidationError, Violation
 from .rationals import ONE, ZERO, exact_sum, parse_exact
 
 
-@dataclass(frozen=True)
-class Bank:
-    id: str
-    external_assets: Fraction
-    alpha: Fraction = ONE
-    beta: Fraction = ONE
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class PaymentFunction:
+class _Value:
+    """Base of the model's records. Their fields are their ``__slots__``,
+    set once by ``__init__``; a name starting with ``_`` is derived and takes
+    no part in equality, hashing or the repr. Records of one class with equal
+    fields are equal and hash alike, and assigning or deleting a field
+    raises ``AttributeError``. Pickling and copying rebuild a record through
+    its ``__init__``."""
+
+    __slots__ = ()
+
+    def _items(self):
+        return [(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self):
+        return hash(tuple(self._items()))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: assignment raises
+        return self.__class__, tuple(value for _, value in self._items())
+
+
+class Bank(_Value):
+    __slots__ = ("id", "external_assets", "alpha", "beta")
+
+    def __init__(
+        self, id: str, external_assets: Fraction, alpha: Fraction = ONE, beta: Fraction = ONE
+    ):
+        _set(self, "id", id)
+        _set(self, "external_assets", external_assets)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+
+
+class PaymentFunction(_Value):
     """Monotone piecewise-linear payment function.
 
     ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
     constant at and beyond the last border, which is the debtor's total
-    out-liability.
+    out-liability. ``_values`` holds the values at the borders.
     """
 
-    borders: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-    _values: tuple[Fraction, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    __slots__ = ("borders", "slopes", "_values")
 
-    def __post_init__(self):
-        if len(self.slopes) != len(self.borders) - 1:
+    def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
+        if len(slopes) != len(borders) - 1:
             raise ValueError("need exactly one slope per interval between borders")
         values = [ZERO]
-        for i, slope in enumerate(self.slopes):
-            values.append(values[-1] + slope * (self.borders[i + 1] - self.borders[i]))
-        object.__setattr__(self, "_values", tuple(values))
+        for i, slope in enumerate(slopes):
+            values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
+        _set(self, "borders", borders)
+        _set(self, "slopes", slopes)
+        _set(self, "_values", tuple(values))
 
     @classmethod
     def _with_values(cls, borders, slopes, values) -> "PaymentFunction":
         """A function whose values at the borders the caller already knows, as
-        a class scheme does; skips ``__post_init__``'s running sum."""
+        a class scheme does; skips ``__init__``'s running sum."""
         fn = object.__new__(cls)
-        object.__setattr__(fn, "borders", borders)
-        object.__setattr__(fn, "slopes", slopes)
-        object.__setattr__(fn, "_values", values)
+        _set(fn, "borders", borders)
+        _set(fn, "slopes", slopes)
+        _set(fn, "_values", values)
         return fn
 
     def value_at(self, a: Fraction) -> Fraction:
@@ -107,14 +146,18 @@ class PaymentFunction:
         return self._values[-1]
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Value):
     """A debt of ``liability`` from ``debtor`` to ``creditor``."""
 
-    debtor: str
-    creditor: str
-    liability: Fraction
-    payment: PaymentFunction
+    __slots__ = ("debtor", "creditor", "liability", "payment")
+
+    def __init__(
+        self, debtor: str, creditor: str, liability: Fraction, payment: PaymentFunction
+    ):
+        _set(self, "debtor", debtor)
+        _set(self, "creditor", creditor)
+        _set(self, "liability", liability)
+        _set(self, "payment", payment)
 
     @property
     def pair(self) -> tuple[str, str]:

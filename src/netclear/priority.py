@@ -27,7 +27,6 @@ the explicit LP formulation in the test suite.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -39,13 +38,19 @@ from .model import FinancialNetwork
 from .rationals import ONE, ZERO
 
 
-@dataclass(frozen=True)
 class BankClasses:
     """Priority classes of one bank on its merged border grid."""
 
-    grid: tuple[Fraction, ...]  # 0 = x_0 < x_1 < ... < x_k = L+(v)
-    # pieces[j] lists (creditor, piece liability) for class j+1
-    pieces: tuple[tuple[tuple[str, Fraction], ...], ...]
+    __slots__ = ("grid", "pieces")
+
+    def __init__(
+        self,
+        grid: tuple[Fraction, ...],
+        pieces: tuple[tuple[tuple[str, Fraction], ...], ...],
+    ):
+        self.grid = grid  # 0 = x_0 < x_1 < ... < x_k = L+(v)
+        # pieces[j] lists (creditor, piece liability) for class j+1
+        self.pieces = pieces
 
     @property
     def class_count(self) -> int:
@@ -78,7 +83,6 @@ def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
 
 # --- counter descent ---------------------------------------------------------
 
-@dataclass(frozen=True)
 class _CounterSystem:
     """Linear system behind the feasibility test at fixed counters.
 
@@ -89,14 +93,25 @@ class _CounterSystem:
     ``_refresh_rows``, so one system serves a whole descent.
     """
 
-    order: tuple[str, ...]
-    w: dict[str, dict[str, Fraction]]  # w[v][u]: coefficient of t_u in a_v
-    c: dict[str, Fraction]
-    floor: dict[str, Fraction]  # x_{v, r_v}
-    cap: dict[str, Fraction | None]  # x_{v, r_v + 1}; None when r_v = k_v
-    # sources[v][u]: (class index, piece liability) of v's pieces among the
-    # classes of its debtor u, in class order; debtors in bank order
-    sources: dict[str, dict[str, list[tuple[int, Fraction]]]]
+    __slots__ = ("order", "w", "c", "floor", "cap", "sources")
+
+    def __init__(
+        self,
+        order: tuple[str, ...],
+        w: dict[str, dict[str, Fraction]],
+        c: dict[str, Fraction],
+        floor: dict[str, Fraction],
+        cap: dict[str, Fraction | None],
+        sources: dict[str, dict[str, list[tuple[int, Fraction]]]],
+    ):
+        self.order = order
+        self.w = w  # w[v][u]: coefficient of t_u in a_v
+        self.c = c
+        self.floor = floor  # x_{v, r_v}
+        self.cap = cap  # x_{v, r_v + 1}; None when r_v = k_v
+        # sources[v][u]: (class index, piece liability) of v's pieces among the
+        # classes of its debtor u, in class order; debtors in bank order
+        self.sources = sources
 
 
 def _refresh_rows(

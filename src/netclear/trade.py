@@ -13,7 +13,6 @@ state, and steps its assets through ``minimal.flood_closure`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -27,19 +26,29 @@ from .model import Bank, Claim, FinancialNetwork, assemble
 TRADING = "claims trading"
 
 
-@dataclass(frozen=True)
 class TradeSpec:
-    claim: tuple[str, str]  # (debtor, creditor)
-    buyer: str
-    rho: Fraction
+    __slots__ = ("claim", "buyer", "rho")
+
+    def __init__(self, claim: tuple[str, str], buyer: str, rho: Fraction):
+        self.claim = claim  # (debtor, creditor)
+        self.buyer = buyer
+        self.rho = rho
 
 
-@dataclass(frozen=True)
 class TradeResult:
-    rho_min: Fraction  # pre-trade payment on the claim
-    rho_star: Fraction  # largest creditor-positive return
-    post_state: ClearingState  # minimal clearing state at rho_star
-    interval: tuple[Fraction, Fraction]  # the half-open interval (rho_min, rho_star]
+    __slots__ = ("rho_min", "rho_star", "post_state", "interval")
+
+    def __init__(
+        self,
+        rho_min: Fraction,
+        rho_star: Fraction,
+        post_state: ClearingState,
+        interval: tuple[Fraction, Fraction],
+    ):
+        self.rho_min = rho_min  # pre-trade payment on the claim
+        self.rho_star = rho_star  # largest creditor-positive return
+        self.post_state = post_state  # minimal clearing state at rho_star
+        self.interval = interval  # the half-open interval (rho_min, rho_star]
 
 
 def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:

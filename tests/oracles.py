@@ -14,11 +14,11 @@ None of this runs in the product:
   integer-rate ``minimal.border_scale`` and ``minimal.advance``;
 - ``next_border_delta``: a payment function's distance to its next border,
   for tests that step between borders;
-- ``fraction_value_at``, ``fraction_inflow`` and
-  ``fraction_check_payment_axioms``: payment evaluation, a bank's inflow and
-  the payment-axiom check in plain ``Fraction`` arithmetic, the oracles for
-  the integer-sum ``PaymentFunction.value_at``, ``clearing._inflow`` and
-  ``axioms.check_payment_axioms``;
+- ``fraction_value_at``, ``fraction_inflow``, ``fraction_phi`` and
+  ``fraction_check_payment_axioms``: payment evaluation, a bank's inflow, the
+  asset-axiom map and the payment-axiom check in plain ``Fraction``
+  arithmetic, the oracles for the integer-sum ``PaymentFunction.value_at``,
+  ``clearing._inflow``, ``clearing.phi`` and ``axioms.check_payment_axioms``;
 - ``localcontext_decimal_str``: the display decimal computed in a fresh
   ``decimal.localcontext``, the oracle for ``rationals.decimal_str``;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
@@ -224,6 +224,22 @@ def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
     for claim in net.in_claims(v):
         total += fraction_value_at(claim.payment, state[claim.debtor])
     return total
+
+
+def fraction_phi(net: FinancialNetwork, state, externals=None) -> dict[str, Fraction]:
+    """The asset-axiom map with the solvency test and the haircut in
+    ``Fraction`` arithmetic: full incoming assets when they cover the total
+    out-liability, ``alpha * ext + beta * inflow`` otherwise."""
+    result = {}
+    for v, bank in net.banks.items():
+        ext = bank.external_assets if externals is None else externals[v]
+        inflow = fraction_inflow(net, state, v)
+        unreduced = ext + inflow
+        if unreduced >= net.total_out(v):
+            result[v] = unreduced
+        else:
+            result[v] = bank.alpha * ext + bank.beta * inflow
+    return result
 
 
 def _fraction_merged_slopes(claims):

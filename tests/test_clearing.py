@@ -20,8 +20,8 @@ from netclear.errors import DefaultCostUnsupportedError, UnknownBankError
 
 from netclear.clearing import _inflow
 
-from corpus import random_network, random_state_in_box
-from oracles import fraction_inflow, fraction_value_at, reduced_assets
+from corpus import ZERO_RATE_ALPHAS, random_network, random_state_in_box
+from oracles import fraction_inflow, fraction_phi, fraction_value_at, reduced_assets
 
 
 def example1():
@@ -106,6 +106,42 @@ class TestIntegerSumsAgainstFraction:
                     assert paid[claim.pair] == fraction_value_at(
                         claim.payment, state[claim.debtor]
                     )
+
+    def test_phi(self):
+        # haircut rates include 0; states and externals get odd denominators
+        # so that the solvency test compares unequal denominators
+        rng = random.Random(4244)
+        for _ in range(120):
+            net = random_network(
+                rng, max_banks=8, default_cost=rng.random() < 0.7, alphas=ZERO_RATE_ALPHAS
+            )
+            for _ in range(4):
+                state = random_state_in_box(rng, net)
+                state = {
+                    v: a + F(rng.randint(0, 6), rng.choice((3, 7))) for v, a in state.items()
+                }
+                assert phi(net, state).as_dict() == fraction_phi(net, state)
+                externals = {v: F(rng.randint(0, 9), rng.choice((1, 2, 5))) for v in state}
+                assert phi(net, state, externals).as_dict() == fraction_phi(
+                    net, state, externals
+                )
+
+    def test_phi_at_the_solvency_border_and_zero_liabilities(self):
+        # "a" owes 3 and receives 2 at this state: with its 1 external it
+        # covers the total exactly, so it keeps 3 despite its haircuts; "c"
+        # owes only a zero liability and "d" owes nothing
+        net = build_network(
+            banks=[("a", 1, "1/2", "1/3"), ("b", 0), ("c", "2/3", 0, 0), ("d", 0, 0, 0)],
+            claims=[("a", "b", 3), ("b", "a", 2), ("c", "d", 0)],
+        )
+        for state in (
+            {"a": F(0), "b": F(2), "c": F(0), "d": F(0)},
+            {"a": F(3), "b": F(3, 2), "c": F(1, 5), "d": F(7)},
+        ):
+            assert phi(net, state).as_dict() == fraction_phi(net, state)
+        assert phi(net, {"a": F(0), "b": F(2), "c": F(0), "d": F(0)})["a"] == 3
+        # short of the total it keeps alpha * 1 + beta * 3/2
+        assert phi(net, {"a": F(0), "b": F(3, 2), "c": F(0), "d": F(0)})["a"] == 1
 
     def test_total_in_on_demand(self):
         rng = random.Random(4243)

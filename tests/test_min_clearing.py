@@ -1,7 +1,6 @@
 """The minimal-clearing driver: golden examples, surgery, steps, invariants."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -22,7 +21,7 @@ from netclear import (
     top_iterate,
 )
 from netclear.errors import NotSolventError
-from netclear.model import assemble
+from netclear.model import Bank, assemble
 
 from corpus import random_network, random_state_in_box
 from oracles import (
@@ -417,7 +416,7 @@ class TestMinClearingProperties:
             base = compute_min_clearing(net)
             bumped_id = rng.choice(net.bank_ids())
             banks = [
-                replace(bank, external_assets=bank.external_assets + 1)
+                Bank(v, bank.external_assets + 1, bank.alpha, bank.beta)
                 if v == bumped_id
                 else bank
                 for v, bank in net.banks.items()
@@ -503,7 +502,9 @@ class TestActiveGraphReuse:
                 return g
             # drop every active edge: no flood is found, so the increase
             # step would run on this stale graph
-            return replace(g, edges={v: () for v in net.bank_ids()}, slopes={}, borders={})
+            return graphs.ActiveGraph(
+                g.net, g.assets, edges={v: () for v in net.bank_ids()}, slopes={}, borders={}
+            )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
@@ -524,7 +525,7 @@ class TestActiveGraphReuse:
             # slopes tells this graph from a fresh one
             pair = min(g.slopes)
             slopes = {**g.slopes, pair: g.slopes[pair] / 2}
-            return replace(g, slopes=slopes)
+            return graphs.ActiveGraph(g.net, g.assets, g.edges, slopes, g.borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
@@ -546,7 +547,7 @@ class TestActiveGraphReuse:
             # of the borders tells this graph from a fresh one
             bank = min(g.borders)
             borders = {**g.borders, bank: g.borders[bank] / 2}
-            return replace(g, borders=borders)
+            return graphs.ActiveGraph(g.net, g.assets, g.edges, g.slopes, borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_border)
         with pytest.raises(InternalInvariantError, match="stale active graph"):

@@ -1,5 +1,7 @@
 """Payment functions, scheme constructors, and network validation."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -74,6 +76,91 @@ class TestEvalPayment:
         for claim in net.claims:
             assert claim.payment.value_at(F(100)) == claim.liability
             assert claim.payment.value_at(F(250)) == claim.liability
+
+
+class TestRecordContract:
+    """``Bank``, ``PaymentFunction`` and ``Claim`` are values: equal to and
+    hashed like the records of their class with equal fields, and frozen."""
+
+    def records(self):
+        """(record, an equal record built apart, a record differing in one field)"""
+        fn = PaymentFunction(borders=(F(0), F(2)), slopes=(F(1),))
+        return [
+            (Bank("a", F(1)), Bank("a", F(1), F(1), F(1)), Bank("a", F(1), F(1, 2))),
+            (
+                fn,
+                PaymentFunction((F(0), F(2)), (F(1),)),
+                PaymentFunction((F(0), F(2)), (F(1, 2),)),
+            ),
+            (
+                Claim("a", "b", F(2), fn),
+                Claim("a", "b", F(2), PaymentFunction((F(0), F(2)), (F(1),))),
+                Claim("a", "c", F(2), fn),
+            ),
+        ]
+
+    def test_equal_and_hashed_by_field_value(self):
+        for record, same, other in self.records():
+            assert record is not same
+            assert record == same and not record != same
+            assert hash(record) == hash(same)
+            assert record != other
+            assert len({record, same, other}) == 2
+        assert Bank("a", F(1)) != ("a", F(1), F(1), F(1))
+
+    def test_assignment_and_deletion_raise(self):
+        for record, _, _ in self.records():
+            for name in record.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, F(0))
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        bank = Bank("a", F(1))
+        with pytest.raises(AttributeError):
+            bank.external_assets += 1
+        assert bank.external_assets == 1
+
+    def test_pickle_and_copy_rebuild_equal_records(self):
+        net = build_network(
+            banks=[("u", 1, "1/2", "1/3"), ("v", 0), ("w", 0)],
+            claims=[("u", "v", 2), ("u", "w", 3)],
+            schemes={"u": {"type": "edge_ranking", "order": ["w", "v"]}},
+        )
+        for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert twin.banks == net.banks
+            assert twin.claims == net.claims
+            for claim, original in zip(twin.claims, net.claims):
+                assert claim.payment._values == original.payment._values
+        for record, _, _ in self.records():
+            assert copy.copy(record) == record
+
+    def test_repr_lists_the_fields(self):
+        fn = PaymentFunction((F(0), F(2)), (F(1),))
+        assert repr(Bank("a", F(1))) == (
+            "Bank(id='a', external_assets=Fraction(1, 1), alpha=Fraction(1, 1), "
+            "beta=Fraction(1, 1))"
+        )
+        assert repr(fn) == (
+            "PaymentFunction(borders=(Fraction(0, 1), Fraction(2, 1)), slopes=(Fraction(1, 1),))"
+        )
+        assert repr(Claim("a", "b", F(2), fn)) == (
+            f"Claim(debtor='a', creditor='b', liability=Fraction(2, 1), payment={fn!r})"
+        )
+
+    def test_with_values_skips_the_running_sum(self):
+        # values the running sum would not give are kept as they are given,
+        # and take no part in equality
+        fn = PaymentFunction._with_values((F(0), F(2)), (F(1),), (F(0), F(5)))
+        assert fn._values == (F(0), F(5))
+        assert fn.final_value == 5
+        assert PaymentFunction((F(0), F(2)), (F(1),))._values == (F(0), F(2))
+        assert fn == PaymentFunction((F(0), F(2)), (F(1),))
+
+    def test_init_checks_one_slope_per_interval(self):
+        with pytest.raises(ValueError):
+            PaymentFunction((F(0), F(2)), (F(1), F(0)))
 
 
 class TestExactSum:
@@ -227,7 +314,7 @@ class TestSchemeConstructors:
 
 def running_sum_functions(liabilities, classes):
     """Class-scheme functions built one slope tuple at a time, each summed by
-    ``PaymentFunction.__post_init__``: the reference for the closed form."""
+    ``PaymentFunction.__init__``: the reference for the closed form."""
     grid = [F(0)]
     spans = []
     for members in classes:
