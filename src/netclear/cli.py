@@ -9,8 +9,8 @@ diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import io as netio
 from . import errors
@@ -23,6 +23,10 @@ from .trade import TradeSpec, apply_trade, optimal_creditor_positive_return
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The one owner of every usage, help and error text. ``argparse`` is
+    imported here, so a run that ``_parse_plain`` reads never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="netclear",
         description="Exact clearing-state computations on financial networks.",
@@ -65,6 +69,67 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("bottom", "top"), required=True)
     p.add_argument("--steps", type=int, required=True)
     return parser
+
+
+# Each command's options as _build_parser declares them: option string ->
+# (dest, value count, allowed values: a tuple of choices, int to convert with,
+# or None). An option whose dest has a _DEFAULTS entry may be left out.
+_FORMS = {
+    "validate": {},
+    "min-clear": {},
+    "max-clear": {"--method": ("method", 1, ("flood", "pp"))},
+    "range": {"--targets": ("targets", 1, None)},
+    "trade": {
+        "--claim": ("claim", 2, None),
+        "--buyer": ("buyer", 1, None),
+        "--return": ("rho", 1, None),
+    },
+    "oracle": {
+        "--direction": ("direction", 1, ("bottom", "top")),
+        "--steps": ("steps", 1, int),
+    },
+}
+_DEFAULTS = {"method": "pp", "rho": None}
+
+
+def _parse_plain(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, for an argv
+    spelled the plain way: a command, one file, and each option of that command
+    at most once by its exact name with valid values. None for any other argv,
+    which argparse then reads (help, abbreviations, ``--opt=value``, ``--``,
+    values starting with ``-``, and every usage error)."""
+    options = _FORMS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    found = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if "file" in found:
+                return None
+            found["file"] = token
+            continue
+        if token not in options:
+            return None
+        dest, count, allowed = options[token]
+        # a missing value reads as "-", which defers like a dashed one
+        values = [next(tokens, "-") for _ in range(count)]
+        if dest in found or any(value[:1] == "-" for value in values):
+            return None
+        if allowed is int:
+            try:
+                values = [int(values[0])]
+            except ValueError:
+                return None
+        elif allowed and values[0] not in allowed:
+            return None
+        found[dest] = values if count > 1 else values[0]
+    for dest, _, _ in options.values():
+        if dest not in found:
+            if dest not in _DEFAULTS:
+                return None
+            found[dest] = _DEFAULTS[dest]
+    return SimpleNamespace(**found) if "file" in found else None
 
 
 def _emit(doc: dict) -> None:
@@ -201,11 +266,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
     except errors.ParseError as exc:

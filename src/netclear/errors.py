@@ -69,12 +69,17 @@ class NetworkValidationError(NetclearError):
 
 
 class UnknownBankError(NetclearError, KeyError):
+    # KeyError's __str__ would print the message's repr, quotes included
+    __str__ = Exception.__str__
+
     def __init__(self, bank_id):
         self.bank_id = bank_id
         super().__init__(f"unknown bank id: {bank_id!r}")
 
 
 class UnknownClaimError(NetclearError, KeyError):
+    __str__ = Exception.__str__
+
     def __init__(self, debtor, creditor):
         self.debtor = debtor
         self.creditor = creditor

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, model
 from .clearing import ClearingState, payments
@@ -235,5 +236,47 @@ def result_document(
     return {"assets": assets, "payments": payment_rows, "metadata": metadata}
 
 
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at nesting ``indent``, for the str, bool, int, list and dict values that
+    metadata holds."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [inner + _json_value(x, inner) for x in value]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{_quote(k)}: {_json_value(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    raise TypeError(f"cannot write {type(value).__name__} in a result document")
+
+
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """A ResultDocument exactly as ``json.dumps(doc, indent=2, sort_keys=True)
+    + "\\n"`` writes it, through fixed templates for ``assets`` and
+    ``payments`` (``indent`` switches json's C encoder off)."""
+    rows = [
+        f'    {_quote(k)}: {{\n      "decimal": {_quote(v["decimal"])},\n'
+        f'      "exact": {_quote(v["exact"])}\n    }}'
+        for k, v in sorted(doc["assets"].items())
+    ]
+    assets = "{\n" + ",\n".join(rows) + "\n  }" if rows else "{}"
+    rows = [
+        f'    {{\n      "creditor": {_quote(p["creditor"])},\n'
+        f'      "debtor": {_quote(p["debtor"])},\n'
+        f'      "decimal": {_quote(p["decimal"])},\n'
+        f'      "exact": {_quote(p["exact"])}\n    }}'
+        for p in doc["payments"]
+    ]
+    payments = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    metadata = _json_value(doc["metadata"], "  ")
+    return f'{{\n  "assets": {assets},\n  "metadata": {metadata},\n  "payments": {payments}\n}}\n'

@@ -1,9 +1,15 @@
 """Document parsing, serialization round-trips, and the CLI surface."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import random
+import shlex
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,8 @@ from netclear import ClearingState, build_network, is_clearing_state
 from netclear import cli
 from netclear.cli import main
 from netclear.errors import InternalInvariantError, ParseError
+from netclear.minimal import compute_min_clearing
+from netclear.priority import compute_max_clearing_pp
 from netclear.io import (
     dump_document,
     parse_network,
@@ -21,6 +29,8 @@ from netclear.rationals import MAX_DIGITS, decimal_str, parse_exact
 
 from corpus import random_network, serialize_network
 from oracles import localcontext_decimal_str
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXAMPLE3 = {
     "format_version": "1",
@@ -452,9 +462,29 @@ class TestCli:
         assert captured.err == "internal error: stale active graph\n"
 
     def test_dump_document_stable(self):
-        doc = {"b": 1, "a": {"z": 2, "y": 3}}
+        net = parse_network(json.dumps(TWO_CYCLE))
+        doc = result_document("validate", net, None, extra={"b": 1, "a": {"z": 2, "y": 3}})
         assert dump_document(doc) == dump_document(doc)
         assert dump_document(doc).endswith("\n")
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--claim", "a", "b", "--buyer", "zz", "--return", "0"], "unknown bank id: 'zz'"),
+            (["--claim", "a", "b", "--buyer", "zz"], "unknown bank id: 'zz'"),
+            (["--claim", "x", "y", "--buyer", "a", "--return", "0"], "no claim from 'x' to 'y'"),
+        ],
+    )
+    def test_unknown_bank_and_claim_unquoted(self, argv, err, two_cycle_file, capsys):
+        assert main(["trade", two_cycle_file, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_unknown_target_bank_unquoted(self, two_cycle_file, tmp_path, capsys):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [{"bank": "zz", "lo": 0, "hi": 1}]}))
+        assert main(["range", two_cycle_file, "--targets", str(targets)]) == 2
+        assert capsys.readouterr().err == "error: unknown bank id: 'zz'\n"
 
 
 class TestParseTargets:
@@ -480,3 +510,247 @@ class TestParseTargets:
         path.write_text('{"targets": [{"bank": "a", "lo": 0, "lo": 1, "hi": 1}]}')
         with pytest.raises(ParseError, match="duplicate key 'lo'"):
             parse_targets(str(path), net)
+
+
+# EXAMPLE3 with bank ids that json escapes: a quote, a backslash, non-ASCII
+# letters and a control character.
+ODD_IDS = {"u": 'quo"te', "v": "bänk", "w": "back\\slash", "y": "銀行\t"}
+
+
+def odd_ids_network(claims, externals):
+    ids = [ODD_IDS[v] for v in "uvwy"]
+    return {
+        "format_version": "1",
+        "banks": [{"id": v, "external_assets": x} for v, x in zip(ids, externals)],
+        "payment_schemes": {ODD_IDS["v"]: {"type": "edge_ranking", "order": ids[2:]}},
+        "claims": [
+            {"debtor": ODD_IDS[d], "creditor": ODD_IDS[c], "liability": x}
+            for d, c, x in claims
+        ],
+    }
+
+
+class TestDumpDocument:
+    """``dump_document`` writes exactly what ``json.dumps(doc, indent=2,
+    sort_keys=True)`` writes, on the documents of every CLI operation."""
+
+    @pytest.fixture
+    def cli_documents(self, tmp_path, monkeypatch, capsys):
+        documents = []
+
+        def recording(doc):
+            documents.append(doc)
+            return dump_document(doc)
+
+        monkeypatch.setattr(cli.netio, "dump_document", recording)
+        # EXAMPLE3's claims; the trade network is test_trade_optimal's
+        claims = [("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)]
+        net = tmp_path / "odd.json"
+        net.write_text(json.dumps(odd_ids_network(claims, [1, 2, 0, 0])))
+        claims[1] = ("v", "w", 3)
+        trade = tmp_path / "trade.json"
+        trade.write_text(json.dumps(odd_ids_network(claims, [1, 0, 4, 0])))
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [{"bank": ODD_IDS["u"], "lo": 0, "hi": 9}]}))
+        claim = ["--claim", ODD_IDS["u"], ODD_IDS["v"], "--buyer", ODD_IDS["w"]]
+        for argv in (
+            ["validate", net],
+            ["min-clear", net],
+            ["max-clear", net, "--method", "flood"],
+            ["max-clear", net, "--method", "pp"],
+            ["range", net, "--targets", targets],
+            ["trade", trade, *claim],
+            ["trade", trade, *claim, "--return", "3/2"],
+            ["trade", trade, *claim, "--return", "0"],
+            ["oracle", net, "--direction", "bottom", "--steps", "1"],
+            ["oracle", net, "--direction", "top", "--steps", "50"],
+        ):
+            assert main([str(x) for x in argv]) in (0, 1)
+        capsys.readouterr()
+        return documents
+
+    def test_every_operation_byte_identical(self, cli_documents):
+        for doc in cli_documents:
+            assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_covers_every_shape(self, cli_documents):
+        metadata = [doc["metadata"] for doc in cli_documents]
+        assert {m["operation"] for m in metadata} == {
+            "validate", "min-clear", "max-clear:flood", "max-clear:pp", "range",
+            "trade", "oracle:bottom", "oracle:top",
+        }
+        assert {k for m in metadata for k in m} == {
+            "operation", "step_count", "flood_count", "solver_version", "banks",
+            "claims", "return", "creditor_positive", "rho_min", "rho_star",
+            "interval", "converged",
+        }
+        assert {m.get("creditor_positive") for m in metadata} == {None, True, False}
+        assert {m.get("converged") for m in metadata} == {None, True, False}
+        assert any(not doc["assets"] for doc in cli_documents)
+        ids = {v for doc in cli_documents for v in doc["assets"]}
+        assert ids == set(ODD_IDS.values())
+
+    def test_random_networks_byte_identical(self):
+        rng = random.Random(4242)
+        for _ in range(20):
+            net = random_network(rng, max_banks=8)
+            for operation, state in (
+                ("min-clear", compute_min_clearing(net)),
+                ("max-clear:pp", compute_max_clearing_pp(net)),
+            ):
+                doc = result_document(operation, net, state, extra={"nested": [[], {}, [1]]})
+                assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [0.5, None, (1, 2), F(1, 2)])
+    def test_unwritable_metadata_raises(self, value):
+        doc = result_document("validate", parse_network(json.dumps(TWO_CYCLE)), None,
+                              extra={"x": value})
+        with pytest.raises(TypeError):
+            dump_document(doc)
+
+
+# The options of each command as `netclear --help` documents them.
+PLAIN_OPTIONS = {
+    "validate": (),
+    "min-clear": (),
+    "max-clear": ("--method",),
+    "range": ("--targets",),
+    "trade": ("--claim", "--buyer", "--return"),
+    "oracle": ("--direction", "--steps"),
+}
+VALID_VALUES = {
+    "--method": ("pp", "flood"),
+    "--targets": ("t.json",),
+    "--claim": ("u", "v"),
+    "--buyer": ("w",),
+    "--return": ("3/2", "0"),
+    "--direction": ("bottom", "top"),
+    "--steps": ("5", " 5", "+4", "1_0", "٣", "12 "),
+}
+# Values that int() or a choices check refuses, or that start with "-".
+ODD_VALUES = ("", "-", "-1/2", "-1", "1.5", "five", "fast", "x y", "validate", "--method")
+# Tokens that must send the argv to argparse: help, abbreviations, joined
+# values, the separator and unknown options.
+DEFERRING = (
+    "-h", "--help", "--meth", "--targ", "--cl", "--buy", "--ret", "--dir", "--st",
+    "--method=pp", "--steps=5", "--", "-x", "--bogus",
+)
+
+
+def random_argv(rng):
+    if rng.random() < 0.05:
+        return rng.choice(([], ["bogus"], [""], ["-h"], ["--help"], ["max"], ["net.json"]))
+    command = rng.choice(list(PLAIN_OPTIONS))
+    options = PLAIN_OPTIONS[command]
+
+    def piece(option):
+        count = 2 if option == "--claim" else 1
+        pool = VALID_VALUES.get(option, ("u",)) if rng.random() < 0.9 else ODD_VALUES
+        return [option] + [rng.choice(pool) for _ in range(count)]
+
+    pieces = [["net.json"]] if rng.random() < 0.95 else []
+    pieces += [piece(o) for o in options if rng.random() < 0.9]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        roll = rng.randrange(5)
+        if roll == 0:
+            pieces.append([rng.choice(("g.json", "", "pp"))])
+        elif roll == 1 and options:
+            pieces.append(piece(rng.choice(options)))
+        elif roll == 2:
+            pieces.append(piece(rng.choice([o for opts in PLAIN_OPTIONS.values() for o in opts])))
+        elif roll == 3:
+            pieces.append([rng.choice(DEFERRING)] + [rng.choice(("pp", "5"))] * rng.randrange(2))
+        elif pieces:
+            shortened = rng.choice(pieces)
+            del shortened[-1:]
+    rng.shuffle(pieces)
+    return [command] + [token for p in pieces for token in p]
+
+
+def argparse_namespace(parser, argv):
+    """What argparse makes of ``argv``; None where it exits."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def bench_argvs(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        return [
+            list(op.argv)
+            for name in workloads.BUILDERS
+            for op in workloads.build(name, workloads.DEFAULT_SEED, str(tmp_path / name))
+        ]
+    finally:
+        del sys.modules[spec.name]
+
+
+def readme_argvs():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line.partition("#")[0])[1:] for line in lines if line.startswith("netclear ")]
+
+
+class TestPlainReader:
+    """``cli._parse_plain`` reads plain argvs exactly as argparse does and
+    leaves every other argv to argparse."""
+
+    def test_agrees_with_argparse(self):
+        parser = cli._build_parser()
+        rng = random.Random(20260217)
+        accepted = 0
+        for _ in range(20_000):
+            argv = random_argv(rng)
+            plain = cli._parse_plain(list(argv))
+            if plain is None:
+                continue
+            accepted += 1
+            dashed = [token for token in argv[1:] if token[:1] == "-"]
+            assert set(dashed) <= set(PLAIN_OPTIONS[argv[0]]), argv
+            assert len(set(dashed)) == len(dashed), argv
+            theirs = argparse_namespace(parser, argv)
+            assert theirs is not None and vars(plain) == vars(theirs), argv
+        assert accepted > 4000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus", "f"],
+            ["-h"],
+            ["max-clear", "f", "-h"],
+            ["max-clear", "f", "--help"],
+            ["max-clear", "f", "--meth", "pp"],
+            ["max-clear", "f", "--method=pp"],
+            ["max-clear", "--", "f"],
+            ["trade", "f", "--claim", "u", "v", "--buyer", "w", "--return", "-1/2"],
+            ["trade", "f", "--claim", "u", "v", "--buyer", "w", "--return", "-1"],
+            ["max-clear", "f", "--method", "pp", "--method", "pp"],
+            ["trade", "f", "--buyer", "w", "--claim", "u"],
+            ["trade", "f", "--claim", "u", "--buyer", "w"],
+            ["max-clear", "f", "--method"],
+            ["max-clear", "f", "--method", "fast"],
+            ["oracle", "f", "--direction", "top", "--steps", "five"],
+            ["oracle", "f", "--direction", "top", "--steps", ""],
+            ["oracle", "f", "--direction", "top", "--steps", "1.5"],
+            ["validate", "f", "g"],
+            ["range", "f"],
+            ["oracle", "f", "--steps", "5"],
+            ["max-clear", "--method", "pp"],
+            ["validate", "f", "--method", "pp"],
+        ],
+    )
+    def test_defers_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None
+
+    def test_reads_bench_and_readme_argvs(self, tmp_path):
+        parser = cli._build_parser()
+        for argv in bench_argvs(tmp_path) + readme_argvs():
+            plain = cli._parse_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(argparse_namespace(parser, argv)), argv

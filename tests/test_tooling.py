@@ -61,33 +61,69 @@ HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 # top-level name; C accelerators (a leading underscore) are not listed.
 IMPORT_ALLOWLIST = frozenset(
     {
-        "argparse", "bisect", "collections", "copyreg", "decimal", "enum",
-        "fractions", "functools", "genericpath", "gettext", "heapq", "itertools",
-        "json", "keyword", "math", "netclear", "numbers", "operator", "os",
-        "posixpath", "re", "reprlib", "sre_compile", "sre_constants", "sre_parse",
-        "stat", "types", "warnings",
+        "bisect", "collections", "copyreg", "decimal", "enum", "fractions",
+        "functools", "genericpath", "heapq", "itertools", "json", "keyword",
+        "math", "netclear", "numbers", "operator", "os", "posixpath", "re",
+        "reprlib", "sre_compile", "sre_constants", "sre_parse", "stat", "types",
+        "warnings",
     }
 )
+# Loaded only for help and usage errors: a run that succeeds reads its argv
+# without them.
+ARGPARSE_IMPORTS = ("argparse", "gettext")
+
+
+def fresh_python(*args, env=None):
+    """Run a fresh interpreter without site (-S), which may import some of
+    the modules these tests look for itself."""
+    return subprocess.run(
+        [sys.executable, "-S", *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **(env or {})),
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_cli_import_surface():
-    # -S leaves out site, which may import some of these modules itself
     code = (
         "import sys; before = set(sys.modules); import netclear.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    added = set(done.stdout.split())
+    added = set(fresh_python("-c", code).stdout.split())
     assert "netclear.cli" in added
-    assert sorted(added.intersection(HEAVY_IMPORTS)) == []
+    assert sorted(added.intersection(HEAVY_IMPORTS + ARGPARSE_IMPORTS)) == []
     assert sorted(
         name for name in added
         if name[0] != "_" and name.partition(".")[0] not in IMPORT_ALLOWLIST
     ) == []
+
+
+def test_successful_run_loads_no_argparse(tmp_path):
+    # what ``python -m netclear.cli validate <file>`` runs, then its modules
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('netclear.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    path = tmp_path / "net.json"
+    path.write_text('{"format_version": "1", "banks": [{"id": "a"}]}')
+    done = fresh_python("-c", code, "validate", str(path))
+    exit_code, *modules = done.stderr.split()
+    assert exit_code == "0" and '"operation": "validate"' in done.stdout
+    assert sorted(set(modules).intersection(ARGPARSE_IMPORTS)) == []
+
+
+def test_help_and_usage_errors_through_argparse(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    from netclear.cli import _build_parser
+
+    done = fresh_python("-m", "netclear.cli", "--help", env={"COLUMNS": "100"})
+    assert done.returncode == 0
+    assert done.stdout == _build_parser().format_help()
+    done = fresh_python("-m", "netclear.cli", "bogus-command")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: netclear")
 
 
 # CPython's parser doubles its token buffer at 4,096 tokens; a module past
