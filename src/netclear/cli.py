@@ -23,8 +23,9 @@ from .trade import TradeSpec, apply_trade, optimal_creditor_positive_return
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The one owner of every usage, help and error text. ``argparse`` is
-    imported here, so a run that ``_parse_plain`` reads never loads it."""
+    """The one owner of every usage, help and error text, built from
+    ``_COMMANDS``. ``argparse`` is imported here, so a run that ``_parse_plain``
+    reads never loads it."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -32,64 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact clearing-state computations on financial networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a network file")
-    p.add_argument("file")
-
-    p = sub.add_parser("min-clear", help="compute the minimal clearing state")
-    p.add_argument("file")
-
-    p = sub.add_parser("max-clear", help="compute the maximal clearing state")
-    p.add_argument("file")
-    p.add_argument(
-        "--method",
-        choices=("flood", "pp"),
-        default="pp",
-        help="flood: greedy flooding (no default costs); "
-        "pp: priority-proportional descent (default, allows default costs)",
-    )
-
-    p = sub.add_parser("range", help="find a clearing state inside target intervals")
-    p.add_argument("file")
-    p.add_argument("--targets", required=True, help="targets JSON file")
-
-    p = sub.add_parser("trade", help="evaluate or optimize a claims trade")
-    p.add_argument("file")
-    p.add_argument("--claim", nargs=2, metavar=("DEBTOR", "CREDITOR"), required=True)
-    p.add_argument("--buyer", required=True)
-    p.add_argument(
-        "--return",
-        dest="rho",
-        default=None,
-        help="evaluate this return; omit to compute the optimal one",
-    )
-
-    p = sub.add_parser("oracle", help="run a fixed-point iteration oracle")
-    p.add_argument("file")
-    p.add_argument("--direction", choices=("bottom", "top"), required=True)
-    p.add_argument("--steps", type=int, required=True)
+    for command, (_, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("file")
+        for option, spec in options.items():
+            p.add_argument(option, **spec)
     return parser
-
-
-# Each command's options as _build_parser declares them: option string ->
-# (dest, value count, allowed values: a tuple of choices, int to convert with,
-# or None). An option whose dest has a _DEFAULTS entry may be left out.
-_FORMS = {
-    "validate": {},
-    "min-clear": {},
-    "max-clear": {"--method": ("method", 1, ("flood", "pp"))},
-    "range": {"--targets": ("targets", 1, None)},
-    "trade": {
-        "--claim": ("claim", 2, None),
-        "--buyer": ("buyer", 1, None),
-        "--return": ("rho", 1, None),
-    },
-    "oracle": {
-        "--direction": ("direction", 1, ("bottom", "top")),
-        "--steps": ("steps", 1, int),
-    },
-}
-_DEFAULTS = {"method": "pp", "rho": None}
 
 
 def _parse_plain(argv):
@@ -98,9 +47,10 @@ def _parse_plain(argv):
     at most once by its exact name with valid values. None for any other argv,
     which argparse then reads (help, abbreviations, ``--opt=value``, ``--``,
     values starting with ``-``, and every usage error)."""
-    options = _FORMS.get(argv[0]) if argv else None
-    if options is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
+    options = command[2]
     found = {"command": argv[0]}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -109,26 +59,26 @@ def _parse_plain(argv):
                 return None
             found["file"] = token
             continue
-        if token not in options:
+        spec = options.get(token)
+        if spec is None or spec["dest"] in found:
             return None
-        dest, count, allowed = options[token]
         # a missing value reads as "-", which defers like a dashed one
-        values = [next(tokens, "-") for _ in range(count)]
-        if dest in found or any(value[:1] == "-" for value in values):
+        values = [next(tokens, "-") for _ in range(spec.get("nargs", 1))]
+        if any(value[:1] == "-" for value in values):
             return None
-        if allowed is int:
-            try:
-                values = [int(values[0])]
-            except ValueError:
-                return None
-        elif allowed and values[0] not in allowed:
+        try:
+            values = [spec.get("type", str)(value) for value in values]
+        except ValueError:
             return None
-        found[dest] = values if count > 1 else values[0]
-    for dest, _, _ in options.values():
-        if dest not in found:
-            if dest not in _DEFAULTS:
+        choices = spec.get("choices")
+        if choices and any(value not in choices for value in values):
+            return None
+        found[spec["dest"]] = values if "nargs" in spec else values[0]
+    for spec in options.values():
+        if spec["dest"] not in found:
+            if spec.get("required"):
                 return None
-            found[dest] = _DEFAULTS[dest]
+            found[spec["dest"]] = spec.get("default")
     return SimpleNamespace(**found) if "file" in found else None
 
 
@@ -136,8 +86,7 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(netio.dump_document(doc))
 
 
-def _run_validate(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_validate(args, net) -> int:
     _emit(
         netio.result_document(
             "validate",
@@ -149,8 +98,7 @@ def _run_validate(args) -> int:
     return 0
 
 
-def _run_min_clear(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_min_clear(args, net) -> int:
     run = run_min_clearing(net)
     _emit(
         netio.result_document(
@@ -164,24 +112,16 @@ def _run_min_clear(args) -> int:
     return 0
 
 
-def _run_max_clear(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_max_clear(args, net) -> int:
     if args.method == "flood":
         state = compute_max_clearing_flood(net)
     else:
         state = compute_max_clearing_pp(net)
-    _emit(
-        netio.result_document(
-            f"max-clear:{args.method}",
-            net,
-            state,
-        )
-    )
+    _emit(netio.result_document(f"max-clear:{args.method}", net, state))
     return 0
 
 
-def _run_range(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_range(args, net) -> int:
     spec = netio.parse_targets(args.targets, net)
     result = solve_range_clearing(net, spec)
     if not result.feasible:
@@ -195,8 +135,7 @@ def _run_range(args) -> int:
     return 0
 
 
-def _run_trade(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_trade(args, net) -> int:
     claim_pair = tuple(args.claim)
     if args.rho is not None:
         rho = parse_exact(args.rho)
@@ -235,8 +174,7 @@ def _run_trade(args) -> int:
     return 0
 
 
-def _run_oracle(args) -> int:
-    net = netio.parse_network(args.file)
+def _run_oracle(args, net) -> int:
     if args.steps < 1:
         raise errors.ParseError("--steps must be at least 1")
     if args.direction == "bottom":
@@ -255,13 +193,55 @@ def _run_oracle(args) -> int:
     return 0 if result.converged else 1
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "min-clear": _run_min_clear,
-    "max-clear": _run_max_clear,
-    "range": _run_range,
-    "trade": _run_trade,
-    "oracle": _run_oracle,
+# Each command: its handler, its help line, and its options as the keyword
+# arguments of ``argparse.add_argument``. ``_build_parser`` passes them on and
+# ``_parse_plain`` reads dest, nargs, choices, type, required and default.
+_COMMANDS = {
+    "validate": (_run_validate, "validate a network file", {}),
+    "min-clear": (_run_min_clear, "compute the minimal clearing state", {}),
+    "max-clear": (
+        _run_max_clear,
+        "compute the maximal clearing state",
+        {
+            "--method": {
+                "dest": "method",
+                "choices": ("flood", "pp"),
+                "default": "pp",
+                "help": "flood: greedy flooding (no default costs); "
+                "pp: priority-proportional descent (default, allows default costs)",
+            },
+        },
+    ),
+    "range": (
+        _run_range,
+        "find a clearing state inside target intervals",
+        {"--targets": {"dest": "targets", "required": True, "help": "targets JSON file"}},
+    ),
+    "trade": (
+        _run_trade,
+        "evaluate or optimize a claims trade",
+        {
+            "--claim": {
+                "dest": "claim",
+                "nargs": 2,
+                "metavar": ("DEBTOR", "CREDITOR"),
+                "required": True,
+            },
+            "--buyer": {"dest": "buyer", "required": True},
+            "--return": {
+                "dest": "rho",
+                "help": "evaluate this return; omit to compute the optimal one",
+            },
+        },
+    ),
+    "oracle": (
+        _run_oracle,
+        "run a fixed-point iteration oracle",
+        {
+            "--direction": {"dest": "direction", "choices": ("bottom", "top"), "required": True},
+            "--steps": {"dest": "steps", "type": int, "required": True},
+        },
+    ),
 }
 
 
@@ -275,7 +255,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args, netio.parse_network(args.file))
     except errors.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

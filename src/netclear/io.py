@@ -16,7 +16,7 @@ from .clearing import ClearingState, payments
 from .errors import ParseError
 from .lattice import RangeSpec
 from .model import FinancialNetwork
-from .rationals import ONE, ZERO, decimal_str, exact_str, parse_exact
+from .rationals import decimal_str, exact_str, parse_exact
 
 FORMAT_VERSION = "1"
 SOLVER_VERSION = __version__
@@ -49,13 +49,10 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_json(source) -> dict:
-    """Load a document from a path, an open file, or a literal JSON string
-    (strings starting with ``{`` are treated as content, not paths). Float
-    literals and repeated keys in one object are rejected."""
+    """Load a document from a path or an open text file. Float literals and
+    repeated keys in one object are rejected."""
     options = {"parse_float": _reject_float, "object_pairs_hook": _unique_keys}
     try:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            return json.loads(source, **options)
         if hasattr(source, "read"):
             return json.load(source, **options)
         with open(source, "r", encoding="utf-8") as handle:
@@ -89,11 +86,9 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _number(obj, field: str, context: str, default=None) -> Fraction:
+def _number(obj, field: str, context: str) -> Fraction:
     if field not in obj:
-        if default is None:
-            raise ParseError(f"missing field {field!r}", context)
-        return default
+        raise ParseError(f"missing field {field!r}", context)
     value = obj[field]
     if not isinstance(value, (int, str)):
         raise ParseError(f"{field!r} must be an integer or exact string", context)
@@ -104,7 +99,9 @@ def _number(obj, field: str, context: str, default=None) -> Fraction:
 
 
 def parse_network(source) -> FinancialNetwork:
-    """Parse and validate a network document from a path, file, or string."""
+    """Parse and validate a network document from a path or an open text file.
+    Its numbers are converted in place, and the loaded document itself goes to
+    ``model.validate_network``."""
     doc = _load_json(source)
     _check_fields(doc, {"format_version", "banks", "payment_schemes", "claims"}, "document")
     version = doc.get("format_version")
@@ -115,40 +112,26 @@ def parse_network(source) -> FinancialNetwork:
     banks = doc.get("banks", [])
     if not isinstance(banks, list) or not banks:
         raise ParseError("at least one bank is required", "banks")
-    raw_banks = []
     for i, entry in enumerate(banks):
         context = f"banks[{i}]"
         _check_fields(entry, _BANK_FIELDS, context)
         if not isinstance(entry.get("id"), str):
             raise ParseError("bank id must be a string", context)
-        raw_banks.append(
-            {
-                "id": entry["id"],
-                "external_assets": _number(entry, "external_assets", context, default=ZERO),
-                "alpha": _number(entry, "alpha", context, default=ONE),
-                "beta": _number(entry, "beta", context, default=ONE),
-            }
-        )
+        for field in ("external_assets", "alpha", "beta"):
+            if field in entry:
+                entry[field] = _number(entry, field, context)
 
-    raw_claims = []
     for i, entry in enumerate(_list(doc, "claims", "document")):
         context = f"claims[{i}]"
         _check_fields(entry, _CLAIM_FIELDS, context)
         for field in ("debtor", "creditor"):
             if not isinstance(entry.get(field), str):
                 raise ParseError(f"{field!r} must be a bank id string", context)
-        raw_claims.append(
-            {
-                "debtor": entry["debtor"],
-                "creditor": entry["creditor"],
-                "liability": _number(entry, "liability", context),
-            }
-        )
+        entry["liability"] = _number(entry, "liability", context)
 
     schemes_doc = doc.get("payment_schemes", {})
     if not isinstance(schemes_doc, dict):
         raise ParseError("payment_schemes must map bank ids to schemes", "payment_schemes")
-    raw_schemes = {}
     for bank_id, scheme in schemes_doc.items():
         context = f"payment_schemes[{bank_id!r}]"
         if not isinstance(scheme, dict) or "type" not in scheme:
@@ -180,11 +163,8 @@ def parse_network(source) -> FinancialNetwork:
                                 f"{field!r} entries must be integers or exact strings",
                                 edge_context,
                             )
-        raw_schemes[bank_id] = scheme
 
-    return model.validate_network(
-        {"banks": raw_banks, "claims": raw_claims, "payment_schemes": raw_schemes}
-    )
+    return model.validate_network(doc)
 
 
 def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
@@ -197,9 +177,9 @@ def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
         _check_fields(entry, _TARGET_FIELDS, context)
         if not isinstance(entry.get("bank"), str):
             raise ParseError("'bank' must be a bank id string", context)
-        lo = _number(entry, "lo", context)
-        hi = _number(entry, "hi", context)
-        targets[entry["bank"]] = (lo, hi)
+        if entry["bank"] in targets:
+            raise ParseError(f"bank {entry['bank']!r} has more than one target", context)
+        targets[entry["bank"]] = (_number(entry, "lo", context), _number(entry, "hi", context))
     return RangeSpec.build(net, targets)
 
 

@@ -28,10 +28,15 @@ None of this runs in the product:
   behind the pp route, the oracle of the paper's equivalence;
 - ``nonunique_banks``: the banks whose minimal and maximal clearing assets
   differ;
-- ``reduced_assets``: the haircut branch of the asset axiom for one bank.
+- ``reduced_assets``: the haircut branch of the asset axiom for one bank;
+- ``reference_parser``: the CLI grammar written out call by call, the oracle
+  for ``cli._build_parser``, which builds it from the ``cli._COMMANDS``
+  table.
 """
 
 from __future__ import annotations
+
+import argparse
 
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -616,3 +621,49 @@ def reduced_assets(net: FinancialNetwork, state, v: str, externals=None) -> Frac
     bank = net.bank(v)
     ext = bank.external_assets if externals is None else externals[v]
     return bank.alpha * ext + bank.beta * _inflow(net, state, v)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser with every command and option spelled out."""
+    parser = argparse.ArgumentParser(
+        prog="netclear",
+        description="Exact clearing-state computations on financial networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="validate a network file")
+    p.add_argument("file")
+
+    p = sub.add_parser("min-clear", help="compute the minimal clearing state")
+    p.add_argument("file")
+
+    p = sub.add_parser("max-clear", help="compute the maximal clearing state")
+    p.add_argument("file")
+    p.add_argument(
+        "--method",
+        choices=("flood", "pp"),
+        default="pp",
+        help="flood: greedy flooding (no default costs); "
+        "pp: priority-proportional descent (default, allows default costs)",
+    )
+
+    p = sub.add_parser("range", help="find a clearing state inside target intervals")
+    p.add_argument("file")
+    p.add_argument("--targets", required=True, help="targets JSON file")
+
+    p = sub.add_parser("trade", help="evaluate or optimize a claims trade")
+    p.add_argument("file")
+    p.add_argument("--claim", nargs=2, metavar=("DEBTOR", "CREDITOR"), required=True)
+    p.add_argument("--buyer", required=True)
+    p.add_argument(
+        "--return",
+        dest="rho",
+        default=None,
+        help="evaluate this return; omit to compute the optimal one",
+    )
+
+    p = sub.add_parser("oracle", help="run a fixed-point iteration oracle")
+    p.add_argument("file")
+    p.add_argument("--direction", choices=("bottom", "top"), required=True)
+    p.add_argument("--steps", type=int, required=True)
+    return parser

@@ -1,6 +1,7 @@
 """Payment functions, scheme constructors, and network validation."""
 
 import copy
+import io
 import pickle
 import random
 from fractions import Fraction as F
@@ -781,4 +782,4 @@ class TestMissingFields:
 
     def test_parsed_documents_never_reach_it(self):
         with pytest.raises(ParseError):
-            parse_network('{"format_version": "1", "banks": [{}]}')
+            parse_network(io.StringIO('{"format_version": "1", "banks": [{}]}'))

@@ -116,11 +116,11 @@ def test_successful_run_loads_no_argparse(tmp_path):
 
 def test_help_and_usage_errors_through_argparse(monkeypatch):
     monkeypatch.setenv("COLUMNS", "100")
-    from netclear.cli import _build_parser
+    from oracles import reference_parser
 
     done = fresh_python("-m", "netclear.cli", "--help", env={"COLUMNS": "100"})
     assert done.returncode == 0
-    assert done.stdout == _build_parser().format_help()
+    assert done.stdout == reference_parser().format_help()
     done = fresh_python("-m", "netclear.cli", "bogus-command")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("usage: netclear")
