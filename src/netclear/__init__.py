@@ -20,7 +20,6 @@ from .clearing import (
 from .graphs import active_graph, condense, find_flood_component, reachable_from
 from .lattice import (
     RangeResult,
-    RangeSpec,
     apply_flood_sequence,
     compute_max_clearing_flood,
     solve_range_clearing,
@@ -52,8 +51,6 @@ from .model import (
 from .priority import compute_max_clearing_pp, priority_structure
 from .trade import (
     TradeResult,
-    TradeSpec,
     apply_trade,
-    exists_creditor_positive,
     optimal_creditor_positive_return,
 )

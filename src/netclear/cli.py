@@ -19,7 +19,7 @@ from .lattice import compute_max_clearing_flood, solve_range_clearing
 from .minimal import compute_min_clearing, run_min_clearing
 from .priority import compute_max_clearing_pp
 from .rationals import exact_str, parse_exact
-from .trade import TradeSpec, apply_trade, optimal_creditor_positive_return
+from .trade import apply_trade, optimal_creditor_positive_return
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,8 +122,7 @@ def _run_max_clear(args, net) -> int:
 
 
 def _run_range(args, net) -> int:
-    spec = netio.parse_targets(args.targets, net)
-    result = solve_range_clearing(net, spec)
+    result = solve_range_clearing(net, netio.parse_targets(args.targets))
     if not result.feasible:
         detail = f"infeasible: {result.reason} (bank {result.witness!r}"
         if result.conflicting:
@@ -139,7 +138,7 @@ def _run_trade(args, net) -> int:
     claim_pair = tuple(args.claim)
     if args.rho is not None:
         rho = parse_exact(args.rho)
-        traded = apply_trade(net, TradeSpec(claim_pair, args.buyer, rho))
+        traded = apply_trade(net, claim_pair, args.buyer, rho)
         base = compute_min_clearing(net)
         post = compute_min_clearing(traded)
         creditor, buyer = claim_pair[1], args.buyer
@@ -158,7 +157,7 @@ def _run_trade(args, net) -> int:
     except errors.NoCreditorPositiveTradeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    traded = apply_trade(net, TradeSpec(claim_pair, args.buyer, result.rho_star))
+    traded = apply_trade(net, claim_pair, args.buyer, result.rho_star)
     _emit(
         netio.result_document(
             "trade",
@@ -167,7 +166,7 @@ def _run_trade(args, net) -> int:
             extra={
                 "rho_min": exact_str(result.rho_min),
                 "rho_star": exact_str(result.rho_star),
-                "interval": [exact_str(result.interval[0]), exact_str(result.interval[1])],
+                "interval": [exact_str(result.rho_min), exact_str(result.rho_star)],
             },
         )
     )
@@ -275,6 +274,9 @@ def main(argv=None) -> int:
         return 2
     except errors.NetclearError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # an engine fault outside the error hierarchy
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -14,7 +14,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__, model
 from .clearing import ClearingState, payments
 from .errors import ParseError
-from .lattice import RangeSpec
 from .model import FinancialNetwork
 from .rationals import decimal_str, exact_str, parse_exact
 
@@ -167,8 +166,10 @@ def parse_network(source) -> FinancialNetwork:
     return model.validate_network(doc)
 
 
-def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
-    """Parse a range-targets document: ``{"targets": [{bank, lo, hi}]}``."""
+def parse_targets(source) -> dict[str, tuple[Fraction, Fraction]]:
+    """Parse a range-targets document, ``{"targets": [{bank, lo, hi}]}``, into
+    the ``{bank: (lo, hi)}`` mapping that ``solve_range_clearing`` checks
+    against its network."""
     doc = _load_json(source)
     _check_fields(doc, {"targets"}, "targets document")
     targets = {}
@@ -180,7 +181,7 @@ def parse_targets(source, net: FinancialNetwork) -> RangeSpec:
         if entry["bank"] in targets:
             raise ParseError(f"bank {entry['bank']!r} has more than one target", context)
         targets[entry["bank"]] = (_number(entry, "lo", context), _number(entry, "hi", context))
-    return RangeSpec.build(net, targets)
+    return targets
 
 
 def _value_entry(value: Fraction) -> dict:

@@ -10,8 +10,6 @@ assets through ``minimal.advance`` and ``minimal.flood_closure``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import ActiveGraph, active_graph, condense
@@ -79,31 +77,6 @@ def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
     return ClearingState(g.assets)
 
 
-class RangeSpec:
-    """Closed target intervals for a subset of banks."""
-
-    __slots__ = ("targets",)
-
-    def __init__(self, targets: dict[str, tuple[Fraction, Fraction]]):
-        self.targets = targets
-
-    @staticmethod
-    def build(net: FinancialNetwork, targets) -> "RangeSpec":
-        parsed: dict[str, tuple[Fraction, Fraction]] = {}
-        for bank_id, (lo, hi) in dict(targets).items():
-            if bank_id not in net.banks:
-                raise errors.UnknownBankError(bank_id)
-            lo, hi = parse_exact(lo), parse_exact(hi)
-            if not (0 <= lo <= hi):
-                raise errors.InvalidSpecError(
-                    f"interval for {bank_id!r} must satisfy 0 <= lo <= hi"
-                )
-            # Intervals above the asset ceiling are not rejected here; the
-            # solver reports them as infeasible with a witness.
-            parsed[bank_id] = (lo, hi)
-        return RangeSpec(parsed)
-
-
 INFEASIBLE_EXCEEDS = "minimal_exceeds_interval"
 INFEASIBLE_STUCK = "sink_stuck"
 INFEASIBLE_CONFLICT = "conflict"
@@ -127,8 +100,12 @@ class RangeResult:
         self.conflicting = conflicting
 
 
-def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
+def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
     """Find a clearing state with each targeted bank inside its interval.
+
+    ``targets`` maps bank ids to closed intervals ``(lo, hi)`` of exact
+    numbers. Intervals above the asset ceiling are not rejected; they are
+    reported infeasible with a witness.
 
     Starting at the minimal state, the lowest below-target bank's component is
     flooded until the bank enters its interval or the active graph changes. A
@@ -137,11 +114,19 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
     same holds when raising one target is only possible by pushing another
     above its interval.
     """
+    bounds = {}
+    for bank_id, (lo, hi) in targets.items():
+        if bank_id not in net.banks:
+            raise errors.UnknownBankError(bank_id)
+        lo, hi = parse_exact(lo), parse_exact(hi)
+        if not (0 <= lo <= hi):
+            raise errors.InvalidSpecError(
+                f"interval for {bank_id!r} must satisfy 0 <= lo <= hi"
+            )
+        bounds[bank_id] = (lo, hi)
     require_no_default_cost(net, "solve_range_clearing")
-    if not isinstance(spec, RangeSpec):
-        spec = RangeSpec.build(net, spec)
     assets = compute_min_clearing(net).as_dict()
-    for bank_id, (lo, hi) in sorted(spec.targets.items()):
+    for bank_id, (lo, hi) in sorted(bounds.items()):
         if assets[bank_id] > hi:
             return RangeResult(
                 False, None, witness=bank_id, reason=INFEASIBLE_EXCEEDS
@@ -150,12 +135,12 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
     g = active_graph(net, assets)
     while True:
         below = sorted(
-            v for v, (lo, hi) in spec.targets.items() if assets[v] < lo
+            v for v, (lo, hi) in bounds.items() if assets[v] < lo
         )
         if not below:
             return RangeResult(True, ClearingState(assets))
         v = below[0]
-        lo_v = spec.targets[v][0]
+        lo_v = bounds[v][0]
         step = _own_sink_flood(g, v)
         if step is None:
             return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
@@ -167,9 +152,9 @@ def solve_range_clearing(net: FinancialNetwork, spec: RangeSpec) -> RangeResult:
         # two targets are in conflict.
         cap_bank = None
         for w in sorted(step.component):
-            if w == v or w not in spec.targets:
+            if w == v or w not in bounds:
                 continue
-            hi_w = spec.targets[w][1]
+            hi_w = bounds[w][1]
             room = (hi_w - assets[w]) / step.direction[w]
             if room < gamma:
                 gamma = room

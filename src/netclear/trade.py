@@ -26,29 +26,13 @@ from .model import Bank, Claim, FinancialNetwork, assemble
 TRADING = "claims trading"
 
 
-class TradeSpec:
-    __slots__ = ("claim", "buyer", "rho")
-
-    def __init__(self, claim: tuple[str, str], buyer: str, rho: Fraction):
-        self.claim = claim  # (debtor, creditor)
-        self.buyer = buyer
-        self.rho = rho
-
-
 class TradeResult:
-    __slots__ = ("rho_min", "rho_star", "post_state", "interval")
+    __slots__ = ("rho_min", "rho_star", "post_state")
 
-    def __init__(
-        self,
-        rho_min: Fraction,
-        rho_star: Fraction,
-        post_state: ClearingState,
-        interval: tuple[Fraction, Fraction],
-    ):
+    def __init__(self, rho_min: Fraction, rho_star: Fraction, post_state: ClearingState):
         self.rho_min = rho_min  # pre-trade payment on the claim
         self.rho_star = rho_star  # largest creditor-positive return
         self.post_state = post_state  # minimal clearing state at rho_star
-        self.interval = interval  # the half-open interval (rho_min, rho_star]
 
 
 def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:
@@ -62,29 +46,31 @@ def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:
     return claim
 
 
-def apply_trade(net: FinancialNetwork, spec: TradeSpec) -> FinancialNetwork:
-    """Re-target the claim to the buyer and move the return between the
-    external assets of buyer and seller; the debtor-side payment function is
-    untouched."""
+def apply_trade(
+    net: FinancialNetwork, claim_pair, buyer: str, rho: Fraction
+) -> FinancialNetwork:
+    """Re-target the claim ``(debtor, creditor)`` to the buyer and move the
+    return ``rho`` between the external assets of buyer and seller; the
+    debtor-side payment function is untouched."""
     require_no_default_cost(net, TRADING)
-    claim = _check_trade_shape(net, spec.claim, spec.buyer)
-    debtor, creditor = spec.claim
-    if spec.rho < 0:
+    claim = _check_trade_shape(net, claim_pair, buyer)
+    debtor, creditor = claim_pair
+    if rho < 0:
         raise ValueError("the return must be non-negative")
-    cap = min(net.bank(spec.buyer).external_assets, claim.liability)
-    if spec.rho > cap:
-        raise errors.ReturnExceedsCapError(spec.rho, cap)
+    cap = min(net.bank(buyer).external_assets, claim.liability)
+    if rho > cap:
+        raise errors.ReturnExceedsCapError(rho, cap)
 
     banks = []
     for v, bank in net.banks.items():
         if v == creditor:
-            banks.append(Bank(v, bank.external_assets + spec.rho, bank.alpha, bank.beta))
-        elif v == spec.buyer:
-            banks.append(Bank(v, bank.external_assets - spec.rho, bank.alpha, bank.beta))
+            banks.append(Bank(v, bank.external_assets + rho, bank.alpha, bank.beta))
+        elif v == buyer:
+            banks.append(Bank(v, bank.external_assets - rho, bank.alpha, bank.beta))
         else:
             banks.append(bank)
     claims = [
-        Claim(debtor, spec.buyer, claim.liability, claim.payment) if c is claim else c
+        Claim(debtor, buyer, claim.liability, claim.payment) if c is claim else c
         for c in net.claims
     ]
     return assemble(banks, claims)
@@ -111,13 +97,13 @@ def _trade_slopes(g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
     return slopes, den
 
 
-def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
-    """Walk the return up from the claim's current payment.
+def optimal_creditor_positive_return(
+    net: FinancialNetwork, claim_pair, buyer
+) -> TradeResult:
+    """Largest creditor-positive return with its post-trade minimal state.
 
-    Returns ``(rho_min, rho_star, post_state, base_state, reason)``. When no
-    creditor-positive return exists, ``rho_star == rho_min``, ``post_state``
-    is the state at ``rho_min`` and ``reason`` says why; otherwise ``reason``
-    is None.
+    The return walks up from the claim's current payment. When no
+    creditor-positive return exists, ``NoCreditorPositiveTradeError`` says why.
     """
     require_no_default_cost(net, TRADING)
     claim = _check_trade_shape(net, claim_pair, buyer)
@@ -127,17 +113,17 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
     rho_min = claim.payment.value_at(base[debtor])
     cap = min(net.bank(w).external_assets, claim.liability)
     if cap <= rho_min:
-        reason = f"the return cap {cap} does not exceed the current payment {rho_min}"
-        return rho_min, rho_min, base, base, reason
+        raise errors.NoCreditorPositiveTradeError(
+            f"the return cap {cap} does not exceed the current payment {rho_min}"
+        )
 
     rho = rho_min
-    reason = None
     # The walk reads only the claims of the traded network, which do not
     # depend on the return, so it is built once at rho_min.
-    traded = apply_trade(net, TradeSpec(claim_pair, buyer, rho))
+    traded = apply_trade(net, claim_pair, buyer, rho)
     g = active_graph(traded, compute_min_clearing(traded).as_dict())
     while True:
-        # The stop path returns the state before this flood, and drops ``g``.
+        # The stop path keeps the state before this flood, and drops ``g``.
         state = dict(g.assets)
         flood_closure(g, v)
         slopes, den = _trade_slopes(g, v, w)
@@ -145,49 +131,22 @@ def _trade_walk(net: FinancialNetwork, claim_pair, buyer):
         # it absorbs at most the unit injected at the seller.
         if slopes[w] < 0 or slopes[v] <= 0:
             if rho == rho_min:
-                reason = (
+                raise errors.NoCreditorPositiveTradeError(
                     "the buyer cannot recover any part of a higher return"
                     if slopes[w] < 0
                     else "a higher return does not raise the seller's assets"
                 )
-            return rho_min, rho, ClearingState(state), base, reason
+            break
         # slopes[w] == 0 here, so the scan leaves the buyer out. The return
         # moves by den times the scale of the integer rates.
         scale = border_scale(g, slopes, limit=(cap - rho) / den)
         advance(g, slopes, scale)
         rho += scale * den
         if rho == cap:
-            return rho_min, rho, ClearingState(g.assets), base, reason
-
-
-def exists_creditor_positive(
-    net: FinancialNetwork, claim_pair, buyer
-) -> tuple[bool, str]:
-    """Decide whether some return strictly improves the seller while keeping
-    the buyer whole; the diagnostic explains the failure."""
-    *_, reason = _trade_walk(net, claim_pair, buyer)
-    if reason is not None:
-        return False, reason
-    return True, "a higher return raises the seller and leaves the buyer whole"
-
-
-def optimal_creditor_positive_return(
-    net: FinancialNetwork, claim_pair, buyer
-) -> TradeResult:
-    """Largest creditor-positive return with its post-trade minimal state."""
-    rho_min, rho_star, post, base, _ = _trade_walk(net, claim_pair, buyer)
-    if rho_star == rho_min:
-        raise errors.NoCreditorPositiveTradeError(
-            "no return above the current payment improves the seller "
-            "without hurting the buyer"
-        )
-    if post[claim_pair[1]] <= base[claim_pair[1]]:
+            state = g.assets
+            break
+    if state[v] <= base[v]:
         raise errors.NoCreditorPositiveTradeError(
             "the seller's assets do not strictly improve"
         )
-    return TradeResult(
-        rho_min=rho_min,
-        rho_star=rho_star,
-        post_state=post,
-        interval=(rho_min, rho_star),
-    )
+    return TradeResult(rho_min, rho, ClearingState(state))

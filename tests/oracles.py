@@ -29,6 +29,8 @@ None of this runs in the product:
 - ``nonunique_banks``: the banks whose minimal and maximal clearing assets
   differ;
 - ``reduced_assets``: the haircut branch of the asset axiom for one bank;
+- ``exists_creditor_positive``: whether a claims trade has a
+  creditor-positive return, with the optimizer's reason when it has none;
 - ``reference_parser``: the CLI grammar written out call by call, the oracle
   for ``cli._build_parser``, which builds it from the ``cli._COMMANDS``
   table.
@@ -51,6 +53,7 @@ from netclear.minimal import compute_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
 from netclear.priority import BankClasses, _counter_system, priority_structure
 from netclear.rationals import ONE, ZERO
+from netclear.trade import optimal_creditor_positive_return
 
 
 def sparse_rows(matrix) -> list[list[tuple[int, Fraction]]]:
@@ -621,6 +624,16 @@ def reduced_assets(net: FinancialNetwork, state, v: str, externals=None) -> Frac
     bank = net.bank(v)
     ext = bank.external_assets if externals is None else externals[v]
     return bank.alpha * ext + bank.beta * _inflow(net, state, v)
+
+
+def exists_creditor_positive(net: FinancialNetwork, claim_pair, buyer) -> tuple[bool, str]:
+    """Whether some return strictly improves the seller while keeping the
+    buyer whole; when none does, the diagnostic is the optimizer's reason."""
+    try:
+        optimal_creditor_positive_return(net, claim_pair, buyer)
+    except errors.NoCreditorPositiveTradeError as exc:
+        return False, exc.reason
+    return True, "a higher return raises the seller and leaves the buyer whole"
 
 
 def reference_parser() -> argparse.ArgumentParser:

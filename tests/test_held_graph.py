@@ -11,12 +11,10 @@ import random
 from fractions import Fraction as F
 
 from netclear import (
-    RangeSpec,
     apply_flood_sequence,
     build_network,
     compute_max_clearing_flood,
     compute_min_clearing,
-    exists_creditor_positive,
     is_clearing_state,
     optimal_creditor_positive_return,
     run_min_clearing,
@@ -26,6 +24,7 @@ from netclear.errors import NoCreditorPositiveTradeError, NotASinkComponentError
 
 from corpus import random_network, random_trade_instance
 from graph_checks import check_advance_freshness, count_builds
+from oracles import exists_creditor_positive
 
 
 def rings():
@@ -66,7 +65,7 @@ class TestOneBuildPerWalk:
     def test_range(self, monkeypatch):
         net = rings()
         high = compute_max_clearing_flood(net)
-        spec = RangeSpec.build(net, {"b": (high["b"], high["b"]), "d": (high["d"], high["d"])})
+        spec = {"b": (high["b"], high["b"]), "d": (high["d"], high["d"])}
         builds, result = builds_beyond_min_clear(
             monkeypatch, lambda: solve_range_clearing(net, spec)
         )
@@ -119,9 +118,7 @@ class TestHeldGraphStaysFresh:
             if not moving:
                 continue
             picks = rng.sample(moving, min(2, len(moving)))
-            spec = RangeSpec.build(
-                net, {v: ((low[v] + high[v]) / 2, high[v]) for v in picks}
-            )
+            spec = {v: ((low[v] + high[v]) / 2, high[v]) for v in picks}
             result = solve_range_clearing(net, spec)
             assert result.feasible and is_clearing_state(net, result.state).ok
             steps = [(v, F(rng.randint(0, 4), 4)) for v in picks]

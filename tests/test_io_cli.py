@@ -374,6 +374,7 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["metadata"]["rho_star"] == "2"
         assert out["metadata"]["rho_min"] == "1"
+        assert out["metadata"]["interval"] == ["1", "2"]
 
         code = main(
             ["trade", str(path), "--claim", "u", "v", "--buyer", "w", "--return", "3/2"]
@@ -404,6 +405,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err
+
+    def test_trade_cap_at_current_payment_gives_reason(self, tmp_path, capsys):
+        # u pays its claim of 2 with its 1 in cash; the buyer w holds only 1,
+        # so no return can exceed the current payment
+        doc = {
+            "format_version": "1",
+            "banks": [
+                {"id": "u", "external_assets": 1},
+                {"id": "v"},
+                {"id": "w", "external_assets": 1},
+            ],
+            "claims": [{"debtor": "u", "creditor": "v", "liability": 2}],
+        }
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc))
+        assert main(["trade", str(path), "--claim", "u", "v", "--buyer", "w"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "no creditor-positive return exists: "
+            "the return cap 1 does not exceed the current payment 1\n"
+        )
 
     def test_oracle_bottom_nonconvergent_exit(self, two_cycle_file, capsys):
         assert main(["oracle", two_cycle_file, "--direction", "bottom", "--steps", "5"]) == 0
@@ -468,6 +491,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "internal error: stale active graph\n"
 
+    def test_engine_fault_exit_3_without_traceback(self, example3_file, monkeypatch, capsys):
+        def broken(net):
+            raise KeyError("v")
+
+        monkeypatch.setattr(cli, "run_min_clearing", broken)
+        assert main(["min-clear", example3_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: KeyError('v')\n"
+
     def test_dump_document_stable(self):
         net = parse_network(io.StringIO(json.dumps(TWO_CYCLE)))
         doc = result_document("validate", net, None, extra={"b": 1, "a": {"z": 2, "y": 3}})
@@ -487,6 +520,35 @@ class TestCli:
         assert main(["trade", two_cycle_file, *argv]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize(
+        "target, err",
+        [
+            ({"bank": "zz", "lo": 0, "hi": 1}, "unknown bank id: 'zz'"),
+            ({"bank": "a", "lo": 1, "hi": 0}, "interval for 'a' must satisfy 0 <= lo <= hi"),
+            (
+                {"bank": "a", "lo": 0, "hi": 1},
+                "solve_range_clearing is defined for networks without default cost",
+            ),
+        ],
+    )
+    def test_range_checks_targets_before_default_cost(self, target, err, tmp_path, capsys):
+        doc = {
+            "format_version": "1",
+            "banks": [
+                {"id": "a", "external_assets": 1, "alpha": "1/2", "beta": "1/2"},
+                {"id": "b", "alpha": "1/2", "beta": "1/2"},
+            ],
+            "claims": [{"debtor": "a", "creditor": "b", "liability": 2}],
+        }
+        net = tmp_path / "costly.json"
+        net.write_text(json.dumps(doc))
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [target]}))
+        assert main(["range", str(net), "--targets", str(targets)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_unknown_target_bank_unquoted(self, two_cycle_file, tmp_path, capsys):
         targets = tmp_path / "targets.json"
         targets.write_text(json.dumps({"targets": [{"bank": "zz", "lo": 0, "hi": 1}]}))
@@ -501,29 +563,26 @@ class TestParseTargets:
         path.write_text(
             json.dumps({"targets": [{"bank": "a", "lo": 0, "hi": "1/2"}]})
         )
-        spec = parse_targets(str(path), net)
-        assert spec.targets == {"a": (F(0), F(1, 2))}
+        assert parse_targets(str(path)) == {"a": (F(0), F(1, 2))}
 
-    def test_unknown_fields(self, two_cycle_file, tmp_path):
-        net = parse_network(two_cycle_file)
+    def test_unknown_fields(self, tmp_path):
         path = tmp_path / "targets.json"
         path.write_text(json.dumps({"targets": [{"bank": "a", "lo": 0, "hi": 1, "x": 2}]}))
         with pytest.raises(ParseError):
-            parse_targets(str(path), net)
+            parse_targets(str(path))
 
-    def test_duplicate_key(self, two_cycle_file, tmp_path):
-        net = parse_network(two_cycle_file)
+    def test_duplicate_key(self, tmp_path):
         path = tmp_path / "targets.json"
         path.write_text('{"targets": [{"bank": "a", "lo": 0, "lo": 1, "hi": 1}]}')
         with pytest.raises(ParseError, match="duplicate key 'lo'"):
-            parse_targets(str(path), net)
+            parse_targets(str(path))
 
     def test_repeated_bank(self, two_cycle_file, tmp_path, capsys):
         path = tmp_path / "targets.json"
         targets = [{"bank": "a", "lo": 0, "hi": 9}, {"bank": "a", "lo": 5, "hi": 9}]
         path.write_text(json.dumps({"targets": targets}))
         with pytest.raises(ParseError, match=r"targets\[1\]: bank 'a' has more than one target"):
-            parse_targets(str(path), parse_network(two_cycle_file))
+            parse_targets(str(path))
         assert main(["range", two_cycle_file, "--targets", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -7,7 +7,6 @@ import pytest
 
 from netclear import (
     ClearingState,
-    RangeSpec,
     apply_flood_sequence,
     build_network,
     compute_max_clearing_flood,
@@ -202,28 +201,28 @@ class TestMaxClearingFlood:
 class TestRangeClearing:
     def test_two_cycle_mid_interval(self):
         net = two_cycle()
-        result = solve_range_clearing(net, RangeSpec.build(net, {"a": ("1/2", "7/10")}))
+        result = solve_range_clearing(net, {"a": ("1/2", "7/10")})
         assert result.feasible
         assert result.state["a"] == F(1, 2)
         assert is_clearing_state(net, result.state).ok
 
     def test_above_lattice_top(self):
         net = two_cycle()
-        result = solve_range_clearing(net, RangeSpec.build(net, {"a": (2, 3)}))
+        result = solve_range_clearing(net, {"a": (2, 3)})
         assert not result.feasible
         assert result.witness == "a"
         assert result.reason == INFEASIBLE_STUCK
 
     def test_minimum_hits_zero_targets(self):
         net = two_cycle()
-        spec = RangeSpec.build(net, {"a": (0, 0), "b": (0, 0)})
+        spec = {"a": (0, 0), "b": (0, 0)}
         result = solve_range_clearing(net, spec)
         assert result.feasible
         assert result.state.as_dict() == {"a": F(0), "b": F(0)}
 
     def test_minimal_exceeds_interval(self):
         net = build_network(banks=[("a", 3), ("b", 0)], claims=[("a", "b", 1)])
-        result = solve_range_clearing(net, RangeSpec.build(net, {"a": (0, 1)}))
+        result = solve_range_clearing(net, {"a": (0, 1)})
         assert not result.feasible
         assert result.reason == INFEASIBLE_EXCEEDS
 
@@ -231,7 +230,7 @@ class TestRangeClearing:
         # one circulation parameter moves a and b together; demanding a high
         # and b low is contradictory
         net = two_cycle()
-        spec = RangeSpec.build(net, {"a": ("3/4", 1), "b": (0, "1/4")})
+        spec = {"a": ("3/4", 1), "b": (0, "1/4")}
         result = solve_range_clearing(net, spec)
         assert not result.feasible
         assert result.reason == INFEASIBLE_CONFLICT
@@ -246,14 +245,14 @@ class TestRangeClearing:
     def test_invalid_interval(self):
         net = two_cycle()
         with pytest.raises(InvalidSpecError):
-            RangeSpec.build(net, {"a": (1, 0)})
+            solve_range_clearing(net, {"a": (1, 0)})
 
     def test_rejects_default_cost(self):
         net = build_network(
             banks=[("a", 1, "1/2", 1), ("b", 0)], claims=[("a", "b", 1)]
         )
         with pytest.raises(DefaultCostUnsupportedError):
-            solve_range_clearing(net, RangeSpec.build(net, {"a": (0, 1)}))
+            solve_range_clearing(net, {"a": (0, 1)})
 
     def test_feasible_instances_from_sampled_states(self):
         rng = random.Random(555)
@@ -262,14 +261,12 @@ class TestRangeClearing:
             net = flood_corpus(rng)
             target_state = _random_reachable_state(rng, net)
             picks = rng.sample(net.bank_ids(), k=min(2, len(net.bank_ids())))
-            spec = RangeSpec.build(
-                net, {v: (target_state[v], target_state[v] + F(1, 3)) for v in picks}
-            )
+            spec = {v: (target_state[v], target_state[v] + F(1, 3)) for v in picks}
             result = solve_range_clearing(net, spec)
             assert result.feasible  # the sampled state is a witness
             assert is_clearing_state(net, result.state).ok
             for v in picks:
-                lo, hi = spec.targets[v]
+                lo, hi = spec[v]
                 assert lo <= result.state[v] <= hi
             solved += 1
         assert solved == 150

@@ -18,8 +18,6 @@ import sys
 import pytest
 
 from netclear import (
-    RangeSpec,
-    TradeSpec,
     apply_trade,
     compute_max_clearing_flood,
     compute_max_clearing_pp,
@@ -85,7 +83,7 @@ def test_walks_on_lattice_rings_holdout_networks(tmp_path, monkeypatch):
         open_banks = sorted(v for v in net.bank_ids() if low[v] != high[v])
         chosen = rng.sample(open_banks, min(4, len(open_banks)))
         targets = {v: ((low[v] + high[v]) / 2, high[v]) for v in chosen}
-        result = solve_range_clearing(net, RangeSpec.build(net, targets))
+        result = solve_range_clearing(net, targets)
         assert result.feasible  # the maximal state is a witness
         assert is_clearing_state(net, result.state).ok
         for v, (lo, hi) in targets.items():
@@ -99,7 +97,7 @@ def test_walks_on_lattice_rings_holdout_networks(tmp_path, monkeypatch):
             trade = optimal_creditor_positive_return(net, pair, buyer)
         except NoCreditorPositiveTradeError:
             continue
-        traded = apply_trade(net, TradeSpec(pair, buyer, trade.rho_star))
+        traded = apply_trade(net, pair, buyer, trade.rho_star)
         assert is_clearing_state(traded, trade.post_state).ok
         assert dict(trade.post_state) == dict(compute_min_clearing(traded))
         trades += 1

@@ -1,6 +1,7 @@
 """Package metadata and the benchmark's tracing hooks stay in step with the
 code they describe, and the package stays cheap to import and to compile."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -139,3 +140,15 @@ def test_modules_fit_the_parser_token_buffer():
         with open(path, "rb") as source:
             sizes[path.name] = sum(1 for _ in tokenize.tokenize(source.readline))
     assert {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_BUFFER} == {}
+
+
+def test_io_imports_no_solver():
+    # Importing ``netclear.io`` loads ``__init__`` and with it every module, so
+    # the check reads the relative imports of the source itself.
+    tree = ast.parse((ROOT / "src" / "netclear" / "io.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module] if node.module else (a.name for a in node.names))
+    solvers = {"lattice", "minimal", "graphs", "linalg", "priority", "trade"}
+    assert sorted(imported & solvers) == []
