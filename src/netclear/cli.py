@@ -137,7 +137,10 @@ def _run_range(args, net) -> int:
 def _run_trade(args, net) -> int:
     claim_pair = tuple(args.claim)
     if args.rho is not None:
-        rho = parse_exact(args.rho)
+        try:
+            rho = parse_exact(args.rho)
+        except ValueError as exc:
+            raise errors.ParseError(str(exc)) from None
         traded = apply_trade(net, claim_pair, args.buyer, rho)
         base = compute_min_clearing(net)
         post = compute_min_clearing(traded)
@@ -268,7 +271,6 @@ def main(argv=None) -> int:
         errors.TradeError,
         errors.UnknownBankError,
         errors.UnknownClaimError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

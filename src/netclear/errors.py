@@ -106,7 +106,7 @@ class NotASinkComponentError(NetclearError):
     """The selected component is not a non-singleton sink SCC."""
 
 
-class InvalidSpecError(NetclearError):
+class InvalidSpecError(NetclearError, ValueError):
     """A range specification is malformed."""
 
 
@@ -114,7 +114,7 @@ class DefaultCostUnsupportedError(NetclearError):
     """The operation is only defined for networks without default cost."""
 
 
-class TradeError(NetclearError):
+class TradeError(NetclearError, ValueError):
     """Base class for claims-trade errors."""
 
 

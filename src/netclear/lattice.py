@@ -118,7 +118,10 @@ def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
     for bank_id, (lo, hi) in targets.items():
         if bank_id not in net.banks:
             raise errors.UnknownBankError(bank_id)
-        lo, hi = parse_exact(lo), parse_exact(hi)
+        try:
+            lo, hi = parse_exact(lo), parse_exact(hi)
+        except ValueError as exc:
+            raise errors.InvalidSpecError(str(exc)) from None
         if not (0 <= lo <= hi):
             raise errors.InvalidSpecError(
                 f"interval for {bank_id!r} must satisfy 0 <= lo <= hi"

@@ -8,8 +8,9 @@ continuity structural rather than something to check. Intervals are half-open
 Sums and evaluations on the per-op path run on Python ints and normalize
 once: liability totals through ``rationals.exact_sum``, class totals over
 one common denominator, and ``value_at`` as one numerator over one
-denominator. The payment-axiom check that validation ends with lives in
-``axioms``.
+denominator, its segment found by bisecting the borders' integer numerators
+over their common denominator. The payment-axiom check that validation ends
+with lives in ``axioms``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ class PaymentFunction(_Value):
 
     ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
     constant at and beyond the last border, which is the debtor's total
-    out-liability. ``_values`` holds the values at the borders.
+    out-liability. ``_values`` holds the values at the borders, and
+    ``_scaled`` the borders as integer numerators over one denominator
+    ``_den``.
     """
 
-    __slots__ = ("borders", "slopes", "_values")
+    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den")
 
     def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
         if len(slopes) != len(borders) - 1:
@@ -91,23 +94,29 @@ class PaymentFunction(_Value):
         values = [ZERO]
         for i, slope in enumerate(slopes):
             values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
-        _set(self, "borders", borders)
-        _set(self, "slopes", slopes)
-        _set(self, "_values", tuple(values))
+        den = lcm(*(x.denominator for x in borders))
+        scaled = tuple(x.numerator * (den // x.denominator) for x in borders)
+        for name, value in zip(self.__slots__, (borders, slopes, tuple(values), scaled, den)):
+            _set(self, name, value)
 
     @classmethod
-    def _with_values(cls, borders, slopes, values) -> "PaymentFunction":
-        """A function whose values at the borders the caller already knows, as
-        a class scheme does; skips ``__init__``'s running sum."""
+    def _with_values(cls, borders, slopes, values, scaled, den) -> "PaymentFunction":
+        """A function whose values at the borders, and borders over one
+        denominator, the caller already knows, as a class scheme does."""
         fn = object.__new__(cls)
-        _set(fn, "borders", borders)
-        _set(fn, "slopes", slopes)
-        _set(fn, "_values", values)
+        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den)):
+            _set(fn, name, value)
         return fn
 
     def value_at(self, a: Fraction) -> Fraction:
-        borders = self.borders
-        idx = bisect_right(borders, a) - 1
+        """The payment at assets ``a``, as one numerator over one
+        denominator: ``value + slope * (a - border)`` on the segment of
+        ``a``, found by comparing the integer border numerators with
+        ``floor(a * den)``; at the first border this is the first value,
+        zero."""
+        an, ad = a.as_integer_ratio()
+        bd = self._den
+        idx = bisect_right(self._scaled, an * bd // ad) - 1
         if idx < 0:
             return ZERO
         if idx == len(self.slopes):
@@ -115,12 +124,9 @@ class PaymentFunction(_Value):
         value, slope = self._values[idx], self.slopes[idx]
         if not slope:
             return value
-        # value + slope * (a - border) as one numerator over one denominator;
-        # at the first border this is the first value, zero
         vn, vd = value.as_integer_ratio()
         sn, sd = slope.as_integer_ratio()
-        an, ad = a.as_integer_ratio()
-        bn, bd = borders[idx].as_integer_ratio()
+        bn = self._scaled[idx]
         den = sd * ad * bd
         return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
 
@@ -180,7 +186,8 @@ def _class_functions(
 
     The liabilities are read once as integer numerators over their common
     denominator, so class totals are int sums and each border and slope is
-    one normalized ``Fraction``."""
+    one normalized ``Fraction``; the functions share the border numerators
+    over that denominator too."""
     den = lcm(*(x.denominator for x in liabilities.values()))
     scaled = {c: x.numerator * (den // x.denominator) for c, x in liabilities.items()}
     if sum(scaled.values()) == 0:
@@ -188,6 +195,7 @@ def _class_functions(
         return {creditor: flat for creditor in liabilities}
 
     grid = [ZERO]
+    ints = [0]
     upper = 0
     nonzero: list[tuple[int, list[str]]] = []
     for members in classes:
@@ -196,13 +204,14 @@ def _class_functions(
             continue
         upper += class_total
         grid.append(Fraction(upper, den))
+        ints.append(upper)
         nonzero.append((class_total, members))
 
-    borders = tuple(grid)
+    borders, ints = tuple(grid), tuple(ints)
     k = len(nonzero)
     zeros = (ZERO,) * (k + 1)
     # creditors whose whole class had zero liability pay nothing
-    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros)
+    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den)
     functions = dict.fromkeys(liabilities, unpaid)
     for j, (class_total, members) in enumerate(nonzero):
         before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
@@ -211,6 +220,8 @@ def _class_functions(
                 borders,
                 before + (Fraction(scaled[creditor], class_total),) + after,
                 paid + (liabilities[creditor],) * (k - j),
+                ints,
+                den,
             )
     return functions
 

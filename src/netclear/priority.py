@@ -22,12 +22,22 @@ solution; only a block that may have more is maximized under its caps. The
 feasibility test and the final maximization are solved exactly on the class
 structure (relays eliminated by substitution); both are cross-checked against
 the explicit LP formulation in the test suite.
+
+The descent runs on Python ints. ``priority_structure`` scales each bank's
+grid and piece liabilities once to integer numerators over one denominator
+per bank; every row of the counter system, its floors and caps, and each
+round's ``t`` and assets are ``(numerator, denominator)`` pairs, summed,
+compared by cross-multiplying and handed to the solver as integer rows.
+Only the final state becomes ``Fraction``s, one per bank; the cold path of
+a closed block's Perron line converts at its boundary. The ``Fraction``
+reference of the rows and of the asset map lives with the test oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import errors
 from .clearing import ClearingState, is_clearing_state
@@ -35,49 +45,54 @@ from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
 from .axioms import merged_slopes
 from .model import FinancialNetwork
-from .rationals import ONE, ZERO
 
 
 class BankClasses:
-    """Priority classes of one bank on its merged border grid."""
+    """Priority classes of one bank on its merged border grid, as integer
+    numerators over the bank's one denominator ``den``: ``grid`` holds
+    ``0 = x_0 < x_1 < ... < x_k = L+(v)`` and ``pieces[j]`` lists
+    ``(creditor, piece liability)`` for class ``j + 1``."""
 
-    __slots__ = ("grid", "pieces")
+    __slots__ = ("den", "grid", "pieces")
 
-    def __init__(
-        self,
-        grid: tuple[Fraction, ...],
-        pieces: tuple[tuple[tuple[str, Fraction], ...], ...],
-    ):
-        self.grid = grid  # 0 = x_0 < x_1 < ... < x_k = L+(v)
-        # pieces[j] lists (creditor, piece liability) for class j+1
+    def __init__(self, den: int, grid: tuple[int, ...], pieces: tuple):
+        self.den = den
+        self.grid = grid
         self.pieces = pieces
 
     @property
     def class_count(self) -> int:
         return len(self.pieces)
 
-    def class_total(self, j: int) -> Fraction:
-        return self.grid[j + 1] - self.grid[j]
-
 
 def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
-    """Merged-grid class decomposition of every bank's out-claims."""
+    """Merged-grid class decomposition of every bank's out-claims, each bank's
+    over one denominator: the lcm of its borders' denominators, times what a
+    piece's slope denominator leaves after cancelling with the segment's
+    width (nothing under a class scheme)."""
     structure: dict[str, BankClasses] = {}
     for v in net.bank_ids():
         out = net.out_claims(v)
         if not out or net.total_out(v) == 0:
-            structure[v] = BankClasses(grid=(ZERO,), pieces=())
+            structure[v] = BankClasses(1, (0,), ())
             continue
         grid, slopes = merged_slopes(out)
-        pieces: list[tuple[tuple[str, Fraction], ...]] = []
-        for j in range(len(grid) - 1):
-            width = grid[j + 1] - grid[j]
-            entries = []
-            for claim, row in zip(out, slopes):
-                if row[j] > 0:
-                    entries.append((claim.creditor, row[j] * width))
-            pieces.append(tuple(entries))
-        structure[v] = BankClasses(grid=grid, pieces=tuple(pieces))
+        den = lcm(*(x.denominator for x in grid))
+        grid = [x.numerator * (den // x.denominator) for x in grid]
+        pieces = [
+            [
+                (claim.creditor, row[j].numerator * (grid[j + 1] - grid[j]), row[j].denominator)
+                for claim, row in zip(out, slopes)
+                if row[j]
+            ]
+            for j in range(len(grid) - 1)
+        ]
+        m = lcm(*(d // gcd(x, d) for entries in pieces for _, x, d in entries))
+        structure[v] = BankClasses(
+            den * m,
+            tuple(x * m for x in grid),
+            tuple(tuple((c, x * m // d) for c, x, d in entries) for entries in pieces),
+        )
     return structure
 
 
@@ -91,26 +106,23 @@ class _CounterSystem:
     payments are therefore affine in t, so assets satisfy a = W t + c with
     W >= 0 and every cycle product <= 1. The row maps are updated in place by
     ``_refresh_rows``, so one system serves a whole descent.
+
+    Each value is a pair of ints ``(numerator, denominator > 0)``, not
+    necessarily reduced: the entries of ``w`` and ``c``, ``floor`` and
+    ``cap``, and a round's ``t`` and assets. Only the final state builds
+    ``Fraction``s, one per bank. ``sources[v][u]`` lists the ``(class index,
+    piece liability)`` of ``v``'s pieces among the classes of its debtor
+    ``u``, in class order, with the debtors in bank order.
     """
 
     __slots__ = ("order", "w", "c", "floor", "cap", "sources")
 
-    def __init__(
-        self,
-        order: tuple[str, ...],
-        w: dict[str, dict[str, Fraction]],
-        c: dict[str, Fraction],
-        floor: dict[str, Fraction],
-        cap: dict[str, Fraction | None],
-        sources: dict[str, dict[str, list[tuple[int, Fraction]]]],
-    ):
+    def __init__(self, order, w, c, floor, cap, sources):
         self.order = order
         self.w = w  # w[v][u]: coefficient of t_u in a_v
         self.c = c
         self.floor = floor  # x_{v, r_v}
         self.cap = cap  # x_{v, r_v + 1}; None when r_v = k_v
-        # sources[v][u]: (class index, piece liability) of v's pieces among the
-        # classes of its debtor u, in class order; debtors in bank order
         self.sources = sources
 
 
@@ -125,35 +137,43 @@ def _refresh_rows(
     are left as they are. A bank's row is its floor and cap, and what its
     debtors pay into it, each linearised on its own counter segment, scaled
     by the bank's haircuts (alpha on external assets, beta on payments)
-    unless its counter is at the top."""
+    unless its counter is at the top.
+
+    A piece ``L`` of debtor ``u``'s class ``[x_r, x_r+1)`` of total ``T``,
+    paid in proportion, gives ``w[v][u] = (L, T)`` (``u``'s denominator
+    cancels) and ``-L x_r / T`` to the constant, which sums the debtors'
+    terms over the product of their denominators and is reduced once."""
     for v in banks:
         bank = net.bank(v)
         classes = structure[v]
         r = counters[v]
         solvent = r == classes.class_count
-        system.floor[v] = classes.grid[r]
-        system.cap[v] = None if solvent else classes.grid[r + 1]
-        row: dict[str, Fraction] = {}
-        paid = ZERO  # constant part of the unscaled inflow
+        system.floor[v] = (classes.grid[r], classes.den)
+        system.cap[v] = None if solvent else (classes.grid[r + 1], classes.den)
+        row = {}
+        pn, pd = 0, 1  # constant part of the unscaled inflow
         for u, pieces in system.sources[v].items():
             ru = counters[u]
+            debtor = structure[u]
+            n, d = 0, debtor.den
             for j, liability in pieces:
                 if j < ru:
-                    paid += liability
+                    n += liability
                     continue
                 if j == ru:
-                    debtor = structure[u]
-                    share = liability / debtor.class_total(ru)
-                    row[u] = share
-                    paid -= share * debtor.grid[ru]
+                    low, total = debtor.grid[ru], debtor.grid[ru + 1] - debtor.grid[ru]
+                    row[u] = (liability, total)
+                    n, d = n * total - liability * low, d * total
                 break
-        if solvent:
-            system.w[v] = row
-            system.c[v] = bank.external_assets + paid
-        else:
-            beta = bank.beta
-            system.w[v] = {u: beta * share for u, share in row.items()}
-            system.c[v] = bank.alpha * bank.external_assets + beta * paid
+            if n:
+                pn, pd = pn * d + n * pd, pd * d
+        en, ed = bank.external_assets.as_integer_ratio()
+        an, ad = (1, 1) if solvent else bank.alpha.as_integer_ratio()
+        bn, bd = (1, 1) if solvent else bank.beta.as_integer_ratio()
+        system.w[v] = row if bn == bd else {u: (bn * x, bd * y) for u, (x, y) in row.items()}
+        n, d = an * en * bd * pd + bn * pn * ad * ed, ad * ed * bd * pd
+        g = gcd(n, d)
+        system.c[v] = (n // g, d // g)
 
 
 def _counter_system(
@@ -161,12 +181,12 @@ def _counter_system(
 ) -> _CounterSystem:
     """The system at ``counters``: a refresh of every row."""
     order = net.bank_ids()
-    sources: dict[str, dict[str, list[tuple[int, Fraction]]]] = {v: {} for v in order}
+    sources = {v: {} for v in order}
     for u in order:
         for j, pieces in enumerate(structure[u].pieces):
             for creditor, liability in pieces:
                 sources[creditor].setdefault(u, []).append((j, liability))
-    system = _CounterSystem(order=order, w={}, c={}, floor={}, cap={}, sources=sources)
+    system = _CounterSystem(order, {}, {}, {}, {}, sources)
     _refresh_rows(system, net, structure, counters, order)
     return system
 
@@ -178,10 +198,11 @@ def _lower(system, net, structure, counters, banks, assets=None) -> None:
     paid in proportion).
 
     With ``assets`` each bank jumps straight to the class its assets reach,
-    ``bisect_right(grid, a_v) - 1``; without, it drops by one. The jump keeps
-    the counters at or above the classes ``r*`` of the maximal state ``x*``.
-    Let ``r >= r*``, let ``t`` solve the round's system and ``D = {t < x*}``.
-    Then ``d = x* - t`` satisfies ``d_D <= W_DD d_D``. Every column of ``W``
+    ``bisect_right(grid, a_v) - 1`` (the grid is integers over ``den``, so
+    ``floor(a_v * den)`` stands for ``a_v``); without, it drops by one. The
+    jump keeps the counters at or above the classes ``r*`` of the maximal
+    state ``x*``. Let ``r >= r*``, let ``t`` solve the round's system and
+    ``D = {t < x*}``. Then ``d = x* - t`` satisfies ``d_D <= W_DD d_D``. Every column of ``W``
     sums to at most 1 (column ``u`` adds up the shares of ``u``'s current
     class, each scaled by a haircut of at most 1), so summing over ``D``
     makes every one of these inequalities tight: ``D`` keeps all of its
@@ -193,7 +214,11 @@ def _lower(system, net, structure, counters, banks, assets=None) -> None:
     for v in banks:
         classes = structure[v]
         old = counters[v]
-        new = old - 1 if assets is None else bisect_right(classes.grid, assets[v]) - 1
+        if assets is None:
+            new = old - 1
+        else:
+            an, ad = assets[v]
+            new = bisect_right(classes.grid, an * classes.den // ad) - 1
         counters[v] = new
         for pieces in classes.pieces[new : old + 1]:
             touched.update(creditor for creditor, _ in pieces)
@@ -225,48 +250,61 @@ def _blocks_in_order(system: _CounterSystem) -> list[list[str]]:
 
 
 def _flow_rows(system, members, t):
-    """Sparse rows and right-hand side of the flow equalities
+    """Integer rows and right-hand side of the flow equalities
     ``(I - W_BB) t_B = c_B + W_B,rest t_rest`` on the block ``members``, with
-    the inputs outside the block taken from ``t``."""
+    the inputs outside the block taken from ``t``; each row and its
+    right-hand side are scaled by the lcm of their denominators."""
     idx = {v: i for i, v in enumerate(members)}
     rows = []
     rhs = []
     for i, v in enumerate(members):
-        row = [(i, ONE)]
-        acc = system.c[v]
-        for u, coeff in system.w[v].items():
-            if u in idx:
-                if coeff:
-                    row.append((idx[u], -coeff))
-            else:
-                acc += coeff * t[u]
-        rows.append(row)
-        rhs.append(acc)
+        gn, gd = _assets(system, t, v, idx)
+        inner = [(idx[u], wn, wd) for u, (wn, wd) in system.w[v].items() if u in idx]
+        den = lcm(gd, *(wd for _, _, wd in inner))
+        rows.append([(i, den)] + [(j, -wn * (den // wd)) for j, wn, wd in inner])
+        rhs.append(gn * (den // gd))
     return rows, rhs
 
 
-def _assets(system: _CounterSystem, t, v: str) -> Fraction:
-    """The affine asset map ``a_v = c_v + sum_u w_vu t_u``."""
-    acc = system.c[v]
-    for u, coeff in system.w[v].items():
-        acc += coeff * t[u]
-    return acc
+def _assets(system: _CounterSystem, t, v: str, block=()) -> tuple[int, int]:
+    """The affine asset map ``a_v = c_v + sum_u w_vu t_u`` over the inputs
+    ``u`` outside ``block``: the terms are summed over the product of their
+    denominators, and the pair is reduced once."""
+    an, ad = system.c[v]
+    for u, (wn, wd) in system.w[v].items():
+        if u not in block:
+            tn, td = t[u]
+            an, ad = an * wd * td + wn * tn * ad, ad * wd * td
+    g = gcd(an, ad)
+    return an // g, ad // g
 
 
-def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
+def _solve_block_least(system, block, t) -> tuple[dict, bool]:
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced. Returns
     the members' assets, and whether the block's flow equalities have just
     this solution: true for one bank and for a nonsingular solve of all the
     members, false when some member was never promoted. Raises
     ``_Insatiable`` when the flow equalities of all the members are
-    singular."""
+    singular.
+
+    No bank has a claim on itself, so the one bank of a one-bank block
+    reads only inputs.
+
+    A singular solve of all the members means the block cannot absorb its
+    injection. Every column of W_BB sums to at most 1, so the block holds a
+    closed circulation C (every column of W_CC sums to 1, so t_C feeds
+    nothing outside C), and every flow set holding all of C is singular:
+    this promotion took a member of C at a > t. The promoted members have
+    a = t, so the sum of a - t over C, which does not read t_C, is
+    positive; the other inputs of C only rise in a solve, while the summed
+    C-equations ask for that sum to be 0."""
     members = sorted(block)
     if len(members) == 1:
-        # No bank has a claim on itself, so a_v does not read t_v.
         v = members[0]
         assets = _assets(system, t, v)
-        t[v] = max(system.floor[v], assets)
+        fn, fd = floor = system.floor[v]
+        t[v] = assets if assets[0] * fd > fn * assets[1] else floor
         return {v: assets}, True
     flow: set[str] = set()
     for v in members:
@@ -274,7 +312,7 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
 
     while True:
         assets = {v: _assets(system, t, v) for v in members if v not in flow}
-        promote = [v for v, a in assets.items() if a > t[v]]
+        promote = [v for v, (an, ad) in assets.items() if an * t[v][1] > t[v][0] * ad]
         if not promote:
             # the flow equalities hold on the promoted members: a = t there
             assets.update((v, t[v]) for v in flow)
@@ -284,17 +322,8 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
         solution = solve_linear_system(*_flow_rows(system, f, t))
         if solution is not None:
             numerators, den = solution
-            for v, x in zip(f, numerators):
-                t[v] = Fraction(x, den)
+            t.update((v, (x, den)) for v, x in zip(f, numerators))
             continue
-        # Singular on all the members. Every column of W_BB sums to at most
-        # 1, so the block holds a closed circulation C (every column of
-        # W_CC sums to 1, so t_C feeds nothing outside C), and every flow
-        # set holding all of C is singular: this promotion took a member of
-        # C at a > t. The promoted members have a = t, so the sum of a - t
-        # over C, which does not read t_C, is positive; the other inputs of
-        # C only rise in a solve, while the summed C-equations ask for that
-        # sum to be 0. So the block cannot absorb its injection here.
         if len(f) != len(members):
             raise errors.InternalInvariantError(
                 "singular flow system on a strict sub-block"
@@ -304,23 +333,25 @@ def _solve_block_least(system, block, t) -> tuple[dict[str, Fraction], bool]:
 
 def _solve_singular_line(system, members, t):
     """Particular solution and positive null direction of
-    (I - W_BB) x = g on a closed block; (None, None) when inconsistent."""
+    (I - W_BB) x = g on a closed block, as ``Fraction``s; (None, None) when
+    inconsistent.
+
+    The null direction d = W_BB d is the left Perron vector of W_BB^T, and
+    the rows of I - W_BB are the columns of I - W_BB^T. The particular
+    solution pins the first coordinate to its floor in place of the first
+    equation; the dropped equation is then tested by substitution."""
     rows, g = _flow_rows(system, members, t)
-    # The null direction d = W_BB d is the left Perron vector of W_BB^T, and
-    # the rows of I - W_BB are the columns of I - W_BB^T.
     try:
         direction = unit_left_nullspace(rows)
     except errors.DegenerateMatrixError:
         raise errors.InternalInvariantError("closed block without Perron direction")
-    # Particular solution: pin the first coordinate to its floor in place of
-    # the first equation, then test the dropped equation by substitution.
-    pinned = [[(0, ONE)]] + rows[1:]
-    solution = solve_linear_system(pinned, [system.floor[members[0]]] + g[1:])
+    fn, fd = system.floor[members[0]]
+    solution = solve_linear_system([[(0, fd)]] + rows[1:], [fn] + g[1:])
     if solution is None:
         return None, None
     numerators, den = solution
     particular = [Fraction(x, den) for x in numerators]
-    if sum((x * particular[j] for j, x in rows[0]), ZERO) != g[0]:
+    if sum(x * particular[j] for j, x in rows[0]) != g[0]:
         return None, None
     return particular, direction
 
@@ -336,8 +367,7 @@ def _solve_block_greatest(system, block, t):
     solution = solve_linear_system(*_flow_rows(system, members, t))
     if solution is not None:
         numerators, den = solution
-        for v, x in zip(members, numerators):
-            t[v] = Fraction(x, den)
+        t.update((v, (x, den)) for v, x in zip(members, numerators))
         return
     particular, direction = _solve_singular_line(system, members, t)
     if particular is None:
@@ -345,7 +375,7 @@ def _solve_block_greatest(system, block, t):
             "inconsistent circulation block at the final counters"
         )
     rooms = [
-        (system.cap[v] - particular[i]) / direction[i]
+        (Fraction(*system.cap[v]) - particular[i]) / direction[i]
         for i, v in enumerate(members)
         if system.cap[v] is not None
     ]
@@ -353,7 +383,7 @@ def _solve_block_greatest(system, block, t):
         raise errors.InternalInvariantError("closed block without any cap")
     gamma = min(rooms)
     for i, v in enumerate(members):
-        t[v] = particular[i] + gamma * direction[i]
+        t[v] = (particular[i] + gamma * direction[i]).as_integer_ratio()
 
 
 def _solve_counters(system: _CounterSystem):
@@ -363,9 +393,7 @@ def _solve_counters(system: _CounterSystem):
     may). Raises ``_Insatiable`` when a closed block cannot absorb its
     injection.
     """
-    t: dict[str, Fraction] = {}
-    a: dict[str, Fraction] = {}
-    open_blocks = []
+    t, a, open_blocks = {}, {}, []
     for block in _blocks_in_order(system):
         assets, unique = _solve_block_least(system, block, t)
         a.update(assets)
@@ -400,14 +428,14 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
                 )
             a = None  # an insatiable round lowers by one
         else:
-            lowered = sorted(v for v in system.order if a[v] < t[v])
+            lowered = sorted(v for v in t if a[v][0] * t[v][1] < t[v][0] * a[v][1])
             if not lowered:
                 # a = t everywhere, so t solves every block's flow equalities;
                 # the asset-maximal solution differs only where they may have
                 # more than one, so re-solve from the first such block on
                 for block in open_blocks:
                     _solve_block_greatest(system, block, t)
-                state = ClearingState(t)
+                state = ClearingState({v: Fraction(*x) for v, x in t.items()})
                 if not is_clearing_state(net, state).ok:
                     raise errors.InternalInvariantError(
                         "counter descent settled on a non-clearing state"

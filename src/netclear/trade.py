@@ -40,7 +40,7 @@ def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:
     claim = net.claim(debtor, creditor)
     net.bank(buyer)
     if buyer in (debtor, creditor):
-        raise ValueError("the buyer must differ from both claim endpoints")
+        raise errors.TradeError("the buyer must differ from both claim endpoints")
     if net.has_claim(debtor, buyer):
         raise errors.DuplicateEdgeAfterTradeError(debtor, buyer)
     return claim
@@ -56,7 +56,7 @@ def apply_trade(
     claim = _check_trade_shape(net, claim_pair, buyer)
     debtor, creditor = claim_pair
     if rho < 0:
-        raise ValueError("the return must be non-negative")
+        raise errors.TradeError("the return must be non-negative")
     cap = min(net.bank(buyer).external_assets, claim.liability)
     if rho > cap:
         raise errors.ReturnExceedsCapError(rho, cap)

@@ -10,6 +10,8 @@ from netclear.io import FORMAT_VERSION
 from netclear.rationals import exact_str
 
 SCHEME_KINDS = ("proportional", "edge_ranking", "priority_proportional")
+# every scheme, piecewise ones too (``piecewise_scheme``)
+ALL_SCHEME_KINDS = SCHEME_KINDS + ("piecewise",)
 # haircut rates that include 0, so that some banks have alpha = beta = 0
 ZERO_RATE_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -24,7 +26,13 @@ def random_network(
     alphas=(Fraction(1, 2), Fraction(3, 4), Fraction(1)),
     edge_prob: float | None = None,
     min_banks: int = 2,
+    liability_dens=None,
 ) -> FinancialNetwork:
+    """A random network. ``liability_dens`` (default: integer liabilities)
+    divides each liability by a denominator drawn from it; a ``schemes``
+    kind ``"piecewise"`` draws a ``piecewise_scheme``. Neither draws from
+    ``rng`` unless asked for, so the networks of existing seeds stay as they
+    were."""
     n = rng.randint(min_banks, max_banks)
     ids = [f"b{i}" for i in range(n)]
     prob = edge_prob if edge_prob is not None else min(0.9, 2.5 / max(n - 1, 1))
@@ -36,6 +44,8 @@ def random_network(
             if debtor == creditor or rng.random() >= prob:
                 continue
             liability = rng.randint(1, max_liability)
+            if liability_dens is not None:
+                liability = Fraction(liability, rng.choice(liability_dens))
             claims.append((debtor, creditor, liability))
             out_by_bank[debtor].append(creditor)
 
@@ -51,12 +61,16 @@ def random_network(
         else:
             banks.append((v, ext))
 
+    liabilities = {(d, c): x for d, c, x in claims}
     scheme_map = {}
     for v, creditors in out_by_bank.items():
         if len(creditors) < 2:
             continue
         kind = rng.choice(schemes)
-        if kind == "edge_ranking":
+        if kind == "piecewise":
+            owed = {c: Fraction(liabilities[(v, c)]) for c in creditors}
+            scheme_map[v] = piecewise_scheme(rng, owed)
+        elif kind == "edge_ranking":
             order = creditors[:]
             rng.shuffle(order)
             scheme_map[v] = {"type": "edge_ranking", "order": order}
@@ -70,6 +84,48 @@ def random_network(
                 classes[-1].append(creditor)
             scheme_map[v] = {"type": "priority_proportional", "classes": classes}
     return build_network(banks, claims, scheme_map)
+
+
+def piecewise_scheme(rng: random.Random, owed: dict[str, Fraction]) -> dict:
+    """A random valid piecewise scheme paying the creditors ``owed``.
+
+    The merged grid holds random cut points and the borders of the creditors
+    ranked in a random order. On each segment the unit slope is split as a
+    ``lam : 1 - lam`` mix of the proportional shares ``L_c / L`` and the
+    ranked creditor's full slope, so each creditor's slopes add up to its
+    liability and the slopes of a segment to 1. A creditor keeps only the
+    borders where its own slope changes, so the creditors' border tuples
+    differ, and slopes like ``L_c / L`` times ``lam`` leave pieces whose
+    denominators the grid's does not hold."""
+    total = sum(owed.values())
+    order = list(owed)
+    rng.shuffle(order)
+    ranked, upper = [], Fraction(0)
+    for c in order:
+        ranked.append((upper, upper + owed[c], c))
+        upper += owed[c]
+    cuts = {total * Fraction(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 3))}
+    grid = sorted({Fraction(0), total} | cuts | {hi for _, hi, _ in ranked})
+    lam = rng.choice((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)))
+    edges = []
+    for c in owed:
+        borders, slopes = [Fraction(0)], []
+        for x, y in zip(grid, grid[1:]):
+            owner = next(k for lo, hi, k in ranked if lo <= x < hi)
+            slope = lam * owed[c] / total + (1 - lam) * (owner == c)
+            if slopes and slopes[-1] == slope:
+                borders[-1] = y
+            else:
+                borders.append(y)
+                slopes.append(slope)
+        edges.append(
+            {
+                "creditor": c,
+                "borders": [exact_str(x) for x in borders],
+                "slopes": [exact_str(m) for m in slopes],
+            }
+        )
+    return {"type": model.PIECEWISE, "edges": edges}
 
 
 def random_state_in_box(rng: random.Random, net: FinancialNetwork) -> dict[str, Fraction]:

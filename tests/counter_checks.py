@@ -5,7 +5,8 @@ rounds.
 ``priority._solve_counters``:
 
 - after each lowering the held system must equal a fresh ``_counter_system``
-  build at the new counters, in ``w``, ``c``, ``floor`` and ``cap``;
+  build at the new counters, in the values of ``w``, ``c``, ``floor`` and
+  ``cap`` (read as ``Fraction``s by ``oracles.normalized_rows``);
 - rounds that end in an insatiable block are counted.
 
 ``record_rounds`` wraps ``priority._lower`` to keep every regular round's
@@ -25,13 +26,14 @@ from bisect import bisect_right
 
 from netclear import priority
 
+from oracles import as_fraction, normalized_rows
+
 
 def assert_fresh(system, net, structure, counters) -> None:
-    fresh = priority._counter_system(net, structure, counters)
-    assert system.w == fresh.w, "stale w after a lowering"
-    assert system.c == fresh.c, "stale c after a lowering"
-    assert system.floor == fresh.floor, "stale floor after a lowering"
-    assert system.cap == fresh.cap, "stale cap after a lowering"
+    held = normalized_rows(system)
+    fresh = normalized_rows(priority._counter_system(net, structure, counters))
+    for name in ("w", "c", "floor", "cap"):
+        assert held[name] == fresh[name], f"stale {name} after a lowering"
 
 
 def check_counter_freshness(monkeypatch) -> dict:
@@ -72,7 +74,7 @@ def record_rounds(monkeypatch) -> list:
                 {
                     "structure": structure,
                     "lowered": list(banks),
-                    "assets": dict(assets),
+                    "assets": {v: as_fraction(a) for v, a in assets.items()},
                     "before": before,
                     "after": dict(counters),
                 }
@@ -94,7 +96,8 @@ def assert_jumps_sound(rounds, state) -> int:
             if entry["before"][v] - entry["after"][v] >= 2:
                 jumps += 1
         for v, r in entry["after"].items():
-            assert r >= bisect_right(structure[v].grid, state[v]) - 1, (
+            classes = structure[v]
+            assert r >= bisect_right(classes.grid, state[v] * classes.den) - 1, (
                 f"counter of {v} below the class of the maximal state"
             )
     return jumps

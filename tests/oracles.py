@@ -21,6 +21,13 @@ None of this runs in the product:
   ``clearing._inflow``, ``clearing.phi`` and ``axioms.check_payment_axioms``;
 - ``localcontext_decimal_str``: the display decimal computed in a fresh
   ``decimal.localcontext``, the oracle for ``rationals.decimal_str``;
+- ``fraction_priority_structure``, ``fraction_counter_rows`` and
+  ``fraction_assets``: the class decomposition, the counter system's rows and
+  its affine asset map in plain ``Fraction`` arithmetic, the oracles for the
+  integer ``priority.priority_structure``, ``priority._refresh_rows`` and
+  ``priority._assets``; ``as_fraction`` and ``normalized_rows`` read the
+  integer ``(numerator, denominator)`` pairs of the counter system as
+  ``Fraction``s;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
   feasibility test that the block solver is cross-checked against;
@@ -47,11 +54,12 @@ from fractions import Fraction
 
 from netclear import errors
 from netclear.clearing import _inflow
+from netclear.axioms import merged_slopes
 from netclear.errors import DegenerateMatrixError, Violation
 from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
 from netclear.minimal import compute_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
-from netclear.priority import BankClasses, _counter_system, priority_structure
+from netclear.priority import BankClasses, _counter_system
 from netclear.rationals import ONE, ZERO
 from netclear.trade import optimal_creditor_positive_return
 
@@ -520,6 +528,98 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     return SimplexResult("optimal", objective_value, solution)
 
 
+def fraction_priority_structure(net: FinancialNetwork) -> dict:
+    """Each bank's merged grid and class pieces, ``{v: (grid, pieces)}``, with
+    every piece liability a ``Fraction`` product of slope and width."""
+    structure = {}
+    for v in net.bank_ids():
+        out = net.out_claims(v)
+        if not out or net.total_out(v) == 0:
+            structure[v] = ((ZERO,), ())
+            continue
+        grid, slopes = merged_slopes(out)
+        pieces = []
+        for j in range(len(grid) - 1):
+            width = grid[j + 1] - grid[j]
+            pieces.append(
+                tuple(
+                    (claim.creditor, row[j] * width)
+                    for claim, row in zip(out, slopes)
+                    if row[j] > 0
+                )
+            )
+        structure[v] = (tuple(grid), tuple(pieces))
+    return structure
+
+
+def fraction_counter_rows(net: FinancialNetwork, structure: dict, counters) -> dict:
+    """The counter system's rows at ``counters`` for a ``{v: (grid, pieces)}``
+    structure, in the form ``normalized_rows`` gives: a bank's debtors pay
+    their classes below their counters in full and their counter class in
+    proportion, and a bank below its top class scales what it receives by
+    beta and its external assets by alpha."""
+    sources: dict[str, dict[str, list]] = {v: {} for v in net.bank_ids()}
+    for u in net.bank_ids():
+        for j, pieces in enumerate(structure[u][1]):
+            for creditor, liability in pieces:
+                sources[creditor].setdefault(u, []).append((j, liability))
+    rows: dict[str, dict] = {"w": {}, "c": {}, "floor": {}, "cap": {}}
+    for v in net.bank_ids():
+        bank = net.bank(v)
+        grid, pieces = structure[v]
+        r = counters[v]
+        solvent = r == len(pieces)
+        rows["floor"][v] = grid[r]
+        rows["cap"][v] = None if solvent else grid[r + 1]
+        row = {}
+        paid = ZERO
+        for u, own in sources[v].items():
+            ru = counters[u]
+            debtor_grid = structure[u][0]
+            for j, liability in own:
+                if j < ru:
+                    paid += liability
+                    continue
+                if j == ru:
+                    share = liability / (debtor_grid[ru + 1] - debtor_grid[ru])
+                    row[u] = share
+                    paid -= share * debtor_grid[ru]
+                break
+        if solvent:
+            rows["w"][v] = row
+            rows["c"][v] = bank.external_assets + paid
+        else:
+            rows["w"][v] = {u: bank.beta * share for u, share in row.items()}
+            rows["c"][v] = bank.alpha * bank.external_assets + bank.beta * paid
+    return rows
+
+
+def fraction_assets(row: dict, constant: Fraction, t) -> Fraction:
+    """The affine asset map ``c_v + sum_u w_vu t_u``, accumulated with
+    ``+=``."""
+    acc = constant
+    for u, coeff in row.items():
+        acc += coeff * t[u]
+    return acc
+
+
+def as_fraction(value):
+    """A counter-system pair ``(numerator, denominator)`` as a ``Fraction``;
+    None stays None."""
+    return None if value is None else Fraction(*value)
+
+
+def normalized_rows(system) -> dict:
+    """The rows of a ``priority._CounterSystem`` as ``Fraction``s:
+    ``{"w": {v: {u: w_vu}}, "c": {v: c_v}, "floor": ..., "cap": ...}``."""
+    return {
+        "w": {v: {u: as_fraction(x) for u, x in row.items()} for v, row in system.w.items()},
+        "c": {v: as_fraction(x) for v, x in system.c.items()},
+        "floor": {v: as_fraction(x) for v, x in system.floor.items()},
+        "cap": {v: as_fraction(x) for v, x in system.cap.items()},
+    }
+
+
 def build_counter_lp(
     net: FinancialNetwork, structure: dict[str, BankClasses], counters: dict[str, int]
 ) -> tuple[LinearProgram, tuple[str, ...]]:
@@ -528,6 +628,7 @@ def build_counter_lp(
     objective is the total offset sum."""
     system = _counter_system(net, structure, counters)
     order = system.order
+    rows = normalized_rows(system)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
     constraints = []
@@ -535,15 +636,15 @@ def build_counter_lp(
     for v in order:
         row = [ZERO] * n
         row[idx[v]] = ONE
-        for u, coeff in system.w[v].items():
+        for u, coeff in rows["w"][v].items():
             row[idx[u]] -= coeff
         # d_v = t_v - a_v = t_v - (W t)_v - c_v >= 0
-        constraints.append(Constraint(tuple(row), GREATER_EQUAL, system.c[v]))
+        constraints.append(Constraint(tuple(row), GREATER_EQUAL, rows["c"][v]))
         for j, coeff in enumerate(row):
             objective[j] += coeff
         floor_row = [ZERO] * n
         floor_row[idx[v]] = ONE
-        constraints.append(Constraint(tuple(floor_row), GREATER_EQUAL, system.floor[v]))
+        constraints.append(Constraint(tuple(floor_row), GREATER_EQUAL, rows["floor"][v]))
     return (
         LinearProgram(
             objective=tuple(objective), constraints=tuple(constraints), maximize=False
@@ -570,7 +671,7 @@ def to_priority_proportional(
     debtor reaches the piece's class border, so payments are unchanged.
     Pieces with zero liability are dropped.
     """
-    structure = priority_structure(net)
+    structure = fraction_priority_structure(net)
     taken = set(net.bank_ids())
     banks: list[Bank] = [net.bank(v) for v in net.bank_ids()]
     claims: list[Claim] = []
@@ -580,11 +681,10 @@ def to_priority_proportional(
     }
 
     for v in net.bank_ids():
-        classes = structure[v]
-        grid = classes.grid
-        k = classes.class_count
+        grid, pieces = structure[v]
+        k = len(pieces)
         for j in range(k):
-            for creditor, liability in classes.pieces[j]:
+            for creditor, liability in pieces[j]:
                 relay_id = f"{v}~{creditor}~{j + 1}"
                 while relay_id in taken:
                     relay_id += "_"
@@ -592,7 +692,7 @@ def to_priority_proportional(
                 relays[relay_id] = (v, creditor, j + 1)
                 piece_edges[(v, creditor)][j + 1] = relay_id
                 slopes = [ZERO] * k
-                slopes[j] = liability / classes.class_total(j)
+                slopes[j] = liability / (grid[j + 1] - grid[j])
                 claims.append(
                     Claim(v, relay_id, liability, PaymentFunction(grid, tuple(slopes)))
                 )

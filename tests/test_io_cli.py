@@ -501,6 +501,32 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "internal error: KeyError('v')\n"
 
+    def test_engine_value_error_exit_3(self, example3_file, monkeypatch, capsys):
+        # a ValueError the engine raises is a fault, not an input error
+        def broken(net):
+            raise ValueError("need a square system")
+
+        monkeypatch.setattr(cli, "compute_max_clearing_pp", broken)
+        assert main(["max-clear", example3_file, "--method", "pp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: ValueError('need a square system')\n"
+
+    @pytest.mark.parametrize(
+        "rho, err",
+        [
+            ("abc", "not an exact number: 'abc'"),
+            ("1/0", "not an exact number: '1/0'"),
+            ("1e5000", "exact numbers are limited to 1000 digits"),
+        ],
+    )
+    def test_unreadable_return_exit_2(self, rho, err, two_cycle_file, capsys):
+        argv = ["trade", two_cycle_file, "--claim", "a", "b", "--buyer", "zz", "--return", rho]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_dump_document_stable(self):
         net = parse_network(io.StringIO(json.dumps(TWO_CYCLE)))
         doc = result_document("validate", net, None, extra={"b": 1, "a": {"z": 2, "y": 3}})

@@ -247,6 +247,12 @@ class TestRangeClearing:
         with pytest.raises(InvalidSpecError):
             solve_range_clearing(net, {"a": (1, 0)})
 
+    @pytest.mark.parametrize("lo, hi", [("abc", 1), (0, "1/0")])
+    def test_unreadable_bound_is_a_spec_error(self, lo, hi):
+        with pytest.raises(InvalidSpecError, match="not an exact number") as caught:
+            solve_range_clearing(two_cycle(), {"a": (lo, hi)})
+        assert isinstance(caught.value, ValueError)
+
     def test_rejects_default_cost(self):
         net = build_network(
             banks=[("a", 1, "1/2", 1), ("b", 0)], claims=[("a", "b", 1)]

@@ -153,7 +153,7 @@ class TestRecordContract:
     def test_with_values_skips_the_running_sum(self):
         # values the running sum would not give are kept as they are given,
         # and take no part in equality
-        fn = PaymentFunction._with_values((F(0), F(2)), (F(1),), (F(0), F(5)))
+        fn = PaymentFunction._with_values((F(0), F(2)), (F(1),), (F(0), F(5)), (0, 2), 1)
         assert fn._values == (F(0), F(5))
         assert fn.final_value == 5
         assert PaymentFunction((F(0), F(2)), (F(1),))._values == (F(0), F(2))
@@ -237,6 +237,31 @@ class TestValueAtAgainstFraction:
         fn = make_proportional({"a": F(3), "b": F(5, 7)})["b"]
         for a in (-2, 0, 1, 3, 100):
             assert fn.value_at(a) == fraction_value_at(fn, F(a))
+
+    def test_mixed_denominators_at_and_around_borders(self):
+        """Borders over several denominators, and arguments at each border
+        and a hair below and above it, closer than one step of the borders'
+        common denominator: the integer bisect must pick the same segment as
+        the ``Fraction`` one."""
+        rng = random.Random(3141)
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            borders = [F(0)]
+            for _ in range(k):
+                step = F(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 12, 97)))
+                borders.append(borders[-1] + step)
+            slopes = [
+                F(0) if rng.random() < 0.2 else F(rng.randint(1, 30), rng.randint(1, 25))
+                for _ in range(k)
+            ]
+            fn = PaymentFunction(tuple(borders), tuple(slopes))
+            den = lcm(*(x.denominator for x in borders))
+            for b in borders:
+                for eps in (F(0), F(1, 10**9), F(1, 3 * den), F(1, den)):
+                    for a in (b - eps, b + eps):
+                        got = fn.value_at(a)
+                        assert type(got) is F
+                        assert got == fraction_value_at(fn, a), (fn, a)
 
     def test_random_functions(self):
         rng = random.Random(2718)

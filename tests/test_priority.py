@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -26,14 +27,23 @@ from netclear.priority import (
     _solve_singular_line,
 )
 
-from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
+from corpus import ALL_SCHEME_KINDS, ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
 from counter_checks import (
     assert_jumps_sound,
     check_counter_freshness,
     record_least_exits,
     record_rounds,
 )
-from oracles import build_counter_lp, simplex_solve, to_priority_proportional
+from oracles import (
+    as_fraction,
+    build_counter_lp,
+    fraction_assets,
+    fraction_counter_rows,
+    fraction_priority_structure,
+    normalized_rows,
+    simplex_solve,
+    to_priority_proportional,
+)
 
 
 def figure1_ranked():
@@ -47,6 +57,7 @@ def figure1_ranked():
 class TestPriorityStructure:
     def test_ranked_classes(self):
         structure = priority_structure(figure1_ranked())["v"]
+        assert structure.den == 1
         assert structure.grid == (F(0), F(20), F(100))
         assert structure.pieces[0] == (("w", F(20)),)
         assert structure.pieces[1] == (("u", F(80)),)
@@ -66,13 +77,14 @@ class TestPriorityStructure:
             net = random_network(rng)
             structure = priority_structure(net)
             for claim in net.claims:
+                classes = structure[claim.debtor]
                 pieces = sum(
                     amount
-                    for class_pieces in structure[claim.debtor].pieces
+                    for class_pieces in classes.pieces
                     for creditor, amount in class_pieces
                     if creditor == claim.creditor
                 )
-                assert pieces == claim.liability
+                assert F(pieces, classes.den) == claim.liability
 
 
 class TestTransform:
@@ -182,10 +194,33 @@ class TestCounterDescent:
         assert rewired >= 5
 
 
+def pair(x):
+    """``x`` as the counter system holds it: an integer (numerator,
+    denominator) pair, None staying None."""
+    return None if x is None else x.as_integer_ratio()
+
+
+def counter_system(order, w, c, floor, cap):
+    """A ``_CounterSystem`` from ``Fraction`` rows, without sources."""
+    return _CounterSystem(
+        order=order,
+        w={v: {u: pair(x) for u, x in row.items()} for v, row in w.items()},
+        c={v: pair(x) for v, x in c.items()},
+        floor={v: pair(x) for v, x in floor.items()},
+        cap={v: pair(x) for v, x in cap.items()},
+        sources={},
+    )
+
+
+def fractions(values):
+    """A map of counter-system pairs as ``Fraction``s."""
+    return {v: as_fraction(x) for v, x in values.items()}
+
+
 def closed_block(c=F(0)):
     """One closed circulation block: t = W t has the Perron line
     (1, 2, 3) * s, and the injection ``c`` enters at b0."""
-    return _CounterSystem(
+    return counter_system(
         order=("b0", "b1", "b2"),
         w={
             "b0": {"b1": F(1, 2)},
@@ -195,7 +230,6 @@ def closed_block(c=F(0)):
         c={"b0": c, "b1": F(0), "b2": F(0)},
         floor={"b0": F(1), "b1": F(5), "b2": F(2)},
         cap={"b0": F(7), "b1": None, "b2": F(30)},
-        sources={},
     )
 
 
@@ -216,16 +250,16 @@ class TestClosedBlock:
     def test_least_and_greatest_points(self):
         t = {}
         _solve_block_least(closed_block(), {"b0", "b1", "b2"}, t)
-        assert t == {"b0": F(5, 2), "b1": F(5), "b2": F(15, 2)}
+        assert fractions(t) == {"b0": F(5, 2), "b1": F(5), "b2": F(15, 2)}
         t = {}
         _solve_block_greatest(closed_block(), {"b0", "b1", "b2"}, t)
-        assert t == {"b0": F(7), "b1": F(14), "b2": F(21)}
+        assert fractions(t) == {"b0": F(7), "b1": F(14), "b2": F(21)}
 
     def test_greatest_point_when_the_last_step_scales(self):
         """A closed block whose last elimination step scales its row by a
         factor other than 1 before the row cancels: the solver still
         reports it singular, and the greatest solve takes the line."""
-        system = _CounterSystem(
+        system = counter_system(
             order=("b0", "b1", "b2"),
             w={
                 "b0": {"b1": F(1, 4)},
@@ -235,11 +269,10 @@ class TestClosedBlock:
             c={"b0": F(0), "b1": F(0), "b2": F(0)},
             floor={"b0": F(1), "b1": F(0), "b2": F(0)},
             cap={"b0": F(7), "b1": None, "b2": None},
-            sources={},
         )
         t = {}
         _solve_block_greatest(system, {"b0", "b1", "b2"}, t)
-        assert t == {"b0": F(7), "b1": F(28), "b2": F(14)}
+        assert fractions(t) == {"b0": F(7), "b1": F(28), "b2": F(14)}
 
     def test_injection_is_insatiable(self):
         system = closed_block(c=F(1))
@@ -269,21 +302,21 @@ class TestClosedBlock:
             raise AssertionError("linear solve on a one-bank block")
 
         monkeypatch.setattr(priority, "solve_linear_system", no_solve)
-        system = _CounterSystem(
+        system = counter_system(
             order=("s", "x"),
             w={"s": {"x": F(1, 2)}, "x": {}},
             c={"s": F(1), "x": F(4)},
             floor={"s": F(2), "x": F(0)},
             cap={"s": F(5), "x": None},
-            sources={},
         )
         for x, least, greatest in ((F(4), F(3), F(3)), (F(1), F(2), F(3, 2))):
-            t = {"x": x}
-            assert _solve_block_least(system, {"s"}, t) == ({"s": F(1) + x / 2}, True)
-            assert t["s"] == least
-            t = {"x": x}
+            t = {"x": pair(x)}
+            assets, unique = _solve_block_least(system, {"s"}, t)
+            assert (fractions(assets), unique) == ({"s": F(1) + x / 2}, True)
+            assert as_fraction(t["s"]) == least
+            t = {"x": pair(x)}
             _solve_block_greatest(system, {"s"}, t)
-            assert t["s"] == greatest
+            assert as_fraction(t["s"]) == greatest
 
 
 def walk_counters(net, rng):
@@ -437,12 +470,13 @@ class TestJump:
 
         system = build(net, structure, start)
         t, a, open_blocks = _solve_counters(system)
+        t, a, c = fractions(t), fractions(a), fractions(system.c)
         assert (t["a"], t["b"]) == (F(2), F(2)) == (a["a"], a["b"])
         assert ["a", "b"] in open_blocks
         lp, order = build_counter_lp(net, structure, start)
         result = simplex_solve(lp)
         assert result.status == "optimal"
-        assert result.objective == sum((t[v] - a[v] + system.c[v] for v in order), F(0))
+        assert result.objective == sum((t[v] - a[v] + c[v] for v in order), F(0))
 
         monkeypatch.setattr(priority, "_counter_system", start_there)
         check_counter_freshness(monkeypatch)
@@ -463,6 +497,71 @@ class TestJump:
         assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
 
 
+class TestIntegerRows:
+    """The counter system holds integer pairs; read as ``Fraction``s its rows
+    must equal the ``Fraction`` reference after the first build and after
+    every lowering, and each round's assets the reference asset map at the
+    round's ``t``. The networks have rational liabilities, so debtors'
+    denominators are not 1, haircuts, and piecewise schemes whose pieces
+    need a denominator beyond their grid's."""
+
+    def test_rows_and_assets_match_the_fraction_reference(self, monkeypatch):
+        refresh, solve = priority._refresh_rows, priority._solve_counters
+        counts = {"refreshes": 0, "rounds": 0, "scaled": 0, "beta_rows": 0, "wide": 0}
+        current = {}
+
+        def checked_refresh(system, net, structure, counters, banks):
+            refresh(system, net, structure, counters, banks)
+            held = normalized_rows(system)
+            reference = fraction_counter_rows(net, current["structure"], counters)
+            for name in ("w", "c", "floor", "cap"):
+                assert held[name] == reference[name], name
+            counts["refreshes"] += 1
+            for v in banks:
+                bank = net.bank(v)
+                if held["cap"][v] is not None and bank.beta != 1 and held["w"][v]:
+                    counts["beta_rows"] += 1
+
+        def checked_solve(system):
+            t, a, open_blocks = solve(system)
+            rows = normalized_rows(system)
+            values = {v: as_fraction(x) for v, x in t.items()}
+            for v in system.order:
+                expected = fraction_assets(rows["w"][v], rows["c"][v], values)
+                assert as_fraction(a[v]) == expected, v
+            counts["rounds"] += 1
+            return t, a, open_blocks
+
+        monkeypatch.setattr(priority, "_refresh_rows", checked_refresh)
+        monkeypatch.setattr(priority, "_solve_counters", checked_solve)
+        rng = random.Random(2222)
+        for _ in range(120):
+            net = random_network(
+                rng,
+                min_banks=4,
+                max_banks=9,
+                max_external=3,
+                edge_prob=0.45,
+                default_cost=rng.random() < 0.75,
+                schemes=ALL_SCHEME_KINDS,
+                liability_dens=(1, 2, 3, 7),
+            )
+            structure = priority_structure(net)
+            current["structure"] = reference = fraction_priority_structure(net)
+            for v, classes in structure.items():
+                grid, pieces = reference[v]
+                assert tuple(F(x, classes.den) for x in classes.grid) == grid
+                assert tuple(
+                    tuple((c, F(x, classes.den)) for c, x in entries) for entries in classes.pieces
+                ) == pieces
+                counts["scaled"] += classes.den > 1
+                counts["wide"] += classes.den > lcm(*(x.denominator for x in grid))
+            state = compute_max_clearing_pp(net)
+            assert is_clearing_state(net, state).ok
+        assert counts["refreshes"] >= 300 and counts["rounds"] >= 300
+        assert counts["scaled"] >= 200 and counts["wide"] >= 20 and counts["beta_rows"] >= 100
+
+
 class TestAgainstSimplex:
     def test_block_solver_matches_lp_optimum(self):
         """The descent's least-offset solve must agree with the literal LP."""
@@ -481,11 +580,11 @@ class TestAgainstSimplex:
                 t, a, _ = _solve_counters(system)
             except Exception:
                 continue  # insatiable interior states are exercised elsewhere
-            d = {v: t[v] - a[v] for v in t}
+            d = {v: as_fraction(t[v]) - as_fraction(a[v]) for v in t}
             lp, order = build_counter_lp(net, structure, counters)
             result = simplex_solve(lp)
             assert result.status == "optimal"
-            constant = sum((system.c[v] for v in order), F(0))
+            constant = sum((as_fraction(system.c[v]) for v in order), F(0))
             my_offset_total = sum((d[v] for v in order), F(0))
             # the LP minimizes sum((I - W) t) = sum(d) + sum(c)
             assert result.objective == my_offset_total + constant

@@ -152,3 +152,20 @@ def test_io_imports_no_solver():
             imported.update([node.module] if node.module else (a.name for a in node.names))
     solvers = {"lattice", "minimal", "graphs", "linalg", "priority", "trade"}
     assert sorted(imported & solvers) == []
+
+
+def test_package_reexports_resolve():
+    # ``__init__`` has no ``__all__``: its public names are those of its
+    # ``from .x import ...`` lines, read from the source so that a lazy
+    # ``__init__`` is held to the same names.
+    tree = ast.parse((ROOT / "src" / "netclear" / "__init__.py").read_text())
+    exported = [
+        (node.module, alias.name, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(exported) >= 40
+    for module, name, public in exported:
+        source = importlib.import_module(f"netclear.{module}")
+        assert getattr(netclear, public) is getattr(source, name), public

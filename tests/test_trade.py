@@ -16,6 +16,7 @@ from netclear.errors import (
     DuplicateEdgeAfterTradeError,
     NoCreditorPositiveTradeError,
     ReturnExceedsCapError,
+    TradeError,
 )
 
 from corpus import random_network
@@ -61,6 +62,21 @@ class TestApplyTrade:
         net = trade_fixture()
         with pytest.raises(ReturnExceedsCapError):
             apply_trade(net, ("u", "v"), "w", F(3))
+
+    @pytest.mark.parametrize(
+        "buyer, rho, message",
+        [
+            ("u", F(1), "buyer must differ"),
+            ("v", F(1), "buyer must differ"),
+            ("w", F(-1), "non-negative"),
+        ],
+    )
+    def test_shape_and_sign_are_trade_errors(self, buyer, rho, message):
+        # trade errors, so the CLI reads them as input errors; still
+        # ValueErrors for library callers
+        with pytest.raises(TradeError, match=message) as caught:
+            apply_trade(trade_fixture(), ("u", "v"), buyer, rho)
+        assert isinstance(caught.value, ValueError)
 
     def test_duplicate_edge_rejected(self):
         net = build_network(
