@@ -1,32 +1,53 @@
 """The payment axioms of a bank's out-claims, checked at the end of
-validation, and the merged border grid the counter descent also reads.
+validation, and each debtor's integer class grid, which the check builds and
+the counter descent reads.
 
-The borders of each distinct tuple of a bank are checked once, and slope
-sums are exact integer sums (``rationals.sum_ratio``) compared without
-building a ``Fraction``.
+The borders of each distinct tuple of a bank are checked once. The grid of a
+debtor (``BankClasses``, from ``bank_classes``) is built once, at load: a
+class-scheme debtor's is read off the class index and piece numerator that
+``model._class_functions`` leaves on each function, any other debtor's is
+scaled from ``merged_slopes``. The slope-sum axiom is checked on it in
+integers, and validation holds it on the network (``_classes``), where
+``priority.priority_structure`` finds it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import lt
 
 from . import errors
 from .errors import Violation
-from .rationals import ZERO, sum_ratio
+from .rationals import ZERO
+
+
+class BankClasses:
+    """Priority classes of one bank on its merged border grid, as integer
+    numerators over the bank's one denominator ``den``: ``grid`` holds
+    ``0 = x_0 < x_1 < ... < x_k = L+(v)`` and ``pieces[j]`` lists
+    ``(creditor, piece liability)`` for class ``j + 1``."""
+
+    __slots__ = ("den", "grid", "pieces")
+
+    def __init__(self, den: int, grid: tuple[int, ...], pieces: tuple):
+        self.den = den
+        self.grid = grid
+        self.pieces = pieces
+
+    @property
+    def class_count(self) -> int:
+        return len(self.pieces)
 
 
 def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
     """The merged border grid of one bank's out-claims, with each claim's slope
     on every grid segment ``[grid[j], grid[j + 1])``, in the order of
-    ``claims``. A claim whose borders are the grid, as under every class
-    scheme, keeps its slope tuple; any other claim is walked in step with the
-    grid. As in ``PaymentFunction.slope_at``, a claim's first slope applies
-    before its first border and zero past its last. Every claim's borders
-    must strictly increase, as validation checks before it calls this."""
-    first = claims[0].payment.borders
-    if all(claim.payment.borders is first for claim in claims):
-        return first, [claim.payment.slopes for claim in claims]
+    ``claims``. A claim whose borders are the grid keeps its slope tuple; any
+    other claim is walked in step with the grid. As in
+    ``PaymentFunction.slope_at``, a claim's first slope applies before its
+    first border and zero past its last. Every claim's borders must strictly
+    increase, as validation checks before it calls this."""
     grid = tuple(sorted({x for claim in claims for x in claim.payment.borders}))
     rows = []
     for claim in claims:
@@ -45,15 +66,53 @@ def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ..
     return grid, rows
 
 
+def bank_classes(claims) -> BankClasses:
+    """The class grid of one bank's out-claims over one denominator. When
+    every function comes from one class scheme (one shared borders tuple, and
+    each carries ``_piece``, its class index and liability numerator), that
+    scheme's denominator and border numerators are the grid; otherwise each
+    piece is a claim's slope times its segment's width on the merged grid,
+    and the denominator is the lcm of the grid's and the pieces'. Zero pieces
+    are left out."""
+    first = claims[0].payment
+    pieces = [[] for _ in first.slopes]
+    for claim in claims:
+        fn = claim.payment
+        if fn.borders is not first.borders or fn._piece is None:
+            break
+        j, x = fn._piece
+        if x:
+            pieces[j].append((claim.creditor, x))
+    else:
+        return BankClasses(first._den, first._scaled, tuple(map(tuple, pieces)))
+    grid, slopes = merged_slopes(claims)
+    pieces = [
+        [
+            (claim.creditor, row[j] * (grid[j + 1] - grid[j]))
+            for claim, row in zip(claims, slopes)
+            if row[j]
+        ]
+        for j in range(len(grid) - 1)
+    ]
+    den = lcm(*(x.denominator for x in grid), *(x.denominator for e in pieces for _, x in e))
+    return BankClasses(
+        den,
+        tuple(x.numerator * (den // x.denominator) for x in grid),
+        tuple(tuple((c, x.numerator * (den // x.denominator)) for c, x in e) for e in pieces),
+    )
+
+
 _UNORDERED = "borders must strictly increase from 0"
 
 
-def _border_fault(borders, total) -> str | None:
-    """Why a claim's ``borders`` break the axioms, or None: they must strictly
-    increase from 0 and end at the debtor's total out-liability."""
-    if borders[0] != 0 or not all(map(lt, borders, borders[1:])):
+def _border_fault(fn, total) -> str | None:
+    """Why the borders of ``fn`` break the axioms, or None: they must strictly
+    increase from 0, as their integer numerators over ``fn._den`` do, and end
+    at the debtor's total out-liability."""
+    scaled = fn._scaled
+    if scaled[0] != 0 or not all(map(lt, scaled, scaled[1:])):
         return _UNORDERED
-    if borders[-1] != total:
+    if fn.borders[-1] != total:
         return f"borders must end at the total out-liability {total}"
     return None
 
@@ -67,8 +126,9 @@ def check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> 
 
     The borders of each distinct tuple of a bank are checked once (the
     functions of a class scheme share one), and each claim on a bad tuple
-    still gets its own violation. Slope sums are exact sums of the nonzero
-    slopes."""
+    still gets its own violation. Slopes sum to 1 on a segment exactly when
+    the integer pieces of its class sum to its width; each checked bank's
+    ``bank_classes`` grid is kept in ``net._classes``."""
     for v in net.bank_ids():
         out = net.out_claims(v)
         if not out:
@@ -80,7 +140,7 @@ def check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> 
             fn = claim.payment
             key = id(fn.borders)
             if key not in faults:
-                faults[key] = _border_fault(fn.borders, total)
+                faults[key] = _border_fault(fn, total)
             fault = faults[key]
             if fault is not None:
                 violations.append(
@@ -101,14 +161,17 @@ def check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> 
 
         if total == 0 or unordered:
             continue
-        grid, slopes = merged_slopes(out)
-        for j, column in enumerate(zip(*slopes)):
-            num, den = sum_ratio(filter(None, column))
-            if num != den:
+        classes = net._classes[v] = bank_classes(out)
+        grid, den = classes.grid, classes.den
+        for j, entries in enumerate(classes.pieces):
+            width = grid[j + 1] - grid[j]
+            paid = sum([x for _, x in entries])
+            if paid != width:
                 violations.append(
                     Violation(
                         errors.SLOPE_SUM_VIOLATION,
-                        f"slopes sum to {Fraction(num, den)} on [{grid[j]}, {grid[j + 1]})",
+                        f"slopes sum to {Fraction(paid, width)} on "
+                        f"[{Fraction(grid[j], den)}, {Fraction(grid[j + 1], den)})",
                         bank=v,
                     )
                 )

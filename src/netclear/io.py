@@ -39,11 +39,13 @@ def _reject_float(text: str):
 
 
 def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ParseError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -85,23 +87,34 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _number(obj, field: str, context: str) -> Fraction:
+def _parse(value, memo: dict) -> Fraction:
+    """``parse_exact(value)``, once per distinct literal of one document:
+    ``memo`` is keyed on type and value, so ``true`` never reads ``1``'s."""
+    key = (value.__class__, value)
+    if key not in memo:
+        memo[key] = parse_exact(value)
+    return memo[key]
+
+
+def _number(obj, field: str, context: str, memo: dict) -> Fraction:
     if field not in obj:
         raise ParseError(f"missing field {field!r}", context)
     value = obj[field]
     if not isinstance(value, (int, str)):
         raise ParseError(f"{field!r} must be an integer or exact string", context)
     try:
-        return parse_exact(value)
+        return _parse(value, memo)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), f"{context}.{field}") from exc
 
 
 def parse_network(source) -> FinancialNetwork:
     """Parse and validate a network document from a path or an open text file.
-    Its numbers are converted in place, and the loaded document itself goes to
-    ``model.validate_network``."""
+    Its numbers are converted in place, each distinct literal once, and the
+    loaded document itself goes to ``model.validate_network``. A piecewise
+    number that does not parse is left for validation to report."""
     doc = _load_json(source)
+    memo = {}
     _check_fields(doc, {"format_version", "banks", "payment_schemes", "claims"}, "document")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -118,7 +131,7 @@ def parse_network(source) -> FinancialNetwork:
             raise ParseError("bank id must be a string", context)
         for field in ("external_assets", "alpha", "beta"):
             if field in entry:
-                entry[field] = _number(entry, field, context)
+                entry[field] = _number(entry, field, context, memo)
 
     for i, entry in enumerate(_list(doc, "claims", "document")):
         context = f"claims[{i}]"
@@ -126,7 +139,7 @@ def parse_network(source) -> FinancialNetwork:
         for field in ("debtor", "creditor"):
             if not isinstance(entry.get(field), str):
                 raise ParseError(f"{field!r} must be a bank id string", context)
-        entry["liability"] = _number(entry, "liability", context)
+        entry["liability"] = _number(entry, "liability", context, memo)
 
     schemes_doc = doc.get("payment_schemes", {})
     if not isinstance(schemes_doc, dict):
@@ -156,12 +169,16 @@ def parse_network(source) -> FinancialNetwork:
                     values = edge.get(field)
                     if not isinstance(values, list):
                         raise ParseError(f"{field!r} must be a list", edge_context)
-                    for value in values:
+                    for k, value in enumerate(values):
                         if not isinstance(value, (int, str)):
                             raise ParseError(
                                 f"{field!r} entries must be integers or exact strings",
                                 edge_context,
                             )
+                        try:
+                            values[k] = _parse(value, memo)
+                        except (ValueError, TypeError):
+                            pass
 
     return model.validate_network(doc)
 
@@ -172,7 +189,7 @@ def parse_targets(source) -> dict[str, tuple[Fraction, Fraction]]:
     against its network."""
     doc = _load_json(source)
     _check_fields(doc, {"targets"}, "targets document")
-    targets = {}
+    targets, memo = {}, {}
     for i, entry in enumerate(_list(doc, "targets", "targets document")):
         context = f"targets[{i}]"
         _check_fields(entry, _TARGET_FIELDS, context)
@@ -180,7 +197,10 @@ def parse_targets(source) -> dict[str, tuple[Fraction, Fraction]]:
             raise ParseError("'bank' must be a bank id string", context)
         if entry["bank"] in targets:
             raise ParseError(f"bank {entry['bank']!r} has more than one target", context)
-        targets[entry["bank"]] = (_number(entry, "lo", context), _number(entry, "hi", context))
+        targets[entry["bank"]] = (
+            _number(entry, "lo", context, memo),
+            _number(entry, "hi", context, memo),
+        )
     return targets
 
 

@@ -9,8 +9,10 @@ Sums and evaluations on the per-op path run on Python ints and normalize
 once: liability totals through ``rationals.exact_sum``, class totals over
 one common denominator, and ``value_at`` as one numerator over one
 denominator, its segment found by bisecting the borders' integer numerators
-over their common denominator. The payment-axiom check that validation ends
-with lives in ``axioms``.
+over their common denominator. A class scheme's functions also carry their
+class index and liability numerator, from which ``axioms`` builds the
+debtor's integer class grid once; the payment-axiom check that validation
+ends with builds it, and the network holds it for the counter descent.
 """
 
 from __future__ import annotations
@@ -81,12 +83,13 @@ class PaymentFunction(_Value):
 
     ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
     constant at and beyond the last border, which is the debtor's total
-    out-liability. ``_values`` holds the values at the borders, and
-    ``_scaled`` the borders as integer numerators over one denominator
-    ``_den``.
+    out-liability. ``_values`` holds the values at the borders, ``_scaled``
+    the borders as integer numerators over one denominator ``_den``, and
+    ``_piece`` a class scheme's ``(class index, liability numerator)``, else
+    None.
     """
 
-    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den")
+    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
 
     def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
         if len(slopes) != len(borders) - 1:
@@ -96,15 +99,17 @@ class PaymentFunction(_Value):
             values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
         den = lcm(*(x.denominator for x in borders))
         scaled = tuple(x.numerator * (den // x.denominator) for x in borders)
-        for name, value in zip(self.__slots__, (borders, slopes, tuple(values), scaled, den)):
+        fields = (borders, slopes, tuple(values), scaled, den, None)
+        for name, value in zip(self.__slots__, fields):
             _set(self, name, value)
 
     @classmethod
-    def _with_values(cls, borders, slopes, values, scaled, den) -> "PaymentFunction":
-        """A function whose values at the borders, and borders over one
-        denominator, the caller already knows, as a class scheme does."""
+    def _with_values(cls, borders, slopes, values, scaled, den, piece) -> "PaymentFunction":
+        """A function whose values at the borders, borders over one
+        denominator and class piece the caller already knows, as a class
+        scheme does."""
         fn = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den)):
+        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den, piece)):
             _set(fn, name, value)
         return fn
 
@@ -181,8 +186,9 @@ def _class_functions(
     Every function of a debtor shares one borders tuple, the class grid
     (classes with zero total get no segment). A creditor in the class on
     segment ``j`` has slope ``liability / class total`` there and zero
-    elsewhere, so its values are known in closed form: zero through the
-    class's lower border, its liability from the upper border on.
+    elsewhere (one when it is alone in paying that class), so its values are
+    known in closed form: zero through the class's lower border, its
+    liability from the upper border on.
 
     The liabilities are read once as integer numerators over their common
     denominator, so class totals are int sums and each border and slope is
@@ -211,17 +217,19 @@ def _class_functions(
     k = len(nonzero)
     zeros = (ZERO,) * (k + 1)
     # creditors whose whole class had zero liability pay nothing
-    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den)
+    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den, (0, 0))
     functions = dict.fromkeys(liabilities, unpaid)
     for j, (class_total, members) in enumerate(nonzero):
         before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
         for creditor in members:
+            x = scaled[creditor]
             functions[creditor] = PaymentFunction._with_values(
                 borders,
-                before + (Fraction(scaled[creditor], class_total),) + after,
+                before + (ONE if x == class_total else Fraction(x, class_total),) + after,
                 paid + (liabilities[creditor],) * (k - j),
                 ints,
                 den,
+                (j, x),
             )
     return functions
 
@@ -271,6 +279,7 @@ class FinancialNetwork:
         self._total_out = {
             v: exact_sum(claim.liability for claim in out) for v, out in self._out.items()
         }
+        self._classes = {}  # v -> axioms.BankClasses, once built
 
     def bank_ids(self) -> tuple[str, ...]:
         return tuple(self.banks)

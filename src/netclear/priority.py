@@ -23,11 +23,13 @@ feasibility test and the final maximization are solved exactly on the class
 structure (relays eliminated by substitution); both are cross-checked against
 the explicit LP formulation in the test suite.
 
-The descent runs on Python ints. ``priority_structure`` scales each bank's
-grid and piece liabilities once to integer numerators over one denominator
-per bank; every row of the counter system, its floors and caps, and each
-round's ``t`` and assets are ``(numerator, denominator)`` pairs, summed,
-compared by cross-multiplying and handed to the solver as integer rows.
+The descent runs on Python ints. ``priority_structure`` returns each bank's
+grid and piece liabilities as integer numerators over one denominator per
+bank, the grid ``axioms.bank_classes`` builds once, at load, and
+validation's axiom check holds on the network. Every row of the counter
+system, its floors and caps, and each round's ``t`` and assets are
+``(numerator, denominator)`` pairs, summed, compared by cross-multiplying
+and handed to the solver as integer rows.
 Only the final state becomes ``Fraction``s, one per bank; the cold path of
 a closed block's Perron line converts at its boundary. The ``Fraction``
 reference of the rows and of the asset map lives with the test oracles.
@@ -40,60 +42,24 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import errors
+from .axioms import BankClasses, bank_classes
 from .clearing import ClearingState, is_clearing_state
 from .graphs import strongly_connected
 from .linalg import solve_linear_system, unit_left_nullspace
-from .axioms import merged_slopes
 from .model import FinancialNetwork
 
 
-class BankClasses:
-    """Priority classes of one bank on its merged border grid, as integer
-    numerators over the bank's one denominator ``den``: ``grid`` holds
-    ``0 = x_0 < x_1 < ... < x_k = L+(v)`` and ``pieces[j]`` lists
-    ``(creditor, piece liability)`` for class ``j + 1``."""
-
-    __slots__ = ("den", "grid", "pieces")
-
-    def __init__(self, den: int, grid: tuple[int, ...], pieces: tuple):
-        self.den = den
-        self.grid = grid
-        self.pieces = pieces
-
-    @property
-    def class_count(self) -> int:
-        return len(self.pieces)
-
-
 def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
-    """Merged-grid class decomposition of every bank's out-claims, each bank's
-    over one denominator: the lcm of its borders' denominators, times what a
-    piece's slope denominator leaves after cancelling with the segment's
-    width (nothing under a class scheme)."""
-    structure: dict[str, BankClasses] = {}
+    """Every bank's integer class grid, read-only: the one validation holds on
+    the network, else ``axioms.bank_classes`` of its out-claims, built once and
+    held there too (a network assembled from trusted parts is not
+    validated)."""
+    held = net._classes
     for v in net.bank_ids():
-        out = net.out_claims(v)
-        if not out or net.total_out(v) == 0:
-            structure[v] = BankClasses(1, (0,), ())
-            continue
-        grid, slopes = merged_slopes(out)
-        den = lcm(*(x.denominator for x in grid))
-        grid = [x.numerator * (den // x.denominator) for x in grid]
-        pieces = [
-            [
-                (claim.creditor, row[j].numerator * (grid[j + 1] - grid[j]), row[j].denominator)
-                for claim, row in zip(out, slopes)
-                if row[j]
-            ]
-            for j in range(len(grid) - 1)
-        ]
-        m = lcm(*(d // gcd(x, d) for entries in pieces for _, x, d in entries))
-        structure[v] = BankClasses(
-            den * m,
-            tuple(x * m for x in grid),
-            tuple(tuple((c, x * m // d) for c, x, d in entries) for entries in pieces),
-        )
-    return structure
+        if v not in held:
+            total = net.total_out(v)
+            held[v] = bank_classes(net.out_claims(v)) if total else BankClasses(1, (0,), ())
+    return held
 
 
 # --- counter descent ---------------------------------------------------------

@@ -119,7 +119,10 @@ def optimal_creditor_positive_return(
 
     rho = rho_min
     # The walk reads only the claims of the traded network, which do not
-    # depend on the return, so it is built once at rho_min.
+    # depend on the return, so it is built once at rho_min. Its least state
+    # there is solved afresh: the base state also clears the traded network
+    # but need not be its least state, since the trade can close a cycle
+    # through the buyer that the base state keeps filled.
     traded = apply_trade(net, claim_pair, buyer, rho)
     g = active_graph(traded, compute_min_clearing(traded).as_dict())
     while True:

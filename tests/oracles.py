@@ -54,12 +54,12 @@ from fractions import Fraction
 
 from netclear import errors
 from netclear.clearing import _inflow
-from netclear.axioms import merged_slopes
 from netclear.errors import DegenerateMatrixError, Violation
 from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
 from netclear.minimal import compute_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
-from netclear.priority import BankClasses, _counter_system
+from netclear.axioms import BankClasses
+from netclear.priority import _counter_system
 from netclear.rationals import ONE, ZERO
 from netclear.trade import optimal_creditor_positive_return
 
@@ -537,7 +537,7 @@ def fraction_priority_structure(net: FinancialNetwork) -> dict:
         if not out or net.total_out(v) == 0:
             structure[v] = ((ZERO,), ())
             continue
-        grid, slopes = merged_slopes(out)
+        grid, slopes = _fraction_merged_slopes(out)
         pieces = []
         for j in range(len(grid) - 1):
             width = grid[j + 1] - grid[j]

@@ -49,6 +49,8 @@ EXAMPLE3 = {
     ],
 }
 
+UNREADABLE = "invalid network: <invalid_scheme bank='a': not an exact number"
+
 TWO_CYCLE = {
     "format_version": "1",
     "banks": [{"id": "a"}, {"id": "b"}],
@@ -120,6 +122,89 @@ class TestParseNetwork:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "duplicate key 'external_assets'" in captured.err
+
+    @pytest.mark.parametrize(
+        "where, number, boolean",
+        [
+            ("banks[1].external_assets", 1, "true"),
+            ("claims[1].liability", 0, "false"),
+        ],
+    )
+    def test_bool_beside_its_int_is_still_rejected(
+        self, where, number, boolean, tmp_path, capsys
+    ):
+        # each literal is parsed once per document; true == 1 and false == 0
+        # in Python, so the int's parse must not stand in for the bool's
+        doc = json.loads(json.dumps(TWO_CYCLE))
+        doc["banks"][0]["external_assets"] = number
+        doc["claims"][0]["liability"] = number
+        field = where.split(".")[1]
+        entry = doc[where.split("[")[0]][1]
+        entry[field] = "@"
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc).replace('"@"', boolean))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: booleans are not numbers\n"
+
+    def test_equal_values_of_distinct_literals(self):
+        doc = json.loads(json.dumps(TWO_CYCLE))
+        doc["banks"][0]["external_assets"] = "1/2"
+        doc["banks"][1]["external_assets"] = 1
+        doc["banks"][1]["alpha"] = "1"
+        doc["claims"][0]["liability"] = "1/2"
+        doc["claims"][1]["liability"] = "2/4"
+        net = parse_network(io.StringIO(json.dumps(doc)))
+        assert [net.bank(v).external_assets for v in ("a", "b")] == [F(1, 2), F(1)]
+        assert net.bank("b").alpha == 1
+        assert [claim.liability for claim in net.claims] == [F(1, 2), F(1, 2)]
+
+    @pytest.mark.parametrize(
+        "literal, code, message",
+        [
+            ('"2/1"', 0, ""),
+            ('"2x"', 2, f"{UNREADABLE}: '2x'>\n"),
+            ('"1/0"', 2, f"{UNREADABLE}: '1/0'>\n"),
+        ],
+    )
+    def test_piecewise_literals(self, literal, code, message, tmp_path, capsys):
+        # a piecewise number is parsed with the document's other literals;
+        # one that does not parse is left for validation to report
+        edges = [
+            {"creditor": "b", "borders": [0, 1, 2], "slopes": [1, 0]},
+            {"creditor": "c", "borders": [0, "1", "@"], "slopes": [0, 1]},
+        ]
+        doc = {
+            "format_version": "1",
+            "banks": [{"id": "a", "external_assets": 1}, {"id": "b"}, {"id": "c"}],
+            "claims": [
+                {"debtor": "a", "creditor": "b", "liability": 1},
+                {"debtor": "a", "creditor": "c", "liability": "1"},
+            ],
+            "payment_schemes": {"a": {"type": "piecewise", "edges": edges}},
+        }
+        path = tmp_path / "piecewise.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert main(["validate", str(path)]) == code
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ('{"id":"a","alpha":"1/2","beta":1,"alpha":"1/2"}', "alpha"),
+            ('{"id":"a","beta":1,"alpha":0,"alpha":1,"beta":1}', "alpha"),
+            ('{"id":"a","id":"a"}', "id"),
+        ],
+    )
+    def test_repeated_key_is_named(self, entry, key, tmp_path, capsys):
+        doc = f'{{"format_version": "1", "banks": [{entry}], "claims": []}}'
+        with pytest.raises(ParseError, match=f"^duplicate key '{key}'$"):
+            parse_network(io.StringIO(doc))
+        path = tmp_path / "dup.json"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: duplicate key '{key}'\n"
 
     @pytest.mark.parametrize("command", ["validate", "min-clear"])
     def test_magnitude_limit(self, command, tmp_path, capsys):
@@ -602,6 +687,19 @@ class TestParseTargets:
         path.write_text('{"targets": [{"bank": "a", "lo": 0, "lo": 1, "hi": 1}]}')
         with pytest.raises(ParseError, match="duplicate key 'lo'"):
             parse_targets(str(path))
+        # equal values repeated, and the first of two repeated keys named
+        path.write_text('{"targets": [{"bank": "a", "lo": 1, "hi": 2, "bank": "a", "lo": 1}]}')
+        with pytest.raises(ParseError, match="^duplicate key 'bank'$"):
+            parse_targets(str(path))
+
+    def test_bool_beside_its_int(self, tmp_path):
+        path = tmp_path / "targets.json"
+        path.write_text('{"targets": [{"bank": "a", "lo": 1, "hi": true}]}')
+        with pytest.raises(ParseError, match=r"^targets\[0\]\.hi: booleans are not numbers$"):
+            parse_targets(str(path))
+        targets = [{"bank": "a", "lo": 0, "hi": "1/2"}, {"bank": "b", "lo": "0", "hi": 1}]
+        path.write_text(json.dumps({"targets": targets}))
+        assert parse_targets(str(path)) == {"a": (F(0), F(1, 2)), "b": (F(0), F(1))}
 
     def test_repeated_bank(self, two_cycle_file, tmp_path, capsys):
         path = tmp_path / "targets.json"

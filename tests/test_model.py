@@ -153,7 +153,7 @@ class TestRecordContract:
     def test_with_values_skips_the_running_sum(self):
         # values the running sum would not give are kept as they are given,
         # and take no part in equality
-        fn = PaymentFunction._with_values((F(0), F(2)), (F(1),), (F(0), F(5)), (0, 2), 1)
+        fn = PaymentFunction._with_values((F(0), F(2)), (F(1),), (F(0), F(5)), (0, 2), 1, None)
         assert fn._values == (F(0), F(5))
         assert fn.final_value == 5
         assert PaymentFunction((F(0), F(2)), (F(1),))._values == (F(0), F(2))

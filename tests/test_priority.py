@@ -7,15 +7,21 @@ from math import lcm
 import pytest
 
 from netclear import (
+    Claim,
+    adjust_default_cost,
+    apply_trade,
     build_network,
     compute_max_clearing_flood,
     compute_max_clearing_pp,
     compute_min_clearing,
     is_clearing_state,
+    make_edge_ranking,
+    make_proportional,
     priority_structure,
     run_min_clearing,
 )
-from netclear import priority
+from netclear import axioms, priority
+from netclear.model import assemble
 from netclear.priority import (
     _blocks_in_order,
     _counter_system,
@@ -85,6 +91,121 @@ class TestPriorityStructure:
                     if creditor == claim.creditor
                 )
                 assert F(pieces, classes.den) == claim.liability
+
+
+def normalized_structure(structure, net):
+    """Each bank's held grid in the oracle's form: the grid and the piece
+    liabilities as ``Fraction``s."""
+    normalized = {}
+    for v in net.bank_ids():
+        classes = structure[v]
+        den = classes.den
+        normalized[v] = (
+            tuple(F(x, den) for x in classes.grid),
+            tuple(tuple((c, F(x, den)) for c, x in entries) for entries in classes.pieces),
+        )
+    return normalized
+
+
+def replace_functions(net, debtor, functions):
+    """``net`` with the out-claims of ``debtor`` paid by ``functions``
+    (creditor -> payment function), assembled without validation."""
+    claims = [
+        Claim(c.debtor, c.creditor, c.liability, functions[c.creditor]) if c.debtor == debtor else c
+        for c in net.claims
+    ]
+    return assemble(net.banks.values(), claims)
+
+
+def derived_networks(rng, net):
+    """``(kind, network)`` for networks built from ``net``'s claims without
+    validation: its default-cost surgery when it has haircuts; else a claims
+    trade when one is open, and a debtor's claims re-paid by an edge-ranking
+    scheme."""
+    surgery = adjust_default_cost(net).network
+    if surgery is not net:
+        return [("surgery", surgery)]
+    derived = []
+    trades = [
+        (claim, w)
+        for claim in net.claims
+        for w in net.bank_ids()
+        if w not in claim.pair and not net.has_claim(claim.debtor, w)
+    ]
+    if trades:
+        claim, w = rng.choice(trades)
+        cap = min(net.bank(w).external_assets, claim.liability)
+        rho = cap * F(rng.randint(0, 2), 2)
+        derived.append(("trade", apply_trade(net, claim.pair, w, rho)))
+    debtors = [v for v in net.bank_ids() if len(net.out_claims(v)) >= 2]
+    if debtors:
+        v = rng.choice(debtors)
+        owed = {c.creditor: c.liability for c in net.out_claims(v)}
+        order = list(owed)
+        rng.shuffle(order)
+        derived.append(("replaced", replace_functions(net, v, make_edge_ranking(owed, order))))
+    return derived
+
+
+class TestHeldGrid:
+    """``priority_structure`` returns the integer class grid each debtor's
+    functions carry or its merged slopes give, held on the network: at
+    validation for a validated network, on first use for an assembled one."""
+
+    def test_held_grid_matches_the_fraction_reference(self):
+        rng = random.Random(2323)
+        kinds = {"piecewise": 0, "surgery": 0, "trade": 0, "replaced": 0}
+        for _ in range(150):
+            net = random_network(
+                rng,
+                min_banks=3,
+                max_banks=8,
+                edge_prob=0.5,
+                default_cost=rng.random() < 0.5,
+                schemes=ALL_SCHEME_KINDS,
+                liability_dens=(1, 2, 3, 7),
+            )
+            # validation holds every grid of a debtor that owes something
+            assert set(net._classes) == {v for v in net.bank_ids() if net.total_out(v)}
+            structure = priority_structure(net)
+            assert normalized_structure(structure, net) == fraction_priority_structure(net)
+            kinds["piecewise"] += any(
+                claim.payment._piece is None and net.total_out(claim.debtor)
+                for claim in net.claims
+            )
+            for kind, derived in derived_networks(rng, net):
+                assert derived._classes == {}
+                structure = priority_structure(derived)
+                assert normalized_structure(structure, derived) == (
+                    fraction_priority_structure(derived)
+                )
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_a_replaced_debtor_gets_its_new_grid(self):
+        net = figure1_ranked()
+        assert priority_structure(net)["v"].pieces == ((("w", 20),), (("u", 80),))
+        owed = {"u": F(80), "w": F(20)}
+        replaced = replace_functions(net, "v", make_edge_ranking(owed, ["u", "w"]))
+        assert priority_structure(replaced)["v"].pieces == ((("u", 80),), (("w", 20),))
+        proportional = replace_functions(net, "v", make_proportional(owed))
+        assert priority_structure(proportional)["v"].pieces == ((("u", 80), ("w", 20)),)
+        # the held grid of the first network is untouched
+        assert priority_structure(net)["v"].pieces == ((("w", 20),), (("u", 80),))
+
+    def test_class_schemes_never_merge_slopes(self, monkeypatch):
+        def refuse(claims):
+            raise AssertionError("merged_slopes called")
+
+        monkeypatch.setattr(axioms, "merged_slopes", refuse)
+        rng = random.Random(2424)
+        for _ in range(40):
+            net = random_network(
+                rng, min_banks=3, max_banks=8, edge_prob=0.5, default_cost=rng.random() < 0.5
+            )
+            assert is_clearing_state(net, compute_max_clearing_pp(net)).ok
+            for _, derived in derived_networks(rng, net):
+                priority_structure(derived)
 
 
 class TestTransform:

@@ -169,3 +169,16 @@ def test_package_reexports_resolve():
     for module, name, public in exported:
         source = importlib.import_module(f"netclear.{module}")
         assert getattr(netclear, public) is getattr(source, name), public
+
+
+def test_ab_inprocess_runs_two_checkouts_side_by_side():
+    # both sides are this checkout, so every op must come out identical
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
+         "--workload", "sweep-small", "--ops", "4", "--passes", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and all("4 ops identical" in line for line in lines[:2])
+    assert lines[2].startswith("sweep-small seed 20260217: median speedup")

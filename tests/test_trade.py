@@ -9,6 +9,7 @@ from netclear import (
     apply_trade,
     build_network,
     compute_min_clearing,
+    is_clearing_state,
     optimal_creditor_positive_return,
 )
 from netclear.errors import (
@@ -347,6 +348,11 @@ class TestAgainstGridOracle:
         assert checked >= 5
 
     def test_at_or_below_rho_min_nothing_changes(self):
+        """On these 40 generated instances the traded network's least state
+        at ``rho_min`` equals the base state. That is a property of
+        ``random_trade_instance``'s networks, not a theorem:
+        ``test_base_state_is_not_the_least_traded_state`` is an instance
+        where it fails."""
         rng = random.Random(443)
         for _ in range(40):
             net, claim_pair, buyer = random_trade_instance(rng)
@@ -360,6 +366,29 @@ class TestAgainstGridOracle:
             traded = apply_trade(net, claim_pair, buyer, rho_min)
             post = compute_min_clearing(traded)
             assert post.as_dict() == base.as_dict()
+
+
+    def test_base_state_is_not_the_least_traded_state(self):
+        # w pays z first, then u; u passes what it gets to v. Trading u's
+        # claim on v to w at rho_min closes the cycle w -> u -> w, which the
+        # base state keeps filled at 2 while the least state leaves it empty.
+        net = build_network(
+            banks=[("w", 5), ("u", 0), ("v", 0), ("z", 0)],
+            claims=[("w", "z", 3), ("w", "u", 10), ("u", "v", 10)],
+            schemes={"w": {"type": "edge_ranking", "order": ["z", "u"]}},
+        )
+        base = compute_min_clearing(net)
+        assert (base["w"], base["u"]) == (5, 2)
+        rho_min = net.claim("u", "v").payment.value_at(base["u"])
+        assert rho_min == 2 and min(net.bank("w").external_assets, F(10)) == 5
+        traded = apply_trade(net, ("u", "v"), "w", rho_min)
+        least = compute_min_clearing(traded)
+        assert (least["w"], least["u"]) == (3, 0)
+        # the base state still clears the traded network, above its least state
+        assert is_clearing_state(traded, base).ok
+        assert least.as_dict() != base.as_dict()
+        with pytest.raises(NoCreditorPositiveTradeError, match="cannot recover"):
+            optimal_creditor_positive_return(net, ("u", "v"), "w")
 
 
 class TestImpossibility:
