@@ -19,7 +19,6 @@ from operator import lt
 
 from . import errors
 from .errors import Violation
-from .rationals import ZERO
 
 
 class BankClasses:
@@ -40,30 +39,25 @@ class BankClasses:
         return len(self.pieces)
 
 
-def merged_slopes(claims) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
-    """The merged border grid of one bank's out-claims, with each claim's slope
-    on every grid segment ``[grid[j], grid[j + 1])``, in the order of
-    ``claims``. A claim whose borders are the grid keeps its slope tuple; any
-    other claim is walked in step with the grid. As in
-    ``PaymentFunction.slope_at``, a claim's first slope applies before its
-    first border and zero past its last. Every claim's borders must strictly
+def merged_slopes(claims) -> tuple[list[Fraction], list[list[tuple[str, Fraction]]]]:
+    """The merged border grid of one bank's out-claims, and on each grid
+    segment ``[grid[j], grid[j + 1])`` the ``(creditor, slope)`` of every
+    claim whose slope there is not zero, in the order of ``claims``. Each
+    claim is walked in step with the grid; as in
+    ``PaymentFunction.slope_at``, its first slope applies before its first
+    border and zero past its last. Every claim's borders must strictly
     increase, as validation checks before it calls this."""
-    grid = tuple(sorted({x for claim in claims for x in claim.payment.borders}))
-    rows = []
+    grid = sorted({x for claim in claims for x in claim.payment.borders})
+    segments = [[] for _ in grid[1:]]
     for claim in claims:
-        fn = claim.payment
-        if fn.borders == grid:
-            rows.append(fn.slopes)
-            continue
-        borders, own = fn.borders, fn.slopes
-        row = []
+        borders, own = claim.payment.borders, claim.payment.slopes
         i = 0
-        for x in grid[:-1]:
+        for j, x in enumerate(grid[:-1]):
             while i < len(own) and borders[i + 1] <= x:
                 i += 1
-            row.append(own[i] if i < len(own) else ZERO)
-        rows.append(tuple(row))
-    return grid, rows
+            if i < len(own) and own[i]:
+                segments[j].append((claim.creditor, own[i]))
+    return grid, segments
 
 
 def bank_classes(claims) -> BankClasses:
@@ -85,15 +79,8 @@ def bank_classes(claims) -> BankClasses:
             pieces[j].append((claim.creditor, x))
     else:
         return BankClasses(first._den, first._scaled, tuple(map(tuple, pieces)))
-    grid, slopes = merged_slopes(claims)
-    pieces = [
-        [
-            (claim.creditor, row[j] * (grid[j + 1] - grid[j]))
-            for claim, row in zip(claims, slopes)
-            if row[j]
-        ]
-        for j in range(len(grid) - 1)
-    ]
+    grid, segments = merged_slopes(claims)
+    pieces = [[(c, s * (hi - lo)) for c, s in e] for lo, hi, e in zip(grid, grid[1:], segments)]
     den = lcm(*(x.denominator for x in grid), *(x.denominator for e in pieces for _, x in e))
     return BankClasses(
         den,
@@ -135,7 +122,7 @@ def check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> 
             continue
         total = net.total_out(v)
         unordered = False
-        faults: dict[int, str | None] = {}
+        faults = {}
         for claim in out:
             fn = claim.payment
             key = id(fn.borders)
@@ -163,15 +150,14 @@ def check_payment_axioms(net: FinancialNetwork, violations: list[Violation]) -> 
             continue
         classes = net._classes[v] = bank_classes(out)
         grid, den = classes.grid, classes.den
-        for j, entries in enumerate(classes.pieces):
-            width = grid[j + 1] - grid[j]
+        for lo, hi, entries in zip(grid, grid[1:], classes.pieces):
             paid = sum([x for _, x in entries])
-            if paid != width:
+            if paid != hi - lo:
                 violations.append(
                     Violation(
                         errors.SLOPE_SUM_VIOLATION,
-                        f"slopes sum to {Fraction(paid, width)} on "
-                        f"[{Fraction(grid[j], den)}, {Fraction(grid[j + 1], den)})",
+                        f"slopes sum to {Fraction(paid, hi - lo)} on "
+                        f"[{Fraction(lo, den)}, {Fraction(hi, den)})",
                         bank=v,
                     )
                 )

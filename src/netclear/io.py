@@ -39,13 +39,11 @@ def _reject_float(text: str):
 
 
 def _unique_keys(pairs) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"duplicate key {key!r}")
-            seen.add(key)
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
     return obj
 
 
@@ -87,32 +85,28 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _parse(value, memo: dict) -> Fraction:
-    """``parse_exact(value)``, once per distinct literal of one document:
-    ``memo`` is keyed on type and value, so ``true`` never reads ``1``'s."""
-    key = (value.__class__, value)
-    if key not in memo:
-        memo[key] = parse_exact(value)
-    return memo[key]
-
-
 def _number(obj, field: str, context: str, memo: dict) -> Fraction:
+    """``parse_exact`` of ``obj[field]``, once per distinct literal of one
+    document: ``memo`` is keyed on type and value, so ``true`` never reads
+    the entry of ``1``."""
     if field not in obj:
         raise ParseError(f"missing field {field!r}", context)
     value = obj[field]
     if not isinstance(value, (int, str)):
         raise ParseError(f"{field!r} must be an integer or exact string", context)
-    try:
-        return _parse(value, memo)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc), f"{context}.{field}") from exc
+    key = (value.__class__, value)
+    if key not in memo:
+        try:
+            memo[key] = parse_exact(value)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(str(exc), f"{context}.{field}") from exc
+    return memo[key]
 
 
 def parse_network(source) -> FinancialNetwork:
     """Parse and validate a network document from a path or an open text file.
     Its numbers are converted in place, each distinct literal once, and the
-    loaded document itself goes to ``model.validate_network``. A piecewise
-    number that does not parse is left for validation to report."""
+    loaded document itself goes to ``model.validate_network``."""
     doc = _load_json(source)
     memo = {}
     _check_fields(doc, {"format_version", "banks", "payment_schemes", "claims"}, "document")
@@ -169,16 +163,12 @@ def parse_network(source) -> FinancialNetwork:
                     values = edge.get(field)
                     if not isinstance(values, list):
                         raise ParseError(f"{field!r} must be a list", edge_context)
-                    for k, value in enumerate(values):
+                    for value in values:
                         if not isinstance(value, (int, str)):
                             raise ParseError(
                                 f"{field!r} entries must be integers or exact strings",
                                 edge_context,
                             )
-                        try:
-                            values[k] = _parse(value, memo)
-                        except (ValueError, TypeError):
-                            pass
 
     return model.validate_network(doc)
 

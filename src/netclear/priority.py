@@ -50,16 +50,17 @@ from .model import FinancialNetwork
 
 
 def priority_structure(net: FinancialNetwork) -> dict[str, BankClasses]:
-    """Every bank's integer class grid, read-only: the one validation holds on
-    the network, else ``axioms.bank_classes`` of its out-claims, built once and
-    held there too (a network assembled from trusted parts is not
-    validated)."""
+    """Every bank's integer class grid, in a new dict: the one validation
+    holds on the network, else ``axioms.bank_classes`` of its out-claims,
+    built once and held there too (a network assembled from trusted parts is
+    not validated). The grids themselves are the network's; do not edit
+    them."""
     held = net._classes
     for v in net.bank_ids():
         if v not in held:
             total = net.total_out(v)
             held[v] = bank_classes(net.out_claims(v)) if total else BankClasses(1, (0,), ())
-    return held
+    return dict(held)
 
 
 # --- counter descent ---------------------------------------------------------

@@ -49,8 +49,6 @@ EXAMPLE3 = {
     ],
 }
 
-UNREADABLE = "invalid network: <invalid_scheme bank='a': not an exact number"
-
 TWO_CYCLE = {
     "format_version": "1",
     "banks": [{"id": "a"}, {"id": "b"}],
@@ -159,35 +157,6 @@ class TestParseNetwork:
         assert [net.bank(v).external_assets for v in ("a", "b")] == [F(1, 2), F(1)]
         assert net.bank("b").alpha == 1
         assert [claim.liability for claim in net.claims] == [F(1, 2), F(1, 2)]
-
-    @pytest.mark.parametrize(
-        "literal, code, message",
-        [
-            ('"2/1"', 0, ""),
-            ('"2x"', 2, f"{UNREADABLE}: '2x'>\n"),
-            ('"1/0"', 2, f"{UNREADABLE}: '1/0'>\n"),
-        ],
-    )
-    def test_piecewise_literals(self, literal, code, message, tmp_path, capsys):
-        # a piecewise number is parsed with the document's other literals;
-        # one that does not parse is left for validation to report
-        edges = [
-            {"creditor": "b", "borders": [0, 1, 2], "slopes": [1, 0]},
-            {"creditor": "c", "borders": [0, "1", "@"], "slopes": [0, 1]},
-        ]
-        doc = {
-            "format_version": "1",
-            "banks": [{"id": "a", "external_assets": 1}, {"id": "b"}, {"id": "c"}],
-            "claims": [
-                {"debtor": "a", "creditor": "b", "liability": 1},
-                {"debtor": "a", "creditor": "c", "liability": "1"},
-            ],
-            "payment_schemes": {"a": {"type": "piecewise", "edges": edges}},
-        }
-        path = tmp_path / "piecewise.json"
-        path.write_text(json.dumps(doc).replace('"@"', literal))
-        assert main(["validate", str(path)]) == code
-        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize(
         "entry, key",

@@ -193,6 +193,19 @@ class TestHeldGrid:
         # the held grid of the first network is untouched
         assert priority_structure(net)["v"].pieces == ((("w", 20),), (("u", 80),))
 
+    def test_editing_the_returned_mapping_leaves_the_network_alone(self):
+        net = build_network(
+            banks=[("v", 50), ("u", 0), ("w", 0)],
+            claims=[("v", "u", 80), ("v", "w", 20)],
+            schemes={"v": {"type": "edge_ranking", "order": ["w", "u"]}},
+        )
+        expected = compute_max_clearing_pp(net).as_dict()
+        assert expected == {"v": F(50), "u": F(30), "w": F(20)}
+        structure = priority_structure(net)
+        structure["v"] = structure["u"]
+        assert priority_structure(net)["v"].pieces == ((("w", 20),), (("u", 80),))
+        assert compute_max_clearing_pp(net).as_dict() == expected
+
     def test_class_schemes_never_merge_slopes(self, monkeypatch):
         def refuse(claims):
             raise AssertionError("merged_slopes called")
