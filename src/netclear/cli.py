@@ -16,10 +16,10 @@ from . import io as netio
 from . import errors
 from .clearing import bottom_iterate, top_iterate
 from .lattice import compute_max_clearing_flood, solve_range_clearing
-from .minimal import compute_min_clearing, run_min_clearing
+from .minimal import run_min_clearing
 from .priority import compute_max_clearing_pp
 from .rationals import exact_str, parse_exact
-from .trade import apply_trade, optimal_creditor_positive_return
+from .trade import apply_trade, evaluate_return, optimal_creditor_positive_return
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,11 +141,7 @@ def _run_trade(args, net) -> int:
             rho = parse_exact(args.rho)
         except ValueError as exc:
             raise errors.ParseError(str(exc)) from None
-        traded = apply_trade(net, claim_pair, args.buyer, rho)
-        base = compute_min_clearing(net)
-        post = compute_min_clearing(traded)
-        creditor, buyer = claim_pair[1], args.buyer
-        positive = post[creditor] > base[creditor] and post[buyer] >= base[buyer]
+        traded, post, positive = evaluate_return(net, claim_pair, args.buyer, rho)
         _emit(
             netio.result_document(
                 "trade",

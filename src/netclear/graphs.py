@@ -3,71 +3,66 @@ in ``priority`` also uses), and the flooded regions a bank reaches: the
 non-singleton sink SCCs of the active graph.
 
 An ``ActiveGraph`` is the state every walk holds: a network, the working
-assets dict it steps in place, and the active claims at those assets."""
+assets dict it steps in place, and the active claims at those assets, one
+map per debtor from each creditor it actively pays to that claim's
+slope."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from operator import attrgetter
 
 from . import errors
-from .model import Claim, FinancialNetwork
+from .model import FinancialNetwork
 
 
 class ActiveGraph:
     """Subgraph of the claims of ``net`` whose payment slope is strictly
-    positive at ``assets``, with that slope per edge and, per bank with an
-    active out-claim, the lowest border strictly above its assets over those
-    claims: up to that border no slope of the bank changes. ``assets`` is the
-    caller's dict itself; whoever moves a bank in it refreshes that bank
-    through ``refresh_banks``, which updates the maps in place."""
+    positive at ``assets``: ``edges[d][c]`` is the slope of the active claim
+    ``(d, c)``, so ``edges[d]`` lists the creditors ``d`` actively pays. Per
+    bank with an active out-claim, ``borders`` holds the lowest border
+    strictly above its assets over those claims: up to that border no slope
+    of the bank changes. ``assets`` is the caller's dict itself; whoever
+    moves a bank in it refreshes that bank through ``refresh_banks``."""
 
-    __slots__ = ("net", "assets", "edges", "slopes", "borders")
+    __slots__ = ("net", "assets", "edges", "borders")
 
     def __init__(
         self,
         net: FinancialNetwork,
         assets: dict[str, Fraction],
-        edges: dict[str, tuple[Claim, ...]],
-        slopes: dict[tuple[str, str], Fraction],
+        edges: dict[str, dict[str, Fraction]],
         borders: dict[str, Fraction],
     ):
         self.net = net
         self.assets = assets
-        self.edges = edges  # debtor -> active out-claims
-        self.slopes = slopes  # claim pair -> positive slope
+        self.edges = edges  # debtor -> {creditor: positive slope}
         self.borders = borders  # debtor -> next border of its active claims
 
 
 def refresh_banks(g: ActiveGraph, banks: Iterable[str]) -> None:
-    """Recompute, in place, the active out-claims, their slopes and the next
-    border of each of ``banks`` at ``g.assets``; other banks are left as they
-    are."""
-    net, state = g.net, g.assets
-    edges, slopes, borders = g.edges, g.slopes, g.borders
+    """Rebuild the map of active out-claims and the next border of each of
+    ``banks`` at ``g.assets``; other banks are left as they are."""
+    net, state, edges, borders = g.net, g.assets, g.edges, g.borders
     for v in banks:
-        for claim in edges.get(v, ()):
-            del slopes[claim.pair]
         borders.pop(v, None)
         assets = state[v]
-        active = []
+        active = {}
         nearest = None
         for claim in net.out_claims(v):
             segment = claim.payment.active_segment(assets)
             if segment is not None:
                 slope, border = segment
-                active.append(claim)
-                slopes[claim.pair] = slope
+                active[claim.creditor] = slope
                 if nearest is None or border < nearest:
                     nearest = border
-        edges[v] = tuple(active)
+        edges[v] = active
         if nearest is not None:
             borders[v] = nearest
 
 
 def active_graph(net: FinancialNetwork, assets: dict) -> ActiveGraph:
-    g = ActiveGraph(net=net, assets=assets, edges={}, slopes={}, borders={})
+    g = ActiveGraph(net, assets, {}, {})
     refresh_banks(g, net.bank_ids())
     return g
 
@@ -125,9 +120,6 @@ def strongly_connected(
     return components
 
 
-_creditor = attrgetter("creditor")
-
-
 def condense(g: ActiveGraph, source: str | None = None) -> tuple[frozenset[str], ...]:
     """The non-singleton sink SCCs of the active graph reachable from
     ``source`` (every one when ``source`` is None), ordered by smallest
@@ -142,10 +134,10 @@ def condense(g: ActiveGraph, source: str | None = None) -> tuple[frozenset[str],
     else:
         raise errors.UnknownBankError(source)
     sinks = []
-    for members in strongly_connected(roots, lambda v: map(_creditor, edges[v])):
+    for members in strongly_connected(roots, edges.__getitem__):
         if len(members) > 1:
             component = frozenset(members)
-            if all(claim.creditor in component for v in members for claim in edges[v]):
+            if all(c in component for v in members for c in edges[v]):
                 sinks.append(component)
     return tuple(sorted(sinks, key=min))
 
@@ -157,10 +149,10 @@ def reachable_from(g: ActiveGraph, v: str) -> frozenset[str]:
     frontier = [v]
     while frontier:
         node = frontier.pop()
-        for claim in g.edges[node]:
-            if claim.creditor not in seen:
-                seen.add(claim.creditor)
-                frontier.append(claim.creditor)
+        for c in g.edges[node]:
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
     return frozenset(seen)
 
 

@@ -164,7 +164,8 @@ def parse_network(source) -> FinancialNetwork:
                     if not isinstance(values, list):
                         raise ParseError(f"{field!r} must be a list", edge_context)
                     for value in values:
-                        if not isinstance(value, (int, str)):
+                        # not isinstance: JSON true and false load as bools, which are ints
+                        if type(value) not in (int, str):
                             raise ParseError(
                                 f"{field!r} entries must be integers or exact strings",
                                 edge_context,

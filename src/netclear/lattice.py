@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import errors
 from .clearing import ClearingState, is_clearing_state
-from .graphs import ActiveGraph, active_graph, condense
+from .graphs import ActiveGraph, active_graph, find_flood_component
 from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork
 from .rationals import parse_exact
@@ -30,12 +30,12 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
 def _own_sink_flood(g: ActiveGraph, v: str) -> FloodStep | None:
     """The flood step of the component of ``v`` in ``g``, or None when that
     component is not a non-singleton sink. A sink is the only component its
-    members reach, so it comes first in ``condense(g, v)`` exactly when ``v``
-    is a member."""
-    components = condense(g, v)
-    if not components or v not in components[0]:
+    members reach, so ``find_flood_component(g, v)`` holds ``v`` exactly
+    when ``v`` is a member."""
+    component = find_flood_component(g, v)
+    if component is None or v not in component:
         return None
-    return solve_flood_step(g, components[0])
+    return solve_flood_step(g, component)
 
 
 def apply_flood_sequence(

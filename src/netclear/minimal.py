@@ -69,15 +69,13 @@ class FloodStep:
 
 
 class IncreaseStep:
-    """An injection at ``source`` that moves each bank ``u`` by
-    ``scale * rates[u]``: the response solve's integer numerators over its
-    positive common denominator ``den``, kept as they came. ``delta`` is the
-    injected amount."""
+    """An injection that moves each bank ``u`` by ``scale * rates[u]``: the
+    response solve's integer numerators over its positive common denominator
+    ``den``, kept as they came. ``delta`` is the injected amount."""
 
-    __slots__ = ("source", "rates", "den", "scale")
+    __slots__ = ("rates", "den", "scale")
 
-    def __init__(self, source: str, rates: dict[str, int], den: int, scale: Fraction):
-        self.source = source
+    def __init__(self, rates: dict[str, int], den: int, scale: Fraction):
         self.rates = rates  # response numerators over den
         self.den = den  # common denominator of the rates, positive
         self.scale = scale  # injected amount / den
@@ -319,22 +317,21 @@ def flood_closure(g: ActiveGraph, source=None) -> None:
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
     """Sparse rows of ``M^T - I`` over ``members``, where ``M`` holds the
-    slopes of the active edges between members and the out-edges of
-    ``frozen`` are left out. Row ``j`` is also column ``j`` of ``M - I``.
-    These are the rows of the response system ``(I - M^T) s = b`` negated,
-    so the slopes go in as the graph stores them: a response solve passes
-    ``-b`` as the right-hand side, and ``unit_left_nullspace`` gives the
-    same Perron direction for ``M - I`` as for ``I - M``."""
+    slopes ``g.edges[u][c]`` of the active claims between members and the
+    out-edges of ``frozen`` are left out. Row ``j`` is also column ``j`` of
+    ``M - I``. These are the rows of the response system ``(I - M^T) s = b``
+    negated, so the slopes go in as the graph stores them: a response solve
+    passes ``-b`` as the right-hand side, and ``unit_left_nullspace`` gives
+    the same Perron direction for ``M - I`` as for ``I - M``."""
     index = {u: i for i, u in enumerate(members)}
     rows = [[(i, -1)] for i in range(len(members))]
-    slopes = g.slopes
     for i, u in enumerate(members):
         if u == frozen:
             continue
-        for claim in g.edges[u]:
-            j = index.get(claim.creditor)
+        for c, slope in g.edges[u].items():
+            j = index.get(c)
             if j is not None:
-                rows[j].append((i, slopes[claim.pair]))
+                rows[j].append((i, slope))
     return rows
 
 
@@ -372,7 +369,7 @@ def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseSte
         return None
     rates, den = solved
     scale = border_scale(g, rates, limit=budget / den)
-    return IncreaseStep(source=v, rates=rates, den=den, scale=scale)
+    return IncreaseStep(rates=rates, den=den, scale=scale)
 
 
 class MinClearingRun:
@@ -430,7 +427,8 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if (
             g.net is not adj.network
             or g.assets is not assets
-            or (g.edges, g.slopes, g.borders) != (fresh.edges, fresh.slopes, fresh.borders)
+            or g.edges != fresh.edges
+            or g.borders != fresh.borders
         ):
             raise errors.InternalInvariantError(
                 "stale active graph handed to the increase step"

@@ -8,7 +8,7 @@ continuity structural rather than something to check. Intervals are half-open
 Sums and evaluations on the per-op path run on Python ints and normalize
 once: liability totals through ``rationals.exact_sum``, class totals over
 one common denominator, and ``value_at`` as one numerator over one
-denominator, its segment found by bisecting the borders' integer numerators
+denominator. Every segment lookup bisects the borders' integer numerators
 over their common denominator. A class scheme's functions also carry their
 class index and liability numerator, from which ``axioms`` builds the
 debtor's integer class grid once; the payment-axiom check that validation
@@ -86,7 +86,10 @@ class PaymentFunction(_Value):
     out-liability. ``_values`` holds the values at the borders, ``_scaled``
     the borders as integer numerators over one denominator ``_den``, and
     ``_piece`` a class scheme's ``(class index, liability numerator)``, else
-    None.
+    None. ``value_at``, ``slope_at`` and ``active_segment`` find the segment
+    of ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
+    numerator is an int, so it is at most ``a * _den`` exactly when it is at
+    most that floor.
     """
 
     __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
@@ -116,9 +119,7 @@ class PaymentFunction(_Value):
     def value_at(self, a: Fraction) -> Fraction:
         """The payment at assets ``a``, as one numerator over one
         denominator: ``value + slope * (a - border)`` on the segment of
-        ``a``, found by comparing the integer border numerators with
-        ``floor(a * den)``; at the first border this is the first value,
-        zero."""
+        ``a``; at the first border this is the first value, zero."""
         an, ad = a.as_integer_ratio()
         bd = self._den
         idx = bisect_right(self._scaled, an * bd // ad) - 1
@@ -136,9 +137,7 @@ class PaymentFunction(_Value):
         return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
 
     def slope_at(self, a: Fraction) -> Fraction:
-        idx = bisect_right(self.borders, a) - 1
-        if idx < 0:
-            idx = 0
+        idx = max(bisect_right(self._scaled, a.numerator * self._den // a.denominator) - 1, 0)
         if idx >= len(self.slopes):
             return ZERO
         return self.slopes[idx]
@@ -146,7 +145,7 @@ class PaymentFunction(_Value):
     def active_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
         """``(slope_at(a), next border strictly above a)`` when that slope is
         positive, else None; one bisection for both."""
-        pos = bisect_right(self.borders, a)
+        pos = bisect_right(self._scaled, a.numerator * self._den // a.denominator)
         idx = max(pos - 1, 0)
         if idx >= len(self.slopes) or self.slopes[idx] <= 0:
             return None

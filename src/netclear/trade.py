@@ -76,14 +76,29 @@ def apply_trade(
     return assemble(banks, claims)
 
 
+def evaluate_return(
+    net: FinancialNetwork, claim_pair, buyer: str, rho: Fraction
+) -> tuple[FinancialNetwork, ClearingState, bool]:
+    """The traded network at the return ``rho``, its minimal clearing state,
+    and whether the return is creditor-positive there: the seller's assets
+    strictly rise and the buyer's do not fall, against the minimal state of
+    ``net``."""
+    traded = apply_trade(net, claim_pair, buyer, rho)
+    base = compute_min_clearing(net)
+    post = compute_min_clearing(traded)
+    creditor = claim_pair[1]
+    return traded, post, post[creditor] > base[creditor] and post[buyer] >= base[buyer]
+
+
 def _trade_slopes(g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
     """Response of the minimal clearing state at ``g.assets`` to moving one
     unit of external assets from the buyer ``w`` to the seller ``v``.
-    Returned as ``(rates, den)``: an integer numerator for every bank over
-    one positive common denominator. The buyer's outgoing payments are held
-    fixed (at the creditor-positive boundary its assets do not move), and the
-    sign of its drift is the stop signal. A buyer outside the seller's reach
-    gets no active in-edge from it, so it only loses the unit.
+    Returned as ``(rates, den)``: an integer numerator over one positive
+    common denominator for each bank the seller reaches, plus the buyer;
+    every other bank stays put. The buyer's outgoing payments are held fixed
+    (at the creditor-positive boundary its assets do not move), and the sign
+    of its drift is the stop signal. A buyer outside the seller's reach gets
+    no active in-edge from it, so it only loses the unit.
     """
     solved = response(g, v, {v: 1, w: -1}, frozen=w)
     if solved is None:
@@ -91,10 +106,8 @@ def _trade_slopes(g: ActiveGraph, v: str, w: str) -> tuple[dict, int]:
             "singular trade response system after flood closure"
         )
     rates, den = solved
-    slopes = dict.fromkeys(g.net.bank_ids(), 0)
-    slopes[w] = -den
-    slopes.update(rates)
-    return slopes, den
+    rates.setdefault(w, -den)
+    return rates, den
 
 
 def optimal_creditor_positive_return(

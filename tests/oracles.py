@@ -234,6 +234,27 @@ def fraction_value_at(fn: PaymentFunction, a: Fraction) -> Fraction:
     return fn._values[idx] + fn.slopes[idx] * (a - fn.borders[idx])
 
 
+def fraction_slope_at(fn: PaymentFunction, a: Fraction) -> Fraction:
+    """``fn``'s slope at assets ``a``, its segment found by bisecting the
+    ``Fraction`` borders: the first slope before the first border, zero at
+    and past the last."""
+    idx = max(bisect_right(fn.borders, a) - 1, 0)
+    if idx >= len(fn.slopes):
+        return ZERO
+    return fn.slopes[idx]
+
+
+def fraction_active_segment(fn: PaymentFunction, a: Fraction):
+    """``(slope, next border strictly above a)`` on the segment of ``a``,
+    found by bisecting the ``Fraction`` borders, when that slope is
+    positive; else None."""
+    pos = bisect_right(fn.borders, a)
+    idx = max(pos - 1, 0)
+    if idx >= len(fn.slopes) or fn.slopes[idx] <= 0:
+        return None
+    return fn.slopes[idx], fn.borders[pos]
+
+
 def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
     """Payments ``v`` receives at ``state``, accumulated with ``+=``."""
     total = ZERO

@@ -59,11 +59,36 @@ TWO_CYCLE = {
     ],
 }
 
+# EXAMPLE3 with v owing w 3, and 4 at the buyer w to pay a return for u -> v.
+TRADE_WALK = {
+    "format_version": "1",
+    "banks": [
+        {"id": "u", "external_assets": 1},
+        {"id": "v", "external_assets": 0},
+        {"id": "w", "external_assets": 4},
+        {"id": "y", "external_assets": 0},
+    ],
+    "payment_schemes": {"v": {"type": "edge_ranking", "order": ["w", "y"]}},
+    "claims": [
+        {"debtor": "u", "creditor": "v", "liability": 2},
+        {"debtor": "v", "creditor": "w", "liability": 3},
+        {"debtor": "v", "creditor": "y", "liability": 2},
+        {"debtor": "y", "creditor": "v", "liability": 2},
+    ],
+}
+
 
 @pytest.fixture
 def example3_file(tmp_path):
     path = tmp_path / "example3.json"
     path.write_text(json.dumps(EXAMPLE3))
+    return str(path)
+
+
+@pytest.fixture
+def trade_walk_file(tmp_path):
+    path = tmp_path / "trade.json"
+    path.write_text(json.dumps(TRADE_WALK))
     return str(path)
 
 
@@ -284,6 +309,30 @@ class TestParseNetwork:
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, index, value", [("borders", 1, True), ("slopes", 0, False)])
+    def test_bool_in_piecewise_scheme_rejected(self, field, index, value, tmp_path, capsys):
+        # JSON true and false are Python ints; they once reached the engine
+        # and exited 3 with an internal error.
+        doc = json.loads(json.dumps(TWO_CYCLE))
+        doc["banks"].append({"id": "c"})
+        doc["claims"].append({"debtor": "b", "creditor": "c", "liability": 1})
+        edges = [
+            {"creditor": "a", "borders": [0, 1, 2], "slopes": [1, 0]},
+            {"creditor": "c", "borders": [0, 1, 2], "slopes": [0, 1]},
+        ]
+        doc["payment_schemes"]["b"] = {"type": "piecewise", "edges": edges}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        edges[1][field][index] = value
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{field!r} entries must be integers or exact strings" in captured.err
+
     def test_path_starting_with_a_brace_is_a_path(self, tmp_path, monkeypatch, capsys):
         # a path is never read as JSON text, whatever its first character
         monkeypatch.chdir(tmp_path)
@@ -404,38 +453,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "infeasible" in err
 
-    def test_trade_optimal(self, tmp_path, capsys):
-        doc = {
-            "format_version": "1",
-            "banks": [
-                {"id": "u", "external_assets": 1},
-                {"id": "v", "external_assets": 0},
-                {"id": "w", "external_assets": 4},
-                {"id": "y", "external_assets": 0},
-            ],
-            "payment_schemes": {"v": {"type": "edge_ranking", "order": ["w", "y"]}},
-            "claims": [
-                {"debtor": "u", "creditor": "v", "liability": 2},
-                {"debtor": "v", "creditor": "w", "liability": 3},
-                {"debtor": "v", "creditor": "y", "liability": 2},
-                {"debtor": "y", "creditor": "v", "liability": 2},
-            ],
-        }
-        path = tmp_path / "trade.json"
-        path.write_text(json.dumps(doc))
-        code = main(["trade", str(path), "--claim", "u", "v", "--buyer", "w"])
+    def test_trade_optimal(self, trade_walk_file, capsys):
+        code = main(["trade", trade_walk_file, "--claim", "u", "v", "--buyer", "w"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["metadata"]["rho_star"] == "2"
         assert out["metadata"]["rho_min"] == "1"
         assert out["metadata"]["interval"] == ["1", "2"]
 
-        code = main(
-            ["trade", str(path), "--claim", "u", "v", "--buyer", "w", "--return", "3/2"]
-        )
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["metadata"]["creditor_positive"] is True
+    @pytest.mark.parametrize("rho, code", [("3/2", 0), ("1", 1)])
+    def test_trade_return_verdict(self, rho, code, trade_walk_file, capsys):
+        # The claim u -> v pays 1 before the trade; a return of 3/2 raises the
+        # seller v above that and the buyer w recovers it, a return of 1 does
+        # not raise v.
+        argv = ["trade", trade_walk_file, "--claim", "u", "v", "--buyer", "w", "--return", rho]
+        assert main(argv) == code
+        exact = {"u": "1", "v": rho, "w": "5", "y": "0"}
+        paid = [("u", "w", "1"), ("v", "w", rho), ("v", "y", "0"), ("y", "v", "0")]
+        expected = {
+            "assets": {b: {"decimal": decimal_str(F(x)), "exact": x} for b, x in exact.items()},
+            "metadata": {
+                "creditor_positive": code == 0,
+                "flood_count": 0,
+                "operation": "trade",
+                "return": rho,
+                "solver_version": "0.1.0",
+                "step_count": 0,
+            },
+            "payments": [
+                {"creditor": c, "debtor": d, "decimal": decimal_str(F(x)), "exact": x}
+                for d, c, x in paid
+            ],
+        }
+        assert capsys.readouterr().out == dump_document(expected)
 
     def test_trade_no_creditor_positive_exit(self, tmp_path, capsys):
         # v's onward payments go to z, never back to the buyer w

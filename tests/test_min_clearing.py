@@ -503,7 +503,7 @@ class TestActiveGraphReuse:
             # drop every active edge: no flood is found, so the increase
             # step would run on this stale graph
             return graphs.ActiveGraph(
-                g.net, g.assets, edges={v: () for v in net.bank_ids()}, slopes={}, borders={}
+                g.net, g.assets, edges={v: {} for v in net.bank_ids()}, borders={}
             )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
@@ -521,11 +521,14 @@ class TestActiveGraphReuse:
             builds.append(g)
             if len(builds) > 1:
                 return g
-            # the right edges, but one slope halved: only a comparison of the
-            # slopes tells this graph from a fresh one
-            pair = min(g.slopes)
-            slopes = {**g.slopes, pair: g.slopes[pair] / 2}
-            return graphs.ActiveGraph(g.net, g.assets, g.edges, slopes, g.borders)
+            # the right creditors, but one slope halved: only a comparison of
+            # the slopes tells this graph from a fresh one
+            debtor = min(v for v, active in g.edges.items() if active)
+            active = dict(g.edges[debtor])
+            creditor = min(active)
+            active[creditor] /= 2
+            edges = {**g.edges, debtor: active}
+            return graphs.ActiveGraph(g.net, g.assets, edges, g.borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
         with pytest.raises(InternalInvariantError, match="stale active graph"):
@@ -547,7 +550,7 @@ class TestActiveGraphReuse:
             # of the borders tells this graph from a fresh one
             bank = min(g.borders)
             borders = {**g.borders, bank: g.borders[bank] / 2}
-            return graphs.ActiveGraph(g.net, g.assets, g.edges, g.slopes, borders)
+            return graphs.ActiveGraph(g.net, g.assets, g.edges, borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_border)
         with pytest.raises(InternalInvariantError, match="stale active graph"):

@@ -37,7 +37,13 @@ from netclear.model import Bank, Claim, PaymentFunction, assemble
 from netclear.rationals import exact_sum, sum_ratio
 
 from corpus import random_network
-from oracles import fraction_check_payment_axioms, fraction_value_at, next_border_delta
+from oracles import (
+    fraction_active_segment,
+    fraction_check_payment_axioms,
+    fraction_slope_at,
+    fraction_value_at,
+    next_border_delta,
+)
 
 
 def figure1_ranked():
@@ -241,8 +247,10 @@ class TestValueAtAgainstFraction:
     def test_mixed_denominators_at_and_around_borders(self):
         """Borders over several denominators, and arguments at each border
         and a hair below and above it, closer than one step of the borders'
-        common denominator: the integer bisect must pick the same segment as
-        the ``Fraction`` one."""
+        common denominator: the integer bisect of ``value_at``, ``slope_at``
+        and ``active_segment`` must pick the same segment as the ``Fraction``
+        one. A negative slope is no valid scheme's, but ``slope_at`` returns
+        it as it is."""
         rng = random.Random(3141)
         for _ in range(300):
             k = rng.randint(1, 6)
@@ -251,7 +259,7 @@ class TestValueAtAgainstFraction:
                 step = F(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 12, 97)))
                 borders.append(borders[-1] + step)
             slopes = [
-                F(0) if rng.random() < 0.2 else F(rng.randint(1, 30), rng.randint(1, 25))
+                F(0) if rng.random() < 0.2 else F(rng.randint(-5, 30), rng.randint(1, 25))
                 for _ in range(k)
             ]
             fn = PaymentFunction(tuple(borders), tuple(slopes))
@@ -262,6 +270,8 @@ class TestValueAtAgainstFraction:
                         got = fn.value_at(a)
                         assert type(got) is F
                         assert got == fraction_value_at(fn, a), (fn, a)
+                        assert fn.slope_at(a) == fraction_slope_at(fn, a), (fn, a)
+                        assert fn.active_segment(a) == fraction_active_segment(fn, a), (fn, a)
 
     def test_random_functions(self):
         rng = random.Random(2718)

@@ -134,12 +134,37 @@ def test_help_and_usage_errors_through_argparse(monkeypatch):
 PARSER_TOKEN_BUFFER = 4096
 
 
-def test_modules_fit_the_parser_token_buffer():
+def module_token_counts() -> dict[str, int]:
     sizes = {}
     for path in sorted((ROOT / "src" / "netclear").glob("*.py")):
         with open(path, "rb") as source:
             sizes[path.name] = sum(1 for _ in tokenize.tokenize(source.readline))
+    return sizes
+
+
+def test_modules_fit_the_parser_token_buffer():
+    sizes = module_token_counts()
     assert {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_BUFFER} == {}
+
+
+def test_package_size_counts_tokens_as_the_buffer_check():
+    # this checkout against itself: every delta is 0, and the totals are the
+    # sums of the counts above and of the source lines
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "package_size.py"), str(ROOT), str(ROOT)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    sizes = module_token_counts()
+    assert [line.split()[0] for line in lines] == [*sizes, "total"]
+    assert all(line.count("(+0)") == 2 for line in lines)
+    total = lines[-1].split()
+    tokens = sum(sizes.values())
+    source_lines = sum(
+        path.read_bytes().count(b"\n") for path in (ROOT / "src" / "netclear").glob("*.py")
+    )
+    assert [int(total[i]) for i in (2, 4, 7, 9)] == [tokens, tokens, source_lines, source_lines]
 
 
 def test_io_imports_no_solver():
