@@ -17,22 +17,20 @@ class, and lowering by one is the special case. One counter system
 serves the whole descent: a lowering refreshes only the rows it touches (the
 lowered banks' own, and those of the creditors in the classes between the
 old and new counters), and a one-bank block is solved by substitution. The
-last round's least solution is the final state wherever its block has one
-solution; only a block that may have more is maximized under its caps. The
-feasibility test and the final maximization are solved exactly on the class
-structure (relays eliminated by substitution); both are cross-checked against
+last round's least solution is the maximal state (proof in
+``compute_max_clearing_pp``). The feasibility test is solved exactly on the
+class structure (relays eliminated by substitution) and cross-checked against
 the explicit LP formulation in the test suite.
 
 The descent runs on Python ints. ``priority_structure`` returns each bank's
 grid and piece liabilities as integer numerators over one denominator per
 bank, the grid ``axioms.bank_classes`` builds once, at load, and
 validation's axiom check holds on the network. Every row of the counter
-system, its floors and caps, and each round's ``t`` and assets are
-``(numerator, denominator)`` pairs, summed, compared by cross-multiplying
-and handed to the solver as integer rows.
-Only the final state becomes ``Fraction``s, one per bank; the cold path of
-a closed block's Perron line converts at its boundary. The ``Fraction``
-reference of the rows and of the asset map lives with the test oracles.
+system, its floors and each round's ``t`` and assets are ``(numerator,
+denominator)`` pairs, summed, compared by cross-multiplying and handed to
+the solver as integer rows. Only the final state becomes ``Fraction``s, one
+per bank. The ``Fraction`` reference of the rows and of the asset map lives
+with the test oracles.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from . import errors
 from .axioms import BankClasses, bank_classes
 from .clearing import ClearingState, is_clearing_state
 from .graphs import strongly_connected
-from .linalg import solve_linear_system, unit_left_nullspace
+from .linalg import solve_linear_system
 from .model import FinancialNetwork
 
 
@@ -75,21 +73,20 @@ class _CounterSystem:
     ``_refresh_rows``, so one system serves a whole descent.
 
     Each value is a pair of ints ``(numerator, denominator > 0)``, not
-    necessarily reduced: the entries of ``w`` and ``c``, ``floor`` and
-    ``cap``, and a round's ``t`` and assets. Only the final state builds
-    ``Fraction``s, one per bank. ``sources[v][u]`` lists the ``(class index,
-    piece liability)`` of ``v``'s pieces among the classes of its debtor
-    ``u``, in class order, with the debtors in bank order.
+    necessarily reduced: the entries of ``w``, ``c`` and ``floor``, and a
+    round's ``t`` and assets. Only the final state builds ``Fraction``s,
+    one per bank. ``sources[v][u]`` lists the ``(class index, piece
+    liability)`` of ``v``'s pieces among the classes of its debtor ``u``,
+    in class order, with the debtors in bank order.
     """
 
-    __slots__ = ("order", "w", "c", "floor", "cap", "sources")
+    __slots__ = ("order", "w", "c", "floor", "sources")
 
-    def __init__(self, order, w, c, floor, cap, sources):
+    def __init__(self, order, w, c, floor, sources):
         self.order = order
         self.w = w  # w[v][u]: coefficient of t_u in a_v
         self.c = c
         self.floor = floor  # x_{v, r_v}
-        self.cap = cap  # x_{v, r_v + 1}; None when r_v = k_v
         self.sources = sources
 
 
@@ -101,10 +98,10 @@ def _refresh_rows(
     banks,
 ) -> None:
     """Recompute, in place, the rows of ``banks`` at ``counters``; other rows
-    are left as they are. A bank's row is its floor and cap, and what its
-    debtors pay into it, each linearised on its own counter segment, scaled
-    by the bank's haircuts (alpha on external assets, beta on payments)
-    unless its counter is at the top.
+    are left as they are. A bank's row is its floor and what its debtors pay
+    into it, each linearised on its own counter segment, scaled by the
+    bank's haircuts (alpha on external assets, beta on payments) unless its
+    counter is at the top.
 
     A piece ``L`` of debtor ``u``'s class ``[x_r, x_r+1)`` of total ``T``,
     paid in proportion, gives ``w[v][u] = (L, T)`` (``u``'s denominator
@@ -116,7 +113,6 @@ def _refresh_rows(
         r = counters[v]
         solvent = r == classes.class_count
         system.floor[v] = (classes.grid[r], classes.den)
-        system.cap[v] = None if solvent else (classes.grid[r + 1], classes.den)
         row = {}
         pn, pd = 0, 1  # constant part of the unscaled inflow
         for u, pieces in system.sources[v].items():
@@ -153,7 +149,7 @@ def _counter_system(
         for j, pieces in enumerate(structure[u].pieces):
             for creditor, liability in pieces:
                 sources[creditor].setdefault(u, []).append((j, liability))
-    system = _CounterSystem(order, {}, {}, {}, {}, sources)
+    system = _CounterSystem(order, {}, {}, {}, sources)
     _refresh_rows(system, net, structure, counters, order)
     return system
 
@@ -246,14 +242,11 @@ def _assets(system: _CounterSystem, t, v: str, block=()) -> tuple[int, int]:
     return an // g, ad // g
 
 
-def _solve_block_least(system, block, t) -> tuple[dict, bool]:
+def _solve_block_least(system, block, t) -> dict:
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced. Returns
-    the members' assets, and whether the block's flow equalities have just
-    this solution: true for one bank and for a nonsingular solve of all the
-    members, false when some member was never promoted. Raises
-    ``_Insatiable`` when the flow equalities of all the members are
-    singular.
+    the members' assets. Raises ``_Insatiable`` when the flow equalities of
+    all the members are singular.
 
     No bank has a claim on itself, so the one bank of a one-bank block
     reads only inputs.
@@ -272,7 +265,7 @@ def _solve_block_least(system, block, t) -> tuple[dict, bool]:
         assets = _assets(system, t, v)
         fn, fd = floor = system.floor[v]
         t[v] = assets if assets[0] * fd > fn * assets[1] else floor
-        return {v: assets}, True
+        return {v: assets}
     flow: set[str] = set()
     for v in members:
         t[v] = system.floor[v]
@@ -283,7 +276,7 @@ def _solve_block_least(system, block, t) -> tuple[dict, bool]:
         if not promote:
             # the flow equalities hold on the promoted members: a = t there
             assets.update((v, t[v]) for v in flow)
-            return assets, len(flow) == len(members)
+            return assets
         flow.update(promote)
         f = sorted(flow)
         solution = solve_linear_system(*_flow_rows(system, f, t))
@@ -298,75 +291,15 @@ def _solve_block_least(system, block, t) -> tuple[dict, bool]:
         raise _Insatiable(members)
 
 
-def _solve_singular_line(system, members, t):
-    """Particular solution and positive null direction of
-    (I - W_BB) x = g on a closed block, as ``Fraction``s; (None, None) when
-    inconsistent.
-
-    The null direction d = W_BB d is the left Perron vector of W_BB^T, and
-    the rows of I - W_BB are the columns of I - W_BB^T. The particular
-    solution pins the first coordinate to its floor in place of the first
-    equation; the dropped equation is then tested by substitution."""
-    rows, g = _flow_rows(system, members, t)
-    try:
-        direction = unit_left_nullspace(rows)
-    except errors.DegenerateMatrixError:
-        raise errors.InternalInvariantError("closed block without Perron direction")
-    fn, fd = system.floor[members[0]]
-    solution = solve_linear_system([[(0, fd)]] + rows[1:], [fn] + g[1:])
-    if solution is None:
-        return None, None
-    numerators, den = solution
-    particular = [Fraction(x, den) for x in numerators]
-    if sum(x * particular[j] for j, x in rows[0]) != g[0]:
-        return None, None
-    return particular, direction
-
-
-def _solve_block_greatest(system, block, t):
-    """Exact flow equalities on a block, taking the largest point under the
-    caps when the block carries a free circulation."""
-    members = sorted(block)
-    if len(members) == 1:
-        v = members[0]
-        t[v] = _assets(system, t, v)
-        return
-    solution = solve_linear_system(*_flow_rows(system, members, t))
-    if solution is not None:
-        numerators, den = solution
-        t.update((v, (x, den)) for v, x in zip(members, numerators))
-        return
-    particular, direction = _solve_singular_line(system, members, t)
-    if particular is None:
-        raise errors.InternalInvariantError(
-            "inconsistent circulation block at the final counters"
-        )
-    rooms = [
-        (Fraction(*system.cap[v]) - particular[i]) / direction[i]
-        for i, v in enumerate(members)
-        if system.cap[v] is not None
-    ]
-    if not rooms:
-        raise errors.InternalInvariantError("closed block without any cap")
-    gamma = min(rooms)
-    for i, v in enumerate(members):
-        t[v] = (particular[i] + gamma * direction[i]).as_integer_ratio()
-
-
 def _solve_counters(system: _CounterSystem):
     """Least solution ``(t, a)`` of t = max(floor, W t + c) and its assets,
-    solved block by block, inputs first, with the blocks from the first one
-    whose flow equalities may have other solutions onward (empty when none
-    may). Raises ``_Insatiable`` when a closed block cannot absorb its
-    injection.
+    solved block by block, inputs first. Raises ``_Insatiable`` when a
+    closed block cannot absorb its injection.
     """
-    t, a, open_blocks = {}, {}, []
+    t, a = {}, {}
     for block in _blocks_in_order(system):
-        assets, unique = _solve_block_least(system, block, t)
-        a.update(assets)
-        if open_blocks or not unique:
-            open_blocks.append(block)
-    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}, open_blocks
+        a.update(_solve_block_least(system, block, t))
+    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
@@ -378,15 +311,33 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
     falls short of the maximal state ``x*`` have ``a = t``, and a lowered
     bank has ``x*_v <= a_v`` (proof in ``_lower``). A block that cannot
     absorb its injection lowers its members by one. The descent ends when
-    ``a = t``; ``t`` is then the state, re-solved for the largest point under
-    the caps only from the first block whose flow equalities may have more
-    than one solution."""
+    ``a = t``, and that round's ``t`` is ``x*``.
+
+    The descent rests on the counters ``r`` never falling below the classes
+    ``r*`` of ``x*``: the jumps keep ``r >= r*`` (``_lower``), and the
+    insatiable rounds step down by one. At exit ``a = t``, so ``t`` is a
+    clearing state (the check below raises otherwise) and ``t <= x*``. A
+    bank with ``r_v > r*_v`` would have ``t_v >= grid[r_v] > x*_v``, so
+    ``r = r*``, and ``x*`` solves the round's equalities ``x = W x + c`` as
+    ``t`` does. So ``d = x* - t >= 0`` has ``d = W d``. Every column of
+    ``W`` sums to at most 1, so summing over the support ``D`` of ``d``
+    makes every column of ``W_DD`` sum to 1: ``D`` is a closed circulation
+    of banks below their top class (a bank at its top pays a constant),
+    and it feeds no bank outside it. Every bank of ``D`` is below its cap
+    ``grid[r_v + 1]`` at ``x*``, so raise ``t + s d`` from ``s = 1`` until
+    a bank ``v`` of ``D`` meets its cap. The point still solves the
+    equalities, and each bank pays there what its class pays, so it is a
+    clearing state; only where the cap of ``v`` is ``L+`` and ``v`` has
+    haircuts does the asset map raise the point instead, and then by
+    Tarski a fixed point lies above it. Either way a clearing state lies
+    strictly above ``x*`` on ``v``, against ``x*`` being greatest. So
+    ``d = 0`` and ``t = x*``."""
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
     system = _counter_system(net, structure, counters)
     for _ in range(sum(counters.values()) + 1):
         try:
-            t, a, open_blocks = _solve_counters(system)
+            t, a = _solve_counters(system)
         except _Insatiable as blocked:
             lowered = [v for v in sorted(blocked.members) if counters[v] > 0]
             if not lowered:
@@ -397,11 +348,6 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
         else:
             lowered = sorted(v for v in t if a[v][0] * t[v][1] < t[v][0] * a[v][1])
             if not lowered:
-                # a = t everywhere, so t solves every block's flow equalities;
-                # the asset-maximal solution differs only where they may have
-                # more than one, so re-solve from the first such block on
-                for block in open_blocks:
-                    _solve_block_greatest(system, block, t)
                 state = ClearingState({v: Fraction(*x) for v, x in t.items()})
                 if not is_clearing_state(net, state).ok:
                     raise errors.InternalInvariantError(

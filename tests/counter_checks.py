@@ -5,8 +5,8 @@ rounds.
 ``priority._solve_counters``:
 
 - after each lowering the held system must equal a fresh ``_counter_system``
-  build at the new counters, in the values of ``w``, ``c``, ``floor`` and
-  ``cap`` (read as ``Fraction``s by ``oracles.normalized_rows``);
+  build at the new counters, in the values of ``w``, ``c`` and ``floor``
+  (read as ``Fraction``s by ``oracles.normalized_rows``);
 - rounds that end in an insatiable block are counted.
 
 ``record_rounds`` wraps ``priority._lower`` to keep every regular round's
@@ -14,10 +14,10 @@ lowering (the insatiable rounds lower by one and pass no assets), and
 ``assert_jumps_sound`` checks those rounds against the maximal state.
 
 ``record_least_exits`` wraps ``priority._solve_block_least`` and counts how
-each least solve of a block of two or more banks leaves: with one solution,
-with a member never promoted, or through the singular path. Every singular
-exit is checked to be inconsistent, so that no least solve needed the
-consistent line of a closed block.
+each least solve of a block of two or more banks leaves: with every member
+promoted off its floor, with a member left at its floor, or through the
+singular path. Every singular exit is checked to be inconsistent, so that
+raising ``_Insatiable`` never passes over a point of a closed block's line.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from bisect import bisect_right
 
 from netclear import priority
 
-from oracles import as_fraction, normalized_rows
+from oracles import as_fraction, has_pinned_flow_solution, normalized_rows
 
 
 def assert_fresh(system, net, structure, counters) -> None:
     held = normalized_rows(system)
     fresh = normalized_rows(priority._counter_system(net, structure, counters))
-    for name in ("w", "c", "floor", "cap"):
+    for name in ("w", "c", "floor"):
         assert held[name] == fresh[name], f"stale {name} after a lowering"
 
 
@@ -105,9 +105,11 @@ def assert_jumps_sound(rounds, state) -> int:
 
 def record_least_exits(monkeypatch) -> dict:
     """Running counts of least block solves of two or more banks by exit:
-    ``unique``, ``open`` (a member never promoted) and ``singular`` (raised
-    ``_Insatiable``). On a singular exit the flow equalities at the final
-    ``t`` must have no solution on the pinned line."""
+    ``unique`` (every member promoted off its floor, so the flow equalities
+    of the whole block have just this solution), ``open`` (a member left at
+    its floor) and ``singular`` (raised ``_Insatiable``). On a singular exit
+    the flow equalities at the final ``t`` must have no solution with the
+    first member pinned at its floor."""
     least = priority._solve_block_least
     counts = {"unique": 0, "open": 0, "singular": 0}
 
@@ -115,14 +117,16 @@ def record_least_exits(monkeypatch) -> dict:
         if len(block) == 1:
             return least(system, block, t)
         try:
-            assets, unique = least(system, block, t)
+            assets = least(system, block, t)
         except priority._Insatiable:
             counts["singular"] += 1
-            line = priority._solve_singular_line(system, sorted(block), t)
-            assert line == (None, None), "consistent singular least solve"
+            solvable = has_pinned_flow_solution(system, sorted(block), t)
+            assert not solvable, "consistent singular least solve"
             raise
-        counts["unique" if unique else "open"] += 1
-        return assets, unique
+        floor = system.floor
+        left = any(as_fraction(t[v]) == as_fraction(floor[v]) for v in block)
+        counts["open" if left else "unique"] += 1
+        return assets
 
     monkeypatch.setattr(priority, "_solve_block_least", recorded_least)
     return counts

@@ -27,7 +27,8 @@ None of this runs in the product:
   integer ``priority.priority_structure``, ``priority._refresh_rows`` and
   ``priority._assets``; ``as_fraction`` and ``normalized_rows`` read the
   integer ``(numerator, denominator)`` pairs of the counter system as
-  ``Fraction``s;
+  ``Fraction``s; ``has_pinned_flow_solution`` decides whether a block's flow
+  equalities have a solution with one member pinned at its floor;
 - an exact two-phase simplex (``simplex_solve``) with Bland's rule, and
   ``build_counter_lp``, the literal LP form of the counter-descent
   feasibility test that the block solver is cross-checked against;
@@ -59,7 +60,7 @@ from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
 from netclear.minimal import compute_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
 from netclear.axioms import BankClasses
-from netclear.priority import _counter_system
+from netclear.priority import _counter_system, _flow_rows
 from netclear.rationals import ONE, ZERO
 from netclear.trade import optimal_creditor_positive_return
 
@@ -584,14 +585,13 @@ def fraction_counter_rows(net: FinancialNetwork, structure: dict, counters) -> d
         for j, pieces in enumerate(structure[u][1]):
             for creditor, liability in pieces:
                 sources[creditor].setdefault(u, []).append((j, liability))
-    rows: dict[str, dict] = {"w": {}, "c": {}, "floor": {}, "cap": {}}
+    rows: dict[str, dict] = {"w": {}, "c": {}, "floor": {}}
     for v in net.bank_ids():
         bank = net.bank(v)
         grid, pieces = structure[v]
         r = counters[v]
         solvent = r == len(pieces)
         rows["floor"][v] = grid[r]
-        rows["cap"][v] = None if solvent else grid[r + 1]
         row = {}
         paid = ZERO
         for u, own in sources[v].items():
@@ -625,20 +625,37 @@ def fraction_assets(row: dict, constant: Fraction, t) -> Fraction:
 
 
 def as_fraction(value):
-    """A counter-system pair ``(numerator, denominator)`` as a ``Fraction``;
-    None stays None."""
-    return None if value is None else Fraction(*value)
+    """A counter-system pair ``(numerator, denominator)`` as a ``Fraction``."""
+    return Fraction(*value)
 
 
 def normalized_rows(system) -> dict:
     """The rows of a ``priority._CounterSystem`` as ``Fraction``s:
-    ``{"w": {v: {u: w_vu}}, "c": {v: c_v}, "floor": ..., "cap": ...}``."""
+    ``{"w": {v: {u: w_vu}}, "c": {v: c_v}, "floor": {v: floor_v}}``."""
     return {
         "w": {v: {u: as_fraction(x) for u, x in row.items()} for v, row in system.w.items()},
         "c": {v: as_fraction(x) for v, x in system.c.items()},
         "floor": {v: as_fraction(x) for v, x in system.floor.items()},
-        "cap": {v: as_fraction(x) for v, x in system.cap.items()},
     }
+
+
+def has_pinned_flow_solution(system, members, t) -> bool:
+    """Whether the flow equalities ``(I - W_BB) x = g`` on the block
+    ``members``, as ``priority._flow_rows`` builds them at ``t``, have a
+    solution with the first member pinned at its floor; decided in
+    ``Fraction``s by the reduced row echelon form of the augmented rows,
+    which has a pivot in the right-hand side column exactly when there is
+    none."""
+    rows, rhs = _flow_rows(system, members, t)
+    n = len(members)
+    augmented = []
+    for row, b in zip(rows, rhs):
+        dense = [ZERO] * n + [Fraction(b)]
+        for j, x in row:
+            dense[j] += x
+        augmented.append(dense)
+    augmented.append([ONE] + [ZERO] * (n - 1) + [as_fraction(system.floor[members[0]])])
+    return n not in _rref(augmented)
 
 
 def build_counter_lp(

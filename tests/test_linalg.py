@@ -146,6 +146,12 @@ class TestSparseAgainstDenseOracle:
                     matrix[i][j] = x
             for x in ([F(0), F(0)], [F(1), F(0)], [F(2, 3), F(-5)]):
                 assert self.agree(matrix, mat_vec(matrix, x), rows) is None
+        # the flow rows I - W of a closed block with Perron line (1, 4, 2),
+        # whose last elimination step scales its row by a factor other than
+        # 1 before the row cancels
+        matrix = [[F(1), F(-1, 4), F(0)], [F(-4, 3), F(1), F(-4, 3)], [F(-2), F(0), F(1)]]
+        for x in ([F(0)] * 3, [F(1), F(0), F(0)]):
+            assert self.agree(matrix, mat_vec(matrix, x)) is None
         rng = random.Random(65537)
         for _ in range(300):
             n = rng.randint(2, 7)

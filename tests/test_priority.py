@@ -1,6 +1,7 @@
 """Priority-proportional transform and the maximal-clearing counter descent."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from math import lcm
 
@@ -8,12 +9,14 @@ import pytest
 
 from netclear import (
     Claim,
+    active_graph,
     adjust_default_cost,
     apply_trade,
     build_network,
     compute_max_clearing_flood,
     compute_max_clearing_pp,
     compute_min_clearing,
+    find_flood_component,
     is_clearing_state,
     make_edge_ranking,
     make_proportional,
@@ -27,13 +30,17 @@ from netclear.priority import (
     _counter_system,
     _CounterSystem,
     _Insatiable,
-    _solve_block_greatest,
     _solve_block_least,
     _solve_counters,
-    _solve_singular_line,
 )
 
-from corpus import ALL_SCHEME_KINDS, ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
+from corpus import (
+    ALL_SCHEME_KINDS,
+    SCHEME_KINDS,
+    ZERO_RATE_ALPHAS,
+    random_network,
+    rewired_zero_rate_banks,
+)
 from counter_checks import (
     assert_jumps_sound,
     check_counter_freshness,
@@ -46,6 +53,7 @@ from oracles import (
     fraction_assets,
     fraction_counter_rows,
     fraction_priority_structure,
+    has_pinned_flow_solution,
     normalized_rows,
     simplex_solve,
     to_priority_proportional,
@@ -330,18 +338,17 @@ class TestCounterDescent:
 
 def pair(x):
     """``x`` as the counter system holds it: an integer (numerator,
-    denominator) pair, None staying None."""
-    return None if x is None else x.as_integer_ratio()
+    denominator) pair."""
+    return x.as_integer_ratio()
 
 
-def counter_system(order, w, c, floor, cap):
+def counter_system(order, w, c, floor):
     """A ``_CounterSystem`` from ``Fraction`` rows, without sources."""
     return _CounterSystem(
         order=order,
         w={v: {u: pair(x) for u, x in row.items()} for v, row in w.items()},
         c={v: pair(x) for v, x in c.items()},
         floor={v: pair(x) for v, x in floor.items()},
-        cap={v: pair(x) for v, x in cap.items()},
         sources={},
     )
 
@@ -363,74 +370,41 @@ def closed_block(c=F(0)):
         },
         c={"b0": c, "b1": F(0), "b2": F(0)},
         floor={"b0": F(1), "b1": F(5), "b2": F(2)},
-        cap={"b0": F(7), "b1": None, "b2": F(30)},
     )
 
 
 class TestClosedBlock:
-    """A closed circulation block: the greatest solve takes its consistent
-    line, and the least solve meets it singular only with a positive
-    injection, which is insatiable."""
+    """A closed circulation block: the least solve takes its least point on
+    the line, and meets the block singular only with a positive injection,
+    which is insatiable."""
 
     def test_one_block(self):
         assert _blocks_in_order(closed_block()) == [["b0", "b1", "b2"]]
 
-    def test_singular_line(self):
-        system = closed_block()
-        particular, direction = _solve_singular_line(system, ["b0", "b1", "b2"], {})
-        assert particular == [F(1), F(2), F(3)]  # pinned at the floor of b0
-        assert direction == [F(1, 3), F(2, 3), F(1)]
-
-    def test_least_and_greatest_points(self):
+    def test_least_point(self):
         t = {}
         _solve_block_least(closed_block(), {"b0", "b1", "b2"}, t)
         assert fractions(t) == {"b0": F(5, 2), "b1": F(5), "b2": F(15, 2)}
-        t = {}
-        _solve_block_greatest(closed_block(), {"b0", "b1", "b2"}, t)
-        assert fractions(t) == {"b0": F(7), "b1": F(14), "b2": F(21)}
-
-    def test_greatest_point_when_the_last_step_scales(self):
-        """A closed block whose last elimination step scales its row by a
-        factor other than 1 before the row cancels: the solver still
-        reports it singular, and the greatest solve takes the line."""
-        system = counter_system(
-            order=("b0", "b1", "b2"),
-            w={
-                "b0": {"b1": F(1, 4)},
-                "b1": {"b0": F(4, 3), "b2": F(4, 3)},
-                "b2": {"b0": F(2)},
-            },
-            c={"b0": F(0), "b1": F(0), "b2": F(0)},
-            floor={"b0": F(1), "b1": F(0), "b2": F(0)},
-            cap={"b0": F(7), "b1": None, "b2": None},
-        )
-        t = {}
-        _solve_block_greatest(system, {"b0", "b1", "b2"}, t)
-        assert fractions(t) == {"b0": F(7), "b1": F(28), "b2": F(14)}
 
     def test_injection_is_insatiable(self):
         system = closed_block(c=F(1))
-        assert _solve_singular_line(system, ["b0", "b1", "b2"], {}) == (None, None)
+        assert has_pinned_flow_solution(closed_block(), ["b0", "b1", "b2"], {})
+        assert not has_pinned_flow_solution(system, ["b0", "b1", "b2"], {})
         with pytest.raises(_Insatiable):
             _solve_block_least(system, {"b0", "b1", "b2"}, {})
 
-    def test_positive_injection_is_insatiable_without_the_line(self, monkeypatch):
+    def test_positive_injection_is_insatiable_without_the_line(self):
         """The least solve raises at once when the flow equalities of all
         the members are singular: the injection is then positive, so the
-        line of a closed block is never needed there."""
-
-        def no_line(*args):
-            raise AssertionError("singular line in a least solve")
-
-        monkeypatch.setattr(priority, "_solve_singular_line", no_line)
+        line of a closed block has no point there."""
         for c in (F(1, 7), F(1), F(40)):
+            assert not has_pinned_flow_solution(closed_block(c=c), ["b0", "b1", "b2"], {})
             with pytest.raises(_Insatiable):
                 _solve_block_least(closed_block(c=c), {"b0", "b1", "b2"}, {})
 
     def test_singleton_block_by_substitution(self, monkeypatch):
         """A one-bank block reads only inputs (there are no self-loops), so
-        t = max(floor, a) in the least mode and t = a in the greatest, with
-        no linear solve."""
+        t = max(floor, a), with no linear solve."""
 
         def no_solve(*args):
             raise AssertionError("linear solve on a one-bank block")
@@ -441,16 +415,12 @@ class TestClosedBlock:
             w={"s": {"x": F(1, 2)}, "x": {}},
             c={"s": F(1), "x": F(4)},
             floor={"s": F(2), "x": F(0)},
-            cap={"s": F(5), "x": None},
         )
-        for x, least, greatest in ((F(4), F(3), F(3)), (F(1), F(2), F(3, 2))):
+        for x, least in ((F(4), F(3)), (F(1), F(2))):
             t = {"x": pair(x)}
-            assets, unique = _solve_block_least(system, {"s"}, t)
-            assert (fractions(assets), unique) == ({"s": F(1) + x / 2}, True)
+            assets = _solve_block_least(system, {"s"}, t)
+            assert fractions(assets) == {"s": F(1) + x / 2}
             assert as_fraction(t["s"]) == least
-            t = {"x": pair(x)}
-            _solve_block_greatest(system, {"s"}, t)
-            assert as_fraction(t["s"]) == greatest
 
 
 def walk_counters(net, rng):
@@ -571,16 +541,13 @@ class TestJump:
         assert steps == [(["d"], 4, 1)]
 
     def test_closed_block_beside_a_jumping_bank(self, monkeypatch):
-        """Started at counters where a and b pay their second classes to
-        each other, {a, b} is a closed circulation block with no net
-        injection: its least point is (2, 2), and only the final maximization
-        along its Perron line reaches the maximal state (4, 4). Next to it
-        x, paid 1 by a, jumps from class 4 to class 1 in round 1.
-
-        A descent from the top counters never ends on such a block: the
-        maximization puts a bank at its cap, so its class in the maximal
-        state is one above its counter, and counters never fall below those
-        classes. So this descent starts at the block's counters."""
+        """At counters where a and b pay their second classes to each other,
+        {a, b} is a closed circulation block with no net injection: its least
+        point is (2, 2), below the maximal state's (4, 4). The descent from
+        the top counters never ends on such a block (proof in
+        ``compute_max_clearing_pp``): round 1 lowers b from class 2 to 1 and
+        x, paid 1 by a, from class 4 to class 1, and the next round's least
+        state is the maximal state."""
         net = build_network(
             banks=[("a", 2), ("b", 1), ("x", "1/2"), ("y", 0)]
             + [(c, 0) for c in ("c1", "c2", "c3", "c4")],
@@ -593,42 +560,86 @@ class TestJump:
             },
         )
         structure = priority_structure(net)
-        start = {v: structure[v].class_count for v in net.bank_ids()}
-        start.update(a=1, b=1)
-        build = priority._counter_system
-
-        def start_there(net, structure, counters):
-            monkeypatch.setattr(priority, "_counter_system", build)
-            counters.update(start)
-            return build(net, structure, counters)
-
-        system = build(net, structure, start)
-        t, a, open_blocks = _solve_counters(system)
+        block_counters = {v: structure[v].class_count for v in net.bank_ids()}
+        block_counters.update(a=1, b=1)
+        system = _counter_system(net, structure, block_counters)
+        t, a = _solve_counters(system)
         t, a, c = fractions(t), fractions(a), fractions(system.c)
         assert (t["a"], t["b"]) == (F(2), F(2)) == (a["a"], a["b"])
-        assert ["a", "b"] in open_blocks
-        lp, order = build_counter_lp(net, structure, start)
+        lp, order = build_counter_lp(net, structure, block_counters)
         result = simplex_solve(lp)
         assert result.status == "optimal"
         assert result.objective == sum((t[v] - a[v] + c[v] for v in order), F(0))
 
-        monkeypatch.setattr(priority, "_counter_system", start_there)
         check_counter_freshness(monkeypatch)
         rounds = record_rounds(monkeypatch)
-        line = priority._solve_singular_line
-        lines = []
-        monkeypatch.setattr(
-            priority, "_solve_singular_line", lambda *args: lines.append(args[1]) or line(*args)
-        )
         state = compute_max_clearing_pp(net)
-        steps = [(r["lowered"], r["before"]["x"], r["after"]["x"]) for r in rounds]
-        assert steps == [(["x"], 4, 1)]
-        assert lines == [["a", "b"]]
+        steps = [
+            (r["lowered"], {v: (r["before"][v], r["after"][v]) for v in r["lowered"]})
+            for r in rounds
+        ]
+        assert steps == [(["b", "x"], {"b": (2, 1), "x": (4, 1)})]
         assert state.as_dict() == {
             "a": F(4), "b": F(4), "x": F(3, 2), "y": F(2),
             "c1": F(1), "c2": F(1, 2), "c3": F(0), "c4": F(0),
         }
         assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+
+
+class TestGreatest:
+    """The descent's last least state is the greatest clearing state, by two
+    checks that do not read its solves. Without default cost, no
+    non-singleton sink SCC of positive right slopes is left at the state,
+    the flood route's stopping rule (ROADMAP item 4's certificate; it fires
+    on every clearing state below the greatest one). With and without, the
+    counters at the descent's exit equal the classes of the state, step 2 of
+    the proof in ``compute_max_clearing_pp``."""
+
+    def test_pp_maximum_is_greatest(self, monkeypatch):
+        build = priority._counter_system
+        held = []  # the counters of the descent, lowered in place
+
+        def kept(net, structure, counters):
+            held.append(counters)
+            return build(net, structure, counters)
+
+        monkeypatch.setattr(priority, "_counter_system", kept)
+        rng = random.Random(2626)
+        counts = {"piecewise": 0, "below_top": 0, "min_below": 0}
+        for i in range(3000):
+            default_cost = i >= 2000
+            net = random_network(
+                rng,
+                min_banks=3,
+                max_banks=8,
+                max_external=(0, 1, 3)[i % 3],
+                schemes=ALL_SCHEME_KINDS if i % 4 == 0 else SCHEME_KINDS,
+                default_cost=default_cost,
+                alphas=ZERO_RATE_ALPHAS if i % 2 else (F(1, 2), F(3, 4), F(1)),
+                edge_prob=rng.choice((None, 0.5, 0.7)),
+                liability_dens=(1, 2, 3, 7) if i % 2 else None,
+            )
+            held.clear()
+            x = compute_max_clearing_pp(net).as_dict()
+            if not default_cost:
+                assert find_flood_component(active_graph(net, dict(x))) is None
+                if i % 3 == 0:
+                    minimal = compute_min_clearing(net).as_dict()
+                    if minimal != x:
+                        assert find_flood_component(active_graph(net, minimal)) is not None
+                        counts["min_below"] += 1
+            [counters] = held
+            structure = priority_structure(net)
+            for v, r in counters.items():
+                classes = structure[v]
+                assert r == bisect_right(classes.grid, x[v] * classes.den) - 1, v
+            counts["below_top"] += any(r < structure[v].class_count for v, r in counters.items())
+            counts["piecewise"] += any(
+                claim.payment._piece is None and net.total_out(claim.debtor)
+                for claim in net.claims
+            )
+        assert counts["below_top"] >= 2000 and counts["piecewise"] >= 300
+        assert counts["min_below"] >= 100, counts
 
 
 class TestIntegerRows:
@@ -648,23 +659,23 @@ class TestIntegerRows:
             refresh(system, net, structure, counters, banks)
             held = normalized_rows(system)
             reference = fraction_counter_rows(net, current["structure"], counters)
-            for name in ("w", "c", "floor", "cap"):
+            for name in ("w", "c", "floor"):
                 assert held[name] == reference[name], name
             counts["refreshes"] += 1
             for v in banks:
-                bank = net.bank(v)
-                if held["cap"][v] is not None and bank.beta != 1 and held["w"][v]:
+                below_top = counters[v] < structure[v].class_count
+                if below_top and net.bank(v).beta != 1 and held["w"][v]:
                     counts["beta_rows"] += 1
 
         def checked_solve(system):
-            t, a, open_blocks = solve(system)
+            t, a = solve(system)
             rows = normalized_rows(system)
             values = {v: as_fraction(x) for v, x in t.items()}
             for v in system.order:
                 expected = fraction_assets(rows["w"][v], rows["c"][v], values)
                 assert as_fraction(a[v]) == expected, v
             counts["rounds"] += 1
-            return t, a, open_blocks
+            return t, a
 
         monkeypatch.setattr(priority, "_refresh_rows", checked_refresh)
         monkeypatch.setattr(priority, "_solve_counters", checked_solve)
@@ -711,7 +722,7 @@ class TestAgainstSimplex:
                     counters[v] -= rng.randint(0, counters[v])
             system = _counter_system(net, structure, counters)
             try:
-                t, a, _ = _solve_counters(system)
+                t, a = _solve_counters(system)
             except Exception:
                 continue  # insatiable interior states are exercised elsewhere
             d = {v: as_fraction(t[v]) - as_fraction(a[v]) for v in t}

@@ -167,6 +167,28 @@ def test_package_size_counts_tokens_as_the_buffer_check():
     assert [int(total[i]) for i in (2, 4, 7, 9)] == [tokens, tokens, source_lines, source_lines]
 
 
+def test_private_helpers_have_package_callers():
+    # A module-level function or class whose name starts with "_" serves the
+    # package alone, so package code other than its own definition must
+    # reference it; one left behind by a deletion fails here, even when a
+    # test still calls it.
+    defined, uses = [], {}
+    for path in sorted((ROOT / "src" / "netclear").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "")
+            site = (path.stem, name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.startswith("_"):
+                if not name.endswith("__"):
+                    defined.append(site)
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    used = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    uses.setdefault(used, set()).add(site)
+    assert len(defined) >= 30
+    unused = [f"{m}.{name}" for m, name in defined if not uses.get(name, set()) - {(m, name)}]
+    assert unused == []
+
+
 def test_io_imports_no_solver():
     # Importing ``netclear.io`` loads ``__init__`` and with it every module, so
     # the check reads the relative imports of the source itself.
