@@ -8,19 +8,16 @@ transformed network, with each piece routed through a zero-asset relay bank,
 is built only by the test suite's oracle.
 
 The maximal clearing state is then found by a counter descent: assume every
-bank pays all of its classes, test whether a consistent state exists, and
-lower the counters of the banks whose class floor is unreachable until the
-test passes. A bank whose assets fall short of its floor jumps straight to
-the class those assets reach: in the maximal state such a bank holds at most
-those assets (see ``_lower``), so the jump never passes the maximal state's
-class, and lowering by one is the special case. One counter system
-serves the whole descent: a lowering refreshes only the rows it touches (the
-lowered banks' own, and those of the creditors in the classes between the
-old and new counters), and a one-bank block is solved by substitution. The
-last round's least solution is the maximal state (proof in
-``compute_max_clearing_pp``). The feasibility test is solved exactly on the
-class structure (relays eliminated by substitution) and cross-checked against
-the explicit LP formulation in the test suite.
+bank pays all of its classes, solve the least consistent state, and move
+each bank whose class floor is unreachable down to the class its assets
+reach, until no bank falls short. The rounds never rise, and the counters
+never fall below the maximal state's classes (proof in
+``compute_max_clearing_pp``). One counter system serves the whole descent: a
+lowering refreshes only the rows it touches (the lowered banks' own, and
+those of the creditors in the classes between the old and new counters),
+and a one-bank block is solved by substitution. The feasibility test is
+solved exactly on the class structure (relays eliminated by substitution)
+and cross-checked against the explicit LP formulation in the test suite.
 
 The descent runs on Python ints. ``priority_structure`` returns each bank's
 grid and piece liabilities as integer numerators over one denominator per
@@ -154,47 +151,23 @@ def _counter_system(
     return system
 
 
-def _lower(system, net, structure, counters, banks, assets=None) -> None:
-    """Lower the counter of each of ``banks`` and refresh the rows that this
-    touches: the lowered banks' own, and those of the creditors in every class
-    from the new counter up to the old one (classes no longer paid, or now
-    paid in proportion).
-
-    With ``assets`` each bank jumps straight to the class its assets reach,
+def _lower(system, net, structure, counters, banks, assets) -> None:
+    """Move each of ``banks`` to the class its assets reach,
     ``bisect_right(grid, a_v) - 1`` (the grid is integers over ``den``, so
-    ``floor(a_v * den)`` stands for ``a_v``); without, it drops by one. The
-    jump keeps the counters at or above the classes ``r*`` of the maximal
-    state ``x*``. Let ``r >= r*``, let ``t`` solve the round's system and
-    ``D = {t < x*}``. Then ``d = x* - t`` satisfies ``d_D <= W_DD d_D``. Every column of ``W``
-    sums to at most 1 (column ``u`` adds up the shares of ``u``'s current
-    class, each scaled by a haircut of at most 1), so summing over ``D``
-    makes every one of these inequalities tight: ``D`` keeps all of its
-    marginal flow inside itself, and each of its banks has ``a = t``. A lowered bank has
-    ``a_v < t_v``, so it lies outside ``D``: ``x*_v <= a_v``, hence
-    ``r*_v <= class(a_v)`` and ``r >= r*`` holds after the jump. The
-    insatiable rounds lower by one."""
+    ``floor(a_v * den)`` stands for ``a_v``), and refresh the rows that this
+    touches: the lowered banks' own, and those of the creditors in every
+    class from the new counter up to the old one (classes no longer paid, or
+    now paid in proportion)."""
     touched = set(banks)
     for v in banks:
         classes = structure[v]
         old = counters[v]
-        if assets is None:
-            new = old - 1
-        else:
-            an, ad = assets[v]
-            new = bisect_right(classes.grid, an * classes.den // ad) - 1
+        an, ad = assets[v]
+        new = bisect_right(classes.grid, an * classes.den // ad) - 1
         counters[v] = new
         for pieces in classes.pieces[new : old + 1]:
             touched.update(creditor for creditor, _ in pieces)
     _refresh_rows(system, net, structure, counters, touched)
-
-
-class _Insatiable(Exception):
-    """A closed circulation block cannot absorb its net injection at the
-    current counters; carries the block's members."""
-
-    def __init__(self, members):
-        self.members = set(members)
-        super().__init__("insatiable circulation block")
 
 
 def _blocks_in_order(system: _CounterSystem) -> list[list[str]]:
@@ -245,20 +218,12 @@ def _assets(system: _CounterSystem, t, v: str, block=()) -> tuple[int, int]:
 def _solve_block_least(system, block, t) -> dict:
     """Least fixed point of t_B = max(floor_B, (W t + c)_B) given solved
     inputs, by promoting coordinates from their floors as forced. Returns
-    the members' assets. Raises ``_Insatiable`` when the flow equalities of
-    all the members are singular.
+    the members' assets. A singular flow system means the block has no
+    fixed point, which no round of the descent meets (proof in
+    ``compute_max_clearing_pp``), so it raises ``InternalInvariantError``.
 
     No bank has a claim on itself, so the one bank of a one-bank block
-    reads only inputs.
-
-    A singular solve of all the members means the block cannot absorb its
-    injection. Every column of W_BB sums to at most 1, so the block holds a
-    closed circulation C (every column of W_CC sums to 1, so t_C feeds
-    nothing outside C), and every flow set holding all of C is singular:
-    this promotion took a member of C at a > t. The promoted members have
-    a = t, so the sum of a - t over C, which does not read t_C, is
-    positive; the other inputs of C only rise in a solve, while the summed
-    C-equations ask for that sum to be 0."""
+    reads only inputs."""
     members = sorted(block)
     if len(members) == 1:
         v = members[0]
@@ -280,22 +245,15 @@ def _solve_block_least(system, block, t) -> dict:
         flow.update(promote)
         f = sorted(flow)
         solution = solve_linear_system(*_flow_rows(system, f, t))
-        if solution is not None:
-            numerators, den = solution
-            t.update((v, (x, den)) for v, x in zip(f, numerators))
-            continue
-        if len(f) != len(members):
-            raise errors.InternalInvariantError(
-                "singular flow system on a strict sub-block"
-            )
-        raise _Insatiable(members)
+        if solution is None:
+            raise errors.InternalInvariantError("singular flow system in a round")
+        numerators, den = solution
+        t.update((v, (x, den)) for v, x in zip(f, numerators))
 
 
 def _solve_counters(system: _CounterSystem):
     """Least solution ``(t, a)`` of t = max(floor, W t + c) and its assets,
-    solved block by block, inputs first. Raises ``_Insatiable`` when a
-    closed block cannot absorb its injection.
-    """
+    solved block by block, inputs first."""
     t, a = {}, {}
     for block in _blocks_in_order(system):
         a.update(_solve_block_least(system, block, t))
@@ -303,58 +261,68 @@ def _solve_counters(system: _CounterSystem):
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
-    """Maximal clearing state via counter descent; default costs allowed.
+    """Maximal clearing state ``x*`` via counter descent; default costs
+    allowed.
 
-    Each round solves the least state ``t`` at the current counters. A bank
-    with assets ``a_v < t_v`` jumps to ``class(a_v)``: every column of the
-    round's coefficient matrix sums to at most 1, so the banks where ``t``
-    falls short of the maximal state ``x*`` have ``a = t``, and a lowered
-    bank has ``x*_v <= a_v`` (proof in ``_lower``). A block that cannot
-    absorb its injection lowers its members by one. The descent ends when
-    ``a = t``, and that round's ``t`` is ``x*``.
+    Round ``R`` solves the least state ``t^R`` of t = max(floor, W t + c)
+    and its assets ``a^R`` at the counters ``r^R``; each bank with
+    ``a_v < t_v`` (so ``t_v`` is its floor ``grid[r_v]``) jumps to
+    ``class(a_v) < r_v``. The descent ends at the first round with
+    ``a = t``. Let ``r*`` be the classes of ``x*``. By induction on ``R``:
 
-    The descent rests on the counters ``r`` never falling below the classes
-    ``r*`` of ``x*``: the jumps keep ``r >= r*`` (``_lower``), and the
-    insatiable rounds step down by one. At exit ``a = t``, so ``t`` is a
-    clearing state (the check below raises otherwise) and ``t <= x*``. A
-    bank with ``r_v > r*_v`` would have ``t_v >= grid[r_v] > x*_v``, so
-    ``r = r*``, and ``x*`` solves the round's equalities ``x = W x + c`` as
-    ``t`` does. So ``d = x* - t >= 0`` has ``d = W d``. Every column of
-    ``W`` sums to at most 1, so summing over the support ``D`` of ``d``
-    makes every column of ``W_DD`` sum to 1: ``D`` is a closed circulation
-    of banks below their top class (a bank at its top pays a constant),
-    and it feeds no bank outside it. Every bank of ``D`` is below its cap
-    ``grid[r_v + 1]`` at ``x*``, so raise ``t + s d`` from ``s = 1`` until
-    a bank ``v`` of ``D`` meets its cap. The point still solves the
-    equalities, and each bank pays there what its class pays, so it is a
-    clearing state; only where the cap of ``v`` is ``L+`` and ``v`` has
-    haircuts does the asset map raise the point instead, and then by
-    Tarski a fixed point lies above it. Either way a clearing state lies
-    strictly above ``x*`` on ``v``, against ``x*`` being greatest. So
-    ``d = 0`` and ``t = x*``."""
+    (a) Round ``R`` has a finite least solution. Round 1 has ``W = 0``.
+    For ``R > 1`` let ``s`` be ``t^{R-1}`` with each bank lowered in round
+    ``R-1`` set to its ``a^{R-1}_v``; then ``s >= max(floor, W s + c)`` at
+    ``r^R``. Floors: a lowered bank's new floor is at most ``a_v``.
+    Payments: a debtor that was not lowered pays at ``s`` what it paid in
+    round ``R-1``; a lowered debtor paid there at its floor, where its line
+    is exact, and pays at ``a_u``, inside its new class, its true payment,
+    which is no more. A row can only gain haircuts, so each bank's assets
+    at ``s`` are at most ``a^{R-1}_v``, which is ``s_v``, as ``a = t`` on
+    the banks not lowered. So ``t^R <= s``, as a monotone map has its
+    least fixed point below any supersolution. Nor does a least solve meet
+    a singular flow system: its flow set would hold a closed circulation
+    ``C`` (every column of ``W_CC`` sums to 1, so ``t_C`` feeds nothing
+    outside ``C``) and this promotion took a member of ``C`` at ``a > t``,
+    the others having ``a = t``. The sum of ``a - t`` over ``C`` does not
+    read ``t_C`` and rises with the other coordinates, which the promotion
+    keeps below the least solution; so it is positive there too, against
+    ``a <= t``.
+
+    (b) ``t`` never rises: ``t^R <= s <= t^{R-1}``. A bank below its top
+    class was last lowered to the class of some ``a_v``, so it stays in
+    ``[grid[r_v], grid[r_v + 1])``, where its line is exact and it is in
+    default, and each round's ``W t + c`` is the true asset map at ``t``.
+    At exit ``a = t``, so ``t`` is a clearing state.
+
+    (c) ``t >= x*`` while ``r >= r*``, as in round 1, where every counter
+    is at its top. Let ``D = {t < x*}`` and ``d = x* - t``. A bank of ``D``
+    has ``grid[r_v] <= t_v < x*_v`` and ``r*_v <= r_v``, so ``r*_v = r_v``
+    and both ``t_v`` and ``x*_v`` lie in its class, below its cap if it has
+    one; any other bank has ``t_u >= x*_u`` and ``r_u >= r*_u``, so it pays
+    at ``t`` at least its true payment at ``x*``; and a row below its top
+    has the haircuts it has at ``x*``, a row at its top none. So
+    ``d_D <= W_DD d_D`` by ``a <= t``. Every column of ``W`` sums to at
+    most 1, so summing over ``D`` makes all of it tight: ``D`` is a closed
+    circulation at ``x*``'s own classes and ``x* + e d_D`` is a clearing
+    state for small ``e > 0``, above the greatest. So ``D`` is empty, and
+    the same comparison gives ``x* <= a``: a lowered bank has
+    ``x*_v <= a_v``, so ``r^{R+1} >= r*``. At exit ``t`` is a clearing
+    state ``>= x*``, so ``t = x*``."""
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
     system = _counter_system(net, structure, counters)
     for _ in range(sum(counters.values()) + 1):
-        try:
-            t, a = _solve_counters(system)
-        except _Insatiable as blocked:
-            lowered = [v for v in sorted(blocked.members) if counters[v] > 0]
-            if not lowered:
+        t, a = _solve_counters(system)
+        lowered = sorted(v for v in t if a[v][0] * t[v][1] < t[v][0] * a[v][1])
+        if not lowered:
+            state = ClearingState({v: Fraction(*x) for v, x in t.items()})
+            if not is_clearing_state(net, state).ok:
                 raise errors.InternalInvariantError(
-                    "insatiable block with all counters at zero"
+                    "counter descent settled on a non-clearing state"
                 )
-            a = None  # an insatiable round lowers by one
-        else:
-            lowered = sorted(v for v in t if a[v][0] * t[v][1] < t[v][0] * a[v][1])
-            if not lowered:
-                state = ClearingState({v: Fraction(*x) for v, x in t.items()})
-                if not is_clearing_state(net, state).ok:
-                    raise errors.InternalInvariantError(
-                        "counter descent settled on a non-clearing state"
-                    )
-                return state
-            if any(counters[v] == 0 for v in lowered):
-                raise errors.InternalInvariantError("positive offset at counter zero")
+            return state
+        if any(counters[v] == 0 for v in lowered):
+            raise errors.InternalInvariantError("positive offset at counter zero")
         _lower(system, net, structure, counters, lowered, a)
     raise errors.InternalInvariantError("counter descent failed to terminate")

@@ -1,32 +1,35 @@
 """Checks on the counter system that the maximal-state descent holds between
 rounds.
 
-``check_counter_freshness`` wraps ``priority._lower`` and
-``priority._solve_counters``:
+``check_counter_freshness`` wraps ``priority._lower``: after each lowering
+the held system must equal a fresh ``_counter_system`` build at the new
+counters, in the values of ``w``, ``c`` and ``floor`` (read as
+``Fraction``s by ``oracles.normalized_rows``).
 
-- after each lowering the held system must equal a fresh ``_counter_system``
-  build at the new counters, in the values of ``w``, ``c`` and ``floor``
-  (read as ``Fraction``s by ``oracles.normalized_rows``);
-- rounds that end in an insatiable block are counted.
+``record_rounds`` wraps ``priority._lower`` to keep every round's lowering,
+and ``assert_jumps_sound`` checks those rounds against the maximal state.
 
-``record_rounds`` wraps ``priority._lower`` to keep every regular round's
-lowering (the insatiable rounds lower by one and pass no assets), and
-``assert_jumps_sound`` checks those rounds against the maximal state.
+``hold_counters`` wraps ``priority._counter_system`` to keep the counters
+dict of each descent, which the descent lowers in place.
 
 ``record_least_exits`` wraps ``priority._solve_block_least`` and counts how
 each least solve of a block of two or more banks leaves: with every member
 promoted off its floor, with a member left at its floor, or through the
-singular path. Every singular exit is checked to be inconsistent, so that
-raising ``_Insatiable`` never passes over a point of a closed block's line.
+singular path, which the descent never takes and the driven walks of
+``test_priority`` do. Every singular exit is checked to be inconsistent, so
+that the solver never refuses a block with a point on its line.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from netclear import priority
+from netclear import errors, priority
 
 from oracles import as_fraction, has_pinned_flow_solution, normalized_rows
+
+# the message of the least solve's singular exit
+SINGULAR = "singular flow system"
 
 
 def assert_fresh(system, net, structure, counters) -> None:
@@ -37,48 +40,38 @@ def assert_fresh(system, net, structure, counters) -> None:
 
 
 def check_counter_freshness(monkeypatch) -> dict:
-    """Running counts: ``lowerings`` checked and ``insatiable`` rounds."""
-    lower, solve = priority._lower, priority._solve_counters
-    counts = {"lowerings": 0, "insatiable": 0}
+    """Running count of the ``lowerings`` checked."""
+    lower = priority._lower
+    counts = {"lowerings": 0}
 
-    def checked_lower(system, net, structure, counters, banks, *rest):
-        lower(system, net, structure, counters, banks, *rest)
+    def checked_lower(system, net, structure, counters, banks, assets):
+        lower(system, net, structure, counters, banks, assets)
         assert_fresh(system, net, structure, counters)
         counts["lowerings"] += 1
 
-    def counted_solve(system):
-        try:
-            return solve(system)
-        except priority._Insatiable:
-            counts["insatiable"] += 1
-            raise
-
     monkeypatch.setattr(priority, "_lower", checked_lower)
-    monkeypatch.setattr(priority, "_solve_counters", counted_solve)
     return counts
 
 
 def record_rounds(monkeypatch) -> list:
-    """A list that collects one entry per regular round: the banks lowered,
-    their assets, and the counters before and after the lowering. Clear it
-    between networks."""
+    """A list that collects one entry per lowering: the banks lowered, their
+    assets, and the counters before and after it. Clear it between
+    networks."""
     lower = priority._lower
     rounds: list = []
 
-    def recorded_lower(system, net, structure, counters, banks, *rest):
+    def recorded_lower(system, net, structure, counters, banks, assets):
         before = dict(counters)
-        lower(system, net, structure, counters, banks, *rest)
-        assets = rest[0] if rest else None
-        if assets is not None:
-            rounds.append(
-                {
-                    "structure": structure,
-                    "lowered": list(banks),
-                    "assets": {v: as_fraction(a) for v, a in assets.items()},
-                    "before": before,
-                    "after": dict(counters),
-                }
-            )
+        lower(system, net, structure, counters, banks, assets)
+        rounds.append(
+            {
+                "structure": structure,
+                "lowered": list(banks),
+                "assets": {v: as_fraction(a) for v, a in assets.items()},
+                "before": before,
+                "after": dict(counters),
+            }
+        )
 
     monkeypatch.setattr(priority, "_lower", recorded_lower)
     return rounds
@@ -103,13 +96,27 @@ def assert_jumps_sound(rounds, state) -> int:
     return jumps
 
 
+def hold_counters(monkeypatch) -> list:
+    """A list that collects the counters dict of each descent, as it stands.
+    Clear it between networks."""
+    build = priority._counter_system
+    held: list = []
+
+    def kept(net, structure, counters):
+        held.append(counters)
+        return build(net, structure, counters)
+
+    monkeypatch.setattr(priority, "_counter_system", kept)
+    return held
+
+
 def record_least_exits(monkeypatch) -> dict:
     """Running counts of least block solves of two or more banks by exit:
     ``unique`` (every member promoted off its floor, so the flow equalities
     of the whole block have just this solution), ``open`` (a member left at
-    its floor) and ``singular`` (raised ``_Insatiable``). On a singular exit
-    the flow equalities at the final ``t`` must have no solution with the
-    first member pinned at its floor."""
+    its floor) and ``singular`` (raised the ``SINGULAR`` invariant error). On
+    a singular exit the flow equalities at the final ``t`` must have no
+    solution with the first member pinned at its floor."""
     least = priority._solve_block_least
     counts = {"unique": 0, "open": 0, "singular": 0}
 
@@ -118,7 +125,8 @@ def record_least_exits(monkeypatch) -> dict:
             return least(system, block, t)
         try:
             assets = least(system, block, t)
-        except priority._Insatiable:
+        except errors.InternalInvariantError as error:
+            assert SINGULAR in str(error)
             counts["singular"] += 1
             solvable = has_pinned_flow_solution(system, sorted(block), t)
             assert not solvable, "consistent singular least solve"

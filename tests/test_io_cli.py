@@ -1,6 +1,7 @@
 """Document parsing, serialization round-trips, and the CLI surface."""
 
 import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -453,6 +454,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "infeasible" in err
 
+    def test_range_conflict_names_both_banks(self, tmp_path, capsys):
+        ring = dict(
+            TWO_CYCLE,
+            claims=[
+                {"debtor": "a", "creditor": "b", "liability": 4},
+                {"debtor": "b", "creditor": "a", "liability": 4},
+            ],
+        )
+        network, targets = tmp_path / "ring.json", tmp_path / "targets.json"
+        network.write_text(json.dumps(ring))
+        targets.write_text(
+            json.dumps(
+                {"targets": [{"bank": "a", "lo": 3, "hi": 4}, {"bank": "b", "lo": 0, "hi": 1}]}
+            )
+        )
+        assert main(["range", str(network), "--targets", str(targets)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible: conflict (bank 'a', conflicts with 'b')\n"
+
+    def test_oracle_needs_a_step(self, two_cycle_file, capsys):
+        argv = ["oracle", two_cycle_file, "--direction", "bottom", "--steps", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --steps must be at least 1\n")
+
     def test_trade_optimal(self, trade_walk_file, capsys):
         code = main(["trade", trade_walk_file, "--claim", "u", "v", "--buyer", "w"])
         assert code == 0
@@ -684,6 +711,79 @@ class TestCli:
         targets.write_text(json.dumps({"targets": [{"bank": "zz", "lo": 0, "hi": 1}]}))
         assert main(["range", two_cycle_file, "--targets", str(targets)]) == 2
         assert capsys.readouterr().err == "error: unknown bank id: 'zz'\n"
+
+
+DELETE = object()
+
+
+def set_in(path, value):
+    """A change to a network document: ``value`` at the key ``path``, or the
+    key removed when ``value`` is ``DELETE``."""
+
+    def change(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+
+    return change
+
+
+# Each row: a change to the TWO_CYCLE document, or a targets document for
+# ``range`` on it, and the one error line the CLI prints for it.
+PARSE_ERRORS = {
+    "bank not an object": (set_in(("banks", 1), "b"), "banks[1]: expected an object"),
+    "claim without liability": (
+        set_in(("claims", 0, "liability"), DELETE), "claims[0]: missing field 'liability'"
+    ),
+    "null number": (
+        set_in(("banks", 0, "external_assets"), None),
+        "banks[0]: 'external_assets' must be an integer or exact string",
+    ),
+    "endpoint not a string": (
+        set_in(("claims", 1, "creditor"), 7), "claims[1]: 'creditor' must be a bank id string"
+    ),
+    "schemes as a list": (
+        set_in(("payment_schemes",), []),
+        "payment_schemes: payment_schemes must map bank ids to schemes",
+    ),
+    "scheme without type": (
+        set_in(("payment_schemes", "a"), {"order": ["b"]}),
+        "payment_schemes['a']: scheme must be an object with a 'type'",
+    ),
+    "borders as a string": (
+        set_in(
+            ("payment_schemes", "a"),
+            {"type": "piecewise", "edges": [{"creditor": "b", "borders": "0 1", "slopes": [1]}]},
+        ),
+        "payment_schemes['a'].edges[0]: 'borders' must be a list",
+    ),
+    "target bank not a string": (
+        {"targets": [{"bank": 1, "lo": 0, "hi": 1}]},
+        "targets[0]: 'bank' must be a bank id string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_lines(case, tmp_path, capsys):
+    fault, line = PARSE_ERRORS[case]
+    doc = copy.deepcopy(TWO_CYCLE)
+    network = tmp_path / "network.json"
+    argv = ["validate", str(network)]
+    if isinstance(fault, dict):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps(fault))
+        argv = ["range", str(network), "--targets", str(targets)]
+    else:
+        fault(doc)
+    network.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
 
 
 class TestParseTargets:

@@ -339,6 +339,25 @@ class TestStepArithmetic:
         assert all(count >= 50 for count in seen.values()), seen
 
 
+    def test_gadget_ids_avoid_taken_names(self):
+        # v's gadget names v__s and v__t are banks already, so the gadget
+        # takes v__s_ and v__t_; v defaults (1 + 2 < 4) and keeps a third of
+        # its external assets and half of the 2 that v__s pays it
+        net = build_network(
+            banks=[("v", 1, "1/3", "1/2"), ("v__s", 2), ("v__t", 0)],
+            claims=[("v__s", "v", 2), ("v", "v__t", 4)],
+        )
+        adj = adjust_default_cost(net)
+        assert adj.auxiliary_map == {"v": ("v__s_", "v__t_")}
+        assert adj.network.has_claim("v__s", "v__s_")
+        run = run_min_clearing(net, check_invariant=True)
+        assert is_clearing_state(net, run.state).ok
+        oracle = bottom_iterate(net, 10)
+        assert oracle.converged
+        assert run.state.as_dict() == oracle.state.as_dict()
+        assert run.state.as_dict() == {"v": F(4, 3), "v__s": F(2), "v__t": F(4, 3)}
+
+
 class TestRewiring:
     def test_not_solvent_rejected(self):
         net = example2()

@@ -2,6 +2,7 @@
 
 import copy
 import io
+import json
 import pickle
 import random
 from fractions import Fraction as F
@@ -20,7 +21,9 @@ from netclear import (
 )
 from netclear.errors import (
     BORDER_MISMATCH,
+    DUPLICATE_BANK_ID,
     DUPLICATE_EDGE,
+    INVALID_SCHEME,
     LIABILITY_MISMATCH,
     MISSING_FIELD,
     NEGATIVE_VALUE,
@@ -28,10 +31,12 @@ from netclear.errors import (
     SLOPE_SUM_VIOLATION,
     UNBOUNDED_LIABILITY,
     UNKNOWN_BANK_ID,
+    VALUE_OUT_OF_RANGE,
     NetworkValidationError,
     ParseError,
 )
 from netclear.axioms import check_payment_axioms
+from netclear.cli import main
 from netclear.io import parse_network
 from netclear.model import Bank, Claim, PaymentFunction, assemble
 from netclear.rationals import exact_sum, sum_ratio
@@ -537,6 +542,92 @@ class TestValidateNetwork:
             (SLOPE_SUM_VIOLATION, "w", None),
             (SLOPE_SUM_VIOLATION, "w", None),
         ]
+
+
+def piecewise_a(*edges):
+    """A piecewise scheme for ``a`` with one edge per ``(creditor, borders,
+    slopes)``."""
+    edges = [{"creditor": c, "borders": b, "slopes": m} for c, b, m in edges]
+    return {"a": {"type": "piecewise", "edges": edges}}
+
+
+# Each row: the entries of bank a (banks b and c follow, and a owes each of
+# them 2), the payment schemes, the (kind, bank) of every violation in
+# order, and whether a document can carry the fault: the parser refuses an
+# unknown scheme type before validation sees it.
+VIOLATIONS = {
+    "duplicate id": ([{"id": "a"}, {"id": "a"}], {}, [(DUPLICATE_BANK_ID, "a")], True),
+    "negative external assets": (
+        [{"id": "a", "external_assets": "-1"}], {}, [(NEGATIVE_VALUE, "a")], True
+    ),
+    "haircuts outside [0, 1]": (
+        [{"id": "a", "alpha": "3/2", "beta": "-1/2"}],
+        {},
+        [(VALUE_OUT_OF_RANGE, "a"), (VALUE_OUT_OF_RANGE, "a")],
+        True,
+    ),
+    "repeated id with bad values": (
+        [{"id": "a", "external_assets": "-1", "alpha": "3/2", "beta": "-1/2"}, {"id": "a"}],
+        {},
+        [(NEGATIVE_VALUE, "a"), (VALUE_OUT_OF_RANGE, "a"), (VALUE_OUT_OF_RANGE, "a"),
+         (DUPLICATE_BANK_ID, "a")],
+        True,
+    ),
+    "scheme for a bank without claims": (
+        [{"id": "a"}],
+        {"b": {"type": "edge_ranking", "order": []}},
+        [(INVALID_SCHEME, "b")],
+        True,
+    ),
+    "unknown scheme type": (
+        [{"id": "a"}], {"a": {"type": "waterfall"}}, [(INVALID_SCHEME, "a")], False
+    ),
+    "scheme for an unknown bank": (
+        [{"id": "a"}], {"z": {"type": "proportional"}}, [(UNKNOWN_BANK_ID, "z")], True
+    ),
+    "piecewise edge off the out-claims": (
+        [{"id": "a"}],
+        piecewise_a(("b", [0, 2], [1]), ("z", [0, 2], [1])),
+        [(INVALID_SCHEME, "a")],
+        True,
+    ),
+    "wrong slope count": (
+        [{"id": "a"}],
+        piecewise_a(("b", [0, 2], [1, 0]), ("c", [0, 2], [1])),
+        [(INVALID_SCHEME, "a")],
+        True,
+    ),
+    "negative slope": (
+        [{"id": "a"}],
+        piecewise_a(("b", [0, 2, 4], ["-1", 1]), ("c", [0, 2, 4], [1, 0])),
+        [(NEGATIVE_VALUE, "a")],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATIONS)
+def test_violation_kinds_banks_and_cli_lines(case, tmp_path, capsys):
+    """Each violation comes with its kind and bank; ``netclear validate``
+    exits 2 with one ``invalid network:`` line per violation."""
+    banks, schemes, expected, in_documents = VIOLATIONS[case]
+    doc = {
+        "format_version": "1",
+        "banks": banks + [{"id": "b"}, {"id": "c"}],
+        "claims": [{"debtor": "a", "creditor": c, "liability": 2} for c in ("b", "c")],
+        "payment_schemes": schemes,
+    }
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkValidationError) as err:
+        validate_network(doc)
+    violations = err.value.violations
+    assert [(v.kind, v.bank) for v in violations] == expected
+    if in_documents:
+        assert main(["validate", str(path)]) == 2
+        out, errors = capsys.readouterr()
+        assert out == ""
+        assert errors.splitlines() == [f"invalid network: {v!r}" for v in violations]
 
 
 def _random_rationals(rng, count, top):

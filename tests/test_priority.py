@@ -23,13 +23,12 @@ from netclear import (
     priority_structure,
     run_min_clearing,
 )
-from netclear import axioms, priority
+from netclear import axioms, errors, priority
 from netclear.model import assemble
 from netclear.priority import (
     _blocks_in_order,
     _counter_system,
     _CounterSystem,
-    _Insatiable,
     _solve_block_least,
     _solve_counters,
 )
@@ -42,8 +41,10 @@ from corpus import (
     rewired_zero_rate_banks,
 )
 from counter_checks import (
+    SINGULAR,
     assert_jumps_sound,
     check_counter_freshness,
+    hold_counters,
     record_least_exits,
     record_rounds,
 )
@@ -376,7 +377,8 @@ def closed_block(c=F(0)):
 class TestClosedBlock:
     """A closed circulation block: the least solve takes its least point on
     the line, and meets the block singular only with a positive injection,
-    which is insatiable."""
+    which is insatiable: the block has no fixed point, and the solver
+    refuses it, which no round of the descent meets."""
 
     def test_one_block(self):
         assert _blocks_in_order(closed_block()) == [["b0", "b1", "b2"]]
@@ -390,7 +392,7 @@ class TestClosedBlock:
         system = closed_block(c=F(1))
         assert has_pinned_flow_solution(closed_block(), ["b0", "b1", "b2"], {})
         assert not has_pinned_flow_solution(system, ["b0", "b1", "b2"], {})
-        with pytest.raises(_Insatiable):
+        with pytest.raises(errors.InternalInvariantError, match=SINGULAR):
             _solve_block_least(system, {"b0", "b1", "b2"}, {})
 
     def test_positive_injection_is_insatiable_without_the_line(self):
@@ -399,7 +401,7 @@ class TestClosedBlock:
         line of a closed block has no point there."""
         for c in (F(1, 7), F(1), F(40)):
             assert not has_pinned_flow_solution(closed_block(c=c), ["b0", "b1", "b2"], {})
-            with pytest.raises(_Insatiable):
+            with pytest.raises(errors.InternalInvariantError, match=SINGULAR):
                 _solve_block_least(closed_block(c=c), {"b0", "b1", "b2"}, {})
 
     def test_singleton_block_by_substitution(self, monkeypatch):
@@ -423,23 +425,28 @@ class TestClosedBlock:
             assert as_fraction(t["s"]) == least
 
 
-def walk_counters(net, rng):
+def walk_counters(net, rng) -> int:
     """Drive the held counter system down to zero counters by random
-    lowerings, and by the members of every insatiable block, as the descent
-    does."""
+    lowerings, one class at a time: each lowered bank is passed the lower
+    border of the class below as its assets. Returns the number of rounds
+    whose least solve met a singular flow system, which the descent from
+    the top counters never does."""
     structure = priority_structure(net)
     counters = {v: structure[v].class_count for v in net.bank_ids()}
     system = _counter_system(net, structure, counters)
+    singular = 0
     while any(counters.values()):
         try:
             priority._solve_counters(system)
-            lowered = [v for v in sorted(counters) if counters[v] and rng.random() < 0.3]
-        except _Insatiable as blocked:
-            lowered = [v for v in sorted(blocked.members) if counters[v]]
-            if not lowered:
-                break
-        if lowered:
-            priority._lower(system, net, structure, counters, lowered)
+        except errors.InternalInvariantError as error:
+            assert SINGULAR in str(error)
+            singular += 1
+        lowered = [v for v in sorted(counters) if counters[v] and rng.random() < 0.3]
+        before = dict(counters)
+        below = {v: (structure[v].grid[before[v] - 1], structure[v].den) for v in lowered}
+        priority._lower(system, net, structure, counters, lowered, below)
+        assert all(counters[v] == before[v] - 1 for v in lowered)
+    return singular
 
 
 def held_system_networks():
@@ -462,19 +469,21 @@ class TestHeldSystem:
         assert counts["lowerings"] >= 200
 
     def test_driven_walk_through_insatiable_blocks(self, monkeypatch):
-        """The descent itself met no insatiable block on thousands of corpus
-        networks, so this walk lowers counters at random: rounds then stop at
-        insatiable blocks after solving the blocks before them."""
+        """The descent never meets an insatiable block (proof in
+        ``compute_max_clearing_pp``), so this walk lowers counters at random:
+        rounds then stop at insatiable blocks after solving the blocks
+        before them."""
         counts = check_counter_freshness(monkeypatch)
         exits = record_least_exits(monkeypatch)
         rng = random.Random(3)
+        singular = 0
         for _ in range(150):
             net = random_network(
                 rng, max_external=2, edge_prob=0.7, default_cost=True, alphas=(F(1, 2), F(1))
             )
-            walk_counters(net, rng)
-        assert counts["insatiable"] >= 10
-        assert exits["singular"] == counts["insatiable"]
+            singular += walk_counters(net, rng)
+        assert singular >= 10
+        assert exits["singular"] == singular
         assert counts["lowerings"] >= 500
 
     def test_driven_walk_with_zero_rates(self, monkeypatch):
@@ -483,16 +492,18 @@ class TestHeldSystem:
         solves must still be inconsistent."""
         exits = record_least_exits(monkeypatch)
         rng = random.Random(11)
+        singular = 0
         for _ in range(300):
             net = random_network(
                 rng, max_external=1, edge_prob=0.9, default_cost=True, alphas=ZERO_RATE_ALPHAS
             )
-            walk_counters(net, rng)
-        assert exits["singular"] >= 5
+            singular += walk_counters(net, rng)
+        assert singular >= 5
+        assert exits["singular"] == singular
 
 
 class TestJump:
-    """A regular round lowers each short bank straight to the class its
+    """Each round lowers each short bank straight to the class its
     assets reach. No bank it lowers may hold more in the maximal state than
     its assets, and no counter may fall below the class of the maximal
     state."""
@@ -596,14 +607,7 @@ class TestGreatest:
     the proof in ``compute_max_clearing_pp``."""
 
     def test_pp_maximum_is_greatest(self, monkeypatch):
-        build = priority._counter_system
-        held = []  # the counters of the descent, lowered in place
-
-        def kept(net, structure, counters):
-            held.append(counters)
-            return build(net, structure, counters)
-
-        monkeypatch.setattr(priority, "_counter_system", kept)
+        held = hold_counters(monkeypatch)
         rng = random.Random(2626)
         counts = {"piecewise": 0, "below_top": 0, "min_below": 0}
         for i in range(3000):
@@ -640,6 +644,64 @@ class TestGreatest:
             )
         assert counts["below_top"] >= 2000 and counts["piecewise"] >= 300
         assert counts["min_below"] >= 100, counts
+
+
+class TestRounds:
+    """Every round of the descent, by the induction in
+    ``compute_max_clearing_pp``: its least state ``t^R`` lies at or above the
+    maximal state ``x*`` and at or below ``s``, the previous round's ``t``
+    with each bank lowered after it set to its assets, and each bank below
+    its top class lies inside its class, ``[grid[r_v], grid[r_v + 1])``."""
+
+    def test_rounds_lie_between_the_maximal_state_and_the_last_round(self, monkeypatch):
+        held = hold_counters(monkeypatch)
+        solve = priority._solve_counters
+        rounds = []
+
+        def recorded(system):
+            t, a = solve(system)
+            [counters] = held
+            rounds.append((dict(counters), fractions(t), fractions(a)))
+            return t, a
+
+        monkeypatch.setattr(priority, "_solve_counters", recorded)
+        rng = random.Random(2727)
+        counts = {"rounds": 0, "later": 0, "default_cost": 0, "zero_rates": 0, "piecewise": 0}
+        for i in range(900):
+            default_cost = i % 3 != 0
+            zero_rates = default_cost and i % 2 == 0
+            net = random_network(
+                rng,
+                min_banks=3,
+                max_banks=8,
+                max_external=(0, 1, 3)[i % 3],
+                schemes=ALL_SCHEME_KINDS if i % 4 == 0 else SCHEME_KINDS,
+                default_cost=default_cost,
+                alphas=ZERO_RATE_ALPHAS if zero_rates else (F(1, 2), F(3, 4), F(1)),
+                edge_prob=rng.choice((None, 0.5, 0.7)),
+                liability_dens=(1, 2, 3) if i % 5 == 0 else None,
+            )
+            held.clear()
+            rounds.clear()
+            x = compute_max_clearing_pp(net).as_dict()
+            structure = priority_structure(net)
+            s = None
+            for counters, t, a in rounds:
+                assert all(x[v] <= t[v] for v in t), "round below the maximal state"
+                if s is not None:
+                    assert all(t[v] <= s[v] for v in t), "round above the last round's s"
+                    counts["later"] += 1
+                for v, r in counters.items():
+                    grid, den = structure[v].grid, structure[v].den
+                    if r < structure[v].class_count:
+                        assert F(grid[r], den) <= t[v] < F(grid[r + 1], den), v
+                s = {v: a[v] if a[v] < t[v] else t[v] for v in t}
+            counts["rounds"] += len(rounds)
+            counts["default_cost"] += default_cost * len(rounds)
+            counts["zero_rates"] += zero_rates * len(rounds)
+            counts["piecewise"] += (i % 4 == 0) * len(rounds)
+        assert counts["rounds"] >= 2000 and counts["later"] >= 1000, counts
+        assert min(counts["default_cost"], counts["zero_rates"], counts["piecewise"]) >= 300, counts
 
 
 class TestIntegerRows:
@@ -723,7 +785,7 @@ class TestAgainstSimplex:
             system = _counter_system(net, structure, counters)
             try:
                 t, a = _solve_counters(system)
-            except Exception:
+            except errors.InternalInvariantError:
                 continue  # insatiable interior states are exercised elsewhere
             d = {v: as_fraction(t[v]) - as_fraction(a[v]) for v in t}
             lp, order = build_counter_lp(net, structure, counters)

@@ -1,6 +1,6 @@
 """Slow tier: the counter descent on the first 40 ``max-pp`` benchmark
 networks at the hold-out seed, with the held counter system compared with a
-fresh build after every lowering, every jump of a regular round checked
+fresh build after every lowering, every jump of a round checked
 against the maximal state, and no least block solve left through the
 singular path. Run it with ``python -m pytest -m slow``;
 the default run leaves it out.

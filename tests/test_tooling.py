@@ -167,6 +167,20 @@ def test_package_size_counts_tokens_as_the_buffer_check():
     assert [int(total[i]) for i in (2, 4, 7, 9)] == [tokens, tokens, source_lines, source_lines]
 
 
+def test_package_size_names_a_missing_package_directory(tmp_path):
+    # a path without src/netclear, given alone or beside a checkout
+    for argv in ([str(tmp_path)], [str(ROOT), str(tmp_path)], ["src"]):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "package_size.py"), *argv],
+            capture_output=True, text=True, timeout=60, cwd=ROOT,
+        )
+        missing = os.path.join(argv[-1], "src", "netclear")
+        assert done.returncode == 2
+        assert (done.stdout, done.stderr) == (
+            "", f"package_size.py: no package directory {missing}\n"
+        )
+
+
 def test_private_helpers_have_package_callers():
     # A module-level function or class whose name starts with "_" serves the
     # package alone, so package code other than its own definition must

@@ -9,13 +9,15 @@ the first to the second; a module in only one of them counts 0 in the other:
     python3 tools/package_size.py PARENT_DIR CHANGE_DIR
     python3 tools/package_size.py CHECKOUT_DIR
 
-The last line gives the totals over the package.
+The last line gives the totals over the package. A checkout without a
+``src/netclear`` directory exits with status 2 and one line naming it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 import tokenize
 
 
@@ -39,7 +41,13 @@ def main(argv=None) -> int:
     parser.add_argument("parent", nargs="?", help="checkout to compare against")
     parser.add_argument("change", help="checkout to measure")
     args = parser.parse_args(argv)
-    sides = [module_sizes(root) for root in (args.parent, args.change) if root is not None]
+    roots = [root for root in (args.parent, args.change) if root is not None]
+    for root in roots:
+        package = os.path.join(root, "src", "netclear")
+        if not os.path.isdir(package):
+            print(f"package_size.py: no package directory {package}", file=sys.stderr)
+            return 2
+    sides = [module_sizes(root) for root in roots]
     names = sorted(set().union(*sides))
     rows = [(name, [side.get(name, (0, 0)) for side in sides]) for name in names]
     rows.append(("total", [tuple(map(sum, zip(*side.values()))) for side in sides]))
