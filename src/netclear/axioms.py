@@ -1,25 +1,232 @@
-"""The payment axioms of a bank's out-claims, checked at the end of
-validation, and each debtor's integer class grid, which the check builds and
-the counter descent reads.
+"""Payment functions, the class schemes that build them, and the payment
+axioms that validation ends with.
 
-The borders of each distinct tuple of a bank are checked once. The grid of a
-debtor (``BankClasses``, from ``bank_classes``) is built once, at load: a
-class-scheme debtor's is read off the class index and piece numerator that
-``model._class_functions`` leaves on each function, any other debtor's is
-scaled from ``merged_slopes``. The slope-sum axiom is checked on it in
-integers, and validation holds it on the network (``_classes``), where
-``priority.priority_structure`` finds it.
+A ``PaymentFunction`` is stored as interval borders plus per-interval
+slopes; values at borders are accumulated from the slopes, which makes
+continuity structural rather than something to check. Intervals are
+half-open ``[x_{i-1}, x_i)``: evaluation exactly at a border uses the next
+segment, found by bisecting the borders' integer numerators over their
+common denominator. ``value_at`` returns one numerator over one denominator.
+
+The class schemes (``make_proportional``, ``make_edge_ranking``,
+``make_priority_proportional``) leave each function's class index and
+liability numerator on it, from which ``bank_classes`` reads a debtor's
+integer class grid; any other debtor's grid is scaled from
+``merged_slopes``. ``check_payment_axioms`` builds each grid once, checks
+the slope-sum axiom on it in integers and holds it on the network
+(``_classes``), where ``priority.priority_structure`` finds it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import lt
 
 from . import errors
 from .errors import Violation
+from .rationals import ONE, ZERO
 
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the model's records. Their fields are their ``__slots__``,
+    set once by ``__init__``; a name starting with ``_`` is derived and takes
+    no part in equality, hashing or the repr. Records of one class with equal
+    fields are equal and hash alike, and assigning or deleting a field
+    raises ``AttributeError``. Pickling and copying rebuild a record through
+    its ``__init__``."""
+
+    __slots__ = ()
+
+    def _items(self):
+        return [(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self):
+        return hash(tuple(self._items()))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: assignment raises
+        return self.__class__, tuple(value for _, value in self._items())
+
+
+class PaymentFunction(_Value):
+    """Monotone piecewise-linear payment function.
+
+    ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
+    constant at and beyond the last border, which is the debtor's total
+    out-liability. ``_values`` holds the values at the borders, ``_scaled``
+    the borders as integer numerators over one denominator ``_den``, and
+    ``_piece`` a class scheme's ``(class index, liability numerator)``, else
+    None. ``value_at``, ``slope_at`` and ``active_segment`` find the segment
+    of ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
+    numerator is an int, so it is at most ``a * _den`` exactly when it is at
+    most that floor.
+    """
+
+    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
+
+    def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
+        if len(slopes) != len(borders) - 1:
+            raise ValueError("need exactly one slope per interval between borders")
+        values = [ZERO]
+        for i, slope in enumerate(slopes):
+            values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
+        den = lcm(*(x.denominator for x in borders))
+        scaled = tuple(x.numerator * (den // x.denominator) for x in borders)
+        fields = (borders, slopes, tuple(values), scaled, den, None)
+        for name, value in zip(self.__slots__, fields):
+            _set(self, name, value)
+
+    @classmethod
+    def _with_values(cls, borders, slopes, values, scaled, den, piece) -> "PaymentFunction":
+        """A function whose values at the borders, borders over one
+        denominator and class piece the caller already knows, as a class
+        scheme does."""
+        fn = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den, piece)):
+            _set(fn, name, value)
+        return fn
+
+    def value_at(self, a: Fraction) -> Fraction:
+        """The payment at assets ``a``, as one numerator over one
+        denominator: ``value + slope * (a - border)`` on the segment of
+        ``a``; at the first border this is the first value, zero."""
+        an, ad = a.as_integer_ratio()
+        bd = self._den
+        idx = bisect_right(self._scaled, an * bd // ad) - 1
+        if idx < 0:
+            return ZERO
+        if idx == len(self.slopes):
+            return self._values[-1]
+        value, slope = self._values[idx], self.slopes[idx]
+        if not slope:
+            return value
+        vn, vd = value.as_integer_ratio()
+        sn, sd = slope.as_integer_ratio()
+        bn = self._scaled[idx]
+        den = sd * ad * bd
+        return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
+
+    def slope_at(self, a: Fraction) -> Fraction:
+        idx = max(bisect_right(self._scaled, a.numerator * self._den // a.denominator) - 1, 0)
+        if idx >= len(self.slopes):
+            return ZERO
+        return self.slopes[idx]
+
+    def active_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
+        """``(slope_at(a), next border strictly above a)`` when that slope is
+        positive, else None; one bisection for both."""
+        pos = bisect_right(self._scaled, a.numerator * self._den // a.denominator)
+        idx = max(pos - 1, 0)
+        if idx >= len(self.slopes) or self.slopes[idx] <= 0:
+            return None
+        return self.slopes[idx], self.borders[pos]
+
+    @property
+    def final_value(self) -> Fraction:
+        return self._values[-1]
+
+
+# --- payment scheme constructors -------------------------------------------
+
+def _class_functions(
+    liabilities: dict[str, Fraction], classes: list[list[str]]
+) -> dict[str, PaymentFunction]:
+    """Shared builder for ranked-class schemes: each class is paid
+    proportionally and in full before the next class starts.
+
+    Every function of a debtor shares one borders tuple, the class grid
+    (classes with zero total get no segment). A creditor in the class on
+    segment ``j`` has slope ``liability / class total`` there and zero
+    elsewhere (one when it is alone in paying that class), so its values are
+    known in closed form: zero through the class's lower border, its
+    liability from the upper border on.
+
+    The liabilities are read once as integer numerators over their common
+    denominator, so class totals are int sums and each border and slope is
+    one normalized ``Fraction``; the functions share the border numerators
+    over that denominator too."""
+    den = lcm(*(x.denominator for x in liabilities.values()))
+    scaled = {c: x.numerator * (den // x.denominator) for c, x in liabilities.items()}
+    if sum(scaled.values()) == 0:
+        flat = PaymentFunction(borders=(ZERO,), slopes=())
+        return {creditor: flat for creditor in liabilities}
+
+    grid = [ZERO]
+    ints = [0]
+    upper = 0
+    nonzero: list[tuple[int, list[str]]] = []
+    for members in classes:
+        class_total = sum([scaled[c] for c in members])
+        if class_total == 0:
+            continue
+        upper += class_total
+        grid.append(Fraction(upper, den))
+        ints.append(upper)
+        nonzero.append((class_total, members))
+
+    borders, ints = tuple(grid), tuple(ints)
+    k = len(nonzero)
+    zeros = (ZERO,) * (k + 1)
+    # creditors whose whole class had zero liability pay nothing
+    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den, (0, 0))
+    functions = dict.fromkeys(liabilities, unpaid)
+    for j, (class_total, members) in enumerate(nonzero):
+        before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
+        for creditor in members:
+            x = scaled[creditor]
+            functions[creditor] = PaymentFunction._with_values(
+                borders,
+                before + (ONE if x == class_total else Fraction(x, class_total),) + after,
+                paid + (liabilities[creditor],) * (k - j),
+                ints,
+                den,
+                (j, x),
+            )
+    return functions
+
+
+def make_proportional(liabilities: dict[str, Fraction]) -> dict[str, PaymentFunction]:
+    return _class_functions(liabilities, [list(liabilities)])
+
+
+def make_edge_ranking(
+    liabilities: dict[str, Fraction], order: list[str]
+) -> dict[str, PaymentFunction]:
+    if sorted(order) != sorted(liabilities):
+        raise ValueError("ranking order must list each creditor exactly once")
+    return _class_functions(liabilities, [[c] for c in order])
+
+
+def make_priority_proportional(
+    liabilities: dict[str, Fraction], classes: list[list[str]]
+) -> dict[str, PaymentFunction]:
+    flat = [c for members in classes for c in members]
+    if sorted(flat) != sorted(liabilities):
+        raise ValueError("priority classes must partition the creditors")
+    return _class_functions(liabilities, classes)
+
+
+# --- class grids and the axiom check ---------------------------------------
 
 class BankClasses:
     """Priority classes of one bank on its merged border grid, as integer

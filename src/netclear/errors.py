@@ -55,8 +55,6 @@ UNKNOWN_BANK_ID = "unknown_bank_id"
 DUPLICATE_BANK_ID = "duplicate_bank_id"
 INVALID_SCHEME = "invalid_scheme"
 LIABILITY_MISMATCH = "liability_mismatch"
-UNBOUNDED_LIABILITY = "unbounded_liability"
-MISSING_FIELD = "missing_field"
 
 
 class NetworkValidationError(NetclearError):

@@ -1,8 +1,11 @@
-"""Network document parsing and result serialization.
+"""Loading network and targets documents, and writing result documents.
 
 Networks travel as JSON documents with ``format_version`` "1". Exact numbers
 are written as integers or strings ("3", "1/2", "0.25"); JSON float literals
 are rejected so no value is silently routed through binary floating point.
+This module loads the JSON and checks a network document's top-level keys;
+``model.validate_network`` reads its entries. A targets document is read
+here with the same field and number helpers.
 """
 
 from __future__ import annotations
@@ -14,21 +17,12 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__, model
 from .clearing import ClearingState, payments
 from .errors import ParseError
-from .model import FinancialNetwork
-from .rationals import decimal_str, exact_str, parse_exact
+from .model import FinancialNetwork, _check_fields, _field, _list
+from .rationals import decimal_str, exact_str
 
 FORMAT_VERSION = "1"
 SOLVER_VERSION = __version__
 
-_BANK_FIELDS = {"id", "external_assets", "alpha", "beta"}
-_CLAIM_FIELDS = {"debtor", "creditor", "liability"}
-_SCHEME_FIELDS = {
-    model.PROPORTIONAL: {"type"},
-    model.EDGE_RANKING: {"type", "order"},
-    model.PRIORITY_PROPORTIONAL: {"type", "classes"},
-    model.PIECEWISE: {"type", "edges"},
-}
-_PIECEWISE_EDGE_FIELDS = {"creditor", "borders", "slopes"}
 _TARGET_FIELDS = {"bank", "lo", "hi"}
 
 
@@ -66,111 +60,17 @@ def _load_json(source) -> dict:
         raise ParseError(f"cannot read {source!r}: {exc}") from exc
 
 
-def _check_fields(obj: dict, allowed: set, context: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", context)
-    if not allowed.issuperset(obj):
-        raise ParseError(f"unknown fields {sorted(set(obj) - allowed)}", context)
-
-
-def _list(obj: dict, field: str, context: str) -> list:
-    """``obj[field]``, empty when absent, which must be a list."""
-    value = obj.get(field, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{field!r} must be a list", context)
-    return value
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _number(obj, field: str, context: str, memo: dict) -> Fraction:
-    """``parse_exact`` of ``obj[field]``, once per distinct literal of one
-    document: ``memo`` is keyed on type and value, so ``true`` never reads
-    the entry of ``1``."""
-    if field not in obj:
-        raise ParseError(f"missing field {field!r}", context)
-    value = obj[field]
-    if not isinstance(value, (int, str)):
-        raise ParseError(f"{field!r} must be an integer or exact string", context)
-    key = (value.__class__, value)
-    if key not in memo:
-        try:
-            memo[key] = parse_exact(value)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(str(exc), f"{context}.{field}") from exc
-    return memo[key]
-
-
 def parse_network(source) -> FinancialNetwork:
     """Parse and validate a network document from a path or an open text file.
-    Its numbers are converted in place, each distinct literal once, and the
-    loaded document itself goes to ``model.validate_network``."""
+    Its top-level keys and ``format_version`` are checked here; every entry
+    is read by ``model.validate_network``."""
     doc = _load_json(source)
-    memo = {}
     _check_fields(doc, {"format_version", "banks", "payment_schemes", "claims"}, "document")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(
             f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}"
         )
-    banks = doc.get("banks", [])
-    if not isinstance(banks, list) or not banks:
-        raise ParseError("at least one bank is required", "banks")
-    for i, entry in enumerate(banks):
-        context = f"banks[{i}]"
-        _check_fields(entry, _BANK_FIELDS, context)
-        if not isinstance(entry.get("id"), str):
-            raise ParseError("bank id must be a string", context)
-        for field in ("external_assets", "alpha", "beta"):
-            if field in entry:
-                entry[field] = _number(entry, field, context, memo)
-
-    for i, entry in enumerate(_list(doc, "claims", "document")):
-        context = f"claims[{i}]"
-        _check_fields(entry, _CLAIM_FIELDS, context)
-        for field in ("debtor", "creditor"):
-            if not isinstance(entry.get(field), str):
-                raise ParseError(f"{field!r} must be a bank id string", context)
-        entry["liability"] = _number(entry, "liability", context, memo)
-
-    schemes_doc = doc.get("payment_schemes", {})
-    if not isinstance(schemes_doc, dict):
-        raise ParseError("payment_schemes must map bank ids to schemes", "payment_schemes")
-    for bank_id, scheme in schemes_doc.items():
-        context = f"payment_schemes[{bank_id!r}]"
-        if not isinstance(scheme, dict) or "type" not in scheme:
-            raise ParseError("scheme must be an object with a 'type'", context)
-        kind = scheme["type"]
-        allowed = _SCHEME_FIELDS.get(kind) if isinstance(kind, str) else None
-        if allowed is None:
-            raise ParseError(f"unknown scheme type {kind!r}", context)
-        _check_fields(scheme, allowed, context)
-        if kind == model.EDGE_RANKING and not _strings(_list(scheme, "order", context)):
-            raise ParseError("'order' must be a list of bank id strings", context)
-        if kind == model.PRIORITY_PROPORTIONAL and not all(
-            map(_strings, _list(scheme, "classes", context))
-        ):
-            raise ParseError("'classes' must be lists of bank id strings", context)
-        if kind == model.PIECEWISE:
-            for j, edge in enumerate(_list(scheme, "edges", context)):
-                edge_context = f"{context}.edges[{j}]"
-                _check_fields(edge, _PIECEWISE_EDGE_FIELDS, edge_context)
-                if not isinstance(edge.get("creditor"), str):
-                    raise ParseError("'creditor' must be a bank id string", edge_context)
-                for field in ("borders", "slopes"):
-                    values = edge.get(field)
-                    if not isinstance(values, list):
-                        raise ParseError(f"{field!r} must be a list", edge_context)
-                    for value in values:
-                        # not isinstance: JSON true and false load as bools, which are ints
-                        if type(value) not in (int, str):
-                            raise ParseError(
-                                f"{field!r} entries must be integers or exact strings",
-                                edge_context,
-                            )
-
     return model.validate_network(doc)
 
 
@@ -189,8 +89,8 @@ def parse_targets(source) -> dict[str, tuple[Fraction, Fraction]]:
         if entry["bank"] in targets:
             raise ParseError(f"bank {entry['bank']!r} has more than one target", context)
         targets[entry["bank"]] = (
-            _number(entry, "lo", context, memo),
-            _number(entry, "hi", context, memo),
+            _field(entry, "lo", context, memo),
+            _field(entry, "hi", context, memo),
         )
     return targets
 

@@ -1,69 +1,35 @@
-"""Banks, claims, piecewise-linear payment functions, and validated networks.
+"""Banks, claims, validated networks, and the one reader of network
+documents.
 
-A payment function is stored as interval borders plus per-interval slopes;
-values at borders are accumulated from the slopes on demand, which makes
-continuity structural rather than something to check. Intervals are half-open
-``[x_{i-1}, x_i)``: evaluation exactly at a border uses the next segment.
+``validate_network`` walks every bank, claim and scheme entry of a document
+once. Each entry's shape is checked first: a missing or unknown field, a
+wrong type or an unreadable number is a ``ParseError`` naming the field. Its
+meaning is checked next, and every fault of that kind is collected into one
+``NetworkValidationError``; the payment-axiom check of ``axioms`` ends the
+list. Every number goes through one parser, once per distinct literal of a
+document; a ``Fraction`` passes through.
 
-Sums and evaluations on the per-op path run on Python ints and normalize
-once: liability totals through ``rationals.exact_sum``, class totals over
-one common denominator, and ``value_at`` as one numerator over one
-denominator. Every segment lookup bisects the borders' integer numerators
-over their common denominator. A class scheme's functions also carry their
-class index and liability numerator, from which ``axioms`` builds the
-debtor's integer class grid once; the payment-axiom check that validation
-ends with builds it, and the network holds it for the counter descent.
+Payment functions and their class-scheme builders live in ``axioms`` and are
+re-exported here. Liability totals are summed on Python ints and normalized
+once, through ``rationals.exact_sum``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
 
 from . import errors
-from .axioms import check_payment_axioms
-from .errors import NetworkValidationError, Violation
+from .axioms import (
+    PaymentFunction,
+    _set,
+    _Value,
+    check_payment_axioms,
+    make_edge_ranking,
+    make_priority_proportional,
+    make_proportional,
+)
+from .errors import NetworkValidationError, ParseError, Violation
 from .rationals import ONE, ZERO, exact_sum, parse_exact
-
-
-_set = object.__setattr__
-
-
-class _Value:
-    """Base of the model's records. Their fields are their ``__slots__``,
-    set once by ``__init__``; a name starting with ``_`` is derived and takes
-    no part in equality, hashing or the repr. Records of one class with equal
-    fields are equal and hash alike, and assigning or deleting a field
-    raises ``AttributeError``. Pickling and copying rebuild a record through
-    its ``__init__``."""
-
-    __slots__ = ()
-
-    def _items(self):
-        return [(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._items() == other._items()
-
-    def __hash__(self):
-        return hash(tuple(self._items()))
-
-    def __repr__(self):
-        inner = ", ".join(f"{name}={value!r}" for name, value in self._items())
-        return f"{type(self).__name__}({inner})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: assignment raises
-        return self.__class__, tuple(value for _, value in self._items())
 
 
 class Bank(_Value):
@@ -76,84 +42,6 @@ class Bank(_Value):
         _set(self, "external_assets", external_assets)
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
-
-
-class PaymentFunction(_Value):
-    """Monotone piecewise-linear payment function.
-
-    ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
-    constant at and beyond the last border, which is the debtor's total
-    out-liability. ``_values`` holds the values at the borders, ``_scaled``
-    the borders as integer numerators over one denominator ``_den``, and
-    ``_piece`` a class scheme's ``(class index, liability numerator)``, else
-    None. ``value_at``, ``slope_at`` and ``active_segment`` find the segment
-    of ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
-    numerator is an int, so it is at most ``a * _den`` exactly when it is at
-    most that floor.
-    """
-
-    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
-
-    def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
-        if len(slopes) != len(borders) - 1:
-            raise ValueError("need exactly one slope per interval between borders")
-        values = [ZERO]
-        for i, slope in enumerate(slopes):
-            values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
-        den = lcm(*(x.denominator for x in borders))
-        scaled = tuple(x.numerator * (den // x.denominator) for x in borders)
-        fields = (borders, slopes, tuple(values), scaled, den, None)
-        for name, value in zip(self.__slots__, fields):
-            _set(self, name, value)
-
-    @classmethod
-    def _with_values(cls, borders, slopes, values, scaled, den, piece) -> "PaymentFunction":
-        """A function whose values at the borders, borders over one
-        denominator and class piece the caller already knows, as a class
-        scheme does."""
-        fn = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den, piece)):
-            _set(fn, name, value)
-        return fn
-
-    def value_at(self, a: Fraction) -> Fraction:
-        """The payment at assets ``a``, as one numerator over one
-        denominator: ``value + slope * (a - border)`` on the segment of
-        ``a``; at the first border this is the first value, zero."""
-        an, ad = a.as_integer_ratio()
-        bd = self._den
-        idx = bisect_right(self._scaled, an * bd // ad) - 1
-        if idx < 0:
-            return ZERO
-        if idx == len(self.slopes):
-            return self._values[-1]
-        value, slope = self._values[idx], self.slopes[idx]
-        if not slope:
-            return value
-        vn, vd = value.as_integer_ratio()
-        sn, sd = slope.as_integer_ratio()
-        bn = self._scaled[idx]
-        den = sd * ad * bd
-        return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
-
-    def slope_at(self, a: Fraction) -> Fraction:
-        idx = max(bisect_right(self._scaled, a.numerator * self._den // a.denominator) - 1, 0)
-        if idx >= len(self.slopes):
-            return ZERO
-        return self.slopes[idx]
-
-    def active_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
-        """``(slope_at(a), next border strictly above a)`` when that slope is
-        positive, else None; one bisection for both."""
-        pos = bisect_right(self._scaled, a.numerator * self._den // a.denominator)
-        idx = max(pos - 1, 0)
-        if idx >= len(self.slopes) or self.slopes[idx] <= 0:
-            return None
-        return self.slopes[idx], self.borders[pos]
-
-    @property
-    def final_value(self) -> Fraction:
-        return self._values[-1]
 
 
 class Claim(_Value):
@@ -172,86 +60,6 @@ class Claim(_Value):
     @property
     def pair(self) -> tuple[str, str]:
         return (self.debtor, self.creditor)
-
-
-# --- payment scheme constructors -------------------------------------------
-
-def _class_functions(
-    liabilities: dict[str, Fraction], classes: list[list[str]]
-) -> dict[str, PaymentFunction]:
-    """Shared builder for ranked-class schemes: each class is paid
-    proportionally and in full before the next class starts.
-
-    Every function of a debtor shares one borders tuple, the class grid
-    (classes with zero total get no segment). A creditor in the class on
-    segment ``j`` has slope ``liability / class total`` there and zero
-    elsewhere (one when it is alone in paying that class), so its values are
-    known in closed form: zero through the class's lower border, its
-    liability from the upper border on.
-
-    The liabilities are read once as integer numerators over their common
-    denominator, so class totals are int sums and each border and slope is
-    one normalized ``Fraction``; the functions share the border numerators
-    over that denominator too."""
-    den = lcm(*(x.denominator for x in liabilities.values()))
-    scaled = {c: x.numerator * (den // x.denominator) for c, x in liabilities.items()}
-    if sum(scaled.values()) == 0:
-        flat = PaymentFunction(borders=(ZERO,), slopes=())
-        return {creditor: flat for creditor in liabilities}
-
-    grid = [ZERO]
-    ints = [0]
-    upper = 0
-    nonzero: list[tuple[int, list[str]]] = []
-    for members in classes:
-        class_total = sum([scaled[c] for c in members])
-        if class_total == 0:
-            continue
-        upper += class_total
-        grid.append(Fraction(upper, den))
-        ints.append(upper)
-        nonzero.append((class_total, members))
-
-    borders, ints = tuple(grid), tuple(ints)
-    k = len(nonzero)
-    zeros = (ZERO,) * (k + 1)
-    # creditors whose whole class had zero liability pay nothing
-    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den, (0, 0))
-    functions = dict.fromkeys(liabilities, unpaid)
-    for j, (class_total, members) in enumerate(nonzero):
-        before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
-        for creditor in members:
-            x = scaled[creditor]
-            functions[creditor] = PaymentFunction._with_values(
-                borders,
-                before + (ONE if x == class_total else Fraction(x, class_total),) + after,
-                paid + (liabilities[creditor],) * (k - j),
-                ints,
-                den,
-                (j, x),
-            )
-    return functions
-
-
-def make_proportional(liabilities: dict[str, Fraction]) -> dict[str, PaymentFunction]:
-    return _class_functions(liabilities, [list(liabilities)])
-
-
-def make_edge_ranking(
-    liabilities: dict[str, Fraction], order: list[str]
-) -> dict[str, PaymentFunction]:
-    if sorted(order) != sorted(liabilities):
-        raise ValueError("ranking order must list each creditor exactly once")
-    return _class_functions(liabilities, [[c] for c in order])
-
-
-def make_priority_proportional(
-    liabilities: dict[str, Fraction], classes: list[list[str]]
-) -> dict[str, PaymentFunction]:
-    flat = [c for members in classes for c in members]
-    if sorted(flat) != sorted(liabilities):
-        raise ValueError("priority classes must partition the creditors")
-    return _class_functions(liabilities, classes)
 
 
 # --- network container ------------------------------------------------------
@@ -335,32 +143,93 @@ def assemble(banks, claims) -> FinancialNetwork:
     return FinancialNetwork(bank_map, tuple(claims))
 
 
-def validate_network(raw: dict) -> FinancialNetwork:
-    """Validate a raw network description and build the container.
+_BANK_FIELDS = {"id", "external_assets", "alpha", "beta"}
+_CLAIM_FIELDS = {"debtor", "creditor", "liability"}
+_SCHEME_FIELDS = {
+    PROPORTIONAL: {"type"},
+    EDGE_RANKING: {"type", "order"},
+    PRIORITY_PROPORTIONAL: {"type", "classes"},
+    PIECEWISE: {"type", "edges"},
+}
+_EDGE_FIELDS = {"creditor", "borders", "slopes"}
 
-    ``raw`` mirrors the document format: ``{"banks": [...], "claims": [...],
-    "payment_schemes": {...}}`` with numbers given as int, string, or
-    ``Fraction``. Raises ``NetworkValidationError`` with the full list of
-    violations on failure; a missing required key is a ``missing_field``
-    violation. Values that are already ``Fraction``s are not parsed again.
-    """
-    violations: list[Violation] = []
 
-    banks: dict[str, Bank] = {}
-    for i, entry in enumerate(raw.get("banks", [])):
+def _check_fields(obj, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object", context)
+    if not allowed.issuperset(obj):
+        raise ParseError(f"unknown fields {sorted(set(obj) - allowed)}", context)
+
+
+def _list(obj: dict, field: str, context: str) -> list:
+    """``obj[field]``, empty when absent, which must be a list."""
+    value = obj.get(field, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{field!r} must be a list", context)
+    return value
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _number(value, context: str, memo: dict) -> Fraction:
+    """``parse_exact`` of ``value``, once per distinct literal: ``memo`` is
+    keyed on type and value, so ``true`` never reads the entry of ``1``. A
+    ``Fraction`` passes through."""
+    if value.__class__ is Fraction:
+        return value
+    key = (value.__class__, value)
+    if key not in memo:
         try:
-            bank_id = entry["id"]
-        except KeyError:
-            _report_missing(entry, ("id",), f"banks[{i}]", violations)
-            continue
+            memo[key] = parse_exact(value)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(str(exc), context) from exc
+    return memo[key]
+
+
+def _field(obj: dict, field: str, context: str, memo: dict, default=None) -> Fraction:
+    """The number ``obj[field]``; ``default`` when it is absent, which
+    without a default is an error."""
+    if field not in obj:
+        if default is None:
+            raise ParseError(f"missing field {field!r}", context)
+        return default
+    value = obj[field]
+    if not isinstance(value, (int, str, Fraction)):
+        raise ParseError(f"{field!r} must be an integer or exact string", context)
+    return _number(value, f"{context}.{field}", memo)
+
+
+def validate_network(raw: dict) -> FinancialNetwork:
+    """Check a network document and build the container.
+
+    ``raw`` has the document's ``banks``, ``claims`` and ``payment_schemes``
+    (its other keys are not read), with numbers given as int, string, or
+    ``Fraction``; it is not modified. A malformed entry raises a
+    ``ParseError`` naming its field, before any other fault is reported;
+    every other fault is a violation, and all of them are raised together
+    as a ``NetworkValidationError``."""
+    memo: dict = {}
+    violations: list[Violation] = []
+    entries = raw.get("banks", [])
+    if not isinstance(entries, list) or not entries:
+        raise ParseError("at least one bank is required", "banks")
+    banks: dict[str, Bank] = {}
+    for i, entry in enumerate(entries):
+        context = f"banks[{i}]"
+        _check_fields(entry, _BANK_FIELDS, context)
+        bank_id = entry.get("id")
+        if not isinstance(bank_id, str):
+            raise ParseError("bank id must be a string", context)
+        ext = _field(entry, "external_assets", context, memo, ZERO)
+        alpha = _field(entry, "alpha", context, memo, ONE)
+        beta = _field(entry, "beta", context, memo, ONE)
         if bank_id in banks:
             violations.append(
                 Violation(errors.DUPLICATE_BANK_ID, "bank id repeats", bank=bank_id)
             )
             continue
-        ext = _exact(entry.get("external_assets", ZERO))
-        alpha = _exact(entry.get("alpha", ONE))
-        beta = _exact(entry.get("beta", ONE))
         if ext.numerator < 0:
             violations.append(
                 Violation(
@@ -379,13 +248,14 @@ def validate_network(raw: dict) -> FinancialNetwork:
         banks[bank_id] = Bank(bank_id, ext, alpha, beta)
 
     liabilities: dict[tuple[str, str], Fraction] = {}
-    for i, entry in enumerate(raw.get("claims", [])):
-        try:
-            debtor, creditor = entry["debtor"], entry["creditor"]
-        except KeyError:
-            _report_missing(entry, ("debtor", "creditor"), f"claims[{i}]", violations)
-            continue
-        pair = (debtor, creditor)
+    for i, entry in enumerate(_list(raw, "claims", "document")):
+        context = f"claims[{i}]"
+        _check_fields(entry, _CLAIM_FIELDS, context)
+        for field in ("debtor", "creditor"):
+            if not isinstance(entry.get(field), str):
+                raise ParseError(f"{field!r} must be a bank id string", context)
+        liability = _field(entry, "liability", context, memo)
+        debtor, creditor = pair = (entry["debtor"], entry["creditor"])
         ok = True
         for endpoint in pair:
             if endpoint not in banks:
@@ -411,17 +281,6 @@ def validate_network(raw: dict) -> FinancialNetwork:
                 )
             )
             ok = False
-        raw_liability = entry.get("liability", ZERO)
-        if isinstance(raw_liability, str) and raw_liability.strip() == "unbounded":
-            violations.append(
-                Violation(
-                    errors.UNBOUNDED_LIABILITY,
-                    "liabilities must be finite numbers, not 'unbounded'",
-                    claim=pair,
-                )
-            )
-            continue
-        liability = _exact(raw_liability)
         if liability.numerator < 0:
             violations.append(
                 Violation(
@@ -432,6 +291,10 @@ def validate_network(raw: dict) -> FinancialNetwork:
         if ok:
             liabilities[pair] = liability
 
+    schemes = raw.get("payment_schemes", {})
+    if not isinstance(schemes, dict):
+        raise ParseError("payment_schemes must map bank ids to schemes", "payment_schemes")
+    specs = {v: _scheme(v, scheme, memo) for v, scheme in schemes.items()}
     if violations:
         raise NetworkValidationError(violations)
 
@@ -439,13 +302,11 @@ def validate_network(raw: dict) -> FinancialNetwork:
     for (debtor, creditor), liability in liabilities.items():
         out_by_bank[debtor][creditor] = liability
 
-    schemes_in = dict(raw.get("payment_schemes", {}))
     functions: dict[tuple[str, str], PaymentFunction] = {}
     for v, out in out_by_bank.items():
-        scheme = schemes_in.pop(v, {"type": PROPORTIONAL})
-        kind = scheme.get("type", PROPORTIONAL)
+        kind, spec = specs.pop(v, (PROPORTIONAL, None))
         if not out:
-            if kind != PROPORTIONAL or len(scheme) > 1:
+            if kind != PROPORTIONAL:
                 violations.append(
                     Violation(
                         errors.INVALID_SCHEME,
@@ -458,22 +319,18 @@ def validate_network(raw: dict) -> FinancialNetwork:
             if kind == PROPORTIONAL:
                 built = make_proportional(out)
             elif kind == EDGE_RANKING:
-                built = make_edge_ranking(out, list(scheme.get("order", [])))
+                built = make_edge_ranking(out, spec)
             elif kind == PRIORITY_PROPORTIONAL:
-                classes = [list(members) for members in scheme.get("classes", [])]
-                built = make_priority_proportional(out, classes)
-            elif kind == PIECEWISE:
-                built = _parse_piecewise(v, out, scheme, violations)
+                built = make_priority_proportional(out, spec)
             else:
-                raise ValueError(f"unknown scheme type {kind!r}")
+                built = _piecewise(v, out, spec, violations)
         except ValueError as exc:
             violations.append(Violation(errors.INVALID_SCHEME, str(exc), bank=v))
             continue
-        if built is not None:
-            for creditor, fn in built.items():
-                functions[(v, creditor)] = fn
+        for creditor, fn in built.items():
+            functions[(v, creditor)] = fn
 
-    for v in schemes_in:
+    for v in specs:
         violations.append(
             Violation(errors.UNKNOWN_BANK_ID, "scheme for unknown bank", bank=v)
         )
@@ -492,37 +349,60 @@ def validate_network(raw: dict) -> FinancialNetwork:
     return net
 
 
-def _exact(value) -> Fraction:
-    """``value`` as a ``Fraction``, parsed only when it is not one already."""
-    return value if type(value) is Fraction else parse_exact(value)
+def _scheme(v, scheme, memo: dict) -> tuple:
+    """The checked shape of bank ``v``'s scheme: its type and what its
+    builder reads, the order, the classes, or each piecewise edge's
+    ``(creditor, borders, slopes)`` with the numbers parsed."""
+    context = f"payment_schemes[{v!r}]"
+    if not isinstance(scheme, dict) or "type" not in scheme:
+        raise ParseError("scheme must be an object with a 'type'", context)
+    kind = scheme["type"]
+    allowed = _SCHEME_FIELDS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ParseError(f"unknown scheme type {kind!r}", context)
+    _check_fields(scheme, allowed, context)
+    if kind == EDGE_RANKING:
+        spec = _list(scheme, "order", context)
+        if not _strings(spec):
+            raise ParseError("'order' must be a list of bank id strings", context)
+    elif kind == PRIORITY_PROPORTIONAL:
+        spec = _list(scheme, "classes", context)
+        if not all(map(_strings, spec)):
+            raise ParseError("'classes' must be lists of bank id strings", context)
+    elif kind == PIECEWISE:
+        spec = []
+        for j, edge in enumerate(_list(scheme, "edges", context)):
+            where = f"{context}.edges[{j}]"
+            _check_fields(edge, _EDGE_FIELDS, where)
+            if not isinstance(edge.get("creditor"), str):
+                raise ParseError("'creditor' must be a bank id string", where)
+            parsed = [edge["creditor"]]
+            for field in ("borders", "slopes"):
+                values = edge.get(field)
+                if not isinstance(values, list):
+                    raise ParseError(f"{field!r} must be a list", where)
+                # not isinstance: JSON true and false load as bools, which are ints
+                if any(type(x) not in (int, str, Fraction) for x in values):
+                    raise ParseError(
+                        f"{field!r} entries must be integers or exact strings", where
+                    )
+                parsed.append(
+                    tuple(_number(x, f"{where}.{field}[{k}]", memo) for k, x in enumerate(values))
+                )
+            spec.append(parsed)
+    else:
+        spec = None
+    return kind, spec
 
 
-def _report_missing(entry, fields, where, violations, **context) -> None:
-    """One ``missing_field`` violation per field of ``fields`` absent from
-    ``entry``."""
-    for name in fields:
-        if name not in entry:
-            violations.append(
-                Violation(errors.MISSING_FIELD, f"{where} has no {name!r}", **context)
-            )
-
-
-def _parse_piecewise(v, out, scheme, violations):
+def _piecewise(v, out, edges, violations):
+    """Bank ``v``'s payment functions from its checked piecewise edges: a
+    negative slope is a violation, and edges that miss or repeat a claim of
+    ``out``, or a wrong slope count, raise ``ValueError``."""
     functions = {}
-    seen = set()
-    for j, entry in enumerate(scheme.get("edges", [])):
-        fields = ("creditor", "borders", "slopes")
-        if any(name not in entry for name in fields):
-            where = f"payment_schemes[{v!r}].edges[{j}]"
-            _report_missing(entry, fields, where, violations, bank=v)
-            seen.add(entry.get("creditor"))
-            continue
-        creditor = entry["creditor"]
-        if creditor not in out or creditor in seen:
+    for creditor, borders, slopes in edges:
+        if creditor not in out or creditor in functions:
             raise ValueError(f"piecewise edges must match the out-claims of {v!r}")
-        seen.add(creditor)
-        borders = tuple(_exact(x) for x in entry["borders"])
-        slopes = tuple(_exact(m) for m in entry["slopes"])
         if len(slopes) != len(borders) - 1:
             raise ValueError("need len(borders) - 1 slopes")
         if any(m.numerator < 0 for m in slopes):
@@ -535,7 +415,7 @@ def _parse_piecewise(v, out, scheme, violations):
                 )
             )
         functions[creditor] = PaymentFunction(borders=borders, slopes=slopes)
-    if seen != set(out):
+    if functions.keys() != out.keys():
         raise ValueError(f"piecewise edges must cover all out-claims of {v!r}")
     return functions
 

@@ -103,7 +103,9 @@ def _refresh_rows(
     A piece ``L`` of debtor ``u``'s class ``[x_r, x_r+1)`` of total ``T``,
     paid in proportion, gives ``w[v][u] = (L, T)`` (``u``'s denominator
     cancels) and ``-L x_r / T`` to the constant, which sums the debtors'
-    terms over the product of their denominators and is reduced once."""
+    terms over the product of their denominators and is reduced once. A
+    bank with ``beta = 0`` below its top class keeps none of what it is
+    paid, so its row has no entries."""
     for v in banks:
         bank = net.bank(v)
         classes = structure[v]
@@ -130,7 +132,7 @@ def _refresh_rows(
         en, ed = bank.external_assets.as_integer_ratio()
         an, ad = (1, 1) if solvent else bank.alpha.as_integer_ratio()
         bn, bd = (1, 1) if solvent else bank.beta.as_integer_ratio()
-        system.w[v] = row if bn == bd else {u: (bn * x, bd * y) for u, (x, y) in row.items()}
+        system.w[v] = row if bn == bd else {u: (bn * x, bd * y) for u, (x, y) in row.items() if bn}
         n, d = an * en * bd * pd + bn * pn * ad * ed, ad * ed * bd * pd
         g = gcd(n, d)
         system.c[v] = (n // g, d // g)
@@ -231,7 +233,7 @@ def _solve_block_least(system, block, t) -> dict:
         fn, fd = floor = system.floor[v]
         t[v] = assets if assets[0] * fd > fn * assets[1] else floor
         return {v: assets}
-    flow: set[str] = set()
+    flow = set()
     for v in members:
         t[v] = system.floor[v]
 

@@ -1,4 +1,5 @@
-"""Seeded random networks shared by the test suites, and their document form."""
+"""Seeded random networks shared by the test suites, their document form, and
+the small golden networks several suites check."""
 
 from __future__ import annotations
 
@@ -12,8 +13,46 @@ from netclear.rationals import exact_str
 SCHEME_KINDS = ("proportional", "edge_ranking", "priority_proportional")
 # every scheme, piecewise ones too (``piecewise_scheme``)
 ALL_SCHEME_KINDS = SCHEME_KINDS + ("piecewise",)
+# the haircut rates ``random_network`` draws by default
+HAIRCUT_ALPHAS = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
 # haircut rates that include 0, so that some banks have alpha = beta = 0
 ZERO_RATE_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+def example1():
+    """Golden example 1: ``u`` owes ``v`` and ``w`` 1 each, ``w`` owes
+    ``u`` 1."""
+    return build_network(
+        banks=[("u", 1), ("v", 0), ("w", 0)],
+        claims=[("u", "v", 1), ("u", "w", 1), ("w", "u", 1)],
+    )
+
+
+def example2():
+    """Golden example 2: two banks owe each other 2, with haircuts of 1/2."""
+    return build_network(
+        banks=[("v", 1, "1/2", "1/2"), ("w", 1, "1/2", "1/2")],
+        claims=[("v", "w", 2), ("w", "v", 2)],
+    )
+
+
+def example3():
+    """Golden example 3: ``u`` owes ``v`` 2, ``v`` owes ``w`` and ``y`` 2
+    each with ``w`` ranked first, and ``y`` owes ``v`` 2."""
+    return build_network(
+        banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
+        claims=[("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)],
+        schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
+    )
+
+
+def figure1_ranked():
+    """Bank v owes u 80 and w 20, (v, w) ranked first."""
+    return build_network(
+        banks=[("v", 0), ("u", 0), ("w", 0)],
+        claims=[("v", "u", 80), ("v", "w", 20)],
+        schemes={"v": {"type": "edge_ranking", "order": ["w", "u"]}},
+    )
 
 
 def random_network(
@@ -23,7 +62,7 @@ def random_network(
     max_external: int = 8,
     schemes=SCHEME_KINDS,
     default_cost: bool = False,
-    alphas=(Fraction(1, 2), Fraction(3, 4), Fraction(1)),
+    alphas=HAIRCUT_ALPHAS,
     edge_prob: float | None = None,
     min_banks: int = 2,
     liability_dens=None,

@@ -579,7 +579,7 @@ def fraction_counter_rows(net: FinancialNetwork, structure: dict, counters) -> d
     structure, in the form ``normalized_rows`` gives: a bank's debtors pay
     their classes below their counters in full and their counter class in
     proportion, and a bank below its top class scales what it receives by
-    beta and its external assets by alpha."""
+    beta and its external assets by alpha; with beta = 0 its row is empty."""
     sources: dict[str, dict[str, list]] = {v: {} for v in net.bank_ids()}
     for u in net.bank_ids():
         for j, pieces in enumerate(structure[u][1]):
@@ -610,7 +610,7 @@ def fraction_counter_rows(net: FinancialNetwork, structure: dict, counters) -> d
             rows["w"][v] = row
             rows["c"][v] = bank.external_assets + paid
         else:
-            rows["w"][v] = {u: bank.beta * share for u, share in row.items()}
+            rows["w"][v] = {u: bank.beta * share for u, share in row.items() if bank.beta}
             rows["c"][v] = bank.alpha * bank.external_assets + bank.beta * paid
     return rows
 

@@ -26,7 +26,7 @@ from netclear import (
 )
 from netclear.errors import NoCreditorPositiveTradeError
 
-from corpus import random_network, random_trade_instance
+from corpus import example1, example2, example3, random_network, random_trade_instance
 from oracles import nonunique_banks, to_priority_proportional
 
 GAP_TOLERANCE = F(1, 10**6)
@@ -36,28 +36,6 @@ ORACLE_STEPS = 10**4
 def ok(criterion: str, detail: str = "") -> None:
     suffix = f" — {detail}" if detail else ""
     print(f"[acceptance] {criterion}: PASS{suffix}")
-
-
-def example1():
-    return build_network(
-        banks=[("u", 1), ("v", 0), ("w", 0)],
-        claims=[("u", "v", 1), ("u", "w", 1), ("w", "u", 1)],
-    )
-
-
-def example2():
-    return build_network(
-        banks=[("v", 1, "1/2", "1/2"), ("w", 1, "1/2", "1/2")],
-        claims=[("v", "w", 2), ("w", "v", 2)],
-    )
-
-
-def example3():
-    return build_network(
-        banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
-        claims=[("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
-    )
 
 
 class TestCriterion1Golden:

@@ -20,30 +20,15 @@ from netclear.errors import DefaultCostUnsupportedError, UnknownBankError
 
 from netclear.clearing import _inflow
 
-from corpus import ZERO_RATE_ALPHAS, random_network, random_state_in_box
+from corpus import (
+    ZERO_RATE_ALPHAS,
+    example1,
+    example2,
+    example3,
+    random_network,
+    random_state_in_box,
+)
 from oracles import fraction_inflow, fraction_phi, fraction_value_at, reduced_assets
-
-
-def example1():
-    return build_network(
-        banks=[("u", 1), ("v", 0), ("w", 0)],
-        claims=[("u", "v", 1), ("u", "w", 1), ("w", "u", 1)],
-    )
-
-
-def example2():
-    return build_network(
-        banks=[("v", 1, "1/2", "1/2"), ("w", 1, "1/2", "1/2")],
-        claims=[("v", "w", 2), ("w", "v", 2)],
-    )
-
-
-def example3():
-    return build_network(
-        banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
-        claims=[("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
-    )
 
 
 class TestAssetAccessors:

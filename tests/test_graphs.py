@@ -17,15 +17,7 @@ from netclear import (
 from netclear.errors import UnknownBankError
 from netclear.graphs import refresh_banks, strongly_connected
 
-from corpus import random_network, random_state_in_box
-
-
-def example3():
-    return build_network(
-        banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
-        claims=[("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
-    )
+from corpus import example3, random_network, random_state_in_box
 
 
 def active_pairs(g):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from netclear import ClearingState, build_network, is_clearing_state
+from netclear import ClearingState, build_network, is_clearing_state, validate_network
 from netclear import cli
 from netclear.cli import main
 from netclear.errors import InternalInvariantError, ParseError
@@ -733,7 +733,9 @@ def set_in(path, value):
 
 
 # Each row: a change to the TWO_CYCLE document, or a targets document for
-# ``range`` on it, and the one error line the CLI prints for it.
+# ``range`` on it, and the one error line the CLI prints for it. A network
+# document's fault is the same ``ParseError`` from ``validate_network`` and
+# from ``parse_network``.
 PARSE_ERRORS = {
     "bank not an object": (set_in(("banks", 1), "b"), "banks[1]: expected an object"),
     "claim without liability": (
@@ -754,12 +756,23 @@ PARSE_ERRORS = {
         set_in(("payment_schemes", "a"), {"order": ["b"]}),
         "payment_schemes['a']: scheme must be an object with a 'type'",
     ),
+    "unknown scheme type": (
+        set_in(("payment_schemes", "a"), {"type": "waterfall"}),
+        "payment_schemes['a']: unknown scheme type 'waterfall'",
+    ),
     "borders as a string": (
         set_in(
             ("payment_schemes", "a"),
             {"type": "piecewise", "edges": [{"creditor": "b", "borders": "0 1", "slopes": [1]}]},
         ),
         "payment_schemes['a'].edges[0]: 'borders' must be a list",
+    ),
+    "bad border literal": (
+        set_in(
+            ("payment_schemes", "a"),
+            {"type": "piecewise", "edges": [{"creditor": "b", "borders": [0, "x"], "slopes": [1]}]},
+        ),
+        "payment_schemes['a'].edges[0].borders[1]: not an exact number: 'x'",
     ),
     "target bank not a string": (
         {"targets": [{"bank": 1, "lo": 0, "hi": 1}]},
@@ -780,6 +793,10 @@ def test_parse_error_lines(case, tmp_path, capsys):
         argv = ["range", str(network), "--targets", str(targets)]
     else:
         fault(doc)
+        for read in (validate_network, lambda d: parse_network(io.StringIO(json.dumps(d)))):
+            with pytest.raises(ParseError) as err:
+                read(doc)
+            assert str(err.value) == line
     network.write_text(json.dumps(doc))
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -23,7 +23,7 @@ from netclear import (
 from netclear.errors import NotSolventError
 from netclear.model import Bank, assemble
 
-from corpus import random_network, random_state_in_box
+from corpus import example1, example2, example3, random_network, random_state_in_box
 from oracles import (
     dense_solve_linear_system,
     dense_unit_left_nullspace,
@@ -36,28 +36,6 @@ from oracles import (
 def step_slopes(step):
     """An increase step's exact response per unit of injection."""
     return {u: F(rate, step.den) for u, rate in step.rates.items()}
-
-
-def example1():
-    return build_network(
-        banks=[("u", 1), ("v", 0), ("w", 0)],
-        claims=[("u", "v", 1), ("u", "w", 1), ("w", "u", 1)],
-    )
-
-
-def example2():
-    return build_network(
-        banks=[("v", 1, "1/2", "1/2"), ("w", 1, "1/2", "1/2")],
-        claims=[("v", "w", 2), ("w", "v", 2)],
-    )
-
-
-def example3():
-    return build_network(
-        banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
-        claims=[("u", "v", 2), ("v", "w", 2), ("v", "y", 2), ("y", "v", 2)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "y"]}},
-    )
 
 
 class TestGoldenExamples:

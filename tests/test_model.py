@@ -25,11 +25,9 @@ from netclear.errors import (
     DUPLICATE_EDGE,
     INVALID_SCHEME,
     LIABILITY_MISMATCH,
-    MISSING_FIELD,
     NEGATIVE_VALUE,
     SELF_LOOP,
     SLOPE_SUM_VIOLATION,
-    UNBOUNDED_LIABILITY,
     UNKNOWN_BANK_ID,
     VALUE_OUT_OF_RANGE,
     NetworkValidationError,
@@ -41,7 +39,7 @@ from netclear.io import parse_network
 from netclear.model import Bank, Claim, PaymentFunction, assemble
 from netclear.rationals import exact_sum, sum_ratio
 
-from corpus import random_network
+from corpus import ALL_SCHEME_KINDS, figure1_ranked, random_network, serialize_network
 from oracles import (
     fraction_active_segment,
     fraction_check_payment_axioms,
@@ -49,15 +47,6 @@ from oracles import (
     fraction_value_at,
     next_border_delta,
 )
-
-
-def figure1_ranked():
-    """Bank v owes u 80 and w 20, (v, w) ranked first."""
-    return build_network(
-        banks=[("v", 0), ("u", 0), ("w", 0)],
-        claims=[("v", "u", 80), ("v", "w", 20)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "u"]}},
-    )
 
 
 def figure1_proportional():
@@ -434,6 +423,27 @@ class TestClosedFormClassFunctions:
 
 
 class TestValidateNetwork:
+    def test_input_is_left_as_it_was(self):
+        """The reader builds its own values: a document, piecewise edges
+        included, is equal after ``validate_network`` to a copy taken
+        before, with its numbers given as strings or as ``Fraction``s."""
+        rng = random.Random(2828)
+        for k in range(60):
+            net = random_network(
+                rng, schemes=ALL_SCHEME_KINDS, default_cost=k % 2 == 1, liability_dens=(1, 3)
+            )
+            doc = serialize_network(net)
+            fractions = copy.deepcopy(doc)
+            for claim in fractions["claims"]:
+                claim["liability"] = F(claim["liability"])
+            for scheme in fractions["payment_schemes"].values():
+                for edge in scheme["edges"]:
+                    edge["borders"] = list(map(F, edge["borders"]))
+            for raw in (doc, fractions):
+                before = copy.deepcopy(raw)
+                validate_network(raw)
+                assert raw == before
+
     def test_example3_network_is_valid(self):
         net = build_network(
             banks=[("u", 1), ("v", 2), ("w", 0), ("y", 0)],
@@ -476,7 +486,10 @@ class TestValidateNetwork:
             ([("a", "b", 1), ("a", "b", 2)], DUPLICATE_EDGE),
             ([("a", "zzz", 1)], UNKNOWN_BANK_ID),
             ([("a", "b", -3)], NEGATIVE_VALUE),
-            ([("a", "b", "unbounded")], UNBOUNDED_LIABILITY),
+            # the parser's fault, not a violation: liabilities are finite numbers
+            pytest.param(
+                [("a", "b", "unbounded")], ParseError, id="claims4-unbounded_liability"
+            ),
         ],
     )
     def test_structural_violations(self, claims, kind):
@@ -487,6 +500,10 @@ class TestValidateNetwork:
                 for d, c, liability in claims
             ],
         }
+        if kind is ParseError:
+            with pytest.raises(ParseError, match=r"^claims\[0\]\.liability: not an exact"):
+                validate_network(raw)
+            return
         with pytest.raises(NetworkValidationError) as err:
             validate_network(raw)
         assert kind in {v.kind for v in err.value.violations}
@@ -552,65 +569,56 @@ def piecewise_a(*edges):
 
 
 # Each row: the entries of bank a (banks b and c follow, and a owes each of
-# them 2), the payment schemes, the (kind, bank) of every violation in
-# order, and whether a document can carry the fault: the parser refuses an
-# unknown scheme type before validation sees it.
+# them 2), the payment schemes, and the (kind, bank) of every violation in
+# order.
 VIOLATIONS = {
-    "duplicate id": ([{"id": "a"}, {"id": "a"}], {}, [(DUPLICATE_BANK_ID, "a")], True),
+    "duplicate id": ([{"id": "a"}, {"id": "a"}], {}, [(DUPLICATE_BANK_ID, "a")]),
     "negative external assets": (
-        [{"id": "a", "external_assets": "-1"}], {}, [(NEGATIVE_VALUE, "a")], True
+        [{"id": "a", "external_assets": "-1"}], {}, [(NEGATIVE_VALUE, "a")]
     ),
     "haircuts outside [0, 1]": (
         [{"id": "a", "alpha": "3/2", "beta": "-1/2"}],
         {},
         [(VALUE_OUT_OF_RANGE, "a"), (VALUE_OUT_OF_RANGE, "a")],
-        True,
     ),
     "repeated id with bad values": (
         [{"id": "a", "external_assets": "-1", "alpha": "3/2", "beta": "-1/2"}, {"id": "a"}],
         {},
         [(NEGATIVE_VALUE, "a"), (VALUE_OUT_OF_RANGE, "a"), (VALUE_OUT_OF_RANGE, "a"),
          (DUPLICATE_BANK_ID, "a")],
-        True,
     ),
     "scheme for a bank without claims": (
         [{"id": "a"}],
         {"b": {"type": "edge_ranking", "order": []}},
         [(INVALID_SCHEME, "b")],
-        True,
-    ),
-    "unknown scheme type": (
-        [{"id": "a"}], {"a": {"type": "waterfall"}}, [(INVALID_SCHEME, "a")], False
     ),
     "scheme for an unknown bank": (
-        [{"id": "a"}], {"z": {"type": "proportional"}}, [(UNKNOWN_BANK_ID, "z")], True
+        [{"id": "a"}], {"z": {"type": "proportional"}}, [(UNKNOWN_BANK_ID, "z")]
     ),
     "piecewise edge off the out-claims": (
         [{"id": "a"}],
         piecewise_a(("b", [0, 2], [1]), ("z", [0, 2], [1])),
         [(INVALID_SCHEME, "a")],
-        True,
     ),
     "wrong slope count": (
         [{"id": "a"}],
         piecewise_a(("b", [0, 2], [1, 0]), ("c", [0, 2], [1])),
         [(INVALID_SCHEME, "a")],
-        True,
     ),
     "negative slope": (
         [{"id": "a"}],
         piecewise_a(("b", [0, 2, 4], ["-1", 1]), ("c", [0, 2, 4], [1, 0])),
         [(NEGATIVE_VALUE, "a")],
-        True,
     ),
 }
 
 
 @pytest.mark.parametrize("case", VIOLATIONS)
 def test_violation_kinds_banks_and_cli_lines(case, tmp_path, capsys):
-    """Each violation comes with its kind and bank; ``netclear validate``
-    exits 2 with one ``invalid network:`` line per violation."""
-    banks, schemes, expected, in_documents = VIOLATIONS[case]
+    """Each violation comes with its kind and bank, from ``validate_network``
+    and ``parse_network`` alike; ``netclear validate`` exits 2 with one
+    ``invalid network:`` line per violation."""
+    banks, schemes, expected = VIOLATIONS[case]
     doc = {
         "format_version": "1",
         "banks": banks + [{"id": "b"}, {"id": "c"}],
@@ -623,11 +631,13 @@ def test_violation_kinds_banks_and_cli_lines(case, tmp_path, capsys):
         validate_network(doc)
     violations = err.value.violations
     assert [(v.kind, v.bank) for v in violations] == expected
-    if in_documents:
-        assert main(["validate", str(path)]) == 2
-        out, errors = capsys.readouterr()
-        assert out == ""
-        assert errors.splitlines() == [f"invalid network: {v!r}" for v in violations]
+    with pytest.raises(NetworkValidationError) as parsed:
+        parse_network(io.StringIO(json.dumps(doc)))
+    assert str(parsed.value) == str(err.value)
+    assert main(["validate", str(path)]) == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.splitlines() == [f"invalid network: {v!r}" for v in violations]
 
 
 def _random_rationals(rng, count, top):
@@ -850,18 +860,20 @@ class TestPaymentAxiomsAgainstFraction:
 
 
 class TestMissingFields:
-    """A missing required key is a ``missing_field`` violation of
-    ``NetworkValidationError``, not a bare ``KeyError``."""
+    """A missing required key is a ``ParseError`` naming its entry, from
+    ``validate_network`` and ``parse_network`` alike, not a bare
+    ``KeyError``."""
 
-    def violations(self, raw):
-        with pytest.raises(NetworkValidationError) as err:
+    def error(self, raw):
+        with pytest.raises(ParseError) as err:
             validate_network(raw)
-        return [(v.kind, v.message, v.bank, v.claim) for v in err.value.violations]
+        with pytest.raises(ParseError) as parsed:
+            parse_network(io.StringIO(json.dumps({"format_version": "1", **raw})))
+        assert str(parsed.value) == str(err.value)
+        return str(err.value)
 
     def test_bank_without_id(self):
-        assert self.violations({"banks": [{}]}) == [
-            (MISSING_FIELD, "banks[0] has no 'id'", None, None)
-        ]
+        assert self.error({"banks": [{}]}) == "banks[0]: bank id must be a string"
 
     def test_claim_without_endpoints(self):
         raw = {
@@ -872,11 +884,9 @@ class TestMissingFields:
                 {"liability": 3},
             ],
         }
-        assert self.violations(raw) == [
-            (MISSING_FIELD, "claims[1] has no 'creditor'", None, None),
-            (MISSING_FIELD, "claims[2] has no 'debtor'", None, None),
-            (MISSING_FIELD, "claims[2] has no 'creditor'", None, None),
-        ]
+        assert self.error(raw) == "claims[1]: 'creditor' must be a bank id string"
+        del raw["claims"][1]
+        assert self.error(raw) == "claims[1]: 'debtor' must be a bank id string"
 
     def test_piecewise_edge_without_slopes_or_creditor(self):
         raw = {
@@ -895,17 +905,9 @@ class TestMissingFields:
                 }
             },
         }
-        assert self.violations(raw) == [
-            (MISSING_FIELD, "payment_schemes['v'].edges[0] has no 'slopes'", "v", None)
-        ]
+        assert self.error(raw) == "payment_schemes['v'].edges[0]: 'slopes' must be a list"
         edges = raw["payment_schemes"]["v"]["edges"]
         edges[0] = {"borders": [0, 2], "slopes": ["1/2"]}
-        found = self.violations(raw)
-        assert found[0] == (
-            MISSING_FIELD, "payment_schemes['v'].edges[0] has no 'creditor'", "v", None
+        assert self.error(raw) == (
+            "payment_schemes['v'].edges[0]: 'creditor' must be a bank id string"
         )
-        assert [kind for kind, *_ in found[1:]] == ["invalid_scheme"]
-
-    def test_parsed_documents_never_reach_it(self):
-        with pytest.raises(ParseError):
-            parse_network(io.StringIO('{"format_version": "1", "banks": [{}]}'))

@@ -35,8 +35,10 @@ from netclear.priority import (
 
 from corpus import (
     ALL_SCHEME_KINDS,
+    HAIRCUT_ALPHAS,
     SCHEME_KINDS,
     ZERO_RATE_ALPHAS,
+    figure1_ranked,
     random_network,
     rewired_zero_rate_banks,
 )
@@ -59,14 +61,6 @@ from oracles import (
     simplex_solve,
     to_priority_proportional,
 )
-
-
-def figure1_ranked():
-    return build_network(
-        banks=[("v", 0), ("u", 0), ("w", 0)],
-        claims=[("v", "u", 80), ("v", "w", 20)],
-        schemes={"v": {"type": "edge_ranking", "order": ["w", "u"]}},
-    )
 
 
 class TestPriorityStructure:
@@ -487,9 +481,9 @@ class TestHeldSystem:
         assert counts["lowerings"] >= 500
 
     def test_driven_walk_with_zero_rates(self, monkeypatch):
-        """Banks with beta = 0 below their top class give rows of zero
-        weight, so a block need not be irreducible; its singular least
-        solves must still be inconsistent."""
+        """Banks with beta = 0 below their top class keep none of what they
+        are paid, so their rows are empty and each of them is a block of its
+        own; the walk's singular least solves must still be inconsistent."""
         exits = record_least_exits(monkeypatch)
         rng = random.Random(11)
         singular = 0
@@ -714,7 +708,10 @@ class TestIntegerRows:
 
     def test_rows_and_assets_match_the_fraction_reference(self, monkeypatch):
         refresh, solve = priority._refresh_rows, priority._solve_counters
-        counts = {"refreshes": 0, "rounds": 0, "scaled": 0, "beta_rows": 0, "wide": 0}
+        counts = {
+            "refreshes": 0, "rounds": 0, "scaled": 0, "beta_rows": 0, "zero_beta_rows": 0,
+            "wide": 0,
+        }
         current = {}
 
         def checked_refresh(system, net, structure, counters, banks):
@@ -728,6 +725,9 @@ class TestIntegerRows:
                 below_top = counters[v] < structure[v].class_count
                 if below_top and net.bank(v).beta != 1 and held["w"][v]:
                     counts["beta_rows"] += 1
+                paid = any(counters[u] < structure[u].class_count for u in system.sources[v])
+                if below_top and net.bank(v).beta == 0 and paid:
+                    counts["zero_beta_rows"] += 1
 
         def checked_solve(system):
             t, a = solve(system)
@@ -742,7 +742,7 @@ class TestIntegerRows:
         monkeypatch.setattr(priority, "_refresh_rows", checked_refresh)
         monkeypatch.setattr(priority, "_solve_counters", checked_solve)
         rng = random.Random(2222)
-        for _ in range(120):
+        for k in range(120):
             net = random_network(
                 rng,
                 min_banks=4,
@@ -752,6 +752,7 @@ class TestIntegerRows:
                 default_cost=rng.random() < 0.75,
                 schemes=ALL_SCHEME_KINDS,
                 liability_dens=(1, 2, 3, 7),
+                alphas=ZERO_RATE_ALPHAS if k % 3 == 0 else HAIRCUT_ALPHAS,
             )
             structure = priority_structure(net)
             current["structure"] = reference = fraction_priority_structure(net)
@@ -767,6 +768,33 @@ class TestIntegerRows:
             assert is_clearing_state(net, state).ok
         assert counts["refreshes"] >= 300 and counts["rounds"] >= 300
         assert counts["scaled"] >= 200 and counts["wide"] >= 20 and counts["beta_rows"] >= 100
+        assert counts["zero_beta_rows"] >= 20
+
+    def test_rows_hold_no_zero_weights(self, monkeypatch):
+        """A bank with beta = 0 below its top class keeps none of what it is
+        paid. Its row leaves its debtors out, so they add no dependency edge
+        to the block order and no zero coefficient to a block's rows."""
+        refresh = priority._refresh_rows
+        counts = {"zero": 0, "entries": 0, "zero_beta_rows": 0}
+
+        def counted_refresh(system, net, structure, counters, banks):
+            refresh(system, net, structure, counters, banks)
+            for v in banks:
+                row = system.w[v]
+                counts["entries"] += len(row)
+                counts["zero"] += sum(1 for wn, _ in row.values() if wn == 0)
+                below_top = counters[v] < structure[v].class_count
+                counts["zero_beta_rows"] += below_top and net.bank(v).beta == 0
+
+        monkeypatch.setattr(priority, "_refresh_rows", counted_refresh)
+        rng = random.Random(11)
+        for _ in range(600):
+            net = random_network(
+                rng, max_external=1, edge_prob=0.9, default_cost=True, alphas=ZERO_RATE_ALPHAS
+            )
+            compute_max_clearing_pp(net)
+        assert counts["zero"] == 0
+        assert counts["zero_beta_rows"] >= 1000 and counts["entries"] >= 5000, counts
 
 
 class TestAgainstSimplex:
