@@ -33,14 +33,19 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Base of the model's records. Their fields are their ``__slots__``,
-    set once by ``__init__``; a name starting with ``_`` is derived and takes
+    """Base of the package's records. Their fields are their ``__slots__``,
+    set once by ``__init__``, which takes them all by position unless a
+    record defines its own; a name starting with ``_`` is derived and takes
     no part in equality, hashing or the repr. Records of one class with equal
     fields are equal and hash alike, and assigning or deleting a field
     raises ``AttributeError``. Pickling and copying rebuild a record through
     its ``__init__``."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            _set(self, name, value)
 
     def _items(self):
         return [(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"]
@@ -228,7 +233,7 @@ def make_priority_proportional(
 
 # --- class grids and the axiom check ---------------------------------------
 
-class BankClasses:
+class BankClasses(_Value):
     """Priority classes of one bank on its merged border grid, as integer
     numerators over the bank's one denominator ``den``: ``grid`` holds
     ``0 = x_0 < x_1 < ... < x_k = L+(v)`` and ``pieces[j]`` lists
@@ -237,9 +242,9 @@ class BankClasses:
     __slots__ = ("den", "grid", "pieces")
 
     def __init__(self, den: int, grid: tuple[int, ...], pieces: tuple):
-        self.den = den
-        self.grid = grid
-        self.pieces = pieces
+        _set(self, "den", den)
+        _set(self, "grid", grid)
+        _set(self, "pieces", pieces)
 
     @property
     def class_count(self) -> int:

@@ -6,7 +6,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from . import errors
-from .model import FinancialNetwork
+from .model import FinancialNetwork, _Value
 from .rationals import ZERO, exact_sum, sum_ratio
 
 
@@ -80,12 +80,12 @@ def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
     return ClearingState(result)
 
 
-class ClearingCheck:
-    __slots__ = ("ok", "violations")
+class ClearingCheck(_Value):
+    """Whether a state is a fixed point of the asset map (``ok``), and the
+    ``violations``: a ``(bank, phi value, state value)`` triple for each
+    bank it moves."""
 
-    def __init__(self, ok: bool, violations: tuple[tuple[str, Fraction, Fraction], ...]):
-        self.ok = ok
-        self.violations = violations  # (bank, phi value, state value)
+    __slots__ = ("ok", "violations")
 
     def __bool__(self):
         return self.ok
@@ -96,16 +96,14 @@ def is_clearing_state(net: FinancialNetwork, state: Mapping, externals=None) -> 
     bad = tuple(
         (v, image[v], state[v]) for v in net.bank_ids() if image[v] != state[v]
     )
-    return ClearingCheck(ok=not bad, violations=bad)
+    return ClearingCheck(not bad, bad)
 
 
-class IterationResult:
+class IterationResult(_Value):
+    """The last ``state`` of an iteration of the asset map, whether it
+    ``converged`` (the map left it unchanged) and the ``steps`` taken."""
+
     __slots__ = ("state", "converged", "steps")
-
-    def __init__(self, state: ClearingState, converged: bool, steps: int):
-        self.state = state
-        self.converged = converged
-        self.steps = steps
 
 
 def _iterate(net: FinancialNetwork, start: dict, max_steps: int) -> IterationResult:

@@ -14,7 +14,7 @@ from . import errors
 from .clearing import ClearingState, is_clearing_state
 from .graphs import ActiveGraph, active_graph, find_flood_component
 from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
-from .model import FinancialNetwork
+from .model import FinancialNetwork, _Value
 from .rationals import parse_exact
 
 
@@ -82,22 +82,13 @@ INFEASIBLE_STUCK = "sink_stuck"
 INFEASIBLE_CONFLICT = "conflict"
 
 
-class RangeResult:
-    __slots__ = ("feasible", "state", "witness", "reason", "conflicting")
+class RangeResult(_Value):
+    """Whether the targets are ``feasible``, with the clearing ``state`` that
+    meets them, else None; an infeasible answer names the ``witness`` bank,
+    the ``reason`` and, for a conflict, the ``conflicting`` bank, and a
+    feasible one has None in all three."""
 
-    def __init__(
-        self,
-        feasible: bool,
-        state: ClearingState | None,
-        witness: str | None = None,
-        reason: str | None = None,
-        conflicting: str | None = None,
-    ):
-        self.feasible = feasible
-        self.state = state
-        self.witness = witness
-        self.reason = reason
-        self.conflicting = conflicting
+    __slots__ = ("feasible", "state", "witness", "reason", "conflicting")
 
 
 def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
@@ -131,9 +122,7 @@ def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
     assets = compute_min_clearing(net).as_dict()
     for bank_id, (lo, hi) in sorted(bounds.items()):
         if assets[bank_id] > hi:
-            return RangeResult(
-                False, None, witness=bank_id, reason=INFEASIBLE_EXCEEDS
-            )
+            return RangeResult(False, None, bank_id, INFEASIBLE_EXCEEDS, None)
 
     g = active_graph(net, assets)
     while True:
@@ -141,12 +130,12 @@ def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
             v for v, (lo, hi) in bounds.items() if assets[v] < lo
         )
         if not below:
-            return RangeResult(True, ClearingState(assets))
+            return RangeResult(True, ClearingState(assets), None, None, None)
         v = below[0]
         lo_v = bounds[v][0]
         step = _own_sink_flood(g, v)
         if step is None:
-            return RangeResult(False, None, witness=v, reason=INFEASIBLE_STUCK)
+            return RangeResult(False, None, v, INFEASIBLE_STUCK, None)
         gamma_border = step.scale
         gamma_target = (lo_v - assets[v]) / step.direction[v]
         gamma = min(gamma_border, gamma_target)
@@ -164,10 +153,4 @@ def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
                 cap_bank = w
         advance(g, step.direction, gamma)
         if cap_bank is not None and assets[v] < lo_v:
-            return RangeResult(
-                False,
-                None,
-                witness=v,
-                reason=INFEASIBLE_CONFLICT,
-                conflicting=cap_bank,
-            )
+            return RangeResult(False, None, v, INFEASIBLE_CONFLICT, cap_bank)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import errors
-from .clearing import ClearingState, incoming_assets, is_clearing_state
+from .clearing import ClearingState, is_clearing_state
 from .graphs import (
     ActiveGraph,
     active_graph,
@@ -51,34 +51,28 @@ from .model import (
     Bank,
     Claim,
     FinancialNetwork,
+    _Value,
     assemble,
     make_proportional,
 )
-from .rationals import ONE, ZERO, exact_sum
+from .rationals import ONE, ZERO
 
 
-class FloodStep:
+class FloodStep(_Value):
+    """A flood of the sink SCC ``component`` along ``direction``, its
+    circulation eigenvector with max entry 1, by ``scale``, the largest
+    multiple before a border binds."""
+
     __slots__ = ("component", "direction", "scale")
 
-    def __init__(
-        self, component: frozenset[str], direction: dict[str, Fraction], scale: Fraction
-    ):
-        self.component = component
-        self.direction = direction  # circulation eigenvector, max entry 1
-        self.scale = scale  # largest multiple before a border binds
 
-
-class IncreaseStep:
+class IncreaseStep(_Value):
     """An injection that moves each bank ``u`` by ``scale * rates[u]``: the
     response solve's integer numerators over its positive common denominator
-    ``den``, kept as they came. ``delta`` is the injected amount."""
+    ``den``, kept as they came, and ``scale``, the injected amount over
+    ``den``. ``delta`` is the injected amount."""
 
     __slots__ = ("rates", "den", "scale")
-
-    def __init__(self, rates: dict[str, int], den: int, scale: Fraction):
-        self.rates = rates  # response numerators over den
-        self.den = den  # common denominator of the rates, positive
-        self.scale = scale  # injected amount / den
 
     @property
     def delta(self) -> Fraction:
@@ -183,14 +177,20 @@ def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
 
 def original_solvent(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) -> bool:
     """Whether ``u`` covers its original liabilities, with its incoming
-    payments valued at the current working state: rewired debtors pay their
-    full liability, everyone else their current payment-function value."""
-    inflow = exact_sum(
-        claim.liability
-        if claim.debtor in adj.rewired
-        else claim.payment.value_at(assets[claim.debtor])
-        for claim in adj.original.in_claims(u)
-    )
+    payments valued at the working state: rewired debtors pay their full
+    liability, everyone else their current payment-function value.
+
+    That inflow is read off ``u``'s splitter ``s``. Until its debtor is
+    rewired, every original claim on ``u`` is a claim on ``s`` with the same
+    debtor and payment function; the rewire drops it, adds its liability to
+    ``targets[s]``, which starts at 0, and its payment at that moment to
+    ``injected[s]``. ``s`` is proportional with ``alpha = beta = 1``, so at
+    every fixed point of the working network, which every step and every
+    rewire keeps, ``assets[s]`` is ``injected[s]`` plus the current payments
+    of its unrewired debtors. So the inflow is
+    ``assets[s] - injected[s] + targets[s]``."""
+    s = adj.auxiliary_map[u][0]
+    inflow = assets[s] - adj.injected[s] + adj.targets[s]
     return adj.original.bank(u).external_assets + inflow >= adj.original.total_out(u)
 
 
@@ -225,12 +225,13 @@ def rewire_solvent_bank(
             claim = Claim(claim.debtor, u, claim.liability, claim.payment)
         claims.append(claim)
     banks = [b for v, b in work.banks.items() if v not in (splitter, sink)]
-    assets.pop(splitter, None)
-    assets.pop(sink, None)
+    # u takes over its splitter's in-claims and injections, so at the fixed
+    # point it holds its external assets plus what the splitter held
+    assets[u] = ext + assets.pop(splitter)
+    assets.pop(sink)
 
     adj.rewired.add(u)
     adj.network = assemble(banks, claims)
-    assets[u] = incoming_assets(adj.network, assets, u, adj.injected)
     return assets
 
 
@@ -276,7 +277,7 @@ def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> FloodStep:
         raise errors.InternalInvariantError(
             "flood component has no border ahead; component was not floodable"
         )
-    return FloodStep(component=component, direction=direction, scale=scale)
+    return FloodStep(component, direction, scale)
 
 
 def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
@@ -369,21 +370,14 @@ def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseSte
         return None
     rates, den = solved
     scale = border_scale(g, rates, limit=budget / den)
-    return IncreaseStep(rates=rates, den=den, scale=scale)
+    return IncreaseStep(rates, den, scale)
 
 
-class MinClearingRun:
+class MinClearingRun(_Value):
+    """The minimal clearing ``state`` and the trace of ``run_min_clearing``:
+    its ``flood_steps`` and ``increase_steps``, each in the order taken."""
+
     __slots__ = ("state", "flood_steps", "increase_steps")
-
-    def __init__(
-        self,
-        state: ClearingState,
-        flood_steps: tuple[FloodStep, ...],
-        increase_steps: tuple[IncreaseStep, ...],
-    ):
-        self.state = state
-        self.flood_steps = flood_steps
-        self.increase_steps = increase_steps
 
     @property
     def step_count(self) -> int:
@@ -503,11 +497,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
     # Every target is injected now, so each splitter holds its owner's
     # original inflow: the working assets are the original ones.
     final = {u: assets[u] for u in net.bank_ids()}
-    return MinClearingRun(
-        state=ClearingState(final),
-        flood_steps=tuple(floods),
-        increase_steps=tuple(increases),
-    )
+    return MinClearingRun(ClearingState(final), tuple(floods), tuple(increases))
 
 
 def compute_min_clearing(net: FinancialNetwork) -> ClearingState:

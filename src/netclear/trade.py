@@ -20,19 +20,18 @@ from .clearing import ClearingState
 from .graphs import ActiveGraph, active_graph
 from .lattice import require_no_default_cost
 from .minimal import advance, border_scale, compute_min_clearing, flood_closure, response
-from .model import Bank, Claim, FinancialNetwork, assemble
+from .model import Bank, Claim, FinancialNetwork, _Value, assemble
 
 
 TRADING = "claims trading"
 
 
-class TradeResult:
-    __slots__ = ("rho_min", "rho_star", "post_state")
+class TradeResult(_Value):
+    """The claim's pre-trade payment ``rho_min``, the largest
+    creditor-positive return ``rho_star`` and the ``post_state``, the
+    minimal clearing state of the traded network at ``rho_star``."""
 
-    def __init__(self, rho_min: Fraction, rho_star: Fraction, post_state: ClearingState):
-        self.rho_min = rho_min  # pre-trade payment on the claim
-        self.rho_star = rho_star  # largest creditor-positive return
-        self.post_state = post_state  # minimal clearing state at rho_star
+    __slots__ = ("rho_min", "rho_star", "post_state")
 
 
 def _check_trade_shape(net: FinancialNetwork, claim_pair, buyer) -> Claim:

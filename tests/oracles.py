@@ -19,6 +19,9 @@ None of this runs in the product:
   asset-axiom map and the payment-axiom check in plain ``Fraction``
   arithmetic, the oracles for the integer-sum ``PaymentFunction.value_at``,
   ``clearing._inflow``, ``clearing.phi`` and ``axioms.check_payment_axioms``;
+- ``fraction_original_inflow``: a defaulting bank's inflow in the original
+  network, summed over its claims, the oracle for the splitter ledger that
+  ``minimal.original_solvent`` reads;
 - ``localcontext_decimal_str``: the display decimal computed in a fresh
   ``decimal.localcontext``, the oracle for ``rationals.decimal_str``;
 - ``fraction_priority_structure``, ``fraction_counter_rows`` and
@@ -261,6 +264,20 @@ def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
     total = ZERO
     for claim in net.in_claims(v):
         total += fraction_value_at(claim.payment, state[claim.debtor])
+    return total
+
+
+def fraction_original_inflow(adj, state, u: str) -> Fraction:
+    """Payments the defaulting bank ``u`` receives in ``adj``'s original
+    network at the working ``state``, accumulated claim by claim with ``+=``:
+    a rewired debtor pays its full liability, any other debtor its payment
+    at its working assets."""
+    total = ZERO
+    for claim in adj.original.in_claims(u):
+        if claim.debtor in adj.rewired:
+            total += claim.liability
+        else:
+            total += fraction_value_at(claim.payment, state[claim.debtor])
     return total
 
 

@@ -1,8 +1,11 @@
 """Seeded structural mutations of valid network documents through the CLI.
 
-Every mutated document must leave ``netclear validate``, ``min-clear`` and
-``max-clear`` with exit 0 or 2, and an exit 2 must explain itself on stderr
-in the CLI's own terms, never with a traceback or an internal error.
+Every mutated document must leave every command (``validate``,
+``min-clear``, ``max-clear``, ``range``, ``trade`` and ``oracle``) with exit
+0, 1 or 2, never 3: an exit 2 must explain itself on stderr in the CLI's own
+terms, never with a traceback or an internal error, and every state that
+``min-clear``, ``max-clear`` and ``range`` emit must clear the network the
+document describes.
 """
 
 import contextlib
@@ -12,15 +15,21 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from netclear.cli import main
+from netclear.clearing import is_clearing_state
+from netclear.io import parse_network
 
 from corpus import ALL_SCHEME_KINDS, random_network, serialize_network
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-COMMANDS = (["validate"], ["min-clear"], ["max-clear"])
+# commands whose exit-0 state is checked against the network
+STATE_COMMANDS = ("min-clear", "max-clear", "range")
+TARGETS = {"targets": [{"bank": "b1", "lo": 1, "hi": 20}]}
+DEPTH = 100_000
 # what a number or any other value may be replaced with
 HOSTILE_VALUES = (None, True, 0, -1, "x", "1/0", "unbounded", [], {}, 10**1000)
 HOSTILE_NUMBERS = ("x", "1/0", 10**1000)
@@ -103,21 +112,62 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_mutated_documents_exit_0_or_2(tmp_path):
-    rng = random.Random(28)
+def write_targets(tmp_path):
+    path = str(tmp_path / "targets.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(TARGETS, handle)
+    return path
+
+
+def commands(rng, base, targets):
+    """Every command's argv before the file: the trade's claim and buyer are
+    drawn from the unmutated ``base``, so that a mutation can remove them."""
+    ids = [bank["id"] for bank in base["banks"]]
+    claim = rng.choice(base["claims"]) if base["claims"] else {"debtor": "b0", "creditor": "b1"}
+    pair = [claim["debtor"], claim["creditor"]]
+    buyer = rng.choice([v for v in ids if v not in pair] or ids)
+    return (
+        ["validate"],
+        ["min-clear"],
+        ["max-clear"],
+        ["range", "--targets", targets],
+        ["trade", "--claim", *pair, "--buyer", buyer],
+        ["oracle", "--direction", "bottom", "--steps", "20"],
+    )
+
+
+def emitted_state(out):
+    return {v: Fraction(entry["exact"]) for v, entry in json.loads(out)["assets"].items()}
+
+
+def nested(rng, doc):
+    """The text of ``doc`` with one value wrapped in ``DEPTH`` lists, deeper
+    than ``json`` can recurse (and than ``json.dump`` could write)."""
+    doc = copy.deepcopy(doc)
+    container, key, _ = rng.choice(list(slots(doc)))
+    container[key] = "@"
+    return json.dumps(doc).replace('"@"', "[" * DEPTH + "0" + "]" * DEPTH, 1)
+
+
+def test_mutated_documents_exit_0_1_or_2(tmp_path):
+    rng, pick = random.Random(28), random.Random(29)
     bases = base_documents(rng, 60)
     network = str(tmp_path / "network.json")
-    exits = {0: 0, 2: 0}
+    targets = write_targets(tmp_path)
+    exits = {0: 0, 1: 0, 2: 0}
+    checked = dict.fromkeys(STATE_COMMANDS, 0)
     dropped = set()
     for i in range(2100):
-        doc, (kind, path) = mutate(rng, bases[i % len(bases)])
+        base = bases[i % len(bases)]
+        doc, (kind, path) = mutate(rng, base)
         if kind == "drop" and "payment_schemes" in path:
             dropped.add(path[-1])
         with open(network, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        for command in COMMANDS:
+        net = None
+        for command in commands(pick, base, targets):
             code, out, err = run([*command, network])
-            assert code in (0, 2), (doc, command, err)
+            assert code in (0, 1, 2), (doc, command, err)
             exits[code] += 1
             if code == 2:
                 assert out == ""
@@ -125,5 +175,23 @@ def test_mutated_documents_exit_0_or_2(tmp_path):
                 assert lines and all(
                     line.startswith(("error: ", "invalid network: ")) for line in lines
                 ), (doc, command, err)
+            elif code == 0 and command[0] in STATE_COMMANDS:
+                if net is None:
+                    net = parse_network(network)
+                assert is_clearing_state(net, emitted_state(out)).ok, (doc, command)
+                checked[command[0]] += 1
     assert SCHEME_KEYS <= dropped, SCHEME_KEYS - dropped
-    assert exits[0] >= 300 and exits[2] >= 3000, exits
+    assert exits[0] >= 450 and exits[1] >= 20 and exits[2] >= 12000, exits
+    assert min(checked.values()) >= 30, checked
+
+
+def test_deep_nesting_exits_2(tmp_path):
+    rng = random.Random(100)
+    network = tmp_path / "network.json"
+    targets = write_targets(tmp_path)
+    for base in base_documents(rng, 2):
+        network.write_text(nested(rng, base), encoding="utf-8")
+        for command in commands(rng, base, targets):
+            assert run([*command, str(network)]) == (
+                2, "", "error: invalid JSON: nested too deeply\n"
+            ), command

@@ -23,12 +23,21 @@ from netclear import (
 from netclear.errors import NotSolventError
 from netclear.model import Bank, assemble
 
-from corpus import example1, example2, example3, random_network, random_state_in_box
+from corpus import (
+    HAIRCUT_ALPHAS,
+    ZERO_RATE_ALPHAS,
+    example1,
+    example2,
+    example3,
+    random_network,
+    random_state_in_box,
+)
 from oracles import (
     dense_solve_linear_system,
     dense_unit_left_nullspace,
     fraction_advance,
     fraction_border_scale,
+    fraction_original_inflow,
     next_border_delta,
 )
 
@@ -378,6 +387,32 @@ class TestRewiring:
         oracle = bottom_iterate(net, 10)
         assert oracle.converged
         assert minimal.as_dict() == oracle.state.as_dict()
+
+    def test_splitter_ledger_matches_the_claim_sum(self, monkeypatch):
+        # original_solvent reads a defaulting bank's inflow off its
+        # splitter's assets, injections and targets; every decision
+        # run_min_clearing takes must match the sum over the bank's original
+        # claims
+        from netclear import minimal
+
+        outcomes = {True: 0, False: 0}
+
+        def checked(adj, assets, u, _original=minimal.original_solvent):
+            solvent = _original(adj, assets, u)
+            inflow = fraction_original_inflow(adj, assets, u)
+            original = adj.original
+            assert solvent == (
+                original.bank(u).external_assets + inflow >= original.total_out(u)
+            )
+            outcomes[solvent] += 1
+            return solvent
+
+        monkeypatch.setattr(minimal, "original_solvent", checked)
+        rng = random.Random(29)
+        for i in range(2000):
+            alphas = ZERO_RATE_ALPHAS if i % 2 else HAIRCUT_ALPHAS
+            run_min_clearing(random_network(rng, default_cost=True, alphas=alphas))
+        assert outcomes[True] >= 2000 and outcomes[False] >= 10000
 
 
 class TestMinClearingProperties:

@@ -5,6 +5,7 @@ import io
 import json
 import pickle
 import random
+from collections.abc import Mapping
 from fractions import Fraction as F
 from math import lcm
 
@@ -33,7 +34,11 @@ from netclear.errors import (
     NetworkValidationError,
     ParseError,
 )
-from netclear.axioms import check_payment_axioms
+from netclear.axioms import BankClasses, check_payment_axioms
+from netclear.clearing import ClearingCheck, ClearingState, IterationResult
+from netclear.lattice import INFEASIBLE_CONFLICT, INFEASIBLE_STUCK, RangeResult
+from netclear.minimal import FloodStep, IncreaseStep, MinClearingRun
+from netclear.trade import TradeResult
 from netclear.cli import main
 from netclear.io import parse_network
 from netclear.model import Bank, Claim, PaymentFunction, assemble
@@ -79,13 +84,23 @@ class TestEvalPayment:
             assert claim.payment.value_at(F(250)) == claim.liability
 
 
+# the result records, built by ``_Value``'s positional constructor
+POSITIONAL_RECORDS = (
+    FloodStep, IncreaseStep, MinClearingRun, ClearingCheck, IterationResult, RangeResult,
+    TradeResult,
+)
+
+
 class TestRecordContract:
-    """``Bank``, ``PaymentFunction`` and ``Claim`` are values: equal to and
-    hashed like the records of their class with equal fields, and frozen."""
+    """The records are values: equal to the records of their class with
+    equal fields, hashed alike unless a field is a mapping, and frozen. The
+    result records take their fields by position, all of them."""
 
     def records(self):
         """(record, an equal record built apart, a record differing in one field)"""
         fn = PaymentFunction(borders=(F(0), F(2)), slopes=(F(1),))
+        state = ClearingState({"a": F(1), "b": F(0)})
+        step = IncreaseStep({"a": 2, "b": -1}, 3, F(1, 2))
         return [
             (Bank("a", F(1)), Bank("a", F(1), F(1), F(1)), Bank("a", F(1), F(1, 2))),
             (
@@ -98,14 +113,57 @@ class TestRecordContract:
                 Claim("a", "b", F(2), PaymentFunction((F(0), F(2)), (F(1),))),
                 Claim("a", "c", F(2), fn),
             ),
+            (
+                BankClasses(2, (0, 2), ((("b", 2),),)),
+                BankClasses(2, (0, 2), ((("b", 2),),)),
+                BankClasses(2, (0, 2), ((("c", 2),),)),
+            ),
+            (
+                FloodStep(frozenset("ab"), {"a": F(1), "b": F(1, 2)}, F(2)),
+                FloodStep(frozenset("ba"), {"b": F(1, 2), "a": F(1)}, F(2)),
+                FloodStep(frozenset("ab"), {"a": F(1), "b": F(1, 2)}, F(3)),
+            ),
+            (step, IncreaseStep({"b": -1, "a": 2}, 3, F(1, 2)), IncreaseStep({"a": 2}, 3, F(1, 2))),
+            (
+                MinClearingRun(state, (), (step,)),
+                MinClearingRun(
+                    ClearingState(dict(state)), (), (IncreaseStep({"a": 2, "b": -1}, 3, F(1, 2)),)
+                ),
+                MinClearingRun(state, (), ()),
+            ),
+            (
+                ClearingCheck(True, ()),
+                ClearingCheck(True, ()),
+                ClearingCheck(False, (("a", F(1), F(0)),)),
+            ),
+            (
+                IterationResult(state, True, 3),
+                IterationResult(ClearingState({"b": F(0), "a": F(1)}), True, 3),
+                IterationResult(state, False, 3),
+            ),
+            (
+                RangeResult(False, None, "a", INFEASIBLE_CONFLICT, "b"),
+                RangeResult(False, None, "a", INFEASIBLE_CONFLICT, "b"),
+                RangeResult(False, None, "a", INFEASIBLE_STUCK, None),
+            ),
+            (
+                TradeResult(F(1), F(2), state),
+                TradeResult(F(1), F(2), ClearingState(dict(state))),
+                TradeResult(F(1), F(3, 2), state),
+            ),
         ]
 
     def test_equal_and_hashed_by_field_value(self):
         for record, same, other in self.records():
             assert record is not same
             assert record == same and not record != same
-            assert hash(record) == hash(same)
             assert record != other
+            if any(isinstance(value, Mapping) for _, value in record._items()):
+                # a mapping is unhashable, and so is the record that holds it
+                with pytest.raises(TypeError):
+                    hash(record)
+                continue
+            assert hash(record) == hash(same)
             assert len({record, same, other}) == 2
         assert Bank("a", F(1)) != ("a", F(1), F(1), F(1))
 
@@ -136,6 +194,7 @@ class TestRecordContract:
                 assert claim.payment._values == original.payment._values
         for record, _, _ in self.records():
             assert copy.copy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
 
     def test_repr_lists_the_fields(self):
         fn = PaymentFunction((F(0), F(2)), (F(1),))
@@ -149,6 +208,32 @@ class TestRecordContract:
         assert repr(Claim("a", "b", F(2), fn)) == (
             f"Claim(debtor='a', creditor='b', liability=Fraction(2, 1), payment={fn!r})"
         )
+        assert repr(ClearingCheck(False, (("a", F(1), F(0)),))) == (
+            "ClearingCheck(ok=False, violations=(('a', Fraction(1, 1), Fraction(0, 1)),))"
+        )
+        assert repr(IncreaseStep({"a": 2}, 3, F(1, 2))) == (
+            "IncreaseStep(rates={'a': 2}, den=3, scale=Fraction(1, 2))"
+        )
+        assert repr(RangeResult(True, ClearingState({"a": F(1)}), None, None, None)) == (
+            "RangeResult(feasible=True, state=ClearingState({a: 1}), witness=None, "
+            "reason=None, conflicting=None)"
+        )
+
+    def test_result_records_take_every_field_by_position(self):
+        seen = set()
+        for record, _, _ in self.records():
+            cls = type(record)
+            if cls not in POSITIONAL_RECORDS:
+                continue
+            seen.add(cls)
+            fields = [getattr(record, name) for name in cls.__slots__]
+            assert cls(*fields) == record
+            for wrong in (fields[:-1], [*fields, None]):
+                with pytest.raises(ValueError):
+                    cls(*wrong)
+            with pytest.raises(TypeError):
+                cls(**dict(zip(cls.__slots__, fields)))
+        assert seen == set(POSITIONAL_RECORDS)
 
     def test_with_values_skips_the_running_sum(self):
         # values the running sum would not give are kept as they are given,

@@ -203,6 +203,55 @@ def test_private_helpers_have_package_callers():
     assert unused == []
 
 
+# the mutable state of the walks, and the validation failure with its own
+# repr: the slotted classes that are not records
+PLAIN_SLOTTED = {"ActiveGraph", "AdjustedNetwork", "ClearingState", "_CounterSystem", "Violation"}
+# records built once per claim or per debtor at load, by a constructor that
+# derives or defaults fields
+OWN_CONSTRUCTORS = {"Bank", "BankClasses", "Claim", "PaymentFunction"}
+
+
+def test_slotted_classes_are_records_or_working_state():
+    # A record is an ``axioms._Value``: frozen, equal by value and picklable,
+    # and it takes its fields by position unless it is one of the few with a
+    # constructor of their own.
+    from netclear.axioms import _Value
+
+    plain, records = set(), {}
+    for path in sorted((ROOT / "src" / "netclear").glob("*.py")):
+        module = importlib.import_module(f"netclear.{path.stem}")
+        for name, obj in vars(module).items():
+            if not isinstance(obj, type) or obj.__module__ != module.__name__ or obj is _Value:
+                continue
+            if issubclass(obj, _Value):
+                records[name] = "__init__" in vars(obj)
+            elif "__slots__" in vars(obj):
+                plain.add(name)
+    assert plain == PLAIN_SLOTTED
+    assert len(records) >= 11
+    assert {name for name, own in records.items() if own} == OWN_CONSTRUCTORS
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # The tests may run on a newer interpreter than the oldest one
+    # pyproject.toml allows, so every source file is parsed with that
+    # version's grammar; library calls such as zip(strict=True) are not
+    # checked here.
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    floor = read_configuration(str(ROOT / "pyproject.toml"))["project"]["requires-python"]
+    assert floor.startswith(">=")
+    version = tuple(int(part) for part in floor[2:].split("."))
+    paths = [
+        path
+        for top in ("src", "tests", "tools", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    assert version == (3, 10) and len(paths) >= 40
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
 def test_io_imports_no_solver():
     # Importing ``netclear.io`` loads ``__init__`` and with it every module, so
     # the check reads the relative imports of the source itself.

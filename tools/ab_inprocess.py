@@ -5,9 +5,9 @@ Both checkouts' packages are loaded into one interpreter, under the aliases
 through each side's ``cli.main`` in turn, which side goes first alternating
 from op to op. So both sides see the same machine speed at the same moment,
 which separate benchmark runs on a shared machine do not. Every op's exit
-code and stdout must be identical on both sides; the first difference stops
-the run. After each pass over the ops it prints the op time of each side and
-the speedup ``a / b``:
+code, stdout and stderr must be identical on both sides; the first
+difference stops the run and names the streams that differ. After each pass
+over the ops it prints the op time of each side and the speedup ``a / b``:
 
     python3 tools/ab_inprocess.py PARENT_DIR CHANGE_DIR --workload max-pp --passes 7
 
@@ -56,8 +56,13 @@ def load_workloads(root: str):
     return module
 
 
-def call(cli, argv) -> tuple[int | None, str, float]:
-    """One op: (exit code, or None when an exception escaped; stdout; seconds)."""
+# what ``call`` returns of an op besides its time, as a difference names it
+STREAMS = ("exit code", "stdout", "stderr")
+
+
+def call(cli, argv) -> tuple[int | None, str, str, float]:
+    """One op: (exit code, or None when an exception escaped; stdout; stderr;
+    seconds)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
@@ -67,7 +72,7 @@ def call(cli, argv) -> tuple[int | None, str, float]:
             code = None
             err.write(repr(exc))
         elapsed = time.perf_counter() - start
-    return code, out.getvalue(), elapsed
+    return code, out.getvalue(), err.getvalue(), elapsed
 
 
 def run_pass(sides, ops, pass_index: int) -> list[float]:
@@ -78,13 +83,14 @@ def run_pass(sides, ops, pass_index: int) -> list[float]:
         order = (0, 1) if (i + pass_index) % 2 == 0 else (1, 0)
         outcome = {}
         for side in order:
-            code, stdout, elapsed = call(sides[side], op.argv)
+            code, stdout, stderr, elapsed = call(sides[side], op.argv)
             totals[side] += elapsed
-            outcome[side] = (code, stdout)
+            outcome[side] = (code, stdout, stderr)
         if outcome[0] != outcome[1]:
+            differ = [name for name, a, b in zip(STREAMS, outcome[0], outcome[1]) if a != b]
             raise AssertionError(
-                f"{op.key}: exit codes {outcome[0][0]} and {outcome[1][0]}, "
-                f"stdout {'equal' if outcome[0][1] == outcome[1][1] else 'different'}"
+                f"{op.key}: different {' and '.join(differ)} "
+                f"(exit codes {outcome[0][0]} and {outcome[1][0]})"
             )
         if outcome[0][0] is None:
             raise AssertionError(f"{op.key}: an exception escaped cli.main on both sides")
