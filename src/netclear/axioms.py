@@ -241,11 +241,6 @@ class BankClasses(_Value):
 
     __slots__ = ("den", "grid", "pieces")
 
-    def __init__(self, den: int, grid: tuple[int, ...], pieces: tuple):
-        _set(self, "den", den)
-        _set(self, "grid", grid)
-        _set(self, "pieces", pieces)
-
     @property
     def class_count(self) -> int:
         return len(self.pieces)

@@ -199,7 +199,12 @@ def rewire_solvent_bank(
 ) -> dict[str, Fraction]:
     """Replace the out-claims of a solvent defaulting bank by external-asset
     injections at its creditors and retire its splitter gadget. Mutates
-    ``adj`` and returns the consistent new working state."""
+    ``adj`` and returns the consistent new working state.
+
+    ``assets`` must be the fixed point of ``adj.network`` under
+    ``adj.injected``, as ``run_min_clearing`` keeps it: the solvency check
+    and ``u``'s new assets are read off its splitter's entry, which is only
+    ``u``'s inflow there (see ``original_solvent``)."""
     if u not in adj.auxiliary_map or u in adj.rewired:
         raise errors.NotSolventError(f"{u!r} is not an unrewired defaulting bank")
     if not original_solvent(adj, assets, u):

@@ -206,9 +206,9 @@ def test_private_helpers_have_package_callers():
 # the mutable state of the walks, and the validation failure with its own
 # repr: the slotted classes that are not records
 PLAIN_SLOTTED = {"ActiveGraph", "AdjustedNetwork", "ClearingState", "_CounterSystem", "Violation"}
-# records built once per claim or per debtor at load, by a constructor that
-# derives or defaults fields
-OWN_CONSTRUCTORS = {"Bank", "BankClasses", "Claim", "PaymentFunction"}
+# records built once per claim at load, by a constructor that derives or
+# defaults fields
+OWN_CONSTRUCTORS = {"Bank", "Claim", "PaymentFunction"}
 
 
 def test_slotted_classes_are_records_or_working_state():
