@@ -9,6 +9,7 @@ diagnostics go to stderr.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -83,7 +84,9 @@ def _parse_plain(argv):
 
 
 def _emit(doc: dict) -> None:
+    # flushed here, so that a closed stdout fails inside ``main``
     sys.stdout.write(netio.dump_document(doc))
+    sys.stdout.flush()
 
 
 def _run_validate(args, net) -> int:
@@ -106,7 +109,7 @@ def _run_min_clear(args, net) -> int:
             net,
             run.state,
             step_count=run.step_count,
-            flood_count=len(run.flood_steps),
+            flood_count=run.flood_count,
         )
     )
     return 0
@@ -273,6 +276,13 @@ def main(argv=None) -> int:
     except errors.NetclearError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:  # the reader of stdout has closed it
+        print(f"error: cannot write the result: {exc}", file=sys.stderr)
+        # what stdout still buffers would fail again when it is flushed at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except Exception as exc:  # an engine fault outside the error hierarchy
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -128,30 +128,6 @@ def result_document(
     return {"assets": assets, "payments": payment_rows, "metadata": metadata}
 
 
-def _json_value(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
-    at nesting ``indent``, for the str, bool, int, list and dict values that
-    metadata holds."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [inner + _json_value(x, inner) for x in value]
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{inner}{_quote(k)}: {_json_value(value[k], inner)}" for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    raise TypeError(f"cannot write {type(value).__name__} in a result document")
-
-
 def dump_document(doc: dict) -> str:
     """A ResultDocument exactly as ``json.dumps(doc, indent=2, sort_keys=True)
     + "\\n"`` writes it, through fixed templates for ``assets`` and
@@ -170,5 +146,5 @@ def dump_document(doc: dict) -> str:
         for p in doc["payments"]
     ]
     payments = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    metadata = _json_value(doc["metadata"], "  ")
+    metadata = json.dumps(doc["metadata"], indent=2, sort_keys=True).replace("\n", "\n  ")
     return f'{{\n  "assets": {assets},\n  "metadata": {metadata},\n  "payments": {payments}\n}}\n'

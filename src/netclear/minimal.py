@@ -20,10 +20,11 @@ normalization. Both read their rates through ``numerator`` and
 ``denominator``, so a flood's ``Fraction`` direction goes through the same
 two functions.
 
-The driver holds one active graph, which carries the working network and
-assets, while that network stays the same. A step changes the active
-segment only of the banks it moves onto their next border, so only those
-are refreshed; a rewire drops the graph and the next step builds it afresh.
+The driver keeps one assets dict for the whole run and one active graph,
+which carries the working network and those assets, while that network
+stays the same. A step changes the active segment only of the banks it
+moves onto their next border, so only those are refreshed; a rewire
+changes the network, so the graph is built afresh.
 
 Default costs are removed up front by network surgery: every defaulting
 bank, alpha = beta = 0 included, gets one splitter/sink gadget that diverts
@@ -83,7 +84,7 @@ class AdjustedNetwork:
     """Working bundle for the driver: the surgically adjusted network plus the
     bookkeeping that ties it back to the original."""
 
-    __slots__ = ("network", "original", "auxiliary_map", "targets", "injected", "rewired")
+    __slots__ = ("network", "original", "auxiliary_map", "targets", "injected")
 
     def __init__(
         self,
@@ -95,10 +96,9 @@ class AdjustedNetwork:
     ):
         self.network = network
         self.original = original
-        self.auxiliary_map = auxiliary_map  # defaulting id -> (splitter, sink)
+        self.auxiliary_map = auxiliary_map  # unrewired defaulting id -> (splitter, sink)
         self.targets = targets  # external assets to inject, per working bank
         self.injected = injected  # externals injected so far
-        self.rewired: set[str] = set()  # defaulting ids turned solvent and rewired
 
 
 def _fresh_id(base: str, taken) -> str:
@@ -129,13 +129,7 @@ def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
             aux_map[v] = (splitter, sink)
     if not aux_map:
         targets = {v: net.bank(v).external_assets for v in net.bank_ids()}
-        return AdjustedNetwork(
-            network=net,
-            original=net,
-            auxiliary_map={},
-            targets=targets,
-            injected={v: ZERO for v in net.bank_ids()},
-        )
+        return AdjustedNetwork(net, net, {}, targets, {v: ZERO for v in net.bank_ids()})
 
     banks: list[Bank] = []
     targets: dict[str, Fraction] = {}
@@ -166,13 +160,7 @@ def adjust_default_cost(net: FinancialNetwork) -> AdjustedNetwork:
             claims.append(Claim(splitter, creditor, liability, functions[creditor]))
 
     work = assemble(banks, claims)
-    return AdjustedNetwork(
-        network=work,
-        original=net,
-        auxiliary_map=aux_map,
-        targets=targets,
-        injected={b.id: ZERO for b in banks},
-    )
+    return AdjustedNetwork(work, net, aux_map, targets, {b.id: ZERO for b in banks})
 
 
 def original_solvent(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) -> bool:
@@ -194,29 +182,27 @@ def original_solvent(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) 
     return adj.original.bank(u).external_assets + inflow >= adj.original.total_out(u)
 
 
-def rewire_solvent_bank(
-    adj: AdjustedNetwork, assets: dict[str, Fraction], u: str
-) -> dict[str, Fraction]:
+def rewire_solvent_bank(adj: AdjustedNetwork, assets: dict[str, Fraction], u: str) -> None:
     """Replace the out-claims of a solvent defaulting bank by external-asset
-    injections at its creditors and retire its splitter gadget. Mutates
-    ``adj`` and returns the consistent new working state.
+    injections at its creditors and retire its splitter gadget, popping its
+    ``auxiliary_map`` entry. Edits ``adj`` and ``assets`` in place, so that
+    ``assets`` stays the fixed point of the new working network.
 
     ``assets`` must be the fixed point of ``adj.network`` under
     ``adj.injected``, as ``run_min_clearing`` keeps it: the solvency check
     and ``u``'s new assets are read off its splitter's entry, which is only
     ``u``'s inflow there (see ``original_solvent``)."""
-    if u not in adj.auxiliary_map or u in adj.rewired:
+    if u not in adj.auxiliary_map:
         raise errors.NotSolventError(f"{u!r} is not an unrewired defaulting bank")
     if not original_solvent(adj, assets, u):
         raise errors.NotSolventError(f"{u!r} is not solvent in the original network")
 
     work = adj.network
-    assets = dict(assets)
     for claim in work.out_claims(u):
         adj.targets[claim.creditor] += claim.liability
         adj.injected[claim.creditor] += claim.payment.value_at(assets[u])
 
-    splitter, sink = adj.auxiliary_map[u]
+    splitter, sink = adj.auxiliary_map.pop(u)
     ext = adj.original.bank(u).external_assets
     adj.targets[u] = ext + adj.targets.pop(splitter)
     adj.injected[u] = ext + adj.injected.pop(splitter)
@@ -234,10 +220,7 @@ def rewire_solvent_bank(
     # point it holds its external assets plus what the splitter held
     assets[u] = ext + assets.pop(splitter)
     assets.pop(sink)
-
-    adj.rewired.add(u)
     adj.network = assemble(banks, claims)
-    return assets
 
 
 def border_scale(g: ActiveGraph, rates, limit: Fraction | None = None) -> Fraction | None:
@@ -379,24 +362,21 @@ def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseSte
 
 
 class MinClearingRun(_Value):
-    """The minimal clearing ``state`` and the trace of ``run_min_clearing``:
-    its ``flood_steps`` and ``increase_steps``, each in the order taken."""
+    """The minimal clearing ``state`` found by ``run_min_clearing``, the
+    number of steps it took, ``step_count``, and how many of them were
+    floods, ``flood_count``."""
 
-    __slots__ = ("state", "flood_steps", "increase_steps")
-
-    @property
-    def step_count(self) -> int:
-        return len(self.flood_steps) + len(self.increase_steps)
+    __slots__ = ("state", "step_count", "flood_count")
 
 
 def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> MinClearingRun:
-    """Full driver; returns the minimal clearing state plus the step trace.
+    """Full driver; returns the minimal clearing state and its step counts.
 
     One active graph serves every step while the working network stays the
     same: after each step only the banks that reached their next border are
-    refreshed. A rewire replaces the network and the assets dict, so it drops
-    the graph, and the next step builds it afresh. A flood is looked for only
-    when the source's response system is singular.
+    refreshed. A rewire replaces the network, so the graph is built afresh.
+    A flood is looked for only when the source's response system is
+    singular.
 
     With ``check_invariant`` the working state is verified to be an exact
     fixed point of the asset map (w.r.t. the injected externals) after every
@@ -405,19 +385,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
     flood check; test suites enable this.
     """
     adj = adjust_default_cost(net)
-    assets: dict[str, Fraction] = {v: ZERO for v in adj.network.bank_ids()}
-    floods: list[FloodStep] = []
-    increases: list[IncreaseStep] = []
-    g: ActiveGraph | None = None
-
-    def verify() -> None:
-        if not check_invariant:
-            return
-        check = is_clearing_state(adj.network, assets, externals=adj.injected)
-        if not check.ok:
-            raise errors.InternalInvariantError(
-                f"working state lost the fixed-point invariant: {check.violations}"
-            )
+    assets = {v: ZERO for v in adj.network.bank_ids()}
 
     def check_graph() -> None:
         if not check_invariant:
@@ -433,27 +401,35 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 "stale active graph handed to the increase step"
             )
 
-    def pending_sources() -> set[str]:
-        return {v for v, target in adj.targets.items() if adj.injected[v] < target}
-
-    def settle_defaulters() -> None:
-        nonlocal assets, pending, g
-        changed, rewired = True, False
+    def settle(g: ActiveGraph) -> ActiveGraph:
+        """Rewire the defaulters turned solvent, in sorted order, until none
+        is left; return the active graph of the settled network. After a
+        rewire the graph is built afresh and ``pending`` recomputed."""
+        network = adj.network
+        changed = True
         while changed:
             changed = False
-            for u in sorted(adj.auxiliary_map.keys() - adj.rewired):
+            for u in sorted(adj.auxiliary_map):
                 if original_solvent(adj, assets, u):
-                    assets = rewire_solvent_bank(adj, assets, u)
-                    changed = rewired = True
-        if rewired:
-            pending = pending_sources()
-            g = None
+                    rewire_solvent_bank(adj, assets, u)
+                    changed = True
+        if check_invariant:
+            check = is_clearing_state(adj.network, assets, externals=adj.injected)
+            if not check.ok:
+                raise errors.InternalInvariantError(
+                    f"working state lost the fixed-point invariant: {check.violations}"
+                )
+        if adj.network is network:
+            return g
+        pending.clear()
+        pending.update(v for v, target in adj.targets.items() if adj.injected[v] < target)
+        return active_graph(adj.network, assets)
 
     # The banks with a target not yet injected, kept up to date: a step
-    # removes its source once paid off, and a rewire rebuilds the set.
-    pending = pending_sources()
-    settle_defaulters()
-    verify()
+    # removes its source once paid off, and a rewire recomputes the set.
+    pending = {v for v, target in adj.targets.items() if adj.injected[v] < target}
+    g = settle(active_graph(adj.network, assets))
+    increases = floods = 0
     while pending:
         source = min(pending)
 
@@ -463,8 +439,6 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         # rewire paid off meanwhile floods what it reaches, then yields.
         step = None
         while source in adj.targets:
-            if g is None:
-                g = active_graph(adj.network, assets)
             budget = adj.targets[source] - adj.injected[source]
             if budget > 0:
                 check_graph()
@@ -484,25 +458,23 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 if component is None:
                     break
             flood = solve_flood_step(g, component)
-            floods.append(flood)
             advance(g, flood.direction, flood.scale)
-            settle_defaulters()
-            verify()
+            floods += 1
+            g = settle(g)
 
         if step is None:
             continue
-        increases.append(step)
         adj.injected[source] += step.delta
         if adj.injected[source] >= adj.targets[source]:
             pending.discard(source)
         advance(g, step.rates, step.scale)
-        settle_defaulters()
-        verify()
+        g = settle(g)
+        increases += 1
 
     # Every target is injected now, so each splitter holds its owner's
     # original inflow: the working assets are the original ones.
-    final = {u: assets[u] for u in net.bank_ids()}
-    return MinClearingRun(ClearingState(final), tuple(floods), tuple(increases))
+    state = ClearingState({u: assets[u] for u in net.bank_ids()})
+    return MinClearingRun(state, floods + increases, floods)
 
 
 def compute_min_clearing(net: FinancialNetwork) -> ClearingState:

@@ -6,6 +6,8 @@
   of active claims and their slopes and in its borders.
 - ``count_builds`` counts ``active_graph`` builds in every namespace, and
   how many of them ran inside ``run_min_clearing``.
+- ``record_steps`` records the flood and increase steps that
+  ``run_min_clearing`` applies, in order.
 """
 
 from __future__ import annotations
@@ -69,3 +71,24 @@ def count_builds(monkeypatch) -> dict:
     _rebind(monkeypatch, build, counted_build)
     _rebind(monkeypatch, run, counted_run)
     return counts
+
+
+def record_steps(monkeypatch) -> list:
+    """The list that ``solve_flood_step`` and ``solve_increase_step``, in
+    every namespace that binds them, append their steps to. ``run_min_clearing``
+    applies every step it solves, so over one run this is its trace, in the
+    order taken. A singular response (None) is no step and is left out."""
+    steps = []
+
+    def recording(solve):
+        def recorded(*args):
+            step = solve(*args)
+            if step is not None:
+                steps.append(step)
+            return step
+
+        return recorded
+
+    for solve in (minimal.solve_flood_step, minimal.solve_increase_step):
+        _rebind(monkeypatch, solve, recording(solve))
+    return steps

@@ -270,11 +270,13 @@ def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
 def fraction_original_inflow(adj, state, u: str) -> Fraction:
     """Payments the defaulting bank ``u`` receives in ``adj``'s original
     network at the working ``state``, accumulated claim by claim with ``+=``:
-    a rewired debtor pays its full liability, any other debtor its payment
+    a rewired debtor, whose claim on ``u``'s splitter is gone from the
+    working network, pays its full liability, any other debtor its payment
     at its working assets."""
+    splitter = adj.auxiliary_map[u][0]
     total = ZERO
     for claim in adj.original.in_claims(u):
-        if claim.debtor in adj.rewired:
+        if not adj.network.has_claim(claim.debtor, splitter):
             total += claim.liability
         else:
             total += fraction_value_at(claim.payment, state[claim.debtor])

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 from netclear import (
+    FloodStep,
     apply_trade,
     bottom_iterate,
     build_network,
@@ -27,6 +28,7 @@ from netclear import (
 from netclear.errors import NoCreditorPositiveTradeError
 
 from corpus import example1, example2, example3, random_network, random_trade_instance
+from graph_checks import record_steps
 from oracles import nonunique_banks, to_priority_proportional
 
 GAP_TOLERANCE = F(1, 10**6)
@@ -64,9 +66,10 @@ class TestCriterion1Golden:
         assert elapsed < 1.0
         ok("criterion 1b (Example 2)", f"{elapsed:.3f}s")
 
-    def test_example3(self):
+    def test_example3(self, monkeypatch):
         started = time.monotonic()
         net = example3()
+        steps = record_steps(monkeypatch)
         run = run_min_clearing(net)
         assert run.state.as_dict() == {"u": F(1), "v": F(5), "w": F(2), "y": F(2)}
         assert payments(net, run.state) == {
@@ -75,9 +78,10 @@ class TestCriterion1Golden:
             ("v", "y"): F(2),
             ("y", "v"): F(2),
         }
-        assert len(run.flood_steps) == 1
-        assert run.flood_steps[0].component == frozenset({"v", "y"})
-        assert run.flood_steps[0].scale == 2
+        floods = [step for step in steps if isinstance(step, FloodStep)]
+        assert len(floods) == 1 and run.flood_count == 1
+        assert floods[0].component == frozenset({"v", "y"})
+        assert floods[0].scale == 2
         elapsed = time.monotonic() - started
         assert elapsed < 1.0
         ok("criterion 1c (Example 3)", f"{elapsed:.3f}s")

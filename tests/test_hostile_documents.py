@@ -6,6 +6,11 @@ Every mutated document must leave every command (``validate``,
 terms, never with a traceback or an internal error, and every state that
 ``min-clear``, ``max-clear`` and ``range`` emit must clear the network the
 document describes.
+
+Value mutations set a liability, an external asset or a haircut rate to
+another valid value and run ``max-clear --method flood`` and
+``trade --return``: every flood state must clear the network, and every
+trade document must clear the traded network.
 """
 
 import contextlib
@@ -21,6 +26,8 @@ from pathlib import Path
 from netclear.cli import main
 from netclear.clearing import is_clearing_state
 from netclear.io import parse_network
+from netclear.model import validate_network
+from netclear.trade import apply_trade
 
 from corpus import ALL_SCHEME_KINDS, random_network, serialize_network
 
@@ -36,6 +43,14 @@ DEPTH = 100_000
 HOSTILE_VALUES = (None, True, 0, -1, "x", "1/0", "unbounded", [], {}, 10**1000)
 HOSTILE_NUMBERS = ("x", "1/0", 10**1000)
 SCHEME_KEYS = {"type", "order", "classes", "edges", "creditor", "borders", "slopes"}
+# the valid values a value mutation may give each field
+VALID_VALUES = {
+    "liability": (1, 2, 5, "1/2", "7/3"),
+    "external_assets": (0, 1, 4, "1/2", "9/4"),
+    "alpha": (0, "1/2", 1),
+    "beta": (0, "1/2", 1),
+}
+RETURNS = ("0", "1/2", "1")
 
 
 def _bench_workloads():
@@ -104,6 +119,31 @@ def mutate(rng, doc):
     else:
         container[key] = rng.choice(HOSTILE_NUMBERS)
     return doc, (kind, path)
+
+
+def mutate_value(rng, doc):
+    """A copy of ``doc`` with one liability, external asset or haircut rate
+    set to another valid value."""
+    doc = copy.deepcopy(doc)
+    field = rng.choice(tuple(VALID_VALUES))
+    entry = rng.choice(doc["claims" if field == "liability" else "banks"])
+    now = Fraction(str(entry.get(field, 1)))
+    entry[field] = rng.choice([x for x in VALID_VALUES[field] if Fraction(str(x)) != now])
+    return doc
+
+
+def trade_pairs(base):
+    """The ``(claim, buyer)`` pairs of ``base`` by the benchmark's rule: the
+    buyer has positive external assets and no claim from the debtor."""
+    net = validate_network(base)
+    return [
+        (claim.pair, w)
+        for claim in net.claims
+        for w in net.bank_ids()
+        if w not in claim.pair
+        and not net.has_claim(claim.debtor, w)
+        and net.bank(w).external_assets > 0
+    ]
 
 
 def run(argv):
@@ -186,6 +226,40 @@ def test_mutated_documents_exit_0_1_or_2(tmp_path):
     assert SCHEME_KEYS <= dropped, SCHEME_KEYS - dropped
     assert exits[0] >= 450 and exits[1] >= 20 and exits[2] >= 12000, exits
     assert min(checked.values()) >= 30, checked
+
+
+def test_value_mutations_reach_flood_and_trade(tmp_path):
+    rng = random.Random(30)
+    bases = [(base, trade_pairs(base)) for base in base_documents(rng, 60)]
+    network = str(tmp_path / "network.json")
+    checked = {"max-clear": 0, "trade": 0}
+    for i in range(900):
+        base, pairs = bases[i % len(bases)]
+        with open(network, "w", encoding="utf-8") as handle:
+            json.dump(mutate_value(rng, base), handle)
+        runs = [(["max-clear", "--method", "flood"], None)]
+        if pairs:
+            pair, buyer = rng.choice(pairs)
+            runs += [
+                (["trade", "--claim", *pair, "--buyer", buyer, "--return", rho],
+                 (pair, buyer, Fraction(rho)))
+                for rho in RETURNS
+            ]
+        for command, trade in runs:
+            code, out, err = run([*command, network])
+            assert code in ((0, 1, 2) if trade else (0, 2)), (command, err)
+            if code == 2:
+                lines = err.splitlines()
+                assert out == "" and lines and all(
+                    line.startswith(("error: ", "invalid network: ")) for line in lines
+                ), err
+                continue
+            net = parse_network(network)
+            if trade:
+                net = apply_trade(net, *trade)
+            assert is_clearing_state(net, emitted_state(out)).ok, command
+            checked[command[0]] += 1
+    assert min(checked.values()) >= 100, checked
 
 
 def test_deep_nesting_exits_2(tmp_path):

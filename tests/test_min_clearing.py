@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from netclear import (
+    FloodStep,
     active_graph,
     adjust_default_cost,
     bottom_iterate,
@@ -32,6 +33,7 @@ from corpus import (
     random_network,
     random_state_in_box,
 )
+from graph_checks import record_steps
 from oracles import (
     dense_solve_linear_system,
     dense_unit_left_nullspace,
@@ -59,8 +61,9 @@ class TestGoldenExamples:
         assert run.state.as_dict() == {"v": F(3), "w": F(3)}
         assert all(p == 2 for p in payments(net, run.state).values())
 
-    def test_example3_with_trace(self):
+    def test_example3_with_trace(self, monkeypatch):
         net = example3()
+        steps = record_steps(monkeypatch)
         run = run_min_clearing(net, check_invariant=True)
         assert run.state.as_dict() == {"u": F(1), "v": F(5), "w": F(2), "y": F(2)}
         assert payments(net, run.state) == {
@@ -69,8 +72,10 @@ class TestGoldenExamples:
             ("v", "y"): F(2),
             ("y", "v"): F(2),
         }
-        assert len(run.flood_steps) == 1
-        flood = run.flood_steps[0]
+        floods = [step for step in steps if isinstance(step, FloodStep)]
+        assert len(floods) == 1 and run.flood_count == 1
+        assert run.step_count == len(steps)
+        flood = floods[0]
         assert flood.component == frozenset({"v", "y"})
         assert flood.scale == 2
         assert flood.direction == {"v": F(1), "y": F(1)}
@@ -353,6 +358,23 @@ class TestRewiring:
         with pytest.raises(NotSolventError):
             rewire_solvent_bank(adj, state, "v")
 
+    def test_rewire_edits_the_state_in_place(self):
+        # a's external assets cover its liability at the zero state, the
+        # fixed point before any injection: the rewire pops a's gadget from
+        # the state and from auxiliary_map and leaves a fixed point behind
+        net = build_network(
+            banks=[("a", 3, "1/2", "1/2"), ("b", 0)],
+            claims=[("a", "b", 2)],
+        )
+        adj = adjust_default_cost(net)
+        state = {v: F(0) for v in adj.network.bank_ids()}
+        assert rewire_solvent_bank(adj, state, "a") is None
+        assert state == {"a": F(3), "b": F(0)} and adj.auxiliary_map == {}
+        assert adj.targets == {"a": F(3), "b": F(2)} and adj.injected == {"a": F(3), "b": F(0)}
+        assert is_clearing_state(adj.network, state, externals=adj.injected).ok
+        with pytest.raises(NotSolventError, match="not an unrewired defaulting bank"):
+            rewire_solvent_bank(adj, state, "a")
+
     def test_solvent_from_the_start(self):
         # a's external assets already cover its liabilities; with default
         # rates below 1 it still pays in full
@@ -363,7 +385,7 @@ class TestRewiring:
         state = compute_min_clearing(net)
         assert state.as_dict() == {"a": F(3), "b": F(2)}
 
-    def test_splitter_retired_while_serving_as_source(self):
+    def test_splitter_retired_while_serving_as_source(self, monkeypatch):
         # a's rewiring leaves an injection target on z's splitter; flooding
         # the {z__s, z, e} cycle from that splitter makes z solvent, which
         # retires the splitter mid-iteration. The driver must re-pick.
@@ -371,10 +393,12 @@ class TestRewiring:
             banks=[("a", 1, "1/2", 1), ("z", 0, "1/2", 1), ("e", 0)],
             claims=[("a", "z", 1), ("z", "e", 3), ("e", "z", 2)],
         )
+        steps = record_steps(monkeypatch)
         run = run_min_clearing(net, check_invariant=True)
         assert run.state.as_dict() == {"a": F(1), "z": F(3), "e": F(3)}
-        assert len(run.flood_steps) == 1
-        assert run.flood_steps[0].scale == 2
+        floods = [step for step in steps if isinstance(step, FloodStep)]
+        assert len(floods) == 1 and run.flood_count == 1
+        assert floods[0].scale == 2
         assert is_clearing_state(net, run.state).ok
 
     def test_rewire_matches_bottom_iteration_on_chain(self):
@@ -484,12 +508,17 @@ class TestMinClearingProperties:
             enumerated_total += len(others)
         assert enumerated_total >= 60
 
-    def test_step_budget(self):
-        # floods + increases stay within 2n + total borders + m
+    def test_step_budget(self, monkeypatch):
+        # floods + increases stay within 2n + total borders + m, and the
+        # counts are those of the steps the run applied
         rng = random.Random(987)
+        steps = record_steps(monkeypatch)
         for _ in range(60):
             net = random_network(rng, default_cost=rng.random() < 0.4)
+            steps.clear()
             run = run_min_clearing(net)
+            assert run.step_count == len(steps)
+            assert run.flood_count == sum(isinstance(step, FloodStep) for step in steps)
             adj_net = adjust_default_cost(net).network
             n = len(adj_net.bank_ids())
             m = len(adj_net.claims)
@@ -512,7 +541,7 @@ class TestActiveGraphReuse:
         # a corpus network with floods, increases and rewires of defaulters
         net = random_network(random.Random(184), max_banks=8, default_cost=True)
         run = run_min_clearing(net)
-        floods, increases = len(run.flood_steps), len(run.increase_steps)
+        floods, increases = run.flood_count, run.step_count - run.flood_count
         rewires = calls["rewire_solvent_bank"]
         assert floods and increases and rewires
         # one build per working network, refreshed in place between steps,
@@ -601,7 +630,7 @@ class TestActiveGraphReuse:
         with pytest.raises(InternalInvariantError, match="stale active graph"):
             run_min_clearing(example3(), check_invariant=True)
 
-    def test_banks_tied_at_a_border_are_all_refreshed(self):
+    def test_banks_tied_at_a_border_are_all_refreshed(self, monkeypatch):
         # a pays b and c in proportion and each passes its share on: the
         # first step from a moves a, b and c onto their borders at once, and
         # the second step reads all three refreshed
@@ -609,8 +638,10 @@ class TestActiveGraphReuse:
             banks=[("a", 3), ("b", 0), ("c", 0), ("d", 0), ("e", 0)],
             claims=[("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "e", 1)],
         )
+        steps = record_steps(monkeypatch)
         run = run_min_clearing(net, check_invariant=True)
-        first, second = run.increase_steps
+        first, second = steps
+        assert run.step_count == 2 and run.flood_count == 0
         assert first.delta == 2
         assert step_slopes(first) == {"a": 1, "b": F(1, 2), "c": F(1, 2), "d": F(1, 2), "e": F(1, 2)}
         assert step_slopes(second) == {"a": 1} and second.delta == 1

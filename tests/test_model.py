@@ -125,11 +125,9 @@ class TestRecordContract:
             ),
             (step, IncreaseStep({"b": -1, "a": 2}, 3, F(1, 2)), IncreaseStep({"a": 2}, 3, F(1, 2))),
             (
-                MinClearingRun(state, (), (step,)),
-                MinClearingRun(
-                    ClearingState(dict(state)), (), (IncreaseStep({"a": 2, "b": -1}, 3, F(1, 2)),)
-                ),
-                MinClearingRun(state, (), ()),
+                MinClearingRun(state, 2, 1),
+                MinClearingRun(ClearingState(dict(state)), 2, 1),
+                MinClearingRun(state, 2, 0),
             ),
             (
                 ClearingCheck(True, ()),

@@ -1,9 +1,10 @@
 """Byte guard: results stay identical to the recorded benchmark reference.
 
-The ops come from the benchmark's own workload code at its default seed: every
-``min-clear`` and every ``max-clear-pp`` op of ``sweep-small``, all 72
-``lattice-rings`` ops (flood max, range and trade, which run min-clear and the
-walks above it) and the first 20 ``max-pp`` ops (counter descent on mixed
+The ops come from the benchmark's own workload code at its default seed: all
+600 ``sweep-small`` ops (``validate``, ``min-clear`` and ``max-clear-pp``), all
+72 ``lattice-rings`` ops (flood max, range and trade, which run min-clear and
+the walks above it), all 24 ``min-prop`` ops (min-clear on the largest
+networks, n = 50) and the first 20 ``max-pp`` ops (counter descent on mixed
 class schemes); the slow tier checks all 200 ``max-pp`` ops. Each runs through
 ``netclear.cli.main`` with stdout captured, and its exit code and the
 sha256 of its stdout must equal ``bench/reference.json``. The input
@@ -39,6 +40,8 @@ def of_kind(kind):
 PICKS = {
     "sweep-small": ("sweep-small", of_kind("min-clear"), 200),
     "sweep-small-pp": ("sweep-small", of_kind("max-clear-pp"), 200),
+    "sweep-small-validate": ("sweep-small", of_kind("validate"), 200),
+    "min-prop": ("min-prop", lambda ops: ops, 24),
     "lattice-rings": ("lattice-rings", lambda ops: ops, 72),
     "max-pp": ("max-pp", lambda ops: ops[:20], 20),
     "max-pp-all": ("max-pp", lambda ops: ops, 200),

@@ -58,7 +58,7 @@ def test_lattice_rings_holdout_networks(tmp_path):
     assert len(paths) == 24
     floods = 0
     for path in paths:
-        floods += len(_check(parse_network(path)).flood_steps)
+        floods += _check(parse_network(path)).flood_count
     assert floods > 0
 
 
@@ -75,8 +75,8 @@ def test_mixed_default_cost_networks_with_tied_borders():
             default_cost=True,
         )
         run = _check(net)
-        floods += len(run.flood_steps)
-        increases += len(run.increase_steps)
+        floods += run.flood_count
+        increases += run.step_count - run.flood_count
     assert floods > 0 and increases > 0
 
 
