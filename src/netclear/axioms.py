@@ -19,7 +19,7 @@ the slope-sum axiom on it in integers and holds it on the network
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import lt
@@ -84,7 +84,8 @@ class PaymentFunction(_Value):
     None. ``value_at``, ``slope_at`` and ``active_segment`` find the segment
     of ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
     numerator is an int, so it is at most ``a * _den`` exactly when it is at
-    most that floor.
+    most that floor. ``lower_segment`` reads the segment just below ``a``
+    the same way, with the ceiling.
     """
 
     __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
@@ -145,6 +146,17 @@ class PaymentFunction(_Value):
         if idx >= len(self.slopes) or self.slopes[idx] <= 0:
             return None
         return self.slopes[idx], self.borders[pos]
+
+    def lower_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
+        """``(slope just below a, the border its segment starts at)`` when
+        that slope is positive, else None: the segment
+        ``bisect_left(borders, a) - 1``, found with ``ceil(a * _den)``, as a
+        border numerator lies below ``a * _den`` exactly when it lies below
+        that ceiling. None at 0 and past the last border."""
+        j = bisect_left(self._scaled, -(-a.numerator * self._den // a.denominator)) - 1
+        if j < 0 or j >= len(self.slopes) or self.slopes[j] <= 0:
+            return None
+        return self.slopes[j], self.borders[j]
 
     @property
     def final_value(self) -> Fraction:

@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import errors
-from .model import FinancialNetwork
+from .model import FinancialNetwork, PaymentFunction
 
 
 class ActiveGraph:
@@ -22,10 +22,14 @@ class ActiveGraph:
     ``(d, c)``, so ``edges[d]`` lists the creditors ``d`` actively pays. Per
     bank with an active out-claim, ``borders`` holds the lowest border
     strictly above its assets over those claims: up to that border no slope
-    of the bank changes. ``assets`` is the caller's dict itself; whoever
-    moves a bank in it refreshes that bank through ``refresh_banks``."""
+    of the bank changes. A ``left`` graph reads the slopes just below the
+    assets instead (``PaymentFunction.lower_segment``), and its ``borders``
+    hold the highest border strictly below the assets where one of those
+    segments starts: down to that border no slope of the bank changes.
+    ``assets`` is the caller's dict itself; whoever moves a bank in it
+    refreshes that bank through ``refresh_banks``."""
 
-    __slots__ = ("net", "assets", "edges", "borders")
+    __slots__ = ("net", "assets", "edges", "borders", "left")
 
     def __init__(
         self,
@@ -33,36 +37,39 @@ class ActiveGraph:
         assets: dict[str, Fraction],
         edges: dict[str, dict[str, Fraction]],
         borders: dict[str, Fraction],
+        left: bool = False,
     ):
         self.net = net
         self.assets = assets
         self.edges = edges  # debtor -> {creditor: positive slope}
-        self.borders = borders  # debtor -> next border of its active claims
+        self.borders = borders  # debtor -> next border of its active claims (lower if left)
+        self.left = left
 
 
 def refresh_banks(g: ActiveGraph, banks: Iterable[str]) -> None:
     """Rebuild the map of active out-claims and the next border of each of
-    ``banks`` at ``g.assets``; other banks are left as they are."""
+    ``banks`` at ``g.assets``, read on the side of the assets that ``g.left``
+    names; other banks are left as they are."""
     net, state, edges, borders = g.net, g.assets, g.edges, g.borders
+    segment_of = PaymentFunction.lower_segment if g.left else PaymentFunction.active_segment
+    nearest = max if g.left else min
     for v in banks:
         borders.pop(v, None)
         assets = state[v]
         active = {}
-        nearest = None
+        ends = []
         for claim in net.out_claims(v):
-            segment = claim.payment.active_segment(assets)
+            segment = segment_of(claim.payment, assets)
             if segment is not None:
-                slope, border = segment
-                active[claim.creditor] = slope
-                if nearest is None or border < nearest:
-                    nearest = border
+                active[claim.creditor], border = segment
+                ends.append(border)
         edges[v] = active
-        if nearest is not None:
-            borders[v] = nearest
+        if ends:
+            borders[v] = nearest(ends)
 
 
-def active_graph(net: FinancialNetwork, assets: dict) -> ActiveGraph:
-    g = ActiveGraph(net, assets, {}, {})
+def active_graph(net: FinancialNetwork, assets: dict, left: bool = False) -> ActiveGraph:
+    g = ActiveGraph(net, assets, {}, {}, left)
     refresh_banks(g, net.bank_ids())
     return g
 

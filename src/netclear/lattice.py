@@ -6,6 +6,9 @@ graph, partially or fully. Flooding to saturation yields the maximal state;
 flooding selectively answers range queries.
 Each walk holds one active graph, built at its start state, and steps its
 assets through ``minimal.advance`` and ``minimal.flood_closure``.
+The minimal state comes from ``minimal.compute_min_clearing``, which walks
+down from the pp maximum by reverse floods: every operation here rejects
+default costs first, and only those need the injection driver.
 """
 
 from __future__ import annotations

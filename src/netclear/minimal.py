@@ -1,5 +1,14 @@
 """Minimal clearing state computation.
 
+``compute_min_clearing`` takes one of two routes. A network without default
+cost is walked down from the top: the pp maximum, then reverse floods of the
+closed components of the ``left`` active graph until none is left, which
+certifies the least state (proof in its docstring). That route is not
+proved for default costs, so a network with them, and the CLI's
+``min-clear``, which reports the driver's step counts, go through
+``run_min_clearing``, the paper's strongly polynomial injection driver and
+the reference for the route; the rest of this docstring describes it.
+
 External assets are injected one bank at a time. The response of the
 banks reachable from the chosen bank to a small injection is linear; its
 slopes come from one exact linear solve, and the injection advances to the
@@ -43,6 +52,7 @@ from .clearing import ClearingState, is_clearing_state
 from .graphs import (
     ActiveGraph,
     active_graph,
+    condense,
     find_flood_component,
     reachable_from,
     refresh_banks,
@@ -56,6 +66,7 @@ from .model import (
     assemble,
     make_proportional,
 )
+from .priority import compute_max_clearing_pp
 from .rationals import ONE, ZERO
 
 
@@ -270,11 +281,13 @@ def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> FloodStep:
 
 def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
     """Move each bank ``u`` of ``g.assets`` by ``scale * rates[u]`` in place,
-    a scale that ``border_scale`` allowed on ``g``; then refresh the banks
-    with a positive rate that landed on their next border, the only ones
-    whose active segment can change. Rates and scale may be any rationals;
-    each moved bank's new assets are summed on integers and normalized
-    once."""
+    a scale that keeps every moved bank inside its segment of ``g``; then
+    refresh the banks that landed on their border in ``g.borders``, the only
+    ones whose active segment can change: the next border above on a graph
+    of right slopes, reached with a positive rate, or the lower border on a
+    ``left`` graph, reached with a negative one. Rates and scale may be any
+    rationals; each moved bank's new assets are summed on integers and
+    normalized once."""
     sn, sd = scale.numerator, scale.denominator
     borders, assets = g.borders, g.assets
     landed = []
@@ -285,7 +298,7 @@ def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
             num = a.numerator * sd * rd + sn * rate.numerator * ad
             den = ad * sd * rd
             assets[u] = Fraction(num, den)
-            if rate > 0 and u in borders:
+            if u in borders:
                 border = borders[u]
                 if num * border.denominator == den * border.numerator:
                     landed.append(u)
@@ -374,7 +387,9 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
 
     One active graph serves every step while the working network stays the
     same: after each step only the banks that reached their next border are
-    refreshed. A rewire replaces the network, so the graph is built afresh.
+    refreshed. A rewire replaces the network, so the graph is built afresh,
+    but only when a step needs it: no graph is built for a network that
+    takes no step, such as the one before the first rewires.
     A flood is looked for only when the source's response system is
     singular.
 
@@ -401,10 +416,11 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 "stale active graph handed to the increase step"
             )
 
-    def settle(g: ActiveGraph) -> ActiveGraph:
+    def settle() -> None:
         """Rewire the defaulters turned solvent, in sorted order, until none
-        is left; return the active graph of the settled network. After a
-        rewire the graph is built afresh and ``pending`` recomputed."""
+        is left. A rewire drops the active graph ``g``, which the next step
+        builds afresh for the settled network, and recomputes ``pending``."""
+        nonlocal g
         network = adj.network
         changed = True
         while changed:
@@ -419,16 +435,16 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
                 raise errors.InternalInvariantError(
                     f"working state lost the fixed-point invariant: {check.violations}"
                 )
-        if adj.network is network:
-            return g
-        pending.clear()
-        pending.update(v for v, target in adj.targets.items() if adj.injected[v] < target)
-        return active_graph(adj.network, assets)
+        if adj.network is not network:
+            g = None
+            pending.clear()
+            pending.update(v for v, target in adj.targets.items() if adj.injected[v] < target)
 
     # The banks with a target not yet injected, kept up to date: a step
     # removes its source once paid off, and a rewire recomputes the set.
     pending = {v for v, target in adj.targets.items() if adj.injected[v] < target}
-    g = settle(active_graph(adj.network, assets))
+    g = None
+    settle()
     increases = floods = 0
     while pending:
         source = min(pending)
@@ -439,6 +455,8 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         # rewire paid off meanwhile floods what it reaches, then yields.
         step = None
         while source in adj.targets:
+            if g is None:
+                g = active_graph(adj.network, assets)
             budget = adj.targets[source] - adj.injected[source]
             if budget > 0:
                 check_graph()
@@ -460,7 +478,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
             flood = solve_flood_step(g, component)
             advance(g, flood.direction, flood.scale)
             floods += 1
-            g = settle(g)
+            settle()
 
         if step is None:
             continue
@@ -468,7 +486,7 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
         if adj.injected[source] >= adj.targets[source]:
             pending.discard(source)
         advance(g, step.rates, step.scale)
-        g = settle(g)
+        settle()
         increases += 1
 
     # Every target is injected now, so each splitter holds its owner's
@@ -478,4 +496,49 @@ def run_min_clearing(net: FinancialNetwork, check_invariant: bool = False) -> Mi
 
 
 def compute_min_clearing(net: FinancialNetwork) -> ClearingState:
-    return run_min_clearing(net).state
+    """The minimal clearing state ``x*``. A network with default cost goes
+    through ``run_min_clearing``, the paper's strongly polynomial injection
+    driver, which stays the reference route. Any other network is walked
+    down from the top: from the maximal state of
+    ``priority.compute_max_clearing_pp`` (a polynomial counter descent), the
+    closed components of the ``left`` active graph are lowered by reverse
+    floods until none is left.
+
+    Certificate: a clearing state ``x`` at which no non-singleton SCC of the
+    left-slope graph is closed is ``x*``. Let ``D = {x > x*}``. For ``v`` in
+    ``D``, ``x_v - x*_v`` is the sum of its debtors' payment increments, and
+    debtors outside ``D`` add nothing positive. A bank's total payment is
+    ``min(a, L+)``, as borders start at 0 and slopes sum to 1 below ``L+``
+    (validation checks both), so a payment rises by at most its asset
+    increment. Summing over ``D`` makes every inequality tight: each ``u``
+    in ``D`` pays all of its increment over ``[x*_u, x_u]`` into ``D``, at
+    total slope 1. So just below ``x_u`` every ``u`` in ``D`` has positive
+    left slopes, all into ``D``, and a nonempty ``D`` would hold a closed
+    SCC of the left-slope graph, non-singleton as no bank has a claim on
+    itself. So ``D`` is empty, and ``x = x*``.
+
+    Reverse flood: on their left segments the members of a closed component
+    ``C`` pay only one another, with row sums 1; where an inactive claim's
+    slope changes so does an active one's, as the slopes sum to 1, so the
+    lower borders of the active claims bound the segment. So ``x - e d``,
+    with ``d = d M`` the Perron vector of the left slopes (read off
+    ``response_rows`` as in ``solve_flood_step``), clears for every ``e`` up
+    to the first member's landing on its lower border. Closed components are
+    disjoint, so one pass lowers all of them. Every clearing state is at
+    least ``x*``, so the walk never passes it; the state only falls, so each
+    bank passes each border at most once, and the walk ends at ``x*``."""
+    if net.has_default_cost():
+        return run_min_clearing(net).state
+    g = active_graph(net, compute_max_clearing_pp(net).as_dict(), left=True)
+    while components := condense(g):
+        for component in components:
+            members = sorted(component)
+            direction = unit_left_nullspace(response_rows(g, members))
+            rates = {u: -d for u, d in zip(members, direction)}
+            scale = min((g.borders[u] - g.assets[u]) / rate for u, rate in rates.items())
+            if scale <= 0:  # a fresh lower border lies strictly below its bank
+                raise errors.InternalInvariantError(
+                    "no room above a lower border: stale left graph"
+                )
+            advance(g, rates, scale)
+    return ClearingState(g.assets)

@@ -8,7 +8,10 @@ response of the minimal clearing state, flooding newly formed sink components
 and re-solving at every payment-function border.
 The walk holds one active graph of the traded network, built at its minimal
 state, and steps its assets through ``minimal.flood_closure`` and
-``minimal.advance``.
+``minimal.advance``. Every minimal state here (the base state, the traded
+state, ``evaluate_return``'s) comes from ``minimal.compute_min_clearing``,
+which walks down from the pp maximum by reverse floods: trades reject
+default costs, the only networks that need the injection driver.
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ def random_network(
     prob = edge_prob if edge_prob is not None else min(0.9, 2.5 / max(n - 1, 1))
 
     claims = []
-    out_by_bank: dict[str, list[str]] = {v: [] for v in ids}
     for debtor in ids:
         for creditor in ids:
             if debtor == creditor or rng.random() >= prob:
@@ -86,7 +85,6 @@ def random_network(
             if liability_dens is not None:
                 liability = Fraction(liability, rng.choice(liability_dens))
             claims.append((debtor, creditor, liability))
-            out_by_bank[debtor].append(creditor)
 
     banks = []
     for v in ids:
@@ -100,7 +98,17 @@ def random_network(
         else:
             banks.append((v, ext))
 
+    return build_network(banks, claims, random_schemes(rng, claims, schemes))
+
+
+def random_schemes(rng: random.Random, claims, schemes=SCHEME_KINDS) -> dict:
+    """A scheme of a kind drawn from ``schemes`` for every debtor of two or
+    more of ``claims``, ``(debtor, creditor, liability)`` triples, in the
+    order the debtors first appear."""
     liabilities = {(d, c): x for d, c, x in claims}
+    out_by_bank: dict[str, list[str]] = {}
+    for debtor, creditor, _ in claims:
+        out_by_bank.setdefault(debtor, []).append(creditor)
     scheme_map = {}
     for v, creditors in out_by_bank.items():
         if len(creditors) < 2:
@@ -122,7 +130,57 @@ def random_network(
                     classes.append([])
                 classes[-1].append(creditor)
             scheme_map[v] = {"type": "priority_proportional", "classes": classes}
-    return build_network(banks, claims, scheme_map)
+    return scheme_map
+
+
+def ringed_network(rng: random.Random, schemes=ALL_SCHEME_KINDS) -> FinancialNetwork:
+    """A small core that may feed one or two closed rings of two to four
+    banks, with a chord in some; no default cost. Ring members hold a little
+    cash or none, and some also owe a core bank or the sink ``z``, so a ring
+    can stay partly filled in the least state and a reverse flood from the
+    top can stop on a border above zero."""
+    core = [f"c{i}" for i in range(rng.randint(1, 3))]
+    rings = [[f"r{k}{i}" for i in range(rng.randint(2, 4))] for k in range(rng.randint(1, 2))]
+    members = [v for ring in rings for v in ring]
+    claims = {}
+
+    def owe(debtor, creditor):
+        claims[(debtor, creditor)] = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+
+    for debtor in core:
+        for creditor in core + ["z"]:
+            if creditor != debtor and rng.random() < 0.5:
+                owe(debtor, creditor)
+        for creditor in members:
+            if rng.random() < 0.15:
+                owe(debtor, creditor)
+    for ring in rings:
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            owe(a, b)
+        if len(ring) > 2 and rng.random() < 0.5:
+            a, b = rng.sample(ring, 2)
+            owe(a, b)
+        for a in ring:
+            if rng.random() < 0.4:
+                owe(a, rng.choice(core + ["z"]))
+    triples = [(d, c, x) for (d, c), x in claims.items()]
+    scheme_map = random_schemes(rng, triples, schemes)
+    cash = {v: Fraction(rng.randint(0, 2)) for v in core}
+    ring_cash = (Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1))
+    cash.update((v, rng.choice(ring_cash)) for v in members)
+    cash["z"] = Fraction(0)
+    # Half the ring members that owe outside their ring pay outside first,
+    # and half of those hold just what they owe outside: the ring's own
+    # circulation is then free, from zero up to full.
+    for ring in rings:
+        for a in ring:
+            order = sorted((c for d, c in claims if d == a), key=lambda c: c in ring)
+            if order[0] not in ring and rng.random() < 0.5:
+                scheme_map[a] = {"type": "edge_ranking", "order": order}
+                if rng.random() < 0.5:
+                    cash[a] = claims[(a, order[0])]
+    banks = list(cash.items())
+    return build_network(banks, triples, scheme_map)
 
 
 def piecewise_scheme(rng: random.Random, owed: dict[str, Fraction]) -> dict:

@@ -2,10 +2,13 @@
 
 - ``check_advance_freshness`` wraps ``minimal.advance`` in every ``netclear``
   namespace that binds it. After each call the held graph must equal a fresh
-  ``active_graph`` build of its own network at its moved assets, in its map
-  of active claims and their slopes and in its borders.
+  ``active_graph`` build of its own network at its moved assets, of its own
+  kind (right slopes, or the ``left`` slopes of ``compute_min_clearing``'s
+  reverse floods), in its map of active claims and their slopes and in its
+  borders.
 - ``count_builds`` counts ``active_graph`` builds in every namespace, and
-  how many of them ran inside ``run_min_clearing``.
+  how many of them ran inside a min-clear: ``compute_min_clearing`` or
+  ``run_min_clearing``.
 - ``record_steps`` records the flood and increase steps that
   ``run_min_clearing`` applies, in order.
 """
@@ -32,44 +35,54 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 
 def check_advance_freshness(monkeypatch) -> dict:
-    """Counts of checked ``advance`` calls and of calls that moved a bank
-    onto its next border (which must refresh the held graph)."""
+    """Counts of checked ``advance`` calls, of calls that moved a bank onto
+    its border (which must refresh the held graph), and of the calls on a
+    ``left`` graph, ``compute_min_clearing``'s reverse floods, each of which
+    lands a bank on its lower border."""
     original = minimal.advance
-    counts = {"calls": 0, "landed": 0}
+    counts = {"calls": 0, "landed": 0, "reverse": 0}
 
     def checked(g, rates, scale):
         before = dict(g.borders)
         original(g, rates, scale)
         assets = g.assets
-        fresh = graphs.active_graph(g.net, assets)
+        fresh = graphs.active_graph(g.net, assets, g.left)
         assert g.edges == fresh.edges, "stale edges after advance"
         assert g.borders == fresh.borders, "stale borders after advance"
         counts["calls"] += 1
-        if any(u in before and assets[u] == before[u] for u in rates):
-            counts["landed"] += 1
+        counts["landed"] += any(u in before and assets[u] == before[u] for u in rates)
+        counts["reverse"] += g.left
 
     _rebind(monkeypatch, original, checked)
     return counts
 
 
 def count_builds(monkeypatch) -> dict:
-    """Running totals: ``all`` builds, and those made inside ``min_clear``."""
-    build, run = graphs.active_graph, minimal.run_min_clearing
+    """Running totals: ``all`` builds, and those made inside a min-clear,
+    ``min_clear``."""
+    build = graphs.active_graph
     counts = {"all": 0, "min_clear": 0}
+    depth = 0  # compute_min_clearing may call run_min_clearing
 
-    def counted_build(*args):
+    def counted_build(*args, **kwargs):
         counts["all"] += 1
-        return build(*args)
+        counts["min_clear"] += depth > 0
+        return build(*args, **kwargs)
 
-    def counted_run(*args, **kwargs):
-        before = counts["all"]
-        try:
-            return run(*args, **kwargs)
-        finally:
-            counts["min_clear"] += counts["all"] - before
+    def counting(run):
+        def counted_run(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                return run(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        return counted_run
 
     _rebind(monkeypatch, build, counted_build)
-    _rebind(monkeypatch, run, counted_run)
+    for run in (minimal.compute_min_clearing, minimal.run_min_clearing):
+        _rebind(monkeypatch, run, counting(run))
     return counts
 
 

@@ -37,6 +37,11 @@ None of this runs in the product:
   feasibility test that the block solver is cross-checked against;
 - ``to_priority_proportional``: the explicit priority-proportional network
   behind the pp route, the oracle of the paper's equivalence;
+- ``fraction_lower_segment``: the slope just below ``a`` and the border its
+  segment starts at, by a scan of the ``Fraction`` borders, the oracle for
+  ``PaymentFunction.lower_segment``;
+- ``flood_maximum``: the flood maximum from the injection driver's least
+  state, a reference for the pp maximum that runs no pp descent;
 - ``nonunique_banks``: the banks whose minimal and maximal clearing assets
   differ;
 - ``reduced_assets``: the haircut branch of the asset axiom for one bank;
@@ -60,7 +65,8 @@ from netclear import errors
 from netclear.clearing import _inflow
 from netclear.errors import DegenerateMatrixError, Violation
 from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
-from netclear.minimal import compute_min_clearing
+from netclear.graphs import active_graph
+from netclear.minimal import compute_min_clearing, flood_closure, run_min_clearing
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
 from netclear.axioms import BankClasses
 from netclear.priority import _counter_system, _flow_rows
@@ -204,16 +210,15 @@ def fraction_border_scale(g, rates, limit=None) -> Fraction | None:
 
 def fraction_advance(g, rates, scale) -> tuple[dict[str, Fraction], list[str]]:
     """The assets after moving each bank ``u`` of ``g.assets`` by
-    ``scale * rates[u]``, and the banks with a positive rate that land on
-    their next border in ``g``, in the order of ``rates``. ``g`` is not
-    changed."""
+    ``scale * rates[u]``, and the moved banks that land on their border in
+    ``g``, in the order of ``rates``. ``g`` is not changed."""
     moved = dict(g.assets)
     for u, rate in rates.items():
         moved[u] = Fraction(moved[u] + scale * rate)
     landed = [
         u
         for u, rate in rates.items()
-        if rate > 0 and u in g.borders and moved[u] == g.borders[u]
+        if rate and u in g.borders and moved[u] == g.borders[u]
     ]
     return moved, landed
 
@@ -257,6 +262,17 @@ def fraction_active_segment(fn: PaymentFunction, a: Fraction):
     if idx >= len(fn.slopes) or fn.slopes[idx] <= 0:
         return None
     return fn.slopes[idx], fn.borders[pos]
+
+
+def fraction_lower_segment(fn: PaymentFunction, a: Fraction):
+    """``(slope, border)`` of the segment just below ``a``: the last border
+    strictly below ``a``, found by a scan of the ``Fraction`` borders, and
+    the slope that starts there, when that slope is positive; None when no
+    border lies below ``a`` or the last one does."""
+    below = [j for j, border in enumerate(fn.borders) if border < a]
+    if not below or below[-1] == len(fn.slopes) or fn.slopes[below[-1]] <= 0:
+        return None
+    return fn.slopes[below[-1]], fn.borders[below[-1]]
 
 
 def fraction_inflow(net: FinancialNetwork, state, v: str) -> Fraction:
@@ -765,6 +781,14 @@ def to_priority_proportional(
         },
     )
     return assemble(banks, claims), certificate
+
+
+def flood_maximum(net: FinancialNetwork) -> dict[str, Fraction]:
+    """The maximal clearing state by flooding to saturation from the least
+    state of ``run_min_clearing``: no step of it runs the pp descent."""
+    g = active_graph(net, run_min_clearing(net).state.as_dict())
+    flood_closure(g)
+    return g.assets
 
 
 def nonunique_banks(net: FinancialNetwork) -> frozenset[str]:

@@ -112,6 +112,8 @@ class TestHeldGraphStaysFresh:
         for _ in range(40):
             net = random_network(rng, max_banks=6, max_external=1, edge_prob=0.7)
             low = compute_min_clearing(net)
+            # the walks' min-clears go top-down: check the driver's steps too
+            assert dict(run_min_clearing(net).state) == dict(low)
             high = compute_max_clearing_flood(net)
             assert is_clearing_state(net, high).ok
             moving = [v for v in net.bank_ids() if low[v] != high[v]]
@@ -134,3 +136,4 @@ class TestHeldGraphStaysFresh:
             net = random_network(rng, max_banks=6, default_cost=True)
             run_min_clearing(net)
         assert counts["calls"] > 100 and counts["landed"] > 50
+        assert counts["reverse"] >= 10

@@ -530,25 +530,46 @@ class TestActiveGraphReuse:
     def test_one_build_per_step(self, monkeypatch):
         from netclear import minimal
 
-        calls = {"active_graph": 0, "find_flood_component": 0, "rewire_solvent_bank": 0}
-        for name in calls:
+        # a corpus network with floods, increases and rewires of defaulters,
+        # and one whose first working network also rewires before any step
+        rng = random.Random(184)
+        nets = [random_network(rng, max_banks=8, default_cost=True)]
+        while len(nets) < 2:
+            net = random_network(rng, max_banks=8, default_cost=True, alphas=ZERO_RATE_ALPHAS)
+            adj = adjust_default_cost(net)
+            start = {v: F(0) for v in adj.network.bank_ids()}
+            run = run_min_clearing(net)
+            if run.flood_count and any(
+                minimal.original_solvent(adj, start, u) for u in adj.auxiliary_map
+            ):
+                nets.append(net)
+        # every call in order: a build must be followed by a call that reads
+        # its graph before the next build or the end of the run
+        events = []
+        uses = ("find_flood_component", "solve_increase_step", "solve_flood_step")
+        for name in ("active_graph", "rewire_solvent_bank") + uses:
 
             def counted(*args, _name=name, _original=getattr(minimal, name)):
-                calls[_name] += 1
+                events.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(minimal, name, counted)
-        # a corpus network with floods, increases and rewires of defaulters
-        net = random_network(random.Random(184), max_banks=8, default_cost=True)
-        run = run_min_clearing(net)
-        floods, increases = run.flood_count, run.step_count - run.flood_count
-        rewires = calls["rewire_solvent_bank"]
-        assert floods and increases and rewires
-        # one build per working network, refreshed in place between steps,
-        # and an SCC pass only where a flood is looked for
-        assert calls["active_graph"] <= rewires + 1
-        assert calls["find_flood_component"] <= floods + rewires + 1
-        assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
+        for net in nets:
+            events.clear()
+            run = run_min_clearing(net)
+            floods, increases = run.flood_count, run.step_count - run.flood_count
+            rewires = events.count("rewire_solvent_bank")
+            assert floods and increases and rewires
+            # one build per working network that takes a step, refreshed in
+            # place between steps, and an SCC pass only where a flood is
+            # looked for
+            builds = [i for i, name in enumerate(events) if name == "active_graph"]
+            for i, j in zip(builds, builds[1:] + [len(events)]):
+                assert any(name in uses for name in events[i + 1 : j]), "a build no step read"
+            assert len(builds) <= rewires + 1
+            assert events.count("find_flood_component") <= floods + rewires + 1
+            assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
+        assert events[0] == "rewire_solvent_bank"
 
     def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal

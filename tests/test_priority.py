@@ -53,6 +53,7 @@ from counter_checks import (
 from oracles import (
     as_fraction,
     build_counter_lp,
+    flood_maximum,
     fraction_assets,
     fraction_counter_rows,
     fraction_priority_structure,
@@ -300,7 +301,7 @@ class TestCounterDescent:
             net = random_network(rng, max_banks=5, max_external=2, edge_prob=0.6)
             flood = compute_max_clearing_flood(net)
             descent = compute_max_clearing_pp(net)
-            assert flood.as_dict() == descent.as_dict()
+            assert flood.as_dict() == descent.as_dict() == flood_maximum(net)
 
     def test_default_cost_outputs_fixed_points(self):
         rng = random.Random(262)
@@ -516,7 +517,7 @@ class TestJump:
             net = random_network(rng, max_banks=10, min_banks=4, max_external=3, edge_prob=0.4)
             rounds.clear()
             state = compute_max_clearing_pp(net)
-            assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+            assert state.as_dict() == flood_maximum(net)
             jumps += assert_jumps_sound(rounds, state)
             checked += len(rounds)
         assert checked >= 200
@@ -539,7 +540,7 @@ class TestJump:
         )
         state = compute_max_clearing_pp(net)
         assert state.as_dict() == {"d": F(3, 2), "c1": F(1), "c2": F(1, 2), "c3": F(0), "c4": F(0)}
-        assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+        assert state.as_dict() == flood_maximum(net)
         assert len(solves) == 2
         assert counts["lowerings"] == 1
         steps = [(r["lowered"], r["before"]["d"], r["after"]["d"]) for r in rounds]
@@ -588,7 +589,7 @@ class TestJump:
             "a": F(4), "b": F(4), "x": F(3, 2), "y": F(2),
             "c1": F(1), "c2": F(1, 2), "c3": F(0), "c4": F(0),
         }
-        assert state.as_dict() == compute_max_clearing_flood(net).as_dict()
+        assert state.as_dict() == flood_maximum(net)
 
 
 class TestGreatest:
@@ -622,7 +623,7 @@ class TestGreatest:
             if not default_cost:
                 assert find_flood_component(active_graph(net, dict(x))) is None
                 if i % 3 == 0:
-                    minimal = compute_min_clearing(net).as_dict()
+                    minimal = run_min_clearing(net).state.as_dict()
                     if minimal != x:
                         assert find_flood_component(active_graph(net, minimal)) is not None
                         counts["min_below"] += 1

@@ -6,8 +6,8 @@ with a fresh build after every ``minimal.advance``. Run it with
 Per network: the flood maximum must equal the pp maximum exactly; one range
 query with every target interval running from the midpoint of a bank's
 minimal and maximal assets up to the maximal ones; and one optimal claims
-trade. Every
-state these emit must be a clearing state.
+trade, whose post-trade state must equal the least state of
+``run_min_clearing``. Every state these emit must be a clearing state.
 """
 
 import importlib.util
@@ -24,6 +24,7 @@ from netclear import (
     compute_min_clearing,
     is_clearing_state,
     optimal_creditor_positive_return,
+    run_min_clearing,
     solve_range_clearing,
 )
 from netclear.errors import NoCreditorPositiveTradeError
@@ -99,6 +100,6 @@ def test_walks_on_lattice_rings_holdout_networks(tmp_path, monkeypatch):
             continue
         traded = apply_trade(net, pair, buyer, trade.rho_star)
         assert is_clearing_state(traded, trade.post_state).ok
-        assert dict(trade.post_state) == dict(compute_min_clearing(traded))
+        assert dict(trade.post_state) == dict(run_min_clearing(traded).state)
         trades += 1
     assert trades > 0 and counts["landed"] > 0

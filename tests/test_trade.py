@@ -11,6 +11,7 @@ from netclear import (
     compute_min_clearing,
     is_clearing_state,
     optimal_creditor_positive_return,
+    run_min_clearing,
 )
 from netclear.errors import (
     DefaultCostUnsupportedError,
@@ -22,6 +23,13 @@ from netclear.errors import (
 
 from corpus import random_network
 from oracles import exists_creditor_positive, nonunique_banks
+
+
+def least(net):
+    """The least state of ``run_min_clearing``: the optimizer's own
+    min-clears go top-down from the pp maximum, so its results are checked
+    against the injection driver."""
+    return run_min_clearing(net).state
 
 
 def trade_fixture():
@@ -183,7 +191,7 @@ class TestExistence:
         pairs = positive = 0
         for _ in range(300):
             net = random_network(rng, max_banks=5)
-            base = compute_min_clearing(net)
+            base = least(net)
             for claim in net.claims:
                 for buyer in net.bank_ids():
                     if buyer in claim.pair or net.has_claim(claim.debtor, buyer):
@@ -192,7 +200,7 @@ class TestExistence:
                     if ok:
                         result = optimal_creditor_positive_return(net, claim.pair, buyer)
                         traded = apply_trade(net, claim.pair, buyer, result.rho_star)
-                        post = compute_min_clearing(traded)
+                        post = least(traded)
                         assert post[claim.creditor] > base[claim.creditor]
                         assert post[buyer] >= base[buyer]
                     else:
@@ -222,7 +230,7 @@ class TestOptimalReturn:
         )
         result = optimal_creditor_positive_return(net, ("u", "v"), "w")
         assert result.rho_star == 2  # cap = min(4, liability 2)
-        assert result.post_state["w"] == compute_min_clearing(net)["w"]
+        assert result.post_state["w"] == least(net)["w"]
 
     def test_flood_fires_mid_walk(self):
         # u owes v 5 with no cash, so rho_min = 0 and the walk starts at the
@@ -244,10 +252,10 @@ class TestOptimalReturn:
             "w": F(5),
             "y": F(0),
         }
-        base = compute_min_clearing(net)
+        base = least(net)
         # beyond rho*, the flooded phase makes v solvent and the buyer leaks
         for rho in (F(13, 4), F(4), F(5)):
-            post = compute_min_clearing(
+            post = least(
                 apply_trade(net, ("u", "v"), "w", rho)
             )
             assert post["w"] < base["w"]
@@ -269,7 +277,7 @@ class TestOptimalReturn:
 
 def grid_search_oracle(net, claim_pair, buyer, step=F(1, 100)):
     """Exhaustive creditor-positive search over a rational grid of returns."""
-    base = compute_min_clearing(net)
+    base = least(net)
     debtor, creditor = claim_pair
     claim = net.claim(debtor, creditor)
     rho_min = claim.payment.value_at(base[debtor])
@@ -278,7 +286,7 @@ def grid_search_oracle(net, claim_pair, buyer, step=F(1, 100)):
     rho = rho_min + step
     while rho <= cap:
         traded = apply_trade(net, claim_pair, buyer, rho)
-        post = compute_min_clearing(traded)
+        post = least(traded)
         if post[creditor] > base[creditor] and post[buyer] >= base[buyer]:
             best = rho
         rho += step
@@ -294,7 +302,7 @@ class TestAgainstGridOracle:
         rng = random.Random(8080)
         for _ in range(30):
             net, claim_pair, buyer = random_trade_instance(rng)
-            base = compute_min_clearing(net)
+            base = least(net)
             creditor = claim_pair[1]
             rho_min, cap, grid_best = grid_search_oracle(net, claim_pair, buyer)
             try:
@@ -309,7 +317,7 @@ class TestAgainstGridOracle:
                 assert mine > rho_min
                 # exactness at the returned point
                 traded = apply_trade(net, claim_pair, buyer, mine)
-                post = compute_min_clearing(traded)
+                post = least(traded)
                 assert post.as_dict() == result.post_state.as_dict()
                 assert post[creditor] > base[creditor]
                 assert post[buyer] >= base[buyer]
@@ -322,7 +330,7 @@ class TestAgainstGridOracle:
                 beyond = mine + F(1, 100)
                 if beyond <= cap:
                     traded = apply_trade(net, claim_pair, buyer, beyond)
-                    post = compute_min_clearing(traded)
+                    post = least(traded)
                     assert not (
                         post[creditor] > base[creditor] and post[buyer] >= base[buyer]
                     )
@@ -332,7 +340,7 @@ class TestAgainstGridOracle:
         checked = 0
         for _ in range(160):
             net, claim_pair, buyer = random_trade_instance(rng)
-            base = compute_min_clearing(net)
+            base = least(net)
             try:
                 result = optimal_creditor_positive_return(net, claim_pair, buyer)
             except NoCreditorPositiveTradeError:
@@ -341,7 +349,7 @@ class TestAgainstGridOracle:
             for k in (1, 2, 3):
                 rho = result.rho_min + span * F(k, 3)
                 traded = apply_trade(net, claim_pair, buyer, rho)
-                post = compute_min_clearing(traded)
+                post = least(traded)
                 for v in net.bank_ids():
                     assert post[v] >= base[v]
             checked += 1
@@ -377,16 +385,16 @@ class TestAgainstGridOracle:
             claims=[("w", "z", 3), ("w", "u", 10), ("u", "v", 10)],
             schemes={"w": {"type": "edge_ranking", "order": ["z", "u"]}},
         )
-        base = compute_min_clearing(net)
+        base = least(net)
         assert (base["w"], base["u"]) == (5, 2)
         rho_min = net.claim("u", "v").payment.value_at(base["u"])
         assert rho_min == 2 and min(net.bank("w").external_assets, F(10)) == 5
         traded = apply_trade(net, ("u", "v"), "w", rho_min)
-        least = compute_min_clearing(traded)
-        assert (least["w"], least["u"]) == (3, 0)
+        lowest = least(traded)
+        assert (lowest["w"], lowest["u"]) == (3, 0)
         # the base state still clears the traded network, above its least state
         assert is_clearing_state(traded, base).ok
-        assert least.as_dict() != base.as_dict()
+        assert lowest.as_dict() != base.as_dict()
         with pytest.raises(NoCreditorPositiveTradeError, match="cannot recover"):
             optimal_creditor_positive_return(net, ("u", "v"), "w")
 
