@@ -208,7 +208,7 @@ _COMMANDS = {
                 "dest": "method",
                 "choices": ("flood", "pp"),
                 "default": "pp",
-                "help": "flood: greedy flooding (no default costs); "
+                "help": "flood: the pp maximum, certified by flooding (no default costs); "
                 "pp: priority-proportional descent (default, allows default costs)",
             },
         },

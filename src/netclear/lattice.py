@@ -1,14 +1,17 @@
-"""Navigation of the clearing-state lattice above the minimum.
+"""Navigation of the clearing-state lattice of a network without default
+cost.
 
-Every clearing state of a network without default cost is reachable from the
-minimal one by repeatedly flooding non-singleton sink SCCs of the active
-graph, partially or fully. Flooding to saturation yields the maximal state;
-flooding selectively answers range queries.
-Each walk holds one active graph, built at its start state, and steps its
-assets through ``minimal.advance`` and ``minimal.flood_closure``.
-The minimal state comes from ``minimal.compute_min_clearing``, which walks
-down from the pp maximum by reverse floods: every operation here rejects
-default costs first, and only those need the injection driver.
+Every clearing state is reachable from the minimal one by repeatedly
+flooding non-singleton sink SCCs of the active graph, partially or fully.
+Flooding selectively answers range queries; flooding to saturation, from
+any clearing state, ends at the maximal one. Each walk holds one active
+graph, built at its start state, and steps its assets through
+``minimal.advance`` and ``minimal.flood_closure``.
+Both extremes come from the pp maximum of ``priority``: the maximal state
+is that maximum, with ``flood_closure`` on its active graph as the
+certificate, and ``minimal.compute_min_clearing`` reaches the minimal one
+from it by ``flood_closure`` on its ``left`` graph. Every operation here
+rejects default costs first, and only those need the injection driver.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .clearing import ClearingState, is_clearing_state
 from .graphs import ActiveGraph, active_graph, find_flood_component
 from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork, _Value
+from .priority import compute_max_clearing_pp
 from .rationals import parse_exact
 
 
@@ -73,9 +77,26 @@ def apply_flood_sequence(
 
 
 def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:
-    """Maximal clearing state by greedy saturation of floodable components."""
+    """The maximal clearing state ``x^``: ``flood_closure`` on the active
+    graph of the pp maximum, which floods whatever closed component is left
+    there, so ``--method flood`` checks the counter descent on its own.
+
+    Certificate: a clearing state ``x`` at which no non-singleton SCC of the
+    active (right-slope) graph is closed is ``x^``. Let ``D = {x < x^}``.
+    For ``v`` in ``D``, ``x^_v - x_v`` is the sum of its debtors' payment
+    increments, and debtors outside ``D`` add nothing, as they sit at
+    ``x^``. A bank's total payment is ``min(a, L+)``, as borders start at 0
+    and slopes sum to 1 below ``L+``, so a payment rises by at most its
+    asset increment. Summing over ``D`` makes every inequality tight: each
+    ``u`` in ``D`` pays all of its increment over ``[x_u, x^_u]`` into
+    ``D``, at total slope 1. So just above ``x_u`` every ``u`` in ``D`` has
+    positive right slopes, all into ``D``, and a nonempty ``D`` would hold a
+    closed SCC of the active graph, non-singleton as no bank has a claim on
+    itself. So ``D`` is empty, and ``x = x^``. A flood keeps a clearing
+    state clearing and only raises it, and no clearing state lies above
+    ``x^``, so from any clearing start ``flood_closure`` ends at ``x^``."""
     require_no_default_cost(net, "compute_max_clearing_flood")
-    g = active_graph(net, compute_min_clearing(net).as_dict())
+    g = active_graph(net, compute_max_clearing_pp(net).as_dict())
     flood_closure(g)
     return ClearingState(g.assets)
 

@@ -1,10 +1,12 @@
-"""Minimal clearing state computation.
+"""Minimal clearing state computation, and ``flood_closure``, the one
+flood-to-saturation loop of the package, which raises a state on a graph of
+right slopes and lowers it on a ``left`` one.
 
 ``compute_min_clearing`` takes one of two routes. A network without default
-cost is walked down from the top: the pp maximum, then reverse floods of the
-closed components of the ``left`` active graph until none is left, which
-certifies the least state (proof in its docstring). That route is not
-proved for default costs, so a network with them, and the CLI's
+cost is walked down from the top: the pp maximum, then ``flood_closure`` on
+its ``left`` active graph, which lowers closed components until none is
+left and so certifies the least state (proof in its docstring). That route
+is not proved for default costs, so a network with them, and the CLI's
 ``min-clear``, which reports the driver's step counts, go through
 ``run_min_clearing``, the paper's strongly polynomial injection driver and
 the reference for the route; the rest of this docstring describes it.
@@ -72,8 +74,9 @@ from .rationals import ONE, ZERO
 
 class FloodStep(_Value):
     """A flood of the sink SCC ``component`` along ``direction``, its
-    circulation eigenvector with max entry 1, by ``scale``, the largest
-    multiple before a border binds."""
+    circulation eigenvector with max entry 1 (min entry -1 on a ``left``
+    graph, which lowers the component), by ``scale``, the largest multiple
+    before a border binds."""
 
     __slots__ = ("component", "direction", "scale")
 
@@ -237,30 +240,36 @@ def rewire_solvent_bank(adj: AdjustedNetwork, assets: dict[str, Fraction], u: st
 def border_scale(g: ActiveGraph, rates, limit: Fraction | None = None) -> Fraction | None:
     """Largest ``t <= limit`` for which moving every bank ``u`` by
     ``t * rates[u]`` crosses no payment-function border: the least
-    ``(g.borders[u] - g.assets[u]) / rate`` over the banks with a positive
-    rate and an active out-claim. None when there is neither such a bank nor
-    a limit. Rates, assets and limit may be any rationals, such as a
-    response's integer numerators or a flood's ``Fraction`` direction: each
-    ratio is kept as an integer numerator and positive denominator and
-    compared by cross-multiplication, and one ``Fraction`` is built for the
-    result. The scale never overshoots, so after the move a bank that binds
-    sits exactly on its border."""
+    ``(g.borders[u] - g.assets[u]) / rate`` over the banks with an active
+    out-claim that move toward their border in ``g``, with a positive rate
+    toward the next border above on a graph of right slopes and a negative
+    one toward the lower border on a ``left`` graph. None when there is
+    neither such a bank nor a limit. Rates, assets and limit may be any
+    rationals, such as a response's integer numerators or a flood's
+    ``Fraction`` direction: each ratio is kept as an integer numerator and
+    positive denominator, the side's sign folded into both, and compared by
+    cross-multiplication, and one ``Fraction`` is built for the result. The
+    scale never overshoots, so after the move a bank that binds sits
+    exactly on its border."""
     num = den = None
     if limit is not None:
         num, den = limit.numerator, limit.denominator
+    sign = -1 if g.left else 1
     borders, state = g.borders, g.assets
     for u, rate in rates.items():
-        if rate > 0 and u in borders:
+        toward = rate.numerator * sign
+        if toward > 0 and u in borders:
             border, assets = borders[u], state[u]
             bd, ad = border.denominator, assets.denominator
-            n = (border.numerator * ad - assets.numerator * bd) * rate.denominator
-            d = bd * ad * rate.numerator
+            n = (border.numerator * ad - assets.numerator * bd) * rate.denominator * sign
+            d = bd * ad * toward
             if num is None or n * den < num * d:
                 num, den = n, d
     if num is None:
         return None
-    if num <= 0:  # a fresh border lies strictly above its bank
-        raise errors.InternalInvariantError("no room before a border: stale active graph")
+    if num <= 0:  # a fresh border lies strictly ahead of its bank
+        side = "left" if g.left else "right"
+        raise errors.InternalInvariantError(f"no room before a border: stale {side} graph")
     return Fraction(num, den)
 
 
@@ -268,9 +277,13 @@ def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> FloodStep:
     """Circulation direction and largest feasible scale for flooding a
     non-singleton sink SCC of ``g``. The direction is the Perron vector
     ``d = d M`` of the component's slope matrix, read off its
-    ``response_rows`` (the columns of ``I - M``)."""
+    ``response_rows`` (the columns of ``I - M``), negated on a ``left``
+    graph, whose floods lower the component."""
     members = sorted(component)
-    direction = dict(zip(members, unit_left_nullspace(response_rows(g, members))))
+    direction = unit_left_nullspace(response_rows(g, members))
+    if g.left:
+        direction = [-d for d in direction]
+    direction = dict(zip(members, direction))
     scale = border_scale(g, direction)
     if scale is None:
         raise errors.InternalInvariantError(
@@ -308,13 +321,20 @@ def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
 def flood_closure(g: ActiveGraph, source=None) -> None:
     """Fully flood, in place, every non-singleton sink SCC of ``g`` reachable
     from ``source``, or every one when ``source`` is None, until none is
-    left."""
-    while True:
-        component = find_flood_component(g, source)
-        if component is None:
-            return
-        step = solve_flood_step(g, component)
-        advance(g, step.direction, step.scale)
+    left: upward on a graph of right slopes, downward on a ``left`` one.
+
+    Each pass floods every component of one ``condense``. Two of them are
+    disjoint and closed, and a flood moves and refreshes only its own
+    members, so it leaves the other's members, edges and borders, and the
+    paths from ``source`` to it, as they were: the floods of one pass
+    commute. Each flood lands a bank on a border, and as the state only
+    moves one way no bank lands on one border twice, so the walk ends; and
+    as any two floods open at one state commute, every order of them ends
+    in the same state (Newman's lemma)."""
+    while components := condense(g, source):
+        for component in components:
+            step = solve_flood_step(g, component)
+            advance(g, step.direction, step.scale)
 
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
@@ -500,9 +520,9 @@ def compute_min_clearing(net: FinancialNetwork) -> ClearingState:
     through ``run_min_clearing``, the paper's strongly polynomial injection
     driver, which stays the reference route. Any other network is walked
     down from the top: from the maximal state of
-    ``priority.compute_max_clearing_pp`` (a polynomial counter descent), the
-    closed components of the ``left`` active graph are lowered by reverse
-    floods until none is left.
+    ``priority.compute_max_clearing_pp`` (a polynomial counter descent),
+    ``flood_closure`` lowers the closed components of the ``left`` active
+    graph by reverse floods until none is left.
 
     Certificate: a clearing state ``x`` at which no non-singleton SCC of the
     left-slope graph is closed is ``x*``. Let ``D = {x > x*}``. For ``v`` in
@@ -521,24 +541,13 @@ def compute_min_clearing(net: FinancialNetwork) -> ClearingState:
     ``C`` pay only one another, with row sums 1; where an inactive claim's
     slope changes so does an active one's, as the slopes sum to 1, so the
     lower borders of the active claims bound the segment. So ``x - e d``,
-    with ``d = d M`` the Perron vector of the left slopes (read off
-    ``response_rows`` as in ``solve_flood_step``), clears for every ``e`` up
-    to the first member's landing on its lower border. Closed components are
-    disjoint, so one pass lowers all of them. Every clearing state is at
-    least ``x*``, so the walk never passes it; the state only falls, so each
-    bank passes each border at most once, and the walk ends at ``x*``."""
+    with ``d = d M`` the Perron vector of the left slopes (the direction
+    ``solve_flood_step`` negates on a left graph), clears for every ``e`` up
+    to the first member's landing on its lower border. Every clearing state
+    is at least ``x*``, so the walk never passes it, and it ends (see
+    ``flood_closure``) where the certificate holds: at ``x*``."""
     if net.has_default_cost():
         return run_min_clearing(net).state
     g = active_graph(net, compute_max_clearing_pp(net).as_dict(), left=True)
-    while components := condense(g):
-        for component in components:
-            members = sorted(component)
-            direction = unit_left_nullspace(response_rows(g, members))
-            rates = {u: -d for u, d in zip(members, direction)}
-            scale = min((g.borders[u] - g.assets[u]) / rate for u, rate in rates.items())
-            if scale <= 0:  # a fresh lower border lies strictly below its bank
-                raise errors.InternalInvariantError(
-                    "no room above a lower border: stale left graph"
-                )
-            advance(g, rates, scale)
+    flood_closure(g)
     return ClearingState(g.assets)

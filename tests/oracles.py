@@ -196,12 +196,14 @@ FREE = "free"
 
 def fraction_border_scale(g, rates, limit=None) -> Fraction | None:
     """The least ``(g.borders[u] - g.assets[u]) / rates[u]`` over the banks
-    with a positive rate and a next border, and ``limit``; None when there
+    with a border in ``g`` that move toward it: with a positive rate on a
+    graph of right slopes, whose borders lie above, and a negative one on a
+    ``left`` graph, whose borders lie below; and ``limit``. None when there
     is neither."""
     ratios = [
         Fraction(g.borders[u] - g.assets[u]) / rate
         for u, rate in rates.items()
-        if rate > 0 and u in g.borders
+        if (rate < 0 if g.left else rate > 0) and u in g.borders
     ]
     if limit is not None:
         ratios.append(Fraction(limit))
@@ -837,7 +839,7 @@ def reference_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("flood", "pp"),
         default="pp",
-        help="flood: greedy flooding (no default costs); "
+        help="flood: the pp maximum, certified by flooding (no default costs); "
         "pp: priority-proportional descent (default, allows default costs)",
     )
 

@@ -29,7 +29,7 @@ from netclear.errors import NoCreditorPositiveTradeError
 
 from corpus import example1, example2, example3, random_network, random_trade_instance
 from graph_checks import record_steps
-from oracles import nonunique_banks, to_priority_proportional
+from oracles import flood_maximum, nonunique_banks, to_priority_proportional
 
 GAP_TOLERANCE = F(1, 10**6)
 ORACLE_STEPS = 10**4
@@ -140,7 +140,9 @@ class TestCriterion3MaxClearing:
             minimal = compute_min_clearing(net)
             flood = compute_max_clearing_flood(net)
             descent = compute_max_clearing_pp(net)
-            assert flood.as_dict() == descent.as_dict()
+            # the flood method starts at the descent's state: flooding up
+            # from the driver's least state is the independent route
+            assert flood.as_dict() == descent.as_dict() == flood_maximum(net)
             assert is_clearing_state(net, flood).ok
             assert is_clearing_state(net, descent).ok
             for v in net.bank_ids():

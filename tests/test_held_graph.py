@@ -1,10 +1,11 @@
-"""The walks above the minimal state hold one active graph.
+"""The walks through the clearing states hold one active graph.
 
-``compute_max_clearing_flood``, ``solve_range_clearing``,
+``compute_max_clearing_flood`` (at the pp maximum), ``solve_range_clearing``,
 ``apply_flood_sequence`` and the trade walk build one active graph each,
 beyond the builds of the min-clears they run, and move it along with the
-state through ``minimal.advance``. After every ``advance`` the held graph
-must equal a fresh build.
+state through ``minimal.advance``, as the top-down ``compute_min_clearing``
+does on its ``left`` graph. After every ``advance`` the held graph must
+equal a fresh build of its own kind.
 """
 
 import random
@@ -22,7 +23,7 @@ from netclear import (
 )
 from netclear.errors import NoCreditorPositiveTradeError, NotASinkComponentError
 
-from corpus import random_network, random_trade_instance
+from corpus import random_network, random_trade_instance, ringed_network
 from graph_checks import check_advance_freshness, count_builds
 from oracles import exists_creditor_positive
 
@@ -105,30 +106,41 @@ class TestOneBuildPerWalk:
             walks += 1
 
 
+def walk_above_the_minimum(net, rng) -> None:
+    """The least and greatest states of ``net``, each checked against a
+    second route, then a range query and a flood sequence between them."""
+    low = compute_min_clearing(net)
+    # the walks' min-clears go top-down: check the driver's steps too
+    assert dict(run_min_clearing(net).state) == dict(low)
+    high = compute_max_clearing_flood(net)
+    assert is_clearing_state(net, high).ok
+    moving = [v for v in net.bank_ids() if low[v] != high[v]]
+    if not moving:
+        return
+    picks = rng.sample(moving, min(2, len(moving)))
+    spec = {v: ((low[v] + high[v]) / 2, high[v]) for v in picks}
+    result = solve_range_clearing(net, spec)
+    assert result.feasible and is_clearing_state(net, result.state).ok
+    steps = [(v, F(rng.randint(0, 4), 4)) for v in picks]
+    try:
+        state = apply_flood_sequence(net, low, steps)
+    except NotASinkComponentError:  # a pick outside a sink SCC
+        return
+    assert is_clearing_state(net, state).ok
+
+
 class TestHeldGraphStaysFresh:
     def test_walks_on_corpus(self, monkeypatch):
         counts = check_advance_freshness(monkeypatch)
         rng = random.Random(4242)
         for _ in range(40):
             net = random_network(rng, max_banks=6, max_external=1, edge_prob=0.7)
-            low = compute_min_clearing(net)
-            # the walks' min-clears go top-down: check the driver's steps too
-            assert dict(run_min_clearing(net).state) == dict(low)
-            high = compute_max_clearing_flood(net)
-            assert is_clearing_state(net, high).ok
-            moving = [v for v in net.bank_ids() if low[v] != high[v]]
-            if not moving:
-                continue
-            picks = rng.sample(moving, min(2, len(moving)))
-            spec = {v: ((low[v] + high[v]) / 2, high[v]) for v in picks}
-            result = solve_range_clearing(net, spec)
-            assert result.feasible and is_clearing_state(net, result.state).ok
-            steps = [(v, F(rng.randint(0, 4), 4)) for v in picks]
-            try:
-                state = apply_flood_sequence(net, low, steps)
-            except NotASinkComponentError:  # a pick outside a sink SCC
-                continue
-            assert is_clearing_state(net, state).ok
+            walk_above_the_minimum(net, rng)
+        # rings that stay filled at the maximum give the reverse floods of
+        # the top-down min-clears
+        rings_rng = random.Random("held-rings")
+        for _ in range(60):
+            walk_above_the_minimum(ringed_network(rings_rng), rings_rng)
         for _ in range(30):
             net, pair, buyer = random_trade_instance(rng)
             exists_creditor_positive(net, pair, buyer)
@@ -136,4 +148,4 @@ class TestHeldGraphStaysFresh:
             net = random_network(rng, max_banks=6, default_cost=True)
             run_min_clearing(net)
         assert counts["calls"] > 100 and counts["landed"] > 50
-        assert counts["reverse"] >= 10
+        assert counts["reverse"] >= 10, counts

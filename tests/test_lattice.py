@@ -1,4 +1,4 @@
-"""Flood sequences, greedy-flood maximal clearing, and range clearing."""
+"""Flood sequences, the flood maximal clearing, and range clearing."""
 
 import random
 from fractions import Fraction as F

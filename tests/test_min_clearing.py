@@ -247,7 +247,8 @@ class TestStepArithmetic:
     """``border_scale`` and ``advance`` agree with plain ``Fraction``
     arithmetic on random states: the same scale, the same assets and the
     same landed banks, for a response's integer rates over its common
-    denominator, for ``Fraction`` rates and for rates that tie."""
+    denominator, for ``Fraction`` rates and for rates that tie, on graphs
+    of right slopes and on ``left`` graphs, whose borders lie below."""
 
     @staticmethod
     def random_state(rng, net):
@@ -285,14 +286,14 @@ class TestStepArithmetic:
 
         monkeypatch.setattr(minimal, "refresh_banks", recorded)
         rng = random.Random(1313)
-        seen = {"response": 0, "den_above_1": 0, "limit_binds": 0, "ties": 0}
-        for trial in range(600):
+        seen = {"response": 0, "den_above_1": 0, "limit_binds": 0, "ties": 0, "left": 0}
+        for trial in range(800):
             net = random_network(rng, max_banks=8)
             state = self.random_state(rng, net)
-            g = active_graph(net, state)
+            kind = trial % 4
+            g = active_graph(net, state, left=kind == 3)
             if not g.borders:
                 continue
-            kind = trial % 3
             limit = F(rng.randint(1, 40), rng.randint(1, 9)) if rng.random() < 0.6 else None
             if kind == 0:
                 v = rng.choice(sorted(state))
@@ -309,7 +310,7 @@ class TestStepArithmetic:
                 rates, scale = step.rates, step.scale
                 expected, landed = fraction_advance(g, slopes, step.delta)
             else:
-                if kind == 1:
+                if kind == 1 or (kind == 3 and trial % 8 == 3):
                     rates = {
                         u: F(rng.randint(-3, 6), rng.randint(1, 5)) for u in state
                     }
@@ -321,6 +322,7 @@ class TestStepArithmetic:
                     continue
                 assert type(scale) is F
                 expected, landed = fraction_advance(g, rates, scale)
+                seen["left"] += bool(g.left and landed)
             seen["limit_binds"] += not landed
             seen["ties"] += len(landed) > 1
             refreshed.clear()
@@ -570,6 +572,17 @@ class TestActiveGraphReuse:
             assert events.count("find_flood_component") <= floods + rewires + 1
             assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
         assert events[0] == "rewire_solvent_bank"
+
+    def test_unrefreshed_border_fails_loudly(self, monkeypatch):
+        """Without refreshes a bank that landed keeps the border it sits on,
+        so the next step finds no room before it: ``border_scale`` raises,
+        naming the right side, instead of stepping by zero."""
+        from netclear import minimal
+        from netclear.errors import InternalInvariantError
+
+        monkeypatch.setattr(minimal, "refresh_banks", lambda g, banks: None)
+        with pytest.raises(InternalInvariantError, match="stale right graph"):
+            run_min_clearing(example3())
 
     def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal

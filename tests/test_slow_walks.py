@@ -3,7 +3,8 @@ benchmark networks at the hold-out seed, with the held active graph compared
 with a fresh build after every ``minimal.advance``. Run it with
 ``python -m pytest -m slow``; the default run leaves it out.
 
-Per network: the flood maximum must equal the pp maximum exactly; one range
+Per network: the flood maximum must equal the pp maximum exactly, and so
+must ``flood_closure`` run up from the minimal state; one range
 query with every target interval running from the midpoint of a bank's
 minimal and maximal assets up to the maximal ones; and one optimal claims
 trade, whose post-trade state must equal the least state of
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 from netclear import (
+    active_graph,
     apply_trade,
     compute_max_clearing_flood,
     compute_max_clearing_pp,
@@ -29,6 +31,7 @@ from netclear import (
 )
 from netclear.errors import NoCreditorPositiveTradeError
 from netclear.io import parse_network
+from netclear.minimal import flood_closure
 
 from graph_checks import check_advance_freshness
 
@@ -80,6 +83,9 @@ def test_walks_on_lattice_rings_holdout_networks(tmp_path, monkeypatch):
         high = compute_max_clearing_flood(net)
         assert dict(high) == dict(compute_max_clearing_pp(net))
         assert is_clearing_state(net, high).ok
+        lifted = active_graph(net, low.as_dict())
+        flood_closure(lifted)
+        assert lifted.assets == dict(high)
 
         open_banks = sorted(v for v in net.bank_ids() if low[v] != high[v])
         chosen = rng.sample(open_banks, min(4, len(open_banks)))

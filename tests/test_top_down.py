@@ -1,7 +1,8 @@
 """The top-down route of ``compute_min_clearing`` on networks without default
 cost: the pp maximum, then reverse floods on the ``left`` active graph until
 no closed non-singleton component is left (the certificate and its proof are
-in the function's docstring).
+in the function's docstring). ``compute_max_clearing_flood`` runs the same
+``flood_closure`` upward on the active graph of the pp maximum.
 
 - ``PaymentFunction.lower_segment`` against the ``Fraction`` scan of the
   oracles;
@@ -10,6 +11,7 @@ in the function's docstring).
 - the route against the injection driver on 2,400 seeded networks, with the
   held left graph compared with a fresh left build after every reverse
   flood;
+- the flood maximum lifted from the least state in place of the pp maximum;
 - a left graph that is not refreshed fails loudly.
 """
 
@@ -21,10 +23,12 @@ import pytest
 from netclear import (
     active_graph,
     build_network,
+    compute_max_clearing_flood,
     compute_max_clearing_pp,
     compute_min_clearing,
     condense,
     graphs,
+    lattice,
     minimal,
     run_min_clearing,
 )
@@ -190,6 +194,22 @@ class TestDifferential:
         low = compute_min_clearing(net)
         assert dict(low) == dict(run_min_clearing(net).state)
         assert sum(1 for components in passes if components) >= 2
+
+
+class TestFloodMaximum:
+    def test_lifts_a_low_start(self, corpus, monkeypatch):
+        """``flood_closure`` on the active graph of any clearing state ends
+        at the greatest one: started at the least state in place of the pp
+        maximum, the flood maximum still equals the pp maximum."""
+        monkeypatch.setattr(
+            lattice, "compute_max_clearing_pp", lambda net: run_min_clearing(net).state
+        )
+        lifted = 0
+        for net, least, greatest in corpus:
+            if least.as_dict() != greatest.as_dict():
+                assert list(compute_max_clearing_flood(net).items()) == list(greatest.items())
+                lifted += 1
+        assert lifted >= 300
 
 
 class TestStaleLeftGraph:
