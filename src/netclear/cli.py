@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from . import io as netio
 from . import errors
-from .clearing import bottom_iterate, top_iterate
+from .clearing import bottom_iterate, is_clearing_state, top_iterate
 from .lattice import compute_max_clearing_flood, solve_range_clearing
 from .minimal import run_min_clearing
 from .priority import compute_max_clearing_pp
@@ -89,6 +89,17 @@ def _emit(doc: dict) -> None:
     sys.stdout.flush()
 
 
+def _checked(net, state):
+    """``state``, once the asset map of ``net`` leaves it in place."""
+    moved = is_clearing_state(net, state).violations
+    if moved:
+        raise errors.InternalInvariantError(
+            "emitted state is not a clearing state: the asset map moves "
+            f"{len(moved)} bank(s), first {moved[0][0]!r}"
+        )
+    return state
+
+
 def _run_validate(args, net) -> int:
     _emit(
         netio.result_document(
@@ -107,7 +118,7 @@ def _run_min_clear(args, net) -> int:
         netio.result_document(
             "min-clear",
             net,
-            run.state,
+            _checked(net, run.state),
             step_count=run.step_count,
             flood_count=run.flood_count,
         )
@@ -120,7 +131,7 @@ def _run_max_clear(args, net) -> int:
         state = compute_max_clearing_flood(net)
     else:
         state = compute_max_clearing_pp(net)
-    _emit(netio.result_document(f"max-clear:{args.method}", net, state))
+    _emit(netio.result_document(f"max-clear:{args.method}", net, _checked(net, state)))
     return 0
 
 
@@ -133,7 +144,7 @@ def _run_range(args, net) -> int:
         detail += ")"
         print(detail, file=sys.stderr)
         return 1
-    _emit(netio.result_document("range", net, result.state))
+    _emit(netio.result_document("range", net, _checked(net, result.state)))
     return 0
 
 
@@ -149,7 +160,7 @@ def _run_trade(args, net) -> int:
             netio.result_document(
                 "trade",
                 traded,
-                post,
+                _checked(traded, post),
                 extra={"return": exact_str(rho), "creditor_positive": positive},
             )
         )
@@ -164,7 +175,7 @@ def _run_trade(args, net) -> int:
         netio.result_document(
             "trade",
             traded,
-            result.post_state,
+            _checked(traded, result.post_state),
             extra={
                 "rho_min": exact_str(result.rho_min),
                 "rho_star": exact_str(result.rho_star),

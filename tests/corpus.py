@@ -66,11 +66,13 @@ def random_network(
     edge_prob: float | None = None,
     min_banks: int = 2,
     liability_dens=None,
+    min_liability: int = 1,
 ) -> FinancialNetwork:
     """A random network. ``liability_dens`` (default: integer liabilities)
     divides each liability by a denominator drawn from it; a ``schemes``
-    kind ``"piecewise"`` draws a ``piecewise_scheme``. Neither draws from
-    ``rng`` unless asked for, so the networks of existing seeds stay as they
+    kind ``"piecewise"`` draws a ``piecewise_scheme``; ``min_liability=0``
+    draws claims of zero liability too. None of them draws from ``rng``
+    unless asked for, so the networks of existing seeds stay as they
     were."""
     n = rng.randint(min_banks, max_banks)
     ids = [f"b{i}" for i in range(n)]
@@ -81,7 +83,7 @@ def random_network(
         for creditor in ids:
             if debtor == creditor or rng.random() >= prob:
                 continue
-            liability = rng.randint(1, max_liability)
+            liability = rng.randint(min_liability, max_liability)
             if liability_dens is not None:
                 liability = Fraction(liability, rng.choice(liability_dens))
             claims.append((debtor, creditor, liability))

@@ -397,6 +397,7 @@ class TestCriterion8Scale:
         descent_time = time.monotonic() - started
         assert descent_time < 30.0
         assert flood.as_dict() == descent.as_dict()
+        assert is_clearing_state(net, descent).ok
         ok(
             "criterion 8 (n=100, m=400)",
             f"min {min_time:.1f}s, flood {flood_time:.1f}s, descent {descent_time:.1f}s",

@@ -11,6 +11,13 @@ Value mutations set a liability, an external asset or a haircut rate to
 another valid value and run ``max-clear --method flood`` and
 ``trade --return``: every flood state must clear the network, and every
 trade document must clear the traded network.
+
+Edge networks are valid documents the other corpora never draw: claims of
+zero liability, and a third of them with haircuts below 1 on every bank.
+Every command runs on each of them, none may exit 3, and the routes must
+agree: ``min-clear`` with a converged bottom iteration, and without default
+cost with ``compute_min_clearing`` (the injection driver against the
+top-down route), and ``max-clear`` under ``pp`` with ``flood``.
 """
 
 import contextlib
@@ -26,10 +33,12 @@ from pathlib import Path
 from netclear.cli import main
 from netclear.clearing import is_clearing_state
 from netclear.io import parse_network
+from netclear.minimal import compute_min_clearing
 from netclear.model import validate_network
+from netclear.rationals import exact_str
 from netclear.trade import apply_trade
 
-from corpus import ALL_SCHEME_KINDS, random_network, serialize_network
+from corpus import ALL_SCHEME_KINDS, HAIRCUT_ALPHAS, random_network, serialize_network
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,6 +60,9 @@ VALID_VALUES = {
     "beta": (0, "1/2", 1),
 }
 RETURNS = ("0", "1/2", "1")
+# haircut rates below 1, so that every bank of an edge network keeps less
+# than its assets in default
+BELOW_ONE_ALPHAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def _bench_workloads():
@@ -272,3 +284,87 @@ def test_deep_nesting_exits_2(tmp_path):
             assert run([*command, str(network)]) == (
                 2, "", "error: invalid JSON: nested too deeply\n"
             ), command
+
+
+def edge_networks(rng, count):
+    """Small mixed-scheme networks with zero liabilities drawn among the
+    others: a third without default cost, a third with the usual haircut
+    rates and a third with rates below 1 on every bank."""
+    for i in range(count):
+        yield random_network(
+            rng,
+            max_banks=6,
+            max_liability=4,
+            max_external=2,
+            min_liability=0,
+            schemes=ALL_SCHEME_KINDS,
+            default_cost=i % 3 != 0,
+            alphas=BELOW_ONE_ALPHAS if i % 3 == 2 else HAIRCUT_ALPHAS,
+            edge_prob=rng.choice((None, 0.5, 0.8)),
+        )
+
+
+def test_edge_networks_through_every_command(tmp_path):
+    rng = random.Random(33)
+    network, targets = str(tmp_path / "network.json"), str(tmp_path / "targets.json")
+    counts = dict.fromkeys(
+        ("zero_claims", "all_haircut", "converged", "plain", "range", "trade", "return"), 0
+    )
+    for net in edge_networks(rng, 300):
+        with open(network, "w", encoding="utf-8") as handle:
+            json.dump(serialize_network(net), handle)
+        counts["zero_claims"] += any(claim.liability == 0 for claim in net.claims)
+        counts["all_haircut"] += all(
+            bank.alpha < 1 and bank.beta < 1 for bank in net.banks.values()
+        )
+
+        def state_of(*command):
+            """The exit code of ``command`` and the state it wrote, or None."""
+            code, out, err = run([*command, network])
+            assert code != 3, (command, err)
+            return code, emitted_state(out) if out else None
+
+        assert state_of("validate")[0] == 0
+        (low_code, low), (high_code, high) = state_of("min-clear"), state_of("max-clear")
+        assert low_code == high_code == 0
+        code, bottom = state_of("oracle", "--direction", "bottom", "--steps", "200")
+        if code == 0:
+            assert bottom == low
+            counts["converged"] += 1
+        state_of("oracle", "--direction", "top", "--steps", "200")
+        flood = state_of("max-clear", "--method", "flood")[1]
+        if not net.has_default_cost():
+            assert low == dict(compute_min_clearing(net))
+            assert flood == high
+            counts["plain"] += 1
+        bank = rng.choice(net.bank_ids())
+        lo, hi = exact_str((low[bank] + high[bank]) / 2), exact_str(high[bank])
+        with open(targets, "w", encoding="utf-8") as handle:
+            json.dump({"targets": [{"bank": bank, "lo": lo, "hi": hi}]}, handle)
+        counts["range"] += state_of("range", "--targets", targets)[1] is not None
+        # trades to a buyer with cash: every one whose seller pays the buyer
+        # at the margin, so that a return can come back, and one drawn from
+        # all of them
+        pairs = [
+            (claim.pair, w)
+            for claim in net.claims
+            for w in net.bank_ids()
+            if w not in claim.pair
+            and not net.has_claim(claim.debtor, w)
+            and net.bank(w).external_assets > 0
+        ]
+        chosen = [
+            ((u, v), w)
+            for (u, v), w in pairs
+            if net.has_claim(v, w) and net.claim(v, w).payment.slope_at(low[v]) > 0
+        ]
+        chosen += [rng.choice(pairs)] if pairs else []
+        for (debtor, creditor), buyer in chosen:
+            trade = ("trade", "--claim", debtor, creditor, "--buyer", buyer)
+            counts["trade"] += state_of(*trade)[1] is not None
+            cap = min(net.bank(buyer).external_assets, net.claim(debtor, creditor).liability)
+            rho = exact_str(cap * rng.randint(0, 4) / 4)
+            counts["return"] += state_of(*trade, "--return", rho)[1] is not None
+    # creditor-positive trades are rare even among the chosen ones
+    trades = counts.pop("trade")
+    assert trades >= 10 and min(counts.values()) >= 100, (trades, counts)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from netclear import ClearingState, build_network, is_clearing_state, validate_n
 from netclear import cli
 from netclear.cli import main
 from netclear.errors import InternalInvariantError, ParseError
-from netclear.minimal import compute_min_clearing
+from netclear.lattice import RangeResult
+from netclear.minimal import MinClearingRun, compute_min_clearing
 from netclear.priority import compute_max_clearing_pp
 from netclear.io import (
     dump_document,
@@ -29,6 +31,7 @@ from netclear.io import (
     result_document,
 )
 from netclear.rationals import MAX_DIGITS, decimal_str, parse_exact
+from netclear.trade import TradeResult
 
 from corpus import random_network, serialize_network
 from oracles import localcontext_decimal_str, reference_parser
@@ -405,6 +408,32 @@ class TestResultDocument:
         assert is_clearing_state(net, state).ok
 
 
+TRADE_ARGS = ("--claim", "u", "v", "--buyer", "w")
+
+
+def raised(state):
+    """``state`` with its first bank id raised by 1/7. The asset map moves it
+    back, as a bank's own assets do not enter its image."""
+    assets = state.as_dict()
+    assets[min(assets)] += F(1, 7)
+    return ClearingState(assets)
+
+
+# Each solver the CLI calls, as the wrapper that raises the state in its result.
+PLANTED = {
+    "run_min_clearing": lambda run: MinClearingRun(
+        raised(run.state), run.step_count, run.flood_count
+    ),
+    "compute_max_clearing_pp": raised,
+    "compute_max_clearing_flood": raised,
+    "solve_range_clearing": lambda r: RangeResult(True, raised(r.state), None, None, None),
+    "evaluate_return": lambda r: (r[0], raised(r[1]), r[2]),
+    "optimal_creditor_positive_return": lambda r: TradeResult(
+        r.rho_min, r.rho_star, raised(r.post_state)
+    ),
+}
+
+
 class TestCli:
     def test_validate(self, example3_file, capsys):
         assert main(["validate", example3_file]) == 0
@@ -644,6 +673,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: ValueError('need a square system')\n"
+
+    @pytest.mark.parametrize(
+        "solver, argv",
+        [
+            ("run_min_clearing", ["min-clear", "{example3}"]),
+            ("compute_max_clearing_pp", ["max-clear", "{example3}", "--method", "pp"]),
+            ("compute_max_clearing_flood", ["max-clear", "{example3}", "--method", "flood"]),
+            ("solve_range_clearing", ["range", "{two_cycle}", "--targets", "{targets}"]),
+            ("evaluate_return", ["trade", "{trade}", *TRADE_ARGS, "--return", "3/2"]),
+            ("evaluate_return", ["trade", "{trade}", *TRADE_ARGS, "--return", "1"]),
+            ("optimal_creditor_positive_return", ["trade", "{trade}", *TRADE_ARGS]),
+        ],
+        ids=[
+            "min-clear", "max-clear-pp", "max-clear-flood", "range", "trade-return-exit-0",
+            "trade-return-exit-1", "trade-optimal",
+        ],
+    )
+    def test_emitted_state_off_the_fixed_point_exit_3(
+        self, solver, argv, example3_file, two_cycle_file, trade_walk_file, tmp_path,
+        monkeypatch, capsys,
+    ):
+        """Each solver's state is raised at one bank by 1/7 on its way to
+        the CLI, which the asset map then moves back: the CLI's one check
+        refuses it, and nothing reaches stdout."""
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [{"bank": "a", "lo": "1/2", "hi": 1}]}))
+        files = {"example3": example3_file, "two_cycle": two_cycle_file,
+                 "trade": trade_walk_file, "targets": str(targets)}
+        real, plant = getattr(cli, solver), PLANTED[solver]
+        monkeypatch.setattr(cli, solver, lambda *args: plant(real(*args)))
+        assert main([arg.format(**files) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line; the raised bank comes first in each example, and its
+        # creditors move with it
+        assert re.fullmatch(
+            r"internal error: emitted state is not a clearing state: the asset map "
+            r"moves [1-4] bank\(s\), first '[ua]'\n",
+            captured.err,
+        )
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_exit_2(self, example3_file, unbuffered):

@@ -510,6 +510,7 @@ class TestJump:
         for net in held_system_networks():
             rounds.clear()
             state = compute_max_clearing_pp(net)
+            assert is_clearing_state(net, state).ok
             jumps += assert_jumps_sound(rounds, state)
             checked += len(rounds)
         rng = random.Random(1913)
@@ -620,6 +621,7 @@ class TestGreatest:
             )
             held.clear()
             x = compute_max_clearing_pp(net).as_dict()
+            assert is_clearing_state(net, x).ok
             if not default_cost:
                 assert find_flood_component(active_graph(net, dict(x))) is None
                 if i % 3 == 0:
@@ -679,6 +681,7 @@ class TestRounds:
             held.clear()
             rounds.clear()
             x = compute_max_clearing_pp(net).as_dict()
+            assert is_clearing_state(net, x).ok
             structure = priority_structure(net)
             s = None
             for counters, t, a in rounds:
@@ -793,7 +796,7 @@ class TestIntegerRows:
             net = random_network(
                 rng, max_external=1, edge_prob=0.9, default_cost=True, alphas=ZERO_RATE_ALPHAS
             )
-            compute_max_clearing_pp(net)
+            assert is_clearing_state(net, compute_max_clearing_pp(net)).ok
         assert counts["zero"] == 0
         assert counts["zero_beta_rows"] >= 1000 and counts["entries"] >= 5000, counts
 

@@ -264,6 +264,36 @@ def test_io_imports_no_solver():
     assert sorted(imported & solvers) == []
 
 
+FIXED_POINT_CHECK = "is_clearing_state"
+
+
+def test_fixed_point_check_sites():
+    # The CLI checks every state it writes, once. Besides it, only the flood
+    # sequence checks the start state its caller supplies, and the min-clear
+    # driver its working state under ``check_invariant``; a solver that
+    # checks its own result again fails here.
+    uses, importers = set(), set()
+    for path in sorted((ROOT / "src" / "netclear").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                if any(alias.name == FIXED_POINT_CHECK for alias in node.names):
+                    importers.add(path.stem)
+                continue
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, ast.FunctionDef):
+                    name = sub.name
+                if name == FIXED_POINT_CHECK:
+                    uses.add((path.stem, getattr(node, "name", None)))
+    assert uses == {
+        ("clearing", FIXED_POINT_CHECK),
+        ("cli", "_checked"),
+        ("lattice", "apply_flood_sequence"),
+        ("minimal", "run_min_clearing"),
+    }
+    assert importers == {"__init__", "cli", "lattice", "minimal"}
+
+
 def test_package_reexports_resolve():
     # ``__init__`` has no ``__all__``: its public names are those of its
     # ``from .x import ...`` lines, read from the source so that a lazy

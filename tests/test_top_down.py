@@ -7,7 +7,7 @@ in the function's docstring). ``compute_max_clearing_flood`` runs the same
 - ``PaymentFunction.lower_segment`` against the ``Fraction`` scan of the
   oracles;
 - the certificate, on the least state of ``run_min_clearing`` and on the pp
-  maximum;
+  maximum, both checked as fixed points first;
 - the route against the injection driver on 2,400 seeded networks, with the
   held left graph compared with a fresh left build after every reverse
   flood;
@@ -28,6 +28,7 @@ from netclear import (
     compute_min_clearing,
     condense,
     graphs,
+    is_clearing_state,
     lattice,
     minimal,
     run_min_clearing,
@@ -143,6 +144,7 @@ class TestCertificate:
     def test_holds_at_the_least_state_and_fails_above_it(self, corpus):
         gaps = 0
         for net, least, greatest in corpus:
+            assert is_clearing_state(net, least).ok and is_clearing_state(net, greatest).ok
             assert _closed_components(net, least) == ()
             if least.as_dict() != greatest.as_dict():
                 assert _closed_components(net, greatest) != ()
