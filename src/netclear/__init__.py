@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .clearing import (
     ClearingState,
     bottom_iterate,
-    incoming_assets,
     is_clearing_state,
     payments,
     phi,
@@ -20,7 +19,6 @@ from .clearing import (
 from .graphs import active_graph, condense, find_flood_component, reachable_from
 from .lattice import (
     RangeResult,
-    apply_flood_sequence,
     compute_max_clearing_flood,
     solve_range_clearing,
 )

@@ -1,4 +1,8 @@
-"""The clearing fixed-point map, state verification, and iteration oracles."""
+"""The clearing fixed-point map ``phi``, the exact check
+``is_clearing_state``, which the CLI runs once on every state it writes, and
+the iteration oracles. Both read each bank's external assets off the
+network it is given: a state with other externals, such as the injection
+driver's working state, is checked against a network built with them."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from fractions import Fraction
 
 from . import errors
 from .model import FinancialNetwork, _Value
-from .rationals import ZERO, exact_sum, sum_ratio
+from .rationals import ZERO, sum_ratio
 
 
 class ClearingState(Mapping):
@@ -42,19 +46,7 @@ def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fra
     return {c.pair: c.payment.value_at(state[c.debtor]) for c in net.claims}
 
 
-def _inflow(net: FinancialNetwork, state: Mapping, v: str) -> Fraction:
-    """Payments ``v`` receives at ``state``."""
-    return exact_sum(
-        claim.payment.value_at(state[claim.debtor]) for claim in net.in_claims(v)
-    )
-
-
-def incoming_assets(net: FinancialNetwork, state: Mapping, v: str, externals=None) -> Fraction:
-    ext = net.bank(v).external_assets if externals is None else externals[v]
-    return ext + _inflow(net, state, v)
-
-
-def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
+def phi(net: FinancialNetwork, state: Mapping) -> ClearingState:
     """One application of the asset-axiom map: a bank keeps its full incoming
     assets when they cover its liabilities, and the haircut assets otherwise.
 
@@ -63,8 +55,7 @@ def phi(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingState:
     ``Fraction``."""
     result: dict[str, Fraction] = {}
     for v, bank in net.banks.items():
-        ext = bank.external_assets if externals is None else externals[v]
-        en, ed = ext.as_integer_ratio()
+        en, ed = bank.external_assets.as_integer_ratio()
         fn, fd = sum_ratio(
             claim.payment.value_at(state[claim.debtor]) for claim in net.in_claims(v)
         )
@@ -91,8 +82,8 @@ class ClearingCheck(_Value):
         return self.ok
 
 
-def is_clearing_state(net: FinancialNetwork, state: Mapping, externals=None) -> ClearingCheck:
-    image = phi(net, state, externals)
+def is_clearing_state(net: FinancialNetwork, state: Mapping) -> ClearingCheck:
+    image = phi(net, state)
     bad = tuple(
         (v, image[v], state[v]) for v in net.bank_ids() if image[v] != state[v]
     )

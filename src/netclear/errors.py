@@ -96,14 +96,6 @@ class NotSolventError(NetclearError):
     """Rewiring was requested for a bank that is not solvent."""
 
 
-class NotAClearingStateError(NetclearError):
-    """A state that must be a clearing state failed verification."""
-
-
-class NotASinkComponentError(NetclearError):
-    """The selected component is not a non-singleton sink SCC."""
-
-
 class InvalidSpecError(NetclearError, ValueError):
     """A range specification is malformed."""
 

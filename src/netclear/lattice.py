@@ -6,7 +6,9 @@ flooding non-singleton sink SCCs of the active graph, partially or fully.
 Flooding selectively answers range queries; flooding to saturation, from
 any clearing state, ends at the maximal one. Each walk holds one active
 graph, built at its start state, and steps its assets through
-``minimal.advance`` and ``minimal.flood_closure``.
+``minimal.advance`` and ``minimal.flood_closure``. A walk by arbitrary
+partial floods, which no command runs, is a test helper
+(``tests/oracles.apply_flood_sequence``).
 Both extremes come from the pp maximum of ``priority``: the maximal state
 is that maximum, with ``flood_closure`` on its active graph as the
 certificate, and ``minimal.compute_min_clearing`` reaches the minimal one
@@ -17,7 +19,7 @@ rejects default costs first, and only those need the injection driver.
 from __future__ import annotations
 
 from . import errors
-from .clearing import ClearingState, is_clearing_state
+from .clearing import ClearingState
 from .graphs import ActiveGraph, active_graph, find_flood_component
 from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork, _Value
@@ -43,37 +45,6 @@ def _own_sink_flood(g: ActiveGraph, v: str) -> FloodStep | None:
     if component is None or v not in component:
         return None
     return solve_flood_step(g, component)
-
-
-def apply_flood_sequence(
-    net: FinancialNetwork,
-    start: ClearingState,
-    steps,
-) -> ClearingState:
-    """Apply partial flood steps to a clearing state.
-
-    ``steps`` is an iterable of ``(bank_id, fraction)``: the SCC currently
-    containing the bank is flooded by ``fraction`` of its maximal feasible
-    scale. Every intermediate state is again a clearing state, exactly.
-    """
-    require_no_default_cost(net, "apply_flood_sequence")
-    check = is_clearing_state(net, start)
-    if not check.ok:
-        raise errors.NotAClearingStateError(
-            f"start state is not a clearing state: {check.violations}"
-        )
-    g = active_graph(net, dict(start))
-    for bank_id, fraction in steps:
-        fraction = parse_exact(fraction)
-        if not (0 <= fraction <= 1):
-            raise ValueError("flood fractions must lie in [0, 1]")
-        step = _own_sink_flood(g, bank_id)
-        if step is None:
-            raise errors.NotASinkComponentError(
-                f"component of {bank_id!r} is not a non-singleton sink SCC"
-            )
-        advance(g, step.direction, fraction * step.scale)
-    return ClearingState(g.assets)
 
 
 def compute_max_clearing_flood(net: FinancialNetwork) -> ClearingState:

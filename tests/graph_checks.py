@@ -11,13 +11,20 @@
   ``run_min_clearing``.
 - ``record_steps`` records the flood and increase steps that
   ``run_min_clearing`` applies, in order.
+- ``working_network`` is the injection driver's working network with the
+  externals injected so far, the network its working assets solve.
+- ``check_driver`` checks the injection driver ``run_min_clearing`` step by
+  step: the graph each increase step reads, the flood search beside each
+  response, the working state after each step and rewire, and the state
+  the run returns.
 """
 
 from __future__ import annotations
 
 import sys
 
-from netclear import graphs, minimal
+from netclear import clearing, graphs, minimal
+from netclear.model import Bank, assemble
 
 
 def _rebind(monkeypatch, original, replacement) -> None:
@@ -105,3 +112,113 @@ def record_steps(monkeypatch) -> list:
     for solve in (minimal.solve_flood_step, minimal.solve_increase_step):
         _rebind(monkeypatch, solve, recording(solve))
     return steps
+
+
+def working_network(adj):
+    """``adj``'s working network with the externals injected so far,
+    ``adj.injected``, as its banks' external assets. Every working bank has
+    ``alpha = beta = 1``, so the driver's working assets are a fixed point
+    of this network exactly."""
+    banks = [Bank(v, adj.injected[v]) for v in adj.network.bank_ids()]
+    return assemble(banks, adj.network.claims)
+
+
+def _check_working_state(adj, assets, before) -> None:
+    """``assets`` is a fixed point of ``working_network(adj)``, and no bank
+    that ``before`` holds fell."""
+    fell = sorted(v for v in assets if v in before and assets[v] < before[v])
+    assert not fell, f"working assets fell at {fell}"
+    check = clearing.is_clearing_state(working_network(adj), assets)
+    assert check.ok, f"working state lost the fixed-point invariant: {check.violations}"
+
+
+def check_driver(monkeypatch) -> dict:
+    """Wrap, in every ``netclear`` namespace that binds them, the functions
+    ``run_min_clearing`` calls, and check each call inside a run:
+
+    - before each ``solve_increase_step`` the graph must belong to the
+      working network and equal a fresh ``active_graph`` build at its
+      assets, in its active claims, their slopes and its borders;
+    - after it, the step must be None exactly when the driver's
+      ``find_flood_component`` finds a flood from the source;
+    - after each ``advance`` and each ``rewire_solvent_bank``, the working
+      assets must be a fixed point of the working network under
+      ``adj.injected``, and no working bank that survives may fall;
+    - the state the run returns must be a clearing state of its network.
+
+    Call the driver through a rebound name, such as
+    ``netclear.run_min_clearing``, or through a solver that runs it: a test
+    module's own ``from netclear import run_min_clearing`` is not rebound,
+    and a run through it fails. Defects planted into ``minimal`` before the
+    call are wrapped and checked in turn. Returns running counts of the
+    checked ``runs``, ``steps`` (``advance`` calls, floods and increases
+    alike) and ``rewires``."""
+    run, adjust = minimal.run_min_clearing, minimal.adjust_default_cost
+    solve, advance, rewire = (
+        minimal.solve_increase_step,
+        minimal.advance,
+        minimal.rewire_solvent_bank,
+    )
+    build = graphs.active_graph
+    counts = {"runs": 0, "steps": 0, "rewires": 0}
+    runs = []  # the AdjustedNetwork of each run in progress
+
+    def checked_run(net):
+        runs.append(None)
+        try:
+            result = run(net)
+        finally:
+            runs.pop()
+        check = clearing.is_clearing_state(net, result.state)
+        assert check.ok, f"run_min_clearing returned no clearing state: {check.violations}"
+        counts["runs"] += 1
+        return result
+
+    def checked_adjust(net):
+        # only run_min_clearing calls it inside the package
+        assert runs, "run_min_clearing called past the checker"
+        runs[-1] = adjust(net)
+        return runs[-1]
+
+    def checked_solve(g, v, budget):
+        if not runs:
+            return solve(g, v, budget)
+        fresh = build(g.net, g.assets)
+        assert (
+            g.net is runs[-1].network
+            and g.edges == fresh.edges
+            and g.borders == fresh.borders
+        ), "stale active graph handed to the increase step"
+        step = solve(g, v, budget)
+        # the driver's own binding, so that a planted flood search is checked
+        component = minimal.find_flood_component(g, v)
+        assert (step is None) == (component is not None), (
+            "singular response without a reachable flood"
+            if step is None
+            else "regular response despite a reachable flood"
+        )
+        return step
+
+    def checked_advance(g, rates, scale):
+        if not runs:
+            return advance(g, rates, scale)
+        before = dict(g.assets)
+        advance(g, rates, scale)
+        _check_working_state(runs[-1], g.assets, before)
+        counts["steps"] += 1
+
+    def checked_rewire(adj, assets, u):
+        before = dict(assets)
+        rewire(adj, assets, u)
+        _check_working_state(adj, assets, before)
+        counts["rewires"] += 1
+
+    for original, replacement in (
+        (run, checked_run),
+        (adjust, checked_adjust),
+        (solve, checked_solve),
+        (advance, checked_advance),
+        (rewire, checked_rewire),
+    ):
+        _rebind(monkeypatch, original, replacement)
+    return counts

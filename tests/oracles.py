@@ -18,7 +18,7 @@ None of this runs in the product:
   ``fraction_check_payment_axioms``: payment evaluation, a bank's inflow, the
   asset-axiom map and the payment-axiom check in plain ``Fraction``
   arithmetic, the oracles for the integer-sum ``PaymentFunction.value_at``,
-  ``clearing._inflow``, ``clearing.phi`` and ``axioms.check_payment_axioms``;
+  ``clearing.phi`` and ``axioms.check_payment_axioms``;
 - ``fraction_original_inflow``: a defaulting bank's inflow in the original
   network, summed over its claims, the oracle for the splitter ledger that
   ``minimal.original_solvent`` reads;
@@ -45,6 +45,8 @@ None of this runs in the product:
 - ``nonunique_banks``: the banks whose minimal and maximal clearing assets
   differ;
 - ``reduced_assets``: the haircut branch of the asset axiom for one bank;
+- ``apply_flood_sequence``: a walk up the clearing states by partial floods
+  of chosen sink SCCs, which no command runs, for the lattice tests;
 - ``exists_creditor_positive``: whether a claims trade has a
   creditor-positive return, with the optimizer's reason when it has none;
 - ``reference_parser``: the CLI grammar written out call by call, the oracle
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from netclear import errors
-from netclear.clearing import _inflow
+from netclear import errors, graphs, lattice, minimal
+from netclear.clearing import ClearingState, is_clearing_state
 from netclear.errors import DegenerateMatrixError, Violation
 from netclear.lattice import compute_max_clearing_flood, require_no_default_cost
 from netclear.graphs import active_graph
@@ -70,7 +72,7 @@ from netclear.minimal import compute_min_clearing, flood_closure, run_min_cleari
 from netclear.model import Bank, Claim, FinancialNetwork, PaymentFunction, assemble
 from netclear.axioms import BankClasses
 from netclear.priority import _counter_system, _flow_rows
-from netclear.rationals import ONE, ZERO
+from netclear.rationals import ONE, ZERO, parse_exact
 from netclear.trade import optimal_creditor_positive_return
 
 
@@ -301,13 +303,13 @@ def fraction_original_inflow(adj, state, u: str) -> Fraction:
     return total
 
 
-def fraction_phi(net: FinancialNetwork, state, externals=None) -> dict[str, Fraction]:
+def fraction_phi(net: FinancialNetwork, state) -> dict[str, Fraction]:
     """The asset-axiom map with the solvency test and the haircut in
     ``Fraction`` arithmetic: full incoming assets when they cover the total
     out-liability, ``alpha * ext + beta * inflow`` otherwise."""
     result = {}
     for v, bank in net.banks.items():
-        ext = bank.external_assets if externals is None else externals[v]
+        ext = bank.external_assets
         inflow = fraction_inflow(net, state, v)
         unreduced = ext + inflow
         if unreduced >= net.total_out(v):
@@ -801,12 +803,48 @@ def nonunique_banks(net: FinancialNetwork) -> frozenset[str]:
     return frozenset(v for v in net.bank_ids() if low[v] != high[v])
 
 
-def reduced_assets(net: FinancialNetwork, state, v: str, externals=None) -> Fraction:
+def reduced_assets(net: FinancialNetwork, state, v: str) -> Fraction:
     """Assets of ``v`` under its default haircuts: ``alpha`` times its external
     assets plus ``beta`` times its incoming payments at ``state``."""
     bank = net.bank(v)
-    ext = bank.external_assets if externals is None else externals[v]
-    return bank.alpha * ext + bank.beta * _inflow(net, state, v)
+    return bank.alpha * bank.external_assets + bank.beta * fraction_inflow(net, state, v)
+
+
+class NotAClearingStateError(Exception):
+    """The start state of ``apply_flood_sequence`` is not a clearing state."""
+
+
+class NotASinkComponentError(Exception):
+    """A bank ``apply_flood_sequence`` is to flood lies in no non-singleton
+    sink SCC."""
+
+
+def apply_flood_sequence(net: FinancialNetwork, start, steps) -> ClearingState:
+    """Apply partial flood steps to the clearing state ``start`` of a network
+    without default cost.
+
+    ``steps`` is an iterable of ``(bank_id, fraction)``: the SCC currently
+    containing the bank is flooded by ``fraction`` of its maximal feasible
+    scale. Every intermediate state is again a clearing state, exactly. The
+    walk holds one active graph and builds and steps it through the
+    ``graphs`` and ``minimal`` modules, so that the ``graph_checks`` helpers,
+    which rebind those functions, see it too."""
+    require_no_default_cost(net, "apply_flood_sequence")
+    check = is_clearing_state(net, start)
+    if not check.ok:
+        raise NotAClearingStateError(f"start state is not a clearing state: {check.violations}")
+    g = graphs.active_graph(net, dict(start))
+    for bank_id, fraction in steps:
+        fraction = parse_exact(fraction)
+        if not (0 <= fraction <= 1):
+            raise ValueError("flood fractions must lie in [0, 1]")
+        step = lattice._own_sink_flood(g, bank_id)
+        if step is None:
+            raise NotASinkComponentError(
+                f"component of {bank_id!r} is not a non-singleton sink SCC"
+            )
+        minimal.advance(g, step.direction, fraction * step.scale)
+    return ClearingState(g.assets)
 
 
 def exists_creditor_positive(net: FinancialNetwork, claim_pair, buyer) -> tuple[bool, str]:

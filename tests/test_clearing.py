@@ -10,15 +10,12 @@ from netclear import (
     bottom_iterate,
     build_network,
     compute_min_clearing,
-    incoming_assets,
     is_clearing_state,
     payments,
     phi,
     top_iterate,
 )
 from netclear.errors import DefaultCostUnsupportedError, UnknownBankError
-
-from netclear.clearing import _inflow
 
 from corpus import (
     ZERO_RATE_ALPHAS,
@@ -28,24 +25,26 @@ from corpus import (
     random_network,
     random_state_in_box,
 )
-from oracles import fraction_inflow, fraction_phi, fraction_value_at, reduced_assets
+from oracles import fraction_phi, fraction_value_at, reduced_assets
 
 
 class TestAssetAccessors:
+    """A solvent bank's image under ``phi`` is its full incoming assets."""
+
     def test_example2_incoming(self):
         net = example2()
         state = ClearingState({"v": F(3), "w": F(3)})
-        assert incoming_assets(net, state, "v") == 3
+        assert phi(net, state)["v"] == 3
 
     def test_isolated_bank(self):
         net = build_network(banks=[("solo", 5)], claims=[])
         state = ClearingState({"solo": F(0)})
-        assert incoming_assets(net, state, "solo") == 5
+        assert phi(net, state)["solo"] == 5
 
     def test_example1_minimal_incoming(self):
         net = example1()
         state = ClearingState({"u": F(2), "v": F(1), "w": F(1)})
-        assert incoming_assets(net, state, "u") == 2
+        assert phi(net, state)["u"] == 2
 
     def test_reduced_with_half_rates(self):
         net = example2()
@@ -57,8 +56,9 @@ class TestAssetAccessors:
         rng = random.Random(7)
         net = random_network(rng)
         state = ClearingState(random_state_in_box(rng, net))
+        image = phi(net, state)
         for v in net.bank_ids():
-            assert reduced_assets(net, state, v) == incoming_assets(net, state, v)
+            assert reduced_assets(net, state, v) == image[v]
 
     def test_reduced_zero_rates(self):
         net = build_network(
@@ -67,25 +67,17 @@ class TestAssetAccessors:
         state = ClearingState({"a": F(1), "b": F(0)})
         assert reduced_assets(net, state, "a") == 0
 
-    def test_unknown_bank(self):
-        net = example1()
-        state = ClearingState({"u": F(0), "v": F(0), "w": F(0)})
-        with pytest.raises(UnknownBankError):
-            incoming_assets(net, state, "nope")
-
 
 class TestIntegerSumsAgainstFraction:
-    """Inflows, payments and in-liability totals equal their ``Fraction``
-    references on seeded networks and states."""
+    """Payments, the asset map and in-liability totals equal their
+    ``Fraction`` references on seeded networks and states."""
 
-    def test_inflow_and_payments(self):
+    def test_payments(self):
         rng = random.Random(4242)
         for _ in range(60):
             net = random_network(rng, max_banks=8, default_cost=rng.random() < 0.5)
             for _ in range(4):
                 state = random_state_in_box(rng, net)
-                for v in net.bank_ids():
-                    assert _inflow(net, state, v) == fraction_inflow(net, state, v)
                 paid = payments(net, state)
                 for claim in net.claims:
                     assert paid[claim.pair] == fraction_value_at(
@@ -93,7 +85,7 @@ class TestIntegerSumsAgainstFraction:
                     )
 
     def test_phi(self):
-        # haircut rates include 0; states and externals get odd denominators
+        # haircut rates include 0; states get odd denominators
         # so that the solvency test compares unequal denominators
         rng = random.Random(4244)
         for _ in range(120):
@@ -106,10 +98,6 @@ class TestIntegerSumsAgainstFraction:
                     v: a + F(rng.randint(0, 6), rng.choice((3, 7))) for v, a in state.items()
                 }
                 assert phi(net, state).as_dict() == fraction_phi(net, state)
-                externals = {v: F(rng.randint(0, 9), rng.choice((1, 2, 5))) for v in state}
-                assert phi(net, state, externals).as_dict() == fraction_phi(
-                    net, state, externals
-                )
 
     def test_phi_at_the_solvency_border_and_zero_liabilities(self):
         # "a" owes 3 and receives 2 at this state: with its 1 external it

@@ -1,18 +1,17 @@
 """The walks through the clearing states hold one active graph.
 
 ``compute_max_clearing_flood`` (at the pp maximum), ``solve_range_clearing``,
-``apply_flood_sequence`` and the trade walk build one active graph each,
-beyond the builds of the min-clears they run, and move it along with the
-state through ``minimal.advance``, as the top-down ``compute_min_clearing``
-does on its ``left`` graph. After every ``advance`` the held graph must
-equal a fresh build of its own kind.
+the trade walk and the test helper ``oracles.apply_flood_sequence`` build
+one active graph each, beyond the builds of the min-clears they run, and
+move it along with the state through ``minimal.advance``, as the top-down
+``compute_min_clearing`` does on its ``left`` graph. After every ``advance``
+the held graph must equal a fresh build of its own kind.
 """
 
 import random
 from fractions import Fraction as F
 
 from netclear import (
-    apply_flood_sequence,
     build_network,
     compute_max_clearing_flood,
     compute_min_clearing,
@@ -21,11 +20,11 @@ from netclear import (
     run_min_clearing,
     solve_range_clearing,
 )
-from netclear.errors import NoCreditorPositiveTradeError, NotASinkComponentError
+from netclear.errors import NoCreditorPositiveTradeError
 
 from corpus import random_network, random_trade_instance, ringed_network
 from graph_checks import check_advance_freshness, count_builds
-from oracles import exists_creditor_positive
+from oracles import NotASinkComponentError, apply_flood_sequence, exists_creditor_positive
 
 
 def rings():

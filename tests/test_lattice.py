@@ -1,4 +1,5 @@
-"""Flood sequences, the flood maximal clearing, and range clearing."""
+"""Flood sequences (a test helper, ``oracles.apply_flood_sequence``), the
+flood maximal clearing, and range clearing."""
 
 import random
 from fractions import Fraction as F
@@ -7,7 +8,6 @@ import pytest
 
 from netclear import (
     ClearingState,
-    apply_flood_sequence,
     build_network,
     compute_max_clearing_flood,
     compute_min_clearing,
@@ -15,12 +15,7 @@ from netclear import (
     solve_range_clearing,
     top_iterate,
 )
-from netclear.errors import (
-    DefaultCostUnsupportedError,
-    InvalidSpecError,
-    NotAClearingStateError,
-    NotASinkComponentError,
-)
+from netclear.errors import DefaultCostUnsupportedError, InvalidSpecError
 from netclear.lattice import (
     INFEASIBLE_CONFLICT,
     INFEASIBLE_EXCEEDS,
@@ -28,6 +23,7 @@ from netclear.lattice import (
 )
 
 from corpus import random_network
+from oracles import NotAClearingStateError, NotASinkComponentError, apply_flood_sequence
 
 
 def two_cycle():

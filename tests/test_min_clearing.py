@@ -1,4 +1,7 @@
-"""The minimal-clearing driver: golden examples, surgery, steps, invariants."""
+"""The minimal-clearing driver: golden examples, surgery, steps, invariants.
+
+The tests that check a run step by step install ``graph_checks.check_driver``
+and call the driver as ``netclear.run_min_clearing``, a name it rebinds."""
 
 import random
 from fractions import Fraction as F
@@ -6,6 +9,7 @@ from math import lcm
 
 import pytest
 
+import netclear
 from netclear import (
     FloodStep,
     active_graph,
@@ -33,7 +37,7 @@ from corpus import (
     random_network,
     random_state_in_box,
 )
-from graph_checks import record_steps
+from graph_checks import check_driver, record_steps, working_network
 from oracles import (
     dense_solve_linear_system,
     dense_unit_left_nullspace,
@@ -50,21 +54,24 @@ def step_slopes(step):
 
 
 class TestGoldenExamples:
-    def test_example1(self):
-        run = run_min_clearing(example1(), check_invariant=True)
+    def test_example1(self, monkeypatch):
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(example1())
         assert run.state.as_dict() == {"u": F(2), "v": F(1), "w": F(1)}
         assert all(p == 1 for p in payments(example1(), run.state).values())
 
-    def test_example2(self):
+    def test_example2(self, monkeypatch):
         net = example2()
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         assert run.state.as_dict() == {"v": F(3), "w": F(3)}
         assert all(p == 2 for p in payments(net, run.state).values())
 
     def test_example3_with_trace(self, monkeypatch):
         net = example3()
         steps = record_steps(monkeypatch)
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         assert run.state.as_dict() == {"u": F(1), "v": F(5), "w": F(2), "y": F(2)}
         assert payments(net, run.state) == {
             ("u", "v"): F(1),
@@ -130,7 +137,8 @@ class TestAdjustDefaultCost:
             )
 
         monkeypatch.setattr(minimal, "advance", watched)
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         assert paid_unrewired and not any(paid_unrewired)
         assert run.state.as_dict() == {"a": F(2), "b": F(4), "c": F(3)}  # a solvent: rewired
         others = _enumerate_fixed_points(net)
@@ -333,7 +341,7 @@ class TestStepArithmetic:
         assert all(count >= 50 for count in seen.values()), seen
 
 
-    def test_gadget_ids_avoid_taken_names(self):
+    def test_gadget_ids_avoid_taken_names(self, monkeypatch):
         # v's gadget names v__s and v__t are banks already, so the gadget
         # takes v__s_ and v__t_; v defaults (1 + 2 < 4) and keeps a third of
         # its external assets and half of the 2 that v__s pays it
@@ -344,7 +352,8 @@ class TestStepArithmetic:
         adj = adjust_default_cost(net)
         assert adj.auxiliary_map == {"v": ("v__s_", "v__t_")}
         assert adj.network.has_claim("v__s", "v__s_")
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         assert is_clearing_state(net, run.state).ok
         oracle = bottom_iterate(net, 10)
         assert oracle.converged
@@ -373,7 +382,7 @@ class TestRewiring:
         assert rewire_solvent_bank(adj, state, "a") is None
         assert state == {"a": F(3), "b": F(0)} and adj.auxiliary_map == {}
         assert adj.targets == {"a": F(3), "b": F(2)} and adj.injected == {"a": F(3), "b": F(0)}
-        assert is_clearing_state(adj.network, state, externals=adj.injected).ok
+        assert is_clearing_state(working_network(adj), state).ok
         with pytest.raises(NotSolventError, match="not an unrewired defaulting bank"):
             rewire_solvent_bank(adj, state, "a")
 
@@ -396,7 +405,8 @@ class TestRewiring:
             claims=[("a", "z", 1), ("z", "e", 3), ("e", "z", 2)],
         )
         steps = record_steps(monkeypatch)
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         assert run.state.as_dict() == {"a": F(1), "z": F(3), "e": F(3)}
         floods = [step for step in steps if isinstance(step, FloodStep)]
         assert len(floods) == 1 and run.flood_count == 1
@@ -451,11 +461,16 @@ class TestMinClearingProperties:
             for v in net.bank_ids():  # the lattice box
                 assert 0 <= state[v] <= net.bank(v).external_assets + net.total_in(v)
 
-    def test_invariant_enabled_runs(self):
+    def test_invariant_enabled_runs(self, monkeypatch):
+        # every step and rewire keeps a fixed point of the working network,
+        # and no working bank falls (see check_driver)
+        counts = check_driver(monkeypatch)
         rng = random.Random(321)
         for _ in range(60):
             net = random_network(rng, default_cost=rng.random() < 0.5)
-            run_min_clearing(net, check_invariant=True)
+            netclear.run_min_clearing(net)
+        assert counts["runs"] == 60, counts
+        assert counts["steps"] >= 300 and counts["rewires"] >= 40, counts
 
     def test_bounded_by_oracles(self):
         rng = random.Random(456)
@@ -545,6 +560,9 @@ class TestActiveGraphReuse:
                 minimal.original_solvent(adj, start, u) for u in adj.auxiliary_map
             ):
                 nets.append(net)
+        with monkeypatch.context() as checked:
+            check_driver(checked)
+            expected = [dict(netclear.run_min_clearing(net).state) for net in nets]
         # every call in order: a build must be followed by a call that reads
         # its graph before the next build or the end of the run
         events = []
@@ -556,7 +574,7 @@ class TestActiveGraphReuse:
                 return _original(*args)
 
             monkeypatch.setattr(minimal, name, counted)
-        for net in nets:
+        for net, state in zip(nets, expected):
             events.clear()
             run = run_min_clearing(net)
             floods, increases = run.flood_count, run.step_count - run.flood_count
@@ -570,7 +588,7 @@ class TestActiveGraphReuse:
                 assert any(name in uses for name in events[i + 1 : j]), "a build no step read"
             assert len(builds) <= rewires + 1
             assert events.count("find_flood_component") <= floods + rewires + 1
-            assert dict(run.state) == dict(run_min_clearing(net, check_invariant=True).state)
+            assert dict(run.state) == state
         assert events[0] == "rewire_solvent_bank"
 
     def test_unrefreshed_border_fails_loudly(self, monkeypatch):
@@ -586,7 +604,6 @@ class TestActiveGraphReuse:
 
     def test_stale_graph_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal
-        from netclear.errors import InternalInvariantError
 
         builds = []
 
@@ -602,12 +619,12 @@ class TestActiveGraphReuse:
             )
 
         monkeypatch.setattr(minimal, "active_graph", first_build_stale)
-        with pytest.raises(InternalInvariantError, match="stale active graph"):
-            run_min_clearing(example3(), check_invariant=True)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="stale active graph"):
+            netclear.run_min_clearing(example3())
 
     def test_stale_slope_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal
-        from netclear.errors import InternalInvariantError
 
         builds = []
 
@@ -626,12 +643,12 @@ class TestActiveGraphReuse:
             return graphs.ActiveGraph(g.net, g.assets, edges, g.borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_slope)
-        with pytest.raises(InternalInvariantError, match="stale active graph"):
-            run_min_clearing(example3(), check_invariant=True)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="stale active graph"):
+            netclear.run_min_clearing(example3())
 
     def test_stale_border_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal
-        from netclear.errors import InternalInvariantError
 
         builds = []
 
@@ -648,21 +665,22 @@ class TestActiveGraphReuse:
             return graphs.ActiveGraph(g.net, g.assets, g.edges, borders)
 
         monkeypatch.setattr(minimal, "active_graph", first_build_wrong_border)
-        with pytest.raises(InternalInvariantError, match="stale active graph"):
-            run_min_clearing(example3(), check_invariant=True)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="stale active graph"):
+            netclear.run_min_clearing(example3())
 
     def test_graph_over_other_assets_rejected_under_invariant_check(self, monkeypatch):
         from netclear import graphs, minimal
-        from netclear.errors import InternalInvariantError
 
         def build_over_a_copy(net, state):
             # the right maps, but over a copy of the working assets: the
-            # steps would move the copy and leave the driver's state behind
+            # steps move the copy and leave the driver's state at zero
             return graphs.active_graph(net, dict(state))
 
         monkeypatch.setattr(minimal, "active_graph", build_over_a_copy)
-        with pytest.raises(InternalInvariantError, match="stale active graph"):
-            run_min_clearing(example3(), check_invariant=True)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="returned no clearing state"):
+            netclear.run_min_clearing(example3())
 
     def test_banks_tied_at_a_border_are_all_refreshed(self, monkeypatch):
         # a pays b and c in proportion and each passes its share on: the
@@ -673,7 +691,8 @@ class TestActiveGraphReuse:
             claims=[("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "e", 1)],
         )
         steps = record_steps(monkeypatch)
-        run = run_min_clearing(net, check_invariant=True)
+        check_driver(monkeypatch)
+        run = netclear.run_min_clearing(net)
         first, second = steps
         assert run.step_count == 2 and run.flood_count == 0
         assert first.delta == 2
@@ -693,12 +712,52 @@ class TestActiveGraphReuse:
         self, monkeypatch
     ):
         from netclear import minimal
-        from netclear.errors import InternalInvariantError
 
         ring = frozenset({"v", "y"})
         monkeypatch.setattr(minimal, "find_flood_component", lambda g, v=None: ring)
-        with pytest.raises(InternalInvariantError, match="regular response"):
-            run_min_clearing(example3(), check_invariant=True)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="regular response"):
+            netclear.run_min_clearing(example3())
+
+    def test_rewire_without_its_injections_rejected_under_invariant_check(
+        self, monkeypatch
+    ):
+        # z turns solvent once the {z__s, z, e} ring floods and pays e 3; a
+        # rewire that moves z's payments to e but does not add them to e's
+        # injected externals leaves e's assets above its fixed point
+        from netclear import minimal
+
+        net = build_network(
+            banks=[("a", 1, "1/2", 1), ("z", 0, "1/2", 1), ("e", 0)],
+            claims=[("a", "z", 1), ("z", "e", 3), ("e", "z", 2)],
+        )
+        rewire = minimal.rewire_solvent_bank
+
+        def rewire_without_injections(adj, assets, u):
+            paid = [(c.creditor, c.payment.value_at(assets[u])) for c in adj.network.out_claims(u)]
+            rewire(adj, assets, u)
+            for creditor, amount in paid:
+                adj.injected[creditor] -= amount
+
+        monkeypatch.setattr(minimal, "rewire_solvent_bank", rewire_without_injections)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="lost the fixed-point invariant"):
+            netclear.run_min_clearing(net)
+
+    def test_falling_bank_rejected_under_invariant_check(self, monkeypatch):
+        # an advance that moves the last bank it moves down instead of up
+        from netclear import minimal
+
+        advance = minimal.advance
+
+        def advance_one_down(g, rates, scale):
+            last = max(u for u, rate in rates.items() if rate)
+            advance(g, {**rates, last: -rates[last]}, scale)
+
+        monkeypatch.setattr(minimal, "advance", advance_one_down)
+        check_driver(monkeypatch)
+        with pytest.raises(AssertionError, match="working assets fell"):
+            netclear.run_min_clearing(example3())
 
 
 def _enumerate_fixed_points(net):

@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 
+import netclear
 from netclear import (
     Claim,
     active_graph,
@@ -42,6 +43,7 @@ from corpus import (
     random_network,
     rewired_zero_rate_banks,
 )
+from graph_checks import check_driver
 from counter_checks import (
     SINGULAR,
     assert_jumps_sound,
@@ -313,9 +315,10 @@ class TestCounterDescent:
             for v in net.bank_ids():
                 assert minimal[v] <= state[v]
 
-    def test_zero_rate_banks_below_the_maximum(self):
+    def test_zero_rate_banks_below_the_maximum(self, monkeypatch):
         # haircut rates of 0 as well: banks with alpha = beta = 0 hold
         # nothing until they turn solvent
+        check_driver(monkeypatch)
         rng = random.Random(2620)
         rewired = 0
         for _ in range(40):
@@ -324,7 +327,7 @@ class TestCounterDescent:
             )
             state = compute_max_clearing_pp(net)
             assert is_clearing_state(net, state).ok
-            minimal = run_min_clearing(net, check_invariant=True).state
+            minimal = netclear.run_min_clearing(net).state
             assert is_clearing_state(net, minimal).ok
             for v in net.bank_ids():
                 assert minimal[v] <= state[v]

@@ -1,5 +1,5 @@
-"""Slow tier: ``run_min_clearing`` with every invariant check on, at
-sizes the tier-1 corpora do not reach. Run it with ``python -m pytest -m slow``;
+"""Slow tier: ``run_min_clearing`` under ``graph_checks.check_driver``, which
+checks every step and rewire, at sizes the tier-1 corpora do not reach. Run it with ``python -m pytest -m slow``;
 the default run leaves it out.
 
 Three corpora: the 24 ``lattice-rings`` benchmark networks at the hold-out
@@ -30,7 +30,6 @@ import pytest
 
 from netclear import (
     compute_min_clearing,
-    is_clearing_state,
     linalg,
     minimal,
     run_min_clearing,
@@ -39,6 +38,7 @@ from netclear.io import parse_network
 from netclear.model import validate_network
 
 from corpus import ZERO_RATE_ALPHAS, random_network, rewired_zero_rate_banks
+from graph_checks import check_driver
 from oracles import dense_solve_linear_system
 
 pytestmark = pytest.mark.slow
@@ -57,21 +57,21 @@ def _bench_workloads():
     return workloads
 
 
-def _check(net):
-    run = run_min_clearing(net, check_invariant=True)
-    check = is_clearing_state(net, run.state)
-    assert check.ok, check.violations
-    return run
+@pytest.fixture
+def checked(monkeypatch):
+    """Checks every step of every driver run of the test, and that the run
+    returns a clearing state; call the driver as ``minimal.run_min_clearing``."""
+    return check_driver(monkeypatch)
 
 
-def test_lattice_rings_holdout_networks(tmp_path):
+def test_lattice_rings_holdout_networks(tmp_path, checked):
     ops = _bench_workloads().build("lattice-rings", HOLDOUT_SEED, str(tmp_path))
     paths = sorted({op.network for op in ops})
     assert len(paths) == 24
     floods = 0
     for path in paths:
         net = parse_network(path)
-        run = _check(net)
+        run = minimal.run_min_clearing(net)
         floods += run.flood_count
         # the library route: top-down from the pp maximum
         assert list(compute_min_clearing(net).items()) == list(run.state.items())
@@ -87,7 +87,7 @@ def test_top_down_route_at_scale(n):
     assert list(compute_min_clearing(net).items()) == list(run_min_clearing(net).state.items())
 
 
-def test_mixed_default_cost_networks_with_tied_borders():
+def test_mixed_default_cost_networks_with_tied_borders(checked):
     rng = random.Random("slow/tied-borders")
     floods = increases = 0
     for _ in range(40):
@@ -99,20 +99,20 @@ def test_mixed_default_cost_networks_with_tied_borders():
             max_external=2,
             default_cost=True,
         )
-        run = _check(net)
+        run = minimal.run_min_clearing(net)
         floods += run.flood_count
         increases += run.step_count - run.flood_count
     assert floods > 0 and increases > 0
 
 
-def test_zero_rate_default_cost_networks():
+def test_zero_rate_default_cost_networks(checked):
     rng = random.Random("slow/zero-rates")
     rewired = 0
     for _ in range(40):
         net = random_network(
             rng, min_banks=30, max_banks=40, default_cost=True, alphas=ZERO_RATE_ALPHAS
         )
-        rewired += rewired_zero_rate_banks(net, _check(net).state)
+        rewired += rewired_zero_rate_banks(net, minimal.run_min_clearing(net).state)
     assert rewired >= 30
 
 
@@ -120,7 +120,7 @@ def _bits(x: Fraction) -> int:
     return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
 
 
-def test_min_clearing_systems_match_dense_elimination(monkeypatch):
+def test_min_clearing_systems_match_dense_elimination(monkeypatch, checked):
     """Every system of a min-clear run on an n = 60 proportional network
     (m = 4n, the ``min-prop`` shape) has the dense oracle's solution."""
     doc = _bench_workloads()._proportional(random.Random("slow/solver-60"), 60)
@@ -135,7 +135,7 @@ def test_min_clearing_systems_match_dense_elimination(monkeypatch):
 
     monkeypatch.setattr(minimal, "solve_linear_system", recorded)
     monkeypatch.setattr(linalg, "solve_linear_system", recorded)
-    _check(net)
+    minimal.run_min_clearing(net)
     assert len(systems) >= 50
     wide = 0
     for rows, rhs, solution in systems:

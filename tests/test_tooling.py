@@ -268,10 +268,10 @@ FIXED_POINT_CHECK = "is_clearing_state"
 
 
 def test_fixed_point_check_sites():
-    # The CLI checks every state it writes, once. Besides it, only the flood
-    # sequence checks the start state its caller supplies, and the min-clear
-    # driver its working state under ``check_invariant``; a solver that
-    # checks its own result again fails here.
+    # The CLI checks every state it writes, once, and nothing else in the
+    # package checks a state: the checks of the driver's steps live in the
+    # tests (``graph_checks.check_driver``), and a solver that checks its
+    # own result again fails here.
     uses, importers = set(), set()
     for path in sorted((ROOT / "src" / "netclear").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -285,13 +285,8 @@ def test_fixed_point_check_sites():
                     name = sub.name
                 if name == FIXED_POINT_CHECK:
                     uses.add((path.stem, getattr(node, "name", None)))
-    assert uses == {
-        ("clearing", FIXED_POINT_CHECK),
-        ("cli", "_checked"),
-        ("lattice", "apply_flood_sequence"),
-        ("minimal", "run_min_clearing"),
-    }
-    assert importers == {"__init__", "cli", "lattice", "minimal"}
+    assert uses == {("clearing", FIXED_POINT_CHECK), ("cli", "_checked")}
+    assert importers == {"__init__", "cli"}
 
 
 def test_package_reexports_resolve():
@@ -305,7 +300,7 @@ def test_package_reexports_resolve():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
-    assert len(exported) >= 40
+    assert len(exported) >= 39
     for module, name, public in exported:
         source = importlib.import_module(f"netclear.{module}")
         assert getattr(netclear, public) is getattr(source, name), public
