@@ -1,20 +1,25 @@
 """Payment functions, the class schemes that build them, and the payment
 axioms that validation ends with.
 
-A ``PaymentFunction`` is stored as interval borders plus per-interval
-slopes; values at borders are accumulated from the slopes, which makes
-continuity structural rather than something to check. Intervals are
-half-open ``[x_{i-1}, x_i)``: evaluation exactly at a border uses the next
-segment, found by bisecting the borders' integer numerators over their
-common denominator. ``value_at`` returns one numerator over one denominator.
+A ``PaymentFunction`` is its interval borders plus per-interval slopes;
+values at borders are accumulated from the slopes, which makes continuity
+structural rather than something to check. Intervals are half-open
+``[x_{i-1}, x_i)``: evaluation exactly at a border uses the next segment,
+found by bisecting the borders' integer numerators over their common
+denominator. ``value_at`` returns one numerator over one denominator.
 
-The class schemes (``make_proportional``, ``make_edge_ranking``,
-``make_priority_proportional``) leave each function's class index and
-liability numerator on it, from which ``bank_classes`` reads a debtor's
-integer class grid; any other debtor's grid is scaled from
-``merged_slopes``. ``check_payment_axioms`` builds each grid once, checks
-the slope-sum axiom on it in integers and holds it on the network
-(``_classes``), where ``priority.priority_structure`` finds it.
+Each function holds a grid (its borders, also as integer numerators) and a
+window on it: the segments from its first nonzero slope through its last,
+with zero below and its final value above. The class schemes
+(``make_proportional``, ``make_edge_ranking``,
+``make_priority_proportional``) give all functions of a debtor one shared
+grid, the class borders, and each creditor a one-segment window on its
+class, so a debtor with ``k`` creditors costs ``O(k)``. They leave each
+function's class index and liability numerator on it, from which
+``bank_classes`` reads a debtor's integer class grid; any other debtor's
+grid is scaled from ``merged_slopes``. ``check_payment_axioms`` builds each
+grid once, checks the slope-sum axiom on it in integers and holds it on the
+network (``_classes``), where ``priority.priority_structure`` finds it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from operator import lt
 
 from . import errors
 from .errors import Violation
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 
 
 _set = object.__setattr__
@@ -74,21 +79,33 @@ class _Value:
 
 
 class PaymentFunction(_Value):
-    """Monotone piecewise-linear payment function.
+    """Monotone piecewise-linear payment function, equal to another exactly
+    when their ``borders`` and ``slopes`` are.
 
     ``slopes[i]`` applies on ``[borders[i], borders[i+1])``; the function is
     constant at and beyond the last border, which is the debtor's total
-    out-liability. ``_values`` holds the values at the borders, ``_scaled``
-    the borders as integer numerators over one denominator ``_den``, and
-    ``_piece`` a class scheme's ``(class index, liability numerator)``, else
-    None. ``value_at``, ``slope_at`` and ``active_segment`` find the segment
-    of ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
+    out-liability. ``_scaled`` holds the borders as integer numerators over
+    one denominator ``_den``; the functions of a class-scheme debtor share
+    all three, its class grid. Past that grid a function stores only its
+    window: ``_lo``, the index of its first segment with a nonzero slope, and
+    in ``_window`` one ``(slope, value at the segment's lower border)`` pair
+    of integer ratios per segment from there through its last nonzero slope.
+    Below the window it pays zero, from its top on ``_final``. ``_rates``,
+    the window's slopes as ``Fraction``s, is built on first read; ``slopes``
+    and ``_values`` are built from the window on each read, which only
+    equality, hashing, pickling, ``merged_slopes`` and the tests do. So a
+    class-scheme creditor costs O(1) however many classes its debtor has.
+    ``_piece`` is a class scheme's ``(class index, liability numerator)``,
+    else None.
+
+    ``value_at``, ``slope_at`` and ``active_segment`` find the segment of
+    ``a`` by bisecting ``_scaled`` with ``floor(a * _den)``: a border
     numerator is an int, so it is at most ``a * _den`` exactly when it is at
     most that floor. ``lower_segment`` reads the segment just below ``a``
     the same way, with the ceiling.
     """
 
-    __slots__ = ("borders", "slopes", "_values", "_scaled", "_den", "_piece")
+    __slots__ = ("borders", "_scaled", "_den", "_lo", "_window", "_final", "_piece", "_rates")
 
     def __init__(self, borders: tuple[Fraction, ...], slopes: tuple[Fraction, ...]):
         if len(slopes) != len(borders) - 1:
@@ -98,54 +115,82 @@ class PaymentFunction(_Value):
             values.append(values[-1] + slope * (borders[i + 1] - borders[i]))
         den = lcm(*(x.denominator for x in borders))
         scaled = tuple(x.numerator * (den // x.denominator) for x in borders)
-        fields = (borders, slopes, tuple(values), scaled, den, None)
-        for name, value in zip(self.__slots__, fields):
-            _set(self, name, value)
+        # the window runs from the first nonzero slope through the last; empty
+        # when there is none
+        paying = [i for i, slope in enumerate(slopes) if slope] or [0, -1]
+        lo, hi = paying[0], paying[-1] + 1
+        window = tuple(
+            (*slopes[i].as_integer_ratio(), *values[i].as_integer_ratio()) for i in range(lo, hi)
+        )
+        self._fill(borders, scaled, den, lo, window, values[-1], None, tuple(slopes[lo:hi]))
 
-    @classmethod
-    def _with_values(cls, borders, slopes, values, scaled, den, piece) -> "PaymentFunction":
-        """A function whose values at the borders, borders over one
-        denominator and class piece the caller already knows, as a class
-        scheme does."""
-        fn = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (borders, slopes, values, scaled, den, piece)):
-            _set(fn, name, value)
-        return fn
+    def _fill(self, borders, scaled, den, lo, window, final, piece, rates) -> "PaymentFunction":
+        """``self`` with every slot set. A class scheme fills a bare
+        ``object.__new__(PaymentFunction)`` on the grid it already holds,
+        with ``rates`` None until they are read; one call per slot, as a loop
+        over the slots adds a fifth to a class-scheme creditor's load."""
+        _set(self, "borders", borders)
+        _set(self, "_scaled", scaled)
+        _set(self, "_den", den)
+        _set(self, "_lo", lo)
+        _set(self, "_window", window)
+        _set(self, "_final", final)
+        _set(self, "_piece", piece)
+        _set(self, "_rates", rates)
+        return self
+
+    def _items(self):
+        return [("borders", self.borders), ("slopes", self.slopes)]
+
+    def _cached_rates(self) -> tuple[Fraction, ...]:
+        if self._rates is None:
+            _set(self, "_rates", tuple(Fraction(sn, sd) for sn, sd, _, _ in self._window))
+        return self._rates
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        rates = self._cached_rates()
+        above = len(self.borders) - 1 - self._lo - len(rates)
+        return (ZERO,) * self._lo + rates + (ZERO,) * above
+
+    @property
+    def _values(self) -> tuple[Fraction, ...]:
+        """The values at the borders."""
+        inner = tuple(Fraction(vn, vd) for _, _, vn, vd in self._window)
+        above = len(self.borders) - self._lo - len(inner)
+        return (ZERO,) * self._lo + inner + (self._final,) * above
 
     def value_at(self, a: Fraction) -> Fraction:
         """The payment at assets ``a``, as one numerator over one
         denominator: ``value + slope * (a - border)`` on the segment of
-        ``a``; at the first border this is the first value, zero."""
+        ``a``."""
         an, ad = a.as_integer_ratio()
         bd = self._den
         idx = bisect_right(self._scaled, an * bd // ad) - 1
-        if idx < 0:
+        i = idx - self._lo
+        if i < 0:
             return ZERO
-        if idx == len(self.slopes):
-            return self._values[-1]
-        value, slope = self._values[idx], self.slopes[idx]
-        if not slope:
-            return value
-        vn, vd = value.as_integer_ratio()
-        sn, sd = slope.as_integer_ratio()
-        bn = self._scaled[idx]
+        window = self._window
+        if i >= len(window):
+            return self._final
+        sn, sd, vn, vd = window[i]
         den = sd * ad * bd
-        return Fraction(vn * den + vd * sn * (an * bd - bn * ad), vd * den)
+        return Fraction(vn * den + vd * sn * (an * bd - self._scaled[idx] * ad), vd * den)
 
     def slope_at(self, a: Fraction) -> Fraction:
         idx = max(bisect_right(self._scaled, a.numerator * self._den // a.denominator) - 1, 0)
-        if idx >= len(self.slopes):
-            return ZERO
-        return self.slopes[idx]
+        i = idx - self._lo
+        return self._cached_rates()[i] if 0 <= i < len(self._window) else ZERO
 
     def active_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
         """``(slope_at(a), next border strictly above a)`` when that slope is
         positive, else None; one bisection for both."""
         pos = bisect_right(self._scaled, a.numerator * self._den // a.denominator)
-        idx = max(pos - 1, 0)
-        if idx >= len(self.slopes) or self.slopes[idx] <= 0:
+        i = max(pos - 1, 0) - self._lo
+        window = self._window
+        if i < 0 or i >= len(window) or window[i][0] <= 0:
             return None
-        return self.slopes[idx], self.borders[pos]
+        return (self._rates or self._cached_rates())[i], self.borders[pos]
 
     def lower_segment(self, a: Fraction) -> tuple[Fraction, Fraction] | None:
         """``(slope just below a, the border its segment starts at)`` when
@@ -154,13 +199,15 @@ class PaymentFunction(_Value):
         border numerator lies below ``a * _den`` exactly when it lies below
         that ceiling. None at 0 and past the last border."""
         j = bisect_left(self._scaled, -(-a.numerator * self._den // a.denominator)) - 1
-        if j < 0 or j >= len(self.slopes) or self.slopes[j] <= 0:
+        i = j - self._lo
+        window = self._window
+        if i < 0 or i >= len(window) or window[i][0] <= 0:
             return None
-        return self.slopes[j], self.borders[j]
+        return (self._rates or self._cached_rates())[i], self.borders[j]
 
     @property
     def final_value(self) -> Fraction:
-        return self._values[-1]
+        return self._final
 
 
 # --- payment scheme constructors -------------------------------------------
@@ -174,14 +221,13 @@ def _class_functions(
     Every function of a debtor shares one borders tuple, the class grid
     (classes with zero total get no segment). A creditor in the class on
     segment ``j`` has slope ``liability / class total`` there and zero
-    elsewhere (one when it is alone in paying that class), so its values are
-    known in closed form: zero through the class's lower border, its
-    liability from the upper border on.
+    elsewhere, so its window is that one segment, its value zero at the
+    class's lower border and its liability from the upper border on.
 
     The liabilities are read once as integer numerators over their common
-    denominator, so class totals are int sums and each border and slope is
-    one normalized ``Fraction``; the functions share the border numerators
-    over that denominator too."""
+    denominator, so class totals are int sums, each border is one
+    normalized ``Fraction`` and each window one tuple of ints; the functions
+    share the border numerators over that denominator too."""
     den = lcm(*(x.denominator for x in liabilities.values()))
     scaled = {c: x.numerator * (den // x.denominator) for c, x in liabilities.items()}
     if sum(scaled.values()) == 0:
@@ -202,23 +248,21 @@ def _class_functions(
         nonzero.append((class_total, members))
 
     borders, ints = tuple(grid), tuple(ints)
-    k = len(nonzero)
-    zeros = (ZERO,) * (k + 1)
-    # creditors whose whole class had zero liability pay nothing
-    unpaid = PaymentFunction._with_values(borders, zeros[:k], zeros, ints, den, (0, 0))
-    functions = dict.fromkeys(liabilities, unpaid)
+    fill, new = PaymentFunction._fill, object.__new__
+    functions = {}
     for j, (class_total, members) in enumerate(nonzero):
-        before, after, paid = zeros[:j], zeros[j + 1 : k], zeros[: j + 1]
         for creditor in members:
             x = scaled[creditor]
-            functions[creditor] = PaymentFunction._with_values(
-                borders,
-                before + (ONE if x == class_total else Fraction(x, class_total),) + after,
-                paid + (liabilities[creditor],) * (k - j),
-                ints,
-                den,
-                (j, x),
+            window = ((x, class_total, 0, 1),) if x else ()
+            final = liabilities[creditor]
+            functions[creditor] = fill(
+                new(PaymentFunction), borders, ints, den, j, window, final, (j, x), None
             )
+    if len(functions) < len(liabilities):
+        # creditors whose whole class had zero liability pay nothing
+        unpaid = fill(new(PaymentFunction), borders, ints, den, 0, (), ZERO, (0, 0), None)
+        for creditor in liabilities:
+            functions.setdefault(creditor, unpaid)
     return functions
 
 
@@ -261,21 +305,15 @@ class BankClasses(_Value):
 def merged_slopes(claims) -> tuple[list[Fraction], list[list[tuple[str, Fraction]]]]:
     """The merged border grid of one bank's out-claims, and on each grid
     segment ``[grid[j], grid[j + 1])`` the ``(creditor, slope)`` of every
-    claim whose slope there is not zero, in the order of ``claims``. Each
-    claim is walked in step with the grid; as in
-    ``PaymentFunction.slope_at``, its first slope applies before its first
-    border and zero past its last. Every claim's borders must strictly
-    increase, as validation checks before it calls this."""
+    claim whose slope there is not zero, in the order of ``claims``: its
+    ``PaymentFunction.slope_at`` the segment's lower border. Every claim's
+    borders must strictly increase, as validation checks before it calls
+    this."""
     grid = sorted({x for claim in claims for x in claim.payment.borders})
-    segments = [[] for _ in grid[1:]]
-    for claim in claims:
-        borders, own = claim.payment.borders, claim.payment.slopes
-        i = 0
-        for j, x in enumerate(grid[:-1]):
-            while i < len(own) and borders[i + 1] <= x:
-                i += 1
-            if i < len(own) and own[i]:
-                segments[j].append((claim.creditor, own[i]))
+    segments = []
+    for x in grid[:-1]:
+        slopes = [(claim.creditor, claim.payment.slope_at(x)) for claim in claims]
+        segments.append([(creditor, slope) for creditor, slope in slopes if slope])
     return grid, segments
 
 
@@ -288,7 +326,7 @@ def bank_classes(claims) -> BankClasses:
     and the denominator is the lcm of the grid's and the pieces'. Zero pieces
     are left out."""
     first = claims[0].payment
-    pieces = [[] for _ in first.slopes]
+    pieces = [[] for _ in first.borders[1:]]
     for claim in claims:
         fn = claim.payment
         if fn.borders is not first.borders or fn._piece is None:

@@ -46,19 +46,21 @@ def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fra
     return {c.pair: c.payment.value_at(state[c.debtor]) for c in net.claims}
 
 
-def phi(net: FinancialNetwork, state: Mapping) -> ClearingState:
+def phi(net: FinancialNetwork, state: Mapping, paid: Mapping | None = None) -> ClearingState:
     """One application of the asset-axiom map: a bank keeps its full incoming
     assets when they cover its liabilities, and the haircut assets otherwise.
+    The inflows are summed from ``paid``, which is ``payments(net, state)``
+    and is computed here when not given.
 
     Per bank the inflow is one integer sum (``rationals.sum_ratio``), the
     solvency test is a cross-multiplication, and the result is one
     ``Fraction``."""
+    if paid is None:
+        paid = payments(net, state)
     result: dict[str, Fraction] = {}
     for v, bank in net.banks.items():
         en, ed = bank.external_assets.as_integer_ratio()
-        fn, fd = sum_ratio(
-            claim.payment.value_at(state[claim.debtor]) for claim in net.in_claims(v)
-        )
+        fn, fd = sum_ratio(paid[c.debtor, v] for c in net.in_claims(v))
         # ext + inflow = num / den
         num, den = en * fd + fn * ed, ed * fd
         tn, td = net.total_out(v).as_integer_ratio()
@@ -82,8 +84,11 @@ class ClearingCheck(_Value):
         return self.ok
 
 
-def is_clearing_state(net: FinancialNetwork, state: Mapping) -> ClearingCheck:
-    image = phi(net, state)
+def is_clearing_state(
+    net: FinancialNetwork, state: Mapping, paid: Mapping | None = None
+) -> ClearingCheck:
+    """Whether ``phi`` leaves ``state`` in place; ``paid`` is passed on."""
+    image = phi(net, state, paid)
     bad = tuple(
         (v, image[v], state[v]) for v in net.bank_ids() if image[v] != state[v]
     )

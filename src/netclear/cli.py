@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from . import io as netio
 from . import errors
-from .clearing import bottom_iterate, is_clearing_state, top_iterate
+from .clearing import bottom_iterate, is_clearing_state, payments, top_iterate
 from .lattice import compute_max_clearing_flood, solve_range_clearing
 from .minimal import run_min_clearing
 from .priority import compute_max_clearing_pp
@@ -89,15 +89,18 @@ def _emit(doc: dict) -> None:
     sys.stdout.flush()
 
 
-def _checked(net, state):
-    """``state``, once the asset map of ``net`` leaves it in place."""
-    moved = is_clearing_state(net, state).violations
+def _checked(net, state) -> tuple:
+    """``state`` and its payments, once the asset map of ``net`` leaves it in
+    place: the check sums each bank's inflow from the payments that the
+    result document then writes."""
+    paid = payments(net, state)
+    moved = is_clearing_state(net, state, paid).violations
     if moved:
         raise errors.InternalInvariantError(
             "emitted state is not a clearing state: the asset map moves "
             f"{len(moved)} bank(s), first {moved[0][0]!r}"
         )
-    return state
+    return state, paid
 
 
 def _run_validate(args, net) -> int:
@@ -118,7 +121,7 @@ def _run_min_clear(args, net) -> int:
         netio.result_document(
             "min-clear",
             net,
-            _checked(net, run.state),
+            *_checked(net, run.state),
             step_count=run.step_count,
             flood_count=run.flood_count,
         )
@@ -131,7 +134,7 @@ def _run_max_clear(args, net) -> int:
         state = compute_max_clearing_flood(net)
     else:
         state = compute_max_clearing_pp(net)
-    _emit(netio.result_document(f"max-clear:{args.method}", net, _checked(net, state)))
+    _emit(netio.result_document(f"max-clear:{args.method}", net, *_checked(net, state)))
     return 0
 
 
@@ -144,7 +147,7 @@ def _run_range(args, net) -> int:
         detail += ")"
         print(detail, file=sys.stderr)
         return 1
-    _emit(netio.result_document("range", net, _checked(net, result.state)))
+    _emit(netio.result_document("range", net, *_checked(net, result.state)))
     return 0
 
 
@@ -160,7 +163,7 @@ def _run_trade(args, net) -> int:
             netio.result_document(
                 "trade",
                 traded,
-                _checked(traded, post),
+                *_checked(traded, post),
                 extra={"return": exact_str(rho), "creditor_positive": positive},
             )
         )
@@ -175,7 +178,7 @@ def _run_trade(args, net) -> int:
         netio.result_document(
             "trade",
             traded,
-            _checked(traded, result.post_state),
+            *_checked(traded, result.post_state),
             extra={
                 "rho_min": exact_str(result.rho_min),
                 "rho_star": exact_str(result.rho_star),

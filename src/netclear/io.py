@@ -95,28 +95,36 @@ def parse_targets(source) -> dict[str, tuple[Fraction, Fraction]]:
     return targets
 
 
-def _value_entry(value: Fraction) -> dict:
-    return {"exact": exact_str(value), "decimal": decimal_str(value)}
-
-
 def result_document(
     operation: str,
     net: FinancialNetwork,
     state: ClearingState | None,
+    paid: dict | None = None,
     *,
     step_count: int = 0,
     flood_count: int = 0,
     extra: dict | None = None,
 ) -> dict:
-    """ResultDocument with exact and display-decimal fields; deterministic."""
+    """ResultDocument with exact and display-decimal fields; deterministic.
+    ``paid`` is ``clearing.payments(net, state)`` when the caller holds it,
+    else it is computed here. Each distinct value is rendered once."""
     assets = {}
     payment_rows = []
     if state is not None:
-        assets = {v: _value_entry(state[v]) for v in sorted(net.bank_ids())}
-        for (debtor, creditor), value in sorted(payments(net, state).items()):
-            payment_rows.append(
-                {"debtor": debtor, "creditor": creditor, **_value_entry(value)}
-            )
+        entries = {}
+
+        def entry(value: Fraction) -> dict:
+            # keyed on the int pair: hashing a Fraction costs more than it saves
+            key = value.as_integer_ratio()
+            if key not in entries:
+                entries[key] = {"exact": exact_str(value), "decimal": decimal_str(value)}
+            return entries[key]
+
+        assets = {v: {**entry(state[v])} for v in sorted(net.bank_ids())}
+        if paid is None:
+            paid = payments(net, state)
+        for (debtor, creditor), value in sorted(paid.items()):
+            payment_rows.append({"debtor": debtor, "creditor": creditor, **entry(value)})
     metadata = {
         "operation": operation,
         "step_count": step_count,

@@ -227,6 +227,43 @@ def piecewise_scheme(rng: random.Random, owed: dict[str, Fraction]) -> dict:
     return {"type": model.PIECEWISE, "edges": edges}
 
 
+def one_debtor_document(
+    rng: random.Random, creditors: int, kind: str, class_size: int = 1, back_every: int = 0
+) -> dict:
+    """A network document in which bank ``d`` owes ``creditors`` banks under
+    one class scheme of ``kind``: a ranking in random order, or classes of
+    ``class_size`` creditors, the last class holding what is left. About one
+    liability in seven is zero, and the rest have denominators 1 to 3. With
+    ``back_every``, every ``back_every``-th creditor owes ``d`` in turn, which
+    closes that many cycles through ``d``. ``d`` holds external assets of
+    about half of what it owes."""
+    ids = [f"c{i:05d}" for i in range(creditors)]
+    owed = {c: Fraction(rng.choice((0, 1, 2, 3, 5, 7, 9)), rng.randint(1, 3)) for c in ids}
+    claims = [{"debtor": "d", "creditor": c, "liability": exact_str(x)} for c, x in owed.items()]
+    if back_every:
+        claims += [
+            {"debtor": c, "creditor": "d", "liability": str(rng.randint(1, 9))}
+            for c in ids[::back_every]
+        ]
+    order = list(ids)
+    rng.shuffle(order)
+    if kind == model.EDGE_RANKING:
+        scheme = {"type": kind, "order": order}
+    elif kind == model.PRIORITY_PROPORTIONAL:
+        classes = [order[i : i + class_size] for i in range(0, creditors, class_size)]
+        scheme = {"type": kind, "classes": classes}
+    else:
+        scheme = {"type": kind}
+    external = exact_str(sum(owed.values()) / 2)
+    return {
+        "format_version": FORMAT_VERSION,
+        "banks": [{"id": "d", "external_assets": external}]
+        + [{"id": c, "external_assets": 0} for c in ids],
+        "payment_schemes": {"d": scheme},
+        "claims": claims,
+    }
+
+
 def random_state_in_box(rng: random.Random, net: FinancialNetwork) -> dict[str, Fraction]:
     state = {}
     for v in net.bank_ids():
