@@ -25,9 +25,8 @@ from .lattice import (
 from .linalg import solve_linear_system, unit_left_nullspace
 from .minimal import (
     AdjustedNetwork,
-    FloodStep,
-    IncreaseStep,
     MinClearingRun,
+    Step,
     adjust_default_cost,
     compute_min_clearing,
     rewire_solvent_bank,

@@ -92,9 +92,9 @@ class PaymentFunction(_Value):
     of integer ratios per segment from there through its last nonzero slope.
     Below the window it pays zero, from its top on ``_final``. ``_rates``,
     the window's slopes as ``Fraction``s, is built on first read; ``slopes``
-    and ``_values`` are built from the window on each read, which only
-    equality, hashing, pickling, ``merged_slopes`` and the tests do. So a
-    class-scheme creditor costs O(1) however many classes its debtor has.
+    is built from the window on each read, which only equality, hashing,
+    pickling, ``merged_slopes`` and the tests do. So a class-scheme creditor
+    costs O(1) however many classes its debtor has.
     ``_piece`` is a class scheme's ``(class index, liability numerator)``,
     else None.
 
@@ -152,13 +152,6 @@ class PaymentFunction(_Value):
         rates = self._cached_rates()
         above = len(self.borders) - 1 - self._lo - len(rates)
         return (ZERO,) * self._lo + rates + (ZERO,) * above
-
-    @property
-    def _values(self) -> tuple[Fraction, ...]:
-        """The values at the borders."""
-        inner = tuple(Fraction(vn, vd) for _, _, vn, vd in self._window)
-        above = len(self.borders) - self._lo - len(inner)
-        return (ZERO,) * self._lo + inner + (self._final,) * above
 
     def value_at(self, a: Fraction) -> Fraction:
         """The payment at assets ``a``, as one numerator over one

@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import errors
 from .clearing import ClearingState
 from .graphs import ActiveGraph, active_graph, find_flood_component
-from .minimal import FloodStep, advance, compute_min_clearing, flood_closure, solve_flood_step
+from .minimal import Step, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork, _Value
 from .priority import compute_max_clearing_pp
 from .rationals import parse_exact
@@ -36,7 +36,7 @@ def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
         )
 
 
-def _own_sink_flood(g: ActiveGraph, v: str) -> FloodStep | None:
+def _own_sink_flood(g: ActiveGraph, v: str) -> Step | None:
     """The flood step of the component of ``v`` in ``g``, or None when that
     component is not a non-singleton sink. A sink is the only component its
     members reach, so ``find_flood_component(g, v)`` holds ``v`` exactly
@@ -132,20 +132,20 @@ def solve_range_clearing(net: FinancialNetwork, targets) -> RangeResult:
         if step is None:
             return RangeResult(False, None, v, INFEASIBLE_STUCK, None)
         gamma_border = step.scale
-        gamma_target = (lo_v - assets[v]) / step.direction[v]
+        gamma_target = (lo_v - assets[v]) / step.rates[v]
         gamma = min(gamma_border, gamma_target)
         # Cap the flood where it would push another targeted member past its
         # upper bound; if that cap prevents v from reaching its interval the
         # two targets are in conflict.
         cap_bank = None
-        for w in sorted(step.component):
+        for w, rate in step.rates.items():
             if w == v or w not in bounds:
                 continue
             hi_w = bounds[w][1]
-            room = (hi_w - assets[w]) / step.direction[w]
+            room = (hi_w - assets[w]) / rate
             if room < gamma:
                 gamma = room
                 cap_bank = w
-        advance(g, step.direction, gamma)
+        advance(g, step.rates, gamma)
         if cap_bank is not None and assets[v] < lo_v:
             return RangeResult(False, None, v, INFEASIBLE_CONFLICT, cap_bank)

@@ -27,8 +27,9 @@ the values builds them, and one that only scales and compares them (the
 minimal-state steps) stays on integers.
 
 ``unit_left_nullspace`` reads the same rows as the columns of ``A = I - M``
-(or of ``M - I``: its answer does not depend on the sign of ``A``) and pins
-one coordinate of the Perron vector before handing them to the same solver.
+(or of ``M - I``: its answer does not depend on the sign of ``A``), pins
+one coordinate of the Perron vector before handing them to the same solver,
+and returns the solver's answer as it came.
 """
 
 from __future__ import annotations
@@ -171,10 +172,12 @@ def solve_linear_system(
     return numerators, den
 
 
-def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:
-    """The non-negative ``d`` with ``d A = 0``, largest entry 1, for
+def unit_left_nullspace(columns: Sequence[SparseRow]) -> tuple[list[int], int]:
+    """The non-negative ``d`` with ``d A = 0`` and ``d_0 = 1``, for
     ``A = I - M`` given by its sparse columns as ``(row, value)`` pairs (the
-    sparse rows of ``I - M^T``). ``d A = 0`` exactly when ``d (-A) = 0``, so
+    sparse rows of ``I - M^T``), in the solver's form ``(numerators, den)``:
+    ``d_i == Fraction(numerators[i], den)``, ``den > 0``, so
+    ``numerators[0] == den``. ``d A = 0`` exactly when ``d (-A) = 0``, so
     the columns of ``M - I`` give the same ``d``. The caller guarantees M is
     the slope matrix of a non-singleton sink component: row-stochastic and
     irreducible, so by Perron-Frobenius ``d = d M`` has one positive line of
@@ -188,11 +191,8 @@ def unit_left_nullspace(columns: Sequence[SparseRow]) -> list[Fraction]:
         raise ValueError(f"column 0 has a row outside a {n}x{n} matrix")
     # Column equations sum_i d_i A_ij = 0, with d_0 = 1 in place of equation
     # 0; the dropped equation and the sign are checked afterwards.
-    # The numerators share the solver's positive denominator, so they carry
-    # the signs and the ratios of d.
     solution = solve_linear_system([[(0, 1)], *columns[1:]], [1] + [0] * (n - 1))
     vector = None if solution is None else solution[0]
     if vector is None or sum(x * vector[i] for i, x in columns[0]) or min(vector) < 0:
         raise DegenerateMatrixError("d = d M has no single non-negative line")
-    top = max(vector)
-    return [Fraction(x, top) for x in vector]
+    return solution

@@ -21,15 +21,14 @@ region looked for, by an SCC pass started at the bank, and payments inside
 it are raised along the component's circulation eigenvector until a border
 binds.
 
-A step stays on integers. The solve returns the response as integer rates
-``r_u`` over one positive common denominator ``den``, and the step moves
-every bank by ``tau * r_u`` for one scale ``tau = delta / den``.
+A step stays on integers. An injection's response and a flood's
+circulation each come from one exact solve as integer rates ``r_u`` over
+one positive common denominator ``den``, and a step moves every bank by
+``tau * r_u`` for one scale ``tau``; an injection adds ``tau * den``.
 ``border_scale`` finds ``tau`` by comparing the ratios
 ``(border_u - a_u) / r_u`` by cross-multiplication, with the budget entering
 as ``budget / den``, and ``advance`` builds each moved bank's assets with one
-normalization. Both read their rates through ``numerator`` and
-``denominator``, so a flood's ``Fraction`` direction goes through the same
-two functions.
+normalization.
 
 The driver keeps one assets dict for the whole run and one active graph,
 which carries the working network and those assets, while that network
@@ -74,26 +73,18 @@ from .priority import compute_max_clearing_pp
 from .rationals import ONE, ZERO
 
 
-class FloodStep(_Value):
-    """A flood of the sink SCC ``component`` along ``direction``, its
-    circulation eigenvector with max entry 1 (min entry -1 on a ``left``
-    graph, which lowers the component), by ``scale``, the largest multiple
-    before a border binds."""
-
-    __slots__ = ("component", "direction", "scale")
-
-
-class IncreaseStep(_Value):
-    """An injection that moves each bank ``u`` by ``scale * rates[u]``: the
-    response solve's integer numerators over its positive common denominator
-    ``den``, kept as they came, and ``scale``, the injected amount over
-    ``den``. ``delta`` is the injected amount."""
+class Step(_Value):
+    """A step that moves each bank ``u`` by ``scale * rates[u]``: one exact
+    solve's integer numerators over its positive common denominator ``den``,
+    kept as they came, and ``scale``, the largest multiple before a border
+    binds or the budget runs out. An injection's rates over ``den`` are the
+    response to one unit injected, so it injects ``scale * den``. A flood's
+    keys are the members of its sink SCC, and its rates the numerators of
+    the component's circulation eigenvector pinned to 1 at the first member,
+    so that member's rate is ``den``; they are negated on a ``left`` graph,
+    whose floods lower the component."""
 
     __slots__ = ("rates", "den", "scale")
-
-    @property
-    def delta(self) -> Fraction:
-        return self.scale * self.den
 
 
 class AdjustedNetwork:
@@ -239,31 +230,31 @@ def rewire_solvent_bank(adj: AdjustedNetwork, assets: dict[str, Fraction], u: st
     adj.network = assemble(banks, claims)
 
 
-def border_scale(g: ActiveGraph, rates, limit: Fraction | None = None) -> Fraction | None:
+def border_scale(
+    g: ActiveGraph, rates: dict[str, int], limit: Fraction | None = None
+) -> Fraction | None:
     """Largest ``t <= limit`` for which moving every bank ``u`` by
     ``t * rates[u]`` crosses no payment-function border: the least
     ``(g.borders[u] - g.assets[u]) / rate`` over the banks with an active
     out-claim that move toward their border in ``g``, with a positive rate
     toward the next border above on a graph of right slopes and a negative
     one toward the lower border on a ``left`` graph. None when there is
-    neither such a bank nor a limit. Rates, assets and limit may be any
-    rationals, such as a response's integer numerators or a flood's
-    ``Fraction`` direction: each ratio is kept as an integer numerator and
-    positive denominator, the side's sign folded into both, and compared by
-    cross-multiplication, and one ``Fraction`` is built for the result. The
-    scale never overshoots, so after the move a bank that binds sits
-    exactly on its border."""
+    neither such a bank nor a limit. Each ratio is kept as an integer
+    numerator and positive denominator, the side's sign folded into both,
+    and compared by cross-multiplication, and one ``Fraction`` is built for
+    the result. The scale never overshoots, so after the move a bank that
+    binds sits exactly on its border."""
     num = den = None
     if limit is not None:
         num, den = limit.numerator, limit.denominator
     sign = -1 if g.left else 1
     borders, state = g.borders, g.assets
     for u, rate in rates.items():
-        toward = rate.numerator * sign
+        toward = rate * sign
         if toward > 0 and u in borders:
             border, assets = borders[u], state[u]
             bd, ad = border.denominator, assets.denominator
-            n = (border.numerator * ad - assets.numerator * bd) * rate.denominator * sign
+            n = (border.numerator * ad - assets.numerator * bd) * sign
             d = bd * ad * toward
             if num is None or n * den < num * d:
                 num, den = n, d
@@ -275,43 +266,42 @@ def border_scale(g: ActiveGraph, rates, limit: Fraction | None = None) -> Fracti
     return Fraction(num, den)
 
 
-def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> FloodStep:
-    """Circulation direction and largest feasible scale for flooding a
-    non-singleton sink SCC of ``g``. The direction is the Perron vector
-    ``d = d M`` of the component's slope matrix, read off its
+def solve_flood_step(g: ActiveGraph, component: frozenset[str]) -> Step:
+    """Circulation rates and largest feasible scale for flooding a
+    non-singleton sink SCC of ``g``. The rates are the numerators of the
+    Perron vector ``d = d M`` of the component's slope matrix, read off its
     ``response_rows`` (the columns of ``I - M``), negated on a ``left``
     graph, whose floods lower the component."""
     members = sorted(component)
-    direction = unit_left_nullspace(response_rows(g, members))
+    numerators, den = unit_left_nullspace(response_rows(g, members))
     if g.left:
-        direction = [-d for d in direction]
-    direction = dict(zip(members, direction))
-    scale = border_scale(g, direction)
+        numerators = [-d for d in numerators]
+    rates = dict(zip(members, numerators))
+    scale = border_scale(g, rates)
     if scale is None:
         raise errors.InternalInvariantError(
             "flood component has no border ahead; component was not floodable"
         )
-    return FloodStep(component, direction, scale)
+    return Step(rates, den, scale)
 
 
-def advance(g: ActiveGraph, rates, scale: Fraction) -> None:
+def advance(g: ActiveGraph, rates: dict[str, int], scale: Fraction) -> None:
     """Move each bank ``u`` of ``g.assets`` by ``scale * rates[u]`` in place,
     a scale that keeps every moved bank inside its segment of ``g``; then
     refresh the banks that landed on their border in ``g.borders``, the only
     ones whose active segment can change: the next border above on a graph
     of right slopes, reached with a positive rate, or the lower border on a
-    ``left`` graph, reached with a negative one. Rates and scale may be any
-    rationals; each moved bank's new assets are summed on integers and
-    normalized once."""
+    ``left`` graph, reached with a negative one. Each moved bank's new
+    assets are summed on integers and normalized once."""
     sn, sd = scale.numerator, scale.denominator
     borders, assets = g.borders, g.assets
     landed = []
     for u, rate in rates.items():
         if rate:
             a = assets[u]
-            rd, ad = rate.denominator, a.denominator
-            num = a.numerator * sd * rd + sn * rate.numerator * ad
-            den = ad * sd * rd
+            ad = a.denominator
+            num = a.numerator * sd + sn * rate * ad
+            den = ad * sd
             assets[u] = Fraction(num, den)
             if u in borders:
                 border = borders[u]
@@ -336,7 +326,7 @@ def flood_closure(g: ActiveGraph, source=None) -> None:
     while components := condense(g, source):
         for component in components:
             step = solve_flood_step(g, component)
-            advance(g, step.direction, step.scale)
+            advance(g, step.rates, step.scale)
 
 
 def response_rows(g: ActiveGraph, members, frozen: str | None = None) -> list:
@@ -376,7 +366,7 @@ def response(
     return dict(zip(reach, numerators)), den
 
 
-def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseStep | None:
+def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> Step | None:
     """Linear response of the minimal clearing state to an injection at ``v``,
     read on ``g``. The step size is capped by the budget and by the nearest
     payment-function border along the response slopes.
@@ -393,7 +383,7 @@ def solve_increase_step(g: ActiveGraph, v: str, budget: Fraction) -> IncreaseSte
         return None
     rates, den = solved
     scale = border_scale(g, rates, limit=budget / den)
-    return IncreaseStep(rates, den, scale)
+    return Step(rates, den, scale)
 
 
 class MinClearingRun(_Value):
@@ -475,13 +465,13 @@ def run_min_clearing(net: FinancialNetwork) -> MinClearingRun:
                 if component is None:
                     break
             flood = solve_flood_step(g, component)
-            advance(g, flood.direction, flood.scale)
+            advance(g, flood.rates, flood.scale)
             floods += 1
             settle()
 
         if step is None:
             continue
-        adj.injected[source] += step.delta
+        adj.injected[source] += step.scale * step.den
         if adj.injected[source] >= adj.targets[source]:
             pending.discard(source)
         advance(g, step.rates, step.scale)

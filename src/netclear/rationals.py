@@ -20,7 +20,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Input numbers may have at most this many decimal digits in the numerator
-# and in the denominator (Python prints no integer beyond 4300 digits).
+# and in the denominator, well inside the 4300 digits that Python's int/str
+# conversions take by default; a result may be longer (see exact_str).
 MAX_DIGITS = 1000
 _BOUND = 10**MAX_DIGITS
 _TOO_LARGE = f"exact numbers are limited to {MAX_DIGITS} digits"
@@ -88,10 +89,17 @@ def exact_sum(values) -> Fraction:
 
 
 def exact_str(value: Fraction) -> str:
-    """Canonical ``p`` or ``p/q`` rendering."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical ``p`` or ``p/q`` rendering, at any length."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # str() refuses an int longer than sys.get_int_max_str_digits(), a
+        # limit that keeps the parsing of long literals fast, so it stays
+        # set; Decimal converts an int exactly and is not limited
+        p, q = (str(Decimal(x)) for x in value.as_integer_ratio())
+        return p if q == "1" else f"{p}/{q}"
 
 
 # One context for every display value; the Inexact and Rounded flags its

@@ -1,7 +1,9 @@
 """Checks on the active graph that the engine's walks hold between steps.
 
 - ``check_advance_freshness`` wraps ``minimal.advance`` in every ``netclear``
-  namespace that binds it. After each call the held graph must equal a fresh
+  namespace that binds it. Every rate it is handed must be an ``int``, as
+  ``advance`` and ``border_scale`` read no denominator of a rate. After each
+  call the held graph must equal a fresh
   ``active_graph`` build of its own network at its moved assets, of its own
   kind (right slopes, or the ``left`` slopes of ``compute_min_clearing``'s
   reverse floods), in its map of active claims and their slopes and in its
@@ -10,7 +12,7 @@
   how many of them ran inside a min-clear: ``compute_min_clearing`` or
   ``run_min_clearing``.
 - ``record_steps`` records the flood and increase steps that
-  ``run_min_clearing`` applies, in order.
+  ``run_min_clearing`` applies, in order, each with its kind.
 - ``working_network`` is the injection driver's working network with the
   externals injected so far, the network its working assets solve.
 - ``check_driver`` checks the injection driver ``run_min_clearing`` step by
@@ -50,6 +52,7 @@ def check_advance_freshness(monkeypatch) -> dict:
     counts = {"calls": 0, "landed": 0, "reverse": 0}
 
     def checked(g, rates, scale):
+        assert all(type(rate) is int for rate in rates.values()), "a rate that is no int"
         before = dict(g.borders)
         original(g, rates, scale)
         assets = g.assets
@@ -95,22 +98,26 @@ def count_builds(monkeypatch) -> dict:
 
 def record_steps(monkeypatch) -> list:
     """The list that ``solve_flood_step`` and ``solve_increase_step``, in
-    every namespace that binds them, append their steps to. ``run_min_clearing``
+    every namespace that binds them, append their steps to as ``(kind,
+    step)`` pairs, ``kind`` being "flood" or "increase". ``run_min_clearing``
     applies every step it solves, so over one run this is its trace, in the
     order taken. A singular response (None) is no step and is left out."""
     steps = []
 
-    def recording(solve):
+    def recording(solve, kind):
         def recorded(*args):
             step = solve(*args)
             if step is not None:
-                steps.append(step)
+                steps.append((kind, step))
             return step
 
         return recorded
 
-    for solve in (minimal.solve_flood_step, minimal.solve_increase_step):
-        _rebind(monkeypatch, solve, recording(solve))
+    for solve, kind in (
+        (minimal.solve_flood_step, "flood"),
+        (minimal.solve_increase_step, "increase"),
+    ):
+        _rebind(monkeypatch, solve, recording(solve, kind))
     return steps
 
 

@@ -8,7 +8,8 @@ None of this runs in the product:
 - ``identity_minus_columns``: converts a dense ``M`` to the sparse columns of
   ``I - M`` that ``unit_left_nullspace`` takes;
 - ``dense_unit_left_nullspace``: the Perron direction by dense reduced row
-  echelon form, the oracle for the sparse ``unit_left_nullspace``;
+  echelon form, scaled to largest entry 1, the oracle, up to that scale, for
+  the sparse ``unit_left_nullspace``;
 - ``fraction_border_scale`` and ``fraction_advance``: the step's line search
   and move in plain ``Fraction`` arithmetic, the oracles for the
   integer-rate ``minimal.border_scale`` and ``minimal.advance``;
@@ -238,13 +239,19 @@ def next_border_delta(fn: PaymentFunction, a: Fraction) -> Fraction | None:
 
 def fraction_value_at(fn: PaymentFunction, a: Fraction) -> Fraction:
     """``fn`` at assets ``a``: the value at the segment's lower border plus
-    slope times the distance, one ``Fraction`` operation at a time."""
+    slope times the distance, one ``Fraction`` operation at a time. That
+    value is read off ``fn``'s window in O(1): zero below it, the segment's
+    own value inside it and the final value above it."""
     if a <= fn.borders[0]:
         return ZERO
     idx = bisect_right(fn.borders, a) - 1
-    if idx == len(fn.borders) - 1:
+    i = idx - fn._lo
+    if i < 0:
+        return ZERO
+    if i >= len(fn._window):
         return fn.final_value
-    return fn._values[idx] + fn.slopes[idx] * (a - fn.borders[idx])
+    _, _, vn, vd = fn._window[i]
+    return Fraction(vn, vd) + fn.slopes[idx] * (a - fn.borders[idx])
 
 
 def fraction_slope_at(fn: PaymentFunction, a: Fraction) -> Fraction:
@@ -843,7 +850,7 @@ def apply_flood_sequence(net: FinancialNetwork, start, steps) -> ClearingState:
             raise NotASinkComponentError(
                 f"component of {bank_id!r} is not a non-singleton sink SCC"
             )
-        minimal.advance(g, step.direction, fraction * step.scale)
+        minimal.advance(g, step.rates, fraction * step.scale)
     return ClearingState(g.assets)
 
 

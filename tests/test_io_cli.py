@@ -17,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from netclear import ClearingState, build_network, is_clearing_state, validate_network
+from netclear import ClearingState, build_network, is_clearing_state, payments, validate_network
 from netclear import cli
 from netclear.cli import main
 from netclear.errors import InternalInvariantError, ParseError
 from netclear.lattice import RangeResult
-from netclear.minimal import MinClearingRun, compute_min_clearing
+from netclear.minimal import MinClearingRun, compute_min_clearing, run_min_clearing
 from netclear.priority import compute_max_clearing_pp
 from netclear.io import (
     dump_document,
@@ -406,6 +406,50 @@ class TestResultDocument:
             {v: F(entry["exact"]) for v, entry in doc["assets"].items()}
         )
         assert is_clearing_state(net, state).ok
+
+    @pytest.mark.parametrize("command", ["max-clear", "min-clear"])
+    def test_exact_fields_past_the_int_str_limit(self, command, tmp_path, capsys):
+        # Three banks that each owe both others, every amount a ratio of two
+        # random 999-digit integers, within MAX_DIGITS: the clearing state's
+        # numerators run past the digits str() takes by default, and the
+        # document carries them exactly while that limit stays in place.
+        rng = random.Random(31)
+
+        def amount():
+            return f"{rng.randint(10**998, 10**999 - 1)}/{rng.randint(10**998, 10**999 - 1)}"
+
+        ids = ["a", "b", "c"]
+        doc = {
+            "format_version": "1",
+            "banks": [{"id": v, "external_assets": amount()} for v in ids],
+            "payment_schemes": {},
+            "claims": [
+                {"debtor": u, "creditor": v, "liability": amount()}
+                for u in ids
+                for v in ids
+                if u != v
+            ],
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        limit = sys.get_int_max_str_digits()
+        assert main([command, str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = json.loads(capsys.readouterr().out)
+        net = parse_network(str(path))
+        if command == "max-clear":
+            state = compute_max_clearing_pp(net)
+        else:
+            state = run_min_clearing(net).state
+        sys.set_int_max_str_digits(0)
+        try:
+            assets = {v: str(state[v]) for v in ids}
+            paid = {pair: str(value) for pair, value in payments(net, state).items()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert {v: entry["exact"] for v, entry in out["assets"].items()} == assets
+        assert {(p["debtor"], p["creditor"]): p["exact"] for p in out["payments"]} == paid
+        assert max(len(part) for x in assets.values() for part in x.split("/")) > limit
 
 
 TRADE_ARGS = ("--claim", "u", "v", "--buyer", "w")

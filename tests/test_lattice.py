@@ -189,8 +189,8 @@ class TestMaxClearingFlood:
                 if not choices:
                     break
                 step = solve_flood_step(g, choices[-1])
-                for member, d in step.direction.items():
-                    assets[member] += step.scale * d
+                for member, rate in step.rates.items():
+                    assets[member] += step.scale * rate
             assert assets == forward.as_dict()
 
 
@@ -286,6 +286,6 @@ def _random_reachable_state(rng, net):
             break
         step = solve_flood_step(g, rng.choice(choices))
         fraction = F(rng.randint(0, 4), 4)
-        for member, d in step.direction.items():
-            assets[member] += fraction * step.scale * d
+        for member, rate in step.rates.items():
+            assets[member] += fraction * step.scale * rate
     return assets

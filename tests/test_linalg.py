@@ -376,10 +376,22 @@ def random_irreducible_stochastic(rng, n):
     return matrix
 
 
+def pinned_vector(m):
+    """``unit_left_nullspace`` of ``I - m`` as ``Fraction``s, once its
+    answer has passed its contract: the solver's form ``(numerators, den)``
+    with ``den > 0``, ``int`` numerators, none negative, and
+    ``numerators[0] == den``, that is ``d_0 = 1``."""
+    numerators, den = unit_left_nullspace(identity_minus_columns(m))
+    assert type(den) is int and den > 0
+    assert all(type(x) is int and x >= 0 for x in numerators)
+    assert numerators[0] == den
+    return [F(x, den) for x in numerators]
+
+
 class TestUnitLeftNullspace:
     def test_two_cycle(self):
         m = [[F(0), F(1)], [F(1), F(0)]]
-        assert unit_left_nullspace(identity_minus_columns(m)) == [F(1), F(1)]
+        assert pinned_vector(m) == [F(1), F(1)]
 
     def test_three_cycle(self):
         m = [
@@ -387,15 +399,15 @@ class TestUnitLeftNullspace:
             [F(0), F(0), F(1)],
             [F(1), F(0), F(0)],
         ]
-        assert unit_left_nullspace(identity_minus_columns(m)) == [F(1), F(1), F(1)]
+        assert pinned_vector(m) == [F(1), F(1), F(1)]
 
     def test_random_stochastic_matrices(self):
         rng = random.Random(271828)
         for _ in range(150):
             n = rng.randint(2, 6)
             m = random_irreducible_stochastic(rng, n)
-            d = unit_left_nullspace(identity_minus_columns(m))
-            assert max(d) == 1
+            d = pinned_vector(m)
+            assert d[0] == 1
             assert all(x > 0 for x in d)
             # d = d M exactly
             for j in range(n):
@@ -411,8 +423,9 @@ class TestUnitLeftNullspace:
         rng = random.Random(314159)
         for _ in range(150):
             m = random_irreducible_stochastic(rng, rng.randint(1, 9))
+            # the dense oracle scales to max entry 1; rescale it to d_0 = 1
             expected = dense_unit_left_nullspace(m)
-            assert unit_left_nullspace(identity_minus_columns(m)) == expected
+            assert pinned_vector(m) == [x / expected[0] for x in expected]
 
     def test_substochastic_rejected(self):
         # Irreducible but with a row summing below 1: d = d M only for d = 0.
