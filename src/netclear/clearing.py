@@ -42,6 +42,15 @@ class ClearingState(Mapping):
         return dict(self._assets)
 
 
+def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
+    """Reject networks with default cost from ``operation``, which is only
+    defined without it."""
+    if net.has_default_cost():
+        raise errors.DefaultCostUnsupportedError(
+            f"{operation} is defined for networks without default cost"
+        )
+
+
 def payments(net: FinancialNetwork, state: Mapping) -> dict[tuple[str, str], Fraction]:
     return {c.pair: c.payment.value_at(state[c.debtor]) for c in net.claims}
 
@@ -134,9 +143,6 @@ def top_iterate(net: FinancialNetwork, max_steps: int) -> IterationResult:
     the map discontinuous from above otherwise, so top iteration is unreliable
     there.
     """
-    if net.has_default_cost():
-        raise errors.DefaultCostUnsupportedError(
-            "top iteration is a no-default-cost oracle"
-        )
+    require_no_default_cost(net, "top_iterate")
     top = {v: net.bank(v).external_assets + net.total_in(v) for v in net.bank_ids()}
     return _iterate(net, top, max_steps)

@@ -9,7 +9,7 @@ slope."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from . import errors
@@ -75,10 +75,10 @@ def active_graph(net: FinancialNetwork, assets: dict, left: bool = False) -> Act
 
 
 def strongly_connected(
-    nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
+    nodes: Iterable[str], successors: Mapping[str, Iterable[str]]
 ) -> list[list[str]]:
     """Strongly connected components by Tarjan's algorithm (Tarjan 1972),
-    iterative. ``successors(v)`` yields the node ids that ``v`` points to.
+    iterative. ``successors[v]`` holds the node ids that ``v`` points to.
     Components come out in Tarjan order: each one after every component it
     reaches, so sinks first."""
     index: dict[str, int] = {}
@@ -91,7 +91,7 @@ def strongly_connected(
     for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(successors(root)))]
+        work = [(root, iter(successors[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -104,7 +104,7 @@ def strongly_connected(
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(successors(succ))))
+                    work.append((succ, iter(successors[succ])))
                     break
                 if succ in on_stack and index[succ] < lowlink[node]:
                     lowlink[node] = index[succ]
@@ -141,7 +141,7 @@ def condense(g: ActiveGraph, source: str | None = None) -> tuple[frozenset[str],
     else:
         raise errors.UnknownBankError(source)
     sinks = []
-    for members in strongly_connected(roots, edges.__getitem__):
+    for members in strongly_connected(roots, edges):
         if len(members) > 1:
             component = frozenset(members)
             if all(c in component for v in members for c in edges[v]):

@@ -19,21 +19,12 @@ rejects default costs first, and only those need the injection driver.
 from __future__ import annotations
 
 from . import errors
-from .clearing import ClearingState
+from .clearing import ClearingState, require_no_default_cost
 from .graphs import ActiveGraph, active_graph, find_flood_component
 from .minimal import Step, advance, compute_min_clearing, flood_closure, solve_flood_step
 from .model import FinancialNetwork, _Value
 from .priority import compute_max_clearing_pp
 from .rationals import parse_exact
-
-
-def require_no_default_cost(net: FinancialNetwork, operation: str) -> None:
-    """Reject networks with default cost from ``operation``, which is only
-    defined without it."""
-    if net.has_default_cost():
-        raise errors.DefaultCostUnsupportedError(
-            f"{operation} is defined for networks without default cost"
-        )
 
 
 def _own_sink_flood(g: ActiveGraph, v: str) -> Step | None:

@@ -172,21 +172,6 @@ def _lower(system, net, structure, counters, banks, assets) -> None:
     _refresh_rows(system, net, structure, counters, touched)
 
 
-def _blocks_in_order(system: _CounterSystem) -> list[list[str]]:
-    """SCC blocks of the dependency graph (t_u feeds a_v), topologically
-    ordered so every block's inputs are solved first."""
-    nodes = list(system.order)
-    out: dict[str, list[str]] = {v: [] for v in nodes}  # u -> dependents v
-    for v, row in system.w.items():
-        for u in row:
-            out[u].append(v)
-
-    blocks = strongly_connected(nodes, out.__getitem__)
-    # Tarjan emits blocks in reverse topological order of the dependency
-    # graph, i.e. dependents before their inputs; reverse it.
-    return [sorted(block) for block in reversed(blocks)]
-
-
 def _flow_rows(system, members, t):
     """Integer rows and right-hand side of the flow equalities
     ``(I - W_BB) t_B = c_B + W_B,rest t_rest`` on the block ``members``, with
@@ -226,19 +211,18 @@ def _solve_block_least(system, block, t) -> dict:
 
     No bank has a claim on itself, so the one bank of a one-bank block
     reads only inputs."""
-    members = sorted(block)
-    if len(members) == 1:
-        v = members[0]
+    if len(block) == 1:
+        (v,) = block
         assets = _assets(system, t, v)
         fn, fd = floor = system.floor[v]
         t[v] = assets if assets[0] * fd > fn * assets[1] else floor
         return {v: assets}
     flow = set()
-    for v in members:
+    for v in block:
         t[v] = system.floor[v]
 
     while True:
-        assets = {v: _assets(system, t, v) for v in members if v not in flow}
+        assets = {v: _assets(system, t, v) for v in block if v not in flow}
         promote = [v for v, (an, ad) in assets.items() if an * t[v][1] > t[v][0] * ad]
         if not promote:
             # the flow equalities hold on the promoted members: a = t there
@@ -255,11 +239,14 @@ def _solve_block_least(system, block, t) -> dict:
 
 def _solve_counters(system: _CounterSystem):
     """Least solution ``(t, a)`` of t = max(floor, W t + c) and its assets,
-    solved block by block, inputs first."""
+    solved block by block, each map in the order its banks were solved. The
+    blocks are the SCCs of the rows: ``w[v]`` lists the banks whose ``t``
+    feeds ``a_v``, and Tarjan emits each component after every one it
+    reaches, so each block comes after the blocks it reads."""
     t, a = {}, {}
-    for block in _blocks_in_order(system):
+    for block in strongly_connected(system.order, system.w):
         a.update(_solve_block_least(system, block, t))
-    return {v: t[v] for v in system.order}, {v: a[v] for v in system.order}
+    return t, a
 
 
 def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
@@ -322,7 +309,7 @@ def compute_max_clearing_pp(net: FinancialNetwork) -> ClearingState:
         t, a = _solve_counters(system)
         lowered = sorted(v for v in t if a[v][0] * t[v][1] < t[v][0] * a[v][1])
         if not lowered:
-            return ClearingState({v: Fraction(*x) for v, x in t.items()})
+            return ClearingState({v: Fraction(*t[v]) for v in system.order})
         if any(counters[v] == 0 for v in lowered):
             raise errors.InternalInvariantError("positive offset at counter zero")
         _lower(system, net, structure, counters, lowered, a)

@@ -19,9 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import errors
-from .clearing import ClearingState
+from .clearing import ClearingState, require_no_default_cost
 from .graphs import ActiveGraph, active_graph
-from .lattice import require_no_default_cost
 from .minimal import advance, border_scale, compute_min_clearing, flood_closure, response
 from .model import Bank, Claim, FinancialNetwork, _Value, assemble
 

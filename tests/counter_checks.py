@@ -18,6 +18,10 @@ promoted off its floor, with a member left at its floor, or through the
 singular path, which the descent never takes and the driven walks of
 ``test_priority`` do. Every singular exit is checked to be inconsistent, so
 that the solver never refuses a block with a point on its line.
+
+``reference_blocks`` orders the blocks of a counter system inputs first by
+a second route, and ``check_block_order`` wraps ``priority._solve_counters``
+to hold each round's blocks and least solution against it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from netclear import errors, priority
+from netclear.graphs import strongly_connected
 
 from oracles import as_fraction, has_pinned_flow_solution, normalized_rows
 
@@ -137,4 +142,58 @@ def record_least_exits(monkeypatch) -> dict:
         return assets
 
     monkeypatch.setattr(priority, "_solve_block_least", recorded_least)
+    return counts
+
+
+def reference_blocks(system) -> list[list[str]]:
+    """The SCC blocks of ``system``, inputs first, by a second route: Tarjan
+    on the map from each bank ``u`` to the banks ``v`` whose assets its
+    ``t_u`` feeds gives dependents first, so its order is reversed, and each
+    block is sorted."""
+    feeds = {v: [] for v in system.order}
+    for v, row in system.w.items():
+        for u in row:
+            feeds[u].append(v)
+    return [sorted(block) for block in reversed(strongly_connected(system.order, feeds))]
+
+
+def check_block_order(monkeypatch) -> dict:
+    """Wrap ``priority._solve_counters`` so that every round checks the
+    blocks it solves, in the order it solves them: they partition the
+    banks, and every input of a member's row lies in the member's block or
+    in an earlier one. The round's ``(t, a)`` must equal, pair for pair, a
+    loop of the least block solve over ``reference_blocks``. Returns the
+    running counts of ``rounds``, of ``blocks`` solved, of blocks of two or
+    more banks (``cycles``), and of rounds whose order differs from the
+    reference's (``reordered``)."""
+    solve, least = priority._solve_counters, priority._solve_block_least
+    counts = {"rounds": 0, "blocks": 0, "cycles": 0, "reordered": 0}
+    blocks: list = []
+
+    def recorded_least(system, block, t):
+        blocks.append(list(block))
+        return least(system, block, t)
+
+    def checked_solve(system):
+        blocks.clear()
+        t, a = solve(system)
+        position = {v: i for i, block in enumerate(blocks) for v in block}
+        assert sorted(position) == sorted(system.order)
+        assert sum(map(len, blocks)) == len(system.order)
+        for v, row in system.w.items():
+            for u in row:
+                assert position[u] <= position[v], f"{v} solved before its input {u}"
+        reference = reference_blocks(system)
+        ref_t, ref_a = {}, {}
+        for block in reference:
+            ref_a.update(least(system, block, ref_t))
+        assert t == ref_t and a == ref_a
+        counts["rounds"] += 1
+        counts["blocks"] += len(blocks)
+        counts["cycles"] += sum(len(block) > 1 for block in blocks)
+        counts["reordered"] += [sorted(block) for block in blocks] != reference
+        return t, a
+
+    monkeypatch.setattr(priority, "_solve_block_least", recorded_least)
+    monkeypatch.setattr(priority, "_solve_counters", checked_solve)
     return counts

@@ -251,7 +251,10 @@ class TestTopIterate:
 
     def test_guarded_against_default_cost(self):
         net = example2()
-        with pytest.raises(DefaultCostUnsupportedError):
+        with pytest.raises(
+            DefaultCostUnsupportedError,
+            match="^top_iterate is defined for networks without default cost$",
+        ):
             top_iterate(net, 10)
 
 

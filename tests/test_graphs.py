@@ -139,7 +139,7 @@ class TestCondense:
             state = ClearingState(random_state_in_box(rng, net))
             g = active_graph(net, state)
             nodes = g.net.bank_ids()
-            sccs = strongly_connected(nodes, g.edges.__getitem__)
+            sccs = strongly_connected(nodes, g.edges)
             assert sum(map(len, sccs)) == len(nodes)
             assert {frozenset(c) for c in sccs} == brute_force_sccs(nodes, active_pairs(g))
 

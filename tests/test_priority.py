@@ -25,9 +25,9 @@ from netclear import (
     run_min_clearing,
 )
 from netclear import axioms, errors, priority
+from netclear.graphs import strongly_connected
 from netclear.model import assemble
 from netclear.priority import (
-    _blocks_in_order,
     _counter_system,
     _CounterSystem,
     _solve_block_least,
@@ -47,6 +47,7 @@ from graph_checks import check_driver
 from counter_checks import (
     SINGULAR,
     assert_jumps_sound,
+    check_block_order,
     check_counter_freshness,
     hold_counters,
     record_least_exits,
@@ -379,7 +380,9 @@ class TestClosedBlock:
     refuses it, which no round of the descent meets."""
 
     def test_one_block(self):
-        assert _blocks_in_order(closed_block()) == [["b0", "b1", "b2"]]
+        system = closed_block()
+        [block] = strongly_connected(system.order, system.w)
+        assert sorted(block) == ["b0", "b1", "b2"]
 
     def test_least_point(self):
         t = {}
@@ -421,6 +424,34 @@ class TestClosedBlock:
             assets = _solve_block_least(system, {"s"}, t)
             assert fractions(assets) == {"s": F(1) + x / 2}
             assert as_fraction(t["s"]) == least
+
+
+class TestBlockOrder:
+    """Each round solves the SCCs of the counter system's rows in the order
+    Tarjan gives on them, each block after the blocks it reads, at the top
+    counters and after every lowering; its least solution is, pair for
+    pair, that of the inputs-first order ``counter_checks.reference_blocks``
+    builds by a second route."""
+
+    def test_blocks_follow_their_inputs(self, monkeypatch):
+        counts = check_block_order(monkeypatch)
+        lowerings = check_counter_freshness(monkeypatch)
+        rng = random.Random(3737)
+        for i in range(300):
+            net = random_network(
+                rng,
+                min_banks=3,
+                max_banks=10,
+                max_external=3,
+                edge_prob=rng.choice((None, 0.4, 0.7)),
+                schemes=ALL_SCHEME_KINDS if i % 4 == 0 else SCHEME_KINDS,
+                default_cost=i % 2 == 1,
+                alphas=ZERO_RATE_ALPHAS if i % 3 == 0 else HAIRCUT_ALPHAS,
+            )
+            assert is_clearing_state(net, compute_max_clearing_pp(net)).ok
+        # one round at the top counters and one after each lowering
+        assert counts["rounds"] == 300 + lowerings["lowerings"] >= 900
+        assert counts["cycles"] >= 400 and counts["reordered"] >= 800, counts
 
 
 def walk_counters(net, rng) -> int:

@@ -1,10 +1,12 @@
-"""Package metadata and the benchmark's tracing hooks stay in step with the
-code they describe, and the package stays cheap to import and to compile."""
+"""Package metadata, README's examples and the benchmark's tracing hooks stay
+in step with the code they describe, and the package stays cheap to import
+and to compile."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -317,3 +319,13 @@ def test_ab_inprocess_runs_two_checkouts_side_by_side():
     lines = done.stdout.splitlines()
     assert len(lines) == 3 and all("4 ops identical" in line for line in lines[:2])
     assert lines[2].startswith("sweep-small seed 20260217: median speedup")
+
+
+def test_readme_python_blocks_run():
+    """Every ``python`` block of README.md runs as written, each in a fresh
+    namespace, so its examples cannot go stale."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 3
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -12,6 +12,7 @@ from netclear import (
     is_clearing_state,
     optimal_creditor_positive_return,
     run_min_clearing,
+    trade,
 )
 from netclear.errors import (
     DefaultCostUnsupportedError,
@@ -21,7 +22,7 @@ from netclear.errors import (
     TradeError,
 )
 
-from corpus import random_network
+from corpus import random_network, ringed_network
 from oracles import exists_creditor_positive, nonunique_banks
 
 
@@ -397,6 +398,48 @@ class TestAgainstGridOracle:
         assert lowest.as_dict() != base.as_dict()
         with pytest.raises(NoCreditorPositiveTradeError, match="cannot recover"):
             optimal_creditor_positive_return(net, ("u", "v"), "w")
+
+
+class TestWalkStart:
+    def test_walk_starts_at_the_least_traded_state(self, monkeypatch):
+        """The walk's graph of right slopes is built at the least state of
+        the traded network at ``rho_min``, not at the base least state,
+        which also clears it. The cases are the (claim, buyer) pairs of
+        ringed networks where the two differ, such as ``xb/5`` with claim
+        ``(r01, r02)`` and buyer ``c0``."""
+        build = trade.active_graph
+        starts = []
+
+        def recorded(net, assets, left=False):
+            if not left:
+                starts.append(dict(assets))
+            return build(net, assets, left)
+
+        monkeypatch.setattr(trade, "active_graph", recorded)
+        cases = []
+        for k in range(131):
+            net = ringed_network(random.Random(f"xb/{k}"))
+            base = compute_min_clearing(net).as_dict()
+            for claim in net.claims:
+                rho_min = claim.payment.value_at(base[claim.debtor])
+                for buyer in net.bank_ids():
+                    if buyer in claim.pair or net.has_claim(claim.debtor, buyer):
+                        continue
+                    if min(net.bank(buyer).external_assets, claim.liability) <= rho_min:
+                        continue
+                    traded = apply_trade(net, claim.pair, buyer, rho_min)
+                    lowest = compute_min_clearing(traded).as_dict()
+                    if lowest == base:
+                        continue
+                    starts.clear()
+                    try:
+                        optimal_creditor_positive_return(net, claim.pair, buyer)
+                    except NoCreditorPositiveTradeError:
+                        pass
+                    assert starts == [lowest], (k, claim.pair, buyer)
+                    cases.append((k, claim.pair, buyer))
+        assert (5, ("r01", "r02"), "c0") in cases
+        assert len(cases) >= 20
 
 
 class TestImpossibility:
